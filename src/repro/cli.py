@@ -73,42 +73,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     compiled = compile_select(
         catalog, args.sql, sample_fraction=args.sample
     )
-    label = f"{args.mode} progress estimation"
-    if args.parallel and args.parallel > 1:
-        from repro.parallel import Coordinator, try_compile
-
-        fragments = try_compile(compiled.plan, args.parallel)
-        if fragments is None:
-            print(
-                f"-- plan not fragmentable at P={args.parallel}; running serially",
-                file=sys.stderr,
-            )
-        else:
-            coordinator = Coordinator(
-                fragments,
-                mode=args.mode,
-                tick_interval=args.tick,
-                on_progress=lambda snap: draw([snap]),
-            )
-            parallel_result = coordinator.run()
-            monitor = coordinator.monitor
-            sys.stderr.write(
-                "\r" + _progress_bar(1.0, monitor.snapshot().work_total_estimate)
-            )
-            sys.stderr.write("\n")
-            label = (
-                f"{args.mode} progress estimation, P={fragments.num_partitions}"
-                + (" DEGRADED" if parallel_result.degraded else "")
-            )
-            _print_rows(
-                compiled.plan, parallel_result.rows, args.max_rows
-            )
-            print(
-                f"-- {parallel_result.row_count:,} rows in "
-                f"{parallel_result.wall_time_s:.2f}s ({label})",
-                file=sys.stderr,
-            )
-            return 0
     bus = TickBus(interval=args.tick)
     monitor = ProgressMonitor(compiled.plan, mode=args.mode, bus=bus)
     bus.subscribe(lambda _c: draw(monitor.snapshots))
@@ -120,7 +84,8 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     _print_rows(compiled.plan, result.rows or [], args.max_rows)
     print(
-        f"-- {result.row_count:,} rows in {result.wall_time_s:.2f}s ({label})",
+        f"-- {result.row_count:,} rows in {result.wall_time_s:.2f}s "
+        f"({args.mode} progress estimation)",
         file=sys.stderr,
     )
     return 0
@@ -298,7 +263,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         sample_fraction=args.sample,
         default_timeout_s=args.timeout,
         faults=faults,
-        max_parallel=args.max_parallel,
         history_path=args.history,
     )
     host, port = service.start()
@@ -351,7 +315,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
             mode=args.mode,
             name=args.name,
             timeout_s=args.timeout_s,
-            parallel=args.parallel,
         )
         sid = session["session_id"]
         print(sid)
@@ -535,14 +498,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="vectorized execution: pull N rows per next_batch() call "
         "(default: row-at-a-time)",
     )
-    q.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="P",
-        help="partitioned multi-process execution across P workers with a "
-        "merged progress bar (unfragmentable plans run serially)",
-    )
     q.set_defaults(func=cmd_query)
 
     a = sub.add_parser(
@@ -600,14 +555,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, help="default per-session timeout (s)"
     )
     s.add_argument(
-        "--max-parallel",
-        type=int,
-        default=0,
-        metavar="P",
-        help="per-query parallelism ceiling for submit ... parallel=P "
-        "(0 disables parallel execution)",
-    )
-    s.add_argument(
         "--faults",
         default=None,
         metavar="SPEC",
@@ -634,14 +581,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sm.add_argument("--name", default=None, help="session display name")
     sm.add_argument(
         "--timeout-s", type=float, default=None, help="per-session timeout (s)"
-    )
-    sm.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="P",
-        help="request P-way parallel execution (clamped to the server's "
-        "--max-parallel ceiling)",
     )
     sm.add_argument("--wait", action="store_true", help="block until the query ends")
     sm.add_argument(

@@ -130,7 +130,6 @@ class ProgressMonitor:
         resilient: bool = False,
         faults: FaultPlan | None = None,
         history: HistoryStore | None = None,
-        priors: dict[str, tuple[float, float]] | None = None,
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -165,7 +164,7 @@ class ProgressMonitor:
         self.history = history
         self.fingerprint = None
         self.ensemble = None
-        if history is not None or priors is not None:
+        if history is not None:
             # Lazy import: the core monitor must stay importable without
             # the robust subsystem (history is strictly opt-in).
             from repro.robust.ensemble import EnsembleState
@@ -183,15 +182,13 @@ class ProgressMonitor:
                 self._byte = {
                     p.pipeline_id: ByteModelEstimator(p) for p in self.pipelines
                 }
-            prior_dict = priors
-            if prior_dict is None and history is not None:
-                prior = history.prior(self.fingerprint.digest)
-                prior_dict = (
-                    {n: (ep.mse, ep.n) for n, ep in prior.estimators.items()}
-                    if prior is not None
-                    else {}
-                )
-            self.ensemble = EnsembleState(tuple(candidates), prior_dict or {})
+            prior = history.prior(self.fingerprint.digest)
+            priors = (
+                {n: (ep.mse, ep.n) for n, ep in prior.estimators.items()}
+                if prior is not None
+                else {}
+            )
+            self.ensemble = EnsembleState(tuple(candidates), priors)
         self.snapshots: list[ProgressSnapshot] = []
         self._started = time.perf_counter()
         # Sampling lock: shared with the execution driver through the bus
@@ -292,8 +289,8 @@ class ProgressMonitor:
         """Per-operator ``(K_i, N̂_i)`` keyed by plan node id.
 
         This is the per-operator decomposition of one snapshot — the same
-        ``_total_for`` dispatch, itemised instead of summed. The worker half
-        of ``repro.parallel`` ships these over the delta pipe; node ids come
+        ``_total_for`` dispatch, itemised instead of summed.
+        ``repro.parallel`` puts these in its progress deltas; node ids come
         from ``validate_plan`` (the plan must have been validated, as every
         ``PlanCursor`` run guarantees) so the coordinator can re-key them
         onto the serial plan.

@@ -303,10 +303,12 @@ class ExecutionEngine:
         bookkeeping amortized over each batch.
 
         ``parallel=P`` (P > 1) hands the plan to :mod:`repro.parallel`:
-        the plan is fragmented across P partitions and run on worker
-        processes, with per-operator counts merged from the workers'
-        progress deltas. Plans the fragmenter cannot split (see
-        docs/PARALLEL.md) fall back to this engine's serial loop.
+        the plan is fragmented across P partitions and the fragments run
+        one after another *in this process*, with per-operator counts
+        merged from their progress deltas. It exists to exercise the
+        merge algebra and is never faster than the serial loop (see
+        docs/PARALLEL.md). Plans the fragmenter cannot split fall back to
+        this engine's serial loop.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -372,8 +374,7 @@ class ExecutionEngine:
         }
         if self.history is not None and self.monitor is not None:
             # Record only serial completions here: the parallel path returns
-            # above, and its counters live in worker processes — the
-            # partitioned session records its own merged runs.
+            # above and keeps no run history.
             from repro.robust.feedback import record_run
 
             record_run(self.monitor, self.history, elapsed, count)

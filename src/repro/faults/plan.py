@@ -27,15 +27,6 @@ Sites
                           estimator to dne instead of killing the query.
 ``server.read``           fired per request line read from a client socket.
 ``server.write``          fired per reply/stream line written to a client.
-``worker.spawn``          fired by the parallel coordinator before starting
-                          each worker process; an error here degrades the
-                          fragment to inline execution (or fails the query
-                          when degradation is off).
-``worker.exec``           fired inside parallel workers between fetches. An
-                          ``error`` kind is a *hard kill* — the worker exits
-                          without a word, exactly like a crashed or OOM-killed
-                          process — so the coordinator's death handling (EOF
-                          on the delta pipe) is what gets exercised.
 ``history.read``          fired when :class:`~repro.robust.HistoryStore` loads
                           run records (prior lookup). A fault degrades the
                           monitor to cold-start priors — it never fails the
@@ -117,8 +108,6 @@ SITE_SCAN_READ = "scan.read"
 SITE_ESTIMATOR_HOOK = "estimator.hook"
 SITE_SERVER_READ = "server.read"
 SITE_SERVER_WRITE = "server.write"
-SITE_WORKER_SPAWN = "worker.spawn"
-SITE_WORKER_EXEC = "worker.exec"
 SITE_HISTORY_READ = "history.read"
 SITE_HISTORY_WRITE = "history.write"
 
@@ -130,8 +119,6 @@ ALL_SITES = frozenset(
         SITE_ESTIMATOR_HOOK,
         SITE_SERVER_READ,
         SITE_SERVER_WRITE,
-        SITE_WORKER_SPAWN,
-        SITE_WORKER_EXEC,
         SITE_HISTORY_READ,
         SITE_HISTORY_WRITE,
     }
@@ -404,7 +391,6 @@ def parse_fault_spec(text: str) -> FaultPlan | None:
                  | site ":" kind (":" option)*
         site    := cursor.fetch | operator.pull | scan.read
                  | estimator.hook | server.read | server.write
-                 | worker.spawn | worker.exec
                  | history.read | history.write
         kind    := error | stall | short_read
         option  := rate=FLOAT | every=INT | count=INT|inf | after=INT

@@ -1,16 +1,17 @@
-"""``repro.parallel`` — partitioned multi-process execution with
-distributed progress aggregation.
+"""``repro.parallel`` — plan fragmentation and the progress merge algebra,
+as an in-process library.
 
-The subsystem splits a serial physical plan into per-partition fragments
-(:mod:`~repro.parallel.fragments`), runs each on its own worker process
-with the unchanged serial executor + progress stack
-(:mod:`~repro.parallel.worker`), streams mergeable progress deltas back
-(:mod:`~repro.parallel.delta`), folds them into one monotone global
-progress view (:mod:`~repro.parallel.monitor`) under a coordinator that
-treats worker death as a first-class fault
-(:mod:`~repro.parallel.coordinator`), and exposes the whole run behind
-the serial session interface (:mod:`~repro.parallel.session`). See
-docs/PARALLEL.md.
+The package splits a serial physical plan into per-partition fragments
+(:mod:`~repro.parallel.fragments`), runs each with the unchanged serial
+executor + progress stack (:mod:`~repro.parallel.worker`), turns every
+fragment's estimator state into mergeable progress deltas
+(:mod:`~repro.parallel.delta`) and folds them into one monotone global
+progress view (:mod:`~repro.parallel.monitor`) whose merged ONCE state is
+bit-identical to the serial run's. :mod:`~repro.parallel.coordinator`
+drives the fragments one after another in the calling process; nothing
+here starts a process or a thread, and nothing here is faster than the
+serial engine. docs/PARALLEL.md has the verdict that retired the
+multi-process backend.
 """
 
 from repro.parallel.coordinator import (
@@ -33,8 +34,7 @@ from repro.parallel.fragments import (
     try_compile,
 )
 from repro.parallel.monitor import PartitionedProgressMonitor
-from repro.parallel.session import ParallelQuerySession
-from repro.parallel.worker import WorkerKilled, WorkerTask, run_fragment
+from repro.parallel.worker import WorkerTask, run_fragment
 
 __all__ = [
     "Coordinator",
@@ -45,11 +45,9 @@ __all__ = [
     "MergedGroup",
     "MergedOnce",
     "ParallelExecutionError",
-    "ParallelQuerySession",
     "ParallelResult",
     "PartitionedProgressMonitor",
     "ProgressDelta",
-    "WorkerKilled",
     "WorkerTask",
     "compile_fragments",
     "merge_estimator_deltas",

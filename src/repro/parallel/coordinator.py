@@ -1,61 +1,41 @@
-"""The coordinator: spawn workers, pump their pipes, merge rows + progress.
+"""The coordinator: run every fragment in-process, merge rows + progress.
 
-One :class:`Coordinator` drives one fragmented query. Two backends:
+One :class:`Coordinator` drives one fragmented query to completion.
+Fragments run one after another in the calling process — there are no
+worker processes (docs/PARALLEL.md records why: P=2 never reached serial
+speed) — so a run is deterministic and exists to exercise the merge
+algebra: every fragment's cumulative deltas fold into one
+:class:`~repro.parallel.monitor.PartitionedProgressMonitor`, and the
+fragmentation plan's merge recipe turns the concatenated fragment rows
+into the serial result.
 
-* ``"process"`` — one ``multiprocessing`` worker per partition (fork
-  context where available), each running
-  :func:`repro.parallel.worker.worker_main` over its fragment. The
-  coordinator multiplexes the receive pipes with ``connection.wait`` —
-  it never blocks indefinitely on a single worker, which is what makes a
-  dead worker a handled event instead of a hang.
-* ``"inline"`` — fragments run sequentially in the coordinator process
-  through the identical message protocol. Deterministic and fork-free:
-  the differential tests sweep hundreds of plans through it, and it is
-  the degraded fallback when spawning is unavailable.
-
-Worker death is first-class: a pipe EOF before ``done`` means the worker
-died (e.g. the ``worker.exec`` hard-kill fault, a real crash, an OOM
-kill). With ``degrade=True`` the coordinator discards that worker's
-partial rows and progress, re-runs its fragment inline, and marks the
-query degraded; with ``degrade=False`` the query fails cleanly. Either
-way the coordinator terminates every remaining worker before reporting a
-terminal state — no leaked processes, no hung pipes. The ``worker.spawn``
-fault site is probed before each spawn and degrades the same way.
+A fragment that raises fails the whole run with
+:class:`ParallelExecutionError`; no partial rows are returned.
 
 Lint scope: this module is *coordinator* code — it never drives a
 ``TickBus`` (no ``tick``/``tick_n``, no ``.count`` writes; machine-checked
 by lint R001's coordinator-package rule). All execution ticking happens
-inside workers.
+inside the fragments' own cursors.
 """
 
 from __future__ import annotations
 
 import time
-from multiprocessing import get_context
-from multiprocessing.connection import wait as _conn_wait
 
-from repro.faults.plan import STALL, SITE_WORKER_SPAWN, FaultPlan
-from repro.parallel.delta import ProgressDelta
+from repro.faults.plan import FaultPlan
 from repro.parallel.fragments import FragmentPlan
 from repro.parallel.monitor import PartitionedProgressMonitor
-from repro.parallel.worker import (
-    WorkerKilled,
-    WorkerTask,
-    run_fragment,
-    worker_main,
-)
+from repro.parallel.worker import WorkerTask, run_fragment
 
-__all__ = ["Coordinator", "ParallelExecutionError", "ParallelResult", "WorkerKilled"]
-
-BACKENDS = ("process", "inline")
+__all__ = ["Coordinator", "ParallelExecutionError", "ParallelResult"]
 
 
 class ParallelExecutionError(RuntimeError):
-    """The parallel run failed (worker error, spawn failure, cancellation)."""
+    """A fragment of the partitioned run raised."""
 
 
 class ParallelResult:
-    """What a completed parallel run produced."""
+    """What a completed partitioned run produced."""
 
     __slots__ = (
         "rows",
@@ -89,73 +69,28 @@ class ParallelResult:
         self.operator_counts = monitor.merged_counters()
 
 
-class _InlineConn:
-    """A ``send``-only shim: routes worker messages straight back into the
-    coordinator's dispatcher (the inline backend's 'pipe')."""
-
-    __slots__ = ("_coordinator", "_worker_id")
-
-    def __init__(self, coordinator: "Coordinator", worker_id: int):
-        self._coordinator = coordinator
-        self._worker_id = worker_id
-
-    def send(self, message: tuple) -> None:
-        self._coordinator._dispatch(self._worker_id, message)
-
-
 class Coordinator:
-    """Drive one fragmented plan to completion across P workers.
-
-    Use :meth:`run` for run-to-completion semantics, or the nonblocking
-    triple :meth:`start` / :meth:`pump` / :meth:`finished` plus
-    :meth:`result` for quantum-stepped integration (sessions).
-    """
+    """Drive one fragmented plan to completion, fragment by fragment."""
 
     def __init__(
         self,
         plan: FragmentPlan,
-        backend: str = "process",
         mode: str = "once",
         tick_interval: int = 1000,
         batch_size: int = 1024,
         delta_every: int = 4096,
         faults: FaultPlan | None = None,
-        degrade: bool = True,
-        on_progress=None,
-        priors: dict[str, tuple[float, float]] | None = None,
     ):
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.plan = plan
-        self.backend = backend
         self.mode = mode
         self.tick_interval = tick_interval
         self.batch_size = batch_size
         self.delta_every = delta_every
         self.faults = faults
-        self.degrade = degrade
-        self.on_progress = on_progress
-        # History-seeded ensemble priors, forwarded to every worker task
-        # (None = ensemble off; {} = cold-start; see WorkerTask.priors).
-        self.priors = priors
         self.monitor = PartitionedProgressMonitor(plan.num_partitions)
-        self.error: str | None = None
-        self.cancelled = False
-        self._started_at: float | None = None
-        self._rows_by_worker: dict[int, list[tuple]] = {
-            p: [] for p in range(plan.num_partitions)
-        }
-        self._done_workers: set[int] = set()
-        self._procs: dict[int, object] = {}
-        self._pending: dict[object, int] = {}  # recv conn -> worker id
-        self._inline_queue: list[int] = []
-        self._ctx = None
-        self._started = False
 
-    # -- task construction -------------------------------------------------------
-
-    def _task(self, worker_id: int, with_faults: bool = True) -> WorkerTask:
-        faults = self.faults if with_faults else None
+    def _task(self, worker_id: int) -> WorkerTask:
+        faults = self.faults
         return WorkerTask(
             worker_id=worker_id,
             fragment=self.plan.build_fragment(worker_id),
@@ -166,239 +101,23 @@ class Coordinator:
             tick_interval=self.tick_interval,
             batch_size=self.batch_size,
             delta_every=self.delta_every,
-            # Per-worker fault streams: same schedule shape, decorrelated
+            # Per-fragment fault streams: same schedule shape, decorrelated
             # opportunity draws, reproducible from (seed, worker_id).
             fault_seed=(faults.seed + worker_id) if faults is not None else 0,
             fault_specs=faults.specs if faults is not None else (),
-            priors=self.priors,
         )
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self) -> None:
-        """Launch the run (spawn workers / queue inline fragments)."""
-        if self._started:
-            raise RuntimeError("coordinator already started")
-        self._started = True
-        self._started_at = time.perf_counter()
-        if self.backend == "inline":
-            self._inline_queue = list(range(self.plan.num_partitions))
-            return
-        self._ctx = get_context(self._start_method())
-        for worker_id in range(self.plan.num_partitions):
-            self._spawn(worker_id)
-
-    @staticmethod
-    def _start_method() -> str:
-        # fork is dramatically cheaper (no re-import, no re-pickle of the
-        # parent) and available on the POSIX platforms this targets.
-        import multiprocessing
-
-        return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-
-    def _spawn(self, worker_id: int) -> None:
-        if self.faults is not None:
-            spec = self.faults.check(SITE_WORKER_SPAWN, detail=f"worker {worker_id}")
-            if spec is not None:
-                if spec.kind == STALL:
-                    time.sleep(spec.delay_s)
-                else:
-                    self._spawn_failed(worker_id)
-                    return
-        try:
-            recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-            proc = self._ctx.Process(
-                target=worker_main,
-                args=(send_conn, self._task(worker_id)),
-                daemon=True,
-                name=f"repro-worker-{worker_id}",
-            )
-            proc.start()
-            send_conn.close()
-        except Exception:  # noqa: BLE001 - spawn failure degrades like a fault
-            self._spawn_failed(worker_id)
-            return
-        self._procs[worker_id] = proc
-        self._pending[recv_conn] = worker_id
-
-    def _spawn_failed(self, worker_id: int) -> None:
-        if not self.degrade:
-            self._fail(f"worker {worker_id} failed to spawn")
-            return
-        self.monitor.mark_degraded(
-            f"worker {worker_id} failed to spawn; fragment ran inline"
-        )
-        self._run_inline(worker_id, with_faults=False)
-
-    # -- message pumping ---------------------------------------------------------
-
-    def pump(self, timeout: float = 0.05) -> bool:
-        """Process pending worker traffic; returns True if anything moved.
-
-        Never blocks longer than ``timeout``. Safe to call after the run
-        finished (returns False).
-        """
-        if not self._started:
-            raise RuntimeError("coordinator not started")
-        if self.backend == "inline":
-            if not self._inline_queue or self.finished:
-                return False
-            worker_id = self._inline_queue.pop(0)
-            self._run_inline(worker_id, with_faults=True)
-            return True
-        if not self._pending:
-            return False
-        progressed = False
-        for conn in _conn_wait(list(self._pending), timeout):
-            worker_id = self._pending.get(conn)
-            if worker_id is None:
-                # A failure earlier in this very loop shut everything down.
-                continue
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                self._retire(conn)
-                if (
-                    worker_id not in self._done_workers
-                    and self.error is None
-                    and not self.cancelled
-                ):
-                    progressed = True
-                    self._worker_died(worker_id)
-                continue
-            progressed = True
-            self._dispatch(worker_id, message)
-            if message[0] in ("done", "error"):
-                self._retire(conn)
-        return progressed
-
-    def _retire(self, conn) -> None:
-        worker_id = self._pending.pop(conn, None)
-        try:
-            conn.close()
-        except Exception:  # noqa: BLE001 - already-broken pipes close noisily
-            pass
-        proc = self._procs.get(worker_id)
-        if proc is not None:
-            proc.join(timeout=5)
-
-    def _dispatch(self, worker_id: int, message: tuple) -> None:
-        kind = message[0]
-        if kind == "rows":
-            self._rows_by_worker[worker_id].extend(message[1])
-        elif kind == "delta":
-            self._observe(message[1])
-        elif kind == "done":
-            self._observe(message[1])
-            self._done_workers.add(worker_id)
-        elif kind == "error":
-            self._fail(f"worker {worker_id}: {message[1]}")
-        else:  # pragma: no cover - protocol violation
-            self._fail(f"worker {worker_id}: unknown message {kind!r}")
-
-    def _observe(self, delta: ProgressDelta) -> None:
-        self.monitor.observe(delta)
-        if self.on_progress is not None:
-            self.on_progress(self.monitor.snapshot())
-
-    # -- failure handling --------------------------------------------------------
-
-    def _worker_died(self, worker_id: int) -> None:
-        """EOF before ``done``: the worker process is gone."""
-        if not self.degrade:
-            self._fail(f"worker {worker_id} died before completing its fragment")
-            return
-        self.monitor.mark_degraded(
-            f"worker {worker_id} died; fragment re-ran inline on the coordinator"
-        )
-        # Partial rows and progress from the dead worker are unusable: the
-        # fragment restarts from scratch.
-        self._rows_by_worker[worker_id] = []
-        self.monitor.drop_worker(worker_id)
-        # Re-run without faults: the fragment already absorbed its fault
-        # schedule once; the fallback's job is to complete, not to re-roll
-        # the dice (a second kill here would loop forever).
-        self._run_inline(worker_id, with_faults=False)
-
-    def _run_inline(self, worker_id: int, with_faults: bool) -> None:
-        task = self._task(worker_id, with_faults=with_faults)
-        conn = _InlineConn(self, worker_id)
-        try:
-            run_fragment(conn, task, hard_kill=False)
-        except WorkerKilled:
-            # Inline stand-in for the process backend's silent death.
-            self._worker_died(worker_id)
-        except Exception as exc:  # noqa: BLE001 - reported, run fails cleanly
-            self._fail(f"worker {worker_id}: {type(exc).__name__}: {exc}")
-        else:
-            self._done_workers.add(worker_id)
-
-    def _fail(self, message: str) -> None:
-        if self.error is None:
-            self.error = message
-        self._shutdown_workers()
-
-    def cancel(self) -> None:
-        """Terminate every worker and mark the run cancelled."""
-        self.cancelled = True
-        self._inline_queue = []
-        self._shutdown_workers()
-
-    def _shutdown_workers(self) -> None:
-        self._inline_queue = []
-        for conn in list(self._pending):
-            self._pending.pop(conn, None)
-            try:
-                conn.close()
-            except Exception:  # noqa: BLE001
-                pass
-        for proc in self._procs.values():
-            try:
-                if proc.is_alive():
-                    proc.terminate()
-                proc.join(timeout=5)
-            except Exception:  # noqa: BLE001
-                pass
-
-    # -- completion --------------------------------------------------------------
-
-    @property
-    def finished(self) -> bool:
-        if not self._started:
-            return False
-        if self.error is not None or self.cancelled:
-            return True
-        if self.backend == "inline":
-            return not self._inline_queue and len(self._done_workers) == (
-                self.plan.num_partitions
-            )
-        return not self._pending and len(self._done_workers) == (
-            self.plan.num_partitions
-        )
-
-    def result(self) -> ParallelResult:
-        """Merged rows + merged monitor. Only valid once finished."""
-        if not self.finished:
-            raise RuntimeError("parallel run still in flight")
-        if self.cancelled and self.error is None:
-            raise ParallelExecutionError("parallel run cancelled")
-        if self.error is not None:
-            raise ParallelExecutionError(self.error)
+    def run(self) -> ParallelResult:
+        """Run every fragment, fold its deltas, merge the rows."""
+        started = time.perf_counter()
         raw: list[tuple] = []
-        for worker_id in sorted(self._rows_by_worker):
-            raw.extend(self._rows_by_worker[worker_id])
+        for worker_id in range(self.plan.num_partitions):
+            try:
+                run_fragment(self._task(worker_id), raw.extend, self.monitor.observe)
+            except Exception as exc:  # noqa: BLE001 - any fragment failure fails the run
+                raise ParallelExecutionError(
+                    f"worker {worker_id}: {type(exc).__name__}: {exc}"
+                ) from exc
         merged = self.plan.merge_rows(raw)
-        wall = time.perf_counter() - (self._started_at or time.perf_counter())
+        wall = time.perf_counter() - started
         return ParallelResult(merged, len(raw), wall, self.monitor, self.plan)
-
-    @property
-    def raw_row_count(self) -> int:
-        return sum(len(rows) for rows in self._rows_by_worker.values())
-
-    def run(self, poll_s: float = 0.05) -> ParallelResult:
-        """Run to completion (start + pump loop + result)."""
-        if not self._started:
-            self.start()
-        while not self.finished:
-            self.pump(poll_s)
-        return self.result()

@@ -28,8 +28,8 @@ Probe-side statistics (``t``, ``sum_counts``/``sums``, interval moment
 sums) always merge by summation: probe streams are partitioned, never
 replicated, so each probe tuple contributes on exactly one worker.
 
-Everything here must cross a ``multiprocessing`` pipe, so deltas are
-plain frozen dataclasses of picklable builtins.
+Deltas are plain frozen dataclasses of builtins: a fragment's message
+never aliases its live estimator state.
 """
 
 from __future__ import annotations
@@ -110,16 +110,6 @@ class ProgressDelta:
     done: bool = False
     degraded: bool = False
     degraded_reason: str | None = None
-    # Robust-ensemble fields (None unless the worker ran history-enabled):
-    # the worker's combined progress fraction, its per-candidate weights and
-    # prior seeding; ``estimator_errors``/``estimator_checkpoints`` carry
-    # the final per-candidate MSEs scored against the fragment's true total
-    # and ride only on the terminal ``done`` delta.
-    ensemble: float | None = None
-    weights: dict[str, float] | None = None
-    prior_source: str | None = None
-    estimator_errors: dict[str, float] | None = None
-    estimator_checkpoints: int = 0
 
 
 # -- merged estimator state --------------------------------------------------------

@@ -51,9 +51,9 @@ class PartitionedProgressMonitor:
     """Fold per-worker deltas into one monotone global progress view."""
 
     # Lock discipline (machine-checked by repro.analysis.concurrency):
-    # deltas arrive from whichever thread pumps the worker pipes while
-    # snapshots are taken by watcher/scheduler threads, so every piece of
-    # merge state lives under one private mutex.
+    # deltas are folded by whichever thread runs the fragments while any
+    # other thread may read the merged view, so every piece of merge state
+    # lives under one private mutex.
     _guarded_by_ = {
         "_deltas": "_lock",
         "_hw_ratio": "_lock",
@@ -78,29 +78,23 @@ class PartitionedProgressMonitor:
 
     @acquires("_lock")
     def observe(self, delta: ProgressDelta) -> None:
-        """Fold in one worker delta. Stale deltas (``seq`` not newer than
-        the worker's last) are dropped — the protocol is cumulative, so
-        only the latest message per worker matters."""
+        """Fold in one fragment delta and record the merged snapshot.
+
+        Stale deltas (``seq`` not newer than the worker's last) are
+        dropped — the protocol is cumulative, so only the latest message
+        per worker matters. Every accepted delta appends one entry to
+        :attr:`snapshots`, as ``ProgressMonitor`` does per bus tick."""
         with self._lock:
             current = self._deltas.get(delta.worker_id)
-            if current is None or delta.seq > current.seq:
-                self._deltas[delta.worker_id] = delta
+            if current is not None and delta.seq <= current.seq:
+                return
+            self._deltas[delta.worker_id] = delta
             if delta.degraded and not self._degraded:
                 self._degraded = True
                 self._degraded_reason = delta.degraded_reason
-
-    @acquires("_lock")
-    def drop_worker(self, worker_id: int) -> None:
-        """Discard a worker's state (its fragment is being re-run)."""
-        with self._lock:
-            self._deltas.pop(worker_id, None)
-
-    @acquires("_lock")
-    def mark_degraded(self, reason: str) -> None:
-        with self._lock:
-            self._degraded = True
-            if self._degraded_reason is None:
-                self._degraded_reason = reason
+            snap = self._merged_locked(len(self.snapshots))
+            self._hw_ratio = max(self._hw_ratio, snap.progress)
+            self.snapshots.append(snap)
 
     # -- observation -------------------------------------------------------------
 
@@ -145,140 +139,54 @@ class PartitionedProgressMonitor:
             )
 
     @acquires("_lock")
-    def merged_estimator_errors(self) -> tuple[dict[str, float], int]:
-        """Checkpoint-weighted per-candidate MSEs across done workers.
+    def snapshot(self, tick: int = -1) -> ProgressSnapshot:
+        """The merged global view as of the last accepted delta.
 
-        Each history-enabled worker ships its fragment's final ensemble
-        scoring on the terminal delta; the merge weights every fragment's
-        MSE by its checkpoint count — the same pooling rule
-        :func:`repro.robust.history.aggregate_prior` applies across runs.
-        """
+        A pure read: it neither records history nor moves the high-water
+        mark (:meth:`observe` does both), so any thread may call it."""
         with self._lock:
-            weighted: dict[str, float] = {}
-            counts: dict[str, float] = {}
-            total_ckpts = 0
-            for delta in self._deltas.values():
-                if not delta.done or not delta.estimator_errors:
-                    continue
-                n = float(max(delta.estimator_checkpoints, 1))
-                total_ckpts += delta.estimator_checkpoints
-                for name, mse in delta.estimator_errors.items():
-                    weighted[name] = weighted.get(name, 0.0) + mse * n
-                    counts[name] = counts.get(name, 0.0) + n
-            return (
-                {name: weighted[name] / counts[name] for name in weighted},
-                total_ckpts,
-            )
-
-    @acquires("_lock")
-    def progress_curve(self) -> list[tuple[float, float]]:
-        """``(actual progress, estimated progress)`` per merged snapshot."""
-        with self._lock:
-            true_total = sum(
-                k for d in self._deltas.values() for k in d.counters.values()
-            )
-            if true_total <= 0:
-                return []
-            return [
-                (snap.work_done / true_total, snap.progress)
-                for snap in self.snapshots
-            ]
+            return self._merged_locked(tick)
 
     @guarded_by("_lock")
-    def _merged_ensemble_locked(
-        self,
-    ) -> tuple[float | None, dict[str, float] | None, str | None]:
-        """Work-weighted merge of the workers' ensemble reports.
-
-        Each reporting worker's combined progress fraction and candidate
-        weights are averaged, weighted by that worker's share of the global
-        work done (a fragment that did 10x the getnexts gets 10x the say).
-        Returns all-None when no worker runs an ensemble.
-        """
-        reports = [d for d in self._deltas.values() if d.ensemble is not None]
-        if not reports:
-            return None, None, None
-        share = {
-            d.worker_id: max(sum(d.counters.values()), 1.0) for d in reports
-        }
-        total = sum(share.values())
-        ensemble = (
-            sum(share[d.worker_id] * d.ensemble for d in reports) / total
+    def _merged_locked(self, tick: int) -> ProgressSnapshot:
+        done_by_node: dict[int, float] = {}
+        total_by_node: dict[int, float] = {}
+        for delta in self._deltas.values():
+            for nid, k_i in delta.counters.items():
+                done_by_node[nid] = done_by_node.get(nid, 0.0) + k_i
+            for nid, total in delta.totals.items():
+                total_by_node[nid] = total_by_node.get(nid, 0.0) + total
+        merged = merge_estimator_deltas(
+            {w: d.estimators for w, d in self._deltas.items()}
         )
-        names = sorted({n for d in reports if d.weights for n in d.weights})
-        weights = None
-        if names:
-            weights = {
-                name: sum(
-                    share[d.worker_id] * (d.weights or {}).get(name, 0.0)
-                    for d in reports
+        for state in merged.values():
+            if isinstance(state, MergedOnce):
+                nid = state.node_id
+                total_by_node[nid] = max(
+                    state.estimate(), done_by_node.get(nid, 0.0)
                 )
-                / total
-                for name in names
-            }
-        prior_source = (
-            "warm"
-            if any(d.prior_source == "warm" for d in reports)
-            else "cold"
-        )
-        return min(ensemble, 1.0), weights, prior_source
-
-    @acquires("_lock")
-    def snapshot(self, tick: int = -1) -> ProgressSnapshot:
-        """The merged global snapshot; monotone across successive calls."""
-        with self._lock:
-            done_by_node: dict[int, float] = {}
-            total_by_node: dict[int, float] = {}
-            for delta in self._deltas.values():
-                for nid, k_i in delta.counters.items():
-                    done_by_node[nid] = done_by_node.get(nid, 0.0) + k_i
-                for nid, total in delta.totals.items():
-                    total_by_node[nid] = total_by_node.get(nid, 0.0) + total
-            merged = merge_estimator_deltas(
-                {w: d.estimators for w, d in self._deltas.items()}
-            )
-            for state in merged.values():
-                if isinstance(state, MergedOnce):
-                    nid = state.node_id
+            elif isinstance(state, MergedChain):
+                for level, nid in enumerate(state.node_ids):
                     total_by_node[nid] = max(
-                        state.estimate(), done_by_node.get(nid, 0.0)
+                        state.estimate_level(level),
+                        done_by_node.get(nid, 0.0),
                     )
-                elif isinstance(state, MergedChain):
-                    for level, nid in enumerate(state.node_ids):
-                        total_by_node[nid] = max(
-                            state.estimate_level(level),
-                            done_by_node.get(nid, 0.0),
-                        )
-                # MergedGroup: per-node totals stay summed (see module doc).
-            work_done = sum(done_by_node.values())
-            all_done = self._all_done_locked()
-            if all_done:
-                work_total = work_done
-            else:
-                work_total = max(sum(total_by_node.values()), work_done)
-            if work_total > 0:
-                ratio = min(work_done / work_total, 1.0)
-            else:
-                ratio = 1.0 if all_done else 0.0
-            if ratio < self._hw_ratio and work_done > 0:
+            # MergedGroup: per-node totals stay summed (see module doc).
+        work_done = sum(done_by_node.values())
+        if self._all_done_locked():
+            work_total = work_done
+        else:
+            work_total = max(sum(total_by_node.values()), work_done)
+            if work_done > 0 and work_done / work_total < self._hw_ratio:
                 # A total refinement shrank the fraction: report the
                 # high-water ratio by inflating the total, never move back.
                 work_total = work_done / self._hw_ratio
-                ratio = self._hw_ratio
-            else:
-                self._hw_ratio = max(self._hw_ratio, ratio)
-            ensemble, weights, prior_source = self._merged_ensemble_locked()
-            snap = ProgressSnapshot(
-                tick=tick,
-                timestamp=time.perf_counter() - self._started,
-                work_done=work_done,
-                work_total_estimate=work_total,
-                pipeline_states={},
-                degraded=self._degraded,
-                degraded_reason=self._degraded_reason,
-                ensemble=ensemble,
-                weights=weights,
-                prior_source=prior_source,
-            )
-            self.snapshots.append(snap)
-            return snap
+        return ProgressSnapshot(
+            tick=tick,
+            timestamp=time.perf_counter() - self._started,
+            work_done=work_done,
+            work_total_estimate=work_total,
+            pipeline_states={},
+            degraded=self._degraded,
+            degraded_reason=self._degraded_reason,
+        )

@@ -1,54 +1,38 @@
-"""The worker half of ``repro.parallel``: run one fragment, stream deltas.
+"""The fragment runner of ``repro.parallel``: run one shard, emit deltas.
 
-A worker process owns one plan fragment end to end: its own ``TickBus``,
-``ProgressMonitor`` (with the full estimator stack attached to the
-fragment) and ``PlanCursor`` drain loop — the serial execution machinery,
-unchanged, over one shard. What leaves the process is the wire protocol:
+One fragment owns its own ``TickBus``, ``ProgressMonitor`` (with the full
+estimator stack attached to the fragment) and ``PlanCursor`` drain loop —
+the serial execution machinery, unchanged, over one shard.
+:func:`run_fragment` runs in the calling process and hands two things to
+its caller as it goes:
 
-``("rows", [tuple, ...])``
+``on_rows([tuple, ...])``
     A fetched batch of result rows (fragment output, pre-merge).
-``("delta", ProgressDelta)``
+``on_delta(ProgressDelta)``
     Cumulative progress: per-operator ``K_i``/``N̂_i`` re-keyed to serial
-    node ids, plus every estimator's sufficient statistics.
-``("done", ProgressDelta)``
-    The fragment is exhausted; the payload is the final delta (all
-    estimators exact).
-``("error", str)``
-    The fragment raised; the message is the diagnosis. The worker exits
-    nonzero afterwards.
+    node ids, plus every estimator's sufficient statistics. The first
+    fetch always emits one; the last one has ``done=True`` and is sent
+    after the cursor closed, so all its estimators are exact.
 
-Fault semantics (probed per fetch iteration at ``worker.exec``):
-``stall`` sleeps ``delay_s``; ``error`` is a **hard kill** — the process
-exits immediately with no farewell message, so the coordinator's
-EOF-on-pipe handling is what gets exercised, exactly like a real worker
-crash or OOM kill.
-
-``FaultPlan`` itself is not picklable (it owns a mutex and live RNG
-streams), so :class:`WorkerTask` carries ``(seed, specs)`` and the worker
-rebuilds its own plan — same seed, same per-site streams, deterministic
-firing per worker loop.
+A fragment that raises propagates to the caller (the coordinator fails the
+run). Faults: :class:`WorkerTask` carries ``(seed, specs)`` and every
+fragment builds its own ``FaultPlan`` from them — same schedule shape,
+decorrelated per-fragment streams, deterministic firing per fragment loop.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.progress import ProgressMonitor
 from repro.executor.engine import PlanCursor, TickBus
 from repro.executor.operators.base import Operator
 from repro.executor.plan import walk
-from repro.faults.plan import (
-    SITE_WORKER_EXEC,
-    STALL,
-    FaultPlan,
-    FaultSpec,
-    TransientFault,
-)
+from repro.faults.plan import FaultPlan, FaultSpec, TransientFault
 from repro.parallel.delta import EstimatorDelta, ProgressDelta
 
-__all__ = ["WorkerKilled", "WorkerTask", "extract_delta", "worker_main"]
+__all__ = ["WorkerTask", "extract_delta", "run_fragment"]
 
 # Mirrors the serial session's bounded transient-retry budget: a
 # TransientFault at the cursor boundary is reissued, not fatal, until the
@@ -56,13 +40,9 @@ __all__ = ["WorkerKilled", "WorkerTask", "extract_delta", "worker_main"]
 MAX_TRANSIENT_RETRIES = 5
 
 
-class WorkerKilled(RuntimeError):
-    """Inline-backend stand-in for a hard worker kill (``os._exit``)."""
-
-
 @dataclass(frozen=True)
 class WorkerTask:
-    """Everything a worker needs, in picklable form."""
+    """Everything one fragment run needs."""
 
     worker_id: int
     fragment: Operator
@@ -72,15 +52,11 @@ class WorkerTask:
     mode: str = "once"
     tick_interval: int = 1000
     batch_size: int = 1024
-    # Minimum gnm ticks between two delta messages (flow control: deltas
-    # carry full histograms, so they are throttled, not per-batch).
+    # Minimum gnm ticks between two deltas (deltas carry full histograms,
+    # so they are throttled, not per-batch).
     delta_every: int = 4096
     fault_seed: int = 0
     fault_specs: tuple[FaultSpec, ...] = field(default_factory=tuple)
-    # History-seeded ensemble priors ({name: (mse, n)}). None disables the
-    # ensemble entirely; {} enables it cold-start. The store itself never
-    # crosses the pipe — the coordinator resolves priors before spawning.
-    priors: dict[str, tuple[float, float]] | None = None
 
 
 def extract_delta(
@@ -178,21 +154,6 @@ def extract_delta(
                 )
         degraded = manager is not None and manager.degraded
         reason = manager.demotions[-1][1] if degraded else None
-        ensemble = weights = prior_source = None
-        est_errors: dict[str, float] | None = None
-        est_checkpoints = 0
-        if monitor.snapshots:
-            last = monitor.snapshots[-1]
-            ensemble = last.ensemble
-            weights = last.weights
-            prior_source = last.prior_source
-        if done and monitor.ensemble is not None:
-            # Terminal delta: score this fragment's ensemble trajectory
-            # against the fragment's now-exact local total so the
-            # coordinator can aggregate per-candidate errors across workers.
-            est_errors, est_checkpoints = monitor.ensemble.final_errors(
-                monitor.true_total()
-            )
     return ProgressDelta(
         worker_id=task.worker_id,
         seq=seq,
@@ -202,23 +163,16 @@ def extract_delta(
         done=done,
         degraded=degraded,
         degraded_reason=reason,
-        ensemble=ensemble,
-        weights=weights,
-        prior_source=prior_source,
-        estimator_errors=est_errors,
-        estimator_checkpoints=est_checkpoints,
     )
 
 
-def run_fragment(conn, task: WorkerTask, hard_kill: bool = True) -> None:
-    """The worker loop proper (also runnable in-process by the inline
-    backend — ``conn`` only needs ``send``).
-
-    ``hard_kill`` selects how a ``worker.exec`` error fault manifests:
-    ``True`` (process backend) exits the process with no farewell message;
-    ``False`` (inline backend) raises :class:`WorkerKilled`, the
-    in-process stand-in the coordinator maps to the same death handling.
-    """
+def run_fragment(
+    task: WorkerTask,
+    on_rows: Callable[[list[tuple]], None],
+    on_delta: Callable[[ProgressDelta], None],
+) -> None:
+    """Drain ``task.fragment`` in the calling process, handing fetched
+    batches to ``on_rows`` and cumulative progress to ``on_delta``."""
     faults = (
         FaultPlan(task.fault_seed, task.fault_specs) if task.fault_specs else None
     )
@@ -229,28 +183,13 @@ def run_fragment(conn, task: WorkerTask, hard_kill: bool = True) -> None:
         bus=bus,
         resilient=True,
         faults=faults,
-        priors=task.priors,
     )
     cursor = PlanCursor(task.fragment, bus, faults=faults)
     seq = 0
     last_count = 0
-    first_sent = False
     retries_left = MAX_TRANSIENT_RETRIES
     cursor.open()
     while not cursor.exhausted:
-        if faults is not None:
-            spec = faults.check(SITE_WORKER_EXEC)
-            if spec is not None:
-                if spec.kind == STALL:
-                    time.sleep(spec.delay_s)
-                elif hard_kill:
-                    # Hard kill: no message, no cleanup — the coordinator
-                    # must survive a silent EOF on this pipe.
-                    os._exit(3)
-                else:
-                    raise WorkerKilled(
-                        f"worker {task.worker_id} killed at {SITE_WORKER_EXEC}"
-                    )
         try:
             rows = cursor.fetch(task.batch_size)
         except TransientFault:
@@ -261,37 +200,16 @@ def run_fragment(conn, task: WorkerTask, hard_kill: bool = True) -> None:
             retries_left -= 1
             continue
         if rows:
-            conn.send(("rows", rows))
+            on_rows(rows)
         with bus.lock:
-            # Uncontended in the single-threaded worker; taken anyway so
-            # the bus counter protocol stays machine-checkable.
+            # Uncontended in the single-threaded fragment loop; taken anyway
+            # so the bus counter protocol stays machine-checkable.
             count = bus.count
-        if not first_sent or count - last_count >= task.delta_every:
-            first_sent = True
+        if seq == 0 or count - last_count >= task.delta_every:
             last_count = count
             seq += 1
-            conn.send(("delta", extract_delta(monitor, task, seq, done=False)))
+            on_delta(extract_delta(monitor, task, seq, done=False))
     # Close before the final delta: closing marks every pipeline finished,
-    # so the totals in the "done" payload are the exact K_i values.
+    # so the totals in the done delta are the exact K_i values.
     cursor.close()
-    # One terminal sample so the done delta's ensemble fields reflect the
-    # finished fragment (harmless for plain monitors — the snapshot list is
-    # worker-local).
-    monitor.snapshot()
-    seq += 1
-    conn.send(("done", extract_delta(monitor, task, seq, done=True)))
-
-
-def worker_main(conn, task: WorkerTask) -> None:
-    """``multiprocessing`` entry point: run the fragment, report, exit."""
-    try:
-        run_fragment(conn, task)
-        conn.close()
-    except BaseException as exc:  # noqa: BLE001 - ship the diagnosis, then die
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-            conn.close()
-        except Exception:
-            pass
-        os._exit(1)
-    os._exit(0)
+    on_delta(extract_delta(monitor, task, seq + 1, done=True))

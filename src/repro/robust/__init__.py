@@ -3,10 +3,8 @@ feedback (see docs/ROBUST.md)."""
 
 from repro.robust.ensemble import COLD, WARM, EnsembleState
 from repro.robust.feedback import (
-    build_merged_record,
     build_record,
     observed_view,
-    record_merged_run,
     record_run,
 )
 from repro.robust.history import (
@@ -30,11 +28,9 @@ __all__ = [
     "RunRecord",
     "WARM",
     "aggregate_prior",
-    "build_merged_record",
     "build_record",
     "canonical_expression",
     "fingerprint_plan",
     "observed_view",
-    "record_merged_run",
     "record_run",
 ]

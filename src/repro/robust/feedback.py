@@ -28,7 +28,6 @@ from repro.storage.statistics import ObservedCardinalities
 __all__ = [
     "build_record",
     "observed_view",
-    "record_merged_run",
     "record_run",
 ]
 
@@ -108,66 +107,6 @@ def record_run(
     record = build_record(monitor, wall_time_s, row_count)
     if record is None:
         return None
-    if not store.append_run(record):
-        return None
-    if observed is not None:
-        observed.absorb(record.node_cards, record.table_rows, record.seq)
-    return record
-
-
-def build_merged_record(
-    fingerprint,
-    monitor,
-    mode: str,
-    wall_time_s: float,
-    row_count: int,
-    plan,
-) -> RunRecord:
-    """A :class:`RunRecord` for one finished *partitioned* run.
-
-    ``monitor`` is a
-    :class:`~repro.parallel.monitor.PartitionedProgressMonitor`: node
-    cardinalities come from its merged per-node counters (already keyed by
-    serial node id), estimator errors from the checkpoint-weighted merge
-    of the workers' terminal scorings, and the curve from its merged
-    snapshot stream. ``plan`` is the *serial* root (for base-table rows).
-    """
-    true_total = monitor.true_total()
-    errors, checkpoints = monitor.merged_estimator_errors()
-    node_cards: dict[str, float] = {}
-    for node_id, k_i in monitor.merged_counters().items():
-        digest = fingerprint.nodes.get(node_id)
-        if digest is not None:
-            node_cards[digest] = float(k_i)
-    return RunRecord(
-        fingerprint=fingerprint.digest,
-        signature=fingerprint.signature,
-        mode=mode,
-        wall_time_s=float(wall_time_s),
-        true_total=float(true_total),
-        row_count=int(row_count),
-        curve=_downsample(monitor.progress_curve()),
-        estimator_errors=errors,
-        estimator_checkpoints=checkpoints,
-        node_cards=node_cards,
-        table_rows=_base_table_rows(plan),
-    )
-
-
-def record_merged_run(
-    fingerprint,
-    monitor,
-    store: HistoryStore,
-    mode: str,
-    wall_time_s: float,
-    row_count: int,
-    plan,
-    observed: ObservedCardinalities | None = None,
-) -> RunRecord | None:
-    """Persist one finished partitioned run (see :func:`record_run`)."""
-    record = build_merged_record(
-        fingerprint, monitor, mode, wall_time_s, row_count, plan
-    )
     if not store.append_run(record):
         return None
     if observed is not None:

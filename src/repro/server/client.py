@@ -110,14 +110,8 @@ class ProgressClient:
         name: str | None = None,
         timeout_s: float | None = None,
         quantum_rows: int | None = None,
-        parallel: int | None = None,
     ) -> dict:
-        """Submit SQL; returns the session's snapshot (incl. ``session_id``).
-
-        ``parallel=P`` requests partitioned multi-process execution; the
-        server clamps it to its ``max_parallel`` ceiling and silently
-        falls back to serial execution for unfragmentable queries.
-        """
+        """Submit SQL; returns the session's snapshot (incl. ``session_id``)."""
         request: dict = {"op": "submit", "sql": sql}
         if mode is not None:
             request["mode"] = mode
@@ -127,8 +121,6 @@ class ProgressClient:
             request["timeout_s"] = timeout_s
         if quantum_rows is not None:
             request["quantum_rows"] = quantum_rows
-        if parallel is not None:
-            request["parallel"] = parallel
         return self._roundtrip(request)["session"]
 
     def status(self, session_id: str) -> dict:

@@ -1,7 +1,7 @@
 """Pub/sub event bus: N watchers over one stream of progress events.
 
-The service publishes one small dict per session step / state transition;
-watchers (``watch`` connections, dashboards, tests) each get their own
+The service publishes one pre-encoded ``PublishedFrame`` per session
+step / state transition; watchers (``watch`` connections, dashboards, tests) each get their own
 bounded mailbox. Design constraints, in order:
 
 * **publishers never block** — a slow or stalled watcher must not be able
@@ -19,7 +19,7 @@ bounded mailbox. Design constraints, in order:
 * **detach is first-class** — a watcher whose connection dies unsubscribes
   and is immediately forgotten; the bus holds no reference afterwards
   (the event-layer twin of :meth:`TickBus.unsubscribe`).
-* **no executor coupling** — events are plain dicts produced *outside* the
+* **no executor coupling** — events are produced *outside* the
   execution lock; the bus never touches operator or estimator state.
 """
 
@@ -37,19 +37,11 @@ __all__ = ["EventBus", "Subscription", "conflation_key"]
 def conflation_key(event: Any) -> str | None:
     """The session identity an event can be conflated on, if any.
 
-    Pre-encoded published frames carry ``session_id`` as an attribute;
-    legacy snapshot dicts nest it under ``session``. Events without a
-    session identity (workload aggregates, arbitrary test dicts) return
+    Pre-encoded published frames carry ``session_id`` as an attribute.
+    Events without one (workload aggregates, arbitrary test dicts) return
     ``None`` and are never conflated — they keep plain drop-oldest.
     """
-    key = getattr(event, "session_id", None)
-    if key is not None:
-        return key
-    if isinstance(event, dict):
-        session = event.get("session")
-        if isinstance(session, dict):
-            return session.get("session_id")
-    return None
+    return getattr(event, "session_id", None)
 
 
 class Subscription:

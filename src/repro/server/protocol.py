@@ -8,7 +8,7 @@ event, after which the connection is ready for the next request.
 Requests::
 
     {"op": "submit", "sql": "...", "mode": "once", "name": "...",
-     "timeout_s": 30.0, "parallel": 4}       -> {"ok": true, "session": {...}}
+     "timeout_s": 30.0}                      -> {"ok": true, "session": {...}}
     {"op": "status", "session_id": "s0001"}  -> {"ok": true, "session": {...}}
     {"op": "list"}                           -> {"ok": true, "sessions": [...],
                                                  "workload": {...}}

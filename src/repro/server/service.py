@@ -93,12 +93,8 @@ class ProgressService:
         default_timeout_s: float | None = None,
         faults: FaultPlan | None = None,
         retry_budget: int = 3,
-        max_parallel: int = 0,
-        parallel_backend: str = "process",
         history_path=None,
     ):
-        if max_parallel < 0:
-            raise ValueError(f"max_parallel must be >= 0, got {max_parallel}")
         self.catalog = catalog
         self.host = host
         self.port = port
@@ -126,10 +122,6 @@ class ProgressService:
 
             self.history = HistoryStore(history_path, faults=self.faults)
             self.observed = observed_view(self.history)
-        # Parallel admission: 0 disables parallel execution entirely;
-        # otherwise per-query parallelism is clamped to this ceiling.
-        self.max_parallel = max_parallel
-        self.parallel_backend = parallel_backend
         self.registry = SessionRegistry()
         self.events = EventBus()
         self._enc_lock = threading.Lock()
@@ -152,15 +144,8 @@ class ProgressService:
         name: str | None = None,
         timeout_s: float | None = None,
         quantum_rows: int | None = None,
-        parallel: int | None = None,
     ) -> QuerySession:
-        """Compile ``sql``, admit it for execution, return the session.
-
-        ``parallel=P`` (P > 1, clamped to the service's ``max_parallel``
-        ceiling) asks for partitioned multi-process execution; queries the
-        fragmenter cannot split — and any request when ``max_parallel`` is
-        0 — run as ordinary serial sessions.
-        """
+        """Compile ``sql``, admit it for execution, return the session."""
         from repro.sql import compile_select
 
         compiled = compile_select(
@@ -169,45 +154,21 @@ class ProgressService:
             sample_fraction=self.sample_fraction,
             observed=self.observed,
         )
-        session = None
-        requested = min(int(parallel or 0), self.max_parallel)
-        if requested > 1:
-            from repro.parallel.fragments import try_compile
-            from repro.parallel.session import ParallelQuerySession
-
-            fragments = try_compile(compiled.plan, requested)
-            if fragments is not None:
-                session = ParallelQuerySession(
-                    compiled.plan,
-                    fragments,
-                    name=name,
-                    mode=mode or self.default_mode,
-                    backend=self.parallel_backend,
-                    tick_interval=self.tick_interval,
-                    row_cap=self.row_cap,
-                    timeout_s=(
-                        timeout_s if timeout_s is not None else self.default_timeout_s
-                    ),
-                    faults=self.faults,
-                    history=self.history,
-                    observed=self.observed,
-                )
-        if session is None:
-            session = QuerySession(
-                compiled.plan,
-                name=name,
-                mode=mode or self.default_mode,
-                tick_interval=self.tick_interval,
-                quantum_rows=quantum_rows or self.quantum_rows,
-                row_cap=self.row_cap,
-                timeout_s=(
-                    timeout_s if timeout_s is not None else self.default_timeout_s
-                ),
-                faults=self.faults,
-                retry_budget=self.retry_budget,
-                history=self.history,
-                observed=self.observed,
-            )
+        session = QuerySession(
+            compiled.plan,
+            name=name,
+            mode=mode or self.default_mode,
+            tick_interval=self.tick_interval,
+            quantum_rows=quantum_rows or self.quantum_rows,
+            row_cap=self.row_cap,
+            timeout_s=(
+                timeout_s if timeout_s is not None else self.default_timeout_s
+            ),
+            faults=self.faults,
+            retry_budget=self.retry_budget,
+            history=self.history,
+            observed=self.observed,
+        )
         # The frame encoder must exist before the listener can fire: the
         # first published snapshot already goes through it.
         with self._enc_lock:
@@ -368,7 +329,6 @@ class ProgressService:
                 name=request.get("name"),
                 timeout_s=request.get("timeout_s"),
                 quantum_rows=request.get("quantum_rows"),
-                parallel=request.get("parallel"),
             )
         except AdmissionError as exc:
             write_message(wfile, error_response("admission", str(exc)))

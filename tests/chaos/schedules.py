@@ -27,8 +27,6 @@ from repro.faults import (
     SITE_SCAN_READ,
     SITE_SERVER_READ,
     SITE_SERVER_WRITE,
-    SITE_WORKER_EXEC,
-    SITE_WORKER_SPAWN,
     STALL,
     FaultPlan,
     FaultSpec,
@@ -162,43 +160,6 @@ def service_schedule(seed: int) -> FaultPlan:
             count=int(rng.integers(2, 7)),
         ),
     ]
-    return FaultPlan(seed=seed, specs=specs)
-
-
-def parallel_schedule(seed: int) -> FaultPlan:
-    """Worker-kill chaos for the parallel subsystem.
-
-    ``worker.exec`` errors are hard kills (``os._exit``, no farewell
-    message) and ``worker.spawn`` errors abort a launch — both must leave
-    the coordinator terminal (degraded or FAILED), never hung. Stall
-    noise perturbs worker pacing without changing anything observable.
-    Counts are finite so the degraded re-run (which runs fault-free by
-    design) always completes.
-    """
-    rng = make_rng(seed, "chaos", "parallel")
-    specs: list[FaultSpec] = []
-    if rng.random() < 0.8:
-        specs.append(
-            FaultSpec(
-                SITE_WORKER_EXEC,
-                kind=ERROR,
-                every=int(rng.integers(1, 5)),
-                count=int(rng.integers(1, 3)),
-            )
-        )
-    if rng.random() < 0.4:
-        specs.append(
-            FaultSpec(SITE_WORKER_SPAWN, kind=ERROR, every=1, count=1)
-        )
-    specs.append(
-        FaultSpec(
-            SITE_WORKER_EXEC,
-            kind=STALL,
-            every=int(rng.integers(2, 6)),
-            count=int(rng.integers(1, 4)),
-            delay_s=0.001,
-        )
-    )
     return FaultPlan(seed=seed, specs=specs)
 
 

@@ -53,25 +53,27 @@ def test_deltas_are_cumulative_not_increments():
     assert monitor.true_total() == 15  # replaced, not 25
 
 
-def test_drop_worker_discards_contribution():
-    monitor = PartitionedProgressMonitor(2)
-    monitor.observe(_delta(0, 1, {1: 10}))
-    monitor.observe(_delta(1, 1, {1: 99}))
-    monitor.drop_worker(1)
-    assert monitor.merged_counters() == {1: 10}
-
-
 def test_first_degradation_reason_wins():
     monitor = PartitionedProgressMonitor(2)
-    monitor.mark_degraded("worker 1 died")
-    monitor.mark_degraded("worker 0 died")
+    monitor.observe(_delta(1, 1, {1: 1}, degraded=True, degraded_reason="once@3 demoted"))
+    monitor.observe(_delta(0, 1, {1: 1}, degraded=True, degraded_reason="once@5 demoted"))
+    # The flag sticks even when a later delta no longer carries it.
+    monitor.observe(_delta(1, 2, {1: 2}))
     snap = monitor.snapshot()
     assert snap.degraded
-    assert snap.degraded_reason == "worker 1 died"
-    # A degraded flag riding a delta sticks too.
-    monitor2 = PartitionedProgressMonitor(1)
-    monitor2.observe(_delta(0, 1, {1: 1}, degraded=True, degraded_reason="demoted"))
-    assert monitor2.snapshot().degraded
+    assert snap.degraded_reason == "once@3 demoted"
+
+
+def test_observe_records_one_snapshot_per_accepted_delta():
+    monitor = PartitionedProgressMonitor(2)
+    monitor.observe(_delta(0, 1, {1: 10}, totals={1: 40}))
+    monitor.observe(_delta(1, 1, {1: 5}, totals={1: 20}))
+    monitor.observe(_delta(0, 1, {1: 99}))  # stale: dropped, not recorded
+    assert [s.work_done for s in monitor.snapshots] == [10, 15]
+    # snapshot() is a pure read: same view, no new history entry.
+    assert monitor.snapshot().work_done == 15
+    assert monitor.snapshot().progress == monitor.snapshots[-1].progress
+    assert len(monitor.snapshots) == 2
 
 
 # -- snapshot semantics -------------------------------------------------------

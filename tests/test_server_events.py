@@ -28,12 +28,9 @@ class TestConflationKey:
         f = frame(SessionStreamEncoder(), "s7", 1)
         assert conflation_key(f) == "s7"
 
-    def test_legacy_snapshot_dict_key(self):
-        event = {"event": "snapshot", "session": {"session_id": "s3", "seq": 2}}
-        assert conflation_key(event) == "s3"
-
     def test_generic_events_have_no_key(self):
         assert conflation_key({"n": 1}) is None
+        assert conflation_key({"event": "snapshot", "session": {"session_id": "s3"}}) is None
         assert conflation_key({"event": "workload", "workload": {}}) is None
 
 
