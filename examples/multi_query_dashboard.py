@@ -1,19 +1,17 @@
 """A workload dashboard: progress over several concurrent queries.
 
-Runs three queries interleaved (round-robin, as a multi-backend DBMS
-would time-slice them) and prints a periodically refreshed dashboard with
+Runs three queries interleaved (round-robin on one scheduler worker, as a
+multi-backend DBMS would time-slice them); a session listener redraws
 per-query and aggregate progress — the multi-query extension of the
-single-query indicator (cf. Luo et al.'s follow-up work cited in the
-paper's Section 2).
+single-query indicator (cf. Luo et al.'s follow-up work cited in §2).
 
 Run:  python examples/multi_query_dashboard.py
 """
 
-import sys
 import time
 
-from repro.core.multi_query import InterleavedExecutor, MultiQueryProgressMonitor
 from repro.datagen import generate_tpch
+from repro.server import QuerySession, Scheduler, SessionRegistry
 from repro.sql import compile_select
 
 QUERIES = {
@@ -41,36 +39,36 @@ QUERIES = {
 
 def main() -> None:
     catalog = generate_tpch(sf=0.01, seed=3, skew_z=1.0)
-    monitor = MultiQueryProgressMonitor()
-    for name, sql in QUERIES.items():
-        compiled = compile_select(catalog, sql)
-        monitor.add_query(name, compiled.plan, mode="once", tick_interval=500)
-
+    registry = SessionRegistry()
     last = [0.0]
 
-    def dashboard(mon: MultiQueryProgressMonitor) -> None:
+    def dashboard(_session, _snapshot) -> None:
         now = time.perf_counter()
         if now - last[0] < 0.2:
             return
         last[0] = now
-        snap = mon.snapshot()
-        parts = [f"{name}: {p:6.1%}" for name, p in snap.per_query.items()]
-        sys.stdout.write(
-            "\r" + " | ".join(parts) + f"  ||  workload: {snap.progress:6.1%}   "
-        )
-        sys.stdout.flush()
+        view = registry.workload()
+        parts = [f"{name}: {p:6.1%}" for name, p in view.per_session.items()]
+        print("\r" + " | ".join(parts) + f"  ||  workload: {view.progress:6.1%}   ",
+              end="", flush=True)
 
-    executor = InterleavedExecutor(monitor, quantum_rows=200, on_turn=dashboard)
+    for name, sql in QUERIES.items():
+        session = QuerySession(compile_select(catalog, sql).plan, session_id=name,
+                               tick_interval=500, quantum_rows=200, row_cap=0)
+        registry.add(session).add_listener(dashboard)
+
     started = time.perf_counter()
-    counts = executor.run()
+    with Scheduler(workers=1, policy="fair") as scheduler:
+        for session in registry.sessions():
+            scheduler.submit(session)
+        scheduler.run_until_complete()
     elapsed = time.perf_counter() - started
 
-    final = monitor.snapshot()
     print("\n\nfinished:")
-    for name, rows in counts.items():
-        print(f"  {name:<22} {rows:>8,} rows")
-    print(f"workload progress: {final.progress:.1%} in {elapsed:.2f}s "
-          f"({executor.turns_taken} scheduler turns)")
+    for session in registry.sessions():
+        print(f"  {session.name:<22} {session.row_count:>8,} rows")
+    print(f"workload progress: {registry.workload().progress:.1%} in {elapsed:.2f}s "
+          f"({scheduler.steps_taken} scheduler turns)")
 
 
 if __name__ == "__main__":

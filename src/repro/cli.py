@@ -5,7 +5,6 @@ Local subcommands, all runnable offline against generated data::
     python -m repro demo                      # the Figure-8 style showcase
     python -m repro query "SELECT ..."        # run SQL with a progress bar
     python -m repro analyze "SELECT ..."      # static plan diagnostics, no execution
-    python -m repro bench-overhead            # quick estimation-overhead check
 
 ``query`` generates (and caches per-process) a skewed TPC-H database, runs
 the statement through :mod:`repro.sql` with the paper's estimators attached,
@@ -208,35 +207,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
         print(" ".join(row))
     print("\na perfect indicator reports estimated == actual;")
     print("dne overestimates progress while the optimizer's join estimates are wrong.")
-    return 0
-
-
-def cmd_bench_overhead(args: argparse.Namespace) -> int:
-    from repro.core.manager import EstimationManager
-    from repro.executor.engine import ExecutionEngine
-    from repro.executor.operators import HashJoin, SeqScan
-
-    catalog = _build_catalog(args)
-    times = {}
-    for instrumented in (False, True):
-        best = float("inf")
-        for _ in range(3):
-            join = HashJoin(
-                SeqScan(catalog.table("orders")),
-                SeqScan(catalog.table("lineitem")),
-                "orders.orderkey",
-                "lineitem.orderkey",
-            )
-            if instrumented:
-                EstimationManager(join)
-            started = time.perf_counter()
-            ExecutionEngine(join, collect_rows=False).run()
-            best = min(best, time.perf_counter() - started)
-        times[instrumented] = best
-    overhead = (times[True] - times[False]) / times[False] * 100
-    print(f"bare join:         {times[False]:.3f}s")
-    print(f"with estimators:   {times[True]:.3f}s")
-    print(f"overhead:          {overhead:+.1f}%")
     return 0
 
 
@@ -531,9 +501,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("demo", help="Figure-8 style once-vs-dne showcase")
     d.set_defaults(func=cmd_demo)
-
-    b = sub.add_parser("bench-overhead", help="quick estimation-overhead check")
-    b.set_defaults(func=cmd_bench_overhead)
 
     def add_endpoint(p) -> None:
         p.add_argument("--host", default="127.0.0.1", help="service host")

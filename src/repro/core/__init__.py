@@ -37,7 +37,6 @@ from repro.core.dne import DriverNodeEstimator
 from repro.core.histogram import BucketizedHistogram, FrequencyHistogram
 from repro.core.join_estimators import OnceJoinEstimator, attach_once_estimator
 from repro.core.manager import EstimationManager
-from repro.core.multi_query import InterleavedExecutor, MultiQueryProgressMonitor
 from repro.core.pipeline_estimators import HashJoinChainEstimator, find_hash_join_chains
 from repro.core.progress import ProgressMonitor, ProgressSnapshot
 from repro.core.theta_estimators import OnceThetaJoinEstimator, attach_theta_estimator
@@ -52,9 +51,7 @@ __all__ = [
     "GroupFrequencyState",
     "HashJoinChainEstimator",
     "HybridGroupCountEstimator",
-    "InterleavedExecutor",
     "MLEEstimator",
-    "MultiQueryProgressMonitor",
     "OnceJoinEstimator",
     "OnceThetaJoinEstimator",
     "ProgressMonitor",

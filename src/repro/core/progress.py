@@ -359,9 +359,9 @@ class ProgressMonitor:
         """T(Q): only meaningful after the query finished.
 
         Takes the sampling lock so pinning a finished session's total from
-        a snapshot thread (``MultiQueryProgressMonitor``, the server's
-        finished-session path) reads a consistent counter sum even while
-        sibling plans on the same bus are still executing.
+        a snapshot thread (``QuerySession.snapshot``) reads a consistent
+        counter sum even while sibling plans on the same bus are still
+        executing.
         """
         with self._lock:
             return float(

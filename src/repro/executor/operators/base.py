@@ -144,7 +144,7 @@ class Operator(ABC):
     # Operators are per-tuple hot objects: __slots__ drops the per-instance
     # __dict__ and makes the tuples_emitted / bus / state attribute reads in
     # next()/next_batch() direct slot loads. Every concrete operator must
-    # declare __slots__ too (the lint's operator registry catches strays).
+    # declare __slots__ too (tests/test_plan_validate.py catches strays).
     __slots__ = (
         "tuples_emitted",
         "state",

@@ -3,12 +3,13 @@
 The registry is the service's source of truth for "what queries exist",
 and the one place aggregate (workload) progress is computed. Aggregation
 uses the gnm measure over published per-session snapshots —
-``Σ_q C(Q_q) / Σ_q T̂(Q_q)`` — with the terminal-session rule of
-:class:`~repro.core.multi_query.MultiQueryProgressMonitor`: a session
-that reached a terminal state contributes its *final observed* work for
-both numerator and denominator, so a finished query whose estimator
-undershot ``T̂(Q)`` cannot drag the workload below 1.0, and aggregate
-progress never regresses when a query completes or is cancelled.
+``Σ_q C(Q_q) / Σ_q T̂(Q_q)``, the multi-query extension of Luo et al.
+([19] in the paper's bibliography) — with one terminal-session rule: a
+session that reached a terminal state contributes its *final observed*
+work for both numerator and denominator, so a finished query whose
+estimator undershot ``T̂(Q)`` cannot drag the workload below 1.0, and
+aggregate progress never regresses when a query completes or is
+cancelled.
 
 Reads never sample live executor state: they consume the immutable
 :class:`~repro.server.session.SessionSnapshot` each session last

@@ -10,8 +10,8 @@ can never be captured by a dying session.
 Policies
 --------
 ``fair``
-    Round-robin: FIFO over the ready queue, the multi-backend analogue of
-    :class:`~repro.core.multi_query.InterleavedExecutor`'s turn order.
+    Round-robin: FIFO over the ready queue. With one worker the turn
+    order is deterministic — the classic cooperative interleave.
 ``serw``
     Shortest expected remaining work: pick the ready session with the
     smallest live ``T̂(Q) − C(Q)``. This is the progress framework feeding
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import collections
 import threading
-from typing import Callable
 
 from repro.common.locks import acquires, guarded_by
 from repro.server.session import QuerySession
@@ -66,8 +65,6 @@ class Scheduler:
         workers: int = 4,
         policy: str = "fair",
         max_pending: int = 64,
-        quantum_rows: int | None = None,
-        on_step: Callable[[QuerySession], None] | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -78,8 +75,6 @@ class Scheduler:
         self.workers = workers
         self.policy = policy
         self.max_pending = max_pending
-        self.quantum_rows = quantum_rows
-        self.on_step = on_step
         self.steps_taken = 0
         self._cond = threading.Condition()
         self._ready: collections.deque[QuerySession] = collections.deque()
@@ -192,7 +187,7 @@ class Scheduler:
                 self._stepping += 1
             more = False
             try:
-                more = session.step(self.quantum_rows)
+                more = session.step()
             finally:
                 with self._cond:
                     self._stepping -= 1
@@ -202,6 +197,3 @@ class Scheduler:
                     else:
                         self._pending -= 1
                     self._cond.notify_all()
-            callback = self.on_step
-            if callback is not None:
-                callback(session)

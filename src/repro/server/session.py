@@ -17,8 +17,8 @@ State machine::
 
 Cancellation is cooperative: :meth:`cancel` only raises a flag, honoured
 at the next step boundary (a quantum is the unit of preemption, exactly
-like the interleaved executor's turns). A per-session ``timeout_s`` is
-enforced the same way, measured from the first step.
+like a scheduler turn). A per-session ``timeout_s`` is enforced the same
+way, measured from the first step.
 
 Progress reporting never touches executor internals from server threads:
 the worker thread publishes a :class:`SessionSnapshot` after every step
@@ -143,8 +143,8 @@ class QuerySession:
         The physical plan to run.
     mode / catalog / tick_interval:
         Forwarded to a freshly built :class:`ProgressMonitor` unless
-        ``monitor``/``bus`` are injected (the interleaved executor reuses
-        its pre-built per-handle monitors that way).
+        ``monitor``/``bus`` are injected (a caller that already built the
+        monitor on a shared bus, e.g. the benchmark's staged trace).
     quantum_rows:
         Output rows pulled per :meth:`step`.
     row_cap:
@@ -423,7 +423,7 @@ class QuerySession:
         self._cancel.set()
 
     @acquires("_step_lock")
-    def step(self, quantum_rows: int | None = None) -> bool:
+    def step(self) -> bool:
         """Advance by one quantum. Returns True while more work remains.
 
         Terminal transitions (FINISHED / CANCELLED / FAILED) happen inside
@@ -455,7 +455,7 @@ class QuerySession:
                 )
                 return False
             try:
-                batch = self._fetch_with_retry(quantum_rows or self.quantum_rows)
+                batch = self._fetch_with_retry()
             except Exception as exc:  # noqa: BLE001 - reported as FAILED
                 self._finalize(SessionState.FAILED, _describe_error(exc))
                 return False
@@ -477,7 +477,7 @@ class QuerySession:
             return True
 
     @guarded_by("_step_lock")
-    def _fetch_with_retry(self, max_rows: int) -> list[tuple]:
+    def _fetch_with_retry(self) -> list[tuple]:
         """Pull one quantum, absorbing retryable storage faults.
 
         :class:`TransientFault` fires at the cursor boundary *before* the
@@ -492,7 +492,7 @@ class QuerySession:
         """
         while True:
             try:
-                return self.cursor.fetch(max_rows)
+                return self.cursor.fetch(self.quantum_rows)
             except TransientFault:
                 if self._retries_left <= 0:
                     raise

@@ -82,11 +82,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "once" in out and "dne" in out
 
-    def test_bench_overhead_runs(self, capsys):
-        code = main(["--sf", "0.001", "bench-overhead"])
-        assert code == 0
-        assert "overhead" in capsys.readouterr().out
-
 
 class TestAnalyzeCommand:
     def test_analyze_parse_defaults(self):

@@ -10,7 +10,7 @@ Timing tests are inherently jittery on shared CI runners, so each
 configuration takes the best of three runs and the ratio bound is loose —
 this catches accidental per-row blowups (an O(n) snapshot per tick, a hook
 on the wrong loop), not single-digit-percent regressions; those belong to
-``benchmarks/bench_overhead.py``.
+``benchmarks/e2e`` (``overhead_ratio``).
 """
 
 from __future__ import annotations

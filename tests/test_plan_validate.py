@@ -5,7 +5,14 @@ import pytest
 from repro.common.errors import PlanError
 from repro.executor.engine import ExecutionEngine
 from repro.executor.expressions import Comparison, col, lit
-from repro.executor.operators import Filter, HashJoin, SeqScan
+from repro.executor.operators import (
+    AggregateSpec,
+    Filter,
+    HashAggregate,
+    HashJoin,
+    Operator,
+    SeqScan,
+)
 from repro.executor.plan import validate_plan
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -56,3 +63,32 @@ class TestValidatePlan:
         ExecutionEngine(scan).run()  # runs and closes the plan
         with pytest.raises(PlanError):
             ExecutionEngine(scan).run()
+
+
+class TestOperatorsStayDictFree:
+    """Operators are per-tuple hot objects (see ``operators/base.py``):
+    one subclass without ``__slots__`` gives every instance a ``__dict__``
+    back."""
+
+    def test_every_operator_class_declares_slots(self):
+        pending, seen = [Operator], []
+        while pending:
+            for cls in pending.pop().__subclasses__():
+                # Test-local subclasses (exploding scans etc.) are exempt.
+                if cls.__module__.startswith("repro."):
+                    seen.append(cls)
+                pending.append(cls)
+        assert {HashJoin, HashAggregate} <= set(seen)  # direct and transitive
+        assert [c.__name__ for c in seen if "__slots__" not in vars(c)] == []
+
+    def test_instantiated_plan_has_no_instance_dict(self):
+        join = HashJoin(
+            SeqScan(table("b")),
+            Filter(SeqScan(table("p")), Comparison("<", col("p.v"), lit(15))),
+            "b.k",
+            "p.k",
+        )
+        plan = HashAggregate(join, ["b.k"], [AggregateSpec("count", alias="n")])
+        ops = validate_plan(plan)
+        assert len(ops) == 5
+        assert [type(op).__name__ for op in ops if hasattr(op, "__dict__")] == []

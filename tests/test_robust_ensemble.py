@@ -1,12 +1,28 @@
 """Unit tests for the online ensemble combiner (inverse-squared-error
-weighting, warm/cold priors, hindsight scoring, post-run error scoring)."""
+weighting, warm/cold priors, hindsight scoring, post-run error scoring),
+plus the end-to-end warm-vs-cold accuracy bound over real plans."""
 
 from __future__ import annotations
 
+from statistics import fmean
+
 import pytest
 
-from repro.robust import COLD, WARM, EnsembleState
+from repro.core.progress import ProgressMonitor
+from repro.datagen.skew import customer_variant
+from repro.executor.engine import ExecutionEngine, TickBus
+from repro.executor.expressions import col, lit
+from repro.executor.operators import (
+    AggregateSpec,
+    Filter,
+    HashAggregate,
+    HashJoin,
+    Project,
+    SeqScan,
+)
+from repro.robust import COLD, WARM, EnsembleState, HistoryStore
 from repro.robust.ensemble import MAX_PRIOR_COUNT
+from repro.robust.feedback import record_run
 
 CANDIDATES = ("once", "dne", "byte")
 
@@ -123,3 +139,73 @@ class TestFinalErrors:
         assert run2.prior_source == WARM
         _, weights = run2.update(10.0, {c: 200.0 for c in CANDIDATES})
         assert weights["once"] > weights["byte"] > weights["dne"]
+
+
+def _skewed_plans():
+    """Four query shapes over Zipf tables: a fan-out join (ONCE shines,
+    dne/byte lag), a streaming filter, a join under a selective filter,
+    and a blocking aggregate over a skewed group column."""
+    c1 = customer_variant(z=1.2, domain_size=20, variant=0, num_rows=900, name="c1")
+    c2 = customer_variant(z=0.8, domain_size=20, variant=1, num_rows=700, name="c2")
+    c3 = customer_variant(z=0.3, domain_size=30, variant=2, num_rows=800, name="c3")
+    return [
+        HashJoin(SeqScan(c1), SeqScan(c2), "c1.nationkey", "c2.nationkey"),
+        Project(
+            Filter(SeqScan(c3), col("c3.nationkey") < lit(12)),
+            ["c3.custkey", "c3.name"],
+        ),
+        HashJoin(
+            Filter(SeqScan(c1), col("c1.nationkey") < lit(8)),
+            SeqScan(c2),
+            "c1.nationkey",
+            "c2.nationkey",
+        ),
+        HashAggregate(
+            SeqScan(c1),
+            ["c1.nationkey"],
+            [AggregateSpec("count", alias="n"), AggregateSpec("sum", "c1.custkey", alias="s")],
+        ),
+    ]
+
+
+def _scored_run(plan, store):
+    """One history-enabled run of ``plan``; returns ``(prior_source,
+    ensemble MAE, {candidate: MAE})`` against hindsight truth — ``d`` over
+    the now-known true total at every recorded checkpoint."""
+    bus = TickBus(interval=16)
+    monitor = ProgressMonitor(plan, mode="once", bus=bus, record_every=16, history=store)
+    result = ExecutionEngine(plan, bus=bus, collect_rows=False).run()
+    true_total = monitor.true_total()
+    ens = monitor.ensemble
+    # The ensemble trajectory is 1:1 with recorded snapshots.
+    assert [s.work_done for s in monitor.snapshots] == [d for d, _ in ens.trajectory]
+    ens_err = 0.0
+    cand_err = dict.fromkeys(ens.candidates, 0.0)
+    for snap, (done, totals) in zip(monitor.snapshots, ens.trajectory):
+        actual = min(done / true_total, 1.0)
+        ens_err += abs(snap.ensemble - actual)
+        for name in ens.candidates:
+            total = totals.get(name, 0.0)
+            claimed = min(done / total, 1.0) if total > 0 else 0.0
+            cand_err[name] += abs(claimed - actual)
+    record_run(monitor, store, 0.0, result.row_count)
+    n = len(ens.trajectory)
+    return ens.prior_source, ens_err / n, {k: v / n for k, v in cand_err.items()}
+
+
+def test_warm_ensemble_matches_best_single_and_cold_stays_close(tmp_path):
+    """Tick-driven and seeded: the first run of each shape learns the
+    candidates' accuracy online, the second opens on the first's recorded
+    errors. Workload MAE: warm <= best single estimator, cold <= 1.1x."""
+    store = HistoryStore(tmp_path / "history.jsonl")
+    best, cold, warm = [], [], []
+    for cold_plan, warm_plan in zip(_skewed_plans(), _skewed_plans()):
+        source, mae, singles = _scored_run(cold_plan, store)
+        assert source == COLD
+        best.append(min(singles.values()))
+        cold.append(mae)
+        source, mae, _ = _scored_run(warm_plan, store)
+        assert source == WARM
+        warm.append(mae)
+    assert fmean(warm) <= fmean(best) + 1e-6
+    assert fmean(cold) <= 1.1 * fmean(best)

@@ -89,16 +89,6 @@ class TestScheduler:
         assert sessions[1].state is SessionState.CANCELLED
         assert sessions[2].state is SessionState.FINISHED
 
-    def test_on_step_fires_per_step(self):
-        seen = []
-        sessions = make_sessions(2)
-        with Scheduler(workers=1, on_step=lambda s: seen.append(s)) as sched:
-            for s in sessions:
-                sched.submit(s)
-            sched.run_until_complete()
-        assert len(seen) == sched.steps_taken
-        assert set(seen) == set(sessions)
-
     def test_serw_prefers_less_remaining_work(self):
         """serw drains the short query before the long one finishes."""
         short = QuerySession(
@@ -108,9 +98,9 @@ class TestScheduler:
             make_join(2000, "lw"), name="long", quantum_rows=32, row_cap=0
         )
         order = []
-        with Scheduler(
-            workers=1, policy="serw", on_step=lambda s: order.append(s.name)
-        ) as sched:
+        for session in (short, long_):
+            session.add_listener(lambda s, _snap: order.append(s.name))
+        with Scheduler(workers=1, policy="serw") as sched:
             sched.submit(long_)
             sched.submit(short)
             sched.run_until_complete()
@@ -124,6 +114,70 @@ class TestScheduler:
             Scheduler(policy="lifo")
         with pytest.raises(ValueError):
             Scheduler(workers=0)
+
+
+class TestFairWorkload:
+    """The dashboard's view of a workload: two queries (one per estimator
+    mode) on one fair worker, observed at every publish through a session
+    listener reading ``SessionRegistry.workload()``."""
+
+    QUANTUM = 50
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        registry = SessionRegistry()
+        sessions = [
+            registry.add(
+                QuerySession(
+                    make_join(rows, f"fw{mode}"),
+                    name=mode,
+                    mode=mode,
+                    quantum_rows=self.QUANTUM,
+                    row_cap=0,
+                )
+            )
+            for rows, mode in ((700, "once"), (900, "dne"))
+        ]
+        observed = []  # (publishing session's state, workload view)
+        for session in sessions:
+            session.add_listener(
+                lambda _s, snap: observed.append((snap.state, registry.workload()))
+            )
+        with Scheduler(workers=1, policy="fair") as sched:
+            for session in sessions:
+                sched.submit(session)
+            assert sched.run_until_complete(timeout=60.0)
+        return sessions, sched, observed
+
+    def test_both_queries_are_mid_flight_on_some_turn(self, run):
+        _, _, observed = run
+        assert any(
+            all(0.0 < p < 1.0 for p in view.per_session.values())
+            for _, view in observed
+        )
+        final = observed[-1][1]
+        assert final.progress == 1.0
+        assert set(final.per_session.values()) == {1.0}
+
+    def test_work_never_decreases_nor_progress_at_a_finish(self, run):
+        # Aggregate *progress* may dip when a live T-hat is revised upward;
+        # what must hold is that work only accumulates and that pinning a
+        # finished query never costs the workload progress.
+        _, _, observed = run
+        work = [view.work_done for _, view in observed]
+        assert work == sorted(work)
+        finishes = [i for i, (state, _) in enumerate(observed) if state == "finished"]
+        assert len(finishes) == 2
+        for i in finishes:
+            assert observed[i][1].progress >= observed[i - 1][1].progress - 1e-9
+
+    def test_finished_session_takes_no_further_turns(self, run):
+        # ceil(rows / quantum) producing turns plus one exhausting turn
+        # each; the shorter query must not keep consuming turns while the
+        # longer one drains.
+        sessions, sched, _ = run
+        expected = sum(-(-s.row_count // self.QUANTUM) + 1 for s in sessions)
+        assert sched.steps_taken <= expected + 2
 
 
 class TestEventBus:
@@ -215,6 +269,11 @@ class TestRegistry:
         # Terminal sessions contribute (done, done): the aggregate cannot
         # be dragged below their pinned contribution by stale estimates.
         assert view.work_done <= view.work_total_estimate
+        # ...and a finished one contributes its exact T(Q).
+        assert done.snapshot().work_done == done.monitor.true_total()
+        assert view.work_done == pytest.approx(
+            sum(s.snapshot().work_done for s in (done, cancelled, live))
+        )
 
     def test_workload_idle_when_all_terminal(self):
         reg = SessionRegistry()

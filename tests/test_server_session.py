@@ -5,6 +5,7 @@ import pytest
 from repro.datagen.skew import customer_variant
 from repro.executor.engine import ExecutionEngine
 from repro.executor.operators import HashJoin, SeqScan
+from repro.server.scheduler import Scheduler
 from repro.server.session import QuerySession, SessionState, TERMINAL_STATES
 
 
@@ -142,6 +143,31 @@ class TestFailure:
         assert session.state is SessionState.FAILED
         assert "ZeroDivisionError" in session.error
         assert session.finished
+
+    def test_raising_listener_is_detached_and_session_finishes(self):
+        """A listener is the per-turn hook; one that raises must cost
+        neither the query, nor the worker stepping it, nor its siblings."""
+        session = QuerySession(
+            make_join(500, "rl"), quantum_rows=32, tick_interval=100, row_cap=0
+        )
+        broken_calls, healthy = [], []
+
+        def broken(_session, snap):
+            broken_calls.append(snap.seq)
+            raise RuntimeError("dashboard went away")
+
+        session.add_listener(broken)
+        session.add_listener(lambda _s, snap: healthy.append(snap))
+        with Scheduler(workers=1) as sched:
+            sched.submit(session)
+            assert sched.run_until_complete(timeout=30.0)
+        assert session.state is SessionState.FINISHED
+        assert healthy[-1].progress == 1.0
+        assert broken_calls == [1]
+        # Nothing else sampled the session, so publishes own every seq.
+        assert [snap.seq for snap in healthy] == list(range(1, len(healthy) + 1))
+        assert len(healthy) > 3
+        assert session.snapshot().seq == len(healthy) + 1
 
     def test_terminal_states_cover_enum(self):
         assert TERMINAL_STATES == {

@@ -291,12 +291,12 @@ class TestSlowReaderConflation:
 
 
 class TestEncodeScaling:
-    def test_encode_calls_scale_with_steps_not_watchers(self, service):
-        """64 watchers of one session must not multiply serialization:
-        total wire encodes stay within the per-step frame budget (<= 2 per
+    @pytest.mark.parametrize("watchers", [1, 16, 64])
+    def test_encode_calls_scale_with_steps_not_watchers(self, service, watchers):
+        """Watchers of one session must not multiply serialization: total
+        wire encodes stay within the per-step frame budget (<= 2 per
         published snapshot) plus a once-per-watcher priming allowance."""
         svc, client = service
-        watchers = 16
         session = svc.submit_sql(QUERIES[0], name="fanout", quantum_rows=16)
         truth = attach_truth(session)
         outs: list[list] = []
