@@ -87,63 +87,67 @@ def main() -> int:
         stderr=subprocess.STDOUT,
         text=True,
     )
-    client = ProgressClient("127.0.0.1", port, timeout=30.0)
     failures: list[str] = []
     try:
-        wait_for_server(client)
-        print(f"server up on port {port}")
+        with ProgressClient("127.0.0.1", port, timeout=30.0) as client:
+            wait_for_server(client)
+            print(f"server up on port {port}")
 
-        sessions = {
-            name: client.submit(sql, name=name, quantum_rows=32)["session_id"]
-            for name, sql in QUERIES.items()
-        }
-        print(f"submitted {len(sessions)} queries: {sorted(sessions)}")
+            sessions = {
+                name: client.submit(sql, name=name, quantum_rows=32)["session_id"]
+                for name, sql in QUERIES.items()
+            }
+            print(f"submitted {len(sessions)} queries: {sorted(sessions)}")
 
-        watchers = []
-        for sid in sessions.values():
-            for _ in range(2):
-                t = threading.Thread(
-                    target=watch_session, args=(client, sid, failures), daemon=True
-                )
-                t.start()
-                watchers.append(t)
+            watchers = []
+            for sid in sessions.values():
+                for _ in range(2):
+                    t = threading.Thread(
+                        target=watch_session, args=(client, sid, failures), daemon=True
+                    )
+                    t.start()
+                    watchers.append(t)
 
-        client.cancel(sessions["victim"], reason="demo cancel")
-        finals = {
-            name: client.wait(sid, timeout=120.0) for name, sid in sessions.items()
-        }
-        for t in watchers:
-            t.join(timeout=30.0)
-            if t.is_alive():
-                failures.append("a watcher thread never terminated")
+            client.cancel(sessions["victim"], reason="demo cancel")
+            finals = {
+                name: client.wait(sid, timeout=120.0) for name, sid in sessions.items()
+            }
+            for t in watchers:
+                t.join(timeout=30.0)
+                if t.is_alive():
+                    failures.append("a watcher thread never terminated")
 
-        for name in ("join-customers", "group-orders"):
-            snap = finals[name]
-            print(f"  {name:16s} {snap['state']:9s} progress={snap['progress']:.3f} "
-                  f"rows={snap['row_count']}")
-            if snap["state"] != "finished" or snap["progress"] != 1.0:
-                failures.append(f"{name}: expected finished/1.0, got {snap}")
-            fetched = client.fetch(sessions[name])
-            if fetched["row_count"] != snap["row_count"]:
-                failures.append(f"{name}: fetch row_count mismatch")
-        victim = finals["victim"]
-        print(f"  {'victim':16s} {victim['state']:9s} ({victim['error']})")
-        if victim["state"] != "cancelled":
-            failures.append(f"victim: expected cancelled, got {victim['state']}")
+            for name in ("join-customers", "group-orders"):
+                snap = finals[name]
+                print(f"  {name:16s} {snap['state']:9s} progress={snap['progress']:.3f} "
+                      f"rows={snap['row_count']}")
+                if snap["state"] != "finished" or snap["progress"] != 1.0:
+                    failures.append(f"{name}: expected finished/1.0, got {snap}")
+                fetched = client.fetch(sessions[name])
+                if fetched["row_count"] != snap["row_count"]:
+                    failures.append(f"{name}: fetch row_count mismatch")
+            victim = finals["victim"]
+            print(f"  {'victim':16s} {victim['state']:9s} ({victim['error']})")
+            if victim["state"] != "cancelled":
+                failures.append(f"victim: expected cancelled, got {victim['state']}")
 
-        workload = client.list_sessions()["workload"]
-        print(f"workload: progress={workload['progress']:.3f} states={workload['states']}")
-        if workload["states"].get("cancelled") != 1:
-            failures.append("workload view does not show the cancelled session")
+            workload = client.list_sessions()["workload"]
+            print(
+                f"workload: progress={workload['progress']:.3f} "
+                f"states={workload['states']}"
+            )
+            if workload["states"].get("cancelled") != 1:
+                failures.append("workload view does not show the cancelled session")
 
-        client.shutdown_server()
-        server.wait(timeout=30.0)
-        if server.returncode != 0:
-            failures.append(f"server exited with {server.returncode}")
+            client.shutdown_server()
+            server.wait(timeout=30.0)
+            if server.returncode != 0:
+                failures.append(f"server exited with {server.returncode}")
     finally:
         if server.poll() is None:
             server.kill()
             server.wait()
+        server.stdout.close()
 
     if failures:
         print("FAILURES:")

@@ -278,33 +278,33 @@ def _client(args: argparse.Namespace):
 def cmd_submit(args: argparse.Namespace) -> int:
     from repro.server.client import ServiceError
 
-    client = _client(args)
     try:
-        session = client.submit(
-            args.sql,
-            mode=args.mode,
-            name=args.name,
-            timeout_s=args.timeout_s,
-        )
-        sid = session["session_id"]
-        print(sid)
-        if not args.wait:
-            return 0
-        final = client.wait(sid, timeout=args.wait_timeout)
-        print(
-            f"{sid} {final['state']}: {final['row_count']:,} rows "
-            f"in {final['elapsed_s']:.2f}s",
-            file=sys.stderr,
-        )
-        if final["state"] == "finished" and args.fetch:
-            result = client.fetch(sid)
-            print("\t".join(result["columns"]))
-            for row in result["rows"][: args.max_rows]:
-                print("\t".join(str(v) for v in row))
-            if result["truncated"] or len(result["rows"]) > args.max_rows:
-                shown = min(len(result["rows"]), args.max_rows)
-                print(f"... ({final['row_count'] - shown} more rows)")
-        return 0 if final["state"] == "finished" else 1
+        with _client(args) as client:
+            session = client.submit(
+                args.sql,
+                mode=args.mode,
+                name=args.name,
+                timeout_s=args.timeout_s,
+            )
+            sid = session["session_id"]
+            print(sid)
+            if not args.wait:
+                return 0
+            final = client.wait(sid, timeout=args.wait_timeout)
+            print(
+                f"{sid} {final['state']}: {final['row_count']:,} rows "
+                f"in {final['elapsed_s']:.2f}s",
+                file=sys.stderr,
+            )
+            if final["state"] == "finished" and args.fetch:
+                result = client.fetch(sid)
+                print("\t".join(result["columns"]))
+                for row in result["rows"][: args.max_rows]:
+                    print("\t".join(str(v) for v in row))
+                if result["truncated"] or len(result["rows"]) > args.max_rows:
+                    shown = min(len(result["rows"]), args.max_rows)
+                    print(f"... ({final['row_count'] - shown} more rows)")
+            return 0 if final["state"] == "finished" else 1
     except ServiceError as exc:
         print(f"submit failed — {exc}", file=sys.stderr)
         return 1
@@ -314,7 +314,8 @@ def cmd_cancel(args: argparse.Namespace) -> int:
     from repro.server.client import ServiceError
 
     try:
-        session = _client(args).cancel(args.session_id)
+        with _client(args) as client:
+            session = client.cancel(args.session_id)
     except ServiceError as exc:
         print(f"cancel failed — {exc}", file=sys.stderr)
         return 1
@@ -393,7 +394,6 @@ def _render_watch_frame(sessions: dict, workload: dict | None, width: int = 32) 
 def cmd_watch(args: argparse.Namespace) -> int:
     from repro.server.client import ServiceError
 
-    client = _client(args)
     sessions: dict = {}
     workload: dict | None = None
     live = sys.stderr.isatty() and not args.plain
@@ -411,28 +411,29 @@ def cmd_watch(args: argparse.Namespace) -> int:
         drawn_lines = frame.count("\n") + 1
 
     try:
-        for event in client.watch(
-            args.session_id,
-            until_idle=args.until_idle,
-            delta=not args.no_delta,
-        ):
-            kind = event.get("event")
-            if kind == "snapshot":
-                snap = event["session"]
-                sessions[snap["session_id"]] = snap
-            elif kind == "workload":
-                workload = event["workload"]
-            elif kind == "end":
-                draw()
-                print(f"watch ended: {event.get('reason')}", file=sys.stderr)
-                return 0
-            if live:
-                draw()
-            elif kind == "snapshot":
-                snap = event["session"]
-                sys.stderr.write(
-                    f"{snap['session_id']} {snap['progress']:.3f} {snap['state']}\n"
-                )
+        with _client(args) as client:
+            for event in client.watch(
+                args.session_id,
+                until_idle=args.until_idle,
+                delta=not args.no_delta,
+            ):
+                kind = event.get("event")
+                if kind == "snapshot":
+                    snap = event["session"]
+                    sessions[snap["session_id"]] = snap
+                elif kind == "workload":
+                    workload = event["workload"]
+                elif kind == "end":
+                    draw()
+                    print(f"watch ended: {event.get('reason')}", file=sys.stderr)
+                    continue  # the stream stops itself after "end"
+                if live:
+                    draw()
+                elif kind == "snapshot":
+                    snap = event["session"]
+                    sys.stderr.write(
+                        f"{snap['session_id']} {snap['progress']:.3f} {snap['state']}\n"
+                    )
         return 0
     except KeyboardInterrupt:
         print("", file=sys.stderr)

@@ -1,14 +1,26 @@
 """Client library for the progress service.
 
-Thin and stdlib-only, mirroring the protocol one method per op. Simple
-request/response ops open a short-lived connection each (no client-side
-locking needed, any thread may call any method); :meth:`watch` keeps its
-connection open and yields decoded events until the stream ends.
+Thin and stdlib-only, mirroring the protocol one method per op. Every
+op runs on a persistent connection checked out of a small pool the
+client owns, so a thread issuing ``submit`` + ``watch`` + ``fetch``
+connects once, not three times. Any thread may call any method: a
+connection serves one op at a time, concurrent ops each take their own
+(at most :data:`MAX_IDLE_CONNECTIONS` stay open once they finish), and
+the pool lock is never held across connect, send or receive.
 
-    client = ProgressClient("127.0.0.1", 7661)
-    session = client.submit("SELECT ... ")
-    for event in client.watch(session["session_id"]):
-        print(event["session"]["progress"])
+    with ProgressClient("127.0.0.1", 7661) as client:
+        session = client.submit("SELECT ... ")
+        for event in client.watch(session["session_id"]):
+            print(event["session"]["progress"])
+
+Reuse rules. An idle connection that polls readable has hit EOF (server
+restarted, idle handler dropped) or carries bytes nobody asked for: it
+is closed *before* anything is sent and the op takes another. Once
+request bytes have left, nothing is ever resent — a ``submit`` that
+failed after the send may have been admitted — so any failure closes
+that connection and raises. ``TCP_NODELAY`` is set on every connection:
+without it a warm connection stalls ~40 ms per ``watch`` on Nagle
+meeting the peer's delayed ACK (docs/SERVER.md, "Connection lifecycle").
 
 Failure handling: every transport-level failure surfaces as a
 :class:`ServiceError` with a stable code — ``connection`` (socket error /
@@ -22,7 +34,9 @@ watch passes the last seen snapshot ``seq`` as the protocol's
 
 from __future__ import annotations
 
+import select
 import socket
+import threading
 import time
 from typing import Iterator
 
@@ -34,7 +48,17 @@ __all__ = ["ProgressClient", "ServiceError"]
 #: ServiceError codes that describe transport trouble rather than a server
 #: verdict — the only ones watch/wait reconnect on (a server-sent error
 #: like ``unknown_session`` will not get better by retrying).
-TRANSIENT_CODES = frozenset({"connection", "closed", "protocol"})
+#: ``too_many_connections`` belongs here: the server refused the
+#: *connection*, before reading any request, and a slot frees as soon as
+#: another client closes one.
+TRANSIENT_CODES = frozenset(
+    {"connection", "closed", "protocol", "too_many_connections"}
+)
+
+#: How many finished-with connections a client keeps open for reuse. More
+#: threads than this may be mid-op at once (each on its own connection);
+#: the surplus is closed on check-in rather than parked on server threads.
+MAX_IDLE_CONNECTIONS = 4
 
 
 class ServiceError(RuntimeError):
@@ -64,27 +88,102 @@ def _backoff_s(attempt: int, base_s: float, cap_s: float) -> float:
     return min(base_s * (2 ** max(attempt - 1, 0)), cap_s)
 
 
+class _Connection:
+    """One socket and its one buffered reader, together for the socket's
+    life: a second ``makefile`` on the same socket would lose whatever the
+    first had already buffered."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def stale(self) -> bool:
+        """An *idle* connection owes us nothing, so one that polls readable
+        has hit EOF or holds stray bytes — either way not reusable."""
+        readable, _, _ = select.select([self.sock], [], [], 0)
+        return bool(readable)
+
+    def close(self) -> None:
+        try:
+            self.reader.close()
+        finally:
+            self.sock.close()
+
+
 class ProgressClient:
-    """Speaks the JSON-lines protocol to one service endpoint."""
+    """Speaks the JSON-lines protocol to one service endpoint.
+
+    Owns a pool of persistent connections; :meth:`close` (or leaving the
+    ``with`` block) closes the idle ones. A closed client stays usable —
+    the next op simply connects again.
+    """
+
+    _guarded_by_ = {"_idle": "_pool_lock"}
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7661, timeout: float = 30.0):
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._pool_lock = threading.Lock()
+        # LIFO: the most recently used connection is the likeliest alive.
+        self._idle: list[_Connection] = []
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _connect(self) -> socket.socket:
-        return socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
+    def _connect(self) -> _Connection:
+        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return _Connection(sock)
+
+    def _checkout(self) -> _Connection:
+        """The newest healthy idle connection, else a fresh one. Stale ones
+        are discarded here — before any request byte is sent — which is
+        the only place a dead connection is ever papered over."""
+        while True:
+            with self._pool_lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                return self._connect()
+            if not conn.stale():
+                return conn
+            conn.close()
+
+    def _checkin(self, conn: _Connection) -> None:
+        """Return a connection whose last op fully completed."""
+        with self._pool_lock:
+            if len(self._idle) < MAX_IDLE_CONNECTIONS:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    def close(self) -> None:
+        """Close every idle connection."""
+        with self._pool_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "ProgressClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _roundtrip(self, request: dict) -> dict:
         try:
-            with self._connect() as conn:
-                conn.sendall(encode(request))
-                with conn.makefile("rb") as stream:
-                    response = read_message(stream)
+            conn = self._checkout()
+            try:
+                conn.sock.sendall(encode(request))
+                response = read_message(conn.reader)
+                if response is None:
+                    raise ServiceError("closed", "connection closed before a response")
+            except BaseException:
+                # The request may have reached the server: the connection
+                # is dropped and the failure raised, never a resend.
+                conn.close()
+                raise
         except ProtocolError as exc:
             # Truncated or malformed reply: surface a typed error, never a
             # raw JSONDecodeError, so callers can tell "bad wire" from
@@ -94,8 +193,7 @@ class ProgressClient:
             raise ServiceError(
                 "connection", f"{type(exc).__name__}: {exc}"
             ) from None
-        if response is None:
-            raise ServiceError("closed", "connection closed before a response")
+        self._checkin(conn)
         return _raise_if_error(response)
 
     # -- operations -------------------------------------------------------------
@@ -145,6 +243,7 @@ class ProgressClient:
 
     def shutdown_server(self) -> None:
         self._roundtrip({"op": "shutdown"})
+        self.close()
 
     def watch(
         self,
@@ -158,9 +257,11 @@ class ProgressClient:
     ) -> Iterator[dict]:
         """Stream watch events until the server ends the stream.
 
-        Yields every event line including the final ``end`` event. Closing
-        the generator closes the connection, which detaches the server-side
-        subscription.
+        Yields every event line including the final ``end`` event. The
+        stream holds one pooled connection, which goes back to the pool
+        only once ``end`` has been read off it; closing the generator
+        early closes the connection instead, which detaches the
+        server-side subscription.
 
         By default the client asks for a *delta* stream: the server sends
         each session a periodic full keyframe and, in between, compact
@@ -195,7 +296,7 @@ class ProgressClient:
                 if last_seq is not None:
                     request["since"] = last_seq
             try:
-                conn = self._connect()
+                conn = self._checkout()
             except (ConnectionError, TimeoutError, OSError) as exc:
                 failures += 1
                 if failures > max_reconnects:
@@ -205,53 +306,62 @@ class ProgressClient:
                     ) from None
                 time.sleep(_backoff_s(failures, backoff_s, max_backoff_s))
                 continue
+            # True only once ``end`` has been consumed: anything else —
+            # an abandoned generator, an error line, a lost delta base, a
+            # socket error — leaves unread frames (or a live subscription)
+            # behind, so the connection is closed rather than reused.
+            drained = False
             try:
-                conn.sendall(encode(request))  # noqa: R007 - once per (re)connect
-                with conn.makefile("rb") as stream:
-                    while True:
-                        line = stream.readline()
-                        if not line:
-                            break  # dropped without "end": reconnect below
-                        event = decode(line)
-                        if not event.get("ok", True):
-                            code = str((event.get("error") or {}).get("code", ""))
-                            if code in TRANSIENT_CODES:
-                                # The server judged *our request* garbled —
-                                # which, under socket faults, means the wire
-                                # truncated it in flight. Re-send, don't die.
-                                break
-                            _raise_if_error(event)  # a real verdict: no retry
-                        if event.get("event") == "delta":
-                            sid = str(event.get("session_id", ""))
-                            base = bases.get(sid)
-                            try:
-                                if base is None:
-                                    raise ValueError(f"no base snapshot for {sid}")
-                                merged = apply_delta(base, event)
-                            except (ValueError, KeyError, TypeError):
-                                # Base state lost (shouldn't happen on a
-                                # healthy stream): resync via a keyframe on
-                                # a fresh connection instead of guessing.
-                                break
-                            event = {"event": "snapshot", "session": merged}
-                        if event.get("event") == "snapshot":
-                            wire = event.get("session", {})
-                            bases[str(wire.get("session_id", ""))] = wire
-                            if session_id is not None:
-                                seq = int(wire.get("seq", 0))
-                                if last_seq is not None and seq <= last_seq:
-                                    continue  # duplicate across a reconnect seam
-                                last_seq = seq
-                        failures = 0  # the stream is demonstrably alive
-                        yield event
-                        if event.get("event") == "end":
-                            return
+                conn.sock.sendall(encode(request))  # noqa: R007 - once per (re)connect
+                while True:
+                    line = conn.reader.readline()
+                    if not line:
+                        break  # dropped without "end": reconnect below
+                    event = decode(line)
+                    if not event.get("ok", True):
+                        code = str((event.get("error") or {}).get("code", ""))
+                        if code in TRANSIENT_CODES:
+                            # The server judged *our request* garbled —
+                            # which, under socket faults, means the wire
+                            # truncated it in flight — or refused the
+                            # connection at its cap. Re-send, don't die.
+                            break
+                        _raise_if_error(event)  # a real verdict: no retry
+                    if event.get("event") == "delta":
+                        sid = str(event.get("session_id", ""))
+                        base = bases.get(sid)
+                        try:
+                            if base is None:
+                                raise ValueError(f"no base snapshot for {sid}")
+                            merged = apply_delta(base, event)
+                        except (ValueError, KeyError, TypeError):
+                            # Base state lost (shouldn't happen on a
+                            # healthy stream): resync via a keyframe on
+                            # a fresh connection instead of guessing.
+                            break
+                        event = {"event": "snapshot", "session": merged}
+                    if event.get("event") == "snapshot":
+                        wire = event.get("session", {})
+                        bases[str(wire.get("session_id", ""))] = wire
+                        if session_id is not None:
+                            seq = int(wire.get("seq", 0))
+                            if last_seq is not None and seq <= last_seq:
+                                continue  # duplicate across a reconnect seam
+                            last_seq = seq
+                    failures = 0  # the stream is demonstrably alive
+                    drained = event.get("event") == "end"
+                    yield event
+                    if drained:
+                        return
             except ProtocolError:
                 pass  # truncated/garbled frame: treat as a dead stream
             except (ConnectionError, TimeoutError, OSError):
                 pass
             finally:
-                conn.close()
+                if drained:
+                    self._checkin(conn)
+                else:
+                    conn.close()
             failures += 1
             if failures > max_reconnects:
                 raise ServiceError(

@@ -102,15 +102,19 @@ def decode(line: bytes | str) -> dict:
 
 
 def read_message(stream: IO[bytes]) -> dict | None:
-    """Read one frame from a binary stream; ``None`` on clean EOF."""
-    line = stream.readline(MAX_LINE_BYTES + 1)
-    if not line:
-        return None
-    if len(line) > MAX_LINE_BYTES:
-        raise ProtocolError(f"line exceeds {MAX_LINE_BYTES} bytes")
-    if not line.strip():
-        return read_message(stream)
-    return decode(line)
+    """Read one frame from a binary stream; ``None`` on clean EOF.
+
+    Blank lines are skipped in a loop, not by recursion: the peer chooses
+    how many it sends, and a handler thread must not die of them.
+    """
+    while True:
+        line = stream.readline(MAX_LINE_BYTES + 1)
+        if not line:
+            return None
+        if len(line) > MAX_LINE_BYTES:
+            raise ProtocolError(f"line exceeds {MAX_LINE_BYTES} bytes")
+        if line.strip():
+            return decode(line)
 
 
 def write_message(stream: IO[bytes], message: dict) -> None:

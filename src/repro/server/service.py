@@ -10,8 +10,11 @@
   :class:`~repro.server.events.EventBus` and is listed in the
   :class:`~repro.server.registry.SessionRegistry`;
 * a stdlib :class:`socketserver.ThreadingTCPServer` serves the protocol —
-  one daemon thread per connection, ``watch`` connections parked on their
-  event subscriptions, everything else answered from published snapshots.
+  one daemon thread per *client connection*, which clients keep open
+  between ops (an idle one is parked in ``readline``), at most
+  :data:`MAX_CONNECTIONS` of them; ``watch`` connections are parked on their
+  event subscriptions, everything else is answered from published
+  snapshots. :meth:`ProgressService.shutdown` ends the idle ones.
 
 Fan-out is serialize-once: each published snapshot is encoded to its
 wire frame(s) exactly once by a per-session
@@ -32,6 +35,7 @@ mutation path is ``Operator.next``/``next_batch`` under the bus lock.
 
 from __future__ import annotations
 
+import socket
 import socketserver
 import threading
 
@@ -48,6 +52,7 @@ from repro.server.events import EventBus, Subscription
 from repro.server.protocol import (
     OPS,
     ProtocolError,
+    encode,
     error_response,
     ok_response,
     read_message,
@@ -65,6 +70,16 @@ __all__ = ["ProgressService"]
 #: How long a watch loop waits for the next event before re-checking the
 #: end conditions (server shutdown, watched session already terminal).
 _WATCH_POLL_S = 0.25
+
+#: Live client connections (busy or idle) the server holds at once; one
+#: past it is refused with ``too_many_connections``, so the handler-thread
+#: count is bounded whatever clients do.
+MAX_CONNECTIONS = 256
+
+#: The one ``end`` line that can follow a frame in the same send, encoded
+#: once at import: a per-session watch that finds its session terminal
+#: writes frame + end as one segment (no per-watcher encode, R007 holds).
+_END_SESSION_TERMINAL = encode({"event": "end", "reason": "session terminal"})
 
 
 class ProgressService:
@@ -260,7 +275,8 @@ class ProgressService:
         self._stopped.wait()
 
     def shutdown(self) -> None:
-        """Stop accepting connections, end watch streams, stop workers."""
+        """Stop accepting connections, end watch streams, wake idle
+        connections, stop workers."""
         if self._stopped.is_set():
             return
         self._stopped.set()
@@ -269,6 +285,7 @@ class ProgressService:
         if server is not None:
             server.shutdown()
             server.server_close()
+            server.end_connections()
         if self._server_thread is not None:
             self._server_thread.join(timeout=10.0)
             self._server_thread = None
@@ -455,32 +472,49 @@ class ProgressService:
         if since is not None and session_id is not None:
             last_seq[session_id] = since
 
-        def emit_frame(frame: PublishedFrame) -> bool:
+        def emit_frame(frame: PublishedFrame, then: bytes = b"") -> None:
+            # ``then`` rides in the same write as the frame: two small
+            # sends back to back are what Nagle + delayed ACK stall on,
+            # and one syscall is cheaper than two either way.
             sid = frame.session_id
-            if frame.seq <= last_seq.get(sid, -1):
-                return False
-            if (
-                use_delta
-                and frame.delta is not None
-                and sid in keyframed
-                and frame.base == last_seq.get(sid)
-            ):
-                payload = frame.delta
-            else:
-                payload = frame.full
-                keyframed.add(sid)
-            last_seq[sid] = frame.seq
-            write_frame(wfile, payload)
-            return True
+            payload = b""
+            if frame.seq > last_seq.get(sid, -1):
+                if (
+                    use_delta
+                    and frame.delta is not None
+                    and sid in keyframed
+                    and frame.base == last_seq.get(sid)
+                ):
+                    payload = frame.delta
+                else:
+                    payload = frame.full
+                    keyframed.add(sid)
+                last_seq[sid] = frame.seq
+            if payload or then:
+                write_frame(wfile, payload + then)
 
-        def emit_workload() -> None:
+        def prime_all() -> None:
+            for session in self.registry.sessions():
+                emit_frame(self._prime_frame(session))
+
+        def emit_workload() -> bool:
+            """Write the workload line; True when it is an ``until_idle``
+            stream's last, i.e. the caller must ``end`` the stream."""
             # O(state transitions), not O(steps): workload lines only ride
             # along on priming and terminal events, built from cached
             # published snapshots.
-            write_message(
-                wfile,
-                {"event": "workload", "workload": self._workload_view().to_wire()},
-            )
+            view = self._workload_view()
+            done = until_idle and view.idle
+            if done:
+                # The view is read from the encoders, which run ahead of
+                # the bus (a frame is encoded, then published): a terminal
+                # frame it already counts may still be on its way to this
+                # subscription, or a full mailbox may have dropped it.
+                # Re-prime, so the stream never ends with a session's last
+                # frame unsent; emit_frame skips what already went out.
+                prime_all()
+            write_message(wfile, {"event": "workload", "workload": view.to_wire()})
+            return done
 
         def end(reason: str) -> None:
             write_message(wfile, {"event": "end", "reason": reason})
@@ -489,15 +523,13 @@ class ProgressService:
         if session_id is not None:
             session = self.registry.get(session_id)
             frame = self._prime_frame(session)
-            emit_frame(frame)
             if frame.terminal:
-                end("session terminal")
+                emit_frame(frame, then=_END_SESSION_TERMINAL)
                 return
+            emit_frame(frame)
         else:
-            for session in self.registry.sessions():
-                emit_frame(self._prime_frame(session))
-            emit_workload()
-            if until_idle and self._workload_view().idle:
+            prime_all()
+            if emit_workload():
                 end("workload idle")
                 return
         while True:
@@ -516,17 +548,15 @@ class ProgressService:
             if session_id is not None:
                 if event.session_id != session_id:
                     continue
-                emit_frame(event)
                 if event.terminal:
-                    end("session terminal")
+                    emit_frame(event, then=_END_SESSION_TERMINAL)
                     return
+                emit_frame(event)
             else:
                 emit_frame(event)
-                if event.terminal:
-                    emit_workload()
-                    if until_idle and self._workload_view().idle:
-                        end("workload idle")
-                        return
+                if event.terminal and emit_workload():
+                    end("workload idle")
+                    return
 
 
 class _FaultyStream:
@@ -571,6 +601,11 @@ class _FaultyStream:
 
 
 class _ProtocolHandler(socketserver.StreamRequestHandler):
+    # Replies are single small writes on a connection the client keeps
+    # open: with Nagle on, a reply queued behind an unacknowledged one
+    # waits out the client's delayed ACK (~40 ms per op).
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         service: ProgressService = self.server.service  # type: ignore[attr-defined]
         rfile, wfile = self.rfile, self.wfile
@@ -600,9 +635,58 @@ class _ProtocolHandler(socketserver.StreamRequestHandler):
 
 
 class _ProtocolServer(socketserver.ThreadingTCPServer):
+    """Thread-per-connection TCP server that knows its live connections:
+    it refuses new ones past :data:`MAX_CONNECTIONS` (so the thread count is
+    bounded) and can wake every idle one at shutdown."""
+
     allow_reuse_address = True
     daemon_threads = True
 
+    _guarded_by_ = {"_connections": "_conn_lock"}
+
     def __init__(self, address: tuple[str, int], service: ProgressService):
         self.service = service
+        self._conn_lock = threading.Lock()
+        self._connections: set[socket.socket] = set()
         super().__init__(address, _ProtocolHandler)
+
+    def verify_request(self, request, client_address) -> bool:
+        """Admit ``request`` if under the cap. Runs on the accept thread,
+        before a handler thread exists; a refused connection gets one
+        error line and is closed by the caller."""
+        with self._conn_lock:
+            admitted = len(self._connections) < MAX_CONNECTIONS
+            if admitted:
+                self._connections.add(request)
+        if not admitted:
+            try:
+                request.sendall(
+                    encode(
+                        error_response(
+                            "too_many_connections",
+                            f"server is at its limit of {MAX_CONNECTIONS} connections",
+                        )
+                    )
+                )
+            except OSError:
+                pass  # the peer is already gone; it is being closed anyway
+        return admitted
+
+    def shutdown_request(self, request) -> None:
+        with self._conn_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def end_connections(self) -> None:
+        """Shut the read side of every live connection: a handler parked
+        in ``readline`` on an idle client sees EOF and exits (closing the
+        socket, so the client's next stale check sees EOF too), while a
+        handler mid-reply — a watch writing its ``end`` line — still gets
+        to finish writing."""
+        with self._conn_lock:
+            live = list(self._connections)
+        for conn in live:
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # raced with the handler closing it

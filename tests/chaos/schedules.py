@@ -163,6 +163,32 @@ def service_schedule(seed: int) -> FaultPlan:
     return FaultPlan(seed=seed, specs=specs)
 
 
+def pooled_schedule(seed: int) -> FaultPlan:
+    """Socket faults only, at cadences co-prime with the three lines a
+    submit/watch/fetch loop reads and writes, so over 40 loops they land
+    on every op in turn — and, since ``server.read`` fires as the handler
+    *starts waiting* for a request, between ops on a connection the client
+    has pooled. Finite counts: the tail of the run is fault-free.
+    """
+    rng = make_rng(seed, "chaos", "pooled")
+    specs = [
+        FaultSpec(SITE_SERVER_READ, kind=ERROR, every=7, count=int(rng.integers(6, 10))),
+        FaultSpec(
+            SITE_SERVER_WRITE,
+            kind=ERROR,
+            every=int(rng.choice([5, 7, 11])),
+            count=int(rng.integers(4, 8)),
+        ),
+        FaultSpec(
+            SITE_SERVER_WRITE,
+            kind=SHORT_READ,
+            every=int(rng.choice([8, 13])),
+            count=int(rng.integers(3, 7)),
+        ),
+    ]
+    return FaultPlan(seed=seed, specs=specs)
+
+
 def dump_failure(tag: str, plan: FaultPlan, events: list, extra: dict | None = None) -> Path:
     """Write a replayable failure record; returns the path written."""
     FAILURE_DIR.mkdir(parents=True, exist_ok=True)

@@ -23,7 +23,12 @@ from repro.server.client import TRANSIENT_CODES
 from repro.sql import compile_select
 
 from tests.chaos.invariants import TERMINAL_WIRE, check_wire_stream
-from tests.chaos.schedules import chaos_seeds, dump_failure, service_schedule
+from tests.chaos.schedules import (
+    chaos_seeds,
+    dump_failure,
+    pooled_schedule,
+    service_schedule,
+)
 
 QUERIES = [
     "SELECT c.name, o.totalprice FROM customer c JOIN orders o"
@@ -150,6 +155,93 @@ def test_service_chaos_invariants(db, expected, seed):
                     raise
                 time.sleep(0.02 * (attempt + 1))
     finally:
+        client.close()
+        svc.shutdown()
+
+
+@pytest.mark.parametrize("seed", chaos_seeds())
+def test_pooled_client_under_faults_between_ops(db, expected, seed):
+    """One client, one pool, 40 submit/watch/fetch loops while connections
+    are reset and replies truncated — including while a connection sits
+    idle in the pool. Every op either succeeds or raises a typed
+    transient :class:`ServiceError` within its timeout; the client never
+    resends, so the server never holds more sessions than submits were
+    attempted (nor fewer than were acknowledged); and every acknowledged
+    session still satisfies the wire invariants."""
+    plan = pooled_schedule(seed)
+    svc = ProgressService(
+        db,
+        port=0,
+        workers=2,
+        quantum_rows=64,
+        tick_interval=200,
+        row_cap=50_000,
+        faults=plan,
+    )
+    svc.start()
+    op_timeout = 10.0
+    client = ProgressClient(svc.host, svc.port, timeout=op_timeout)
+    acknowledged: list[tuple[int, str]] = []
+    streams: dict[str, list] = {}
+    outcomes: list[str] = []
+
+    def timed(op, *args, **kwargs):
+        """Run one client op: its result, or None after a *typed* failure."""
+        t0 = time.monotonic()
+        try:
+            result = op(*args, **kwargs)
+            outcomes.append("ok")
+            return result
+        except ServiceError as exc:
+            assert exc.code in TRANSIENT_CODES, f"untyped failure: {exc}"
+            outcomes.append(exc.code)
+            return None
+        finally:
+            assert time.monotonic() - t0 < op_timeout, f"{op.__name__} hung"
+
+    try:
+        for i in range(40):
+            attempted = i + 1
+            snap = timed(client.submit, QUERIES[i % len(QUERIES)], name=f"pool{seed}-{i}")
+            if snap is None:
+                continue
+            sid = snap["session_id"]
+            acknowledged.append((i % len(QUERIES), sid))
+            events = timed(lambda s=sid: list(client.watch(s, max_reconnects=0)))
+            if events is not None:
+                streams[sid] = events
+            timed(client.fetch, sid)
+            # No duplicate submission, at any point of the run.
+            assert len(acknowledged) <= len(svc.registry) <= attempted
+
+        try:
+            for query, sid in acknowledged:
+                final = client.wait(sid, timeout=120.0)
+                assert final["state"] == "finished", (
+                    f"{sid} ended {final['state']}: {final.get('error')}"
+                )
+                assert final["progress"] == 1.0
+                fetched = fetch_with_retry(client, sid)
+                assert [tuple(row) for row in fetched["rows"]] == expected[query]
+            for sid, events in streams.items():
+                assert events[-1]["event"] == "end"
+                check_wire_stream(events, sid)
+        except AssertionError:
+            dump_failure(
+                f"pooled-seed{seed}",
+                plan,
+                [e for evs in streams.values() for e in evs],
+                extra={"outcomes": outcomes},
+            )
+            raise
+
+        # Both sites fired, some ops failed and most did not: the schedule
+        # exercised the pool rather than flattening or missing it.
+        assert {r["site"] for r in plan.records()} == {"server.read", "server.write"}
+        assert len(outcomes) // 2 < outcomes.count("ok") < len(outcomes)
+        assert len(acknowledged) <= len(svc.registry) <= attempted
+    finally:
+        client.close()
         svc.shutdown()
 
 
@@ -187,6 +279,7 @@ def test_watch_resumes_via_since_cursor(db, seed):
         # The stream really did break and resume at least once.
         assert plan.records(), "server.write fault never fired"
     finally:
+        client.close()
         svc.shutdown()
 
 
@@ -238,4 +331,5 @@ def test_delta_watch_resyncs_via_keyframe_after_write_faults(db, seed):
         assert snaps[-1]["progress"] == 1.0 and snaps[-1]["state"] == "finished"
         assert plan.records(), "server.write fault never fired mid-delta"
     finally:
+        client.close()
         svc.shutdown()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -19,13 +20,17 @@ from repro.server.protocol import decode, encode
 
 
 class ScriptedServer:
-    """Accept connections; for each, read one line and run the next script
-    step. Steps are callables ``(conn, request_line) -> None``; the server
-    replays the last step for any extra connections."""
+    """Accept connections; for each, read one line, run the next script
+    step and close — or, with ``persistent=True``, keep reading lines off
+    the same connection (one step each) until the peer or a step closes
+    it. Steps are callables ``(conn, request_line) -> None``; the server
+    replays the last step once the script runs out."""
 
-    def __init__(self, *steps):
+    def __init__(self, *steps, persistent: bool = False):
         self.steps = list(steps)
+        self.persistent = persistent
         self.requests: list[dict | None] = []
+        self.connections = 0
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self.sock.bind(("127.0.0.1", 0))
@@ -42,16 +47,22 @@ class ScriptedServer:
                 conn, _ = self.sock.accept()
             except OSError:
                 return
-            with conn:
+            self.connections += 1
+            with conn, conn.makefile("rb") as reader:
                 try:
-                    line = conn.makefile("rb").readline()
-                    try:
-                        self.requests.append(decode(line) if line else None)
-                    except Exception:  # noqa: BLE001 - scripted peer, keep going
-                        self.requests.append(None)
-                    step = self.steps[min(index, len(self.steps) - 1)]
-                    index += 1
-                    step(conn, line)
+                    while True:
+                        line = reader.readline()
+                        if self.persistent and not line:
+                            break  # the peer (or a step) closed it
+                        try:
+                            self.requests.append(decode(line) if line else None)
+                        except Exception:  # noqa: BLE001 - scripted peer, keep going
+                            self.requests.append(None)
+                        step = self.steps[min(index, len(self.steps) - 1)]
+                        index += 1
+                        step(conn, line)
+                        if not self.persistent:
+                            break
                 except OSError:
                     pass
 
@@ -77,15 +88,17 @@ def reply_raw(data: bytes):
 
 
 def slam(conn, _line):
-    conn.close()
+    # shutdown, not just close: the server's reader still references the
+    # socket, which would defer a bare close() past the next readline.
+    conn.shutdown(socket.SHUT_RDWR)
 
 
 @pytest.fixture
 def scripted(request):
     servers = []
 
-    def make(*steps):
-        server = ScriptedServer(*steps)
+    def make(*steps, persistent=False):
+        server = ScriptedServer(*steps, persistent=persistent)
         servers.append(server)
         return server
 
@@ -137,6 +150,98 @@ class TestRoundtripErrors:
         client = ProgressClient("127.0.0.1", server.port, timeout=5.0)
         assert client.ping() is True
         assert server.requests == [{"op": "ping"}]
+
+
+class TestPooledTransport:
+    """The connection pool against scripted peers: reuse, the stale check
+    before reuse, and the rule that nothing is resent after a send."""
+
+    def test_ops_share_one_connection(self, scripted):
+        final = _snapshot("s1", 2, 1.0, state="finished")
+        server = scripted(
+            reply({"ok": True, "session": final["session"]}),
+            reply(final, {"event": "end", "reason": "session terminal"}),
+            reply({"ok": True, "columns": [], "rows": [], "truncated": False}),
+            reply({"ok": True, "pong": True}),
+            persistent=True,
+        )
+        with ProgressClient("127.0.0.1", server.port, timeout=5.0) as client:
+            assert client.submit("SELECT 1")["session_id"] == "s1"
+            assert [e["event"] for e in client.watch("s1")] == ["snapshot", "end"]
+            assert client.fetch("s1")["rows"] == []
+            assert client.ping() is True
+            # One request per reply never trips Nagle on loopback, so no
+            # timing test can see this; a request over one MSS on a real
+            # network would stall on it.
+            (conn,) = client._idle
+            assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        assert [r["op"] for r in server.requests] == ["submit", "watch", "fetch", "ping"]
+        assert server.connections == 1
+
+    def test_stale_connection_replaced_before_send(self, scripted):
+        # The classic peer closes after every reply, so each pooled
+        # connection is dead by the next op: the stale check must swap it
+        # out *before* sending — every request arrives exactly once.
+        server = scripted(reply({"ok": True, "pong": True}))
+        with ProgressClient("127.0.0.1", server.port, timeout=5.0) as client:
+            for _ in range(5):
+                assert client.ping() is True
+                # The peer's FIN follows its reply; let it land so the next
+                # checkout deterministically sees the connection as stale.
+                wait_for(lambda: all(c.stale() for c in client._idle))
+        assert server.requests == [{"op": "ping"}] * 5
+        assert server.connections == 5
+
+    def test_failure_after_send_is_not_retried(self, scripted):
+        # A warm connection whose peer reads the submit and slams it: the
+        # submit may have been admitted, so the client raises — exactly
+        # one submit reaches the server, on no second connection.
+        server = scripted(reply({"ok": True, "pong": True}), slam, persistent=True)
+        with ProgressClient("127.0.0.1", server.port, timeout=5.0) as client:
+            assert client.ping() is True
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit("SELECT 1")
+            assert excinfo.value.code == "closed"
+            assert client._idle == []  # the failed connection was dropped
+        assert [r["op"] for r in server.requests] == ["ping", "submit"]
+        assert server.connections == 1
+
+    def test_abandoned_watch_connection_is_not_reused(self, scripted):
+        # Frames the abandoned stream never read must not be mistaken for
+        # the next op's reply: the connection is closed, not pooled.
+        server = scripted(
+            reply(_snapshot("s1", 1, 0.1), _snapshot("s1", 2, 0.2)),
+            reply({"ok": True, "session": _snapshot("s1", 3, 0.3)["session"]}),
+            persistent=True,
+        )
+        with ProgressClient("127.0.0.1", server.port, timeout=5.0) as client:
+            stream = client.watch("s1")
+            assert next(stream)["session"]["seq"] == 1
+            stream.close()
+            assert client._idle == []
+            assert client.status("s1")["seq"] == 3
+        assert server.connections == 2
+
+    def test_idle_connections_capped_and_closed(self, scripted):
+        from repro.server.client import MAX_IDLE_CONNECTIONS
+
+        server = scripted(reply({"ok": True, "pong": True}), persistent=True)
+        client = ProgressClient("127.0.0.1", server.port, timeout=5.0)
+        conns = [client._checkout() for _ in range(MAX_IDLE_CONNECTIONS + 2)]
+        for conn in conns:
+            client._checkin(conn)
+        assert len(client._idle) == MAX_IDLE_CONNECTIONS
+        assert all(c.sock.fileno() == -1 for c in conns[MAX_IDLE_CONNECTIONS:])
+        client.close()
+        assert client._idle == []
+        assert all(c.sock.fileno() == -1 for c in conns)
+
+
+def wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.005)
 
 
 def _snapshot(sid, seq, progress, state="running"):

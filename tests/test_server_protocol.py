@@ -69,6 +69,16 @@ class TestReadWrite:
         buf = io.BytesIO(b"\n   \n" + encode({"op": "ping"}))
         assert read_message(buf) == {"op": "ping"}
 
+    def test_many_blank_lines_do_not_recurse(self):
+        # The peer picks the count: 5 000 used to raise RecursionError and
+        # kill the handler thread. The line limit still applies afterwards.
+        blanks = b"\n" * 5000
+        assert read_message(io.BytesIO(blanks + encode({"op": "ping"}))) == {"op": "ping"}
+        assert read_message(io.BytesIO(blanks)) is None
+        big = b'{"pad": "' + b"x" * MAX_LINE_BYTES + b'"}\n'
+        with pytest.raises(ProtocolError, match="exceeds"):
+            read_message(io.BytesIO(blanks + big))
+
     def test_read_sequential_frames(self):
         buf = io.BytesIO(encode({"n": 1}) + encode({"n": 2}))
         assert read_message(buf) == {"n": 1}

@@ -8,6 +8,7 @@ cancellation that frees the worker and shows up in the aggregate view.
 """
 
 import socket
+import statistics
 import threading
 import time
 
@@ -15,8 +16,12 @@ import pytest
 
 from repro.executor.engine import ExecutionEngine
 from repro.server import ProgressClient, ProgressService, ServiceError
+from repro.server import service as service_module
+from repro.server.client import MAX_IDLE_CONNECTIONS, TRANSIENT_CODES
 from repro.server.protocol import decode, encode
 from repro.sql import compile_select
+
+from tests.test_server_client import wait_for
 
 QUERIES = [
     "SELECT c.name, o.totalprice FROM customer c JOIN orders o"
@@ -56,6 +61,7 @@ def service(db):
     try:
         yield svc, client
     finally:
+        client.close()
         svc.shutdown()
 
 
@@ -211,6 +217,7 @@ class TestProtocolOps:
                 client.submit(LONG_QUERY, quantum_rows=8)
             assert excinfo.value.code == "admission"
         finally:
+            client.close()
             svc.shutdown()
 
     def test_shutdown_op(self, db):
@@ -227,3 +234,205 @@ class TestProtocolOps:
                 return  # listening socket is gone: clean shutdown
             time.sleep(0.05)
         pytest.fail("server socket still accepting connections after shutdown")
+
+
+@pytest.fixture()
+def connects(monkeypatch):
+    """Counts every ``socket.create_connection`` made while the test runs."""
+    made = []
+    real = socket.create_connection
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    return made
+
+
+def submit_watch_fetch(client, sql=QUERIES[1]) -> str:
+    sid = client.submit(sql)["session_id"]
+    events = list(client.watch(sid))
+    assert events[-1]["event"] == "end"
+    assert events[-2]["session"]["state"] == "finished"
+    assert client.fetch(sid)["state"] == "finished"
+    return sid
+
+
+class TestPooledConnections:
+    """The client's persistent transport against the live service."""
+
+    def test_fifty_ops_one_connection(self, service, connects):
+        svc, client = service
+        for _ in range(50):
+            submit_watch_fetch(client)
+        assert len(connects) == 1
+        assert len(svc.registry) == 50
+
+    def test_eight_threads_share_the_pool(self, service, connects):
+        svc, client = service
+        errors = []
+
+        def loop():
+            try:
+                for _ in range(10):
+                    submit_watch_fetch(client)
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=loop, daemon=True) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+            assert not t.is_alive()
+        assert errors == []
+        # A thread only connects when every pooled connection is busy, so
+        # eight threads never need more than eight.
+        assert 1 <= len(connects) <= 8
+        assert len(client._idle) <= MAX_IDLE_CONNECTIONS
+        assert len(svc.registry) == 80
+
+    def test_warm_watch_of_finished_session_does_not_stall(self, service):
+        """Guards ``TCP_NODELAY`` on a *reused* connection.
+
+        With Nagle on, a second small write on a warm connection waits for
+        the peer's delayed ACK of the first: ~40 ms per stream (measured
+        42.5 ms), invisible on fresh connections because Linux starts
+        those in quick-ACK mode. The per-session watch of a finished
+        session is one write now (frame + ``end``), so the aggregate
+        watch — frame, workload line, ``end``: three writes — is what
+        still fails with the two ``TCP_NODELAY`` settings removed. (It is
+        the server's that loopback timing can see; the client's is
+        asserted directly in ``test_server_client.py``.)
+        """
+        _svc, client = service
+        sid = submit_watch_fetch(client)
+        single, aggregate = [], []
+        for _ in range(50):
+            t0 = time.perf_counter()
+            events = list(client.watch(sid))
+            t1 = time.perf_counter()
+            idle = list(client.watch(until_idle=True))
+            t2 = time.perf_counter()
+            single.append(t1 - t0)
+            aggregate.append(t2 - t1)
+            assert [e["event"] for e in events] == ["snapshot", "end"]
+            assert [e["event"] for e in idle] == ["snapshot", "workload", "end"]
+        assert statistics.median(single) < 0.010
+        assert statistics.median(aggregate) < 0.010
+
+    def test_abandoned_watch_leaves_no_stray_frames(self, service):
+        _svc, client = service
+        sid = client.submit(LONG_QUERY, quantum_rows=16)["session_id"]
+        stream = client.watch(sid)
+        assert next(stream)["event"] == "snapshot"
+        stream.close()
+        # The next op gets its own reply, not a frame the stream left behind.
+        status = client.status(sid)
+        assert status["session_id"] == sid and "state" in status
+        assert client.ping() is True
+        client.cancel(sid)
+        assert client.wait(sid, timeout=60.0)["state"] == "cancelled"
+
+    def test_server_restart_between_submits_no_duplicate(self, db):
+        first = ProgressService(db, port=0, workers=1)
+        first.start()
+        second = ProgressService(db, port=first.port, workers=1)
+        replies = 0
+        with ProgressClient(first.host, first.port, timeout=10.0) as client:
+            try:
+                client.submit(QUERIES[1])
+                replies += 1
+                first.shutdown()
+                # The dead server's FIN must have landed for the stale
+                # check to see it; wait for that, not for a fixed sleep.
+                wait_for(lambda: all(c.stale() for c in client._idle))
+                second.start()
+                client.submit(QUERIES[1])
+                replies += 1
+                assert client.ping() is True
+            finally:
+                first.shutdown()
+                second.shutdown()
+        assert replies == 2
+        assert len(first.registry) + len(second.registry) == replies
+
+
+class TestConnectionLifecycle:
+    """Server side of long-lived connections: blank-line floods, the
+    connection cap, and idle connections at shutdown."""
+
+    def test_blank_line_flood_then_ping_is_answered(self, service):
+        svc, _client = service
+        with socket.create_connection((svc.host, svc.port), timeout=10) as conn:
+            conn.sendall(b"\n" * 5000 + encode({"op": "ping"}))
+            with conn.makefile("rb") as stream:
+                assert decode(stream.readline()) == {"ok": True, "pong": True}
+
+    def test_connection_cap_refuses_then_readmits(self, db, monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 2)
+        svc = ProgressService(db, port=0, workers=1)
+        svc.start()
+        address = (svc.host, svc.port)
+
+        def pinged(conn) -> bool:
+            conn.sendall(encode({"op": "ping"}))
+            with conn.makefile("rb") as stream:
+                return decode(stream.readline()).get("pong") is True
+
+        try:
+            with socket.create_connection(address, timeout=10) as one:
+                with socket.create_connection(address, timeout=10) as two:
+                    assert pinged(one) and pinged(two)
+                    with socket.create_connection(address, timeout=10) as three:
+                        with three.makefile("rb") as stream:
+                            refusal = decode(stream.readline())
+                            assert refusal["ok"] is False
+                            assert refusal["error"]["code"] == "too_many_connections"
+                            assert stream.readline() == b""  # then EOF
+                    assert pinged(one) and pinged(two)  # the admitted two are unharmed
+                # ``two`` is closed: once its handler has let go, a newcomer fits.
+                wait_for(lambda: len(svc._server._connections) == 1)
+                with socket.create_connection(address, timeout=10) as four:
+                    assert pinged(four)
+        finally:
+            svc.shutdown()
+
+    def test_client_at_the_cap_backs_off_until_a_slot_frees(self, db, monkeypatch):
+        """A refusal at the cap is transient: ``wait`` retries it with
+        backoff instead of failing, and gets in once a slot frees."""
+        monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 1)
+        svc = ProgressService(db, port=0, workers=1)
+        svc.start()
+        try:
+            sid = svc.submit_sql(QUERIES[1]).session_id
+            holder = socket.create_connection((svc.host, svc.port), timeout=10)
+            try:
+                with ProgressClient(svc.host, svc.port, timeout=10.0) as client:
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.ping()
+                    assert excinfo.value.code == "too_many_connections"
+                    assert excinfo.value.code in TRANSIENT_CODES
+                    threading.Timer(0.2, holder.close).start()
+                    assert client.wait(sid, timeout=30.0)["state"] == "finished"
+            finally:
+                holder.close()
+        finally:
+            svc.shutdown()
+
+    def test_shutdown_ends_idle_connections(self, db):
+        threads_before = threading.active_count()
+        svc = ProgressService(db, port=0, workers=1)
+        svc.start()
+        try:
+            with socket.create_connection((svc.host, svc.port), timeout=2.0) as conn:
+                with conn.makefile("rb") as stream:
+                    conn.sendall(encode({"op": "ping"}))
+                    assert decode(stream.readline())["pong"] is True
+                    # The handler is now parked in readline() on this socket.
+                    svc.shutdown()
+                    assert stream.readline() == b""  # EOF within the 2 s timeout
+        finally:
+            svc.shutdown()
+        wait_for(lambda: threading.active_count() <= threads_before, timeout=2.0)

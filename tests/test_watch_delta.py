@@ -20,7 +20,9 @@ import pytest
 from repro.datagen.skew import customer_variant
 from repro.server import ProgressClient, ProgressService
 from repro.server.protocol import decode, encode
+from repro.server.session import QuerySession
 from repro.server.wire import apply_delta
+from repro.sql import compile_select
 from repro.storage.catalog import Catalog
 
 ROWS = 900
@@ -62,6 +64,7 @@ def service(db):
     try:
         yield svc, client
     finally:
+        client.close()
         svc.shutdown()
 
 
@@ -155,6 +158,51 @@ class TestClientTransparentReassembly:
             assert snaps, f"aggregate watch missed session {sid}"
             assert_stream_matches_truth(snaps, truths[sid])
             assert snaps[-1]["state"] == "finished"
+
+    def test_until_idle_ends_only_after_every_terminal_frame(
+        self, service, db, monkeypatch
+    ):
+        """The race the property run above used to lose about one time in
+        eight, made deterministic. ``workload idle`` is read from the
+        encoders, which run ahead of the bus — a frame is encoded, then
+        published, and a full mailbox may drop it. Here the bus never
+        delivers one session's terminal frame at all; the stream must
+        carry it before it ends all the same."""
+        svc, client = service
+
+        def hand_stepped(sql):
+            # Registered like a submitted session, but stepped by this
+            # thread instead of the scheduler, so the order is ours.
+            session = QuerySession(
+                compile_select(db, sql).plan, quantum_rows=32, tick_interval=100
+            )
+            session.add_listener(svc._on_session_event)
+            return svc.registry.add(session)
+
+        withheld, other = hand_stepped(QUERIES[1]), hand_stepped(QUERIES[2])
+        truths = {s.session_id: attach_truth(s) for s in (withheld, other)}
+        publish = svc.events.publish
+        monkeypatch.setattr(
+            svc.events,
+            "publish",
+            lambda frame: None
+            if frame.terminal and frame.session_id == withheld.session_id
+            else publish(frame),
+        )
+        stream = client.watch(until_idle=True, delta=True)
+        events = [next(stream) for _ in range(3)]  # primed: both pending
+        assert [e["event"] for e in events] == ["snapshot", "snapshot", "workload"]
+        for session in (withheld, other):
+            while session.step():
+                pass
+        events += list(stream)
+        assert events[-1] == {"event": "end", "reason": "workload idle"}
+        assert events[-2]["workload"]["idle"] is True
+        for sid, truth in truths.items():
+            snaps = snaps_of(events, sid)
+            assert_stream_matches_truth(snaps, truth)
+            assert snaps[-1]["state"] == "finished"
+            assert snaps[-1]["progress"] == 1.0
 
 
 class TestWireLevelDelta:
