@@ -40,8 +40,8 @@ def _measure():
         if budget is not None:
             estimator.histogram = BucketizedHistogram(budget)
         join.open()
-        first = join.next()  # completes build + probe passes
-        assert first is not None or estimator.exact
+        first = join.next_batch(1024)  # completes build + probe passes
+        assert first or estimator.exact
         join.close()
         estimate = estimator.current_estimate()
         hist = estimator.histogram

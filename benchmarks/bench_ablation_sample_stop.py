@@ -36,7 +36,7 @@ def _run(fraction: float, stop: bool):
     join.open()
     # Drive through the probe pass only (abandon the join pass).
     while not (est.exact or (est.frozen and join.phase == "join")):
-        if join.next() is None:
+        if not join.next_batch(1024):
             break
     elapsed = time.perf_counter() - started
     truth = None

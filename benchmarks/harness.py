@@ -34,8 +34,8 @@ def drive_until_exact(plan: Operator, estimator, tick_interval: int = 256) -> No
     need the (potentially enormous) join output itself.
 
     Convergence is detected from inside blocking phases via the tick bus,
-    because a single ``next()`` on the root can otherwise block for the
-    whole partition-wise join pass.
+    because a single pull on the root can otherwise block for the whole
+    partition-wise join pass.
     """
     bus = TickBus(tick_interval)
 
@@ -48,7 +48,7 @@ def drive_until_exact(plan: Operator, estimator, tick_interval: int = 256) -> No
     plan.open()
     try:
         while not estimator.exact:
-            if plan.next() is None:
+            if not plan.next_batch(tick_interval):
                 break
     except _Converged:
         pass

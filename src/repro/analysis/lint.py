@@ -6,17 +6,17 @@ on — things no runtime assertion can catch because they only break when
 someone writes new code:
 
 * **R001** — no subclass writes ``tuples_emitted`` outside
-  ``Operator.next()`` / ``Operator.next_batch()``. That single counter *is*
-  the ``K_i`` of the paper's model; an operator that bumps or resets it
-  corrupts ``C(Q)`` silently. Batch writes (``+= len(batch)``) belong to
-  ``next_batch`` alone — never to a subclass's ``_next_batch`` drain.
+  ``Operator.next_batch()``. That single counter *is* the ``K_i`` of the
+  paper's model; an operator that bumps or resets it corrupts ``C(Q)``
+  silently — the ``+= len(batch)`` belongs to ``next_batch`` alone, never
+  to a subclass's ``_next_batch`` drain.
   Coordinator packages (``repro/server/`` and ``repro/parallel/``) are
   held to a stricter form: coordinator threads observe, they never drive —
   so calls to ``tick()`` / ``tick_n()`` and writes to the bus ``count``
   are also illegal there (worker fragments advance counters only through
   the sanctioned ``PlanCursor.fetch`` pull loop). The only mutation path
-  for estimator/counter state is ``Operator.next``/``next_batch`` under
-  the engine's pull loop.
+  for estimator/counter state is ``Operator.next_batch`` under the
+  engine's pull loop.
 * **R002** — no ``random`` / ``numpy.random`` use outside
   ``repro/common/rng.py``. All randomness flows through the seeded factory
   so runs are reproducible.
@@ -27,16 +27,10 @@ someone writes new code:
   from a concrete ancestor) ``op_name``, ``children`` and
   ``output_schema``. The analyzer, EXPLAIN and pipeline decomposition all
   dispatch on these.
-* **R005** — no per-row estimator hook call (``on_build`` / ``on_probe`` /
-  ``observe``) inside a loop of a ``_next_batch`` drain. Batch drains must
-  aggregate estimator updates through the batch-hook twins
-  (``make_batch_dispatch``); a hand-written per-row call there silently
-  reinstates the per-tuple overhead the batch path exists to amortise.
-  ``operators/base.py`` is exempt: the generic ``Operator`` fallback is the
-  one sanctioned place where batch execution degrades to per-row hooks.
-  In coordinator packages the rule additionally scans the delta-merge
-  (``fold``) and merge-step (``apply``) loops: the coordinator combines
-  workers' sufficient statistics, it never replays per-row hooks.
+* **R005** — no per-tuple estimator call (``on_build`` / ``on_probe`` /
+  ``observe``) inside a loop of a coordinator package's delta-merge
+  (``fold``) or merge-step (``apply``) method: the coordinator combines
+  workers' sufficient statistics, it never replays tuples.
 * **R006** — no bare ``threading.Lock()`` / ``threading.RLock()``
   construction inside ``executor/`` or ``core/``. Those layers synchronize
   through the TickBus-carried sampling lock; a private lock there either
@@ -92,15 +86,14 @@ def _noqa_codes(line: str) -> set[str]:
 
 #: Rule id -> one-line description (kept in sync with docs/ANALYSIS.md).
 RULES: dict[str, str] = {
-    "R001": "tuples_emitted may only be written by Operator.next()/next_batch(); "
+    "R001": "tuples_emitted may only be written by Operator.next_batch(); "
     "coordinator modules (server, parallel) may not drive tick()/tick_n() or "
     "write bus counters",
     "R002": "random/numpy.random are forbidden outside repro.common.rng",
     "R003": "bare `except:` clauses are forbidden",
     "R004": "Operator subclasses must declare op_name, children and output_schema",
-    "R005": "per-row estimator hooks (on_build/on_probe/observe) are forbidden "
-    "inside _next_batch loops (and coordinator merge loops); use the "
-    "batch-hook twins / fold sufficient statistics",
+    "R005": "per-tuple estimator calls (on_build/on_probe/observe) are forbidden "
+    "inside coordinator merge loops (fold/apply); fold sufficient statistics",
     "R006": "bare threading.Lock()/RLock() construction is forbidden in executor/ "
     "and core/; use the TickBus-carried sampling lock",
     "R007": "json.dumps/encode/write_message calls are forbidden inside loops in "
@@ -241,7 +234,7 @@ def _in_coordinator_package(path: str) -> bool:
 
 def _rule_r001(tree: ast.Module, path: str) -> list[Violation]:
     """Writes to ``tuples_emitted`` outside
-    ``Operator.next``/``Operator.next_batch``/``__init__``; in coordinator
+    ``Operator.next_batch``/``__init__``; in coordinator
     packages (``repro.server``, ``repro.parallel``) additionally any
     ``tick()``/``tick_n()`` call or write to a ``count`` attribute (the
     TickBus counter)."""
@@ -269,7 +262,6 @@ def _rule_r001(tree: ast.Module, path: str) -> list[Violation]:
                 continue
             line = is_counter_write(child) if isinstance(child, ast.stmt) else None
             allowed = class_name == "Operator" and func_name in (
-                "next",
                 "next_batch",
                 "__init__",
             )
@@ -281,7 +273,7 @@ def _rule_r001(tree: ast.Module, path: str) -> list[Violation]:
                         path,
                         line,
                         f"write to tuples_emitted in {where}; the K_i counter "
-                        "is maintained solely by Operator.next()/next_batch()",
+                        "is maintained solely by Operator.next_batch()",
                     )
                 )
             if isinstance(child, ast.stmt):
@@ -309,7 +301,7 @@ def _r001_coordinator_checks(tree: ast.Module, path: str) -> list[Violation]:
                     path,
                     node.lineno,
                     f"call to {node.func.attr}() in coordinator code; only "
-                    "Operator.next()/next_batch() under the engine's pull "
+                    "Operator.next_batch() under the engine's pull "
                     "loop may advance the work counters",
                 )
             )
@@ -381,35 +373,24 @@ def _rule_r003(tree: ast.Module, path: str) -> list[Violation]:
     ]
 
 
-#: Estimator hook names whose per-row form is banned from batch drains.
+#: Per-tuple estimator methods banned from coordinator merge loops.
 _PER_ROW_HOOKS = ("observe", "on_build", "on_probe")
 
-#: The generic Operator fallback (operators/base.py) legitimately replays
-#: row hooks per tuple when an operator has no native batch drain.
-_R005_EXEMPT_SUFFIX = ("executor", "operators", "base.py")
-
-
-#: Methods scanned in coordinator packages on top of ``_next_batch``: the
-#: delta-merge path (``fold``) and coordinator merge steps (``apply``) must
-#: combine sufficient statistics, never replay per-row estimator hooks.
-_R005_COORDINATOR_METHODS = ("_next_batch", "apply", "fold")
+#: The delta-merge path (``fold``) and coordinator merge steps (``apply``)
+#: must combine sufficient statistics, never replay tuples.
+_R005_COORDINATOR_METHODS = ("apply", "fold")
 
 
 def _rule_r005(tree: ast.Module, path: str) -> list[Violation]:
-    """Per-row estimator hook calls inside ``_next_batch`` drain loops —
-    and, in coordinator packages, inside delta-merge/merge-step loops."""
-    if Path(path).parts[-3:] == _R005_EXEMPT_SUFFIX:
+    """Per-tuple estimator calls inside the delta-merge/merge-step loops of
+    coordinator packages."""
+    if not _in_coordinator_package(path):
         return []
-    scanned = (
-        _R005_COORDINATOR_METHODS
-        if _in_coordinator_package(path)
-        else ("_next_batch",)
-    )
     flagged: set[tuple[int, str]] = set()
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if node.name not in scanned:
+        if node.name not in _R005_COORDINATOR_METHODS:
             continue
         for loop in ast.walk(node):
             if not isinstance(loop, (ast.For, ast.While)):
@@ -426,9 +407,7 @@ def _rule_r005(tree: ast.Module, path: str) -> list[Violation]:
             "R005",
             path,
             line,
-            f"per-row {attr}() call in a batch drain or coordinator merge "
-            "loop; batch drains must aggregate estimator updates via the "
-            "batch-hook twins (operators.base.make_batch_dispatch), and "
+            f"per-tuple {attr}() call in a coordinator merge loop; "
             "coordinator merges must fold sufficient statistics",
         )
         for line, attr in sorted(flagged)

@@ -466,8 +466,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="vectorized execution: pull N rows per next_batch() call "
-        "(default: row-at-a-time)",
+        help="pull N rows per next_batch() call "
+        "(default: 1024, capped at --tick)",
     )
     q.set_defaults(func=cmd_query)
 

@@ -334,16 +334,9 @@ class HybridGroupCountEstimator:
                 self.history.append((t, self.estimate()))
             start = end
 
-    def observe_hook(self, key: object, _row: tuple) -> None:
-        """(key, row) adapter for operator input hooks — avoids a lambda
-        frame per tuple on the hot path."""
-        self.observe(key)
-
-    def observe_hook_batch(self, keys: Sequence[object], _rows: Sequence[tuple]) -> None:
-        """Batch twin of :meth:`observe_hook` (see operators.base)."""
+    def observe_hook(self, keys: Sequence[object], _rows: Sequence[tuple]) -> None:
+        """``(keys, rows)`` adapter for operator input hooks."""
         self.observe_batch(keys)
-
-    observe_hook.batch_hook_name = "observe_hook_batch"
 
     def finalize(self) -> None:
         """The whole input has been seen: the group count is exact."""

@@ -160,7 +160,7 @@ class OnceJoinEstimator:
         if self.record_every and self.t % self.record_every == 0:
             self.history.append((self.t, self.current_estimate()))
 
-    # -- batch twins (see operators.base, "Batch-aggregated hooks") ---------------
+    # -- batch forms: the ``(keys, rows)`` hooks operators call -------------------
 
     def on_build_batch(self, keys: Sequence[object], rows: Sequence | None = None) -> None:
         """A build-side batch: count every non-None key in one bulk add."""
@@ -207,9 +207,6 @@ class OnceJoinEstimator:
         self.t += len(keys)
         self.sum_counts += batch_sum
         self._interval.merge_sums(len(keys), batch_sum, batch_sq)
-
-    on_build.batch_hook_name = "on_build_batch"
-    on_probe.batch_hook_name = "on_probe_batch"
 
     def _contribution(self, key: object) -> int:
         """Output rows this probe tuple generates, under the join type."""
@@ -288,8 +285,8 @@ def attach_once_estimator(
         # Multi-column keys work identically on tuple keys; the hooks pass
         # the composite key through unchanged.
         estimator.join_type = join.join_type
-        join.build_hooks.append(estimator.on_build)
-        join.probe_hooks.append(estimator.on_probe)
+        join.build_hooks.append(estimator.on_build_batch)
+        join.probe_hooks.append(estimator.on_probe_batch)
         if probe_total is None:
             estimator._probe_total = resolve_stream_total(join.probe_child)
         _finalize_on_phase(join, estimator, {"join", "done"})
@@ -301,16 +298,16 @@ def attach_once_estimator(
                 "presorted merge-join inputs have no preprocessing pass; "
                 "use the driver-node estimator instead"
             )
-        join.left_input_hooks.append(estimator.on_build)
-        join.right_input_hooks.append(estimator.on_probe)
+        join.left_input_hooks.append(estimator.on_build_batch)
+        join.right_input_hooks.append(estimator.on_probe_batch)
         if probe_total is None:
             estimator._probe_total = resolve_stream_total(join.right_child)
         _finalize_on_phase(join, estimator, {"merge", "done"})
         return estimator
 
     if isinstance(join, IndexNestedLoopsJoin):
-        join.inner_input_hooks.append(estimator.on_build)
-        join.outer_hooks.append(estimator.on_probe)
+        join.inner_input_hooks.append(estimator.on_build_batch)
+        join.outer_hooks.append(estimator.on_probe_batch)
         if probe_total is None:
             estimator._probe_total = resolve_stream_total(join.outer_child)
         _finalize_on_phase(join, estimator, {"done"})

@@ -53,14 +53,16 @@ from repro.executor.operators.distinct import Distinct
 from repro.executor.operators.hash_join import HashJoin
 from repro.executor.operators.merge_join import SortMergeJoin
 from repro.executor.operators.nested_loops import IndexNestedLoopsJoin
-from repro.executor.operators.base import batch_hook_of
+from repro.executor.operators.scan import SampleScan
 from repro.executor.plan import walk
 from repro.faults.plan import SITE_ESTIMATOR_HOOK, FaultPlan
 
 __all__ = ["EstimationManager"]
 
-#: Every operator attribute that may carry per-row estimator hooks; the
-#: degradation guard wraps each of these lists in place.
+#: Every operator attribute that may carry two-parameter estimator hooks —
+#: ``(keys, rows)`` on the data lists, ``(op, phase)`` on ``phase_hooks``;
+#: the degradation guard wraps each of these lists in place (and, with
+#: ``_guard_punctuation``, the one-parameter ``sample_boundary_hooks``).
 _HOOK_LIST_ATTRS = (
     "build_hooks",
     "probe_hooks",
@@ -70,7 +72,6 @@ _HOOK_LIST_ATTRS = (
     "left_input_hooks",
     "right_input_hooks",
     "phase_hooks",
-    "sample_boundary_hooks",
 )
 
 
@@ -216,32 +217,40 @@ class EstimationManager:
                 hooks = getattr(op, attr, None)
                 if hooks:
                     hooks[:] = [self._guard(hook, op) for hook in hooks]
+            if isinstance(op, SampleScan):
+                op.sample_boundary_hooks[:] = [
+                    self._guard_punctuation(hook, op)
+                    for hook in op.sample_boundary_hooks
+                ]
 
     def _guard(self, hook: Callable, op: Operator) -> Callable:
-        faults = self._faults
-
-        def run(fn: Callable, args: tuple) -> None:
+        def guarded(keys, rows) -> None:
             try:
-                if faults is not None:
-                    faults.fire(SITE_ESTIMATOR_HOOK, detail=op.op_name)
-                fn(*args)
+                self._fire_hook_fault(op)
+                hook(keys, rows)
             except Exception as exc:
-                if not self._demote_enabled:
-                    raise
-                self._demote(op, hook, exc)
+                self._hook_failed(op, hook, exc)
 
-        def guarded(*args) -> None:
-            run(hook, args)
-
-        # Preserve the batch-twin pairing: the guarded row hook advertises a
-        # guarded batch twin, so make_batch_dispatch keeps amortizing.
-        twin = batch_hook_of(hook)
-        if twin is not None:
-            def guarded_batch(keys: list, rows: list) -> None:
-                run(twin, (keys, rows))
-
-            guarded.batch_hook = guarded_batch
         return guarded
+
+    def _guard_punctuation(self, hook: Callable, op: SampleScan) -> Callable:
+        def guarded(scan) -> None:
+            try:
+                self._fire_hook_fault(op)
+                hook(scan)
+            except Exception as exc:
+                self._hook_failed(op, hook, exc)
+
+        return guarded
+
+    def _fire_hook_fault(self, op: Operator) -> None:
+        if self._faults is not None:
+            self._faults.fire(SITE_ESTIMATOR_HOOK, detail=op.op_name)
+
+    def _hook_failed(self, op: Operator, hook: Callable, exc: Exception) -> None:
+        if not self._demote_enabled:
+            raise exc
+        self._demote(op, hook, exc)
 
     def _demote(self, op: Operator, hook: Callable, exc: Exception) -> None:
         owner = getattr(hook, "__self__", None)

@@ -334,52 +334,15 @@ class HashJoinChainEstimator:
             bottom.probe_hooks.append(self._on_probe)
         bottom.phase_hooks.append(self._on_bottom_phase)
 
-    def _on_probe_single(self, key: object, row: tuple) -> None:
-        if self.frozen:
-            return
-        c = self.base_hists[0].counts.get(key, 0)
-        self.t += 1
-        self.sums[0] += c
-        interval = self._intervals[0]
-        interval.count += 1
-        interval.sum_x += c
-        interval.sum_x_sq += c * c
-        if self.record_every and self.t % self.record_every == 0:
-            self.history[0].append((self.t, self.estimate_level(0)))
-        if c and self.output_listeners:
-            for col_idx, listener in self.output_listeners:
-                listener(row[col_idx], c)
-
-    def _on_probe_single_batch(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
-        """Batch twin of :meth:`_on_probe_single` (k == 1 fast path).
-
-        Pushed-down aggregation listeners need the per-tuple (value,
-        contribution) stream in row order, so with listeners attached the
-        batch degrades to the per-row loop; otherwise one Counter over the
-        keys applies the whole batch, split at ``record_every`` boundaries
-        so checkpoints land on the per-tuple t values.
-        """
+    def _on_probe_single(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
+        """Probe hook of a single join (the k == 1 fast path): one Counter
+        over the batch's keys applies the whole batch."""
         if self.frozen:
             return
         if self.output_listeners:
-            on_row = self._on_probe_single
-            for key, row in zip(keys, rows):
-                on_row(key, row)
-            return
-        n = len(keys)
-        if not n:
-            return
-        rec = self.record_every
-        if not rec:
-            self._apply_single_batch(keys)
-            return
-        start = 0
-        while start < n:
-            end = min(n, start + rec - self.t % rec)
-            self._apply_single_batch(keys if not start and end == n else keys[start:end])
-            if self.t % rec == 0:
-                self.history[0].append((self.t, self.estimate_level(0)))
-            start = end
+            self._probe_rows(rows)
+        else:
+            self._probe_checkpointed(keys, self._apply_single_batch)
 
     def _apply_single_batch(self, keys: Sequence[object]) -> None:
         get = self.base_hists[0].counts.get
@@ -399,14 +362,9 @@ class HashJoinChainEstimator:
         base_hist = self.base_hists[m]
         breakpoints = self.breakpoints.get(m, [])
         if not breakpoints:
-            def build_hook(key: object, row: tuple) -> None:
-                if key is not None:
-                    base_hist.add(key)
-
             # Plain histogram builds aggregate per batch; derived-histogram
-            # builds (below) read row columns per tuple and stay per-row.
-            build_hook.batch_hook = lambda keys, rows: base_hist.add_batch(keys)
-            return build_hook
+            # builds (below) read row columns per tuple.
+            return lambda keys, rows: base_hist.add_batch(keys)
 
         # For each breakpoint version: which folded joins contribute, read
         # from which column of this build row, weighted by which (already
@@ -420,76 +378,80 @@ class HashJoinChainEstimator:
             ]
             version_specs.append((self.derived[(m, bp)], folded))
 
-        def build_hook_with_refs(key: object, row: tuple) -> None:
-            if key is None:
-                return
-            base_hist.add(key)
-            for derived, folded in version_specs:
-                weight = 1
-                for col_idx, hist in folded:
-                    c = hist.counts.get(row[col_idx], 0)
-                    if not c:
-                        weight = 0
-                        break
-                    weight *= c
-                if weight:
-                    derived.add(key, weight)
+        def build_hook_with_refs(keys: Sequence[object], rows: Sequence[tuple]) -> None:
+            for key, row in zip(keys, rows):
+                if key is None:
+                    continue
+                base_hist.add(key)
+                for derived, folded in version_specs:
+                    weight = 1
+                    for col_idx, hist in folded:
+                        c = hist.counts.get(row[col_idx], 0)
+                        if not c:
+                            weight = 0
+                            break
+                        weight *= c
+                    if weight:
+                        derived.add(key, weight)
 
         return build_hook_with_refs
 
     # -- probe-pass callbacks --------------------------------------------------------
 
-    def _on_probe(self, key: object, row: tuple) -> None:
-        if self.frozen:
-            return
-        self.t += 1
-        t = self.t
-        top_contrib = 0
-        for i in range(self.k):
-            contrib = 1
-            for col_idx, hist in self._level_factors[i]:
-                c = hist.counts.get(row[col_idx], 0)
-                if not c:
-                    contrib = 0
-                    break
-                contrib *= c
-            self.sums[i] += contrib
-            self._intervals[i].observe(contrib)
-            if i == self.k - 1:
-                top_contrib = contrib
-            if self.record_every and t % self.record_every == 0:
-                self.history[i].append((t, self.estimate_level(i)))
-        if top_contrib and self.output_listeners:
-            for col_idx, listener in self.output_listeners:
-                listener(row[col_idx], top_contrib)
-
-    def _on_probe_batch(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
-        """Batch twin of :meth:`_on_probe` (chains of length > 1).
+    def _on_probe(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
+        """Probe hook of a chain of length > 1.
 
         Aggregates the batch by the distinct combinations of the C columns
         the factor tables read, computing each level's factor product once
         per combo. Integer arithmetic throughout, so state is bit-identical
-        to the per-row path; listener and record_every handling mirror
-        :meth:`_on_probe_single_batch`.
+        to per-tuple refinement.
         """
         if self.frozen:
             return
         if self.output_listeners:
-            on_row = self._on_probe
-            for key, row in zip(keys, rows):
-                on_row(key, row)
-            return
-        n = len(rows)
+            self._probe_rows(rows)
+        else:
+            self._probe_checkpointed(rows, self._apply_chain_batch)
+
+    def _probe_rows(self, rows: Sequence[tuple]) -> None:
+        """Refine tuple by tuple: pushed-down aggregation listeners need the
+        per-tuple (value, contribution) stream in row order."""
+        for row in rows:
+            self.t += 1
+            t = self.t
+            top_contrib = 0
+            for i in range(self.k):
+                contrib = 1
+                for col_idx, hist in self._level_factors[i]:
+                    c = hist.counts.get(row[col_idx], 0)
+                    if not c:
+                        contrib = 0
+                        break
+                    contrib *= c
+                self.sums[i] += contrib
+                self._intervals[i].observe(contrib)
+                if i == self.k - 1:
+                    top_contrib = contrib
+                if self.record_every and t % self.record_every == 0:
+                    self.history[i].append((t, self.estimate_level(i)))
+            if top_contrib:
+                for col_idx, listener in self.output_listeners:
+                    listener(row[col_idx], top_contrib)
+
+    def _probe_checkpointed(self, items: Sequence, apply: Callable[[Sequence], None]) -> None:
+        """Apply a batch, split at every ``record_every`` boundary it jumps
+        over so checkpoints land on the per-tuple t values."""
+        n = len(items)
         if not n:
             return
         rec = self.record_every
         if not rec:
-            self._apply_chain_batch(rows)
+            apply(items)
             return
         start = 0
         while start < n:
             end = min(n, start + rec - self.t % rec)
-            self._apply_chain_batch(rows if not start and end == n else rows[start:end])
+            apply(items if not start and end == n else items[start:end])
             if self.t % rec == 0:
                 t = self.t
                 for i in range(self.k):
@@ -526,9 +488,6 @@ class HashJoinChainEstimator:
         for i in range(k):
             self.sums[i] += sums_delta[i]
             self._intervals[i].merge_sums(n, sums_delta[i], sq_delta[i])
-
-    _on_probe_single.batch_hook_name = "_on_probe_single_batch"
-    _on_probe.batch_hook_name = "_on_probe_batch"
 
     def _on_bottom_phase(self, _op: Operator, phase: str) -> None:
         if self.frozen:

@@ -142,8 +142,17 @@ def attach_theta_estimator(
     )
     inner_idx = join.inner_child.output_schema.index_of(inner_column)
     outer_idx = join.outer_child.output_schema.index_of(outer_column)
-    join.inner_input_hooks.append(lambda row: estimator.on_inner(row[inner_idx]))
-    join.outer_hooks.append(lambda row: estimator.on_outer(row[outer_idx]))
+
+    def on_inner_batch(_keys: list, rows: list[tuple]) -> None:
+        for row in rows:
+            estimator.on_inner(row[inner_idx])
+
+    def on_outer_batch(_keys: list, rows: list[tuple]) -> None:
+        for row in rows:
+            estimator.on_outer(row[outer_idx])
+
+    join.inner_input_hooks.append(on_inner_batch)
+    join.outer_hooks.append(on_outer_batch)
 
     def on_phase(_op, phase: str) -> None:
         if phase == "loop":

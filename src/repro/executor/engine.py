@@ -25,16 +25,25 @@ from repro.faults.plan import SHORT_READ, SITE_CURSOR_FETCH, FaultPlan
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.robust.store import HistoryStore
 
-__all__ = ["ExecutionEngine", "ExecutionResult", "PlanCursor", "TickBus"]
+__all__ = [
+    "DEFAULT_BATCH_SIZE",
+    "ExecutionEngine",
+    "ExecutionResult",
+    "PlanCursor",
+    "TickBus",
+]
+
+#: Rows per pull when the caller names no size and no bus asks for finer.
+DEFAULT_BATCH_SIZE = 1024
 
 
 class TickBus:
     """A shared work counter with bounded-frequency callbacks.
 
-    Operators call :meth:`tick` once per unit of internal work (an input row
-    consumed in a blocking phase, an output row emitted). Every
-    ``interval`` ticks, the bus invokes its callbacks — cheap enough to run
-    per-row, yet frequent enough for smooth progress curves.
+    Operators report units of internal work (input rows consumed in a
+    blocking phase, output rows emitted) through :meth:`tick_n`, once per
+    batch. Whenever the count crosses a multiple of ``interval``, the bus
+    invokes its callbacks — frequent enough for smooth progress curves.
 
     The bus also carries the plan's sampling lock (:attr:`lock`): the
     execution driver holds it while pulling the plan, and any thread that
@@ -76,10 +85,10 @@ class TickBus:
     def tick_n(self, k: int) -> None:
         """Advance the counter by ``k`` units in one call.
 
-        The batched path's amortized twin of :meth:`tick`: the count ends up
-        exactly where ``k`` single ticks would leave it, and callbacks fire
-        **once** when the jump crosses one or more interval boundaries — not
-        ``k // interval`` times — so a big batch never floods observers.
+        The count ends up exactly where ``k`` :meth:`tick` calls would
+        leave it, and callbacks fire **once** when the jump crosses one or
+        more interval boundaries — not ``k // interval`` times — so a big
+        batch never floods observers.
         """
         if k <= 0:
             return
@@ -296,11 +305,11 @@ class ExecutionEngine:
     ) -> ExecutionResult:
         """Open, drain, and close the plan.
 
-        ``batch_size=None`` pulls the root row at a time (the classic
-        Volcano loop); any positive value switches to the batched pull loop
-        (``Operator.next_batch``), which produces the same rows, the same
-        per-operator counts and the same bus totals with the per-row
-        bookkeeping amortized over each batch.
+        ``batch_size`` is the number of rows per :meth:`PlanCursor.fetch`.
+        ``None`` derives it: ``DEFAULT_BATCH_SIZE``, capped at the bus's
+        ``interval`` so a monitored run never reports coarser than its bus
+        asks. Every size produces the same rows, the same per-operator
+        counts and the same bus totals.
 
         ``parallel=P`` (P > 1) hands the plan to :mod:`repro.parallel`:
         the plan is fragmented across P partitions and the fragments run
@@ -317,53 +326,29 @@ class ExecutionEngine:
             if result is not None:
                 return result
             # Unfragmentable plan: fall through to the serial loop.
-        rows: list[tuple] | None = [] if self.collect_rows else None
         bus = self.bus
+        if batch_size is None:
+            batch_size = (
+                DEFAULT_BATCH_SIZE
+                if bus is None
+                else min(DEFAULT_BATCH_SIZE, bus.interval)
+            )
+        rows: list[tuple] | None = [] if self.collect_rows else None
         cursor = PlanCursor(self.root, bus=bus, faults=self.faults)
         started = time.perf_counter()
         cursor.open()
         try:
             count = 0
-            if batch_size is None:
-                root_next = self.root.next
-                if bus is None:
-                    while True:
-                        row = root_next()
-                        if row is None:
-                            break
-                        count += 1
-                        if rows is not None:
-                            rows.append(row)
-                        if row_callback is not None:
-                            row_callback(row)
-                else:
-                    # Pull + tick under the bus's sampling lock so a
-                    # concurrent ProgressMonitor.snapshot() from another
-                    # thread never sees half-updated estimator state.
-                    lock = bus.lock
-                    while True:
-                        with lock:
-                            row = root_next()
-                            if row is not None:
-                                bus.tick()
-                        if row is None:
-                            break
-                        count += 1
-                        if rows is not None:
-                            rows.append(row)
-                        if row_callback is not None:
-                            row_callback(row)
-            else:
-                while True:
-                    batch = cursor.fetch(batch_size)
-                    if not batch:
-                        break
-                    count += len(batch)
-                    if rows is not None:
-                        rows.extend(batch)
-                    if row_callback is not None:
-                        for row in batch:
-                            row_callback(row)
+            while True:
+                batch = cursor.fetch(batch_size)
+                if not batch:
+                    break
+                count += len(batch)
+                if rows is not None:
+                    rows.extend(batch)
+                if row_callback is not None:
+                    for row in batch:
+                        row_callback(row)
         finally:
             cursor.close()
         elapsed = time.perf_counter() - started

@@ -1,8 +1,8 @@
 """Physical operators.
 
-Every operator implements the Volcano iterator contract
-(``open`` / ``next`` / ``close``) and counts emitted tuples; blocking
-operators additionally expose per-tuple hooks at their preprocessing
+Every operator implements the Volcano iterator contract, batched
+(``open`` / ``next_batch`` / ``close``), and counts emitted tuples; blocking
+operators additionally expose ``(keys, rows)`` hooks at their preprocessing
 phases, which is where the paper's estimators attach.
 """
 

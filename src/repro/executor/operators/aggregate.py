@@ -3,8 +3,8 @@
 Both variants have the preprocessing pass the paper exploits (Section 4.2):
 "In a hash based aggregation, the input is read and partitioned using a hash
 function ... In sort-based aggregation, the input is first sorted on the
-group-by attribute". ``input_hooks`` fire with the group key for every input
-row during that pass — this is where the GEE/MLE group-count estimators
+group-by attribute". ``input_hooks`` receive the group keys of every input
+batch during that pass — this is where the GEE/MLE group-count estimators
 attach and where the exact group count is known the moment the pass ends.
 
 Supported aggregate functions: count, sum, min, max, avg, count_distinct.
@@ -15,17 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.common.errors import PlanError
-from repro.executor.operators.base import Operator, make_batch_dispatch
+from repro.executor.operators.base import BatchHook, Operator
 from repro.storage.schema import Column, ColumnType, Schema
 
 __all__ = ["AggregateSpec", "HashAggregate", "SortAggregate"]
 
 _SUPPORTED_FUNCS = ("count", "sum", "min", "max", "avg", "count_distinct")
-
-KeyHook = Callable[[object, tuple], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +85,7 @@ class _AggregateBase(Operator):
         self.child = child
         self.group_by = tuple(group_by)
         self.aggregates = tuple(aggregates) or (AggregateSpec("count", alias="count_star"),)
-        self.input_hooks: list[KeyHook] = []
+        self.input_hooks: list[BatchHook] = []
         self.rows_consumed: int = 0
         self.groups_seen: int = 0
         self._schema = self._derive_schema()
@@ -114,16 +112,11 @@ class _AggregateBase(Operator):
     def _open(self) -> None:
         self._set_phase("init")
 
-    def _next(self) -> tuple | None:
-        if self._emit_iter is None:
-            self._emit_iter = self._consume_and_group()
-        return next(self._emit_iter, None)
-
     def _next_batch(self, max_rows: int) -> list[tuple]:
         if self._emit_iter is None:
-            # First batch pull fixes the input-drain granularity; the emit
+            # The first pull fixes the input-drain granularity; the emit
             # stream is then sliced batch by batch.
-            self._emit_iter = self._consume_and_group(consume=max_rows)
+            self._emit_iter = self._consume_and_group(max_rows)
         return list(islice(self._emit_iter, max_rows))
 
     def _close(self) -> None:
@@ -188,17 +181,16 @@ class _AggregateBase(Operator):
 
     @staticmethod
     def _group_key_extractor(group_idxs: list[int]):
-        """Precompiled group-key extractor for batch drains.
+        """Precompiled group-key extractor for the input drains.
 
         Single-column grouping keys are the bare value, multi-column keys
-        the value tuple — exactly what multi-arg ``itemgetter`` returns, and
-        the same convention the per-row loops use.
+        the value tuple — exactly what multi-arg ``itemgetter`` returns.
         """
         if not group_idxs:
             return lambda row: ()
         return itemgetter(*group_idxs)
 
-    def _consume_and_group(self, consume: int = 1) -> Iterator[tuple]:
+    def _consume_and_group(self, consume: int) -> Iterator[tuple]:
         raise NotImplementedError
 
 
@@ -208,52 +200,28 @@ class HashAggregate(_AggregateBase):
     op_name = "hash_aggregate"
     __slots__ = ()
 
-    def _consume_and_group(self, consume: int = 1) -> Iterator[tuple]:
+    def _consume_and_group(self, consume: int) -> Iterator[tuple]:
         self._set_phase("partition")
         group_idxs, value_idxs = self._bind_inputs()
         hooks = self.input_hooks
         single = len(group_idxs) == 1
         groups: dict[object, list] = {}
-        # The row and batch drains are spelled out separately (same per-row
-        # body) so neither path pays a per-row closure call.
-        if consume > 1:
-            child = self.child
-            extract = self._group_key_extractor(group_idxs)
-            dispatch = make_batch_dispatch(hooks)
-            while True:
-                batch = child.next_batch(consume)
-                if not batch:
-                    break
-                self.rows_consumed += len(batch)
-                keys = list(map(extract, batch))
-                if dispatch is not None:
-                    dispatch(keys, batch)
-                for key, row in zip(keys, batch):
-                    states = groups.get(key)
-                    if states is None:
-                        states = groups[key] = self._make_state()
-                    self._update_state(states, row, value_idxs)
-                self._tick_n(len(batch))
-        else:
-            while True:
-                row = self.child.next()
-                if row is None:
-                    break
-                self.rows_consumed += 1
-                if single:
-                    key = row[group_idxs[0]]
-                elif group_idxs:
-                    key = tuple(row[i] for i in group_idxs)
-                else:
-                    key = ()
-                if hooks:
-                    for hook in hooks:
-                        hook(key, row)
+        child = self.child
+        extract = self._group_key_extractor(group_idxs)
+        while True:
+            batch = child.next_batch(consume)
+            if not batch:
+                break
+            self.rows_consumed += len(batch)
+            keys = list(map(extract, batch))
+            for hook in hooks:
+                hook(keys, batch)
+            for key, row in zip(keys, batch):
                 states = groups.get(key)
                 if states is None:
                     states = groups[key] = self._make_state()
                 self._update_state(states, row, value_idxs)
-                self._tick()
+            self._tick_n(len(batch))
         self.groups_seen = len(groups)
         self._set_phase("emit")
         for key, states in groups.items():
@@ -268,7 +236,7 @@ class SortAggregate(_AggregateBase):
     op_name = "sort_aggregate"
     __slots__ = ()
 
-    def _consume_and_group(self, consume: int = 1) -> Iterator[tuple]:
+    def _consume_and_group(self, consume: int) -> Iterator[tuple]:
         if not self.group_by:
             # Degenerate to hash aggregation semantics for a global group.
             yield from HashAggregate._consume_and_group(self, consume)  # type: ignore[arg-type]
@@ -278,31 +246,19 @@ class SortAggregate(_AggregateBase):
         hooks = self.input_hooks
         single = len(group_idxs) == 1
         rows: list[tuple] = []
-        if consume > 1:
-            child = self.child
-            extract = self._group_key_extractor(group_idxs)
-            dispatch = make_batch_dispatch(hooks)
-            while True:
-                batch = child.next_batch(consume)
-                if not batch:
-                    break
-                self.rows_consumed += len(batch)
-                if dispatch is not None:
-                    dispatch(list(map(extract, batch)), batch)
-                rows.extend(batch)
-                self._tick_n(len(batch))
-        else:
-            while True:
-                row = self.child.next()
-                if row is None:
-                    break
-                self.rows_consumed += 1
-                if hooks:
-                    key = row[group_idxs[0]] if single else tuple(row[i] for i in group_idxs)
-                    for hook in hooks:
-                        hook(key, row)
-                rows.append(row)
-                self._tick()
+        child = self.child
+        extract = self._group_key_extractor(group_idxs)
+        while True:
+            batch = child.next_batch(consume)
+            if not batch:
+                break
+            self.rows_consumed += len(batch)
+            if hooks:
+                keys = list(map(extract, batch))
+                for hook in hooks:
+                    hook(keys, batch)
+            rows.extend(batch)
+            self._tick_n(len(batch))
         self._set_phase("sort")
         if single:
             idx = group_idxs[0]

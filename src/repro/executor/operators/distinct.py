@@ -10,14 +10,12 @@ grouping key).
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Iterator
 
-from repro.executor.operators.base import Operator, make_batch_dispatch
+from repro.executor.operators.base import BatchHook, Operator
 from repro.storage.schema import Schema
 
 __all__ = ["Distinct"]
-
-KeyHook = Callable[[object, tuple], None]
 
 
 class Distinct(Operator):
@@ -37,7 +35,7 @@ class Distinct(Operator):
     def __init__(self, child: Operator):
         super().__init__()
         self.child = child
-        self.input_hooks: list[KeyHook] = []
+        self.input_hooks: list[BatchHook] = []
         self.rows_consumed: int = 0
         self.groups_seen: int = 0
         self._emit_iter: Iterator[tuple] | None = None
@@ -52,52 +50,33 @@ class Distinct(Operator):
     def _open(self) -> None:
         self._set_phase("init")
 
-    def _next(self) -> tuple | None:
-        if self._emit_iter is None:
-            self._emit_iter = self._consume()
-        return next(self._emit_iter, None)
-
     def _next_batch(self, max_rows: int) -> list[tuple]:
-        # Blocking: the full input is drained either way, so draining it at
-        # batch granularity on the first pull changes no emitted row.
+        # Blocking: the first pull fixes the input-drain granularity.
         if self._emit_iter is None:
-            self._emit_iter = self._consume(consume=max_rows)
+            self._emit_iter = self._consume(max_rows)
         return list(islice(self._emit_iter, max_rows))
 
     def _close(self) -> None:
         self._emit_iter = None
 
-    def _consume(self, consume: int = 1) -> Iterator[tuple]:
+    def _consume(self, consume: int) -> Iterator[tuple]:
         self._set_phase("partition")
         hooks = self.input_hooks
         seen: dict[tuple, None] = {}  # dict preserves first-seen order
-        if consume > 1:
-            child = self.child
-            setdefault = seen.setdefault
-            # The whole row is the grouping key, so the key list for the
-            # batch hook dispatch is the batch itself.
-            dispatch = make_batch_dispatch(hooks)
-            while True:
-                batch = child.next_batch(consume)
-                if not batch:
-                    break
-                self.rows_consumed += len(batch)
-                if dispatch is not None:
-                    dispatch(batch, batch)
-                for row in batch:
-                    setdefault(row, None)
-                self._tick_n(len(batch))
-        else:
-            while True:
-                row = self.child.next()
-                if row is None:
-                    break
-                self.rows_consumed += 1
-                if hooks:
-                    for hook in hooks:
-                        hook(row, row)
-                seen.setdefault(row, None)
-                self._tick()
+        child = self.child
+        setdefault = seen.setdefault
+        while True:
+            batch = child.next_batch(consume)
+            if not batch:
+                break
+            self.rows_consumed += len(batch)
+            # The whole row is the grouping key, so the key list the hooks
+            # receive is the batch itself.
+            for hook in hooks:
+                hook(batch, batch)
+            for row in batch:
+                setdefault(row, None)
+            self._tick_n(len(batch))
         self.groups_seen = len(seen)
         self._set_phase("emit")
         yield from seen

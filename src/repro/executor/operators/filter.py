@@ -54,16 +54,6 @@ class Filter(Operator):
         self._batch_kernel = compile_predicate_kernel(self.predicate, schema)
         self._set_phase("filter")
 
-    def _next(self) -> tuple | None:
-        assert self._bound is not None
-        while True:
-            row = self.child.next()
-            if row is None:
-                return None
-            self.rows_consumed += 1
-            if self._bound(row):
-                return row
-
     def _next_batch(self, max_rows: int) -> list[tuple]:
         assert self._bound is not None
         bound = self._bound

@@ -32,12 +32,10 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from repro.common.errors import PlanError
-from repro.executor.operators.base import Operator, make_batch_dispatch
+from repro.executor.operators.base import BatchHook, Operator
 from repro.storage.schema import Schema
 
 __all__ = ["HashJoin", "JOIN_TYPES"]
-
-KeyHook = Callable[[object, tuple], None]
 
 #: Supported join semantics, all probe-side streaming:
 #: ``inner``; ``outer`` (probe-preserving: unmatched probe rows padded with
@@ -121,8 +119,8 @@ class HashJoin(Operator):
         self.num_partitions = num_partitions
         self.memory_partitions = num_partitions if num_partitions == 1 else memory_partitions
         self.join_type = join_type
-        self.build_hooks: list[KeyHook] = []
-        self.probe_hooks: list[KeyHook] = []
+        self.build_hooks: list[BatchHook] = []
+        self.probe_hooks: list[BatchHook] = []
         self.build_rows_consumed: int = 0
         self.probe_rows_consumed: int = 0
         if join_type in ("semi", "anti"):
@@ -164,61 +162,37 @@ class HashJoin(Operator):
 
     def _open(self) -> None:
         self._set_phase("init")
-        # The generator is created lazily on the first pull: the first
-        # next_batch() call fixes the internal consume granularity, while a
-        # first next() call yields the classic row-at-a-time loop. Either
-        # way the emitted row stream is identical.
-        self._gen = None
-
-    def _next(self) -> tuple | None:
-        gen = self._gen
-        if gen is None:
-            gen = self._gen = self._run_hybrid()
-        return next(gen, None)
 
     def _next_batch(self, max_rows: int) -> list[tuple]:
         gen = self._gen
         if gen is None:
-            gen = self._gen = self._run_hybrid(consume=max_rows)
+            # The first pull fixes the input-drain granularity.
+            gen = self._gen = self._run_hybrid(max_rows)
         return list(islice(gen, max_rows))
 
     def _close(self) -> None:
         self._gen = None
 
     def _consume_build(
-        self, on_row: Callable[[object, tuple], None], consume: int = 1
+        self, on_row: Callable[[object, tuple], None], consume: int
     ) -> None:
         """Read the whole build input, firing hooks and ``on_row``."""
         self._set_phase("build")
         extract = self._key_extractor(self.build_child.output_schema, self.build_keys)
         hooks = self.build_hooks
-        if consume > 1:
-            child = self.build_child
-            dispatch = make_batch_dispatch(hooks)
-            while True:
-                batch = child.next_batch(consume)
-                if not batch:
-                    return
-                self.build_rows_consumed += len(batch)
-                keys = list(map(extract, batch))
-                if dispatch is not None:
-                    dispatch(keys, batch)
-                for key, row in zip(keys, batch):
-                    if key is not None:
-                        on_row(key, row)
-                self._tick_n(len(batch))
+        child = self.build_child
         while True:
-            row = self.build_child.next()
-            if row is None:
+            batch = child.next_batch(consume)
+            if not batch:
                 return
-            self.build_rows_consumed += 1
-            key = extract(row)
-            if hooks:
-                for hook in hooks:
-                    hook(key, row)
-            if key is not None:
-                on_row(key, row)
-            self._tick()
+            self.build_rows_consumed += len(batch)
+            keys = list(map(extract, batch))
+            for hook in hooks:
+                hook(keys, batch)
+            for key, row in zip(keys, batch):
+                if key is not None:
+                    on_row(key, row)
+            self._tick_n(len(batch))
 
     def _make_emitter(self):
         """Per-probe-row emission closure implementing the join semantics."""
@@ -247,24 +221,21 @@ class HashJoin(Operator):
                     yield probe_row
         return emit
 
-    def _run_hybrid(self, consume: int = 1) -> Iterator[tuple]:
+    def _run_hybrid(self, consume: int) -> Iterator[tuple]:
         """Hybrid hash join.
 
         Build pass: partition the build input; partitions below
         ``memory_partitions`` become in-memory hash tables, the rest stay as
-        spilled row lists. Probe pass: every probe tuple fires hooks in input
-        order; tuples hitting an in-memory partition join and emit
+        spilled row lists. Probe pass: every probe batch reaches the hooks
+        in input order; tuples hitting an in-memory partition join and emit
         immediately, the rest are spilled. Join pass: spilled partitions are
         joined one at a time, so their output is clustered by partition.
 
         ``consume`` is the granularity at which the *inputs* are pulled:
-        1 preserves the classic per-row loops; larger values drain children
-        through ``next_batch``, amortize tick-bus traffic via ``tick_n``, and
-        feed hooks through the batch dispatcher: hooks declaring a batch twin
-        receive each pass's ``(keys, rows)`` once per batch, the rest fire
-        once per input row in input order. Either way every hook observes
-        the full (key, row) sequence, so estimator refinement is
-        bit-identical in both modes.
+        children are drained through ``next_batch(consume)``, tick-bus
+        traffic is amortized via ``tick_n``, and every hook receives each
+        pass's ``(keys, rows)`` once per batch — so it observes the full
+        (key, row) sequence whatever the granularity.
         """
         n_parts = self.num_partitions
         n_memory = self.memory_partitions
@@ -298,41 +269,19 @@ class HashJoin(Operator):
         ]
         extract = self._key_extractor(self.probe_child.output_schema, self.probe_keys)
         hooks = self.probe_hooks
-        if consume > 1:
-            probe_child = self.probe_child
-            dispatch = make_batch_dispatch(hooks)
-            while True:
-                batch = probe_child.next_batch(consume)
-                if not batch:
-                    break
-                self.probe_rows_consumed += len(batch)
-                self._tick_n(len(batch))
-                keys = list(map(extract, batch))
-                if dispatch is not None:
-                    dispatch(keys, batch)
-                for key, probe_row in zip(keys, batch):
-                    if key is None:
-                        # NULL keys never match; outer/anti still emit.
-                        yield from emit(None, probe_row)
-                        continue
-                    part = hash(key) % n_parts
-                    if part < n_memory:
-                        yield from emit(memory_tables[part].get(key), probe_row)
-                    else:
-                        spilled_probe[part - n_memory].append((key, probe_row))
-        else:
-            while True:
-                probe_row = self.probe_child.next()
-                if probe_row is None:
-                    break
-                self.probe_rows_consumed += 1
-                key = extract(probe_row)
-                if hooks:
-                    for hook in hooks:
-                        hook(key, probe_row)
-                self._tick()
+        probe_child = self.probe_child
+        while True:
+            batch = probe_child.next_batch(consume)
+            if not batch:
+                break
+            self.probe_rows_consumed += len(batch)
+            self._tick_n(len(batch))
+            keys = list(map(extract, batch))
+            for hook in hooks:
+                hook(keys, batch)
+            for key, probe_row in zip(keys, batch):
                 if key is None:
-                    # NULL keys never match; outer/anti semantics still emit.
+                    # NULL keys never match; outer/anti still emit.
                     yield from emit(None, probe_row)
                     continue
                 part = hash(key) % n_parts
@@ -350,12 +299,7 @@ class HashJoin(Operator):
                 for key, row in spilled_build[part_id]:
                     table.setdefault(key, []).append(row)
                 spilled_build[part_id] = []  # release as we go
-                if consume > 1:
-                    self._tick_n(len(spilled_probe[part_id]))
-                    for key, probe_row in spilled_probe[part_id]:
-                        yield from emit(table.get(key), probe_row)
-                else:
-                    for key, probe_row in spilled_probe[part_id]:
-                        self._tick()
-                        yield from emit(table.get(key), probe_row)
+                self._tick_n(len(spilled_probe[part_id]))
+                for key, probe_row in spilled_probe[part_id]:
+                    yield from emit(table.get(key), probe_row)
                 spilled_probe[part_id] = []

@@ -33,11 +33,6 @@ class Limit(Operator):
     def describe(self) -> str:
         return f"limit({self.n})"
 
-    def _next(self) -> tuple | None:
-        if self.tuples_emitted >= self.n:
-            return None
-        return self.child.next()
-
     def _next_batch(self, max_rows: int) -> list[tuple]:
         # Cap the *request*, not the result: the child is never pulled past
         # the limit, so neither its counter nor ours can over-emit when the

@@ -7,6 +7,7 @@ operators) and to let tests snapshot intermediate results.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 from repro.executor.operators.base import Operator
@@ -37,21 +38,23 @@ class Materialize(Operator):
     def output_schema(self) -> Schema:
         return self.child.output_schema
 
-    def _next(self) -> tuple | None:
+    def _next_batch(self, max_rows: int) -> list[tuple]:
+        # Blocking: the first pull fixes the input-drain granularity.
         if self._iter is None:
             self._set_phase("materialize")
             buffer: list[tuple] = []
+            child = self.child
             while True:
-                row = self.child.next()
-                if row is None:
+                batch = child.next_batch(max_rows)
+                if not batch:
                     break
-                self.rows_consumed += 1
-                buffer.append(row)
-                self._tick()
+                self.rows_consumed += len(batch)
+                buffer.extend(batch)
+                self._tick_n(len(batch))
             self._buffer = buffer
             self._set_phase("emit")
             self._iter = iter(buffer)
-        return next(self._iter, None)
+        return list(islice(self._iter, max_rows))
 
     def _close(self) -> None:
         self._buffer = None

@@ -2,11 +2,11 @@
 
 Per Section 4.1.2 the sorts may live "within the sort-merge join and not in
 some separate sort operator"; each input is fully read during its sort
-phase, and ``left_input_hooks`` / ``right_input_hooks`` fire per tuple
-there. The left (first-sorted) input plays the role of the hash join's
-build side: ONCE builds its histogram during the left sort, then refines the
-join estimate during the right sort — reaching the exact cardinality "at
-the end of the sort of S", before the merge even begins.
+phase, and ``left_input_hooks`` / ``right_input_hooks`` receive every
+input batch there. The left (first-sorted) input plays the role of the hash
+join's build side: ONCE builds its histogram during the left sort, then
+refines the join estimate during the right sort — reaching the exact
+cardinality "at the end of the sort of S", before the merge even begins.
 
 ``left_presorted`` / ``right_presorted`` skip the corresponding sort phase
 (e.g. input from an index scan or a lower merge join). A presorted input is
@@ -16,15 +16,14 @@ defaults to dne in that case, and the estimation manager honours that.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from itertools import islice
+from typing import Iterator
 
 from repro.common.errors import PlanError
-from repro.executor.operators.base import Operator
+from repro.executor.operators.base import BatchHook, Operator
 from repro.storage.schema import Schema
 
 __all__ = ["SortMergeJoin"]
-
-RowHook = Callable[[object, tuple], None]
 
 
 class SortMergeJoin(Operator):
@@ -65,8 +64,8 @@ class SortMergeJoin(Operator):
         self.right_key = right_key
         self.left_presorted = left_presorted
         self.right_presorted = right_presorted
-        self.left_input_hooks: list[RowHook] = []
-        self.right_input_hooks: list[RowHook] = []
+        self.left_input_hooks: list[BatchHook] = []
+        self.right_input_hooks: list[BatchHook] = []
         self.left_rows_consumed: int = 0
         self.right_rows_consumed: int = 0
         self._schema = left.output_schema.concat(right.output_schema)
@@ -104,11 +103,13 @@ class SortMergeJoin(Operator):
 
     def _open(self) -> None:
         self._set_phase("init")
-        self._gen = self._run()
 
-    def _next(self) -> tuple | None:
-        assert self._gen is not None, "next() before open()"
-        return next(self._gen, None)
+    def _next_batch(self, max_rows: int) -> list[tuple]:
+        gen = self._gen
+        if gen is None:
+            # The first pull fixes the input-drain granularity.
+            gen = self._gen = self._run(max_rows)
+        return list(islice(gen, max_rows))
 
     def _close(self) -> None:
         self._gen = None
@@ -117,40 +118,39 @@ class SortMergeJoin(Operator):
         self,
         child: Operator,
         key_idx: int,
-        hooks: list[RowHook],
+        hooks: list[BatchHook],
         presorted: bool,
         phase: str,
         count_attr: str,
+        consume: int,
     ) -> list[tuple]:
         self._set_phase(phase)
         rows: list[tuple] = []
-        consumed = 0
         while True:
-            row = child.next()
-            if row is None:
+            batch = child.next_batch(consume)
+            if not batch:
                 break
-            consumed += 1
             if hooks:
-                key = row[key_idx]
+                keys = [row[key_idx] for row in batch]
                 for hook in hooks:
-                    hook(key, row)
-            rows.append(row)
-            self._tick()
-        setattr(self, count_attr, consumed)
+                    hook(keys, batch)
+            rows.extend(batch)
+            self._tick_n(len(batch))
+        setattr(self, count_attr, len(rows))
         if not presorted:
             rows.sort(key=lambda r: r[key_idx])
         return rows
 
-    def _run(self) -> Iterator[tuple]:
+    def _run(self, consume: int) -> Iterator[tuple]:
         left_idx = self.left_child.output_schema.index_of(self.left_key)
         right_idx = self.right_child.output_schema.index_of(self.right_key)
         left = self._read_side(
             self.left_child, left_idx, self.left_input_hooks,
-            self.left_presorted, "sort_left", "left_rows_consumed",
+            self.left_presorted, "sort_left", "left_rows_consumed", consume,
         )
         right = self._read_side(
             self.right_child, right_idx, self.right_input_hooks,
-            self.right_presorted, "sort_right", "right_rows_consumed",
+            self.right_presorted, "sort_right", "right_rows_consumed", consume,
         )
 
         self._set_phase("merge")
@@ -171,8 +171,8 @@ class SortMergeJoin(Operator):
                 j_end = j
                 while j_end < n_right and right[j_end][right_idx] == rv:
                     j_end += 1
+                self._tick_n((i_end - i) * (j_end - j))
                 for a in range(i, i_end):
                     for b in range(j, j_end):
-                        self._tick()
                         yield left[a] + right[b]
                 i, j = i_end, j_end

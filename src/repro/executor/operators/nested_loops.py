@@ -3,8 +3,8 @@
 Section 4.1.3: a plain nested-loops join has *no* preprocessing pass over
 its outer input, so nothing can be pushed down — estimation reduces to the
 driver-node estimator. The inner input, however, *is* fully materialised
-(or indexed) before the outer loop begins; ``inner_input_hooks`` fire
-during that pass, so when a temporary index is built
+(or indexed) before the outer loop begins; ``inner_input_hooks`` receive
+every inner batch during that pass, so when a temporary index is built
 (:class:`IndexNestedLoopsJoin`) an exact inner histogram is available and
 the outer pass can be estimated like a hash-join probe pass
 (``outer_hooks``), which is the paper's "in the presence of such
@@ -14,23 +14,24 @@ incremental estimator for hash joins".
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from itertools import islice
+from typing import Iterator
 
 from repro.common.errors import PlanError
 from repro.executor.expressions import Expression
-from repro.executor.operators.base import Operator
+from repro.executor.operators.base import BatchHook, Operator
 from repro.storage.schema import Schema
 
 __all__ = ["IndexNestedLoopsJoin", "NestedLoopsJoin"]
-
-RowHook = Callable[[object, tuple], None]
 
 
 class NestedLoopsJoin(Operator):
     """Theta join: materialise the inner input, loop it per outer row.
 
     ``predicate`` is evaluated against the concatenated (outer + inner) row;
-    ``None`` yields the cross product.
+    ``None`` yields the cross product. A theta join has no key column, so —
+    as in ``Distinct`` — the whole row is the key: hooks are called as
+    ``hook(rows, rows)``.
     """
 
     op_name = "nl_join"
@@ -53,8 +54,8 @@ class NestedLoopsJoin(Operator):
         self.outer_child = outer
         self.inner_child = inner
         self.predicate = predicate
-        self.inner_input_hooks: list[Callable[[tuple], None]] = []
-        self.outer_hooks: list[Callable[[tuple], None]] = []
+        self.inner_input_hooks: list[BatchHook] = []
+        self.outer_hooks: list[BatchHook] = []
         self.outer_rows_consumed: int = 0
         self._schema = outer.output_schema.concat(inner.output_schema)
         self._gen: Iterator[tuple] | None = None
@@ -72,49 +73,52 @@ class NestedLoopsJoin(Operator):
 
     def _open(self) -> None:
         self._set_phase("init")
-        self._gen = self._run()
 
-    def _next(self) -> tuple | None:
-        assert self._gen is not None, "next() before open()"
-        return next(self._gen, None)
+    def _next_batch(self, max_rows: int) -> list[tuple]:
+        gen = self._gen
+        if gen is None:
+            # The first pull fixes the input-drain granularity.
+            gen = self._gen = self._run(max_rows)
+        return list(islice(gen, max_rows))
 
     def _close(self) -> None:
         self._gen = None
 
-    def _materialize_inner(self) -> list[tuple]:
+    def _materialize_inner(self, consume: int) -> list[tuple]:
         self._set_phase("materialize_inner")
         rows: list[tuple] = []
         hooks = self.inner_input_hooks
+        child = self.inner_child
         while True:
-            row = self.inner_child.next()
-            if row is None:
+            batch = child.next_batch(consume)
+            if not batch:
                 return rows
-            if hooks:
-                for hook in hooks:
-                    hook(row)
-            rows.append(row)
-            self._tick()
+            for hook in hooks:
+                hook(batch, batch)
+            rows.extend(batch)
+            self._tick_n(len(batch))
 
-    def _run(self) -> Iterator[tuple]:
-        inner_rows = self._materialize_inner()
+    def _run(self, consume: int) -> Iterator[tuple]:
+        inner_rows = self._materialize_inner(consume)
         self._set_phase("loop")
         bound = (
             self.predicate.bind(self._schema) if self.predicate is not None else None
         )
         out_hooks = self.outer_hooks
+        outer_child = self.outer_child
         while True:
-            outer_row = self.outer_child.next()
-            if outer_row is None:
+            batch = outer_child.next_batch(consume)
+            if not batch:
                 return
-            self.outer_rows_consumed += 1
-            if out_hooks:
-                for hook in out_hooks:
-                    hook(outer_row)
-            self._tick()
-            for inner_row in inner_rows:
-                joined = outer_row + inner_row
-                if bound is None or bound(joined):
-                    yield joined
+            self.outer_rows_consumed += len(batch)
+            for hook in out_hooks:
+                hook(batch, batch)
+            self._tick_n(len(batch))
+            for outer_row in batch:
+                for inner_row in inner_rows:
+                    joined = outer_row + inner_row
+                    if bound is None or bound(joined):
+                        yield joined
 
 
 class IndexNestedLoopsJoin(Operator):
@@ -149,8 +153,8 @@ class IndexNestedLoopsJoin(Operator):
         self.inner_child = inner
         self.outer_key = outer_key
         self.inner_key = inner_key
-        self.inner_input_hooks: list[RowHook] = []
-        self.outer_hooks: list[RowHook] = []
+        self.inner_input_hooks: list[BatchHook] = []
+        self.outer_hooks: list[BatchHook] = []
         self.outer_rows_consumed: int = 0
         self._schema = outer.output_schema.concat(inner.output_schema)
         self._gen: Iterator[tuple] | None = None
@@ -167,46 +171,50 @@ class IndexNestedLoopsJoin(Operator):
 
     def _open(self) -> None:
         self._set_phase("init")
-        self._gen = self._run()
 
-    def _next(self) -> tuple | None:
-        assert self._gen is not None, "next() before open()"
-        return next(self._gen, None)
+    def _next_batch(self, max_rows: int) -> list[tuple]:
+        gen = self._gen
+        if gen is None:
+            # The first pull fixes the input-drain granularity.
+            gen = self._gen = self._run(max_rows)
+        return list(islice(gen, max_rows))
 
     def _close(self) -> None:
         self._gen = None
 
-    def _run(self) -> Iterator[tuple]:
+    def _run(self, consume: int) -> Iterator[tuple]:
         self._set_phase("build_index")
         inner_idx = self.inner_child.output_schema.index_of(self.inner_key)
         index: dict[object, list[tuple]] = {}
         hooks = self.inner_input_hooks
+        inner_child = self.inner_child
         while True:
-            row = self.inner_child.next()
-            if row is None:
+            batch = inner_child.next_batch(consume)
+            if not batch:
                 break
-            key = row[inner_idx]
-            if hooks:
-                for hook in hooks:
-                    hook(key, row)
-            if key is not None:
-                index.setdefault(key, []).append(row)
-            self._tick()
+            keys = [row[inner_idx] for row in batch]
+            for hook in hooks:
+                hook(keys, batch)
+            for key, row in zip(keys, batch):
+                if key is not None:
+                    index.setdefault(key, []).append(row)
+            self._tick_n(len(batch))
 
         self._set_phase("loop")
         outer_idx = self.outer_child.output_schema.index_of(self.outer_key)
         out_hooks = self.outer_hooks
+        outer_child = self.outer_child
         while True:
-            outer_row = self.outer_child.next()
-            if outer_row is None:
+            batch = outer_child.next_batch(consume)
+            if not batch:
                 return
-            self.outer_rows_consumed += 1
-            key = outer_row[outer_idx]
-            if out_hooks:
-                for hook in out_hooks:
-                    hook(key, outer_row)
-            self._tick()
-            matches = index.get(key)
-            if matches:
-                for inner_row in matches:
-                    yield outer_row + inner_row
+            self.outer_rows_consumed += len(batch)
+            keys = [row[outer_idx] for row in batch]
+            for hook in out_hooks:
+                hook(keys, batch)
+            self._tick_n(len(batch))
+            for key, outer_row in zip(keys, batch):
+                matches = index.get(key)
+                if matches:
+                    for inner_row in matches:
+                        yield outer_row + inner_row

@@ -67,13 +67,6 @@ class Project(Operator):
         self._batch_kernel = compile_projection_kernel(exprs, in_schema)
         self._set_phase("project")
 
-    def _next(self) -> tuple | None:
-        assert self._bound is not None
-        row = self.child.next()
-        if row is None:
-            return None
-        return tuple(fn(row) for fn in self._bound)
-
     def _next_batch(self, max_rows: int) -> list[tuple]:
         assert self._bound is not None
         kernel = self._batch_kernel

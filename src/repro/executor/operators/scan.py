@@ -54,12 +54,6 @@ class SeqScan(Operator):
         self._iter = iter(self.table.rows())
         self._set_phase("scan")
 
-    def _next(self) -> tuple | None:
-        assert self._iter is not None, "next() before open()"
-        if self.faults is not None:
-            self.faults.fire(SITE_SCAN_READ, detail=self.table.name)
-        return next(self._iter, None)
-
     def _next_batch(self, max_rows: int) -> list[tuple]:
         assert self._iter is not None, "next_batch() before open()"
         if self.faults is not None:
@@ -136,12 +130,6 @@ class IndexScan(Operator):
         self._iter = iter(self._sorted_rows)
         self._set_phase("scan")
 
-    def _next(self) -> tuple | None:
-        assert self._iter is not None, "next() before open()"
-        if self.faults is not None:
-            self.faults.fire(SITE_SCAN_READ, detail=self.table.name)
-        return next(self._iter, None)
-
     def _next_batch(self, max_rows: int) -> list[tuple]:
         assert self._iter is not None, "next_batch() before open()"
         if self.faults is not None:
@@ -214,21 +202,6 @@ class SampleScan(Operator):
         self.in_sample_portion = True
         self._set_phase("sample")
 
-    def _next(self) -> tuple | None:
-        if self.faults is not None:
-            self.faults.fire(SITE_SCAN_READ, detail=self.table.name)
-        if self.in_sample_portion:
-            assert self._sample_iter is not None
-            row = next(self._sample_iter, None)
-            if row is not None:
-                return row
-            self.in_sample_portion = False
-            self._set_phase("remainder")
-            for hook in self.sample_boundary_hooks:
-                hook(self)
-        assert self._remainder_iter is not None
-        return next(self._remainder_iter, None)
-
     def _next_batch(self, max_rows: int) -> list[tuple]:
         if self.faults is not None:
             spec = self.faults.fire(SITE_SCAN_READ, detail=self.table.name)
@@ -244,7 +217,7 @@ class SampleScan(Operator):
                 # estimator) mid-batch would retroactively drop the sample
                 # rows in front of it. Return the short sample-only batch;
                 # the punctuation fires on the next pull, before the first
-                # remainder row — the same stream position as the row path.
+                # remainder row.
                 return batch
             self.in_sample_portion = False
             self._set_phase("remainder")

@@ -5,14 +5,16 @@ once before any output is produced — is the preprocessing phase the paper
 exploits for sort-merge joins (Section 4.1.2): "In the sort operator, every
 tuple of R is seen at least once before any output is produced. Thus, it is
 possible to build a histogram on the join attribute of R." ``input_hooks``
-fire for each input row during that pass.
+receive every input batch (sort-key values, rows) during that pass.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from itertools import islice
+from operator import itemgetter
+from typing import Iterator, Sequence
 
-from repro.executor.operators.base import Operator
+from repro.executor.operators.base import BatchHook, Operator
 from repro.storage.schema import Schema
 
 __all__ = ["Sort"]
@@ -40,7 +42,7 @@ class Sort(Operator):
         self.child = child
         self.keys = tuple(keys)
         self.descending = descending
-        self.input_hooks: list[Callable[[tuple], None]] = []
+        self.input_hooks: list[BatchHook] = []
         self.rows_consumed: int = 0
         self._sorted_iter: Iterator[tuple] | None = None
 
@@ -58,36 +60,35 @@ class Sort(Operator):
     def _open(self) -> None:
         self._set_phase("init")
 
-    def _next(self) -> tuple | None:
+    def _next_batch(self, max_rows: int) -> list[tuple]:
+        # Blocking: the first pull fixes the input-drain granularity.
         if self._sorted_iter is None:
-            self._consume_and_sort()
+            self._consume_and_sort(max_rows)
         assert self._sorted_iter is not None
-        return next(self._sorted_iter, None)
+        return list(islice(self._sorted_iter, max_rows))
 
-    def _consume_and_sort(self) -> None:
+    def _consume_and_sort(self, consume: int) -> None:
         self._set_phase("read_input")
         schema = self.child.output_schema
-        key_idxs = [schema.index_of(k) for k in self.keys]
+        # Single-column keys sort on the bare value, multi-column keys on
+        # the value tuple (multi-arg itemgetter returns exactly that tuple).
+        extract = itemgetter(*(schema.index_of(k) for k in self.keys))
         hooks = self.input_hooks
+        child = self.child
         rows: list[tuple] = []
         while True:
-            row = self.child.next()
-            if row is None:
+            batch = child.next_batch(consume)
+            if not batch:
                 break
-            self.rows_consumed += 1
+            self.rows_consumed += len(batch)
             if hooks:
+                keys = list(map(extract, batch))
                 for hook in hooks:
-                    hook(row)
-            rows.append(row)
-            self._tick()
+                    hook(keys, batch)
+            rows.extend(batch)
+            self._tick_n(len(batch))
         self._set_phase("sort")
-        if len(key_idxs) == 1:
-            idx = key_idxs[0]
-            rows.sort(key=lambda r: r[idx], reverse=self.descending)
-        else:
-            rows.sort(
-                key=lambda r: tuple(r[i] for i in key_idxs), reverse=self.descending
-            )
+        rows.sort(key=extract, reverse=self.descending)
         self._set_phase("emit")
         self._sorted_iter = iter(rows)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 
+from repro.executor.engine import DEFAULT_BATCH_SIZE
 from repro.faults.plan import FaultPlan
 from repro.parallel.fragments import FragmentPlan
 from repro.parallel.monitor import PartitionedProgressMonitor
@@ -77,7 +78,7 @@ class Coordinator:
         plan: FragmentPlan,
         mode: str = "once",
         tick_interval: int = 1000,
-        batch_size: int = 1024,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         delta_every: int = 4096,
         faults: FaultPlan | None = None,
     ):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.progress import ProgressMonitor
-from repro.executor.engine import PlanCursor, TickBus
+from repro.executor.engine import DEFAULT_BATCH_SIZE, PlanCursor, TickBus
 from repro.executor.operators.base import Operator
 from repro.executor.plan import walk
 from repro.faults.plan import FaultPlan, FaultSpec, TransientFault
@@ -51,7 +51,7 @@ class WorkerTask:
     replicated_nodes: frozenset[int] = frozenset()
     mode: str = "once"
     tick_interval: int = 1000
-    batch_size: int = 1024
+    batch_size: int = DEFAULT_BATCH_SIZE
     # Minimum gnm ticks between two deltas (deltas carry full histograms,
     # so they are throttled, not per-batch).
     delta_every: int = 4096

@@ -4,5 +4,5 @@
 class ForgetfulScan(Operator):  # noqa: F821 - fixture, never imported
     """Declares none of op_name / children / output_schema."""
 
-    def _next(self):
-        return None
+    def _next_batch(self, max_rows):
+        return []

@@ -11,9 +11,9 @@ class CheatingScan(Operator):  # noqa: F821 - fixture, never imported
     def output_schema(self):
         return None
 
-    def _next(self):
-        self.tuples_emitted += 1  # R001: only Operator.next() may do this
-        return None
+    def _next_batch(self, max_rows):
+        self.tuples_emitted += 1  # R001: only Operator.next_batch() may do this
+        return []
 
     def reset_counter(self):
         self.tuples_emitted = 0  # R001 again

@@ -11,8 +11,8 @@ class PoliteScan(Operator):  # noqa: F821 - fixture, never imported
     def output_schema(self):
         return None
 
-    def _next(self):
+    def _next_batch(self, max_rows):
         try:
-            return next(self._iter)
+            return [next(self._iter)]
         except StopIteration:
-            return None
+            return []

@@ -32,7 +32,7 @@ class TestRules:
     def test_r001_counter_write_in_subclass(self):
         violations = lint_paths([fixture("bad_tuples_emitted.py")])
         assert rules_of(violations) >= {"R001"}
-        # _next, reset_counter, and the subclass's own next_batch: batch
+        # _next_batch, reset_counter, and the subclass's own next_batch:
         # counter writes are legal only in Operator.next_batch itself.
         assert len([v for v in violations if v.rule == "R001"]) == 3
         assert "tuples_emitted" in violations[0].message
@@ -61,25 +61,6 @@ class TestRules:
 
     def test_good_operator_fixture_is_clean(self):
         assert lint_paths([fixture("good_operator.py")]) == []
-
-    def test_r005_per_row_hooks_in_batch_drain(self):
-        violations = lint_paths([fixture("bad_per_row_hooks.py")], rules={"R005"})
-        # Three distinct hooks in the for loop + one in the while loop; the
-        # same calls in _next/_consume are not flagged.
-        assert len(violations) == 4
-        flagged = {v.message.split()[1] for v in violations}
-        assert flagged == {"on_probe()", "on_build()", "observe()"}
-
-    def test_r005_exempts_the_operator_base_fallback(self, tmp_path):
-        target = tmp_path / "executor" / "operators" / "base.py"
-        target.parent.mkdir(parents=True)
-        target.write_text(
-            "class Operator:\n"
-            "    def _next_batch(self, max_rows):\n"
-            "        for row in self.rows:\n"
-            "            self.estimator.on_probe(row[0], row)\n"
-        )
-        assert lint_paths([str(target)], rules={"R005"}) == []
 
 
 class TestEngine:

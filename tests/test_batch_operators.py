@@ -1,9 +1,10 @@
-"""Unit tests for the batched execution path (``Operator.next_batch``).
+"""Unit tests for the pull path (``Operator.next_batch``).
 
 Covers the contract itself (short batches, exhaustion, state machine), the
-native batch implementations, and the edge cases the differential harness
-surfaced: empty hash-join build sides, a LIMIT cutting a batch mid-way, and
-``TickBus.tick_n`` jumping across an interval boundary.
+``next()`` shim, size-1-vs-n equivalence of the drains, and the edge cases
+the differential harness surfaced: empty hash-join build sides, a LIMIT
+cutting a batch mid-way, and ``TickBus.tick_n`` jumping across an interval
+boundary.
 """
 
 import pytest
@@ -26,6 +27,7 @@ from repro.executor.operators import (
     SortAggregate,
 )
 from repro.executor.operators.base import OperatorState
+from repro.executor.plan import walk
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -42,10 +44,11 @@ def drain_batches(op, max_rows):
 
 
 def run_both(make_plan, batch_size):
-    """Run a freshly built plan in row mode and batch mode; return results."""
-    row = ExecutionEngine(make_plan()).run()
+    """Run a freshly built plan at size 1 (the getnext model) and at
+    ``batch_size``; return both results."""
+    reference = ExecutionEngine(make_plan()).run(batch_size=1)
     batch = ExecutionEngine(make_plan()).run(batch_size=batch_size)
-    return row, batch
+    return reference, batch
 
 
 @pytest.fixture
@@ -133,9 +136,33 @@ class TestNextBatchContract:
         assert [first] + batch + rest == list(pair_table.rows())
         assert scan.tuples_emitted == 50
 
+    def test_next_is_next_batch_of_one(self, pair_table):
+        # The shim keeps no buffer: interleaving it with next_batch() loses
+        # no row, and K_i advances by exactly 1 per next().
+        def make():
+            probe = Filter(SeqScan(pair_table), col("pairs.k") < lit(5))
+            return HashJoin(SeqScan(pair_table.aliased("b")), probe, "b.k", "pairs.k")
+
+        reference = ExecutionEngine(make()).run()
+        join = make()
+        join.open()
+        rows = []
+        while True:
+            before = join.tuples_emitted
+            row = join.next()
+            if row is None:
+                break
+            assert join.tuples_emitted == before + 1
+            rows.append(row)
+            rows.extend(join.next_batch(5))
+        assert rows == reference.rows
+        assert [op.tuples_emitted for op in walk(join)] == [
+            op.tuples_emitted for op in walk(reference.root)
+        ]
+
     def test_default_fallback_for_blocking_operators(self, pair_table):
-        # Sort / Distinct / Materialize have no native batch drain; the
-        # base-class fallback must still batch them correctly.
+        # Sort / Distinct / Materialize drained at 7 emit what the size-1
+        # drain (``next()``) emits.
         for wrap in (
             lambda c: Sort(c, ["pairs.k"]),
             lambda c: Distinct(c),
@@ -215,8 +242,9 @@ class TestLimitBatch:
             )
             return Limit(join, 20), join
 
-        row_plan, row_join = make(None)
-        row_res = ExecutionEngine(row_plan).run()
+        # Size 1 is the getnext model: its read-ahead is 0.
+        row_plan, row_join = make(1)
+        row_res = ExecutionEngine(row_plan).run(batch_size=1)
         batch_size = 8
         batch_plan, batch_join = make(batch_size)
         batch_res = ExecutionEngine(batch_plan).run(batch_size=batch_size)
@@ -227,8 +255,8 @@ class TestLimitBatch:
 
 
 class TestHashJoinEmptyBuild:
-    """Regression: an empty build side must behave per join type, in both
-    execution modes."""
+    """Regression: an empty build side must behave per join type, at every
+    batch size (``None`` is the derived default)."""
 
     @pytest.fixture
     def empty_table(self) -> Table:

@@ -40,7 +40,7 @@ class TestDistinctOperator:
     def test_input_hooks_fire_per_tuple(self, dupes_table):
         op = Distinct(SeqScan(dupes_table))
         seen = []
-        op.input_hooks.append(lambda key, row: seen.append(key))
+        op.input_hooks.append(lambda keys, rows: seen.extend(keys))
         ExecutionEngine(op, collect_rows=False).run()
         assert len(seen) == 6
 

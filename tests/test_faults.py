@@ -234,3 +234,29 @@ class TestEngineIntegration:
         # faults=None must not perturb execution in any observable way.
         clean = ExecutionEngine(compile_select(small_catalog, SQL).plan).run()
         assert clean.rows is not None and len(clean.rows) > 0
+
+    @pytest.mark.parametrize("batch_size", [None, 1, 1024])
+    def test_run_pulls_through_cursor_fetch_at_every_size(
+        self, small_catalog, batch_size, monkeypatch
+    ):
+        """Regression: an un-sized ``run()`` used to drain the root itself,
+        leaving the ``cursor.fetch`` site inert and ``rows_pulled`` at 0."""
+        from repro.executor import engine as engine_module
+
+        faults = parse_fault_spec("cursor.fetch:error:every=1")
+        plan = compile_select(small_catalog, SQL).plan
+        with pytest.raises(TransientFault):
+            ExecutionEngine(plan, faults=faults).run(batch_size=batch_size)
+
+        cursors = []
+
+        class RecordingCursor(engine_module.PlanCursor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                cursors.append(self)
+
+        monkeypatch.setattr(engine_module, "PlanCursor", RecordingCursor)
+        plan = compile_select(small_catalog, SQL).plan
+        result = ExecutionEngine(plan).run(batch_size=batch_size)
+        (cursor,) = cursors
+        assert cursor.rows_pulled == result.row_count > 0

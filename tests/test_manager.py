@@ -1,6 +1,7 @@
 """Tests for the estimation manager's attachment rules."""
 
 from repro.core.manager import EstimationManager
+from repro.core.theta_estimators import attach_theta_estimator
 from repro.executor.engine import ExecutionEngine
 from repro.executor.expressions import col
 from repro.executor.operators import (
@@ -12,6 +13,7 @@ from repro.executor.operators import (
     SortMergeJoin,
 )
 from repro.datagen.skew import customer_variant
+from repro.faults import parse_fault_spec
 from repro.workloads import paper_pipeline_same_attr, tpch_q8_like
 
 
@@ -110,3 +112,43 @@ class TestQ8Coverage:
         ExecutionEngine(setup.plan, collect_rows=False).run()
         for join in setup.joins:
             assert manager.estimate_for(join) == join.tuples_emitted
+
+
+class TestHardenedDemotion:
+    """Every hook list has the ``(keys, rows)`` signature, so the guard
+    covers the joins outside the hash-join family too: a raising hook
+    demotes to dne and the query still returns its rows."""
+
+    FAULTS = "estimator.hook:error:every=1"
+
+    def _run_hardened(self, make_join, attach=None):
+        reference = ExecutionEngine(make_join()).run()
+        join = make_join()
+        if attach is not None:
+            attach(join)
+        manager = EstimationManager(join)
+        manager.harden(faults=parse_fault_spec(self.FAULTS))
+        result = ExecutionEngine(join).run()
+        assert result.rows == reference.rows
+        assert manager.degraded
+        assert manager.estimate_for(join) is None
+        return manager
+
+    def test_theta_nested_loops_hook_failure_demotes(self, skewed_pair):
+        left, right = skewed_pair
+        pred = col("left.nationkey") > col("right.nationkey")
+        self._run_hardened(
+            lambda: NestedLoopsJoin(SeqScan(left), SeqScan(right), pred),
+            attach=lambda join: attach_theta_estimator(
+                join, "left.nationkey", "right.nationkey", ">"
+            ),
+        )
+
+    def test_sort_merge_join_hook_failure_demotes(self, skewed_pair):
+        left, right = skewed_pair
+        manager = self._run_hardened(
+            lambda: SortMergeJoin(
+                SeqScan(left), SeqScan(right), "left.nationkey", "right.nationkey"
+            )
+        )
+        assert not manager.join_estimators

@@ -52,7 +52,7 @@ class TestAggregation:
     def test_input_hooks_fire_per_tuple_with_key(self, cls, sales):
         op = cls(SeqScan(sales), ["grp"])
         keys = []
-        op.input_hooks.append(lambda key, row: keys.append(key))
+        op.input_hooks.append(lambda ks, rows: keys.extend(ks))
         ExecutionEngine(op, collect_rows=False).run()
         assert keys == ["a", "b", "a", "b", "a"]
 
@@ -61,7 +61,7 @@ class TestAggregation:
         emitted (Section 4.2's exactness-at-pass-end property)."""
         op = cls(SeqScan(sales), ["grp"])
         count = []
-        op.input_hooks.append(lambda key, row: count.append(1))
+        op.input_hooks.append(lambda keys, rows: count.extend(keys))
         op.open()
         first = op.next()
         assert first is not None

@@ -90,7 +90,7 @@ class TestHooksAndPhases:
         left, right = small_tables()
         join = HashJoin(SeqScan(left), SeqScan(right), "l.k", "r.k")
         keys = []
-        join.build_hooks.append(lambda key, row: keys.append(key))
+        join.build_hooks.append(lambda ks, rows: keys.extend(ks))
         ExecutionEngine(join, collect_rows=False).run()
         assert keys == [1, 2, 2, 4]
 
@@ -103,7 +103,9 @@ class TestHooksAndPhases:
             num_partitions=4, memory_partitions=0,  # pure grace
         )
         events = []
-        join.probe_hooks.append(lambda key, row: events.append(("probe", key)))
+        join.probe_hooks.append(
+            lambda keys, rows: events.extend(("probe", k) for k in keys)
+        )
         join.phase_hooks.append(lambda op, p: events.append(("phase", p)))
         ExecutionEngine(join, collect_rows=False).run()
         probe_keys = [k for kind, k in events if kind == "probe"]

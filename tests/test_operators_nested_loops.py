@@ -40,7 +40,7 @@ class TestNestedLoops:
         outer, inner = tables()
         join = NestedLoopsJoin(SeqScan(outer), SeqScan(inner))
         seen = []
-        join.inner_input_hooks.append(lambda row: seen.append(row))
+        join.inner_input_hooks.append(lambda keys, rows: seen.extend(rows))
         ExecutionEngine(join, collect_rows=False).run()
         assert len(seen) == 3  # materialised once, not once per outer row
 
@@ -71,8 +71,8 @@ class TestIndexNestedLoops:
         outer, inner = tables()
         join = IndexNestedLoopsJoin(SeqScan(outer), SeqScan(inner), "o.k", "i.k")
         order = []
-        join.inner_input_hooks.append(lambda k, r: order.append("I"))
-        join.outer_hooks.append(lambda k, r: order.append("O"))
+        join.inner_input_hooks.append(lambda ks, rs: order.extend("I" * len(rs)))
+        join.outer_hooks.append(lambda ks, rs: order.extend("O" * len(rs)))
         ExecutionEngine(join, collect_rows=False).run()
         assert order == ["I"] * 3 + ["O"] * 3
 

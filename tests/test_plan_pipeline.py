@@ -50,8 +50,8 @@ class TestWalkAndValidate:
             def output_schema(self):
                 return scan.output_schema
 
-            def _next(self):
-                return None
+            def _next_batch(self, max_rows):
+                return []
 
         with pytest.raises(PlanError, match="twice"):
             validate_plan(Pair())

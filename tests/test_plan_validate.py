@@ -80,6 +80,12 @@ class TestOperatorsStayDictFree:
                 pending.append(cls)
         assert {HashJoin, HashAggregate} <= set(seen)  # direct and transitive
         assert [c.__name__ for c in seen if "__slots__" not in vars(c)] == []
+        # One pull path: no operator grows a row twin back, and every
+        # concrete one drains natively.
+        assert [c.__name__ for c in seen if "_next" in vars(c)] == []
+        assert [
+            c.__name__ for c in seen if c._next_batch is Operator._next_batch
+        ] == []
 
     def test_instantiated_plan_has_no_instance_dict(self):
         join = HashJoin(
