@@ -95,7 +95,7 @@ def estimate_trajectory(
             pipeline = next(p for p in monitor.pipelines if join in p)
             source = monitor._byte if mode == "byte" else monitor._dne
             est = source[pipeline.pipeline_id].estimate_for(join)
-        trajectory.append((join.probe_rows_consumed, est))
+        trajectory.append((join.rows_consumed[1], est))
 
     bus.subscribe(sample)
     ExecutionEngine(plan, bus=bus, collect_rows=False).run()

@@ -33,7 +33,7 @@ def run_mode(mode: str, fractions: list[float]) -> list[float]:
             pipeline = next(p for p in monitor.pipelines if join in p)
             source = monitor._byte if mode == "byte" else monitor._dne
             est = source[pipeline.pipeline_id].estimate_for(join)
-        estimates.append((join.probe_rows_consumed, est))
+        estimates.append((join.rows_consumed[1], est))
 
     bus.subscribe(sample)
     ExecutionEngine(setup.plan, bus=bus, collect_rows=False).run()

@@ -2,10 +2,10 @@
 
 Two attachment modes (Section 4.2):
 
-* **Direct** (:func:`attach_group_estimator`) — the aggregate's
-  preprocessing pass (hash partitioning / sort input read) feeds the hybrid
-  GEE/MLE estimator one group key per input tuple. When that pass completes,
-  the group count is exact, before any output row is emitted.
+* **Direct** (:func:`attach_group_estimator`) — the aggregate's (or
+  DISTINCT's) preprocessing pass (hash partitioning / sort input read) feeds
+  the hybrid GEE/MLE estimator one group key per input tuple. When that pass
+  completes, the group count is exact, before any output row is emitted.
 * **Pushed down** (:func:`attach_pushed_down_group_estimator`) — when the
   aggregate's input is a hash-join (chain) on the same stream and the group
   column belongs to the chain's base probe stream, the input to the
@@ -26,12 +26,10 @@ from repro.core.distinct import HybridGroupCountEstimator, TotalProvider
 from repro.core.join_estimators import resolve_stream_total
 from repro.core.pipeline_estimators import HashJoinChainEstimator
 from repro.executor.operators.aggregate import _AggregateBase
-from repro.executor.operators.base import Operator
 from repro.executor.operators.distinct import Distinct
 
 __all__ = [
     "GroupCountEstimate",
-    "attach_distinct_estimator",
     "attach_group_estimator",
     "attach_pushed_down_group_estimator",
 ]
@@ -65,53 +63,27 @@ class GroupCountEstimate:
 
 
 def attach_group_estimator(
-    aggregate: _AggregateBase,
+    aggregate: _AggregateBase | Distinct,
     input_total: float | TotalProvider | None = None,
     record_every: int = 0,
     **hybrid_kwargs,
 ) -> GroupCountEstimate:
-    """Attach a hybrid GEE/MLE estimator to an aggregate's input pass."""
-    if not aggregate.group_by:
+    """Attach a hybrid GEE/MLE estimator to an aggregate's or a DISTINCT's
+    input pass.
+
+    Duplicate elimination is the distinct-value problem with the whole row
+    as the grouping key, so on a :class:`Distinct` the estimator predicts
+    the output cardinality (number of distinct rows) the same way.
+    """
+    if isinstance(aggregate, _AggregateBase) and not aggregate.group_by:
         raise EstimationError("global aggregates have exactly one group")
     if input_total is None:
         input_total = resolve_stream_total(aggregate.child)
     hybrid = HybridGroupCountEstimator(
         total=input_total, record_every=record_every, **hybrid_kwargs
     )
-    aggregate.input_hooks.append(hybrid.observe_hook)
-
-    def on_phase(_op: Operator, phase: str) -> None:
-        if phase in ("emit", "done") and not hybrid.exact:
-            hybrid.finalize()
-
-    aggregate.phase_hooks.append(on_phase)
-    return GroupCountEstimate(hybrid, pushed_down=False)
-
-
-def attach_distinct_estimator(
-    distinct: Distinct,
-    input_total=None,
-    record_every: int = 0,
-    **hybrid_kwargs,
-) -> GroupCountEstimate:
-    """Attach a hybrid GEE/MLE estimator to a DISTINCT operator.
-
-    Duplicate elimination is the distinct-value problem with the whole row
-    as the grouping key; the estimator predicts the output cardinality
-    (number of distinct rows) during the input pass.
-    """
-    if input_total is None:
-        input_total = resolve_stream_total(distinct.child)
-    hybrid = HybridGroupCountEstimator(
-        total=input_total, record_every=record_every, **hybrid_kwargs
-    )
-    distinct.input_hooks.append(hybrid.observe_hook)
-
-    def on_phase(_op: Operator, phase: str) -> None:
-        if phase in ("emit", "done") and not hybrid.exact:
-            hybrid.finalize()
-
-    distinct.phase_hooks.append(on_phase)
+    aggregate.input_hooks[0].append(hybrid.observe_hook)
+    aggregate.input_end_hooks[0].append(hybrid.finalize)
     return GroupCountEstimate(hybrid, pushed_down=False)
 
 
@@ -140,14 +112,13 @@ def attach_pushed_down_group_estimator(
     )
     chain.add_output_listener(group_column, hybrid.observe)
 
-    top = chain.chain[-1]
-
-    def on_phase(_op: Operator, phase: str) -> None:
+    def on_probe_end() -> None:
         # Once the chain's probe pass completes, the simulated output
         # histogram covers the entire join output: group count exact.
-        if chain.exact and not hybrid.exact:
+        # Registered after the chain's own callback, so ``chain.exact`` is
+        # already set — unless the chain froze at its sample boundary.
+        if chain.exact:
             hybrid.finalize()
 
-    top.phase_hooks.append(on_phase)
-    chain.chain[0].phase_hooks.append(on_phase)
+    chain.chain[0].input_end_hooks[1].append(on_probe_end)
     return GroupCountEstimate(hybrid, pushed_down=True)

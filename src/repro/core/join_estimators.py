@@ -261,6 +261,16 @@ class OnceJoinEstimator:
         return self.histogram.num_distinct
 
 
+#: The ONCE-capable joins as ``(build-pass child, probe-pass child)``: the
+#: input whose pass builds the histogram, then the input whose pass refines
+#: the estimate (hash build / probe, left / right sort, index build / outer).
+_ONCE_PASSES: dict[type[Operator], tuple[int, int]] = {
+    HashJoin: (0, 1),
+    SortMergeJoin: (0, 1),
+    IndexNestedLoopsJoin: (1, 0),
+}
+
+
 def attach_once_estimator(
     join: Operator,
     probe_total: float | TotalProvider | None = None,
@@ -276,54 +286,33 @@ def attach_once_estimator(
       no preprocessing pass sees that input and the paper defaults to dne;
     * :class:`IndexNestedLoopsJoin` — (index build, outer scan).
 
-    The estimator freezes to its exact value when the probe-side pass ends
-    (phase transition), not when the join finishes.
+    The estimator freezes to its exact value when the probe-side input is
+    exhausted, not when the join finishes.
     """
-    estimator = OnceJoinEstimator(probe_total=probe_total, record_every=record_every)
-
-    if isinstance(join, HashJoin):
-        # Multi-column keys work identically on tuple keys; the hooks pass
-        # the composite key through unchanged.
-        estimator.join_type = join.join_type
-        join.build_hooks.append(estimator.on_build_batch)
-        join.probe_hooks.append(estimator.on_probe_batch)
-        if probe_total is None:
-            estimator._probe_total = resolve_stream_total(join.probe_child)
-        _finalize_on_phase(join, estimator, {"join", "done"})
-        return estimator
-
-    if isinstance(join, SortMergeJoin):
-        if join.left_presorted or join.right_presorted:
-            raise EstimationError(
-                "presorted merge-join inputs have no preprocessing pass; "
-                "use the driver-node estimator instead"
-            )
-        join.left_input_hooks.append(estimator.on_build_batch)
-        join.right_input_hooks.append(estimator.on_probe_batch)
-        if probe_total is None:
-            estimator._probe_total = resolve_stream_total(join.right_child)
-        _finalize_on_phase(join, estimator, {"merge", "done"})
-        return estimator
-
-    if isinstance(join, IndexNestedLoopsJoin):
-        join.inner_input_hooks.append(estimator.on_build_batch)
-        join.outer_hooks.append(estimator.on_probe_batch)
-        if probe_total is None:
-            estimator._probe_total = resolve_stream_total(join.outer_child)
-        _finalize_on_phase(join, estimator, {"done"})
-        return estimator
-
-    raise EstimationError(
-        f"no ONCE estimator for operator {type(join).__name__}; "
-        "nested-loops joins and selections use the driver-node estimator"
+    passes = next(
+        (p for cls, p in _ONCE_PASSES.items() if isinstance(join, cls)), None
     )
-
-
-def _finalize_on_phase(
-    join: Operator, estimator: OnceJoinEstimator, final_phases: set[str]
-) -> None:
-    def on_phase(_op: Operator, phase: str) -> None:
-        if phase in final_phases and not estimator.exact:
-            estimator.finalize_probe()
-
-    join.phase_hooks.append(on_phase)
+    if passes is None:
+        raise EstimationError(
+            f"no ONCE estimator for operator {type(join).__name__}; "
+            "nested-loops joins and selections use the driver-node estimator"
+        )
+    if isinstance(join, SortMergeJoin) and (join.left_presorted or join.right_presorted):
+        raise EstimationError(
+            "presorted merge-join inputs have no preprocessing pass; "
+            "use the driver-node estimator instead"
+        )
+    build, probe = passes
+    if probe_total is None:
+        probe_total = resolve_stream_total(join.children()[probe])
+    # Multi-column keys work identically on tuple keys; the hooks pass the
+    # composite key through unchanged.
+    estimator = OnceJoinEstimator(
+        probe_total=probe_total,
+        record_every=record_every,
+        join_type=getattr(join, "join_type", "inner"),
+    )
+    join.input_hooks[build].append(estimator.on_build_batch)
+    join.input_hooks[probe].append(estimator.on_probe_batch)
+    join.input_end_hooks[probe].append(estimator.finalize_probe)
+    return estimator

@@ -38,7 +38,6 @@ from typing import Callable
 from repro.common.errors import EstimationError
 from repro.core.aggregate_estimators import (
     GroupCountEstimate,
-    attach_distinct_estimator,
     attach_group_estimator,
     attach_pushed_down_group_estimator,
 )
@@ -58,21 +57,6 @@ from repro.executor.plan import walk
 from repro.faults.plan import SITE_ESTIMATOR_HOOK, FaultPlan
 
 __all__ = ["EstimationManager"]
-
-#: Every operator attribute that may carry two-parameter estimator hooks —
-#: ``(keys, rows)`` on the data lists, ``(op, phase)`` on ``phase_hooks``;
-#: the degradation guard wraps each of these lists in place (and, with
-#: ``_guard_punctuation``, the one-parameter ``sample_boundary_hooks``).
-_HOOK_LIST_ATTRS = (
-    "build_hooks",
-    "probe_hooks",
-    "input_hooks",
-    "inner_input_hooks",
-    "outer_hooks",
-    "left_input_hooks",
-    "right_input_hooks",
-    "phase_hooks",
-)
 
 
 class EstimationManager:
@@ -151,18 +135,11 @@ class EstimationManager:
     def _attach_aggregates(self) -> None:
         for op in walk(self.root):
             if isinstance(op, Distinct):
-                try:
-                    self.group_estimators[id(op)] = attach_distinct_estimator(
-                        op, record_every=self.record_every
-                    )
-                except EstimationError as exc:  # pragma: no cover - defensive
-                    self.fallbacks.append((op, str(exc)))
-                continue
-            if not isinstance(op, _AggregateBase):
-                continue
-            if not op.group_by:
-                continue  # single global group: nothing to estimate
-            estimate = self._try_push_down(op)
+                estimate = None
+            elif isinstance(op, _AggregateBase) and op.group_by:
+                estimate = self._try_push_down(op)
+            else:
+                continue  # not grouping, or a single global group
             if estimate is None:
                 try:
                     estimate = attach_group_estimator(
@@ -213,31 +190,21 @@ class EstimationManager:
         self._demote_enabled = demote
         self._faults = faults
         for op in walk(self.root):
-            for attr in _HOOK_LIST_ATTRS:
-                hooks = getattr(op, attr, None)
-                if hooks:
-                    hooks[:] = [self._guard(hook, op) for hook in hooks]
+            hook_lists = [*op.input_hooks, *op.input_end_hooks]
             if isinstance(op, SampleScan):
-                op.sample_boundary_hooks[:] = [
-                    self._guard_punctuation(hook, op)
-                    for hook in op.sample_boundary_hooks
-                ]
+                hook_lists.append(op.sample_boundary_hooks)
+            for hooks in hook_lists:
+                # In place: a drain already in flight holds this very list.
+                hooks[:] = [self._guard(hook, op) for hook in hooks]
 
     def _guard(self, hook: Callable, op: Operator) -> Callable:
-        def guarded(keys, rows) -> None:
+        """Guard one hook of any channel: ``(keys, rows)`` input hooks,
+        zero-argument end-of-input callbacks, ``(scan)`` punctuation."""
+
+        def guarded(*args) -> None:
             try:
                 self._fire_hook_fault(op)
-                hook(keys, rows)
-            except Exception as exc:
-                self._hook_failed(op, hook, exc)
-
-        return guarded
-
-    def _guard_punctuation(self, hook: Callable, op: SampleScan) -> Callable:
-        def guarded(scan) -> None:
-            try:
-                self._fire_hook_fault(op)
-                hook(scan)
+                hook(*args)
             except Exception as exc:
                 self._hook_failed(op, hook, exc)
 

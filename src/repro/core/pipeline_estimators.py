@@ -323,16 +323,16 @@ class HashJoinChainEstimator:
 
     def _wire_hooks(self) -> None:
         for m, join in enumerate(self.chain):
-            join.build_hooks.append(self._make_build_hook(m))
+            join.input_hooks[0].append(self._make_build_hook(m))
         bottom = self.chain[0]
         if self.k == 1:
             # Binary-join fast path: the general per-level loop costs ~2x
             # more per probe tuple; single joins are the common case and
             # the one the Table 3 overhead experiment measures.
-            bottom.probe_hooks.append(self._on_probe_single)
+            bottom.input_hooks[1].append(self._on_probe_single)
         else:
-            bottom.probe_hooks.append(self._on_probe)
-        bottom.phase_hooks.append(self._on_bottom_phase)
+            bottom.input_hooks[1].append(self._on_probe)
+        bottom.input_end_hooks[1].append(self._on_probe_end)
 
     def _on_probe_single(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
         """Probe hook of a single join (the k == 1 fast path): one Counter
@@ -489,16 +489,16 @@ class HashJoinChainEstimator:
             self.sums[i] += sums_delta[i]
             self._intervals[i].merge_sums(n, sums_delta[i], sq_delta[i])
 
-    def _on_bottom_phase(self, _op: Operator, phase: str) -> None:
+    def _on_probe_end(self) -> None:
+        """The base stream is exhausted: every level's estimate is exact."""
         if self.frozen:
             # The sample-based estimate stands; the pass was not fully
             # observed, so exactness cannot be claimed.
             return
-        if phase in ("join", "done") and not self.exact:
-            self.exact = True
-            if self.record_every:
-                for i in range(self.k):
-                    self.history[i].append((self.t, float(self.sums[i])))
+        self.exact = True
+        if self.record_every:
+            for i in range(self.k):
+                self.history[i].append((self.t, float(self.sums[i])))
 
     # -- estimates ----------------------------------------------------------------------
 

@@ -151,14 +151,8 @@ def attach_theta_estimator(
         for row in rows:
             estimator.on_outer(row[outer_idx])
 
-    join.inner_input_hooks.append(on_inner_batch)
-    join.outer_hooks.append(on_outer_batch)
-
-    def on_phase(_op, phase: str) -> None:
-        if phase == "loop":
-            estimator.freeze_inner()
-        elif phase == "done" and not estimator.exact:
-            estimator.finalize()
-
-    join.phase_hooks.append(on_phase)
+    join.input_hooks[1].append(on_inner_batch)
+    join.input_end_hooks[1].append(estimator.freeze_inner)
+    join.input_hooks[0].append(on_outer_batch)
+    join.input_end_hooks[0].append(estimator.finalize)
     return estimator

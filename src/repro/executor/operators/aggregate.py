@@ -3,7 +3,7 @@
 Both variants have the preprocessing pass the paper exploits (Section 4.2):
 "In a hash based aggregation, the input is read and partitioned using a hash
 function ... In sort-based aggregation, the input is first sorted on the
-group-by attribute". ``input_hooks`` receive the group keys of every input
+group-by attribute". ``input_hooks[0]`` receive the group keys of every input
 batch during that pass — this is where the GEE/MLE group-count estimators
 attach and where the exact group count is known the moment the pass ends.
 
@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.common.errors import PlanError
-from repro.executor.operators.base import BatchHook, Operator
+from repro.executor.operators.base import Operator
 from repro.storage.schema import Column, ColumnType, Schema
 
 __all__ = ["AggregateSpec", "HashAggregate", "SortAggregate"]
@@ -66,8 +66,6 @@ class _AggregateBase(Operator):
         "child",
         "group_by",
         "aggregates",
-        "input_hooks",
-        "rows_consumed",
         "groups_seen",
         "_schema",
         "_emit_iter",
@@ -79,14 +77,12 @@ class _AggregateBase(Operator):
         group_by: Sequence[str],
         aggregates: Sequence[AggregateSpec] = (),
     ):
-        super().__init__()
+        super().__init__(1)
         if not group_by and not aggregates:
             raise PlanError("aggregate needs group columns and/or aggregates")
         self.child = child
         self.group_by = tuple(group_by)
         self.aggregates = tuple(aggregates) or (AggregateSpec("count", alias="count_star"),)
-        self.input_hooks: list[BatchHook] = []
-        self.rows_consumed: int = 0
         self.groups_seen: int = 0
         self._schema = self._derive_schema()
         self._emit_iter: Iterator[tuple] | None = None
@@ -203,25 +199,15 @@ class HashAggregate(_AggregateBase):
     def _consume_and_group(self, consume: int) -> Iterator[tuple]:
         self._set_phase("partition")
         group_idxs, value_idxs = self._bind_inputs()
-        hooks = self.input_hooks
         single = len(group_idxs) == 1
         groups: dict[object, list] = {}
-        child = self.child
         extract = self._group_key_extractor(group_idxs)
-        while True:
-            batch = child.next_batch(consume)
-            if not batch:
-                break
-            self.rows_consumed += len(batch)
-            keys = list(map(extract, batch))
-            for hook in hooks:
-                hook(keys, batch)
+        for keys, batch in self._drain(0, consume, extract):
             for key, row in zip(keys, batch):
                 states = groups.get(key)
                 if states is None:
                     states = groups[key] = self._make_state()
                 self._update_state(states, row, value_idxs)
-            self._tick_n(len(batch))
         self.groups_seen = len(groups)
         self._set_phase("emit")
         for key, states in groups.items():
@@ -243,22 +229,11 @@ class SortAggregate(_AggregateBase):
             return
         self._set_phase("read_input")
         group_idxs, value_idxs = self._bind_inputs()
-        hooks = self.input_hooks
         single = len(group_idxs) == 1
         rows: list[tuple] = []
-        child = self.child
         extract = self._group_key_extractor(group_idxs)
-        while True:
-            batch = child.next_batch(consume)
-            if not batch:
-                break
-            self.rows_consumed += len(batch)
-            if hooks:
-                keys = list(map(extract, batch))
-                for hook in hooks:
-                    hook(keys, batch)
+        for _keys, batch in self._drain(0, consume, extract, need_keys=False):
             rows.extend(batch)
-            self._tick_n(len(batch))
         self._set_phase("sort")
         if single:
             idx = group_idxs[0]

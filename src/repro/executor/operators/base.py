@@ -6,6 +6,9 @@ requirement: each operator maintains a single integer ``tuples_emitted``
 that lets the progress monitor sample state *during* long blocking phases,
 and hook lists that are skipped entirely when empty. Running a plan with no
 estimators attached therefore pays almost nothing over a bare executor.
+Every pass that reads one input to its end goes through :meth:`Operator._drain`
+— the single instrumented input loop, as the paper instruments PostgreSQL's
+one central control function rather than each operator.
 
 State machine
 -------------
@@ -21,8 +24,8 @@ output rows as a list. An *empty* list signals exhaustion; a short
 non-empty batch does **not** (callers loop until empty). Every operator
 implements ``_next_batch`` natively; :meth:`next` is ``next_batch(1)``,
 the paper's getnext model as the size-1 case. Instrumentation is part of
-the contract: ``tuples_emitted`` advances by ``len(batch)``, hooks
-(build/probe/input) receive every consumed input batch once as
+the contract: ``tuples_emitted`` advances by ``len(batch)``, the hooks in
+``input_hooks[i]`` receive every batch consumed from child ``i`` once as
 ``(keys, rows)`` in input order, and blocking-phase work reaches the tick
 bus through :meth:`TickBus.tick_n`, so ``C(Q)``, phase transitions and
 every estimator's ``D_{t+1}`` refinement are the same at every batch size.
@@ -69,6 +72,13 @@ class Operator(ABC):
       (e.g. a hash join's build input);
     * ``driver_child_index`` — the child that continues the current pipeline
       (e.g. a hash join's probe input), or ``None`` for leaves.
+
+    ``inputs`` is the number of children the subclass reads through
+    :meth:`_drain` (or counts itself, as ``Filter`` does). It sizes the
+    per-input instrumentation, indexed by child position: ``input_hooks[i]``
+    see every batch consumed from child ``i``, ``input_end_hooks[i]`` are
+    zero-argument callbacks fired once when that child is exhausted,
+    ``rows_consumed[i]`` counts its rows.
     """
 
     op_name: str = "operator"
@@ -88,10 +98,13 @@ class Operator(ABC):
         "bus",
         "faults",
         "phase_hooks",
+        "input_hooks",
+        "input_end_hooks",
+        "rows_consumed",
         "estimated_cardinality",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, inputs: int = 0) -> None:
         self.tuples_emitted: int = 0
         self.state: OperatorState = OperatorState.CREATED
         self._exhausted: bool = False
@@ -100,6 +113,13 @@ class Operator(ABC):
         self.bus: "TickBus | None" = None
         self.faults: "FaultPlan | None" = None
         self.phase_hooks: list[Callable[["Operator", str], None]] = []
+        self.input_hooks: tuple[list[BatchHook], ...] = tuple(
+            [] for _ in range(inputs)
+        )
+        self.input_end_hooks: tuple[list[Callable[[], None]], ...] = tuple(
+            [] for _ in range(inputs)
+        )
+        self.rows_consumed: list[int] = [0] * inputs
         # Optimizer-estimated output cardinality; filled in by the planner
         # (or by hand in tests) and refined online by estimators.
         self.estimated_cardinality: float | None = None
@@ -210,12 +230,56 @@ class Operator(ABC):
     def _tick_n(self, k: int) -> None:
         """Report ``k`` units of internal work to the tick bus, if attached.
 
-        Called once per input batch consumed during blocking phases; emitted
+        Called once per input batch consumed by :meth:`_drain`; emitted
         rows tick via the cursor's pull loop instead.
         """
         bus = self.bus
         if bus is not None:
             bus.tick_n(k)
+
+    def _drain(
+        self,
+        child_index: int,
+        consume: int,
+        extract: Callable[[tuple], object] | None = None,
+        need_keys: bool = True,
+    ) -> Iterator[tuple[list | None, list[tuple]]]:
+        """The one instrumented input pass: read child ``child_index`` to
+        its end, ``consume`` rows per pull, yielding ``(keys, batch)``.
+
+        Per batch, in this order everywhere: count it in
+        ``rows_consumed[child_index]``, extract its keys, call every
+        ``input_hooks[child_index]`` hook, yield to the caller's own
+        insert/emit code, then tick the bus — so a snapshot taken at that
+        tick sees the estimators and the counter agree on the batch. When
+        the child is exhausted the ``input_end_hooks[child_index]``
+        callbacks fire, once, before the caller moves to its next phase; a
+        pass abandoned midway (the operator closed) fires none.
+
+        ``extract`` maps a row to its key; ``None`` means the whole row is
+        the key and ``keys`` is the batch itself. With ``need_keys=False``
+        the caller does not read the keys, so they are extracted only while
+        a hook is attached (``keys`` is ``None`` otherwise). The hook list
+        is read in place each batch: hooks attached, wrapped or removed
+        mid-pass take effect from the next batch.
+        """
+        child = self.children()[child_index]
+        hooks = self.input_hooks[child_index]
+        consumed = self.rows_consumed
+        while batch := child.next_batch(consume):
+            consumed[child_index] += len(batch)
+            if extract is None:
+                keys = batch
+            elif need_keys or hooks:
+                keys = list(map(extract, batch))
+            else:
+                keys = None
+            for hook in hooks:
+                hook(keys, batch)
+            yield keys, batch
+            self._tick_n(len(batch))
+        for callback in self.input_end_hooks[child_index]:
+            callback()
 
     def attach_bus(self, bus: "TickBus | None") -> None:
         """Attach a tick bus to this whole subtree."""

@@ -3,7 +3,7 @@
 Blocking, hash-based: the input pass sees every tuple before any output —
 the same preprocessing window as aggregation, and duplicate elimination *is*
 the distinct-value problem of Section 4.2, so the GEE/MLE estimators attach
-to ``input_hooks`` exactly as they do on a group-by (the whole row is the
+to ``input_hooks[0]`` exactly as they do on a group-by (the whole row is the
 grouping key).
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator
 
-from repro.executor.operators.base import BatchHook, Operator
+from repro.executor.operators.base import Operator
 from repro.storage.schema import Schema
 
 __all__ = ["Distinct"]
@@ -26,17 +26,13 @@ class Distinct(Operator):
 
     __slots__ = (
         "child",
-        "input_hooks",
-        "rows_consumed",
         "groups_seen",
         "_emit_iter",
     )
 
     def __init__(self, child: Operator):
-        super().__init__()
+        super().__init__(1)
         self.child = child
-        self.input_hooks: list[BatchHook] = []
-        self.rows_consumed: int = 0
         self.groups_seen: int = 0
         self._emit_iter: Iterator[tuple] | None = None
 
@@ -61,22 +57,13 @@ class Distinct(Operator):
 
     def _consume(self, consume: int) -> Iterator[tuple]:
         self._set_phase("partition")
-        hooks = self.input_hooks
         seen: dict[tuple, None] = {}  # dict preserves first-seen order
-        child = self.child
         setdefault = seen.setdefault
-        while True:
-            batch = child.next_batch(consume)
-            if not batch:
-                break
-            self.rows_consumed += len(batch)
-            # The whole row is the grouping key, so the key list the hooks
-            # receive is the batch itself.
-            for hook in hooks:
-                hook(batch, batch)
+        # No extractor: the whole row is the grouping key, so the key list
+        # the hooks receive is the batch itself.
+        for _keys, batch in self._drain(0, consume):
             for row in batch:
                 setdefault(row, None)
-            self._tick_n(len(batch))
         self.groups_seen = len(seen)
         self._set_phase("emit")
         yield from seen

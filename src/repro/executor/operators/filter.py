@@ -4,7 +4,7 @@ Selections have no preprocessing phase, so (Section 4.3) no estimation can
 be pushed below them; the progress framework handles them with the
 driver-node estimator, which "has zero error in expectation" on randomly
 ordered input. The operator itself just evaluates a bound predicate.
-It tracks ``rows_consumed`` so estimators can compute its selectivity
+It tracks ``rows_consumed[0]`` so estimators can compute its selectivity
 online.
 """
 
@@ -25,13 +25,12 @@ class Filter(Operator):
     op_name = "filter"
     driver_child_index = 0
 
-    __slots__ = ("child", "predicate", "rows_consumed", "_bound", "_batch_kernel")
+    __slots__ = ("child", "predicate", "_bound", "_batch_kernel")
 
     def __init__(self, child: Operator, predicate: Expression):
-        super().__init__()
+        super().__init__(1)
         self.child = child
         self.predicate = predicate
-        self.rows_consumed: int = 0
         self._bound: Callable[[tuple], object] | None = None
         self._batch_kernel: Callable[[list[tuple]], list[tuple]] | None = None
 
@@ -63,7 +62,7 @@ class Filter(Operator):
             batch = child.next_batch(max_rows)
             if not batch:
                 return []
-            self.rows_consumed += len(batch)
+            self.rows_consumed[0] += len(batch)
             if kernel is not None:
                 survivors = kernel(batch)
             else:
@@ -74,6 +73,7 @@ class Filter(Operator):
     @property
     def observed_selectivity(self) -> float:
         """Fraction of consumed rows that passed, so far."""
-        if self.rows_consumed == 0:
+        consumed = self.rows_consumed[0]
+        if consumed == 0:
             return 1.0
-        return self.tuples_emitted / self.rows_consumed
+        return self.tuples_emitted / consumed

@@ -3,10 +3,10 @@
 The grace/hybrid structure matters to the paper twice over:
 
 * The **build pass** sees every build tuple before any probing — this is
-  where ONCE builds its exact frequency histogram (``build_hooks``).
+  where ONCE builds its exact frequency histogram (``input_hooks[0]``).
 * The **probe partitioning pass** sees every probe tuple *in input (random)
   order* before any joining — this is where ONCE refines its estimate
-  (``probe_hooks``) and why it converges "by the end of the first pass on
+  (``input_hooks[1]``) and why it converges "by the end of the first pass on
   the probe input".
 * The **join pass** then reads data *partition-wise*, so output is clustered
   by hash partition. This physically reproduces the reordering that makes
@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.common.errors import PlanError
-from repro.executor.operators.base import BatchHook, Operator
+from repro.executor.operators.base import Operator
 from repro.storage.schema import Schema
 
 __all__ = ["HashJoin", "JOIN_TYPES"]
@@ -76,10 +76,6 @@ class HashJoin(Operator):
         "num_partitions",
         "memory_partitions",
         "join_type",
-        "build_hooks",
-        "probe_hooks",
-        "build_rows_consumed",
-        "probe_rows_consumed",
         "_schema",
         "_gen",
     )
@@ -94,7 +90,7 @@ class HashJoin(Operator):
         memory_partitions: int = 1,
         join_type: str = "inner",
     ):
-        super().__init__()
+        super().__init__(2)
         if join_type not in JOIN_TYPES:
             raise PlanError(f"join_type must be one of {JOIN_TYPES}, got {join_type!r}")
         if isinstance(build_keys, str):
@@ -119,10 +115,6 @@ class HashJoin(Operator):
         self.num_partitions = num_partitions
         self.memory_partitions = num_partitions if num_partitions == 1 else memory_partitions
         self.join_type = join_type
-        self.build_hooks: list[BatchHook] = []
-        self.probe_hooks: list[BatchHook] = []
-        self.build_rows_consumed: int = 0
-        self.probe_rows_consumed: int = 0
         if join_type in ("semi", "anti"):
             self._schema = probe.output_schema
         else:
@@ -173,27 +165,6 @@ class HashJoin(Operator):
     def _close(self) -> None:
         self._gen = None
 
-    def _consume_build(
-        self, on_row: Callable[[object, tuple], None], consume: int
-    ) -> None:
-        """Read the whole build input, firing hooks and ``on_row``."""
-        self._set_phase("build")
-        extract = self._key_extractor(self.build_child.output_schema, self.build_keys)
-        hooks = self.build_hooks
-        child = self.build_child
-        while True:
-            batch = child.next_batch(consume)
-            if not batch:
-                return
-            self.build_rows_consumed += len(batch)
-            keys = list(map(extract, batch))
-            for hook in hooks:
-                hook(keys, batch)
-            for key, row in zip(keys, batch):
-                if key is not None:
-                    on_row(key, row)
-            self._tick_n(len(batch))
-
     def _make_emitter(self):
         """Per-probe-row emission closure implementing the join semantics."""
         join_type = self.join_type
@@ -231,10 +202,9 @@ class HashJoin(Operator):
         immediately, the rest are spilled. Join pass: spilled partitions are
         joined one at a time, so their output is clustered by partition.
 
-        ``consume`` is the granularity at which the *inputs* are pulled:
-        children are drained through ``next_batch(consume)``, tick-bus
-        traffic is amortized via ``tick_n``, and every hook receives each
-        pass's ``(keys, rows)`` once per batch — so it observes the full
+        ``consume`` is the granularity at which the *inputs* are pulled
+        (see :meth:`Operator._drain`): every hook receives each pass's
+        ``(keys, rows)`` once per batch — so it observes the full
         (key, row) sequence whatever the granularity.
         """
         n_parts = self.num_partitions
@@ -246,14 +216,17 @@ class HashJoin(Operator):
             [] for _ in range(n_parts - n_memory)
         ]
 
-        def insert(key: object, row: tuple) -> None:
-            part = hash(key) % n_parts
-            if part < n_memory:
-                memory_tables[part].setdefault(key, []).append(row)
-            else:
-                spilled_build[part - n_memory].append((key, row))
-
-        self._consume_build(insert, consume)
+        self._set_phase("build")
+        extract = self._key_extractor(self.build_child.output_schema, self.build_keys)
+        for keys, batch in self._drain(0, consume, extract):
+            for key, row in zip(keys, batch):
+                if key is None:
+                    continue
+                part = hash(key) % n_parts
+                if part < n_memory:
+                    memory_tables[part].setdefault(key, []).append(row)
+                else:
+                    spilled_build[part - n_memory].append((key, row))
 
         emit = self._make_emitter()
 
@@ -268,17 +241,7 @@ class HashJoin(Operator):
             [] for _ in range(n_parts - n_memory)
         ]
         extract = self._key_extractor(self.probe_child.output_schema, self.probe_keys)
-        hooks = self.probe_hooks
-        probe_child = self.probe_child
-        while True:
-            batch = probe_child.next_batch(consume)
-            if not batch:
-                break
-            self.probe_rows_consumed += len(batch)
-            self._tick_n(len(batch))
-            keys = list(map(extract, batch))
-            for hook in hooks:
-                hook(keys, batch)
+        for keys, batch in self._drain(1, consume, extract):
             for key, probe_row in zip(keys, batch):
                 if key is None:
                     # NULL keys never match; outer/anti still emit.

@@ -22,12 +22,11 @@ class Materialize(Operator):
     op_name = "materialize"
     blocking_child_indexes = (0,)
 
-    __slots__ = ("child", "rows_consumed", "_buffer", "_iter")
+    __slots__ = ("child", "_buffer", "_iter")
 
     def __init__(self, child: Operator):
-        super().__init__()
+        super().__init__(1)
         self.child = child
-        self.rows_consumed: int = 0
         self._buffer: list[tuple] | None = None
         self._iter: Iterator[tuple] | None = None
 
@@ -43,14 +42,8 @@ class Materialize(Operator):
         if self._iter is None:
             self._set_phase("materialize")
             buffer: list[tuple] = []
-            child = self.child
-            while True:
-                batch = child.next_batch(max_rows)
-                if not batch:
-                    break
-                self.rows_consumed += len(batch)
+            for _keys, batch in self._drain(0, max_rows):
                 buffer.extend(batch)
-                self._tick_n(len(batch))
             self._buffer = buffer
             self._set_phase("emit")
             self._iter = iter(buffer)

@@ -2,9 +2,9 @@
 
 Per Section 4.1.2 the sorts may live "within the sort-merge join and not in
 some separate sort operator"; each input is fully read during its sort
-phase, and ``left_input_hooks`` / ``right_input_hooks`` receive every
-input batch there. The left (first-sorted) input plays the role of the hash
-join's build side: ONCE builds its histogram during the left sort, then
+phase, and ``input_hooks[0]`` (left) / ``input_hooks[1]`` (right) receive
+every input batch there. The left (first-sorted) input plays the role of
+the hash join's build side: ONCE builds its histogram during the left sort, then
 refines the join estimate during the right sort — reaching the exact
 cardinality "at the end of the sort of S", before the merge even begins.
 
@@ -17,10 +17,11 @@ defaults to dne in that case, and the estimation manager honours that.
 from __future__ import annotations
 
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator
 
 from repro.common.errors import PlanError
-from repro.executor.operators.base import BatchHook, Operator
+from repro.executor.operators.base import Operator
 from repro.storage.schema import Schema
 
 __all__ = ["SortMergeJoin"]
@@ -38,10 +39,6 @@ class SortMergeJoin(Operator):
         "right_key",
         "left_presorted",
         "right_presorted",
-        "left_input_hooks",
-        "right_input_hooks",
-        "left_rows_consumed",
-        "right_rows_consumed",
         "_schema",
         "_gen",
     )
@@ -55,7 +52,7 @@ class SortMergeJoin(Operator):
         left_presorted: bool = False,
         right_presorted: bool = False,
     ):
-        super().__init__()
+        super().__init__(2)
         if not left_key or not right_key:
             raise PlanError("merge join requires key columns on both sides")
         self.left_child = left
@@ -64,10 +61,6 @@ class SortMergeJoin(Operator):
         self.right_key = right_key
         self.left_presorted = left_presorted
         self.right_presorted = right_presorted
-        self.left_input_hooks: list[BatchHook] = []
-        self.right_input_hooks: list[BatchHook] = []
-        self.left_rows_consumed: int = 0
-        self.right_rows_consumed: int = 0
         self._schema = left.output_schema.concat(right.output_schema)
         self._gen: Iterator[tuple] | None = None
 
@@ -115,43 +108,22 @@ class SortMergeJoin(Operator):
         self._gen = None
 
     def _read_side(
-        self,
-        child: Operator,
-        key_idx: int,
-        hooks: list[BatchHook],
-        presorted: bool,
-        phase: str,
-        count_attr: str,
-        consume: int,
+        self, child_index: int, key_idx: int, presorted: bool, phase: str, consume: int
     ) -> list[tuple]:
         self._set_phase(phase)
+        key = itemgetter(key_idx)
         rows: list[tuple] = []
-        while True:
-            batch = child.next_batch(consume)
-            if not batch:
-                break
-            if hooks:
-                keys = [row[key_idx] for row in batch]
-                for hook in hooks:
-                    hook(keys, batch)
+        for _keys, batch in self._drain(child_index, consume, key, need_keys=False):
             rows.extend(batch)
-            self._tick_n(len(batch))
-        setattr(self, count_attr, len(rows))
         if not presorted:
-            rows.sort(key=lambda r: r[key_idx])
+            rows.sort(key=key)
         return rows
 
     def _run(self, consume: int) -> Iterator[tuple]:
         left_idx = self.left_child.output_schema.index_of(self.left_key)
         right_idx = self.right_child.output_schema.index_of(self.right_key)
-        left = self._read_side(
-            self.left_child, left_idx, self.left_input_hooks,
-            self.left_presorted, "sort_left", "left_rows_consumed", consume,
-        )
-        right = self._read_side(
-            self.right_child, right_idx, self.right_input_hooks,
-            self.right_presorted, "sort_right", "right_rows_consumed", consume,
-        )
+        left = self._read_side(0, left_idx, self.left_presorted, "sort_left", consume)
+        right = self._read_side(1, right_idx, self.right_presorted, "sort_right", consume)
 
         self._set_phase("merge")
         i = j = 0

@@ -3,11 +3,11 @@
 Section 4.1.3: a plain nested-loops join has *no* preprocessing pass over
 its outer input, so nothing can be pushed down — estimation reduces to the
 driver-node estimator. The inner input, however, *is* fully materialised
-(or indexed) before the outer loop begins; ``inner_input_hooks`` receive
+(or indexed) before the outer loop begins; ``input_hooks[1]`` receive
 every inner batch during that pass, so when a temporary index is built
 (:class:`IndexNestedLoopsJoin`) an exact inner histogram is available and
 the outer pass can be estimated like a hash-join probe pass
-(``outer_hooks``), which is the paper's "in the presence of such
+(``input_hooks[0]``), which is the paper's "in the presence of such
 preprocessing phases, we can construct estimators similar to the
 incremental estimator for hash joins".
 """
@@ -15,11 +15,12 @@ incremental estimator for hash joins".
 from __future__ import annotations
 
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator
 
 from repro.common.errors import PlanError
 from repro.executor.expressions import Expression
-from repro.executor.operators.base import BatchHook, Operator
+from repro.executor.operators.base import Operator
 from repro.storage.schema import Schema
 
 __all__ = ["IndexNestedLoopsJoin", "NestedLoopsJoin"]
@@ -42,21 +43,15 @@ class NestedLoopsJoin(Operator):
         "outer_child",
         "inner_child",
         "predicate",
-        "inner_input_hooks",
-        "outer_hooks",
-        "outer_rows_consumed",
         "_schema",
         "_gen",
     )
 
     def __init__(self, outer: Operator, inner: Operator, predicate: Expression | None = None):
-        super().__init__()
+        super().__init__(2)
         self.outer_child = outer
         self.inner_child = inner
         self.predicate = predicate
-        self.inner_input_hooks: list[BatchHook] = []
-        self.outer_hooks: list[BatchHook] = []
-        self.outer_rows_consumed: int = 0
         self._schema = outer.output_schema.concat(inner.output_schema)
         self._gen: Iterator[tuple] | None = None
 
@@ -84,36 +79,16 @@ class NestedLoopsJoin(Operator):
     def _close(self) -> None:
         self._gen = None
 
-    def _materialize_inner(self, consume: int) -> list[tuple]:
-        self._set_phase("materialize_inner")
-        rows: list[tuple] = []
-        hooks = self.inner_input_hooks
-        child = self.inner_child
-        while True:
-            batch = child.next_batch(consume)
-            if not batch:
-                return rows
-            for hook in hooks:
-                hook(batch, batch)
-            rows.extend(batch)
-            self._tick_n(len(batch))
-
     def _run(self, consume: int) -> Iterator[tuple]:
-        inner_rows = self._materialize_inner(consume)
+        self._set_phase("materialize_inner")
+        inner_rows: list[tuple] = []
+        for _keys, batch in self._drain(1, consume):
+            inner_rows.extend(batch)
         self._set_phase("loop")
         bound = (
             self.predicate.bind(self._schema) if self.predicate is not None else None
         )
-        out_hooks = self.outer_hooks
-        outer_child = self.outer_child
-        while True:
-            batch = outer_child.next_batch(consume)
-            if not batch:
-                return
-            self.outer_rows_consumed += len(batch)
-            for hook in out_hooks:
-                hook(batch, batch)
-            self._tick_n(len(batch))
+        for _keys, batch in self._drain(0, consume):
             for outer_row in batch:
                 for inner_row in inner_rows:
                     joined = outer_row + inner_row
@@ -138,24 +113,18 @@ class IndexNestedLoopsJoin(Operator):
         "inner_child",
         "outer_key",
         "inner_key",
-        "inner_input_hooks",
-        "outer_hooks",
-        "outer_rows_consumed",
         "_schema",
         "_gen",
     )
 
     def __init__(self, outer: Operator, inner: Operator, outer_key: str, inner_key: str):
-        super().__init__()
+        super().__init__(2)
         if not outer_key or not inner_key:
             raise PlanError("index NL join requires key columns on both sides")
         self.outer_child = outer
         self.inner_child = inner
         self.outer_key = outer_key
         self.inner_key = inner_key
-        self.inner_input_hooks: list[BatchHook] = []
-        self.outer_hooks: list[BatchHook] = []
-        self.outer_rows_consumed: int = 0
         self._schema = outer.output_schema.concat(inner.output_schema)
         self._gen: Iterator[tuple] | None = None
 
@@ -186,33 +155,14 @@ class IndexNestedLoopsJoin(Operator):
         self._set_phase("build_index")
         inner_idx = self.inner_child.output_schema.index_of(self.inner_key)
         index: dict[object, list[tuple]] = {}
-        hooks = self.inner_input_hooks
-        inner_child = self.inner_child
-        while True:
-            batch = inner_child.next_batch(consume)
-            if not batch:
-                break
-            keys = [row[inner_idx] for row in batch]
-            for hook in hooks:
-                hook(keys, batch)
+        for keys, batch in self._drain(1, consume, itemgetter(inner_idx)):
             for key, row in zip(keys, batch):
                 if key is not None:
                     index.setdefault(key, []).append(row)
-            self._tick_n(len(batch))
 
         self._set_phase("loop")
         outer_idx = self.outer_child.output_schema.index_of(self.outer_key)
-        out_hooks = self.outer_hooks
-        outer_child = self.outer_child
-        while True:
-            batch = outer_child.next_batch(consume)
-            if not batch:
-                return
-            self.outer_rows_consumed += len(batch)
-            keys = [row[outer_idx] for row in batch]
-            for hook in out_hooks:
-                hook(keys, batch)
-            self._tick_n(len(batch))
+        for keys, batch in self._drain(0, consume, itemgetter(outer_idx)):
             for key, outer_row in zip(keys, batch):
                 matches = index.get(key)
                 if matches:

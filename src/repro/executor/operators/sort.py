@@ -4,7 +4,7 @@ The sort's *input pass* — where every tuple of the input is seen exactly
 once before any output is produced — is the preprocessing phase the paper
 exploits for sort-merge joins (Section 4.1.2): "In the sort operator, every
 tuple of R is seen at least once before any output is produced. Thus, it is
-possible to build a histogram on the join attribute of R." ``input_hooks``
+possible to build a histogram on the join attribute of R." ``input_hooks[0]``
 receive every input batch (sort-key values, rows) during that pass.
 """
 
@@ -14,7 +14,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from repro.executor.operators.base import BatchHook, Operator
+from repro.executor.operators.base import Operator
 from repro.storage.schema import Schema
 
 __all__ = ["Sort"]
@@ -30,20 +30,16 @@ class Sort(Operator):
         "child",
         "keys",
         "descending",
-        "input_hooks",
-        "rows_consumed",
         "_sorted_iter",
     )
 
     def __init__(self, child: Operator, keys: Sequence[str], descending: bool = False):
-        super().__init__()
+        super().__init__(1)
         if not keys:
             raise ValueError("sort needs at least one key column")
         self.child = child
         self.keys = tuple(keys)
         self.descending = descending
-        self.input_hooks: list[BatchHook] = []
-        self.rows_consumed: int = 0
         self._sorted_iter: Iterator[tuple] | None = None
 
     def children(self) -> tuple[Operator, ...]:
@@ -73,20 +69,9 @@ class Sort(Operator):
         # Single-column keys sort on the bare value, multi-column keys on
         # the value tuple (multi-arg itemgetter returns exactly that tuple).
         extract = itemgetter(*(schema.index_of(k) for k in self.keys))
-        hooks = self.input_hooks
-        child = self.child
         rows: list[tuple] = []
-        while True:
-            batch = child.next_batch(consume)
-            if not batch:
-                break
-            self.rows_consumed += len(batch)
-            if hooks:
-                keys = list(map(extract, batch))
-                for hook in hooks:
-                    hook(keys, batch)
+        for _keys, batch in self._drain(0, consume, extract, need_keys=False):
             rows.extend(batch)
-            self._tick_n(len(batch))
         self._set_phase("sort")
         rows.sort(key=extract, reverse=self.descending)
         self._set_phase("emit")

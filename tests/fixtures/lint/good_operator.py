@@ -1,18 +1,31 @@
 """Lint fixture: a well-behaved operator subclass (no violations)."""
 
+from itertools import islice
 
-class PoliteScan(Operator):  # noqa: F821 - fixture, never imported
-    op_name = "polite_scan"
+
+class PoliteBuffer(Operator):  # noqa: F821 - fixture, never imported
+    """Blocking: reads its one input through the instrumented pass, then
+    emits — counters, hooks and ticks are the base class's business."""
+
+    op_name = "polite_buffer"
+    blocking_child_indexes = (0,)
+
+    def __init__(self, child):
+        super().__init__(1)
+        self.child = child
+        self._iter = None
 
     def children(self):
-        return ()
+        return (self.child,)
 
     @property
     def output_schema(self):
-        return None
+        return self.child.output_schema
 
     def _next_batch(self, max_rows):
-        try:
-            return [next(self._iter)]
-        except StopIteration:
-            return []
+        if self._iter is None:
+            rows = []
+            for _keys, batch in self._drain(0, max_rows):
+                rows.extend(batch)
+            self._iter = iter(rows)
+        return list(islice(self._iter, max_rows))

@@ -185,7 +185,7 @@ class TestNextBatchContract:
         rows, batches = drain_batches(f, 40)
         assert [r[0] for r in rows] == [0] * 8
         assert all(n >= 1 for n in batches)
-        assert f.rows_consumed == 50
+        assert f.rows_consumed == [50]
 
 
 class TestSampleScanBatch:
@@ -250,7 +250,7 @@ class TestLimitBatch:
         batch_res = ExecutionEngine(batch_plan).run(batch_size=batch_size)
         assert batch_res.rows == row_res.rows
         assert batch_plan.tuples_emitted == row_plan.tuples_emitted == 20
-        ahead = batch_join.probe_rows_consumed - row_join.probe_rows_consumed
+        ahead = batch_join.rows_consumed[1] - row_join.rows_consumed[1]
         assert 0 <= ahead < batch_size
 
 
@@ -279,7 +279,7 @@ class TestHashJoinEmptyBuild:
         )
         result = ExecutionEngine(join).run(batch_size=batch_size)
         assert result.row_count == expected_rows
-        assert join.probe_rows_consumed == 50
+        assert join.rows_consumed[1] == 50
         if join_type == "outer" and expected_rows:
             # Probe-preserving: build columns NULL-padded.
             assert all(r[0] is None and r[1] is None for r in result.rows)

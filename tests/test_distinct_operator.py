@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.aggregate_estimators import attach_distinct_estimator
+from repro.core.aggregate_estimators import attach_group_estimator
 from repro.core.manager import EstimationManager
 from repro.executor.engine import ExecutionEngine
 from repro.executor.operators import Distinct, Project, SeqScan
@@ -23,7 +23,7 @@ class TestDistinctOperator:
         result = ExecutionEngine(op).run()
         assert result.rows == [(1, "a"), (2, "b"), (3, "c")]
         assert op.groups_seen == 3
-        assert op.rows_consumed == 6
+        assert op.rows_consumed == [6]
 
     def test_blocking(self, dupes_table):
         scan = SeqScan(dupes_table)
@@ -40,7 +40,7 @@ class TestDistinctOperator:
     def test_input_hooks_fire_per_tuple(self, dupes_table):
         op = Distinct(SeqScan(dupes_table))
         seen = []
-        op.input_hooks.append(lambda keys, rows: seen.extend(keys))
+        op.input_hooks[0].append(lambda keys, rows: seen.extend(keys))
         ExecutionEngine(op, collect_rows=False).run()
         assert len(seen) == 6
 
@@ -55,7 +55,7 @@ class TestDistinctEstimation:
 
         table = customer_variant(1.0, 60, 0, 3000, name="dt")
         op = Distinct(Project(SeqScan(table), ["dt.nationkey"]))
-        estimate = attach_distinct_estimator(op)
+        estimate = attach_group_estimator(op)
         result = ExecutionEngine(op, collect_rows=False).run()
         assert estimate.exact
         assert estimate.current_estimate() == result.row_count

@@ -152,3 +152,31 @@ class TestHardenedDemotion:
             )
         )
         assert not manager.join_estimators
+
+    def test_raising_end_of_input_callback_demotes(self, skewed_pair):
+        """The end-of-input channel is guarded like the data hooks: an
+        estimator whose finalisation raises is demoted, nothing unwinds."""
+        left, right = skewed_pair
+
+        def make():
+            return HashJoin(
+                SeqScan(left), SeqScan(right), "left.nationkey", "right.nationkey"
+            )
+
+        reference = ExecutionEngine(make()).run()
+        join = make()
+        manager = EstimationManager(join)
+        (chain,) = manager.chain_estimators
+        fired = []
+
+        def broken_finalize():
+            fired.append(chain.t)
+            raise RuntimeError("finalize failed")
+
+        join.input_end_hooks[1][:] = [broken_finalize]
+        manager.harden()
+        result = ExecutionEngine(join).run()
+        assert result.rows == reference.rows
+        assert fired == [len(right)]  # once, after the whole probe input
+        assert manager.degraded and "finalize failed" in manager.demotions[0][1]
+        assert manager.estimate_for(join) is None

@@ -47,12 +47,12 @@ class TestAggregation:
         op = cls(SeqScan(sales), ["grp"])
         ExecutionEngine(op, collect_rows=False).run()
         assert op.groups_seen == 2
-        assert op.rows_consumed == 5
+        assert op.rows_consumed == [5]
 
     def test_input_hooks_fire_per_tuple_with_key(self, cls, sales):
         op = cls(SeqScan(sales), ["grp"])
         keys = []
-        op.input_hooks.append(lambda ks, rows: keys.extend(ks))
+        op.input_hooks[0].append(lambda ks, rows: keys.extend(ks))
         ExecutionEngine(op, collect_rows=False).run()
         assert keys == ["a", "b", "a", "b", "a"]
 
@@ -61,7 +61,7 @@ class TestAggregation:
         emitted (Section 4.2's exactness-at-pass-end property)."""
         op = cls(SeqScan(sales), ["grp"])
         count = []
-        op.input_hooks.append(lambda keys, rows: count.extend(keys))
+        op.input_hooks[0].append(lambda keys, rows: count.extend(keys))
         op.open()
         first = op.next()
         assert first is not None

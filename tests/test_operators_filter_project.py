@@ -16,7 +16,7 @@ class TestFilter:
         op = Filter(SeqScan(tiny_table), col("id") > lit(3))
         op.open()
         list(op)
-        assert op.rows_consumed == 5
+        assert op.rows_consumed == [5]
         assert op.observed_selectivity == pytest.approx(2 / 5)
 
     def test_selectivity_before_consuming(self, tiny_table):

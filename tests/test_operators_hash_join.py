@@ -86,15 +86,15 @@ class TestValidation:
 
 
 class TestHooksAndPhases:
-    def test_build_hooks_see_every_build_tuple(self):
+    def test_build_pass_hooks_see_every_build_tuple(self):
         left, right = small_tables()
         join = HashJoin(SeqScan(left), SeqScan(right), "l.k", "r.k")
         keys = []
-        join.build_hooks.append(lambda ks, rows: keys.extend(ks))
+        join.input_hooks[0].append(lambda ks, rows: keys.extend(ks))
         ExecutionEngine(join, collect_rows=False).run()
         assert keys == [1, 2, 2, 4]
 
-    def test_probe_hooks_fire_in_input_order_before_join_pass(self):
+    def test_probe_pass_hooks_in_input_order_before_join(self):
         """Probe hooks must observe the stream before partition reordering —
         the property ONCE estimation depends on (Section 4.1.1)."""
         left, right = small_tables()
@@ -103,7 +103,7 @@ class TestHooksAndPhases:
             num_partitions=4, memory_partitions=0,  # pure grace
         )
         events = []
-        join.probe_hooks.append(
+        join.input_hooks[1].append(
             lambda keys, rows: events.extend(("probe", k) for k in keys)
         )
         join.phase_hooks.append(lambda op, p: events.append(("phase", p)))
@@ -148,8 +148,7 @@ class TestHooksAndPhases:
         left, right = skewed_pair
         join = HashJoin(SeqScan(left), SeqScan(right), "left.nationkey", "right.nationkey")
         ExecutionEngine(join, collect_rows=False).run()
-        assert join.build_rows_consumed == len(left)
-        assert join.probe_rows_consumed == len(right)
+        assert join.rows_consumed == [len(left), len(right)]
 
 
 class TestPartitionClustering:

@@ -44,7 +44,7 @@ class TestMaterialize:
         first = op.next()
         assert first == (1, "a", 1.5)
         assert scan.is_exhausted  # whole input consumed before first output
-        assert op.rows_consumed == 5
+        assert op.rows_consumed == [5]
 
     def test_breaks_pipeline(self, tiny_table):
         from repro.executor.pipeline import decompose_pipelines

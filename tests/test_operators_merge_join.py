@@ -60,8 +60,8 @@ class TestHooksAndStructure:
         left, right = tables()
         join = SortMergeJoin(SeqScan(left), SeqScan(right), "l.k", "r.k")
         order = []
-        join.left_input_hooks.append(lambda ks, rs: order.extend(("L", k) for k in ks))
-        join.right_input_hooks.append(lambda ks, rs: order.extend(("R", k) for k in ks))
+        join.input_hooks[0].append(lambda ks, rs: order.extend(("L", k) for k in ks))
+        join.input_hooks[1].append(lambda ks, rs: order.extend(("R", k) for k in ks))
         ExecutionEngine(join, collect_rows=False).run()
         sides = [s for s, _ in order]
         assert sides == ["L"] * 4 + ["R"] * 4
@@ -70,7 +70,7 @@ class TestHooksAndStructure:
         left, right = tables()
         join = SortMergeJoin(SeqScan(left), SeqScan(right), "l.k", "r.k")
         keys = []
-        join.left_input_hooks.append(lambda ks, rs: keys.extend(ks))
+        join.input_hooks[0].append(lambda ks, rs: keys.extend(ks))
         ExecutionEngine(join, collect_rows=False).run()
         assert keys == [3, 1, 2, 2]
 
@@ -88,8 +88,7 @@ class TestHooksAndStructure:
         left, right = tables()
         join = SortMergeJoin(SeqScan(left), SeqScan(right), "l.k", "r.k")
         ExecutionEngine(join, collect_rows=False).run()
-        assert join.left_rows_consumed == 4
-        assert join.right_rows_consumed == 4
+        assert join.rows_consumed == [4, 4]
 
     def test_phases(self):
         left, right = tables()

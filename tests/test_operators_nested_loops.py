@@ -40,7 +40,7 @@ class TestNestedLoops:
         outer, inner = tables()
         join = NestedLoopsJoin(SeqScan(outer), SeqScan(inner))
         seen = []
-        join.inner_input_hooks.append(lambda keys, rows: seen.extend(rows))
+        join.input_hooks[1].append(lambda keys, rows: seen.extend(rows))
         ExecutionEngine(join, collect_rows=False).run()
         assert len(seen) == 3  # materialised once, not once per outer row
 
@@ -67,12 +67,12 @@ class TestIndexNestedLoops:
         join = IndexNestedLoopsJoin(SeqScan(outer), SeqScan(inner), "o.k", "i.k")
         assert join.output_schema.names() == ["o.k", "o.ov", "i.k", "i.iv"]
 
-    def test_index_build_hooks_precede_outer_hooks(self):
+    def test_index_build_pass_precedes_outer_pass(self):
         outer, inner = tables()
         join = IndexNestedLoopsJoin(SeqScan(outer), SeqScan(inner), "o.k", "i.k")
         order = []
-        join.inner_input_hooks.append(lambda ks, rs: order.extend("I" * len(rs)))
-        join.outer_hooks.append(lambda ks, rs: order.extend("O" * len(rs)))
+        join.input_hooks[1].append(lambda ks, rs: order.extend("I" * len(rs)))
+        join.input_hooks[0].append(lambda ks, rs: order.extend("O" * len(rs)))
         ExecutionEngine(join, collect_rows=False).run()
         assert order == ["I"] * 3 + ["O"] * 3
 

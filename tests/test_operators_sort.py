@@ -33,7 +33,7 @@ class TestSort:
         op = Sort(SeqScan(unsorted_table), ["k"])
         op.open()
         list(op)
-        assert op.rows_consumed == 5
+        assert op.rows_consumed == [5]
         assert op.tuples_emitted == 5
 
     def test_input_hooks_fire_before_output(self, unsorted_table):
@@ -41,7 +41,7 @@ class TestSort:
         preprocessing window the ONCE estimator relies on (Section 4.1.2)."""
         op = Sort(SeqScan(unsorted_table), ["k"])
         seen: list[int] = []
-        op.input_hooks.append(lambda keys, rows: seen.extend(keys))
+        op.input_hooks[0].append(lambda keys, rows: seen.extend(keys))
         op.open()
         first = op.next()
         assert len(seen) == 5  # all input seen before the first output row
@@ -50,7 +50,7 @@ class TestSort:
     def test_input_hooks_preserve_input_order(self, unsorted_table):
         op = Sort(SeqScan(unsorted_table), ["k"])
         seen: list[int] = []
-        op.input_hooks.append(lambda keys, rows: seen.extend(keys))
+        op.input_hooks[0].append(lambda keys, rows: seen.extend(keys))
         op.open()
         list(op)
         assert seen == [3, 1, 2, 1, 5]  # original (random) order, not sorted

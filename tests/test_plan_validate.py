@@ -1,10 +1,15 @@
 """Tests for validate_plan's hard structural gate (error paths)."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import PlanError
 from repro.executor.engine import ExecutionEngine
 from repro.executor.expressions import Comparison, col, lit
+import repro.core.manager
+import repro.executor.operators
 from repro.executor.operators import (
     AggregateSpec,
     Filter,
@@ -71,13 +76,7 @@ class TestOperatorsStayDictFree:
     back."""
 
     def test_every_operator_class_declares_slots(self):
-        pending, seen = [Operator], []
-        while pending:
-            for cls in pending.pop().__subclasses__():
-                # Test-local subclasses (exploding scans etc.) are exempt.
-                if cls.__module__.startswith("repro."):
-                    seen.append(cls)
-                pending.append(cls)
+        seen = _operator_classes()
         assert {HashJoin, HashAggregate} <= set(seen)  # direct and transitive
         assert [c.__name__ for c in seen if "__slots__" not in vars(c)] == []
         # One pull path: no operator grows a row twin back, and every
@@ -98,3 +97,81 @@ class TestOperatorsStayDictFree:
         ops = validate_plan(plan)
         assert len(ops) == 5
         assert [type(op).__name__ for op in ops if hasattr(op, "__dict__")] == []
+
+
+def _operator_classes() -> list[type]:
+    """Every ``Operator`` subclass shipped in ``repro`` (test-local
+    subclasses — exploding scans etc. — are exempt)."""
+    pending, seen = [Operator], []
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            if cls.__module__.startswith("repro."):
+                seen.append(cls)
+            pending.append(cls)
+    return seen
+
+
+class TestOneInstrumentedInputPass:
+    """``Operator._drain`` is the only place an input pass is instrumented:
+    one loop dispatches input hooks and ticks the bus per consumed batch, so
+    a change to that protocol has one edit point."""
+
+    HOOK_LISTS = {
+        "input_hooks",
+        "input_end_hooks",
+        "phase_hooks",
+        "sample_boundary_hooks",
+    }
+
+    @staticmethod
+    def _modules() -> dict[str, ast.Module]:
+        directory = Path(repro.executor.operators.__file__).parent
+        return {
+            path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(directory.glob("*.py"))
+        }
+
+    @staticmethod
+    def _calls(node: ast.AST, method: str) -> bool:
+        return any(
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr == method
+            for n in ast.walk(node)
+        )
+
+    def test_only_base_touches_the_input_hook_lists(self):
+        modules = self._modules()
+        assert "base.py" in modules and len(modules) > 10
+        touching = {
+            name
+            for name, tree in modules.items()
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            and n.attr in ("input_hooks", "input_end_hooks")
+        }
+        assert touching == {"base.py"}
+
+    def test_only_base_ticks_the_bus_from_a_child_drain_loop(self):
+        ticking = {
+            name
+            for name, tree in self._modules().items()
+            for loop in ast.walk(tree)
+            if isinstance(loop, (ast.For, ast.While))
+            and self._calls(loop, "next_batch")
+            and self._calls(loop, "_tick_n")
+        }
+        assert ticking == {"base.py"}
+
+    def test_operators_carry_no_other_hook_list(self):
+        classes = _operator_classes()
+        assert {HashJoin, HashAggregate} <= set(classes)
+        stray = {
+            f"{cls.__name__}.{slot}"
+            for cls in [Operator, *classes]
+            for slot in vars(cls).get("__slots__", ())
+            if slot.endswith("_hooks") and slot not in self.HOOK_LISTS
+        }
+        assert stray == set()
+        # ... and the manager keeps no table of hook-list names to walk.
+        assert [n for n in vars(repro.core.manager) if n.endswith("_ATTRS")] == []
