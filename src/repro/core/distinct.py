@@ -97,16 +97,27 @@ class GroupFrequencyState:
         :meth:`observe` once per value. None is a legitimate group key here
         (NULL groups aggregate), unlike in the join histograms.
         """
-        moments = self.moments
-        add = self.histogram.add
+        hist = self.histogram
+        counts = hist.counts
+        fof = hist.freq_of_freq
         new_groups = 0
         sq_delta = 0
+        # FrequencyHistogram.add's transition, inlined per distinct value.
         for value, weight in Counter(values).items():
-            old = add(value, weight)
-            if old == 0:
+            old = counts.get(value, 0)
+            new = counts[value] = old + weight
+            if old:
+                remaining = fof[old] - 1
+                if remaining:
+                    fof[old] = remaining
+                else:
+                    del fof[old]
+            else:
                 new_groups += 1
-            new = old + weight
+            fof[new] = fof.get(new, 0) + 1
             sq_delta += new * new - old * old
+        hist.total += len(values)
+        moments = self.moments
         moments.num_groups += new_groups
         moments.sum_freq += len(values)
         moments.sum_freq_sq += sq_delta

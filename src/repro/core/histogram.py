@@ -105,6 +105,20 @@ class FrequencyHistogram:
             added += weight
         self.total += added
 
+    def add_weighted(self, values: Iterable[object], weights: Iterable[int]) -> None:
+        """Bulk ``add(value, weight)`` over paired iterables — a derived
+        histogram's build batch, one Python step per row. None values and
+        zero weights are skipped; the ``f_j`` index is not maintained
+        (derived histograms never track it)."""
+        counts = self.counts
+        get = counts.get
+        added = 0
+        for value, weight in zip(values, weights):
+            if weight and value is not None:
+                counts[value] = get(value, 0) + weight
+                added += weight
+        self.total += added
+
     # -- queries ------------------------------------------------------------------
 
     def count(self, value: object) -> int:

@@ -117,6 +117,7 @@ class OnceJoinEstimator:
         "history",
         "_interval",
         "_probe_total",
+        "max_build_multiplicity",
     )
 
     def __init__(
@@ -136,6 +137,9 @@ class OnceJoinEstimator:
         self.record_every = record_every
         self.history: list[tuple[int, float]] = []
         self._interval = MeanEstimateInterval()
+        # Most rows one probe tuple can emit, for bound refinement; None
+        # until the build pass has ended.
+        self.max_build_multiplicity: float | None = None
         if probe_total is None:
             self._probe_total: TotalProvider | None = None
         elif callable(probe_total):
@@ -218,6 +222,15 @@ class OnceJoinEstimator:
         if self.join_type == "anti":
             return 0 if count else 1
         return count if count else 1  # outer
+
+    def finalize_build(self) -> None:
+        """The build pass completed: the most rows one probe tuple can
+        emit — the histogram's maximum, and an outer or anti join emits an
+        unmatched probe tuple once — is final."""
+        mult = self.histogram.max_multiplicity()
+        if self.join_type in ("outer", "anti"):
+            mult = max(mult, 1)
+        self.max_build_multiplicity = float(mult)
 
     def finalize_probe(self) -> None:
         """The probe pass completed: the estimate is now exact."""
@@ -313,6 +326,7 @@ def attach_once_estimator(
         join_type=getattr(join, "join_type", "inner"),
     )
     join.input_hooks[build].append(estimator.on_build_batch)
+    join.input_end_hooks[build].append(estimator.finalize_build)
     join.input_hooks[probe].append(estimator.on_probe_batch)
     join.input_end_hooks[probe].append(estimator.finalize_probe)
     return estimator

@@ -319,13 +319,14 @@ class EstimationManager:
         return False
 
     def max_multiplicities(self) -> dict[int, float]:
-        """Observed build-side maximum multiplicities per join, for
-        upper-bound refinement of future-pipeline estimates."""
+        """Build-side maximum multiplicities per join whose build pass has
+        ended, for upper-bound refinement of future-pipeline estimates."""
         result: dict[int, float] = {}
         for chain in self.chain_estimators:
             result.update(chain.max_build_multiplicity)
         for op_id, est in self.join_estimators.items():
-            result[op_id] = float(est.histogram.max_multiplicity())
+            if est.max_build_multiplicity is not None:
+                result[op_id] = est.max_build_multiplicity
         return result
 
     def describe(self) -> str:

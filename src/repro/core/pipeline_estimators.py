@@ -43,9 +43,11 @@ manager attaches to every hash join.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import partial
+from itertools import repeat
+from math import prod
+from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 from repro.common.errors import EstimationError
@@ -146,9 +148,6 @@ class HashJoinChainEstimator:
         "base_hists",
         "derived",
         "_level_factors",
-        "_combo_cols",
-        "_combo_extract",
-        "_level_factor_slots",
         "t",
         "sums",
         "exact",
@@ -157,6 +156,7 @@ class HashJoinChainEstimator:
         "history",
         "_intervals",
         "output_listeners",
+        "max_build_multiplicity",
     )
 
     def __init__(
@@ -237,25 +237,6 @@ class HashJoinChainEstimator:
             ]
             self._level_factors.append(factors)
 
-        # Batch aggregation: a probe tuple's per-level contributions depend
-        # only on the C columns the factor tables read, so a batch can be
-        # aggregated by that column combination — one factor-product per
-        # *distinct* combo instead of per row.
-        combo_cols = sorted({col for factors in self._level_factors for col, _ in factors})
-        self._combo_cols = combo_cols
-        if not combo_cols:
-            self._combo_extract = None  # every level is an empty product (=1)
-        elif len(combo_cols) == 1:
-            only = combo_cols[0]
-            self._combo_extract = lambda row: (row[only],)
-        else:
-            self._combo_extract = itemgetter(*combo_cols)
-        position = {col: pos for pos, col in enumerate(combo_cols)}
-        self._level_factor_slots = [
-            [(position[col], hist) for col, hist in factors]
-            for factors in self._level_factors
-        ]
-
         # Estimation state.
         self.t: int = 0
         self.sums: list[int] = [0] * self.k
@@ -265,6 +246,10 @@ class HashJoinChainEstimator:
         self.history: list[list[tuple[int, float]]] = [[] for _ in range(self.k)]
         self._intervals = [MeanEstimateInterval() for _ in range(self.k)]
         self.output_listeners: list[tuple[int, OutputListener]] = []
+        # ``id(join) -> max key multiplicity`` of its build histogram, for
+        # bound refinement; published when that join's build pass ends (the
+        # maximum of a half-built histogram bounds nothing).
+        self.max_build_multiplicity: dict[int, float] = {}
 
         # Punctuation wiring runs first: if it fails (no SampleScan), the
         # constructor raises before any operator hooks are attached, so the
@@ -324,94 +309,73 @@ class HashJoinChainEstimator:
     def _wire_hooks(self) -> None:
         for m, join in enumerate(self.chain):
             join.input_hooks[0].append(self._make_build_hook(m))
+            join.input_end_hooks[0].append(partial(self._on_build_end, m))
         bottom = self.chain[0]
-        if self.k == 1:
-            # Binary-join fast path: the general per-level loop costs ~2x
-            # more per probe tuple; single joins are the common case and
-            # the one the Table 3 overhead experiment measures.
-            bottom.input_hooks[1].append(self._on_probe_single)
-        else:
-            bottom.input_hooks[1].append(self._on_probe)
+        bottom.input_hooks[1].append(self._on_probe)
         bottom.input_end_hooks[1].append(self._on_probe_end)
 
-    def _on_probe_single(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
-        """Probe hook of a single join (the k == 1 fast path): one Counter
-        over the batch's keys applies the whole batch."""
-        if self.frozen:
-            return
-        if self.output_listeners:
-            self._probe_rows(rows)
-        else:
-            self._probe_checkpointed(keys, self._apply_single_batch)
-
-    def _apply_single_batch(self, keys: Sequence[object]) -> None:
-        get = self.base_hists[0].counts.get
-        batch_sum = 0
-        batch_sq = 0
-        for key, count in Counter(keys).items():
-            c = get(key, 0)
-            if c:
-                batch_sum += c * count
-                batch_sq += c * c * count
-        n = len(keys)
-        self.t += n
-        self.sums[0] += batch_sum
-        self._intervals[0].merge_sums(n, batch_sum, batch_sq)
+    def _on_build_end(self, m: int) -> None:
+        self.max_build_multiplicity[id(self.chain[m])] = float(
+            self.base_hists[m].max_multiplicity()
+        )
 
     def _make_build_hook(self, m: int):
         base_hist = self.base_hists[m]
         breakpoints = self.breakpoints.get(m, [])
         if not breakpoints:
-            # Plain histogram builds aggregate per batch; derived-histogram
-            # builds (below) read row columns per tuple.
             return lambda keys, rows: base_hist.add_batch(keys)
 
         # For each breakpoint version: which folded joins contribute, read
         # from which column of this build row, weighted by which (already
         # complete) effective histogram of theirs.
-        version_specs: list[tuple[FrequencyHistogram, list[tuple[int, FrequencyHistogram]]]] = []
+        version_specs: list[
+            tuple[FrequencyHistogram, list[tuple[itemgetter, FrequencyHistogram]]]
+        ] = []
         for bp in breakpoints:
             folded = [
-                (self.provenance[level].index, self._effective_hist(level, bp))
+                (itemgetter(self.provenance[level].index), self._effective_hist(level, bp))
                 for level in self.refs.get(m, [])
                 if level <= bp
             ]
             version_specs.append((self.derived[(m, bp)], folded))
 
         def build_hook_with_refs(keys: Sequence[object], rows: Sequence[tuple]) -> None:
-            for key, row in zip(keys, rows):
-                if key is None:
-                    continue
-                base_hist.add(key)
-                for derived, folded in version_specs:
-                    weight = 1
-                    for col_idx, hist in folded:
-                        c = hist.counts.get(row[col_idx], 0)
-                        if not c:
-                            weight = 0
-                            break
-                        weight *= c
-                    if weight:
-                        derived.add(key, weight)
+            base_hist.add_batch(keys)
+            for derived, folded in version_specs:
+                # Column at a time; a zero factor zeroes the row's weight.
+                factors = (
+                    map(hist.counts.get, map(column, rows), repeat(0))
+                    for column, hist in folded
+                )
+                derived.add_weighted(keys, map(prod, zip(*factors)))
 
         return build_hook_with_refs
 
     # -- probe-pass callbacks --------------------------------------------------------
 
     def _on_probe(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
-        """Probe hook of a chain of length > 1.
-
-        Aggregates the batch by the distinct combinations of the C columns
-        the factor tables read, computing each level's factor product once
-        per combo. Integer arithmetic throughout, so state is bit-identical
-        to per-tuple refinement.
-        """
+        """Probe hook of the bottom join: ``keys`` is its probe-key column
+        of the base-stream batch ``rows``."""
         if self.frozen:
             return
         if self.output_listeners:
             self._probe_rows(rows)
-        else:
-            self._probe_checkpointed(rows, self._apply_chain_batch)
+            return
+        rec = self.record_every
+        if not rec:
+            self._apply_batch(keys, rows)
+            return
+        # Split the batch at every ``record_every`` boundary it jumps over
+        # so checkpoints land on the per-tuple t values.
+        start, n = 0, len(rows)
+        while start < n:
+            end = min(n, start + rec - self.t % rec)
+            self._apply_batch(keys[start:end], rows[start:end])
+            if self.t % rec == 0:
+                t = self.t
+                for i in range(self.k):
+                    self.history[i].append((t, self.estimate_level(i)))
+            start = end
 
     def _probe_rows(self, rows: Sequence[tuple]) -> None:
         """Refine tuple by tuple: pushed-down aggregation listeners need the
@@ -438,56 +402,29 @@ class HashJoinChainEstimator:
                 for col_idx, listener in self.output_listeners:
                     listener(row[col_idx], top_contrib)
 
-    def _probe_checkpointed(self, items: Sequence, apply: Callable[[Sequence], None]) -> None:
-        """Apply a batch, split at every ``record_every`` boundary it jumps
-        over so checkpoints land on the per-tuple t values."""
-        n = len(items)
-        if not n:
-            return
-        rec = self.record_every
-        if not rec:
-            apply(items)
-            return
-        start = 0
-        while start < n:
-            end = min(n, start + rec - self.t % rec)
-            apply(items if not start and end == n else items[start:end])
-            if self.t % rec == 0:
-                t = self.t
-                for i in range(self.k):
-                    self.history[i].append((t, self.estimate_level(i)))
-            start = end
-
-    def _apply_chain_batch(self, rows: Sequence[tuple]) -> None:
-        k = self.k
+    def _apply_batch(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
+        """Fold a batch column at a time, C-level passes only: one looked-up
+        factor list per distinct (C column, histogram) pair, shared by every
+        level whose product reads it. A key absent from a histogram — None
+        never is one — contributes factor 0, which zeroes the product.
+        Integer arithmetic throughout, so the state is bit-identical to
+        per-tuple refinement."""
         n = len(rows)
-        sums_delta = [0] * k
-        sq_delta = [0] * k
-        extract = self._combo_extract
-        if extract is None:
-            # No level reads any C column: every contribution is the empty
-            # product, 1 per tuple at every level.
-            for i in range(k):
-                sums_delta[i] = n
-                sq_delta[i] = n
-        else:
-            factor_slots = self._level_factor_slots
-            for combo, count in Counter(map(extract, rows)).items():
-                for i in range(k):
-                    contrib = 1
-                    for pos, hist in factor_slots[i]:
-                        c = hist.counts.get(combo[pos], 0)
-                        if not c:
-                            contrib = 0
-                            break
-                        contrib *= c
-                    if contrib:
-                        sums_delta[i] += contrib * count
-                        sq_delta[i] += contrib * contrib * count
+        key_col = self.provenance[0].index  # already extracted by the drain
+        looked_up: dict[tuple[int, int], list[int]] = {}
         self.t += n
-        for i in range(k):
-            self.sums[i] += sums_delta[i]
-            self._intervals[i].merge_sums(n, sums_delta[i], sq_delta[i])
+        for i, level in enumerate(self._level_factors):
+            contribs = None
+            for col, hist in level:
+                factor = looked_up.get((col, id(hist)))
+                if factor is None:
+                    values = keys if col == key_col else map(itemgetter(col), rows)
+                    factor = list(map(hist.counts.get, values, repeat(0)))
+                    looked_up[col, id(hist)] = factor
+                contribs = factor if contribs is None else list(map(mul, contribs, factor))
+            level_sum = sum(contribs)
+            self.sums[i] += level_sum
+            self._intervals[i].merge_sums(n, level_sum, sum(map(mul, contribs, contribs)))
 
     def _on_probe_end(self) -> None:
         """The base stream is exhausted: every level's estimate is exact."""
@@ -559,12 +496,3 @@ class HashJoinChainEstimator:
                 "base probe stream; aggregation push-down unsupported"
             )
         self.output_listeners.append((self._c_schema.index_of(group_column), listener))
-
-    @property
-    def max_build_multiplicity(self) -> dict[int, float]:
-        """``id(join) -> max key multiplicity`` of its build histogram,
-        for bound refinement."""
-        return {
-            id(j): float(self.base_hists[i].max_multiplicity())
-            for i, j in enumerate(self.chain)
-        }

@@ -141,6 +141,8 @@ class ProgressMonitor:
             annotate_plan(root, catalog)
         self.pipelines: list[Pipeline] = decompose_pipelines(root)
         self.bounds = CardinalityBounds(root)
+        # The max multiplicities ``bounds`` was last refined with.
+        self._refined_with: dict[int, float] | None = None
         self.manager: EstimationManager | None = (
             EstimationManager(root, record_every=record_every)
             if mode == "once"
@@ -281,8 +283,15 @@ class ProgressMonitor:
 
     @guarded_by("_lock")
     def refresh_bounds(self) -> None:
-        maxmult = self.manager.max_multiplicities() if self.manager else None
-        self.bounds.refine(maxmult)
+        """Re-propagate the bounds when a join published a build-side
+        maximum multiplicity. That is the only input of ``refine`` that
+        moves during a run: nothing here calls ``bounds.set_known`` /
+        ``set_estimate``, and a caller that does must ``bounds.refine``
+        itself — this cache would not see it."""
+        maxmult = self.manager.max_multiplicities() if self.manager else {}
+        if maxmult != self._refined_with:
+            self.bounds.refine(maxmult)
+            self._refined_with = maxmult
 
     @acquires("_lock")
     def operator_totals(self) -> dict[int, tuple[float, float]]:

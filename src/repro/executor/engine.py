@@ -190,6 +190,11 @@ class PlanCursor:
         """
         if not self._opened or self._closed:
             raise ExecutorError("PlanCursor.fetch() outside open/close window")
+        if not self.root.fetch_size:
+            # The first request sizes every blocking input pass of the
+            # plan (Operator._drain), before a Limit or a fault shrinks it.
+            for op in self.operators:
+                op.fetch_size = max_rows
         if self.faults is not None:
             # The one *retryable* boundary: fired before the bus lock is
             # taken and before any operator runs, so nothing is mid-flight

@@ -110,8 +110,8 @@ class _AggregateBase(Operator):
 
     def _next_batch(self, max_rows: int) -> list[tuple]:
         if self._emit_iter is None:
-            # The first pull fixes the input-drain granularity; the emit
-            # stream is then sliced batch by batch.
+            # Drained at max(this first request, the cursor's fetch size); the
+            # emit stream is then sliced batch by batch.
             self._emit_iter = self._consume_and_group(max_rows)
         return list(islice(self._emit_iter, max_rows))
 

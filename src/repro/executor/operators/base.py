@@ -96,6 +96,7 @@ class Operator(ABC):
         "phase",
         "node_id",
         "bus",
+        "fetch_size",
         "faults",
         "phase_hooks",
         "input_hooks",
@@ -111,6 +112,9 @@ class Operator(ABC):
         self.phase: str = "init"
         self.node_id: int | None = None
         self.bus: "TickBus | None" = None
+        # Rows per pull the plan's cursor was first asked for (0: no cursor);
+        # the drain size of blocking passes, see _drain.
+        self.fetch_size: int = 0
         self.faults: "FaultPlan | None" = None
         self.phase_hooks: list[Callable[["Operator", str], None]] = []
         self.input_hooks: tuple[list[BatchHook], ...] = tuple(
@@ -247,6 +251,12 @@ class Operator(ABC):
         """The one instrumented input pass: read child ``child_index`` to
         its end, ``consume`` rows per pull, yielding ``(keys, batch)``.
 
+        A *blocking* pass (``child_index in blocking_child_indexes``) reads
+        its input to the end whatever the operator was asked for, so it
+        pulls at least ``fetch_size`` rows at a time: a ``Limit`` above
+        caps the request it forwards, not the granularity of the passes
+        below it. Streaming passes keep ``consume`` (bounded read-ahead).
+
         Per batch, in this order everywhere: count it in
         ``rows_consumed[child_index]``, extract its keys, call every
         ``input_hooks[child_index]`` hook, yield to the caller's own
@@ -266,6 +276,8 @@ class Operator(ABC):
         child = self.children()[child_index]
         hooks = self.input_hooks[child_index]
         consumed = self.rows_consumed
+        if child_index in self.blocking_child_indexes:
+            consume = max(consume, self.fetch_size)
         while batch := child.next_batch(consume):
             consumed[child_index] += len(batch)
             if extract is None:

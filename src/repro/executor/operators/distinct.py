@@ -47,7 +47,7 @@ class Distinct(Operator):
         self._set_phase("init")
 
     def _next_batch(self, max_rows: int) -> list[tuple]:
-        # Blocking: the first pull fixes the input-drain granularity.
+        # Blocking: drained at max(this first request, the cursor's fetch size).
         if self._emit_iter is None:
             self._emit_iter = self._consume(max_rows)
         return list(islice(self._emit_iter, max_rows))

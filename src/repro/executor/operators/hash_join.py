@@ -158,7 +158,8 @@ class HashJoin(Operator):
     def _next_batch(self, max_rows: int) -> list[tuple]:
         gen = self._gen
         if gen is None:
-            # The first pull fixes the input-drain granularity.
+            # The first pull sizes the streaming pass; a blocking pass also
+            # follows the cursor's fetch size (Operator._drain).
             gen = self._gen = self._run_hybrid(max_rows)
         return list(islice(gen, max_rows))
 

@@ -38,7 +38,7 @@ class Materialize(Operator):
         return self.child.output_schema
 
     def _next_batch(self, max_rows: int) -> list[tuple]:
-        # Blocking: the first pull fixes the input-drain granularity.
+        # Blocking: drained at max(this first request, the cursor's fetch size).
         if self._iter is None:
             self._set_phase("materialize")
             buffer: list[tuple] = []

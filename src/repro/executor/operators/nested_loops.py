@@ -72,7 +72,8 @@ class NestedLoopsJoin(Operator):
     def _next_batch(self, max_rows: int) -> list[tuple]:
         gen = self._gen
         if gen is None:
-            # The first pull fixes the input-drain granularity.
+            # The first pull sizes the streaming pass; a blocking pass also
+            # follows the cursor's fetch size (Operator._drain).
             gen = self._gen = self._run(max_rows)
         return list(islice(gen, max_rows))
 
@@ -144,7 +145,8 @@ class IndexNestedLoopsJoin(Operator):
     def _next_batch(self, max_rows: int) -> list[tuple]:
         gen = self._gen
         if gen is None:
-            # The first pull fixes the input-drain granularity.
+            # The first pull sizes the streaming pass; a blocking pass also
+            # follows the cursor's fetch size (Operator._drain).
             gen = self._gen = self._run(max_rows)
         return list(islice(gen, max_rows))
 

@@ -57,7 +57,7 @@ class Sort(Operator):
         self._set_phase("init")
 
     def _next_batch(self, max_rows: int) -> list[tuple]:
-        # Blocking: the first pull fixes the input-drain granularity.
+        # Blocking: drained at max(this first request, the cursor's fetch size).
         if self._sorted_iter is None:
             self._consume_and_sort(max_rows)
         assert self._sorted_iter is not None

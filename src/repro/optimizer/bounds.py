@@ -7,8 +7,8 @@ are the standard worst-case ones for each operator given (possibly refined)
 input cardinalities:
 
 * equijoin of inputs ``l`` and ``r``: at least 0, at most ``l * r`` — and at
-  most ``l * maxmult_r`` (resp. ``r * maxmult_l``) once a build histogram
-  exists and reveals the maximum key multiplicity.
+  most ``probe * maxmult_build`` once the build pass has ended and its
+  histogram reveals the maximum key multiplicity.
 * selection / projection / sort: at most the input cardinality.
 * group-by: at most the input cardinality (and at least 1 once any input
   row exists).
@@ -123,7 +123,10 @@ class CardinalityBounds:
             hi = l_hi * r_hi
             mult = maxmult.get(id(op))
             if mult is not None:
-                hi = min(hi, r_hi * mult)
+                # The probe side's size times the *build* side's maximum;
+                # the index NL join builds on its inner (right) input.
+                probe_hi = l_hi if isinstance(op, IndexNestedLoopsJoin) else r_hi
+                hi = min(hi, probe_hi * mult)
             entry.update_bounds(lo=0.0, hi=hi)
         elif isinstance(op, NestedLoopsJoin):
             left, right = op.children()

@@ -3,7 +3,7 @@
 The batch hooks (``on_build_batch`` / ``on_probe_batch`` / ``observe_batch``
 and the chain estimator's batch twins) claim *bit-identical* state, not
 state-within-tolerance: every quantity they maintain is an integer-valued
-sum below 2**53, so Counter aggregation changes the number of arithmetic
+sum below 2**53, so folding a batch at once changes the number of arithmetic
 operations but not one bit of the result. This suite holds them to that
 claim — Monte-Carlo across join types and random batch splits for the ONCE
 estimator, engine-driven row-vs-batch runs for the chain estimator
@@ -15,6 +15,8 @@ estimator, and the empty-batch / NULL-key edge cases.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.rng import make_rng
 from repro.core.distinct import HybridGroupCountEstimator
@@ -27,6 +29,8 @@ from repro.core.pipeline_estimators import (
 from repro.datagen.skew import customer_variant
 from repro.executor.engine import ExecutionEngine
 from repro.executor.operators import HashJoin, SeqScan
+from repro.storage.schema import Schema
+from repro.storage.table import Table
 
 JOIN_TYPES = ("inner", "semi", "anti", "outer")
 
@@ -254,7 +258,7 @@ def _c_keyed_chain():
 
 def _derived_chain():
     """k=2 chain whose upper probe key is a column of the lower build
-    relation (Case 2: derived-histogram path; per-row build hooks)."""
+    relation (Case 2: derived-histogram path)."""
     c1, c2, c3 = _tables()
     j0 = HashJoin(SeqScan(c1), SeqScan(c3), "c1.nationkey", "c3.nationkey")
     j1 = HashJoin(SeqScan(c2), j0, "c2.custkey", "c1.custkey")
@@ -309,7 +313,7 @@ class TestChainBatch:
         assert _chain_state(got) == _chain_state(reference)
 
     def test_single_join_chain_batch_twin(self):
-        """k=1 uses the dedicated fast path; verify its batch twin too."""
+        """k=1 is the binary ONCE case of the same kernel."""
 
         def build_plan():
             c1, _, c3 = _tables()
@@ -350,3 +354,179 @@ class TestStopAfterSampleBatch:
         assert reference.frozen and got.frozen
         assert got.t == reference.t > 0
         assert _chain_state(got) == _chain_state(reference)
+
+
+# -- column-at-a-time kernels vs. the per-tuple definition (hypothesis) --------
+# The probe and derived-build kernels fold a batch with C-level passes
+# (itemgetter / dict.get / mul / sum). The reference below never touches a
+# histogram: a probe tuple's level-i contribution is the number of chain[i]
+# output rows it generates, counted by nested loops, and a derived
+# histogram entry is the number of rows of its folded build-side join.
+
+_KEY = st.one_of(st.none(), st.integers(0, 4))
+_BATCH_SIZE = st.sampled_from([1, 2, 3, 7, 1024])
+_RECORD_EVERY = st.sampled_from([0, 1, 3, 5])
+
+
+def _rows(width: int, max_size: int = 14):
+    """Row lists: hypothesis shrinks toward empty and duplicate-heavy ones;
+    the ``unique`` arm forces all-distinct batches."""
+    row = st.tuples(*[_KEY] * width)
+    return st.one_of(
+        st.lists(row, max_size=max_size),
+        st.lists(row, max_size=max_size, unique=True),
+        st.lists(st.tuples(*[st.integers(100, 200)] * width), max_size=max_size, unique=True),
+    )
+
+
+def _scan(name: str, cols: list[str], rows: list[tuple]) -> SeqScan:
+    table = Table(name, Schema.of(*[f"{c}:int" for c in cols]), rows, block_size=4)
+    return SeqScan(table)
+
+
+def _q8_chain(c, b0, b1, b2):
+    """Nested references (Case 2 twice): J1 keyed on B0's column, J2 on B1's."""
+    j0 = HashJoin(_scan("b0", ["x", "u"], b0), _scan("c", ["x"], c), "b0.x", "c.x")
+    j1 = HashJoin(_scan("b1", ["u", "v"], b1), j0, "b1.u", "b0.u")
+    return [j0, j1, HashJoin(_scan("b2", ["v"], b2), j1, "b2.v", "b1.v")]
+
+
+def _same_attribute_chain(c, b0, b1):
+    """Case 1: both joins keyed on the same column of the base stream."""
+    j0 = HashJoin(_scan("b0", ["x"], b0), _scan("c", ["x", "y"], c), "b0.x", "c.x")
+    return [j0, HashJoin(_scan("b1", ["x"], b1), j0, "b1.x", "c.x")]
+
+
+def _per_tuple_reference(estimator, record_every):
+    """(t, sums, interval sums, histories, derived, listener stream) by
+    definition, one probe tuple at a time."""
+    chain = estimator.chain
+    builds = [list(j.build_child.table) for j in chain]
+    key_col = [j.build_child.output_schema.index_of(j.build_keys[0]) for j in chain]
+    probe_rows = list(estimator.base_stream.table)
+    total = float(len(probe_rows))
+    prov = estimator.provenance
+
+    def matches(m, value):
+        return [b for b in builds[m] if value is not None and b[key_col[m]] == value]
+
+    def weight(m, b, bp):
+        """Rows ``b`` of B_m yields in its join with the builds folded at ``bp``."""
+        out = 1
+        for level in estimator.refs.get(m, []):
+            if level <= bp:
+                out *= sum(weight(level, b2, bp) for b2 in matches(level, b[prov[level].index]))
+        return out
+
+    derived = {}
+    for m, bp in estimator.derived:
+        hist = derived[m, bp] = {}
+        for b in builds[m]:
+            w = weight(m, b, bp)
+            if w and b[key_col[m]] is not None:
+                hist[b[key_col[m]]] = hist.get(b[key_col[m]], 0) + w
+
+    k = len(chain)
+    sums, squares = [0] * k, [0] * k
+    histories = [[] for _ in range(k)]
+    stream = []
+    for t, row in enumerate(probe_rows, start=1):
+        partial = [{-1: row}]  # chain level (-1: C) -> the row it contributed
+        for i in range(k):
+            partial = [
+                {**p, i: b}
+                for p in partial
+                for b in matches(i, p[prov[i].level][prov[i].index])
+            ]
+            sums[i] += len(partial)
+            squares[i] += len(partial) ** 2
+            if record_every and t % record_every == 0:
+                histories[i].append((t, sums[i] / t * total))
+        if partial:
+            stream.append((row[0], len(partial)))
+    if record_every:
+        for i in range(k):
+            histories[i].append((len(probe_rows), float(sums[i])))
+    intervals = [(len(probe_rows), s, q) for s, q in zip(sums, squares)]
+    return len(probe_rows), sums, intervals, histories, derived, stream
+
+
+def _run_kernels(chain, record_every, batch_size, listener=False):
+    estimator = HashJoinChainEstimator(chain, record_every=record_every)
+    stream = []
+    if listener:
+        first = estimator.base_stream.output_schema.names()[0]
+        estimator.add_output_listener(first, lambda v, c: stream.append((v, c)))
+    ExecutionEngine(chain[-1], collect_rows=False).run(batch_size=batch_size)
+    return estimator, stream
+
+
+def _assert_matches_reference(make_chain, record_every, batch_size):
+    estimator, _ = _run_kernels(make_chain(), record_every, batch_size)
+    t, sums, intervals, histories, derived, stream = _per_tuple_reference(estimator, record_every)
+    assert estimator.exact
+    assert (estimator.t, estimator.sums) == (t, sums)
+    assert [(iv.count, iv.sum_x, iv.sum_x_sq) for iv in estimator._intervals] == intervals
+    assert estimator.history == histories
+    assert {key: dict(h.counts) for key, h in estimator.derived.items()} == derived
+    assert all(h.total == sum(h.counts.values()) for h in estimator.derived.values())
+    # The listener path refines tuple by tuple, in row order, to the same state.
+    listening, seen = _run_kernels(make_chain(), record_every, batch_size, listener=True)
+    assert seen == stream
+    assert (listening.t, listening.sums, listening.history) == (t, sums, histories)
+
+
+class TestColumnKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(_rows(1), _rows(1), _RECORD_EVERY, _BATCH_SIZE)
+    def test_single_join(self, c, b0, record_every, batch_size):
+        def make_chain():
+            return [HashJoin(_scan("b0", ["x"], b0), _scan("c", ["x"], c), "b0.x", "c.x")]
+
+        _assert_matches_reference(make_chain, record_every, batch_size)
+        # ... and to the public per-tuple ONCE methods, chunk by chunk.
+        chain_est, _ = _run_kernels(make_chain(), record_every, batch_size)
+        once = OnceJoinEstimator(probe_total=len(c), record_every=record_every)
+        batched = OnceJoinEstimator(probe_total=len(c), record_every=record_every)
+        for (key,) in b0:
+            once.on_build(key)
+        for (key,) in c:
+            once.on_probe(key)
+        once.finalize_probe()
+        step = min(batch_size, 5)
+        batched.on_build_batch([key for (key,) in b0])
+        for start in range(0, len(c), step):
+            batched.on_probe_batch([key for (key,) in c[start : start + step]])
+        batched.on_probe_batch([])
+        batched.finalize_probe()
+        for est in (once, batched):
+            assert (est.t, est.sum_counts, _interval_state(est)) == (
+                chain_est.t,
+                chain_est.sums[0],
+                _interval_state(once),
+            )
+            assert est.history == chain_est.history[0]
+            assert est.histogram.counts == chain_est.base_hists[0].counts
+
+    @settings(max_examples=80, deadline=None)
+    @given(_rows(2), _rows(1), _rows(1), _RECORD_EVERY, _BATCH_SIZE)
+    def test_same_attribute_chain(self, c, b0, b1, record_every, batch_size):
+        _assert_matches_reference(
+            lambda: _same_attribute_chain(c, b0, b1), record_every, batch_size
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(_rows(1), _rows(2), _rows(2), _rows(1), _RECORD_EVERY, _BATCH_SIZE)
+    def test_q8_style_nested_reference_chain(self, c, b0, b1, b2, record_every, batch_size):
+        _assert_matches_reference(lambda: _q8_chain(c, b0, b1, b2), record_every, batch_size)
+
+    def test_empty_batch_is_a_noop(self):
+        chain = _q8_chain([(1,)], [(1, 2)], [(2, 3)], [(3,)])
+        estimator = HashJoinChainEstimator(chain, record_every=2)
+        before = _chain_state(estimator)
+        for join in chain:
+            for hook in join.input_hooks[0]:
+                hook([], [])
+        for hook in chain[0].input_hooks[1]:
+            hook([], [])
+        assert _chain_state(estimator) == before

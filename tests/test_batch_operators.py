@@ -254,6 +254,38 @@ class TestLimitBatch:
         assert 0 <= ahead < batch_size
 
 
+    @pytest.mark.parametrize("shape", ["filter", "join_probe"])
+    def test_limit_smaller_than_the_fetch_still_bounds_read_ahead(self, pair_table, shape):
+        """The fetch size sizes *blocking* passes only: a streaming pass
+        under a truncating LIMIT still pulls at the capped request, so it
+        reads ahead less than one batch whatever the cursor asked for."""
+
+        def make():
+            if shape == "filter":
+                stream = Filter(SeqScan(pair_table), col("pairs.k") > lit(2))
+                return Limit(stream, 5), stream, 0
+            stream = HashJoin(
+                SeqScan(pair_table.aliased("p2")),
+                SeqScan(pair_table),
+                "p2.v",
+                "pairs.v",
+                num_partitions=1,
+            )
+            return Limit(stream, 5), stream, 1
+
+        row_plan, row_stream, child = make()
+        row_res = ExecutionEngine(row_plan).run(batch_size=1)
+        batch_size = 32
+        batch_plan, batch_stream, _ = make()
+        batch_res = ExecutionEngine(batch_plan).run(batch_size=batch_size)
+        assert batch_res.rows == row_res.rows and len(batch_res.rows) == 5
+        ahead = batch_stream.rows_consumed[child] - row_stream.rows_consumed[child]
+        assert 0 <= ahead < batch_size
+        if shape == "join_probe":
+            # ... while the blocking build pass read its whole input.
+            assert batch_stream.rows_consumed[0] == 50
+
+
 class TestHashJoinEmptyBuild:
     """Regression: an empty build side must behave per join type, at every
     batch size (``None`` is the derived default)."""

@@ -25,6 +25,11 @@ operator (``Distinct``, aggregates, ``Materialize``: full input drain
 either way). Over a streaming ``Filter``/``HashJoin`` a larger batch's
 bounded read-ahead makes upstream counts diverge by design; that bound is
 covered by ``tests/test_batch_operators.py``.
+
+Trials ``NUM_PLANS..`` are not random shapes but the benchmark's
+``j3_agg_top``: ``Limit`` over ``Sort`` over ``HashAggregate`` over a
+two-join chain, where the LIMIT caps the first request every blocking
+operator beneath it sees (the drain-size rule of docs/BATCHING.md).
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from repro.storage.table import Table
 
 HARNESS_SEED = 0xD1FF
 NUM_PLANS = 200
+TOP_N_PLANS = 6  # trials NUM_PLANS..: the j3_agg_top shape, see _top_n_plan
 BATCH_SIZES = (1, 7, 1024)
 TICK_INTERVAL = 64
 
@@ -237,10 +243,32 @@ def _maybe_limit(rng, shape: _Shape) -> _Shape:
     return _Shape(Limit(shape.op, 10**6), shape.schema, shape.nonnull, shape.exact_under_limit)
 
 
+def _top_n_plan(rng):
+    """``Limit`` over ``Sort`` over ``HashAggregate`` over a two-join chain —
+    the benchmark's ``j3_agg_top``: every blocking pass of the plan sits
+    under a truncating LIMIT, which caps the first request the tree sees."""
+
+    def key(shape: _Shape) -> str:
+        return next(c.qualified_name for c in shape.schema if c.name == "nationkey")
+
+    probe = _scan(rng, allow_nullable=False)
+    lower_build = _maybe_filter(rng, _scan(rng, allow_nullable=False, alias_suffix="b"))
+    upper_build = _maybe_filter(rng, _scan(rng, allow_nullable=False, alias_suffix="c"))
+    lower = HashJoin(lower_build.op, probe.op, key(lower_build), key(probe))
+    # The upper key comes from the lower build (Case 2) or the base stream.
+    upper_key = key(lower_build) if rng.random() < 0.5 else key(probe)
+    upper = HashJoin(upper_build.op, lower, key(upper_build), upper_key)
+    group = _pick(rng, upper.output_schema.names())
+    agg = HashAggregate(upper, [group], [AggregateSpec("count", alias="n")])
+    return Limit(Sort(agg, ["n"]), int(rng.integers(1, 80)))
+
+
 def build_plan(trial: int):
     """Deterministically build trial ``i``'s plan; every call with the same
     ``trial`` yields a structurally identical plan with fresh operators."""
     rng = make_rng(HARNESS_SEED, "plan", trial)
+    if trial >= NUM_PLANS:
+        return _top_n_plan(rng)
     shape = _scan(rng, allow_nullable=True)
     shape = _maybe_filter(rng, shape)
     shape = _maybe_join(rng, shape)
@@ -367,7 +395,7 @@ def _observe(trial: int, batch_size: int) -> _Observation:
     )
 
 
-@pytest.mark.parametrize("trial", range(NUM_PLANS))
+@pytest.mark.parametrize("trial", range(NUM_PLANS + TOP_N_PLANS))
 def test_row_and_batch_modes_agree(trial):
     reference = _observe(trial, batch_size=BATCH_SIZES[0])
     assert reference.t_q == reference.true_total  # final estimate is exact

@@ -15,13 +15,14 @@ from operator import itemgetter
 import pytest
 
 from repro.core.manager import EstimationManager
-from repro.executor.engine import ExecutionEngine, TickBus
+from repro.executor.engine import ExecutionEngine, PlanCursor, TickBus
 from repro.executor.expressions import col
 from repro.executor.operators import (
     Distinct,
     HashAggregate,
     HashJoin,
     IndexNestedLoopsJoin,
+    Limit,
     Materialize,
     NestedLoopsJoin,
     SeqScan,
@@ -30,6 +31,8 @@ from repro.executor.operators import (
     SortMergeJoin,
 )
 from repro.executor.operators.base import Operator
+from repro.executor.plan import walk
+from repro.faults.plan import SHORT_READ, SITE_CURSOR_FETCH, FaultPlan, FaultSpec
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -254,3 +257,91 @@ def test_probe_pass_snapshot_sees_once_and_the_counter_agree(
     assert seen[0] == (True, 64, 64)  # inside the first probe batch
     assert all(started and t == consumed for started, t, consumed in seen)
     assert seen[-1][1:] == (len(right), len(right))
+
+
+# -- the drain-size rule: blocking pass = fetch size, streaming pass = request size --
+
+_N = 2500
+
+
+def _blocking_under_limit():
+    """``Limit(10)`` over each blocking operator, with the (operator, child)
+    whose input pass is blocking."""
+    a, b = _table("a", _N), _table("b", 40)
+    return [
+        ("sort", lambda: Sort(SeqScan(a), ["a.v"]), 0),
+        ("hash_aggregate", lambda: HashAggregate(SeqScan(a), ["a.v"]), 0),
+        ("sort_aggregate", lambda: SortAggregate(SeqScan(a), ["a.v"]), 0),
+        ("distinct", lambda: Distinct(SeqScan(a)), 0),
+        ("materialize", lambda: Materialize(SeqScan(a)), 0),
+        ("hash_join_build", lambda: HashJoin(SeqScan(a), SeqScan(b), "a.k", "b.k"), 0),
+        ("nl_inner", lambda: NestedLoopsJoin(SeqScan(b), SeqScan(a), col("a.k") > col("b.k")), 1),
+        ("index_nl_inner", lambda: IndexNestedLoopsJoin(SeqScan(b), SeqScan(a), "b.k", "a.k"), 1),
+    ]
+
+
+def _run_limited(make, child, fetch, faults=None):
+    op = make()
+    plan = Limit(op, 10)
+    batches: list[int] = []
+    op.input_hooks[child].append(lambda keys, rows: batches.append(len(rows)))
+    cursor = PlanCursor(plan, faults=faults)
+    cursor.open()
+    rows = []
+    while batch := cursor.fetch(fetch):
+        rows.extend(batch)
+    cursor.close()
+    return rows, batches, [o.tuples_emitted for o in walk(plan)]
+
+
+@pytest.mark.parametrize(
+    "make,child", [pytest.param(m, c, id=n) for n, m, c in _blocking_under_limit()]
+)
+class TestBlockingPassDrainsAtTheFetchSize:
+    def test_limit_does_not_leak_into_a_blocking_pass(self, make, child):
+        rows, batches, emitted = _run_limited(make, child, 1024)
+        assert batches == [1024, 1024, _N - 2048]  # ceil(n / 1024), not n / 10
+        # ... and nothing else moved. fetch(10) is what the parent commit did
+        # at fetch(1024): every pass below the Limit at 10 rows a pull.
+        ref_rows, ref_batches, ref_emitted = _run_limited(make, child, 10)
+        assert ref_batches == [10] * (_N // 10)
+        assert (rows, emitted) == (ref_rows, ref_emitted)
+        assert len(rows) == 10
+        # The differential's reference seat still drains a row at a time.
+        assert _run_limited(make, child, 1)[1] == [1] * _N
+
+    def test_short_read_on_the_first_fetch_does_not_shrink_the_drain(self, make, child):
+        faults = FaultPlan(specs=[FaultSpec(SITE_CURSOR_FETCH, SHORT_READ, every=1, count=1)])
+        rows, batches, emitted = _run_limited(make, child, 1024, faults)
+        assert [r["site"] for r in faults.records()] == [SITE_CURSOR_FETCH]
+        assert batches == [1024, 1024, _N - 2048]
+        unfaulted_rows, _, unfaulted_emitted = _run_limited(make, child, 1024)
+        assert (rows, emitted) == (unfaulted_rows, unfaulted_emitted)
+
+
+def test_next_drains_one_row_at_a_time():
+    """No cursor, no fetch size: ``next()`` is ``next_batch(1)`` all the way down."""
+    agg = HashAggregate(SeqScan(_table("a", 30)), ["a.k"])
+    batches: list[int] = []
+    agg.input_hooks[0].append(lambda keys, rows: batches.append(len(rows)))
+    agg.open()
+    assert agg.next() is not None
+    assert batches == [1] * 30
+
+
+def test_streaming_passes_keep_the_request_size():
+    """The probe pass under a truncating ``Limit`` is asked for 10 rows and
+    pulls 10 at a time — bounded read-ahead — while the build pass of the
+    same join drains at the fetch size."""
+    join = HashJoin(
+        SeqScan(_table("a", _N)), SeqScan(_table("b", _N)), "a.v", "b.v", num_partitions=1
+    )
+    plan = Limit(join, 10)
+    sizes: list[list[int]] = [[], []]
+    for i in (0, 1):
+        join.input_hooks[i].append(lambda keys, rows, i=i: sizes[i].append(len(rows)))
+    result = ExecutionEngine(plan).run(batch_size=1024)
+    assert len(result.rows) == 10
+    assert sizes[0] == [1024, 1024, _N - 2048]
+    assert sizes[1] == [10]
+    assert join.rows_consumed == [_N, 10]

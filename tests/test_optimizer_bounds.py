@@ -1,9 +1,22 @@
 """Tests for bound-based refinement of future-pipeline estimates."""
 
-from repro.executor.engine import ExecutionEngine
-from repro.executor.expressions import col, lit
-from repro.executor.operators import Filter, HashAggregate, HashJoin, SeqScan
+import pytest
+
+from repro.core.progress import ProgressMonitor
+from repro.executor.engine import ExecutionEngine, TickBus
+from repro.executor.expressions import Comparison, col, lit
+from repro.executor.operators import (
+    Filter,
+    HashAggregate,
+    HashJoin,
+    IndexNestedLoopsJoin,
+    SeqScan,
+)
+from repro.executor.plan import walk
 from repro.optimizer.bounds import CardinalityBounds, RefinableEstimate
+from repro.sql import compile_select
+from repro.storage.schema import Schema
+from repro.storage.table import Table
 
 
 class TestRefinableEstimate:
@@ -77,3 +90,72 @@ class TestCardinalityBounds:
         ExecutionEngine(join, collect_rows=False).run()
         bounds.refine()
         assert bounds.estimate_of(join) <= 25.0
+
+
+class TestBoundsStaySoundDuringExecution:
+    """A maximum multiplicity reaches ``refine`` only once its join's build
+    pass has ended; ``update_bounds`` only ever tightens, so the maximum of
+    an empty or half-built histogram would pin ``hi`` below the truth."""
+
+    @staticmethod
+    def _run_monitored(plan, interval, batch_size):
+        bus = TickBus(interval=interval)
+        monitor = ProgressMonitor(plan, mode="once", bus=bus)
+        joins = [
+            op for op in walk(plan) if isinstance(op, (HashJoin, IndexNestedLoopsJoin))
+        ]
+        seen: list[list[tuple[float, float]]] = []
+
+        def sample(_count: int = -1) -> None:
+            seen.append([(monitor.bounds.of(j).lo, monitor.bounds.of(j).hi) for j in joins])
+
+        bus.subscribe(sample)
+        ExecutionEngine(plan, bus=bus, collect_rows=False).run(batch_size=batch_size)
+        monitor.snapshot()
+        sample()
+        return joins, seen
+
+    def test_snapshot_before_a_build_does_not_pin_hi_to_zero(self, small_catalog):
+        plan = compile_select(
+            small_catalog,
+            "SELECT l.orderkey, p.name, o.orderdate FROM lineitem l "
+            "JOIN part p ON l.partkey = p.partkey "
+            "JOIN orders o ON l.orderkey = o.orderkey",
+        ).plan
+        joins, seen = self._run_monitored(plan, interval=500, batch_size=256)
+        assert len(joins) == 2 and len(seen) > 10
+        for join, bounds in zip(joins, zip(*seen)):
+            assert join.tuples_emitted == 6000
+            for lo, hi in bounds:
+                assert lo <= join.tuples_emitted <= hi
+        # ... and once both builds ended the published maxima did tighten it
+        # well below the cross product.
+        assert all(hi <= 6000 * 7 for _lo, hi in seen[-1])
+
+    def test_index_nl_join_bound_multiplies_the_probe_side(self):
+        """The index NL join builds on its *inner* (right) input, so the
+        bound is ``|outer| * maxmult(inner)``, not ``|inner| * maxmult``."""
+        schema = Schema.of("k:int")
+        outer = Table("outer", schema, [(1,)] * 200)
+        inner = Table("inner", schema, [(1,)])
+        join = IndexNestedLoopsJoin(SeqScan(outer), SeqScan(inner), "outer.k", "inner.k")
+        (join,), seen = self._run_monitored(join, interval=50, batch_size=16)
+        assert join.tuples_emitted == 200
+        assert all(lo <= 200 <= hi for ((lo, hi),) in seen)
+        assert seen[-1] == [(0.0, 200.0)]
+
+    @pytest.mark.parametrize("join_type", ["outer", "anti"])
+    def test_empty_build_of_a_probe_preserving_join_does_not_zero_hi(self, join_type):
+        """An outer or anti join emits every unmatched probe row, so an
+        empty build side publishes 1 row per probe tuple, not 0."""
+        schema = Schema.of("k:int")
+        build = Filter(
+            SeqScan(Table("b", schema, [(i,) for i in range(50)])),
+            Comparison("<", col("b.k"), lit(0)),
+        )
+        probe = SeqScan(Table("p", schema, [(i,) for i in range(200)]))
+        join = HashJoin(build, probe, "b.k", "p.k", join_type=join_type)
+        (join,), seen = self._run_monitored(join, interval=50, batch_size=16)
+        assert join.tuples_emitted == 200
+        assert all(lo <= 200 <= hi for ((lo, hi),) in seen)
+        assert seen[-1] == [(0.0, 200.0)]

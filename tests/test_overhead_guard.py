@@ -11,7 +11,16 @@ Timing tests are inherently jittery on shared CI runners, so each
 configuration takes the best of three runs and the ratio bound is loose —
 this catches accidental per-row blowups (an O(n) snapshot per tick, a hook
 on the wrong loop), not single-digit-percent regressions; those belong to
-``benchmarks/e2e`` (``overhead_ratio``).
+``benchmarks/e2e`` (``overhead_ratio``). ``MAX_OVERHEAD_RATIO`` is the
+worst of three local best-of-three readings at PR 23 with 1.5x headroom:
+the derived default read 1.57 / 1.59 / 1.60 (a snapshot every 256 rows —
+832 of them — is most of it) and batch-1024 read 1.20 / 1.20 / 1.23, so
+1.60 x 1.5 = 2.4; the parent commit read 2.13 - 2.18 and 1.34 - 1.37.
+
+What *cannot* flake is counted instead of timed (``TestPaidPerBatch``): on
+the benchmark's six Q-long statements the estimator hooks run once per
+input batch, not per ``LIMIT``-sized sliver, and a build histogram's
+maximum is computed once per join, not once per snapshot.
 """
 
 from __future__ import annotations
@@ -20,14 +29,17 @@ import time
 
 import pytest
 
+from repro.core.histogram import FrequencyHistogram
 from repro.core.progress import ProgressMonitor
 from repro.datagen.skew import customer_variant
 from repro.executor.engine import ExecutionEngine, TickBus
 from repro.executor.expressions import col, lit
-from repro.executor.operators import Filter, HashJoin, SeqScan
+from repro.executor.operators import Filter, HashJoin, Project, SeqScan
+from repro.executor.plan import walk
+from repro.sql import compile_select
 
 #: Monitored wall-clock may be at most this multiple of bare wall-clock.
-MAX_OVERHEAD_RATIO = 2.5
+MAX_OVERHEAD_RATIO = 2.4
 BEST_OF = 3
 TICK_INTERVAL = 256
 
@@ -94,3 +106,80 @@ def test_batch_monitoring_amortizes_ticks():
     _, default_snapshots = _monitored_seconds(None)
     _, batch_snapshots = _monitored_seconds(1024)
     assert 0 < batch_snapshots <= default_snapshots
+
+
+# -- counted, not timed ---------------------------------------------------------
+
+#: The six Q-long statements of ``benchmarks/e2e`` with its seed-dependent
+#: constants fixed (the benchmark package itself is not importable here).
+Q_LONG = {
+    "j3_agg_top": "SELECT n.name, COUNT(*) AS orders, SUM(o.totalprice) AS revenue "
+    "FROM orders o JOIN customer c ON o.custkey = c.custkey "
+    "JOIN nation n ON c.nationkey = n.nationkey "
+    "WHERE o.totalprice > 100000 GROUP BY n.name ORDER BY revenue DESC LIMIT 10",
+    "j2_filter": "SELECT l.orderkey, l.extendedprice, o.orderdate "
+    "FROM lineitem l JOIN orders o ON l.orderkey = o.orderkey "
+    "WHERE l.quantity > 45 AND o.totalprice > 250000",
+    "j3_agg": "SELECT c.mktsegment, COUNT(*) AS n, SUM(l.extendedprice) AS s "
+    "FROM lineitem l JOIN orders o ON l.orderkey = o.orderkey "
+    "JOIN customer c ON o.custkey = c.custkey GROUP BY c.mktsegment",
+    "distinct_fk": "SELECT DISTINCT l.partkey FROM lineitem l WHERE l.quantity > 10",
+    "groupby_fk": "SELECT l.suppkey, COUNT(*) AS n, SUM(l.quantity) AS q "
+    "FROM lineitem l GROUP BY l.suppkey",
+    "scan_filter": "SELECT l.orderkey, l.linenumber, l.extendedprice "
+    "FROM lineitem l WHERE l.discount < 0.02",
+}
+BATCH = 1024
+
+
+def _pass_input_rows(op, child_index: int) -> int:
+    """Rows read at the scan end of input pass ``(op, child_index)``: a
+    ``Filter`` in between hands up one (short) batch per chunk of *its*
+    input, so the pass sees as many batches as the filter read chunks."""
+    rows = op.rows_consumed[child_index]
+    child = op.children()[child_index]
+    while isinstance(child, (Filter, Project)):
+        if isinstance(child, Filter):
+            rows = max(rows, child.rows_consumed[0])
+        child = child.children()[0]
+    return rows
+
+
+class TestPaidPerBatch:
+    @pytest.mark.parametrize("name", list(Q_LONG))
+    def test_hooks_fire_per_batch_and_maxima_once_per_join(
+        self, name, small_catalog, monkeypatch
+    ):
+        plan = compile_select(small_catalog, Q_LONG[name]).plan
+        bus = TickBus(interval=500)
+        monitor = ProgressMonitor(plan, mode="once", bus=bus)
+
+        calls: dict[tuple[int, int], int] = {}
+        for op in walk(plan):
+            for i, hooks in enumerate(op.input_hooks):
+                for at, hook in enumerate(hooks):
+                    def counted(keys, rows, hook=hook, key=(id(op), i)):
+                        calls[key] = calls.get(key, 0) + 1
+                        hook(keys, rows)
+
+                    hooks[at] = counted
+
+        maxima: list[int] = []
+        scan_for_maximum = FrequencyHistogram.max_multiplicity
+        monkeypatch.setattr(
+            FrequencyHistogram,
+            "max_multiplicity",
+            lambda self: maxima.append(id(self)) or scan_for_maximum(self),
+        )
+
+        result = ExecutionEngine(plan, bus=bus).run(batch_size=BATCH)
+        monitor.snapshot()
+        assert result.row_count > 0 and len(monitor.snapshots) >= 2
+
+        ops = {id(op): op for op in walk(plan)}
+        allowed = sum(
+            -(-_pass_input_rows(ops[op_id], i) // BATCH) + 1 for op_id, i in calls
+        )
+        assert sum(calls.values()) <= allowed, (name, calls)
+        joins = [op for op in ops.values() if isinstance(op, HashJoin)]
+        assert len(maxima) == len(set(maxima)) == len(joins)

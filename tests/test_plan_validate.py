@@ -8,7 +8,9 @@ import pytest
 from repro.common.errors import PlanError
 from repro.executor.engine import ExecutionEngine
 from repro.executor.expressions import Comparison, col, lit
+import repro.core.join_estimators
 import repro.core.manager
+import repro.core.pipeline_estimators
 import repro.executor.operators
 from repro.executor.operators import (
     AggregateSpec,
@@ -175,3 +177,101 @@ class TestOneInstrumentedInputPass:
         assert stray == set()
         # ... and the manager keeps no table of hook-list names to walk.
         assert [n for n in vars(repro.core.manager) if n.endswith("_ATTRS")] == []
+
+
+class TestHooksAreColumnKernels:
+    """The chain and ONCE estimators pay per batch, not per tuple: no
+    function they register on ``input_hooks`` — nor any method of theirs it
+    hands the batch on to — loops over its ``rows`` / ``keys`` in Python.
+    ``_probe_rows`` (the push-down listener path needs the per-tuple stream)
+    is the one exemption, and folding per *distinct* key (``Counter(keys)``)
+    is not a per-row loop. The guard stops at the estimator modules: the
+    Case-2 derived build's ``FrequencyHistogram.add_weighted`` is still one
+    Python step per build row, out of its sight."""
+
+    BATCH_PARAMS = {"rows", "keys"}
+    EXEMPT = {"_probe_rows"}
+    FIXTURE = (
+        Path(__file__).parent / "fixtures" / "lint" / "repro" / "core" / "bad_row_loop_hook.py"
+    )
+
+    @staticmethod
+    def _registered(tree: ast.Module) -> set[str]:
+        """Names handed to ``<op>.input_hooks[i].append(...)``: a bound
+        method registers itself, a factory call its inner functions."""
+        names = set()
+        for call in ast.walk(tree):
+            if not (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "append"
+                and isinstance(call.func.value, ast.Subscript)
+                and isinstance(call.func.value.value, ast.Attribute)
+                and call.func.value.value.attr == "input_hooks"
+            ):
+                continue
+            (hook,) = call.args
+            if isinstance(hook, ast.Call):
+                hook = hook.func
+            assert isinstance(hook, ast.Attribute), ast.dump(hook)
+            names.add(hook.attr)
+        return names
+
+    @classmethod
+    def _iterates_batch(cls, loop_iter: ast.expr, params: set[str]) -> bool:
+        """Is ``loop_iter`` a batch parameter, a slice of one, or a
+        ``zip`` / ``enumerate`` / ``reversed`` over one?"""
+        if isinstance(loop_iter, ast.Subscript):
+            return cls._iterates_batch(loop_iter.value, params)
+        if isinstance(loop_iter, ast.Call) and isinstance(loop_iter.func, ast.Name):
+            return loop_iter.func.id in ("zip", "enumerate", "reversed", "iter") and any(
+                cls._iterates_batch(arg, params) for arg in loop_iter.args
+            )
+        return isinstance(loop_iter, ast.Name) and loop_iter.id in params
+
+    @classmethod
+    def _row_loops(cls, source: str) -> set[str]:
+        tree = ast.parse(source)
+        functions = {
+            n.name: n
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        pending = sorted(cls._registered(tree))
+        assert pending, "no input_hooks registration found"
+        reached: set[str] = set()
+        offenders: set[str] = set()
+        while pending:
+            name = pending.pop()
+            if name in reached or name in cls.EXEMPT or name not in functions:
+                continue
+            reached.add(name)
+            # A factory's closures (and lambdas) are walked with it.
+            for fn in ast.walk(functions[name]):
+                if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                    continue
+                params = {a.arg for a in fn.args.args} & cls.BATCH_PARAMS
+                for node in ast.walk(fn):
+                    iters = (
+                        [node.iter]
+                        if isinstance(node, ast.For)
+                        else [g.iter for g in getattr(node, "generators", [])]
+                    )
+                    if any(cls._iterates_batch(it, params) for it in iters):
+                        offenders.add(getattr(fn, "name", "<lambda>"))
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                        pending.append(node.func.attr)
+        return offenders
+
+    @pytest.mark.parametrize(
+        "module", [repro.core.pipeline_estimators, repro.core.join_estimators]
+    )
+    def test_no_registered_hook_loops_over_its_batch(self, module):
+        assert self._row_loops(Path(module.__file__).read_text(encoding="utf-8")) == set()
+
+    def test_the_guard_flags_the_fixture(self):
+        assert self._row_loops(self.FIXTURE.read_text(encoding="utf-8")) == {
+            "build_hook",
+            "_on_probe",
+            "_apply",
+        }
