@@ -54,9 +54,9 @@ def _measure():
         from benchmarks.harness import drive_until_exact
 
         drive_until_exact(join, est)
-        truth = float(est.sums[0])
+        truth = float(est.levels[0].sum_c)
         target = int(CUSTOMER_ROWS * SAMPLE_FRACTION)
-        once_at_sample = next(e for t, e in est.history[0] if t >= target)
+        once_at_sample = next(e for t, e in est.levels[0].history if t >= target)
 
         rows.append(
             {

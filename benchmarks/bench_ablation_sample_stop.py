@@ -41,7 +41,7 @@ def _run(fraction: float, stop: bool):
     elapsed = time.perf_counter() - started
     truth = None
     if est.exact:
-        truth = float(est.sums[0])
+        truth = float(est.levels[0].sum_c)
     join.close()
     return est, elapsed, truth
 
@@ -57,7 +57,7 @@ def _measure():
             {
                 "fraction": fraction,
                 "tuples_observed": frozen_est.t,
-                "frozen_ratio": frozen_est.current_estimate() / truth,
+                "frozen_ratio": frozen_est.levels[0].estimate() / truth,
                 "frozen_time": frozen_time,
                 "full_time": full_time,
             }

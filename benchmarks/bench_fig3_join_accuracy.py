@@ -30,9 +30,9 @@ def _measure(domain_size: int) -> list[tuple[float, list[float], float]]:
         )
         estimator = attach_chain(setup.plan, record_every=max(CUSTOMER_ROWS // 200, 1))
         drive_until_exact(setup.plan, estimator)
-        truth = float(estimator.sums[0])
+        truth = float(estimator.levels[0].sum_c)
         ratios = ratio_at_fractions(
-            estimator.history[0], CUSTOMER_ROWS, truth, FRACTIONS
+            estimator.levels[0].history, CUSTOMER_ROWS, truth, FRACTIONS
         )
         results.append((z, ratios, truth))
     return results

@@ -30,11 +30,11 @@ def _measure():
         drive_until_exact(setup.plan, estimator)
         per_level = []
         for level in (0, 1):
-            truth = float(estimator.sums[level])
+            truth = float(estimator.levels[level].sum_c)
             per_level.append(
                 (
                     ratio_at_fractions(
-                        estimator.history[level], CUSTOMER_ROWS, truth, FRACTIONS
+                        estimator.levels[level].history, CUSTOMER_ROWS, truth, FRACTIONS
                     ),
                     truth,
                 )

@@ -42,9 +42,9 @@ def _measure(case: int, lower_z: float, upper_zs: list[float]):
         )
         estimator = attach_chain(setup.plan, record_every=max(CUSTOMER_ROWS // 200, 1))
         drive_until_exact(setup.plan, estimator)
-        truth = float(estimator.sums[1])
+        truth = float(estimator.levels[1].sum_c)
         ratios = ratio_at_fractions(
-            estimator.history[1], CUSTOMER_ROWS, truth, FRACTIONS
+            estimator.levels[1].history, CUSTOMER_ROWS, truth, FRACTIONS
         )
         results.append((upper_z, ratios, truth))
     return results

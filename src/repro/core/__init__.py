@@ -6,6 +6,9 @@ Layout mirrors Section 4 of the paper:
   accounting of Table 2.
 * :mod:`repro.core.confidence` — the binomial/normal confidence machinery
   of Section 4.1.
+* :mod:`repro.core.accumulator` — the ONCE recurrence ``|S| × mean_t(c)``
+  itself, written once; every join estimator below owns one per join and
+  adds only its contribution ``c``.
 * :mod:`repro.core.join_estimators` — ONCE estimators for binary hash,
   sort-merge, and index nested-loops joins (Sections 4.1.1-4.1.3).
 * :mod:`repro.core.pipeline_estimators` — Algorithm 1: push-down estimation
@@ -24,6 +27,7 @@ Layout mirrors Section 4 of the paper:
   estimator to every operator, per the paper's rules.
 """
 
+from repro.core.accumulator import OnceAccumulator
 from repro.core.byte_estimator import ByteModelEstimator
 from repro.core.confidence import binomial_beta, proportion_interval
 from repro.core.distinct import (
@@ -52,6 +56,7 @@ __all__ = [
     "HashJoinChainEstimator",
     "HybridGroupCountEstimator",
     "MLEEstimator",
+    "OnceAccumulator",
     "OnceJoinEstimator",
     "OnceThetaJoinEstimator",
     "ProgressMonitor",

@@ -1,0 +1,199 @@
+"""The paper's one online join estimator, written once (Section 4.1).
+
+As a stream S goes by *in its original random order*, every join estimator
+of the framework maintains the same recurrence
+
+    D_{t+1} = (D_t · t + c_{t+1} · |S|) / (t + 1)        i.e.  D_t = |S| × mean_t(c)
+
+where ``c`` is the number of output rows the t-th tuple of S generates.
+Inner, semi, anti and outer equi-joins, inequality predicates and every
+level of Algorithm 1's pushed-down chains differ *only* in how ``c`` is
+looked up (docs/THEORY.md §2.2); the estimate is unbiased at every t, its
+confidence interval shrinks as 1/sqrt(t), and when the pass completes
+(t = |S|) it equals the exact join cardinality — *before* any actual
+joining has happened.
+
+:class:`OnceAccumulator` is that recurrence. It stores the sufficient
+statistics ``(t, Σc, Σc²)`` — integers, so folding a batch at once, or the
+exported statistics of several partitions, is bit-identical to per-tuple
+refinement. An estimator owns one per join it answers for and keeps only
+its contribution kernel and hook wiring; the partitioned coordinator's
+merged state is the same object fed by :meth:`OnceAccumulator.fold`.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterator, NamedTuple, Sequence
+
+from repro.core.confidence import mean_interval
+
+__all__ = [
+    "EstimatorExport",
+    "OnceAccumulator",
+    "OnceStats",
+    "TotalProvider",
+    "cut_batch",
+    "total_provider",
+]
+
+TotalProvider = Callable[[], float]
+
+
+def total_provider(total: float | TotalProvider | None) -> TotalProvider:
+    """Normalise a stream total: a number, a provider re-evaluated at each
+    estimate (e.g. a selection whose selectivity is still being observed),
+    or None — no external knowledge, so the tuples seen are all that can be
+    assumed (every consumer floors the total at its own ``t``)."""
+    if total is None:
+        return lambda: 0.0
+    if callable(total):
+        return total
+    value = float(total)
+    return lambda: value
+
+
+def cut_batch(n: int, step: Callable[[], int]) -> Iterator[tuple[int, int]]:
+    """Cut ``[0, n)`` into consecutive ``(start, end)`` pieces of at most
+    ``step()`` items. ``step`` is re-evaluated before every piece — the
+    distance to the next boundary depends on state the previous piece
+    advanced (and, for the MLE schedule, on an interval that adapts)."""
+    start = 0
+    while start < n:
+        end = min(n, start + step())
+        yield start, end
+        start = end
+
+
+class OnceStats(NamedTuple):
+    """One accumulator's mergeable state: ``total`` is the provider's raw
+    reading, un-floored, so that partitions' totals sum before the floor."""
+
+    t: int
+    sum_c: int
+    sum_c_sq: int
+    total: float
+    exact: bool
+
+
+class EstimatorExport(NamedTuple):
+    """An attached estimator's mergeable state, as plain builtins.
+
+    ``kind`` is ``"chain"`` (ONCE over one or more joins; a binary join is
+    a chain of one) or ``"group"``. ``levels`` holds one :class:`OnceStats`
+    per join, bottom-up, and is empty for a group estimator; ``hists`` the
+    ``{value: count}`` histograms it built (one build histogram per level /
+    the group-value histogram). ``total`` and ``exact`` describe the input
+    stream itself: its raw total and whether all of it has been seen.
+    """
+
+    kind: str
+    levels: tuple[OnceStats, ...]
+    hists: tuple[dict, ...]
+    total: float
+    exact: bool
+
+
+class OnceAccumulator:
+    """``|S| × mean_t(c)`` over one stream: ``total`` is ``|S|`` (see
+    :func:`total_provider`); ``record_every > 0`` appends ``(t, estimate)``
+    to :attr:`history` every that many stream tuples (used by the accuracy
+    benchmarks)."""
+
+    __slots__ = ("t", "sum_c", "sum_c_sq", "exact", "record_every", "history", "_total")
+
+    def __init__(
+        self, total: float | TotalProvider | None = None, record_every: int = 0
+    ):
+        self.t: int = 0
+        self.sum_c: int = 0
+        self.sum_c_sq: int = 0
+        self.exact: bool = False
+        self.record_every = record_every
+        self.history: list[tuple[int, float]] = []
+        self._total = total_provider(total)
+
+    def add(self, n: int, sum_c: int, sum_c_sq: int) -> None:
+        """Fold ``n >= 1`` stream tuples whose contributions sum to
+        ``sum_c`` and whose squares sum to ``sum_c_sq``; checkpoints when
+        that lands on a ``record_every`` boundary."""
+        self.t += n
+        self.sum_c += sum_c
+        self.sum_c_sq += sum_c_sq
+        if self.record_every and self.t % self.record_every == 0:
+            self.history.append((self.t, self.estimate()))
+
+    def split(self, *columns: Sequence) -> Iterator[tuple[Sequence, ...]]:
+        """A batch (parallel columns) cut at every ``record_every``
+        boundary it jumps over, so that one :meth:`add` per piece puts the
+        checkpoints on the per-tuple ``t`` values, computed from exactly
+        the per-tuple prefix state. An uncut batch is handed through, not
+        copied; an empty one yields nothing."""
+        n = len(columns[0])
+        rec = self.record_every
+        if not rec or n <= rec - self.t % rec:
+            if n:
+                yield columns
+            return
+        for start, end in cut_batch(n, lambda: rec - self.t % rec):
+            yield tuple(column[start:end] for column in columns)
+
+    def finalize(self) -> None:
+        """The whole stream has been seen: ``Σc`` is the exact answer."""
+        self.exact = True
+        if self.record_every:
+            self.history.append((self.t, float(self.sum_c)))
+
+    @property
+    def started(self) -> bool:
+        """Has the stream begun? Until then the estimate is vacuous."""
+        return self.exact or self.t > 0
+
+    @property
+    def stream_total(self) -> float:
+        """``|S|``, never below the tuples already seen: a total that
+        under-counts (an optimizer guess for an aggregate's output, say)
+        must not scale the estimate below the ``Σc`` rows already certain."""
+        return max(float(self._total()), float(self.t))
+
+    def estimate(self) -> float:
+        """Current D_t (exact once the pass has completed)."""
+        if self.exact:
+            return float(self.sum_c)
+        if self.t == 0:
+            return 0.0
+        return self.sum_c / self.t * self.stream_total
+
+    def confidence_interval(self, alpha: float = 0.99) -> tuple[float, float]:
+        """Empirical-variance interval for the estimated cardinality."""
+        if self.exact:
+            return (float(self.sum_c),) * 2
+        total = self.stream_total
+        return mean_interval(
+            self.t, self.sum_c, self.sum_c_sq, total, alpha, population=total
+        )
+
+    # -- merge algebra ------------------------------------------------------------
+
+    def export(self) -> OnceStats:
+        return OnceStats(
+            self.t, self.sum_c, self.sum_c_sq, float(self._total()), self.exact
+        )
+
+    @classmethod
+    def fold_target(cls) -> "OnceAccumulator":
+        """An empty accumulator to :meth:`fold` partitions into. Exactness
+        is AND-folded, so it starts vacuously true."""
+        merged = cls(total=0.0)
+        merged.exact = True
+        return merged
+
+    def fold(self, stats: OnceStats) -> None:
+        """Merge in the statistics of a disjoint part of the stream: sums
+        and totals add (each tuple was seen by exactly one part), and the
+        result is exact only if every part is. ``Σ Σc / Σ t × Σ|S|`` is the
+        proper combined ratio estimator, not a sum of per-part estimates."""
+        self.t += stats.t
+        self.sum_c += stats.sum_c
+        self.sum_c_sq += stats.sum_c_sq
+        self._total = total_provider(self._total() + stats.total)
+        self.exact = self.exact and stats.exact

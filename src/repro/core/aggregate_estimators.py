@@ -22,44 +22,14 @@ Two attachment modes (Section 4.2):
 from __future__ import annotations
 
 from repro.common.errors import EstimationError
-from repro.core.distinct import HybridGroupCountEstimator, TotalProvider
+from repro.core.accumulator import TotalProvider
+from repro.core.distinct import HybridGroupCountEstimator
 from repro.core.join_estimators import resolve_stream_total
 from repro.core.pipeline_estimators import HashJoinChainEstimator
 from repro.executor.operators.aggregate import _AggregateBase
 from repro.executor.operators.distinct import Distinct
 
-__all__ = [
-    "GroupCountEstimate",
-    "attach_group_estimator",
-    "attach_pushed_down_group_estimator",
-]
-
-
-class GroupCountEstimate:
-    """Handle over an attached hybrid group-count estimator."""
-
-    def __init__(self, hybrid: HybridGroupCountEstimator, pushed_down: bool):
-        self.hybrid = hybrid
-        self.pushed_down = pushed_down
-
-    def current_estimate(self) -> float:
-        return self.hybrid.estimate()
-
-    @property
-    def exact(self) -> bool:
-        return self.hybrid.exact
-
-    @property
-    def chosen(self) -> str:
-        return self.hybrid.chosen
-
-    @property
-    def gamma_squared(self) -> float:
-        return self.hybrid.state.gamma_squared
-
-    @property
-    def history(self) -> list[tuple[int, float]]:
-        return self.hybrid.history
+__all__ = ["attach_group_estimator", "attach_pushed_down_group_estimator"]
 
 
 def attach_group_estimator(
@@ -67,7 +37,7 @@ def attach_group_estimator(
     input_total: float | TotalProvider | None = None,
     record_every: int = 0,
     **hybrid_kwargs,
-) -> GroupCountEstimate:
+) -> HybridGroupCountEstimator:
     """Attach a hybrid GEE/MLE estimator to an aggregate's or a DISTINCT's
     input pass.
 
@@ -84,7 +54,7 @@ def attach_group_estimator(
     )
     aggregate.input_hooks[0].append(hybrid.observe_hook)
     aggregate.input_end_hooks[0].append(hybrid.finalize)
-    return GroupCountEstimate(hybrid, pushed_down=False)
+    return hybrid
 
 
 def attach_pushed_down_group_estimator(
@@ -92,7 +62,7 @@ def attach_pushed_down_group_estimator(
     chain: HashJoinChainEstimator,
     record_every: int = 0,
     **hybrid_kwargs,
-) -> GroupCountEstimate:
+) -> HybridGroupCountEstimator:
     """Push the aggregate's group-count estimation into a feeding join chain.
 
     Requires a single group-by column that belongs to the chain's base
@@ -106,7 +76,7 @@ def attach_pushed_down_group_estimator(
         )
     group_column = aggregate.group_by[0]
     hybrid = HybridGroupCountEstimator(
-        total=lambda: max(chain.current_estimate(), 1.0),
+        total=lambda: max(chain.levels[-1].estimate(), 1.0),
         record_every=record_every,
         **hybrid_kwargs,
     )
@@ -121,4 +91,4 @@ def attach_pushed_down_group_estimator(
             hybrid.finalize()
 
     chain.chain[0].input_end_hooks[1].append(on_probe_end)
-    return GroupCountEstimate(hybrid, pushed_down=True)
+    return hybrid

@@ -10,8 +10,8 @@ Two kinds of interval are provided:
   "an expression on how the confidence of our estimate improves ... as we
   observe more elements of the tuple stream."
 
-* :class:`MeanEstimateInterval` — an empirical-variance interval for the
-  ONCE join estimate itself. The estimate after t probe tuples is
+* :func:`mean_interval` — an empirical-variance interval for the ONCE join
+  estimate itself. The estimate after t probe tuples is
   ``|S| × mean(X_1..X_t)`` with ``X_j = N^R[key_j]`` i.i.d. bounded
   variables, so a standard normal interval on the mean (with finite
   population correction, since sampling is effectively without replacement
@@ -22,11 +22,10 @@ Two kinds of interval are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.common.stats import normal_quantile
 
-__all__ = ["MeanEstimateInterval", "binomial_beta", "proportion_interval"]
+__all__ = ["binomial_beta", "mean_interval", "proportion_interval"]
 
 
 def binomial_beta(t: int, alpha: float = 0.99) -> float:
@@ -50,63 +49,33 @@ def proportion_interval(
     return (max(p_hat - half, 0.0), min(p_hat + half, 1.0))
 
 
-@dataclass(slots=True)
-class MeanEstimateInterval:
-    """Online normal interval for ``scale × mean(X_1..X_t)``.
+def mean_interval(
+    count: int,
+    sum_x: float,
+    sum_x_sq: float,
+    scale: float,
+    alpha: float = 0.99,
+    population: float | None = None,
+) -> tuple[float, float]:
+    """α-confidence normal interval for ``scale × true mean`` of a stream
+    whose first ``count`` observations have sums ``Σx`` and ``Σx²``.
 
-    Maintains Σx and Σx² incrementally; ``interval`` applies the finite
-    population correction ``(N - t)/(N - 1)`` when the population size
-    ``N`` (the probe stream length) is known.
+    A pure function of the sufficient statistics: for the integer-valued
+    contribution streams the join estimators feed (every x is a key
+    multiplicity) the sums are exact below 2^53 however they were grouped,
+    so the endpoints are *bit-identical* between per-tuple, per-batch and
+    merged-partition accumulation, not just equal to tolerance. The finite
+    population correction ``(N - t)/(N - 1)`` applies when the population
+    size ``N`` (the probe stream length) is known.
     """
-
-    count: int = 0
-    sum_x: float = 0.0
-    sum_x_sq: float = 0.0
-
-    def observe(self, x: float) -> None:
-        self.count += 1
-        self.sum_x += x
-        self.sum_x_sq += x * x
-
-    def merge_sums(self, count: int, sum_x: float, sum_x_sq: float) -> None:
-        """Fold in the sufficient statistics (k, Σx, Σx²) of a batch.
-
-        For the integer-valued contribution streams the join estimators
-        feed (every x is a key multiplicity), this is *bit-identical* to k
-        :meth:`observe` calls regardless of order: every partial sum is an
-        integer below 2^53, so each float addition is exact and grouping
-        terms cannot change the result. The resulting interval endpoints
-        therefore match the per-tuple path exactly, not just to tolerance.
-        """
-        self.count += count
-        self.sum_x += sum_x
-        self.sum_x_sq += sum_x_sq
-
-    @property
-    def mean(self) -> float:
-        return self.sum_x / self.count if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        mean = self.mean
-        var = self.sum_x_sq / self.count - mean * mean
-        return max(var, 0.0)
-
-    def interval(
-        self,
-        scale: float,
-        alpha: float = 0.99,
-        population: float | None = None,
-    ) -> tuple[float, float]:
-        """α-confidence interval for ``scale × true mean``."""
-        center = scale * self.mean
-        if self.count < 2:
-            return (0.0, float("inf")) if self.count == 0 else (center, center)
-        se_sq = self.variance / self.count
-        if population is not None and population > 1:
-            fpc = max((population - self.count) / (population - 1), 0.0)
-            se_sq *= fpc
-        half = normal_quantile(alpha) * scale * math.sqrt(se_sq)
-        return (max(center - half, 0.0), center + half)
+    if count == 0:
+        return (0.0, float("inf"))
+    mean = sum_x / count
+    center = scale * mean
+    if count < 2:
+        return (center, center)
+    se_sq = max(sum_x_sq / count - mean * mean, 0.0) / count
+    if population is not None and population > 1:
+        se_sq *= max((population - count) / (population - 1), 0.0)
+    half = normal_quantile(alpha) * scale * math.sqrt(se_sq)
+    return (max(center - half, 0.0), center + half)

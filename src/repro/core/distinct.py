@@ -43,9 +43,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.common.stats import IncrementalFrequencyStats
+from repro.core.accumulator import (
+    EstimatorExport,
+    TotalProvider,
+    cut_batch,
+    total_provider,
+)
 from repro.core.histogram import FrequencyHistogram
 
 __all__ = [
@@ -55,8 +61,6 @@ __all__ = [
     "MLEEstimator",
     "RecomputeScheduler",
 ]
-
-TotalProvider = Callable[[], float]
 
 DEFAULT_TAU = 10.0
 
@@ -279,11 +283,7 @@ class HybridGroupCountEstimator:
         self.gee = GEEEstimator(self.state)
         self.mle = MLEEstimator(self.state)
         self.tau = tau
-        if callable(total):
-            self._total: TotalProvider = total
-        else:
-            value = float(total)
-            self._total = lambda: value
+        self._total = total_provider(total)
         total_now = max(self._total(), 1.0)
         lower = max(int(total_now * lower_fraction), 1)
         upper = max(int(total_now * upper_fraction), lower)
@@ -299,9 +299,12 @@ class HybridGroupCountEstimator:
 
     def observe(self, value: object, weight: int = 1) -> None:
         """Feed one (possibly weighted) tuple of the grouping column."""
-        state = self.state
-        state.observe(value, weight)
-        t = state.histogram.total
+        self.state.observe(value, weight)
+        self._boundary_actions(self.state.histogram.total)
+
+    def _boundary_actions(self, t: int) -> None:
+        """The boundary actions due at tuple count ``t``: the scheduled MLE
+        recompute (which adapts the schedule) and the history checkpoint."""
         if t % self.scheduler.interval == 0:
             old = self._cached_mle
             self._cached_mle = self.mle.estimate(self.total)
@@ -323,27 +326,18 @@ class HybridGroupCountEstimator:
         :meth:`observe` call per value.
         """
         n = len(values)
-        if not n:
-            return
         state = self.state
         scheduler = self.scheduler
         rec = self.record_every
-        start = 0
-        while start < n:
+
+        def to_next_boundary() -> int:
             t = state.histogram.total
             step = scheduler.interval - t % scheduler.interval
-            if rec:
-                step = min(step, rec - t % rec)
-            end = min(n, start + step)
-            state.observe_batch(values if not start and end == n else values[start:end])
-            t = state.histogram.total
-            if t % scheduler.interval == 0:
-                old = self._cached_mle
-                self._cached_mle = self.mle.estimate(self.total)
-                scheduler.after_recompute(old, self._cached_mle)
-            if rec and t % rec == 0:
-                self.history.append((t, self.estimate()))
-            start = end
+            return min(step, rec - t % rec) if rec else step
+
+        for start, end in cut_batch(n, to_next_boundary):
+            state.observe_batch(values if end - start == n else values[start:end])
+            self._boundary_actions(state.histogram.total)
 
     def observe_hook(self, keys: Sequence[object], _rows: Sequence[tuple]) -> None:
         """``(keys, rows)`` adapter for operator input hooks."""
@@ -354,6 +348,11 @@ class HybridGroupCountEstimator:
         self.exact = True
         if self.record_every:
             self.history.append((self.state.t, float(self.state.distinct_seen)))
+
+    @property
+    def started(self) -> bool:
+        """Has the input begun? Until then the estimate is vacuous."""
+        return self.exact or self.state.t > 0
 
     @property
     def chosen(self) -> str:
@@ -373,3 +372,10 @@ class HybridGroupCountEstimator:
                 self._cached_mle = self.mle.estimate(self.total)
             return max(self._cached_mle, float(self.state.distinct_seen))
         return max(self.gee.estimate(self.total), float(self.state.distinct_seen))
+
+    def export(self) -> EstimatorExport:
+        """The group-value histogram: counts sum across partitions (every
+        input tuple is observed in exactly one), nothing else is needed to
+        rerun the chooser over the merged state."""
+        counts = dict(self.state.histogram.counts)
+        return EstimatorExport("group", (), (counts,), self.total, self.exact)

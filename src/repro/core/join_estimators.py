@@ -1,30 +1,30 @@
 """ONCE: online cardinality estimation for binary joins (Sections 4.1.1-4.1.3).
 
-The estimator in one paragraph: during the preprocessing pass over one input
-R (hash-join build pass, first sort of a sort-merge join, index build of an
-index NL join) maintain an exact frequency histogram ``N^R``. Then, as the
-other input S streams by *in its original random order* (hash-join probe
-partitioning pass, second sort, outer scan), update
+During the preprocessing pass over one input R (hash-join build pass, first
+sort of a sort-merge join, index build of an index NL join) maintain an
+exact frequency histogram ``N^R``. Then, as the other input S streams by
+*in its original random order* (hash-join probe partitioning pass, second
+sort, outer scan), each tuple contributes ``c = N^R[key]`` output rows to
+the running estimate ``|S| × mean_t(c)`` — one histogram lookup and two adds
+per probe tuple, no second histogram, no bucket-by-bucket multiply.
 
-    D_{t+1} = (D_t · t + N^R[key_{t+1}] · |S|) / (t + 1)
-
-i.e. ``D_t = |S| × mean_t(N^R[key])`` — one histogram lookup and two adds
-per probe tuple, no second histogram, no bucket-by-bucket multiply. The
-estimate is unbiased at every t, its confidence interval shrinks as
-1/sqrt(t), and when the pass completes (t = |S|) it equals the exact join
-cardinality — *before* any actual joining has happened.
-
-:class:`OnceJoinEstimator` implements the arithmetic;
+:class:`~repro.core.accumulator.OnceAccumulator` is that running estimate;
+:class:`OnceJoinEstimator` supplies the equi-join contribution ``c`` and
 :func:`attach_once_estimator` wires it onto a concrete operator's hooks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.common.errors import EstimationError
-from repro.core.confidence import MeanEstimateInterval, binomial_beta
+from repro.core.accumulator import (
+    EstimatorExport,
+    OnceAccumulator,
+    TotalProvider,
+)
+from repro.core.confidence import binomial_beta
 from repro.core.histogram import FrequencyHistogram
 from repro.executor.operators.base import Operator
 from repro.executor.operators.filter import Filter
@@ -42,8 +42,6 @@ __all__ = [
     "attach_once_estimator",
     "resolve_stream_total",
 ]
-
-TotalProvider = Callable[[], float]
 
 
 def resolve_stream_total(op: Operator) -> TotalProvider:
@@ -81,7 +79,9 @@ def resolve_stream_total(op: Operator) -> TotalProvider:
 
 
 class OnceJoinEstimator:
-    """Incremental join-size estimator over one build histogram.
+    """Join-size estimator over one build histogram: the contribution
+    kernel of a binary equi-join around one :class:`OnceAccumulator`
+    (:attr:`acc` — ``t``, ``Σc``, ``history`` and the estimates live there).
 
     Parameters
     ----------
@@ -90,7 +90,7 @@ class OnceJoinEstimator:
         re-evaluated at each estimate (e.g. a selection whose selectivity
         is still being observed).
     record_every:
-        If > 0, append ``(t, estimate)`` to :attr:`history` every that many
+        If > 0, append ``(t, estimate)`` to ``acc.history`` every that many
         probe tuples (used by the accuracy benchmarks).
     join_type:
         Join semantics; changes only the per-probe-tuple contribution
@@ -107,18 +107,7 @@ class OnceJoinEstimator:
         :class:`repro.core.histogram.BucketizedHistogram`).
     """
 
-    __slots__ = (
-        "join_type",
-        "histogram",
-        "sum_counts",
-        "t",
-        "exact",
-        "record_every",
-        "history",
-        "_interval",
-        "_probe_total",
-        "max_build_multiplicity",
-    )
+    __slots__ = ("join_type", "histogram", "acc", "max_build_multiplicity")
 
     def __init__(
         self,
@@ -131,22 +120,10 @@ class OnceJoinEstimator:
             raise EstimationError(f"unsupported join type {join_type!r}")
         self.join_type = join_type
         self.histogram = histogram if histogram is not None else FrequencyHistogram()
-        self.sum_counts: int = 0
-        self.t: int = 0
-        self.exact: bool = False
-        self.record_every = record_every
-        self.history: list[tuple[int, float]] = []
-        self._interval = MeanEstimateInterval()
+        self.acc = OnceAccumulator(probe_total, record_every)
         # Most rows one probe tuple can emit, for bound refinement; None
         # until the build pass has ended.
         self.max_build_multiplicity: float | None = None
-        if probe_total is None:
-            self._probe_total: TotalProvider | None = None
-        elif callable(probe_total):
-            self._probe_total = probe_total
-        else:
-            total = float(probe_total)
-            self._probe_total = lambda: total
 
     # -- stream callbacks ---------------------------------------------------------
 
@@ -158,11 +135,7 @@ class OnceJoinEstimator:
     def on_probe(self, key: object, row: tuple | None = None) -> None:
         """One probe-side tuple: refine the estimate."""
         c = self._contribution(key)
-        self.t += 1
-        self.sum_counts += c
-        self._interval.observe(c)
-        if self.record_every and self.t % self.record_every == 0:
-            self.history.append((self.t, self.current_estimate()))
+        self.acc.add(1, c, c * c)
 
     # -- batch forms: the ``(keys, rows)`` hooks operators call -------------------
 
@@ -171,46 +144,24 @@ class OnceJoinEstimator:
         self.histogram.add_batch(keys)
 
     def on_probe_batch(self, keys: Sequence[object], rows: Sequence | None = None) -> None:
-        """A probe-side batch: refine the estimate in one aggregated step.
+        """A probe-side batch: refine the estimate in one aggregated step
+        per checkpoint piece.
 
-        The running-mean refinement only needs Σc and t, so the batch is
-        aggregated with one Counter and applied as ``sum_counts += Σc_i,
-        t += k`` — one histogram lookup per *distinct* key. All sums are
-        integer arithmetic, so the resulting (t, sum_counts, interval)
-        state is bit-identical to k :meth:`on_probe` calls. When
-        ``record_every`` is set, the batch is split at every checkpoint
-        boundary it jumps over (mirroring ``tick_n``'s boundary semantics)
-        so history entries land on exactly the same t values, computed from
-        exactly the per-tuple prefix state.
+        The running-mean refinement only needs Σc, Σc² and t, so a piece is
+        aggregated with one Counter — one histogram lookup per *distinct*
+        key — and folded with one ``add``. All sums are integer arithmetic,
+        so the resulting state is bit-identical to k :meth:`on_probe` calls.
         """
-        n = len(keys)
-        if not n:
-            return
-        rec = self.record_every
-        if not rec:
-            self._apply_probe_batch(keys)
-            return
-        start = 0
-        while start < n:
-            end = min(n, start + rec - self.t % rec)
-            segment = keys if not start and end == n else keys[start:end]
-            self._apply_probe_batch(segment)
-            if self.t % rec == 0:
-                self.history.append((self.t, self.current_estimate()))
-            start = end
-
-    def _apply_probe_batch(self, keys: Sequence[object]) -> None:
         contribution = self._contribution
-        batch_sum = 0
-        batch_sq = 0
-        for key, count in Counter(keys).items():
-            c = contribution(key)
-            if c:
-                batch_sum += c * count
-                batch_sq += c * c * count
-        self.t += len(keys)
-        self.sum_counts += batch_sum
-        self._interval.merge_sums(len(keys), batch_sum, batch_sq)
+        for (piece,) in self.acc.split(keys):
+            batch_sum = 0
+            batch_sq = 0
+            for key, count in Counter(piece).items():
+                c = contribution(key)
+                if c:
+                    batch_sum += c * count
+                    batch_sq += c * c * count
+            self.acc.add(len(piece), batch_sum, batch_sq)
 
     def _contribution(self, key: object) -> int:
         """Output rows this probe tuple generates, under the join type."""
@@ -234,44 +185,32 @@ class OnceJoinEstimator:
 
     def finalize_probe(self) -> None:
         """The probe pass completed: the estimate is now exact."""
-        self.exact = True
-        if self.record_every:
-            self.history.append((self.t, float(self.sum_counts)))
+        self.acc.finalize()
 
     # -- estimates ---------------------------------------------------------------
 
     @property
-    def probe_total(self) -> float:
-        if self._probe_total is not None:
-            return float(self._probe_total())
-        # No external knowledge: the tuples seen are all we can assume.
-        return float(max(self.t, 1))
+    def exact(self) -> bool:
+        return self.acc.exact
 
     def current_estimate(self) -> float:
         """Current D_t (exact once the probe pass has completed)."""
-        if self.exact:
-            return float(self.sum_counts)
-        if self.t == 0:
-            return 0.0
-        return self.sum_counts / self.t * self.probe_total
+        return self.acc.estimate()
 
     def confidence_interval(self, alpha: float = 0.99) -> tuple[float, float]:
         """Empirical-variance interval for the join size."""
-        if self.exact:
-            exact = float(self.sum_counts)
-            return (exact, exact)
-        total = self.probe_total
-        if self.t == 0:
-            return (0.0, float("inf"))
-        return self._interval.interval(total, alpha, population=total)
+        return self.acc.confidence_interval(alpha)
 
     def worst_case_beta(self, alpha: float = 0.99) -> float:
         """The paper's distribution-free per-value half-width β."""
-        return binomial_beta(self.t, alpha)
+        return binomial_beta(self.acc.t, alpha)
 
-    @property
-    def build_distinct(self) -> int:
-        return self.histogram.num_distinct
+    def export(self) -> EstimatorExport:
+        """A chain of one: the single level and its build histogram."""
+        stats = self.acc.export()
+        return EstimatorExport(
+            "chain", (stats,), (dict(self.histogram.counts),), stats.total, stats.exact
+        )
 
 
 #: The ONCE-capable joins as ``(build-pass child, probe-pass child)``: the

@@ -15,17 +15,20 @@ per-operator rules (Section 4.4):
 * aggregations — hybrid GEE/MLE estimator; pushed down into the feeding
   hash-join chain when the group column comes from the chain's base stream.
 
-``estimate_for(op)`` then answers with the best current refined estimate
-(or None when the operator has no attached estimator), and ``is_exact(op)``
-says whether that estimate has converged to the true cardinality.
+Every attachment lands in one registry, ``operator id ->``
+:class:`EstimatorEntry`: what answers for the operator, and which estimator
+objects feed that answer. ``estimate_for(op)`` then answers with the best
+current refined estimate (or None when the operator has no entry), and
+``is_exact(op)`` says whether that estimate has converged to the true
+cardinality.
 
 Graceful degradation
 --------------------
 :meth:`EstimationManager.harden` wraps every attached estimator hook in a
 guard. A hook that raises no longer unwinds the executor pull (which would
 fail the whole query for the sake of a *progress estimate*): the guard
-demotes the owning estimator — detaching it from the manager's registries,
-so ``estimate_for`` returns None and the progress layer falls back to the
+demotes the owning estimator — removing every registry entry it feeds, so
+``estimate_for`` returns None and the progress layer falls back to the
 driver-node estimator — records the reason, and execution continues. The
 demotion is exactly the paper's degradation ladder (chain → binary ONCE →
 dne) taken to its last rung at runtime instead of attach time.
@@ -33,15 +36,18 @@ dne) taken to its last rung at runtime instead of attach time.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.common.errors import EstimationError
+from repro.core.accumulator import OnceAccumulator
 from repro.core.aggregate_estimators import (
-    GroupCountEstimate,
     attach_group_estimator,
     attach_pushed_down_group_estimator,
 )
-from repro.core.join_estimators import OnceJoinEstimator, attach_once_estimator
+from repro.core.distinct import HybridGroupCountEstimator
+from repro.core.join_estimators import attach_once_estimator
 from repro.core.pipeline_estimators import (
     HashJoinChainEstimator,
     find_hash_join_chains,
@@ -56,7 +62,43 @@ from repro.executor.operators.scan import SampleScan
 from repro.executor.plan import walk
 from repro.faults.plan import SITE_ESTIMATOR_HOOK, FaultPlan
 
-__all__ = ["EstimationManager"]
+__all__ = ["EstimationManager", "EstimatorEntry"]
+
+
+@dataclass(frozen=True, slots=True)
+class EstimatorEntry:
+    """What answers for one operator, and what that answer is fed by.
+
+    ``source`` — a join's :class:`OnceAccumulator` or an aggregate's
+    :class:`HybridGroupCountEstimator` — answers ``estimate()``, ``started``
+    (until it has begun observing its stream, e.g. while a hash join is
+    still building, the estimate is vacuous) and ``exact``. ``fed_by`` names
+    the estimator objects whose hooks feed it, owner first: the chain for
+    each of its joins, the hybrid *and* the chain for a pushed-down
+    aggregate. An entry is only as sound as every estimator it lists, which
+    is what demotion goes by. ``multiplicity`` reads a join's build-side
+    maximum key multiplicity: None until its build pass has ended.
+    """
+
+    op: Operator
+    source: OnceAccumulator | HybridGroupCountEstimator
+    fed_by: tuple[object, ...]
+    multiplicity: Callable[[], float | None] | None = None
+
+    def estimate(self) -> float:
+        return self.source.estimate()
+
+    @property
+    def started(self) -> bool:
+        return self.source.started
+
+    @property
+    def exact(self) -> bool:
+        return self.source.exact
+
+    @property
+    def max_build_multiplicity(self) -> float | None:
+        return self.multiplicity() if self.multiplicity is not None else None
 
 
 class EstimationManager:
@@ -71,10 +113,7 @@ class EstimationManager:
         self.root = root
         self.record_every = record_every
         self.stop_after_sample = stop_after_sample
-        self.chain_estimators: list[HashJoinChainEstimator] = []
-        self.join_estimators: dict[int, OnceJoinEstimator] = {}
-        self.chain_of_join: dict[int, HashJoinChainEstimator] = {}
-        self.group_estimators: dict[int, GroupCountEstimate] = {}
+        self.registry: dict[int, EstimatorEntry] = {}
         self.fallbacks: list[tuple[Operator, str]] = []
         # Runtime demotions performed by the hardening guards: (op, reason)
         # pairs, in firing order. Non-empty <=> progress is "degraded".
@@ -83,31 +122,45 @@ class EstimationManager:
         self._demote_enabled = True
         self._faults: FaultPlan | None = None
         self._demoted_keys: set[int] = set()
-        self._attach_joins()
-        self._attach_aggregates()
+        self._attach_aggregates(self._attach_joins())
 
     # -- attachment ---------------------------------------------------------------
 
-    def _attach_joins(self) -> None:
+    def _attach_joins(self) -> dict[int, HashJoinChainEstimator]:
+        """Returns the chain estimators by their topmost join's id — the
+        candidates for aggregation push-down."""
+        chain_tops: dict[int, HashJoinChainEstimator] = {}
         for chain in find_hash_join_chains(self.root):
             try:
                 estimator = self._make_chain_estimator(chain)
             except EstimationError as exc:
                 self.fallbacks.append((chain[-1], f"chain: {exc}"))
-                self._attach_chain_joins_individually(chain)
+                for join in chain:
+                    self._attach_once(join)
                 continue
-            self.chain_estimators.append(estimator)
-            for join in chain:
-                self.chain_of_join[id(join)] = estimator
+            chain_tops[id(chain[-1])] = estimator
+            for join, level in zip(chain, estimator.levels):
+                self.registry[id(join)] = EstimatorEntry(
+                    join,
+                    level,
+                    (estimator,),
+                    partial(estimator.max_build_multiplicity.get, id(join)),
+                )
 
         for op in walk(self.root):
             if isinstance(op, (SortMergeJoin, IndexNestedLoopsJoin)):
-                try:
-                    self.join_estimators[id(op)] = attach_once_estimator(
-                        op, record_every=self.record_every
-                    )
-                except EstimationError as exc:
-                    self.fallbacks.append((op, str(exc)))
+                self._attach_once(op)
+        return chain_tops
+
+    def _attach_once(self, join: Operator) -> None:
+        try:
+            once = attach_once_estimator(join, record_every=self.record_every)
+        except EstimationError as exc:
+            self.fallbacks.append((join, str(exc)))
+            return
+        self.registry[id(join)] = EstimatorEntry(
+            join, once.acc, (once,), lambda: once.max_build_multiplicity
+        )
 
     def _make_chain_estimator(self, chain: list[HashJoin]) -> HashJoinChainEstimator:
         if self.stop_after_sample:
@@ -123,45 +176,36 @@ class EstimationManager:
                 pass
         return HashJoinChainEstimator(chain, record_every=self.record_every)
 
-    def _attach_chain_joins_individually(self, chain: list[HashJoin]) -> None:
-        for join in chain:
-            try:
-                self.join_estimators[id(join)] = attach_once_estimator(
-                    join, record_every=self.record_every
-                )
-            except EstimationError as exc:  # pragma: no cover - defensive
-                self.fallbacks.append((join, str(exc)))
-
-    def _attach_aggregates(self) -> None:
+    def _attach_aggregates(self, chain_tops: dict[int, HashJoinChainEstimator]) -> None:
         for op in walk(self.root):
             if isinstance(op, Distinct):
-                estimate = None
+                chain = None
             elif isinstance(op, _AggregateBase) and op.group_by:
-                estimate = self._try_push_down(op)
+                chain = chain_tops.get(id(op.child))
             else:
                 continue  # not grouping, or a single global group
-            if estimate is None:
-                try:
-                    estimate = attach_group_estimator(
-                        op, record_every=self.record_every
-                    )
-                except EstimationError as exc:
-                    self.fallbacks.append((op, str(exc)))
-                    continue
-            self.group_estimators[id(op)] = estimate
+            try:
+                fed_by = self._attach_group(op, chain)
+            except EstimationError as exc:
+                self.fallbacks.append((op, str(exc)))
+                continue
+            self.registry[id(op)] = EstimatorEntry(op, fed_by[0], fed_by)
 
-    def _try_push_down(self, op: _AggregateBase) -> GroupCountEstimate | None:
-        child = op.child
-        chain = self.chain_of_join.get(id(child))
-        if chain is None or chain.chain[-1] is not child:
-            return None
-        try:
-            return attach_pushed_down_group_estimator(
-                op, chain, record_every=self.record_every
-            )
-        except EstimationError as exc:
-            self.fallbacks.append((op, f"push-down: {exc}"))
-            return None
+    def _attach_group(
+        self, op: Operator, chain: HashJoinChainEstimator | None
+    ) -> tuple[object, ...]:
+        """``(hybrid, chain)`` — pushed down — when ``op`` sits right on top
+        of a chain that can simulate its input's value distribution;
+        ``(hybrid,)`` attached to ``op``'s own input pass otherwise."""
+        if chain is not None:
+            try:
+                hybrid = attach_pushed_down_group_estimator(
+                    op, chain, record_every=self.record_every
+                )
+                return (hybrid, chain)
+            except EstimationError as exc:
+                self.fallbacks.append((op, f"push-down: {exc}"))
+        return (attach_group_estimator(op, record_every=self.record_every),)
 
     # -- graceful degradation -----------------------------------------------------
 
@@ -203,21 +247,15 @@ class EstimationManager:
 
         def guarded(*args) -> None:
             try:
-                self._fire_hook_fault(op)
+                if self._faults is not None:
+                    self._faults.fire(SITE_ESTIMATOR_HOOK, detail=op.op_name)
                 hook(*args)
             except Exception as exc:
-                self._hook_failed(op, hook, exc)
+                if not self._demote_enabled:
+                    raise
+                self._demote(op, hook, exc)
 
         return guarded
-
-    def _fire_hook_fault(self, op: Operator) -> None:
-        if self._faults is not None:
-            self._faults.fire(SITE_ESTIMATOR_HOOK, detail=op.op_name)
-
-    def _hook_failed(self, op: Operator, hook: Callable, exc: Exception) -> None:
-        if not self._demote_enabled:
-            raise exc
-        self._demote(op, hook, exc)
 
     def _demote(self, op: Operator, hook: Callable, exc: Exception) -> None:
         owner = getattr(hook, "__self__", None)
@@ -229,117 +267,74 @@ class EstimationManager:
             f"estimator hook failed at {op.describe()}: "
             f"{type(exc).__name__}: {exc}"
         )
-        if not (
-            (owner is not None and self._detach_estimator(owner))
-            or self._detach_for_op(op)
-        ):
+        # Degrade what the failing hook feeds: its owning estimator and —
+        # a bare closure has none — whatever answers for the operator it
+        # sits on.
+        entry = self.registry.get(id(op))
+        poisoned = (owner, *(entry.fed_by if entry is not None else ()))
+        survivors = {
+            op_id: e
+            for op_id, e in self.registry.items()
+            if not any(fed is bad for fed in e.fed_by for bad in poisoned)
+        }
+        if len(survivors) == len(self.registry):
             # Unattributable hook (a bare closure on an operator with no
             # registered estimator): degrade everything rather than risk a
             # poisoned estimate surviving.
-            self._detach_all()
+            survivors = {}
+        self.registry = survivors
         self.demotions.append((op, reason))
         self.fallbacks.append((op, reason))
-
-    def _detach_estimator(self, owner: object) -> bool:
-        removed = False
-        if owner in self.chain_estimators:
-            self.chain_estimators.remove(owner)
-            for join_id in [
-                j for j, chain in self.chain_of_join.items() if chain is owner
-            ]:
-                del self.chain_of_join[join_id]
-            removed = True
-        for op_id, est in list(self.join_estimators.items()):
-            if est is owner:
-                del self.join_estimators[op_id]
-                removed = True
-        for op_id, est in list(self.group_estimators.items()):
-            if est is owner or est.hybrid is owner:
-                del self.group_estimators[op_id]
-                removed = True
-        return removed
-
-    def _detach_for_op(self, op: Operator) -> bool:
-        chain = self.chain_of_join.get(id(op))
-        if chain is not None:
-            return self._detach_estimator(chain)
-        removed = self.join_estimators.pop(id(op), None) is not None
-        removed = (self.group_estimators.pop(id(op), None) is not None) or removed
-        return removed
-
-    def _detach_all(self) -> None:
-        self.chain_estimators.clear()
-        self.chain_of_join.clear()
-        self.join_estimators.clear()
-        self.group_estimators.clear()
 
     # -- queries ----------------------------------------------------------------------
 
     def estimate_for(self, op: Operator) -> float | None:
         """Best current refined cardinality estimate, or None if the
         operator has no attached estimator."""
-        chain = self.chain_of_join.get(id(op))
-        if chain is not None:
-            return chain.current_estimate(op)  # type: ignore[arg-type]
-        join_est = self.join_estimators.get(id(op))
-        if join_est is not None:
-            return join_est.current_estimate()
-        group_est = self.group_estimators.get(id(op))
-        if group_est is not None:
-            return group_est.current_estimate()
-        return None
+        entry = self.registry.get(id(op))
+        return entry.estimate() if entry is not None else None
 
     def has_started(self, op: Operator) -> bool:
         """Has the operator's estimator begun observing its stream?
 
-        Until then (e.g. a hash join still in its build phase) the refined
-        estimate is vacuous and callers should fall back to dne/optimizer.
+        Until then the refined estimate is vacuous and callers should fall
+        back to dne/optimizer.
         """
-        chain = self.chain_of_join.get(id(op))
-        if chain is not None:
-            return chain.exact or chain.t > 0
-        join_est = self.join_estimators.get(id(op))
-        if join_est is not None:
-            return join_est.exact or join_est.t > 0
-        group_est = self.group_estimators.get(id(op))
-        if group_est is not None:
-            return group_est.exact or group_est.hybrid.state.t > 0
-        return False
+        entry = self.registry.get(id(op))
+        return entry is not None and entry.started
 
     def is_exact(self, op: Operator) -> bool:
-        chain = self.chain_of_join.get(id(op))
-        if chain is not None:
-            return chain.exact
-        join_est = self.join_estimators.get(id(op))
-        if join_est is not None:
-            return join_est.exact
-        group_est = self.group_estimators.get(id(op))
-        if group_est is not None:
-            return group_est.exact
-        return False
+        entry = self.registry.get(id(op))
+        return entry is not None and entry.exact
 
     def max_multiplicities(self) -> dict[int, float]:
         """Build-side maximum multiplicities per join whose build pass has
         ended, for upper-bound refinement of future-pipeline estimates."""
-        result: dict[int, float] = {}
-        for chain in self.chain_estimators:
-            result.update(chain.max_build_multiplicity)
-        for op_id, est in self.join_estimators.items():
-            if est.max_build_multiplicity is not None:
-                result[op_id] = est.max_build_multiplicity
-        return result
+        return {
+            op_id: mult
+            for op_id, entry in self.registry.items()
+            if (mult := entry.max_build_multiplicity) is not None
+        }
+
+    def attached(self) -> list[tuple[object, list[Operator]]]:
+        """Every live estimator with the operators it owns the answer for
+        (a chain's joins bottom-up), in attachment order."""
+        owned: dict[int, tuple[object, list[Operator]]] = {}
+        for entry in self.registry.values():
+            owner = entry.fed_by[0]
+            owned.setdefault(id(owner), (owner, []))[1].append(entry.op)
+        return list(owned.values())
 
     def describe(self) -> str:
         """Human-readable attachment report."""
         lines = []
-        for chain in self.chain_estimators:
-            names = " -> ".join(j.describe() for j in chain.chain)
-            lines.append(f"chain[{chain.k}]: {names}")
-        for op_id, est in self.join_estimators.items():
-            lines.append(f"binary once: join@{op_id}")
-        for op_id, est in self.group_estimators.items():
-            mode = "pushed-down" if est.pushed_down else "direct"
-            lines.append(f"group-count ({mode}): aggregate@{op_id}")
+        for estimator, ops in self.attached():
+            fed_by = self.registry[id(ops[0])].fed_by
+            label = type(estimator).__name__
+            if len(fed_by) > 1:
+                label += f" (fed by {type(fed_by[1]).__name__})"
+            names = " -> ".join(op.describe() for op in ops)
+            lines.append(f"{label}[{len(ops)}]: {names}")
         for op, reason in self.fallbacks:
             lines.append(f"dne fallback: {op.describe()} ({reason})")
         return "\n".join(lines)

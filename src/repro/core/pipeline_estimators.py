@@ -51,9 +51,13 @@ from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 from repro.common.errors import EstimationError
-from repro.core.confidence import MeanEstimateInterval
+from repro.core.accumulator import (
+    EstimatorExport,
+    OnceAccumulator,
+    TotalProvider,
+)
 from repro.core.histogram import FrequencyHistogram
-from repro.core.join_estimators import TotalProvider, resolve_stream_total
+from repro.core.join_estimators import resolve_stream_total
 from repro.executor.operators.base import Operator
 from repro.executor.operators.hash_join import HashJoin
 from repro.executor.plan import walk
@@ -117,8 +121,8 @@ class HashJoinChainEstimator:
     probe_total:
         ``|C|`` — number, provider, or None to resolve from the plan.
     record_every:
-        If > 0, append ``(t, estimate)`` per level to ``history[level]``
-        every that many C tuples.
+        If > 0, every level appends ``(t, estimate)`` to its
+        ``levels[i].history`` every that many C tuples.
     stop_after_sample:
         Section 4.4's punctuation behaviour: "for each pipeline, we keep
         obtaining estimates until the random sample is read ... After this
@@ -141,20 +145,14 @@ class HashJoinChainEstimator:
         "k",
         "base_stream",
         "_c_schema",
-        "_probe_total",
         "provenance",
         "refs",
         "breakpoints",
         "base_hists",
         "derived",
         "_level_factors",
-        "t",
-        "sums",
-        "exact",
+        "levels",
         "frozen",
-        "record_every",
-        "history",
-        "_intervals",
         "output_listeners",
         "max_build_multiplicity",
     )
@@ -184,14 +182,6 @@ class HashJoinChainEstimator:
         self.k = len(chain)
         self.base_stream = chain[0].probe_child
         self._c_schema = self.base_stream.output_schema
-
-        if probe_total is None:
-            self._probe_total: TotalProvider = resolve_stream_total(self.base_stream)
-        elif callable(probe_total):
-            self._probe_total = probe_total
-        else:
-            total = float(probe_total)
-            self._probe_total = lambda: total
 
         # Resolve each join's probe-key provenance.
         self.provenance: list[_Provenance] = [self._locate(i) for i in range(self.k)]
@@ -237,14 +227,14 @@ class HashJoinChainEstimator:
             ]
             self._level_factors.append(factors)
 
-        # Estimation state.
-        self.t: int = 0
-        self.sums: list[int] = [0] * self.k
-        self.exact: bool = False
+        # Estimation state: one accumulator per join, all over the same
+        # stream C — they advance in lockstep and share |C|.
+        if probe_total is None:
+            probe_total = resolve_stream_total(self.base_stream)
+        self.levels = [
+            OnceAccumulator(probe_total, record_every) for _ in range(self.k)
+        ]
         self.frozen: bool = False
-        self.record_every = record_every
-        self.history: list[list[tuple[int, float]]] = [[] for _ in range(self.k)]
-        self._intervals = [MeanEstimateInterval() for _ in range(self.k)]
         self.output_listeners: list[tuple[int, OutputListener]] = []
         # ``id(join) -> max key multiplicity`` of its build histogram, for
         # bound refinement; published when that join's build pass ends (the
@@ -361,46 +351,26 @@ class HashJoinChainEstimator:
         if self.output_listeners:
             self._probe_rows(rows)
             return
-        rec = self.record_every
-        if not rec:
-            self._apply_batch(keys, rows)
-            return
-        # Split the batch at every ``record_every`` boundary it jumps over
-        # so checkpoints land on the per-tuple t values.
-        start, n = 0, len(rows)
-        while start < n:
-            end = min(n, start + rec - self.t % rec)
-            self._apply_batch(keys[start:end], rows[start:end])
-            if self.t % rec == 0:
-                t = self.t
-                for i in range(self.k):
-                    self.history[i].append((t, self.estimate_level(i)))
-            start = end
+        for piece_keys, piece_rows in self.levels[0].split(keys, rows):
+            self._apply_batch(piece_keys, piece_rows)
 
     def _probe_rows(self, rows: Sequence[tuple]) -> None:
         """Refine tuple by tuple: pushed-down aggregation listeners need the
         per-tuple (value, contribution) stream in row order."""
         for row in rows:
-            self.t += 1
-            t = self.t
-            top_contrib = 0
-            for i in range(self.k):
+            contrib = 0
+            for factors, level in zip(self._level_factors, self.levels):
                 contrib = 1
-                for col_idx, hist in self._level_factors[i]:
+                for col_idx, hist in factors:
                     c = hist.counts.get(row[col_idx], 0)
                     if not c:
                         contrib = 0
                         break
                     contrib *= c
-                self.sums[i] += contrib
-                self._intervals[i].observe(contrib)
-                if i == self.k - 1:
-                    top_contrib = contrib
-                if self.record_every and t % self.record_every == 0:
-                    self.history[i].append((t, self.estimate_level(i)))
-            if top_contrib:
+                level.add(1, contrib, contrib * contrib)
+            if contrib:  # the topmost level's: chain-output rows
                 for col_idx, listener in self.output_listeners:
-                    listener(row[col_idx], top_contrib)
+                    listener(row[col_idx], contrib)
 
     def _apply_batch(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
         """Fold a batch column at a time, C-level passes only: one looked-up
@@ -412,19 +382,16 @@ class HashJoinChainEstimator:
         n = len(rows)
         key_col = self.provenance[0].index  # already extracted by the drain
         looked_up: dict[tuple[int, int], list[int]] = {}
-        self.t += n
-        for i, level in enumerate(self._level_factors):
+        for factors, level in zip(self._level_factors, self.levels):
             contribs = None
-            for col, hist in level:
+            for col, hist in factors:
                 factor = looked_up.get((col, id(hist)))
                 if factor is None:
                     values = keys if col == key_col else map(itemgetter(col), rows)
                     factor = list(map(hist.counts.get, values, repeat(0)))
                     looked_up[col, id(hist)] = factor
                 contribs = factor if contribs is None else list(map(mul, contribs, factor))
-            level_sum = sum(contribs)
-            self.sums[i] += level_sum
-            self._intervals[i].merge_sums(n, level_sum, sum(map(mul, contribs, contribs)))
+            level.add(n, sum(contribs), sum(map(mul, contribs, contribs)))
 
     def _on_probe_end(self) -> None:
         """The base stream is exhausted: every level's estimate is exact."""
@@ -432,51 +399,30 @@ class HashJoinChainEstimator:
             # The sample-based estimate stands; the pass was not fully
             # observed, so exactness cannot be claimed.
             return
-        self.exact = True
-        if self.record_every:
-            for i in range(self.k):
-                self.history[i].append((self.t, float(self.sums[i])))
+        for level in self.levels:
+            level.finalize()
 
-    # -- estimates ----------------------------------------------------------------------
+    # -- estimates: ``levels[i]`` answers for ``chain[i]`` ---------------------------------
 
     @property
-    def probe_total(self) -> float:
-        return float(self._probe_total())
+    def t(self) -> int:
+        """C tuples seen (every level's ``t``)."""
+        return self.levels[0].t
 
-    def estimate_level(self, level: int) -> float:
-        """Current estimate for ``chain[level]``'s output cardinality."""
-        if self.exact:
-            return float(self.sums[level])
-        if self.t == 0:
-            return 0.0
-        return self.sums[level] / self.t * self.probe_total
+    @property
+    def exact(self) -> bool:
+        return self.levels[0].exact
 
-    def current_estimate(self, join: HashJoin | None = None) -> float:
-        """Estimate for ``join`` (default: the topmost join)."""
-        level = self.k - 1 if join is None else self._level_of(join)
-        return self.estimate_level(level)
-
-    def confidence_interval(
-        self, join: HashJoin | None = None, alpha: float = 0.99
-    ) -> tuple[float, float]:
-        level = self.k - 1 if join is None else self._level_of(join)
-        if self.exact:
-            exact = float(self.sums[level])
-            return (exact, exact)
-        if self.t == 0:
-            return (0.0, float("inf"))
-        total = self.probe_total
-        return self._intervals[level].interval(total, alpha, population=total)
-
-    def _level_of(self, join: HashJoin) -> int:
-        for i, j in enumerate(self.chain):
-            if j is join:
-                return i
-        raise EstimationError("join is not part of this chain")
-
-    def estimates(self) -> dict[HashJoin, float]:
-        """Estimates for every join in the chain."""
-        return {j: self.estimate_level(i) for i, j in enumerate(self.chain)}
+    def export(self) -> EstimatorExport:
+        """Every level's statistics and base build histogram, bottom-up."""
+        levels = tuple(level.export() for level in self.levels)
+        return EstimatorExport(
+            "chain",
+            levels,
+            tuple(dict(h.counts) for h in self.base_hists),
+            levels[0].total,
+            levels[0].exact,
+        )
 
     # -- aggregation push-down ----------------------------------------------------------
 

@@ -351,9 +351,9 @@ class ProgressMonitor:
         # Currently executing pipeline.
         if mode == "once":
             assert self.manager is not None
-            est = self.manager.estimate_for(op)
-            if est is not None and self.manager.has_started(op):
-                return max(est, k_i)
+            entry = self.manager.registry.get(id(op))
+            if entry is not None and entry.started:
+                return max(entry.estimate(), k_i)
             # Operators without estimators — or whose estimator has not
             # begun observing — fall back to dne (Section 4.4).
             return max(self._dne[pipeline.pipeline_id].estimate_for(op), k_i)

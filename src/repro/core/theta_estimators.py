@@ -20,10 +20,12 @@ an online confidence interval, and immunity to the inner side's order.
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter, mul
+from typing import Iterable
 
 from repro.common.errors import EstimationError
-from repro.core.confidence import MeanEstimateInterval
-from repro.core.join_estimators import TotalProvider, resolve_stream_total
+from repro.core.accumulator import OnceAccumulator, TotalProvider
+from repro.core.join_estimators import resolve_stream_total
 from repro.executor.operators.nested_loops import NestedLoopsJoin
 
 __all__ = ["OnceThetaJoinEstimator", "attach_theta_estimator"]
@@ -32,7 +34,12 @@ _OPS = ("<", "<=", ">", ">=")
 
 
 class OnceThetaJoinEstimator:
-    """Join-size estimator for ``outer <op> inner`` comparison predicates."""
+    """Join-size estimator for ``outer <op> inner`` comparison predicates:
+    the sorted-array contribution kernel around one
+    :class:`~repro.core.accumulator.OnceAccumulator` — :attr:`acc`, which
+    holds ``t``, the estimate, its interval, ``exact`` and ``history``."""
+
+    __slots__ = ("op", "inner_values", "_frozen", "acc")
 
     def __init__(
         self,
@@ -45,28 +52,19 @@ class OnceThetaJoinEstimator:
         self.op = op
         self.inner_values: list = []
         self._frozen = False
-        self.t = 0
-        self.sum_counts = 0
-        self.exact = False
-        self.record_every = record_every
-        self.history: list[tuple[int, float]] = []
-        self._interval = MeanEstimateInterval()
-        if outer_total is None:
-            self._outer_total: TotalProvider | None = None
-        elif callable(outer_total):
-            self._outer_total = outer_total
-        else:
-            total = float(outer_total)
-            self._outer_total = lambda: total
+        self.acc = OnceAccumulator(outer_total, record_every)
 
     # -- stream callbacks ---------------------------------------------------------
 
     def on_inner(self, value: object) -> None:
         """One inner tuple during the materialisation pass."""
+        self.on_inner_batch((value,))
+
+    def on_inner_batch(self, values: Iterable[object]) -> None:
+        """A column of inner join values: collected, NULLs dropped."""
         if self._frozen:
             raise EstimationError("inner side already frozen")
-        if value is not None:
-            self.inner_values.append(value)
+        self.inner_values.extend(v for v in values if v is not None)
 
     def freeze_inner(self) -> None:
         """Inner pass complete: sort once, ready for O(log n) queries."""
@@ -89,38 +87,19 @@ class OnceThetaJoinEstimator:
         return len(values) - bisect.bisect_left(values, value)  # <=
 
     def on_outer(self, value: object) -> None:
-        c = self.contribution(value)
-        self.t += 1
-        self.sum_counts += c
-        self._interval.observe(c)
-        if self.record_every and self.t % self.record_every == 0:
-            self.history.append((self.t, self.current_estimate()))
+        """One outer tuple: refine the estimate."""
+        self.on_outer_batch((value,))
+
+    def on_outer_batch(self, values: Iterable[object]) -> None:
+        """A column of outer join values: one bisect per value, one ``add``
+        per checkpoint piece."""
+        contributions = list(map(self.contribution, values))
+        for (piece,) in self.acc.split(contributions):
+            self.acc.add(len(piece), sum(piece), sum(map(mul, piece, piece)))
 
     def finalize(self) -> None:
-        self.exact = True
-
-    # -- estimates ---------------------------------------------------------------
-
-    @property
-    def outer_total(self) -> float:
-        if self._outer_total is not None:
-            return float(self._outer_total())
-        return float(max(self.t, 1))
-
-    def current_estimate(self) -> float:
-        if self.exact:
-            return float(self.sum_counts)
-        if self.t == 0:
-            return 0.0
-        return self.sum_counts / self.t * self.outer_total
-
-    def confidence_interval(self, alpha: float = 0.99) -> tuple[float, float]:
-        if self.exact:
-            return (float(self.sum_counts), float(self.sum_counts))
-        if self.t == 0:
-            return (0.0, float("inf"))
-        total = self.outer_total
-        return self._interval.interval(total, alpha, population=total)
+        """The outer pass completed: the estimate is now exact."""
+        self.acc.finalize()
 
 
 def attach_theta_estimator(
@@ -140,19 +119,17 @@ def attach_theta_estimator(
         outer_total=resolve_stream_total(join.outer_child),
         record_every=record_every,
     )
-    inner_idx = join.inner_child.output_schema.index_of(inner_column)
-    outer_idx = join.outer_child.output_schema.index_of(outer_column)
+    inner_of = itemgetter(join.inner_child.output_schema.index_of(inner_column))
+    outer_of = itemgetter(join.outer_child.output_schema.index_of(outer_column))
 
-    def on_inner_batch(_keys: list, rows: list[tuple]) -> None:
-        for row in rows:
-            estimator.on_inner(row[inner_idx])
+    def on_inner_rows(_keys: list, rows: list[tuple]) -> None:
+        estimator.on_inner_batch(map(inner_of, rows))
 
-    def on_outer_batch(_keys: list, rows: list[tuple]) -> None:
-        for row in rows:
-            estimator.on_outer(row[outer_idx])
+    def on_outer_rows(_keys: list, rows: list[tuple]) -> None:
+        estimator.on_outer_batch(map(outer_of, rows))
 
-    join.input_hooks[1].append(on_inner_batch)
+    join.input_hooks[1].append(on_inner_rows)
     join.input_end_hooks[1].append(estimator.freeze_inner)
-    join.input_hooks[0].append(on_outer_batch)
+    join.input_hooks[0].append(on_outer_rows)
     join.input_end_hooks[0].append(estimator.finalize)
     return estimator

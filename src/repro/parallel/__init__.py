@@ -21,9 +21,7 @@ from repro.parallel.coordinator import (
 )
 from repro.parallel.delta import (
     EstimatorDelta,
-    MergedChain,
-    MergedGroup,
-    MergedOnce,
+    MergedEstimator,
     ProgressDelta,
     merge_estimator_deltas,
 )
@@ -41,9 +39,7 @@ __all__ = [
     "EstimatorDelta",
     "FragmentPlan",
     "FragmentationError",
-    "MergedChain",
-    "MergedGroup",
-    "MergedOnce",
+    "MergedEstimator",
     "ParallelExecutionError",
     "ParallelResult",
     "PartitionedProgressMonitor",

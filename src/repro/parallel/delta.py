@@ -2,15 +2,17 @@
 
 Workers do not ship point estimates — they ship the *sufficient
 statistics* their estimators accumulate (PF-OLA's observation: online
-estimators parallelize exactly when their state is mergeable). The
-coordinator folds per-worker statistics into merged state and derives the
-global estimate from that merged state:
+estimators parallelize exactly when their state is mergeable). Every
+attached estimator ``export()``s its state
+(:class:`~repro.core.accumulator.EstimatorExport`); the coordinator folds
+the per-worker exports into one :class:`MergedEstimator` per serial
+estimator and derives the global estimate from that:
 
-* ONCE join estimators: ``Σ sum_counts / Σ t × Σ probe_total`` — the
-  proper combined ratio estimator, not a sum of per-partition point
-  estimates — which degenerates to the exact join size ``Σ sum_counts``
-  once every worker has finished its probe pass.
-* chain estimators: the same, per level.
+* ONCE levels (a binary join is a chain of one) fold into the *same*
+  :class:`~repro.core.accumulator.OnceAccumulator` the serial estimator
+  owns: ``Σ Σc / Σ t × Σ|S|`` — the proper combined ratio estimator, not a
+  sum of per-partition point estimates — which degenerates to the exact
+  join size ``Σ Σc`` once every worker has finished its probe pass.
 * GEE/MLE group estimators: frequency-histogram counts sum across workers
   (each input tuple is observed on exactly one worker), and the hybrid
   chooser reruns over the merged histogram.
@@ -24,9 +26,9 @@ fragmentation time (:mod:`repro.parallel.fragments`):
 * **replicated** build (broadcast join): every worker holds the *full*
   build histogram, so the merge takes the first copy (they are identical).
 
-Probe-side statistics (``t``, ``sum_counts``/``sums``, interval moment
-sums) always merge by summation: probe streams are partitioned, never
-replicated, so each probe tuple contributes on exactly one worker.
+Probe-side statistics (``t``, ``Σc``, ``Σc²``, ``|S|``) always merge by
+summation: probe streams are partitioned, never replicated, so each probe
+tuple contributes on exactly one worker.
 
 Deltas are plain frozen dataclasses of builtins: a fragment's message
 never aliases its live estimator state.
@@ -36,18 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.distinct import (
-    DEFAULT_TAU,
-    GEEEstimator,
-    GroupFrequencyState,
-    MLEEstimator,
-)
+from repro.core.accumulator import EstimatorExport, OnceAccumulator
+from repro.core.distinct import HybridGroupCountEstimator
 
 __all__ = [
     "EstimatorDelta",
-    "MergedChain",
-    "MergedGroup",
-    "MergedOnce",
+    "MergedEstimator",
     "ProgressDelta",
     "merge_estimator_deltas",
 ]
@@ -55,39 +51,30 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class EstimatorDelta:
-    """One estimator's sufficient statistics, re-keyed to serial node ids.
+    """One estimator's exported state, re-keyed to serial node ids.
 
-    ``kind`` is ``"once"``, ``"chain"`` or ``"group"``. ``node_ids`` holds
-    the serial plan node ids the statistics anchor to — one entry for
-    once/group, the chain's joins bottom-up for chains. ``hists`` carries
-    one ``{key: count}`` dict per histogram (the single build histogram
-    for once, one per chain level, the group-value histogram for group);
-    ``replicated`` carries the matching merge-mode flag per histogram
-    (group histograms are never replicated). ``sums`` is ``(sum_counts,)``
-    for once, the per-level Σ for chains, and empty for group.
-    ``interval_sums`` is ``(count, Σx, Σx²)`` triples feeding
-    :meth:`repro.core.confidence.MeanEstimateInterval.merge_sums`.
+    ``node_ids`` holds the serial plan node ids ``state`` anchors to — a
+    chain's joins bottom-up (one id for a binary join), the aggregate for
+    a group estimator. ``replicated`` carries the merge-mode flag of each
+    histogram in ``state.hists`` (group histograms are never replicated).
     """
 
-    kind: str
     node_ids: tuple[int, ...]
-    t: int = 0
-    sums: tuple[int, ...] = ()
-    hists: tuple[dict, ...] = ()
-    replicated: tuple[bool, ...] = ()
-    interval_sums: tuple[tuple[int, float, float], ...] = ()
-    probe_total: float = 0.0
-    total: float = 0.0
-    exact: bool = False
+    state: EstimatorExport
+    replicated: tuple[bool, ...]
     # True when the estimator's whole anchor subtree is replicated (a join
     # nested inside a broadcast build): every worker then observes the same
     # full streams, so ALL its statistics merge take-first, not by sum.
     stats_replicated: bool = False
 
     @property
+    def kind(self) -> str:
+        return self.state.kind
+
+    @property
     def key(self) -> tuple:
         """Identity of the serial estimator these statistics belong to."""
-        return (self.kind, self.node_ids)
+        return (self.state.kind, self.node_ids)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,19 +102,22 @@ class ProgressDelta:
 # -- merged estimator state --------------------------------------------------------
 
 
-class MergedOnce:
-    """Coordinator-side merged state of one ONCE join estimator."""
+class MergedEstimator:
+    """Coordinator-side fold of one serial estimator's per-worker exports.
 
-    __slots__ = ("node_id", "t", "sum_counts", "counts", "interval_sums",
-                 "probe_total", "exact", "_replica_folded")
+    ``levels`` are the same accumulators a serial ONCE estimator owns, one
+    per join of ``node_ids`` (none for a group estimator), fed by ``fold``;
+    ``hists`` the merged histograms; ``total`` / ``exact`` the input
+    stream's summed total and AND-folded exactness.
+    """
 
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-        self.t = 0
-        self.sum_counts = 0
-        self.counts: dict = {}
-        self.interval_sums = (0, 0.0, 0.0)
-        self.probe_total = 0.0
+    __slots__ = ("node_ids", "levels", "hists", "total", "exact", "_replica_folded")
+
+    def __init__(self, first: EstimatorDelta):
+        self.node_ids = first.node_ids
+        self.levels = [OnceAccumulator.fold_target() for _ in first.state.levels]
+        self.hists: list[dict] = [{} for _ in first.state.hists]
+        self.total = 0.0
         self.exact = True  # AND-folded: vacuously true until a delta lands
         self._replica_folded = False
 
@@ -136,114 +126,41 @@ class MergedOnce:
             if self._replica_folded:
                 return
             self._replica_folded = True
-        self.t += delta.t
-        self.sum_counts += delta.sums[0] if delta.sums else 0
-        _fold_hist(self.counts, delta.hists[0], delta.replicated[0])
-        if delta.interval_sums:
-            c, sx, sxx = delta.interval_sums[0]
-            mc, msx, msxx = self.interval_sums
-            self.interval_sums = (mc + c, msx + sx, msxx + sxx)
-        self.probe_total += delta.probe_total
-        self.exact = self.exact and delta.exact
+        state = delta.state
+        for level, stats in zip(self.levels, state.levels):
+            level.fold(stats)
+        for merged, counts, replicated in zip(self.hists, state.hists, delta.replicated):
+            _fold_hist(merged, counts, replicated)
+        self.total += state.total
+        self.exact = self.exact and state.exact
 
-    def estimate(self) -> float:
+    def node_estimates(self) -> list[tuple[int, float]]:
+        """``(serial node id, merged output-size estimate)`` per join.
+
+        Empty for a group estimator: the *global* distinct count it
+        estimates is NOT the sum of the workers' partial-aggregate output
+        sizes — a group key can appear in several partitions — so the
+        aggregate's work total stays the sum of the local totals while
+        this statistic merges (:meth:`group_estimate`).
+        """
+        return [
+            (nid, level.estimate()) for nid, level in zip(self.node_ids, self.levels)
+        ]
+
+    def group_estimate(self) -> float:
+        """Merged group count of a group estimator's histogram.
+
+        Group histograms always sum-merge (every aggregate-input tuple is
+        observed on exactly one worker), so the merged frequency histogram
+        is bit-identical to the serial one, and the answer is the serial
+        hybrid estimator's (γ² against τ, then GEE or MLE) over it.
+        """
+        hybrid = HybridGroupCountEstimator(total=self.total)
+        for value, weight in self.hists[0].items():
+            hybrid.state.observe(value, weight)
         if self.exact:
-            return float(self.sum_counts)
-        if self.t == 0:
-            return 0.0
-        return self.sum_counts / self.t * max(self.probe_total, self.t)
-
-
-class MergedChain:
-    """Coordinator-side merged state of one hash-join chain estimator."""
-
-    __slots__ = ("node_ids", "k", "t", "sums", "hists", "probe_total",
-                 "interval_sums", "exact", "_replica_folded")
-
-    def __init__(self, node_ids: tuple[int, ...]):
-        self.node_ids = node_ids
-        self.k = len(node_ids)
-        self.t = 0
-        self.sums = [0] * self.k
-        self.hists: list[dict] = [{} for _ in range(self.k)]
-        self.interval_sums = [(0, 0.0, 0.0)] * self.k
-        self.probe_total = 0.0
-        self.exact = True
-        self._replica_folded = False
-
-    def fold(self, delta: EstimatorDelta) -> None:
-        if delta.stats_replicated:
-            if self._replica_folded:
-                return
-            self._replica_folded = True
-        self.t += delta.t
-        for m in range(self.k):
-            self.sums[m] += delta.sums[m]
-            _fold_hist(self.hists[m], delta.hists[m], delta.replicated[m])
-            if delta.interval_sums:
-                c, sx, sxx = delta.interval_sums[m]
-                mc, msx, msxx = self.interval_sums[m]
-                self.interval_sums[m] = (mc + c, msx + sx, msxx + sxx)
-        self.probe_total += delta.probe_total
-        self.exact = self.exact and delta.exact
-
-    def estimate_level(self, m: int) -> float:
-        """Merged output-size estimate of chain join level ``m``."""
-        if self.exact:
-            return float(self.sums[m])
-        if self.t == 0:
-            return 0.0
-        return self.sums[m] / self.t * max(self.probe_total, self.t)
-
-    def estimate_for(self, node_id: int) -> float | None:
-        for m, nid in enumerate(self.node_ids):
-            if nid == node_id:
-                return self.estimate_level(m)
-        return None
-
-
-class MergedGroup:
-    """Coordinator-side merged state of one GEE/MLE group-count estimator.
-
-    Group histograms always sum-merge (every aggregate-input tuple is
-    observed on exactly one worker), so the merged frequency histogram is
-    bit-identical to the serial one and the serial hybrid chooser (γ²
-    against τ, then GEE or MLE) reruns over reconstructed merged state.
-    Note the *global* distinct count this estimates is NOT the sum of the
-    workers' partial-aggregate output sizes — a group key can appear in
-    several partitions — which is why per-node work totals sum while this
-    statistic merges.
-    """
-
-    __slots__ = ("node_id", "counts", "total", "exact")
-
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-        self.counts: dict = {}
-        self.total = 0.0
-        self.exact = True
-
-    def fold(self, delta: EstimatorDelta) -> None:
-        _fold_hist(self.counts, delta.hists[0], replicated=False)
-        self.total += delta.total
-        self.exact = self.exact and delta.exact
-
-    @property
-    def t(self) -> int:
-        return sum(self.counts.values())
-
-    def estimate(self) -> float:
-        if self.exact:
-            return float(len(self.counts))
-        if not self.counts:
-            return 0.0
-        state = GroupFrequencyState()
-        for value, weight in self.counts.items():
-            state.observe(value, weight)
-        total = max(self.total, float(state.t))
-        if state.gamma_squared <= DEFAULT_TAU:
-            return MLEEstimator(state).estimate(total)
-        return GEEEstimator(state).estimate(total)
+            hybrid.finalize()
+        return hybrid.estimate()
 
 
 def _fold_hist(merged: dict, counts: dict, replicated: bool) -> None:
@@ -257,12 +174,9 @@ def _fold_hist(merged: dict, counts: dict, replicated: bool) -> None:
         merged[key] = merged.get(key, 0) + count
 
 
-_MERGED_TYPES = {"once": MergedOnce, "chain": MergedChain, "group": MergedGroup}
-
-
 def merge_estimator_deltas(
     deltas_per_worker: dict[int, tuple[EstimatorDelta, ...]],
-) -> dict[tuple, MergedOnce | MergedChain | MergedGroup]:
+) -> dict[tuple, MergedEstimator]:
     """Fold every worker's latest estimator statistics into merged state.
 
     Returns ``{(kind, node_ids): merged}``. Workers that have not yet
@@ -271,14 +185,11 @@ def merge_estimator_deltas(
     additionally requires all workers done before trusting exactness —
     see :class:`repro.parallel.monitor.PartitionedProgressMonitor`).
     """
-    merged: dict[tuple, MergedOnce | MergedChain | MergedGroup] = {}
+    merged: dict[tuple, MergedEstimator] = {}
     for _worker_id, deltas in sorted(deltas_per_worker.items()):
         for delta in deltas:
             state = merged.get(delta.key)
             if state is None:
-                cls = _MERGED_TYPES[delta.kind]
-                arg = delta.node_ids if delta.kind == "chain" else delta.node_ids[0]
-                state = cls(arg)
-                merged[delta.key] = state
+                state = merged[delta.key] = MergedEstimator(delta)
             state.fold(delta)
     return merged

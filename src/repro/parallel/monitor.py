@@ -10,11 +10,11 @@ ProgressDelta` messages. Three merge rules produce the global snapshot:
   on every worker, and that really is work done P times).
 * **work total** — per-node local totals sum too (each worker's ``N̂_i``
   covers its own shard's share of node ``i``'s work) — *except* join
-  nodes carrying ONCE/chain estimators, whose summed point estimates are
+  nodes carrying ONCE estimators, whose summed point estimates are
   replaced by the estimate derived from *merged* sufficient statistics
-  (``Σ sum_counts / Σ t × Σ probe_total``). The merged ratio estimator is
-  the robust combination (cf. König et al.) and collapses to the exact
-  join size ``Σ sum_counts`` once every worker finishes its probe pass.
+  (``Σ Σc / Σ t × Σ|S|``). The merged ratio estimator is the robust
+  combination (cf. König et al.) and collapses to the exact join size
+  ``Σ Σc`` once every worker finishes its probe pass.
 * **monotonicity** — ``work_done`` is monotone by construction (per-worker
   ``seq`` guards + monotone counters); the reported progress fraction is
   additionally high-watered, so total refinements can never make the bar
@@ -37,9 +37,7 @@ import time
 from repro.common.locks import acquires, guarded_by
 from repro.core.progress import ProgressSnapshot
 from repro.parallel.delta import (
-    MergedChain,
-    MergedGroup,
-    MergedOnce,
+    MergedEstimator,
     ProgressDelta,
     merge_estimator_deltas,
 )
@@ -111,9 +109,7 @@ class PartitionedProgressMonitor:
         )
 
     @acquires("_lock")
-    def merged_estimators(
-        self,
-    ) -> dict[tuple, MergedOnce | MergedChain | MergedGroup]:
+    def merged_estimators(self) -> dict[tuple, MergedEstimator]:
         """Merged estimator state keyed ``(kind, serial node ids)``."""
         with self._lock:
             return merge_estimator_deltas(
@@ -160,18 +156,10 @@ class PartitionedProgressMonitor:
             {w: d.estimators for w, d in self._deltas.items()}
         )
         for state in merged.values():
-            if isinstance(state, MergedOnce):
-                nid = state.node_id
-                total_by_node[nid] = max(
-                    state.estimate(), done_by_node.get(nid, 0.0)
-                )
-            elif isinstance(state, MergedChain):
-                for level, nid in enumerate(state.node_ids):
-                    total_by_node[nid] = max(
-                        state.estimate_level(level),
-                        done_by_node.get(nid, 0.0),
-                    )
-            # MergedGroup: per-node totals stay summed (see module doc).
+            # Joins only: a group estimator's node total stays summed (see
+            # module doc).
+            for nid, estimate in state.node_estimates():
+                total_by_node[nid] = max(estimate, done_by_node.get(nid, 0.0))
         work_done = sum(done_by_node.values())
         if self._all_done_locked():
             work_total = work_done

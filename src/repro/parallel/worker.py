@@ -28,7 +28,6 @@ from typing import Callable
 from repro.core.progress import ProgressMonitor
 from repro.executor.engine import DEFAULT_BATCH_SIZE, PlanCursor, TickBus
 from repro.executor.operators.base import Operator
-from repro.executor.plan import walk
 from repro.faults.plan import FaultPlan, FaultSpec, TransientFault
 from repro.parallel.delta import EstimatorDelta, ProgressDelta
 
@@ -70,9 +69,10 @@ def extract_delta(
     Everything is read under the monitor's sampling lock, so counters and
     estimator statistics form one consistent cut of the fragment's state.
     Fragment node ids translate to serial ids through ``task.node_map``;
-    histograms get their merge-mode flags from the fragmentation plan
-    (``broadcast_builds`` → replicated build histogram, ``replicated_nodes``
-    → the whole estimator is a per-worker copy).
+    every attached estimator exports its own state, and its histograms get
+    their merge-mode flags from the fragmentation plan (``broadcast_builds``
+    → replicated build histogram, ``replicated_nodes`` → the whole
+    estimator is a per-worker copy; an aggregate is never either).
     """
     broadcast = task.broadcast_builds
     replicated = task.replicated_nodes
@@ -84,74 +84,22 @@ def extract_delta(
             if sid is not None:
                 counters[sid] = k_i
                 totals[sid] = total
-        estimators: list[EstimatorDelta] = []
         manager = monitor.manager
-        if manager is not None:
-            ops = {id(op): op for op in walk(monitor.root)}
-            for op_key, once in manager.join_estimators.items():
-                op = ops.get(op_key)
-                sid = task.node_map.get(op.node_id) if op is not None else None
-                if sid is None:
-                    continue
-                interval = once._interval
-                estimators.append(
-                    EstimatorDelta(
-                        "once",
-                        (sid,),
-                        t=once.t,
-                        sums=(once.sum_counts,),
-                        hists=(dict(once.histogram.counts),),
-                        replicated=(sid in broadcast or sid in replicated,),
-                        interval_sums=(
-                            (interval.count, interval.sum_x, interval.sum_x_sq),
-                        ),
-                        probe_total=float(once.probe_total),
-                        exact=once.exact,
-                        stats_replicated=sid in replicated,
-                    )
+        estimators: list[EstimatorDelta] = []
+        for estimator, ops in manager.attached() if manager is not None else ():
+            sids = tuple(task.node_map.get(op.node_id) for op in ops)
+            if None in sids:
+                continue
+            estimators.append(
+                EstimatorDelta(
+                    sids,
+                    estimator.export(),
+                    replicated=tuple(
+                        sid in broadcast or sid in replicated for sid in sids
+                    ),
+                    stats_replicated=sids[0] in replicated,
                 )
-            for chain in manager.chain_estimators:
-                sids = tuple(
-                    task.node_map.get(join.node_id) for join in chain.chain
-                )
-                if any(sid is None for sid in sids):
-                    continue
-                estimators.append(
-                    EstimatorDelta(
-                        "chain",
-                        sids,
-                        t=chain.t,
-                        sums=tuple(chain.sums),
-                        hists=tuple(dict(h.counts) for h in chain.base_hists),
-                        replicated=tuple(
-                            sid in broadcast or sid in replicated for sid in sids
-                        ),
-                        interval_sums=tuple(
-                            (iv.count, iv.sum_x, iv.sum_x_sq)
-                            for iv in chain._intervals
-                        ),
-                        probe_total=float(chain._probe_total()),
-                        exact=chain.exact,
-                        stats_replicated=sids[0] in replicated,
-                    )
-                )
-            for op_key, group in manager.group_estimators.items():
-                op = ops.get(op_key)
-                sid = task.node_map.get(op.node_id) if op is not None else None
-                if sid is None:
-                    continue
-                hybrid = group.hybrid
-                estimators.append(
-                    EstimatorDelta(
-                        "group",
-                        (sid,),
-                        t=hybrid.state.t,
-                        hists=(dict(hybrid.state.histogram.counts),),
-                        replicated=(False,),
-                        total=float(hybrid.total),
-                        exact=hybrid.exact,
-                    )
-                )
+            )
         degraded = manager is not None and manager.degraded
         reason = manager.demotions[-1][1] if degraded else None
     return ProgressDelta(

@@ -35,7 +35,7 @@ class TestDirectAttachment:
         assert first is not None
         # All input consumed by the first output row: estimate is exact.
         assert estimate.exact
-        assert estimate.current_estimate() == len(set(table.column_values("nationkey")))
+        assert estimate.estimate() == len(set(table.column_values("nationkey")))
 
     def test_works_with_sort_aggregate(self):
         table = customer_variant(1.0, 80, 0, 3000, name="g")
@@ -43,7 +43,7 @@ class TestDirectAttachment:
         estimate = attach_group_estimator(agg)
         ExecutionEngine(agg, collect_rows=False).run()
         assert estimate.exact
-        assert estimate.current_estimate() == len(set(table.column_values("nationkey")))
+        assert estimate.estimate() == len(set(table.column_values("nationkey")))
 
     def test_mid_stream_estimate_reasonable(self):
         table = customer_variant(0.0, 200, 0, 10_000, name="g")
@@ -63,13 +63,13 @@ class TestDirectAttachment:
     def test_input_total_resolved_from_scan(self, groupby_plan):
         table, agg = groupby_plan
         estimate = attach_group_estimator(agg)
-        assert estimate.hybrid.total == len(table)
+        assert estimate.total == len(table)
 
     def test_gamma_squared_exposed(self, groupby_plan):
         table, agg = groupby_plan
         estimate = attach_group_estimator(agg)
         ExecutionEngine(agg, collect_rows=False).run()
-        assert estimate.gamma_squared > 0.0
+        assert estimate.state.gamma_squared > 0.0
         assert estimate.chosen in ("gee", "mle")
 
 
@@ -85,11 +85,12 @@ class TestPushDown:
     def test_exact_when_chain_probe_completes(self):
         join, agg, chain = self.make_join_agg()
         estimate = attach_pushed_down_group_estimator(agg, chain)
-        assert estimate.pushed_down
+        assert chain.output_listeners  # fed by the chain, not the aggregate
+        assert not agg.input_hooks[0]
         ExecutionEngine(agg, collect_rows=False).run()
         assert estimate.exact
         # Exact group count of the join output on c.nationkey.
-        assert estimate.current_estimate() == agg.groups_seen
+        assert estimate.estimate() == agg.groups_seen
 
     def test_exact_before_aggregate_sees_input(self):
         """Push-down knows the group count while the join is still in its
@@ -118,4 +119,4 @@ class TestPushDown:
         join, agg, chain = self.make_join_agg()
         estimate = attach_pushed_down_group_estimator(agg, chain)
         ExecutionEngine(agg, collect_rows=False).run()
-        assert estimate.hybrid.total == pytest.approx(join.tuples_emitted)
+        assert estimate.total == pytest.approx(join.tuples_emitted)

@@ -56,9 +56,9 @@ def _random_chunks(rng, items: list) -> list[list]:
     return chunks
 
 
-def _interval_state(estimator):
-    interval = estimator._interval
-    return (interval.count, interval.sum_x, interval.sum_x_sq)
+def _sums(acc):
+    """An accumulator's sufficient statistics ``(t, Σc, Σc²)``."""
+    return (acc.t, acc.sum_c, acc.sum_c_sq)
 
 
 # -- ONCE (binary join) estimator ----------------------------------------------
@@ -89,20 +89,19 @@ class TestOnceBatch:
         for chunk in _random_chunks(rng, probe):
             batch.on_probe_batch(chunk)
 
-        assert (row.t, row.sum_counts) == (batch.t, batch.sum_counts)
-        assert _interval_state(row) == _interval_state(batch)
+        assert _sums(row.acc) == _sums(batch.acc)
         # Not approx: endpoints must match to the last bit.
         assert row.confidence_interval() == batch.confidence_interval()
         assert row.current_estimate() == batch.current_estimate()
-        assert row.history == batch.history
+        assert row.acc.history == batch.acc.history
 
     def test_checkpoints_land_on_per_tuple_t_values(self):
         estimator = OnceJoinEstimator(probe_total=100.0, record_every=10)
         estimator.on_build_batch([1, 1, 2])
         estimator.on_probe_batch([1] * 35)  # straddles t=10, 20, 30
-        assert [t for t, _ in estimator.history] == [10, 20, 30]
+        assert [t for t, _ in estimator.acc.history] == [10, 20, 30]
         estimator.on_probe_batch([2] * 5)  # lands exactly on t=40
-        assert [t for t, _ in estimator.history] == [10, 20, 30, 40]
+        assert [t for t, _ in estimator.acc.history] == [10, 20, 30, 40]
 
     def test_checkpoint_estimates_use_prefix_state(self):
         """A checkpoint inside a batch must reflect only the prefix of the
@@ -117,16 +116,15 @@ class TestOnceBatch:
         for key in probe:
             row.on_probe(key)
         batch.on_probe_batch(probe)
-        assert row.history == batch.history
-        assert [t for t, _ in batch.history] == [4, 8]
+        assert row.acc.history == batch.acc.history
+        assert [t for t, _ in batch.acc.history] == [4, 8]
 
     def test_empty_batch_is_a_noop(self):
         estimator = OnceJoinEstimator(probe_total=10.0, record_every=1)
         estimator.on_build_batch([])
         estimator.on_probe_batch([])
-        assert estimator.t == 0
-        assert estimator.sum_counts == 0
-        assert estimator.history == []
+        assert _sums(estimator.acc) == (0, 0, 0)
+        assert estimator.acc.history == []
         assert estimator.histogram.num_distinct == 0
 
     @pytest.mark.parametrize("join_type", JOIN_TYPES)
@@ -139,11 +137,10 @@ class TestOnceBatch:
         for key in keys:
             row.on_probe(key)
         batch.on_probe_batch(keys)
-        assert (row.t, row.sum_counts) == (batch.t, batch.sum_counts)
-        assert _interval_state(row) == _interval_state(batch)
+        assert _sums(row.acc) == _sums(batch.acc)
         # NULL never matches: contributes 0 except under anti/outer (1 each).
         expected = 8 if join_type in ("anti", "outer") else 0
-        assert batch.sum_counts == expected
+        assert batch.acc.sum_c == expected
 
     def test_build_batch_skips_none_keys(self):
         estimator = OnceJoinEstimator()
@@ -278,14 +275,12 @@ def _run_chain(build_plan, batch_size, listener_column=None):
 
 def _chain_state(estimator):
     return (
-        estimator.t,
-        list(estimator.sums),
+        [_sums(level) for level in estimator.levels],
         estimator.exact,
-        [(iv.count, iv.sum_x, iv.sum_x_sq) for iv in estimator._intervals],
         [dict(h.counts) for h in estimator.base_hists],
         {key: dict(h.counts) for key, h in estimator.derived.items()},
-        [list(h) for h in estimator.history],
-        estimator.confidence_interval(),
+        [list(level.history) for level in estimator.levels],
+        [level.confidence_interval() for level in estimator.levels],
     )
 
 
@@ -398,7 +393,7 @@ def _same_attribute_chain(c, b0, b1):
 
 
 def _per_tuple_reference(estimator, record_every):
-    """(t, sums, interval sums, histories, derived, listener stream) by
+    """(per-level (t, Σc, Σc²), histories, derived, listener stream) by
     definition, one probe tuple at a time."""
     chain = estimator.chain
     builds = [list(j.build_child.table) for j in chain]
@@ -447,8 +442,8 @@ def _per_tuple_reference(estimator, record_every):
     if record_every:
         for i in range(k):
             histories[i].append((len(probe_rows), float(sums[i])))
-    intervals = [(len(probe_rows), s, q) for s, q in zip(sums, squares)]
-    return len(probe_rows), sums, intervals, histories, derived, stream
+    levels = [(len(probe_rows), s, q) for s, q in zip(sums, squares)]
+    return levels, histories, derived, stream
 
 
 def _run_kernels(chain, record_every, batch_size, listener=False):
@@ -463,17 +458,17 @@ def _run_kernels(chain, record_every, batch_size, listener=False):
 
 def _assert_matches_reference(make_chain, record_every, batch_size):
     estimator, _ = _run_kernels(make_chain(), record_every, batch_size)
-    t, sums, intervals, histories, derived, stream = _per_tuple_reference(estimator, record_every)
+    levels, histories, derived, stream = _per_tuple_reference(estimator, record_every)
     assert estimator.exact
-    assert (estimator.t, estimator.sums) == (t, sums)
-    assert [(iv.count, iv.sum_x, iv.sum_x_sq) for iv in estimator._intervals] == intervals
-    assert estimator.history == histories
+    assert [_sums(level) for level in estimator.levels] == levels
+    assert [level.history for level in estimator.levels] == histories
     assert {key: dict(h.counts) for key, h in estimator.derived.items()} == derived
     assert all(h.total == sum(h.counts.values()) for h in estimator.derived.values())
     # The listener path refines tuple by tuple, in row order, to the same state.
     listening, seen = _run_kernels(make_chain(), record_every, batch_size, listener=True)
     assert seen == stream
-    assert (listening.t, listening.sums, listening.history) == (t, sums, histories)
+    assert [_sums(level) for level in listening.levels] == levels
+    assert [level.history for level in listening.levels] == histories
 
 
 class TestColumnKernels:
@@ -500,12 +495,8 @@ class TestColumnKernels:
         batched.on_probe_batch([])
         batched.finalize_probe()
         for est in (once, batched):
-            assert (est.t, est.sum_counts, _interval_state(est)) == (
-                chain_est.t,
-                chain_est.sums[0],
-                _interval_state(once),
-            )
-            assert est.history == chain_est.history[0]
+            assert _sums(est.acc) == _sums(chain_est.levels[0])
+            assert est.acc.history == chain_est.levels[0].history
             assert est.histogram.counts == chain_est.base_hists[0].counts
 
     @settings(max_examples=80, deadline=None)

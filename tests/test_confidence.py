@@ -1,8 +1,11 @@
 """Tests for the confidence interval machinery."""
 
+import math
+
 import pytest
 
-from repro.core.confidence import MeanEstimateInterval, binomial_beta, proportion_interval
+from repro.common.stats import normal_quantile
+from repro.core.confidence import binomial_beta, mean_interval, proportion_interval
 
 
 class TestBinomialBeta:
@@ -42,43 +45,39 @@ class TestProportionInterval:
         assert w2 < w1
 
 
+def _sums(xs) -> tuple[int, float, float]:
+    """The sufficient statistics ``(count, Σx, Σx²)`` of a sample."""
+    return len(xs), sum(xs), sum(x * x for x in xs)
+
+
 class TestMeanEstimateInterval:
+    """:func:`mean_interval` — a pure function of ``(count, Σx, Σx²)``."""
+
     def test_mean_and_variance(self):
-        acc = MeanEstimateInterval()
-        for x in [2.0, 4.0, 6.0]:
-            acc.observe(x)
-        assert acc.mean == pytest.approx(4.0)
-        assert acc.variance == pytest.approx(8 / 3)
+        # mean 4, population variance 8/3: centre and half-width follow.
+        lo, hi = mean_interval(*_sums([2.0, 4.0, 6.0]), scale=1.0, alpha=0.99)
+        assert (lo + hi) / 2 == pytest.approx(4.0)
+        half = normal_quantile(0.99) * math.sqrt(8 / 3 / 3)
+        assert (hi - lo) / 2 == pytest.approx(half)
 
     def test_interval_contains_scaled_mean(self):
-        acc = MeanEstimateInterval()
-        for x in [1.0, 2.0, 3.0, 4.0]:
-            acc.observe(x)
-        lo, hi = acc.interval(scale=100.0)
+        lo, hi = mean_interval(*_sums([1.0, 2.0, 3.0, 4.0]), scale=100.0)
         assert lo < 250.0 < hi
 
     def test_empty_interval_is_vacuous(self):
-        lo, hi = MeanEstimateInterval().interval(scale=10.0)
-        assert (lo, hi) == (0.0, float("inf"))
+        assert mean_interval(0, 0, 0, scale=10.0) == (0.0, float("inf"))
 
     def test_single_observation_degenerate(self):
-        acc = MeanEstimateInterval()
-        acc.observe(5.0)
-        assert acc.interval(scale=2.0) == (10.0, 10.0)
+        assert mean_interval(*_sums([5.0]), scale=2.0) == (10.0, 10.0)
 
     def test_fpc_narrows_interval(self):
-        acc = MeanEstimateInterval()
-        for x in [1.0, 5.0, 2.0, 8.0, 3.0, 9.0]:
-            acc.observe(x)
-        lo_inf, hi_inf = acc.interval(scale=1.0)
-        lo_fpc, hi_fpc = acc.interval(scale=1.0, population=8)
+        sums = _sums([1.0, 5.0, 2.0, 8.0, 3.0, 9.0])
+        lo_inf, hi_inf = mean_interval(*sums, scale=1.0)
+        lo_fpc, hi_fpc = mean_interval(*sums, scale=1.0, population=8)
         assert (hi_fpc - lo_fpc) < (hi_inf - lo_inf)
 
     def test_fpc_zero_width_at_full_population(self):
-        acc = MeanEstimateInterval()
-        for x in [1.0, 2.0, 3.0]:
-            acc.observe(x)
-        lo, hi = acc.interval(scale=1.0, population=3)
+        lo, hi = mean_interval(*_sums([1.0, 2.0, 3.0]), scale=1.0, population=3)
         assert hi - lo == pytest.approx(0.0, abs=1e-12)
 
     def test_coverage_simulation(self):
@@ -91,12 +90,12 @@ class TestMeanEstimateInterval:
         covered = 0
         trials = 200
         for _ in range(trials):
-            sample = rng.permutation(population)[:200]
-            acc = MeanEstimateInterval()
-            for x in sample:
-                acc.observe(float(x))
-            lo, hi = acc.interval(
-                scale=len(population), alpha=0.99, population=len(population)
+            sample = [float(x) for x in rng.permutation(population)[:200]]
+            lo, hi = mean_interval(
+                *_sums(sample),
+                scale=len(population),
+                alpha=0.99,
+                population=len(population),
             )
             if lo <= true_total <= hi:
                 covered += 1

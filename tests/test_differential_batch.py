@@ -39,6 +39,9 @@ from dataclasses import dataclass
 import pytest
 
 from repro.common.rng import make_rng
+from repro.core.distinct import HybridGroupCountEstimator
+from repro.core.join_estimators import OnceJoinEstimator
+from repro.core.pipeline_estimators import HashJoinChainEstimator
 from repro.core.progress import ProgressMonitor
 from repro.datagen.skew import customer_variant
 from repro.executor.engine import ExecutionEngine, TickBus
@@ -297,67 +300,79 @@ def _provider_stable(op) -> bool:
     return False
 
 
-def _interval_state(interval) -> tuple[int, float, float]:
-    return (interval.count, interval.sum_x, interval.sum_x_sq)
+def _sums(acc) -> tuple[int, int, int]:
+    """An accumulator's sufficient statistics ``(t, Σc, Σc²)``."""
+    return (acc.t, acc.sum_c, acc.sum_c_sq)
 
 
 def _history_view(history: list[tuple[int, float]], stable: bool):
     return list(history) if stable else [t for t, _ in history]
 
 
-def _estimator_state(manager, ops_by_id: dict[int, object]) -> list[tuple]:
+def _estimator_state(manager) -> list[tuple]:
     """Deep snapshot of every attached estimator's internal state."""
-    state: list[tuple] = []
-    for chain in manager.chain_estimators:
-        stable = _provider_stable(chain.base_stream)
-        state.append((
-            "chain",
-            chain.t,
-            list(chain.sums),
-            chain.exact,
-            [_interval_state(iv) for iv in chain._intervals],
-            [dict(h.counts) for h in chain.base_hists],
-            {key: dict(h.counts) for key, h in chain.derived.items()},
-            [_history_view(h, stable) for h in chain.history],
-            chain.confidence_interval(),
-        ))
-    for op_id, est in manager.join_estimators.items():
-        stable = _provider_stable(ops_by_id[op_id].probe_child)
-        state.append((
-            "once",
-            est.t,
-            est.sum_counts,
-            est.exact,
-            _interval_state(est._interval),
-            dict(est.histogram.counts),
-            _history_view(est.history, stable),
-            est.confidence_interval(),
-        ))
-    for op_id, est in manager.group_estimators.items():
-        hybrid = est.hybrid
-        # Pushed-down totals track the feeding chain's (provider-backed)
-        # estimate, so their estimate-side state is size-dependent too.
-        stable = not est.pushed_down and _provider_stable(ops_by_id[op_id].child)
-        group_state = hybrid.state
-        moments = group_state.moments
-        entry = (
-            "group",
-            group_state.t,
-            dict(group_state.histogram.counts),
-            dict(group_state.histogram.freq_of_freq),
-            (moments.num_groups, moments.sum_freq, moments.sum_freq_sq),
-            hybrid.exact,
-            _history_view(hybrid.history, stable),
-        )
-        if stable:
-            entry += ((
-                hybrid._cached_mle,
-                hybrid.scheduler.interval,
-                hybrid.scheduler.recompute_count,
-                hybrid.estimate(),
-            ),)
-        state.append(entry)
-    return state
+    return [
+        _STATE_OF[type(estimator)](estimator, ops[0], manager)
+        for estimator, ops in manager.attached()
+    ]
+
+
+def _chain_state(chain, _join, _manager) -> tuple:
+    stable = _provider_stable(chain.base_stream)
+    return (
+        "chain",
+        [_sums(level) for level in chain.levels],
+        chain.exact,
+        [dict(h.counts) for h in chain.base_hists],
+        {key: dict(h.counts) for key, h in chain.derived.items()},
+        [_history_view(level.history, stable) for level in chain.levels],
+        [level.confidence_interval() for level in chain.levels],
+    )
+
+
+def _once_state(est, join, _manager) -> tuple:
+    stable = _provider_stable(join.probe_child)
+    return (
+        "once",
+        _sums(est.acc),
+        est.exact,
+        dict(est.histogram.counts),
+        _history_view(est.acc.history, stable),
+        est.confidence_interval(),
+    )
+
+
+def _group_state(hybrid, aggregate, manager) -> tuple:
+    # Pushed-down totals track the feeding chain's (provider-backed)
+    # estimate, so their estimate-side state is size-dependent too.
+    pushed_down = len(manager.registry[id(aggregate)].fed_by) > 1
+    stable = not pushed_down and _provider_stable(aggregate.child)
+    group_state = hybrid.state
+    moments = group_state.moments
+    entry = (
+        "group",
+        group_state.t,
+        dict(group_state.histogram.counts),
+        dict(group_state.histogram.freq_of_freq),
+        (moments.num_groups, moments.sum_freq, moments.sum_freq_sq),
+        hybrid.exact,
+        _history_view(hybrid.history, stable),
+    )
+    if stable:
+        entry += ((
+            hybrid._cached_mle,
+            hybrid.scheduler.interval,
+            hybrid.scheduler.recompute_count,
+            hybrid.estimate(),
+        ),)
+    return entry
+
+
+_STATE_OF = {
+    HashJoinChainEstimator: _chain_state,
+    OnceJoinEstimator: _once_state,
+    HybridGroupCountEstimator: _group_state,
+}
 
 
 @dataclass
@@ -378,7 +393,6 @@ def _observe(trial: int, batch_size: int) -> _Observation:
     result = ExecutionEngine(plan, bus=bus, collect_rows=True).run(batch_size=batch_size)
     final = monitor.snapshot()
     assert monitor.manager is not None
-    ops_by_id = {id(op): op for op in walk(plan)}
     join_estimates = [
         monitor.manager.estimate_for(op)
         for op in walk(plan)
@@ -391,7 +405,7 @@ def _observe(trial: int, batch_size: int) -> _Observation:
         true_total=monitor.true_total(),
         t_q=final.work_total_estimate,
         join_estimates=join_estimates,
-        estimator_state=_estimator_state(monitor.manager, ops_by_id),
+        estimator_state=_estimator_state(monitor.manager),
     )
 
 
@@ -442,7 +456,6 @@ def _observe_history(trial: int, store) -> _HistoryObservation:
     result = ExecutionEngine(plan, bus=bus, collect_rows=True).run()
     final = monitor.snapshot()
     assert monitor.manager is not None
-    ops_by_id = {id(op): op for op in walk(plan)}
     with monitor._lock:
         snapshots = [
             (s.work_done, s.work_total_estimate, s.progress)
@@ -459,7 +472,7 @@ def _observe_history(trial: int, store) -> _HistoryObservation:
         true_total=monitor.true_total(),
         t_q=final.work_total_estimate,
         snapshots=snapshots,
-        estimator_state=_estimator_state(monitor.manager, ops_by_id),
+        estimator_state=_estimator_state(monitor.manager),
         prior_source=final.prior_source,
     )
 

@@ -58,7 +58,7 @@ class TestDistinctEstimation:
         estimate = attach_group_estimator(op)
         result = ExecutionEngine(op, collect_rows=False).run()
         assert estimate.exact
-        assert estimate.current_estimate() == result.row_count
+        assert estimate.estimate() == result.row_count
 
     def test_manager_attaches_to_distinct(self):
         from repro.datagen.skew import customer_variant

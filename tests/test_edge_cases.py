@@ -89,7 +89,9 @@ class TestEstimatorRobustness:
         est = OnceJoinEstimator(probe_total=lambda: 0.0)
         est.on_build(1)
         est.on_probe(1)
-        assert est.current_estimate() == 0.0  # scaled by the (zero) total
+        # One output row is already certain: |S| is floored at t, so a
+        # total that under-counts cannot scale the estimate below Σc.
+        assert est.current_estimate() == 1.0
 
     def test_probe_total_shrinks_below_t(self):
         """A selection whose observed selectivity collapses mid-stream."""
@@ -97,8 +99,9 @@ class TestEstimatorRobustness:
         est.on_build(1)
         for _ in range(100):
             est.on_probe(1)
-        # mean * total stays finite and non-negative.
-        assert est.current_estimate() == pytest.approx(1.0)
+        # 100 output rows have been seen; the stale total cannot hide them.
+        assert est.current_estimate() == 100.0
+        assert est.confidence_interval() == (100.0, 100.0)
 
     def test_hybrid_group_estimator_with_zero_total(self):
         hybrid = HybridGroupCountEstimator(total=0.0)
@@ -112,7 +115,7 @@ class TestEstimatorRobustness:
         est = HashJoinChainEstimator([join])
         ExecutionEngine(join, collect_rows=False).run()
         assert est.exact
-        assert est.current_estimate() == 0.0
+        assert est.levels[0].estimate() == 0.0
 
     def test_monitor_snapshot_before_any_execution(self):
         join = HashJoin(
@@ -128,7 +131,7 @@ class TestEstimatorRobustness:
         scan = SeqScan(tiny_table)
         manager = EstimationManager(scan)
         assert manager.estimate_for(scan) is None
-        assert not manager.chain_estimators
+        assert not manager.registry
 
 
 class TestReRunIsolation:
@@ -170,7 +173,7 @@ class TestAggregateEdgeCases:
         agg = HashAggregate(SeqScan(t), ["t.k"], [AggregateSpec("count")])
         est = attach_group_estimator(agg)
         ExecutionEngine(agg, collect_rows=False).run()
-        assert est.current_estimate() == 1.0
+        assert est.estimate() == 1.0
 
     def test_group_estimator_all_distinct(self):
         from repro.core.aggregate_estimators import attach_group_estimator
@@ -179,7 +182,7 @@ class TestAggregateEdgeCases:
         agg = HashAggregate(SeqScan(t), ["t.k"], [AggregateSpec("count")])
         est = attach_group_estimator(agg)
         ExecutionEngine(agg, collect_rows=False).run()
-        assert est.current_estimate() == 500.0
+        assert est.estimate() == 500.0
 
     def test_tick_bus_snapshot_during_empty_aggregate(self):
         t = table_of("t", [])

@@ -1,0 +1,232 @@
+"""One conformance suite over the estimator registry.
+
+Every attachable estimator family answers through the same object — an
+:class:`~repro.core.manager.EstimatorEntry` — so the contract is asserted
+once, through the entry only, with the family as a parameter:
+
+1. not ``started`` before the first batch of the pass that feeds it,
+   ``started`` after it;
+2. ``exact`` at the end of that pass, with ``estimate()`` already equal to
+   what the operator will have emitted when the query finishes;
+3. ``history`` checkpoints on the same ``t`` values whatever the drain size
+   (1 / 7 / 1024);
+4. the merge algebra: the exports of two runs over two disjoint parts of
+   the stream fold into exactly the serial run's statistics.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from repro.core.accumulator import OnceAccumulator
+from repro.core.manager import EstimationManager, EstimatorEntry
+from repro.core.theta_estimators import attach_theta_estimator
+from repro.executor.engine import ExecutionEngine
+from repro.executor.expressions import col
+from repro.executor.operators import (
+    AggregateSpec,
+    HashAggregate,
+    HashJoin,
+    IndexNestedLoopsJoin,
+    NestedLoopsJoin,
+    SeqScan,
+    SortMergeJoin,
+)
+from repro.executor.operators.base import Operator
+from repro.parallel.delta import EstimatorDelta, merge_estimator_deltas
+from repro.storage.schema import Schema
+from repro.storage.table import Table
+
+RECORD_EVERY = 64
+STREAM_ROWS = 600
+DRAIN_SIZES = (1, 7, 1024)
+
+
+def _table(name: str, cols: list[str], n: int, domain: int, seed: int) -> Table:
+    data = np.random.default_rng(seed).integers(1, domain, size=(n, len(cols)))
+    rows = [tuple(int(v) for v in row) for row in data]
+    return Table(name, Schema.of(*[f"{c}:int" for c in cols]), rows, block_size=64)
+
+
+#: The stream every family estimates over, and the inputs it is joined with.
+C = _table("c", ["x", "y"], STREAM_ROWS, 25, seed=1)
+B0 = _table("b0", ["x", "w"], 300, 25, seed=2)
+B1 = _table("b1", ["y", "w"], 300, 25, seed=3)
+INNER = _table("i", ["v"], 60, 25, seed=4)
+
+
+@dataclass
+class Attached:
+    """A plan with estimators attached, seen through registry entries."""
+
+    root: Operator
+    pass_op: Operator  # the operator whose input pass feeds the entries ...
+    pass_index: int  # ... and which of its children that pass reads
+    entries: list[EstimatorEntry]  # one per operator answered for
+
+
+def _managed(root, pass_op, pass_index, answered) -> Attached:
+    manager = EstimationManager(root, record_every=RECORD_EVERY)
+    return Attached(root, pass_op, pass_index, [manager.registry[id(op)] for op in answered])
+
+
+def _hash_once(join_type):
+    def make(c: Table) -> Attached:
+        join = HashJoin(SeqScan(B0), SeqScan(c), "b0.x", "c.x", join_type=join_type)
+        return _managed(join, join, 1, [join])
+
+    return make
+
+
+def _sort_merge(c: Table) -> Attached:
+    join = SortMergeJoin(SeqScan(B0), SeqScan(c), "b0.x", "c.x")
+    return _managed(join, join, 1, [join])
+
+
+def _index_nl(c: Table) -> Attached:
+    join = IndexNestedLoopsJoin(SeqScan(c), SeqScan(B0), "c.x", "b0.x")
+    return _managed(join, join, 0, [join])
+
+
+def _chain(upper_build_key: str, upper_probe_key: str):
+    def make(c: Table) -> Attached:
+        lower = HashJoin(SeqScan(B0), SeqScan(c), "b0.x", "c.x")
+        upper = HashJoin(SeqScan(B1), lower, upper_build_key, upper_probe_key)
+        return _managed(upper, lower, 1, [lower, upper])
+
+    return make
+
+
+def _theta(op: str):
+    def make(c: Table) -> Attached:
+        predicate = {
+            "<": col("c.x") < col("i.v"),
+            "<=": col("c.x") <= col("i.v"),
+            ">": col("c.x") > col("i.v"),
+            ">=": col("c.x") >= col("i.v"),
+        }[op]
+        join = NestedLoopsJoin(SeqScan(c), SeqScan(INNER), predicate)
+        # The manager leaves plain nested loops to dne; the entry is built
+        # the way the manager builds every other join's.
+        estimator = attach_theta_estimator(join, "c.x", "i.v", op, RECORD_EVERY)
+        return Attached(join, join, 0, [EstimatorEntry(join, estimator.acc, (estimator,))])
+
+    return make
+
+
+def _group_direct(c: Table) -> Attached:
+    agg = HashAggregate(SeqScan(c), ["c.y"], [AggregateSpec("count")])
+    return _managed(agg, agg, 0, [agg])
+
+
+def _group_pushed_down(c: Table) -> Attached:
+    join = HashJoin(SeqScan(B0), SeqScan(c), "b0.x", "c.x")
+    agg = HashAggregate(join, ["c.y"], [AggregateSpec("count")])
+    attached = _managed(agg, join, 1, [join, agg])
+    assert len(attached.entries[1].fed_by) == 2  # the hybrid and the chain
+    return attached
+
+
+FAMILIES = {
+    "hash-inner": _hash_once("inner"),
+    "hash-semi": _hash_once("semi"),
+    "hash-anti": _hash_once("anti"),
+    "hash-outer": _hash_once("outer"),
+    "sort-merge": _sort_merge,
+    "index-nl": _index_nl,
+    "chain-same-attribute": _chain("b1.y", "c.x"),
+    "chain-case1": _chain("b1.y", "c.y"),
+    "chain-case2": _chain("b1.w", "b0.w"),
+    "theta-lt": _theta("<"),
+    "theta-le": _theta("<="),
+    "theta-gt": _theta(">"),
+    "theta-ge": _theta(">="),
+    "group-direct": _group_direct,
+    "group-pushed-down": _group_pushed_down,
+}
+
+family = pytest.mark.parametrize("name", list(FAMILIES))
+
+
+def _run(attached: Attached, batch_size: int = 64):
+    return ExecutionEngine(attached.root, collect_rows=False).run(batch_size=batch_size)
+
+
+@family
+def test_started_then_exact_at_pass_end(name):
+    attached = FAMILIES[name](C)
+    entries = attached.entries
+    before: list[list[bool]] = []
+    after: list[list[bool]] = []
+    at_end: list[tuple[bool, float]] = []
+    hooks = attached.pass_op.input_hooks[attached.pass_index]
+    # Around the estimators' own hooks, in the same batch.
+    hooks.insert(0, lambda keys, rows: before.append([e.started for e in entries]))
+    hooks.append(lambda keys, rows: after.append([e.started for e in entries]))
+    attached.pass_op.input_end_hooks[attached.pass_index].append(
+        lambda: at_end.extend((e.exact, e.estimate()) for e in entries)
+    )
+    assert not any(e.started or e.exact for e in entries)
+    _run(attached)
+    assert not any(before[0]) and all(after[0])
+    # Exact when the pass ended — before the operators had emitted it all.
+    assert at_end == [(True, float(e.op.tuples_emitted)) for e in entries]
+    assert all(e.exact and e.estimate() == e.op.tuples_emitted for e in entries)
+    # ... and the end of the pass is the last checkpoint.
+    assert [e.source.history[-1][1] for e in entries] == [e.estimate() for e in entries]
+
+
+@family
+def test_checkpoints_independent_of_drain_size(name):
+    checkpoints = []
+    for batch_size in DRAIN_SIZES:
+        attached = FAMILIES[name](C)
+        _run(attached, batch_size)
+        checkpoints.append(
+            [[t for t, _ in entry.source.history] for entry in attached.entries]
+        )
+    assert checkpoints[1:] == checkpoints[:1] * (len(DRAIN_SIZES) - 1)
+    # A pushed-down group estimator counts (weighted) join-output rows;
+    # everything else counts the tuples of C.
+    per_tuple = [*range(RECORD_EVERY, STREAM_ROWS + 1, RECORD_EVERY), STREAM_ROWS]
+    assert all(ts == per_tuple or ts[-1] > STREAM_ROWS for ts in checkpoints[0])
+    assert checkpoints[0][0] == per_tuple
+
+
+def _mergeable(entry: EstimatorEntry):
+    """What an entry's source exports, in comparable form."""
+    if isinstance(entry.source, OnceAccumulator):
+        return entry.source.export()
+    return EstimatorDelta((0,), entry.source.export(), (False,))
+
+
+def _fold(parts: list):
+    """Fold exports; returns ``(t, Σc, Σc², exact)`` / ``(counts, exact)``."""
+    if isinstance(parts[0], EstimatorDelta):
+        (merged,) = merge_estimator_deltas({i: (p,) for i, p in enumerate(parts)}).values()
+        return merged.hists[0], merged.exact
+    merged = OnceAccumulator.fold_target()
+    for stats in parts:
+        merged.fold(stats)
+    return (merged.t, merged.sum_c, merged.sum_c_sq, merged.exact)
+
+
+@family
+def test_parts_fold_into_serial_statistics(name):
+    rows = list(C)
+    parts = [
+        Table("c", C.schema, part, block_size=64)
+        for part in (rows[: STREAM_ROWS // 3], rows[STREAM_ROWS // 3 :])
+    ]
+    runs = []
+    for table in (C, *parts):
+        attached = FAMILIES[name](table)
+        _run(attached)
+        runs.append([_mergeable(entry) for entry in attached.entries])
+    serial, first, second = runs
+    for whole, a, b in zip(serial, first, second):
+        assert _fold([a, b]) == _fold([whole])
+        assert _fold([whole])[-1] is True

@@ -117,7 +117,8 @@ class TestPlannerIntegration:
             aggregates=[AggregateSpec("sum", "lineitem.extendedprice", alias="rev")],
         )
         manager = EstimationManager(plan)
-        assert manager.chain_estimators and manager.chain_estimators[0].k == 3
+        chain, joins = manager.attached()[0]
+        assert chain.k == len(joins) == 3
         bus = TickBus(1000)
         monitor = ProgressMonitor(plan, mode="once", bus=bus)
         result = ExecutionEngine(plan, bus=bus, collect_rows=False).run()

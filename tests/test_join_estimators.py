@@ -8,6 +8,7 @@ from repro.core.join_estimators import (
     attach_once_estimator,
     resolve_stream_total,
 )
+from repro.core.manager import EstimationManager
 from repro.executor.engine import ExecutionEngine
 from repro.executor.expressions import col, lit
 from repro.executor.operators import (
@@ -66,7 +67,7 @@ class TestOnceJoinEstimatorArithmetic:
     def test_none_build_keys_ignored(self):
         est = OnceJoinEstimator(probe_total=10.0)
         est.on_build(None)
-        assert est.build_distinct == 0
+        assert est.histogram.num_distinct == 0
 
     def test_confidence_interval_shrinks(self):
         est = OnceJoinEstimator(probe_total=1000.0)
@@ -93,13 +94,62 @@ class TestOnceJoinEstimatorArithmetic:
         est.on_build(1)
         for _ in range(35):
             est.on_probe(1)
-        assert [t for t, _ in est.history] == [10, 20, 30]
+        assert [t for t, _ in est.acc.history] == [10, 20, 30]
 
     def test_worst_case_beta(self):
         est = OnceJoinEstimator(probe_total=100.0)
         for _ in range(100):
             est.on_probe(0)
         assert est.worst_case_beta(alpha=0.9545) == pytest.approx(0.1, abs=2e-3)
+
+
+class TestStreamTotalFloor:
+    """One rule for a stream total smaller than what has been seen:
+    ``|S| := max(provider(), t)``, so T̂ never drops below ``Σc``."""
+
+    def test_direct_api_total_below_tuples_seen(self):
+        est = OnceJoinEstimator(probe_total=10)
+        est.on_build(1)
+        for _ in range(100):
+            est.on_probe(1)
+        # 100 output rows are already certain.
+        assert est.current_estimate() == 100.0
+        assert est.confidence_interval() == (100.0, 100.0)
+        assert est.acc.stream_total == 100.0
+
+    def test_merged_and_serial_agree_when_the_total_undercounts(self):
+        from repro.core.accumulator import OnceAccumulator
+
+        serial = OnceAccumulator(total=10)
+        serial.add(60, 120, 240)
+        merged = OnceAccumulator.fold_target()
+        for n in (20, 40):
+            part = OnceAccumulator(total=5)
+            part.add(n, 2 * n, 4 * n)
+            merged.fold(part.export())
+        assert merged.export()[:3] == serial.export()[:3]
+        assert merged.estimate() == serial.estimate() == 120.0
+
+    def test_probe_child_with_underestimated_cardinality(self):
+        """A hash join probed by an aggregate's output: the stream total is
+        the optimizer's guess, here a tenth of the true group count."""
+        from repro.executor.operators import AggregateSpec, HashAggregate
+        from repro.storage.schema import Schema
+        from repro.storage.table import Table
+
+        groups = 400
+        fact = Table("f", Schema.of("k:int"), [(i % groups,) for i in range(2000)])
+        dim = Table("d", Schema.of("k:int"), [(i,) for i in range(groups)])
+        agg = HashAggregate(SeqScan(fact), ["f.k"], [AggregateSpec("count")])
+        agg.estimated_cardinality = groups / 10
+        join = HashJoin(SeqScan(dim), agg, "d.k", "f.k")
+        entry = EstimationManager(join, record_every=1).registry[id(join)]
+        ExecutionEngine(join, collect_rows=False).run(batch_size=64)
+        assert entry.exact and entry.estimate() == groups
+        # Every probe tuple matches once, so Σc at checkpoint t is t.
+        *mid_pass, final = entry.source.history
+        assert len(mid_pass) == groups
+        assert all(estimate >= t for t, estimate in mid_pass)
 
 
 class TestAttachToHashJoin:
@@ -136,7 +186,7 @@ class TestAttachToHashJoin:
         left, right = skewed_pair
         join = HashJoin(SeqScan(left), SeqScan(right), "left.nationkey", "right.nationkey")
         est = attach_once_estimator(join)
-        assert est.probe_total == len(right)
+        assert est.acc.stream_total == len(right)
 
     def test_estimate_mid_probe_close_to_truth(self, skewed_pair):
         left, right = skewed_pair
@@ -148,7 +198,7 @@ class TestAttachToHashJoin:
         ExecutionEngine(join, collect_rows=False).run()
         truth = brute_force_join_size(left, right, "nationkey", "nationkey")
         # After 25% of the probe input the estimate is within 25%.
-        quarter = next(e for t, e in est.history if t >= len(right) // 4)
+        quarter = next(e for t, e in est.acc.history if t >= len(right) // 4)
         assert quarter == pytest.approx(truth, rel=0.25)
 
 

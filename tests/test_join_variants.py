@@ -92,7 +92,7 @@ class TestEstimation:
         )
         estimator = attach_once_estimator(join, record_every=500)
         result = ExecutionEngine(join, collect_rows=False).run()
-        halfway = next(e for t, e in estimator.history if t >= 4000)
+        halfway = next(e for t, e in estimator.acc.history if t >= 4000)
         assert halfway == pytest.approx(result.row_count, rel=0.15)
 
     def test_non_inner_joins_break_chains(self):

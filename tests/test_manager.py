@@ -1,6 +1,9 @@
 """Tests for the estimation manager's attachment rules."""
 
+from repro.core.distinct import HybridGroupCountEstimator
+from repro.core.join_estimators import OnceJoinEstimator
 from repro.core.manager import EstimationManager
+from repro.core.pipeline_estimators import HashJoinChainEstimator
 from repro.core.theta_estimators import attach_theta_estimator
 from repro.executor.engine import ExecutionEngine
 from repro.executor.expressions import col
@@ -21,14 +24,15 @@ class TestAttachmentRules:
     def test_hash_join_chain_gets_one_estimator(self):
         setup = paper_pipeline_same_attr(z=0.0, domain_size=50, num_rows=500)
         manager = EstimationManager(setup.plan)
-        assert len(manager.chain_estimators) == 1
-        assert manager.chain_estimators[0].k == 2
+        ((chain, joins),) = manager.attached()
+        assert chain.k == 2 and joins == setup.joins
 
     def test_merge_join_gets_binary_estimator(self, skewed_pair):
         left, right = skewed_pair
         join = SortMergeJoin(SeqScan(left), SeqScan(right), "left.nationkey", "right.nationkey")
         manager = EstimationManager(join)
-        assert id(join) in manager.join_estimators
+        ((once, joins),) = manager.attached()
+        assert isinstance(once, OnceJoinEstimator) and joins == [join]
 
     def test_presorted_merge_join_falls_back(self, skewed_pair):
         left, right = skewed_pair
@@ -37,7 +41,7 @@ class TestAttachmentRules:
             left_presorted=True,
         )
         manager = EstimationManager(join)
-        assert id(join) not in manager.join_estimators
+        assert id(join) not in manager.registry
         assert manager.fallbacks
 
     def test_plain_nl_join_not_attached(self, skewed_pair):
@@ -52,7 +56,9 @@ class TestAttachmentRules:
         join = HashJoin(SeqScan(b), SeqScan(c), "b.nationkey", "c.nationkey")
         agg = HashAggregate(join, ["c.nationkey"], [AggregateSpec("count")])
         manager = EstimationManager(agg)
-        assert manager.group_estimators[id(agg)].pushed_down
+        hybrid, chain = manager.registry[id(agg)].fed_by
+        assert isinstance(chain, HashJoinChainEstimator)
+        assert manager.registry[id(agg)].source is hybrid
 
     def test_aggregate_on_build_column_attaches_directly(self):
         b = customer_variant(1.0, 40, 1, 800, name="b")
@@ -60,13 +66,14 @@ class TestAttachmentRules:
         join = HashJoin(SeqScan(b), SeqScan(c), "b.nationkey", "c.nationkey")
         agg = HashAggregate(join, ["b.custkey"], [AggregateSpec("count")])
         manager = EstimationManager(agg)
-        assert not manager.group_estimators[id(agg)].pushed_down
+        (hybrid,) = manager.registry[id(agg)].fed_by
+        assert isinstance(hybrid, HybridGroupCountEstimator)
 
     def test_global_aggregate_skipped(self, skewed_pair):
         left, _ = skewed_pair
         agg = HashAggregate(SeqScan(left), [], [AggregateSpec("count")])
         manager = EstimationManager(agg)
-        assert id(agg) not in manager.group_estimators
+        assert id(agg) not in manager.registry
 
 
 class TestEstimates:
@@ -100,15 +107,15 @@ class TestEstimates:
     def test_describe_mentions_attachments(self):
         setup = paper_pipeline_same_attr(z=0.0, domain_size=50, num_rows=400)
         manager = EstimationManager(setup.plan)
-        assert "chain[2]" in manager.describe()
+        assert "HashJoinChainEstimator[2]" in manager.describe()
 
 
 class TestQ8Coverage:
     def test_whole_q8_chain_estimated_exactly(self):
         setup = tpch_q8_like(sf=0.002, skew_z=1.0, sample_fraction=0.0)
         manager = EstimationManager(setup.plan)
-        assert len(manager.chain_estimators) == 1
-        assert manager.chain_estimators[0].k == 7
+        chain, joins = manager.attached()[0]
+        assert chain.k == 7 and joins == setup.joins
         ExecutionEngine(setup.plan, collect_rows=False).run()
         for join in setup.joins:
             assert manager.estimate_for(join) == join.tuples_emitted
@@ -151,7 +158,7 @@ class TestHardenedDemotion:
                 SeqScan(left), SeqScan(right), "left.nationkey", "right.nationkey"
             )
         )
-        assert not manager.join_estimators
+        assert not manager.registry
 
     def test_raising_end_of_input_callback_demotes(self, skewed_pair):
         """The end-of-input channel is guarded like the data hooks: an
@@ -166,7 +173,7 @@ class TestHardenedDemotion:
         reference = ExecutionEngine(make()).run()
         join = make()
         manager = EstimationManager(join)
-        (chain,) = manager.chain_estimators
+        ((chain, _joins),) = manager.attached()
         fired = []
 
         def broken_finalize():
@@ -180,3 +187,27 @@ class TestHardenedDemotion:
         assert fired == [len(right)]  # once, after the whole probe input
         assert manager.degraded and "finalize failed" in manager.demotions[0][1]
         assert manager.estimate_for(join) is None
+
+    def test_demoted_chain_takes_its_pushed_down_aggregate_with_it(self):
+        """The fault skips the chain's one build batch, so the chain runs on
+        an empty histogram, feeds the hybrid nothing and would finalise it
+        at zero groups: an entry is only as sound as everything it is fed
+        by, so demoting the chain removes the aggregate's entry too."""
+
+        def make():
+            b = customer_variant(1.0, 40, 1, 800, name="b")
+            c = customer_variant(1.0, 40, 2, 800, name="c")
+            join = HashJoin(SeqScan(b), SeqScan(c), "b.nationkey", "c.nationkey")
+            return join, HashAggregate(join, ["c.nationkey"], [AggregateSpec("count")])
+
+        reference = ExecutionEngine(make()[1]).run()
+        join, agg = make()
+        manager = EstimationManager(agg)
+        assert len(manager.registry[id(agg)].fed_by) == 2  # pushed down
+        manager.harden(faults=parse_fault_spec(self.FAULTS))
+        result = ExecutionEngine(agg).run()
+        assert result.rows == reference.rows and result.row_count == 40
+        assert manager.degraded
+        assert manager.estimate_for(join) is None
+        assert manager.estimate_for(agg) is None
+        assert not manager.is_exact(agg)

@@ -244,7 +244,7 @@ def test_probe_pass_snapshot_sees_once_and_the_counter_agree(
         num_partitions=num_partitions, memory_partitions=memory,
     )
     manager = EstimationManager(join)
-    (chain,) = manager.chain_estimators
+    ((chain, _joins),) = manager.attached()
     bus = TickBus(interval=64)
     seen: list[tuple[bool, int, int]] = []
 

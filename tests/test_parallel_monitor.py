@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.accumulator import EstimatorExport, OnceStats
 from repro.parallel.delta import (
     EstimatorDelta,
-    MergedOnce,
+    MergedEstimator,
     ProgressDelta,
     merge_estimator_deltas,
 )
@@ -121,19 +122,21 @@ def test_invalid_worker_count_raises():
 # -- estimator merge algebra --------------------------------------------------
 
 
-def _once_delta(node, t, sum_counts, hist, *, replicated=False, probe_total=0.0,
-                exact=False, stats_replicated=False, interval=(0, 0.0, 0.0)):
+def _once_delta(node, t, sum_c, hist, *, replicated=False, probe_total=0.0,
+                exact=False, stats_replicated=False, sum_c_sq=0):
+    """A binary ONCE join on the wire: a chain of one level."""
+    stats = OnceStats(t, sum_c, sum_c_sq, probe_total, exact)
     return EstimatorDelta(
-        "once",
         (node,),
-        t=t,
-        sums=(sum_counts,),
-        hists=(dict(hist),),
+        EstimatorExport("chain", (stats,), (dict(hist),), probe_total, exact),
         replicated=(replicated,),
-        interval_sums=(interval,),
-        probe_total=probe_total,
-        exact=exact,
         stats_replicated=stats_replicated,
+    )
+
+
+def _group_delta(node, hist, total, exact):
+    return EstimatorDelta(
+        (node,), EstimatorExport("group", (), (dict(hist),), total, exact), (False,)
     )
 
 
@@ -143,20 +146,20 @@ def test_partitioned_hists_sum_and_replicated_take_first():
             0: (_once_delta(7, 10, 30, {1: 3, 2: 1}),),
             1: (_once_delta(7, 5, 12, {3: 4}),),
         }
-    )[("once", (7,))]
-    assert partitioned.t == 15
-    assert partitioned.sum_counts == 42
-    assert partitioned.counts == {1: 3, 2: 1, 3: 4}
+    )[("chain", (7,))]
+    assert partitioned.levels[0].t == 15
+    assert partitioned.levels[0].sum_c == 42
+    assert partitioned.hists == [{1: 3, 2: 1, 3: 4}]
 
     replicated = merge_estimator_deltas(
         {
             0: (_once_delta(7, 10, 30, {1: 9, 2: 9}, replicated=True),),
             1: (_once_delta(7, 5, 12, {1: 9, 2: 9}, replicated=True),),
         }
-    )[("once", (7,))]
+    )[("chain", (7,))]
     # Probe stats still sum; the build histogram folds once.
-    assert replicated.t == 15
-    assert replicated.counts == {1: 9, 2: 9}
+    assert replicated.levels[0].t == 15
+    assert replicated.hists == [{1: 9, 2: 9}]
 
 
 def test_stats_replicated_folds_whole_delta_take_first():
@@ -165,24 +168,26 @@ def test_stats_replicated_folds_whole_delta_take_first():
             0: (_once_delta(5, 10, 30, {1: 2}, stats_replicated=True),),
             1: (_once_delta(5, 10, 30, {1: 2}, stats_replicated=True),),
         }
-    )[("once", (5,))]
-    assert merged.t == 10
-    assert merged.sum_counts == 30
+    )[("chain", (5,))]
+    assert merged.levels[0].t == 10
+    assert merged.levels[0].sum_c == 30
 
 
 def test_merged_ratio_estimate_and_exact_collapse():
-    state = MergedOnce(3)
-    state.fold(_once_delta(3, 10, 40, {}, probe_total=100.0))
+    first = _once_delta(3, 10, 40, {}, probe_total=100.0)
+    state = MergedEstimator(first)
+    state.fold(first)
     state.fold(_once_delta(3, 10, 20, {}, probe_total=100.0))
     # Combined ratio: (40+20)/(10+10) × 200 — not the sum of per-worker
     # point estimates (400 + 200)/... which would weight workers unevenly.
-    assert state.estimate() == pytest.approx(60 / 20 * 200)
-    assert not state.exact
-    exact = MergedOnce(3)
-    exact.fold(_once_delta(3, 10, 40, {}, exact=True))
+    assert state.node_estimates() == [(3, pytest.approx(60 / 20 * 200))]
+    assert not state.exact and not state.levels[0].exact
+    first = _once_delta(3, 10, 40, {}, exact=True)
+    exact = MergedEstimator(first)
+    exact.fold(first)
     exact.fold(_once_delta(3, 10, 20, {}, exact=True))
-    assert exact.exact
-    assert exact.estimate() == 60.0
+    assert exact.exact and exact.levels[0].exact
+    assert exact.node_estimates() == [(3, 60.0)]
 
 
 def test_once_estimator_overrides_summed_total_in_snapshot():
@@ -203,18 +208,11 @@ def test_once_estimator_overrides_summed_total_in_snapshot():
 
 def test_group_histograms_always_sum():
     deltas = {
-        0: (
-            EstimatorDelta(
-                "group", (9,), hists=({"a": 2, "b": 1},), total=3.0, exact=True
-            ),
-        ),
-        1: (
-            EstimatorDelta(
-                "group", (9,), hists=({"a": 1, "c": 4},), total=5.0, exact=True
-            ),
-        ),
+        0: (_group_delta(9, {"a": 2, "b": 1}, total=3.0, exact=True),),
+        1: (_group_delta(9, {"a": 1, "c": 4}, total=5.0, exact=True),),
     }
     merged = merge_estimator_deltas(deltas)[("group", (9,))]
-    assert merged.counts == {"a": 3, "b": 1, "c": 4}
-    assert merged.t == 8
-    assert merged.estimate() == 3.0  # exact: the merged distinct count
+    assert merged.hists == [{"a": 3, "b": 1, "c": 4}]
+    assert merged.total == 8.0
+    assert merged.node_estimates() == []  # the aggregate's total stays summed
+    assert merged.group_estimate() == 3.0  # exact: the merged distinct count

@@ -62,16 +62,8 @@ class TestChainDiscovery:
 
 
 class TestExactConvergence:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(same_attr=True), dict(same_attr=False, case=1), dict(same_attr=False, case=2)],
-    )
-    def test_both_levels_exact_after_probe_pass(self, kwargs):
-        upper, lower, est = make_chain(**kwargs)
-        ExecutionEngine(upper, collect_rows=False).run()
-        assert est.exact
-        assert est.estimate_level(0) == lower.tuples_emitted
-        assert est.estimate_level(1) == upper.tuples_emitted
+    # Both levels exact at probe end, same attribute / Case 1 / Case 2:
+    # tests/test_estimator_conformance.py, the three ``chain-*`` families.
 
     def test_exact_before_lower_join_pass(self):
         """Estimates for *both* joins are exact by the end of the lowest
@@ -81,20 +73,21 @@ class TestExactConvergence:
         while not est.exact:
             assert upper.next() is not None
         # The upper join has emitted at most a trickle at this point.
-        assert upper.tuples_emitted < est.estimate_level(1) / 2
+        assert upper.tuples_emitted < est.levels[1].estimate() / 2
 
     def test_estimates_dict(self):
         upper, lower, est = make_chain(same_attr=True)
         ExecutionEngine(upper, collect_rows=False).run()
-        estimates = est.estimates()
-        assert estimates[lower] == lower.tuples_emitted
-        assert estimates[upper] == upper.tuples_emitted
+        estimates = dict(zip(est.chain, (level.estimate() for level in est.levels)))
+        assert estimates == {lower: lower.tuples_emitted, upper: upper.tuples_emitted}
 
     def test_current_estimate_by_join(self):
+        """``levels`` is aligned with ``chain``, bottom-up; the topmost
+        join's is last."""
         upper, lower, est = make_chain(same_attr=True)
         ExecutionEngine(upper, collect_rows=False).run()
-        assert est.current_estimate(lower) == lower.tuples_emitted
-        assert est.current_estimate() == upper.tuples_emitted  # default: top
+        assert est.levels[est.chain.index(lower)].estimate() == lower.tuples_emitted
+        assert est.levels[-1].estimate() == upper.tuples_emitted
 
 
 class TestNestedReferences:
@@ -121,9 +114,9 @@ class TestNestedReferences:
         j2 = HashJoin(SeqScan(b2), j1, "b2.v", "b1.v")
         est = HashJoinChainEstimator([j0, j1, j2])
         ExecutionEngine(j2, collect_rows=False).run()
-        assert est.estimate_level(0) == j0.tuples_emitted
-        assert est.estimate_level(1) == j1.tuples_emitted
-        assert est.estimate_level(2) == j2.tuples_emitted
+        assert est.levels[0].estimate() == j0.tuples_emitted
+        assert est.levels[1].estimate() == j1.tuples_emitted
+        assert est.levels[2].estimate() == j2.tuples_emitted
 
     def test_mixed_c_and_b_references(self):
         """J1 on a C column (case 1), J2 on a B0 column (case 2)."""
@@ -148,16 +141,17 @@ class TestNestedReferences:
         est = HashJoinChainEstimator([j0, j1, j2])
         ExecutionEngine(j2, collect_rows=False).run()
         for level, join in enumerate([j0, j1, j2]):
-            assert est.estimate_level(level) == join.tuples_emitted
+            assert est.levels[level].estimate() == join.tuples_emitted
 
 
 class TestMidStreamAccuracy:
     def test_estimates_reasonable_mid_probe(self):
         upper, lower, est = make_chain(same_attr=True, rows=6000)
-        est.record_every = 500
+        for level in est.levels:
+            level.record_every = 500
         ExecutionEngine(upper, collect_rows=False).run()
         truth = upper.tuples_emitted
-        mid = next(e for t, e in est.history[1] if t >= 3000)
+        mid = next(e for t, e in est.levels[1].history if t >= 3000)
         assert mid == pytest.approx(truth, rel=0.3)
 
     def test_confidence_interval_covers_truth(self):
@@ -165,7 +159,7 @@ class TestMidStreamAccuracy:
         upper.open()
         while est.t < 2000:
             upper.next()
-        lo, hi = est.confidence_interval(upper, alpha=0.99)
+        lo, hi = est.levels[-1].confidence_interval(alpha=0.99)
         while upper.next() is not None:
             pass
         assert lo <= upper.tuples_emitted <= hi

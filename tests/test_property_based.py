@@ -119,8 +119,8 @@ class TestChainEstimatorProperty:
         upper = HashJoin(SeqScan(a), lower, "a.k", "b.k")
         est = HashJoinChainEstimator([lower, upper])
         ExecutionEngine(upper, collect_rows=False).run()
-        assert est.estimate_level(0) == lower.tuples_emitted
-        assert est.estimate_level(1) == upper.tuples_emitted
+        assert est.levels[0].estimate() == lower.tuples_emitted
+        assert est.levels[1].estimate() == upper.tuples_emitted
 
 
 class TestDistinctEstimatorProperties:

@@ -37,14 +37,14 @@ class TestStopAfterSample:
         join = make_sampled_join(rows=10_000, fraction=0.2)
         est = HashJoinChainEstimator([join], stop_after_sample=True)
         result = ExecutionEngine(join, collect_rows=False).run()
-        assert est.current_estimate() == pytest.approx(result.row_count, rel=0.15)
+        assert est.levels[0].estimate() == pytest.approx(result.row_count, rel=0.15)
 
     def test_default_still_exact(self):
         join = make_sampled_join()
         est = HashJoinChainEstimator([join])
         result = ExecutionEngine(join, collect_rows=False).run()
         assert est.exact
-        assert est.current_estimate() == result.row_count
+        assert est.levels[0].estimate() == result.row_count
 
     def test_punctuation_found_through_filters(self):
         build = customer_variant(1.0, 100, 0, 2000, name="fb")
@@ -70,7 +70,7 @@ class TestStopAfterSample:
         join = make_sampled_join(rows=3000)
         manager = EstimationManager(join, stop_after_sample=True)
         ExecutionEngine(join, collect_rows=False).run()
-        chain = manager.chain_estimators[0]
+        chain = manager.attached()[0][0]
         assert chain.frozen and not chain.exact
         assert manager.estimate_for(join) == pytest.approx(
             join.tuples_emitted, rel=0.2
@@ -84,7 +84,7 @@ class TestStopAfterSample:
         join = HashJoin(SeqScan(build), SeqScan(probe), "qb.nationkey", "qp.nationkey")
         manager = EstimationManager(join, stop_after_sample=True)
         ExecutionEngine(join, collect_rows=False).run()
-        chain = manager.chain_estimators[0]
+        chain = manager.attached()[0][0]
         assert chain.exact  # fell back to full refinement; hooks wired once
         assert manager.estimate_for(join) == join.tuples_emitted
 
@@ -102,5 +102,5 @@ class TestStopAfterSample:
         ExecutionEngine(upper, collect_rows=False).run()
         assert est.frozen
         # Both levels keep reasonable frozen estimates.
-        assert est.estimate_level(0) == pytest.approx(lower.tuples_emitted, rel=0.25)
-        assert est.estimate_level(1) == pytest.approx(upper.tuples_emitted, rel=0.25)
+        assert est.levels[0].estimate() == pytest.approx(lower.tuples_emitted, rel=0.25)
+        assert est.levels[1].estimate() == pytest.approx(upper.tuples_emitted, rel=0.25)

@@ -237,7 +237,7 @@ class TestProgressIntegration:
             "JOIN customer c ON o.custkey = c.custkey",
         )
         manager = EstimationManager(compiled.plan)
-        assert manager.chain_estimators and manager.chain_estimators[0].k == 2
+        assert manager.attached()[0][0].k == 2
         ExecutionEngine(compiled.plan, collect_rows=False).run()
         for join in walk(compiled.plan):
             if isinstance(join, HashJoin):

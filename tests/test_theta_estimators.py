@@ -62,27 +62,8 @@ class TestContributions:
 
 
 class TestAttachment:
-    def run_join(self, op_str, outer_vals, inner_vals):
-        outer, inner = make_tables(outer_vals, inner_vals)
-        predicate = {
-            ">": col("o.x") > col("i.y"),
-            "<": col("o.x") < col("i.y"),
-        }[op_str]
-        join = NestedLoopsJoin(SeqScan(outer), SeqScan(inner), predicate)
-        estimator = attach_theta_estimator(join, "o.x", "i.y", op_str)
-        result = ExecutionEngine(join, collect_rows=False).run()
-        return estimator, result
-
-    @pytest.mark.parametrize("op_str", [">", "<"])
-    def test_exact_at_end(self, op_str):
-        import numpy as np
-
-        rng = np.random.default_rng(3)
-        outer_vals = [int(v) for v in rng.integers(0, 100, size=300)]
-        inner_vals = [int(v) for v in rng.integers(0, 100, size=200)]
-        estimator, result = self.run_join(op_str, outer_vals, inner_vals)
-        assert estimator.exact
-        assert estimator.current_estimate() == result.row_count
+    # Exactness at the end of the outer pass, for all four comparisons:
+    # tests/test_estimator_conformance.py, the ``theta-*`` families.
 
     def test_mid_stream_estimate_unbiased(self):
         import numpy as np
@@ -96,7 +77,7 @@ class TestAttachment:
         )
         estimator = attach_theta_estimator(join, "o.x", "i.y", ">", record_every=400)
         result = ExecutionEngine(join, collect_rows=False).run()
-        early = next(e for t, e in estimator.history if t >= 800)
+        early = next(e for t, e in estimator.acc.history if t >= 800)
         assert early == pytest.approx(result.row_count, rel=0.15)
 
     def test_confidence_interval_covers_truth(self):
@@ -112,11 +93,11 @@ class TestAttachment:
         estimator = attach_theta_estimator(join, "o.x", "i.y", "<")
         join.open()
         pulled = 0
-        while estimator.t < 500:
+        while estimator.acc.t < 500:
             if join.next() is None:
                 break
             pulled += 1
-        lo, hi = estimator.confidence_interval(alpha=0.999)
+        lo, hi = estimator.acc.confidence_interval(alpha=0.999)
         while join.next() is not None:
             pass
         assert lo <= join.tuples_emitted <= hi
