@@ -22,7 +22,6 @@ from repro.common.locks import (
 )
 from repro.common.rng import derive_seed, make_rng
 from repro.common.stats import (
-    IncrementalFrequencyStats,
     RunningMeanVar,
     normal_quantile,
     squared_coefficient_of_variation,
@@ -32,7 +31,6 @@ __all__ = [
     "CatalogError",
     "EstimationError",
     "ExecutorError",
-    "IncrementalFrequencyStats",
     "LockAssertionError",
     "PlanError",
     "ReproError",

@@ -1,15 +1,10 @@
 """Incremental statistics used throughout the estimation framework.
 
-The paper (Section 4.2, footnote on selections) requires the squared
-coefficient of variation of observed group frequencies to be maintainable
-*incrementally* — "decompose the coefficient of variation formula to elements
-(prefix sums and prefix sums of squares) that can be maintained
-incrementally". :class:`IncrementalFrequencyStats` implements exactly that
-decomposition: when a group's frequency moves from ``c`` to ``c + 1`` the sum
-of frequencies and the sum of squared frequencies are patched in O(1).
-
-:class:`RunningMeanVar` is a standard Welford accumulator used by the test
-suite and the overhead benchmarks. :func:`normal_quantile` supplies the
+:func:`squared_coefficient_of_variation` is the reference definition of
+the γ² that :class:`repro.core.distinct.GroupFrequencyState` maintains
+incrementally from prefix sums (Section 4.2). :class:`RunningMeanVar` is a
+standard Welford accumulator used by the test suite and the overhead
+benchmarks. :func:`normal_quantile` supplies the
 ``Z_alpha`` values for the binomial confidence intervals of Section 4.1
 without requiring scipy at runtime.
 """
@@ -20,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 __all__ = [
-    "IncrementalFrequencyStats",
     "RunningMeanVar",
     "normal_quantile",
     "squared_coefficient_of_variation",
@@ -31,8 +25,8 @@ def squared_coefficient_of_variation(frequencies) -> float:
     """Squared coefficient of variation (variance / mean**2) of a sequence.
 
     Returns 0.0 for empty input or zero mean; this matches the incremental
-    accumulator and makes the low-skew branch of the GEE/MLE chooser the
-    default for degenerate inputs.
+    group-frequency state and makes the low-skew branch of the GEE/MLE
+    chooser the default for degenerate inputs.
     """
     freqs = list(frequencies)
     n = len(freqs)
@@ -44,71 +38,6 @@ def squared_coefficient_of_variation(frequencies) -> float:
     mean = total / n
     var = sum((f - mean) ** 2 for f in freqs) / n
     return var / (mean * mean)
-
-
-@dataclass
-class IncrementalFrequencyStats:
-    """O(1)-updatable moments of a frequency distribution.
-
-    Tracks, over the multiset of per-group frequencies ``{c_g}``:
-
-    * ``num_groups``   — number of distinct groups seen,
-    * ``sum_freq``     — Σ c_g   (== number of tuples observed),
-    * ``sum_freq_sq``  — Σ c_g²,
-
-    which suffice to compute the squared coefficient of variation
-
-        γ² = Var(c) / E[c]²  =  (n·Σc² − (Σc)²) / (Σc)²
-
-    where ``n`` is the number of groups. ``observe(old_count)`` must be
-    called with the group's frequency *before* the increment.
-    """
-
-    num_groups: int = 0
-    sum_freq: int = 0
-    sum_freq_sq: int = 0
-
-    def observe(self, old_count: int) -> None:
-        """Record that some group's frequency rose from ``old_count`` to
-        ``old_count + 1``."""
-        if old_count < 0:
-            raise ValueError(f"old_count must be >= 0, got {old_count}")
-        if old_count == 0:
-            self.num_groups += 1
-        self.sum_freq += 1
-        # (c+1)^2 - c^2 == 2c + 1
-        self.sum_freq_sq += 2 * old_count + 1
-
-    def observe_transition(self, old_count: int, new_count: int) -> None:
-        """Record a bulk frequency change ``old_count -> new_count``
-        (weighted updates, e.g. histograms of simulated join output)."""
-        if old_count < 0 or new_count < old_count:
-            raise ValueError(
-                f"invalid transition {old_count} -> {new_count}"
-            )
-        if old_count == 0 and new_count > 0:
-            self.num_groups += 1
-        self.sum_freq += new_count - old_count
-        self.sum_freq_sq += new_count * new_count - old_count * old_count
-
-    @property
-    def gamma_squared(self) -> float:
-        """Squared coefficient of variation of the observed frequencies."""
-        if self.num_groups == 0 or self.sum_freq == 0:
-            return 0.0
-        n = self.num_groups
-        s1 = float(self.sum_freq)
-        s2 = float(self.sum_freq_sq)
-        var_times_n2 = n * s2 - s1 * s1
-        if var_times_n2 <= 0.0:
-            return 0.0
-        return var_times_n2 / (s1 * s1)
-
-    @property
-    def mean_frequency(self) -> float:
-        if self.num_groups == 0:
-            return 0.0
-        return self.sum_freq / self.num_groups
 
 
 @dataclass

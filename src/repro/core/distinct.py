@@ -6,13 +6,12 @@ Three pieces, matching the paper:
 
     D_t = sqrt(|T| / t) · f_1  +  Σ_{j>=2} f_j,
 
-maintained *incrementally*: the frequency-of-frequencies index gives the
-singleton count ``S_1 = f_1`` and the multi-occurrence count
-``S_+ = d_seen - f_1`` in O(1), so each new tuple costs one histogram
-update. GEE scales the singletons up geometrically, which makes it strong
-on high-skew data but a severe over-estimator on small samples of low-skew
-data ("it tends to overestimate the number of groups when the sample size
-is small").
+maintained *incrementally*: the kept f_1 gives the singleton count
+``S_1 = f_1`` and the multi-occurrence count ``S_+ = d_seen - f_1`` in
+O(1), so each new tuple costs one count update. GEE scales the singletons
+up geometrically, which makes it strong on high-skew data but a severe
+over-estimator on small samples of low-skew data ("it tends to
+overestimate the number of groups when the sample size is small").
 
 **MLE estimator** — the paper's new estimator for the low-skew regime.
 After t of |T| values, plug the MLE frequency estimates p̂ = i/t of the
@@ -25,8 +24,10 @@ with ĝ = Σ_i f_i the groups seen so far. (The published formula is partly
 garbled in the available text; this reconstruction matches every stated
 property: it is monotone, converges to the correct value as t → |T|,
 "rarely overestimates ... prone to underestimation", and beats GEE on
-low-skew data with moderately many groups.) Recomputation costs
-O(#distinct frequencies), so it is *scheduled*, not per-tuple:
+low-skew data with moderately many groups.) A class with
+(1 - i/t)^t < 1e-12 adds nothing, and (1 - i/t)^t ≤ e^(-i) puts every
+i ≥ 28 there, so only f_1 … f_27 are kept and read. Recomputation still
+costs up to 27 powers, so it is *scheduled*, not per-tuple:
 
 **Algorithm 3** — the adaptive recomputation interval. Start at the lower
 bound l; whenever a recomputation lands within k of the previous estimate,
@@ -34,9 +35,9 @@ double the interval (up to u); otherwise reset it to l. Estimates are thus
 refreshed often exactly when they are moving.
 
 **The chooser** — the squared coefficient of variation γ² of observed group
-frequencies (maintained in O(1) from prefix sums; see
-:class:`repro.common.stats.IncrementalFrequencyStats`) measures skew. With
-threshold τ (=10 in the paper): γ² < τ selects MLE, otherwise GEE.
+frequencies (O(1) from the group count, Σc and Σc², the prefix sums the
+paper says to maintain) measures skew. With threshold τ (=10 in the
+paper): γ² < τ selects MLE, otherwise GEE.
 """
 
 from __future__ import annotations
@@ -45,14 +46,12 @@ import math
 from collections import Counter
 from typing import Sequence
 
-from repro.common.stats import IncrementalFrequencyStats
 from repro.core.accumulator import (
     EstimatorExport,
     TotalProvider,
     cut_batch,
     total_provider,
 )
-from repro.core.histogram import FrequencyHistogram
 
 __all__ = [
     "GEEEstimator",
@@ -64,85 +63,98 @@ __all__ = [
 
 DEFAULT_TAU = 10.0
 
+#: A frequency class whose probability of staying unseen, (1 − i/t)^t, is
+#: below this adds nothing to the MLE estimate.
+NEGLIGIBLE = 1e-12
+#: (1 − i/t)^t ≤ e^{−i} < NEGLIGIBLE for every i ≥ LOW, so the MLE never
+#: reads f_i there and :class:`GroupFrequencyState` does not keep it.
+LOW = math.ceil(-math.log(NEGLIGIBLE))
+
 
 class GroupFrequencyState:
-    """Shared observation state: frequency histogram + γ² moments.
+    """Shared observation state: exactly what GEE, MLE and γ² read.
+
+    * ``counts`` — value -> frequency c_v, so ``len(counts)`` is the
+      number of groups seen;
+    * ``t`` — Σ c_v, the tuples observed;
+    * ``sum_sq`` — Σ c_v², for γ²;
+    * ``fof`` — ``fof[i]`` = f_i = |{v : c_v = i}| for 0 < i < :data:`LOW`
+      (``fof[0]`` stays 0). GEE reads f_1 and the MLE nothing above
+      f_{LOW-1}, so higher frequencies are not indexed.
 
     ``observe(value, weight)`` supports weighted increments so the same
     state can be fed by a simulated join output (aggregation push-down).
     """
 
-    __slots__ = ("histogram", "moments")
+    __slots__ = ("counts", "t", "sum_sq", "fof")
 
     def __init__(self) -> None:
-        self.histogram = FrequencyHistogram(track_frequencies=True)
-        self.moments = IncrementalFrequencyStats()
+        self.counts: dict[object, int] = {}
+        self.t: int = 0
+        self.sum_sq: int = 0
+        self.fof: list[int] = [0] * LOW
 
     def observe(self, value: object, weight: int = 1) -> None:
-        old = self.histogram.add(value, weight)
-        moments = self.moments
-        if weight == 1:
-            # Inlined unit-step transition: this is the per-input-tuple hot
-            # path of every attached aggregate.
-            if old == 0:
-                moments.num_groups += 1
-            moments.sum_freq += 1
-            moments.sum_freq_sq += 2 * old + 1
-        else:
-            moments.observe_transition(old, old + weight)
+        if weight <= 0:
+            if weight < 0:
+                raise ValueError(f"weight must be >= 0, got {weight}")
+            return
+        counts = self.counts
+        old = counts.get(value, 0)
+        new = counts[value] = old + weight
+        self.t += weight
+        self.sum_sq += weight * (old + new)  # new² − old²
+        fof = self.fof
+        if 0 < old < LOW:
+            fof[old] -= 1
+        if new < LOW:
+            fof[new] += 1
 
-    def observe_batch(self, values: Sequence[object]) -> None:
-        """Counter-aggregated unit observations (one per value).
+    def observe_batch(self, keys: Sequence[object]) -> None:
+        """Counter-aggregated unit observations (one per key).
 
-        One histogram update and one moment transition per *distinct*
-        value: the weighted transition ``old -> old + w`` nets the same
-        num_groups / Σf / Σf² deltas as the w unit steps, and everything is
-        integer arithmetic, so the end state is identical to calling
-        :meth:`observe` once per value. None is a legitimate group key here
+        One transition per *distinct* key: ``old -> old + w`` nets the same
+        Σc² and f_i deltas as the w unit steps, and everything is integer
+        arithmetic, so the end state is identical to calling
+        :meth:`observe` once per key. None is a legitimate group key here
         (NULL groups aggregate), unlike in the join histograms.
         """
-        hist = self.histogram
-        counts = hist.counts
-        fof = hist.freq_of_freq
-        new_groups = 0
+        counts = self.counts
+        get = counts.get
+        fof = self.fof
         sq_delta = 0
-        # FrequencyHistogram.add's transition, inlined per distinct value.
-        for value, weight in Counter(values).items():
-            old = counts.get(value, 0)
+        for value, weight in Counter(keys).items():
+            old = get(value, 0)
             new = counts[value] = old + weight
-            if old:
-                remaining = fof[old] - 1
-                if remaining:
-                    fof[old] = remaining
-                else:
-                    del fof[old]
-            else:
-                new_groups += 1
-            fof[new] = fof.get(new, 0) + 1
-            sq_delta += new * new - old * old
-        hist.total += len(values)
-        moments = self.moments
-        moments.num_groups += new_groups
-        moments.sum_freq += len(values)
-        moments.sum_freq_sq += sq_delta
-
-    @property
-    def t(self) -> int:
-        """Tuples observed (sum of all frequencies)."""
-        return self.histogram.total
+            sq_delta += weight * (old + new)  # new² − old²
+            if 0 < old < LOW:
+                fof[old] -= 1
+            if new < LOW:
+                fof[new] += 1
+        self.t += len(keys)
+        self.sum_sq += sq_delta
 
     @property
     def distinct_seen(self) -> int:
-        return self.histogram.num_distinct
+        return len(self.counts)
 
     @property
     def singletons(self) -> int:
         """f_1: groups seen exactly once."""
-        return self.histogram.freq_of_freq.get(1, 0)
+        return self.fof[1]
 
     @property
     def gamma_squared(self) -> float:
-        return self.moments.gamma_squared
+        """Squared coefficient of variation of the observed frequencies,
+        ``(n·Σc² − (Σc)²) / (Σc)²`` over the n groups seen."""
+        n = len(self.counts)
+        if n == 0 or self.t == 0:
+            return 0.0
+        s1 = float(self.t)
+        var_times_n2 = n * float(self.sum_sq) - s1 * s1
+        if var_times_n2 <= 0.0:
+            return 0.0
+        return var_times_n2 / (s1 * s1)
 
 
 class GEEEstimator:
@@ -166,7 +178,8 @@ class GEEEstimator:
 
 class MLEEstimator:
     """The paper's MLE-based estimator (see module docstring for the
-    reconstruction notes). O(#distinct frequencies) per evaluation."""
+    reconstruction notes). Sums f_1 … f_{LOW−1} in ascending i: at most
+    ``LOW − 1`` terms per evaluation, whatever the number of groups."""
 
     name = "mle"
     __slots__ = ("state",)
@@ -184,12 +197,14 @@ class MLEEstimator:
             return seen
         horizon = min(float(t), remaining)
         correction = 0.0
-        for i, f_i in self.state.histogram.freq_of_freq.items():
+        for i, f_i in enumerate(self.state.fof):
+            if not f_i:
+                continue
             base = 1.0 - i / t
             if base <= 0.0:
                 continue
             p_unseen_now = base ** t
-            if p_unseen_now < 1e-12:
+            if p_unseen_now < NEGLIGIBLE:
                 continue
             p_unseen_later = base ** (t + horizon)
             correction += f_i * (p_unseen_now - p_unseen_later)
@@ -239,9 +254,11 @@ class RecomputeScheduler:
 class HybridGroupCountEstimator:
     """GEE/MLE with the γ² chooser and scheduled MLE recomputation.
 
-    ``observe`` is the per-tuple hot path: one histogram update, one O(1)
-    moment update, and — only when the scheduler says so — one MLE
-    recomputation. ``estimate()`` itself is O(1).
+    A directly attached aggregate or DISTINCT feeds whole input batches
+    (:meth:`observe_hook` → :meth:`observe_batch`): one count update per
+    distinct key of each segment between scheduled MLE recomputations.
+    :meth:`observe` is the one-tuple (weighted) form, which the push-down
+    listener calls per simulated join output. ``estimate()`` itself is O(1).
 
     Parameters
     ----------
@@ -251,7 +268,8 @@ class HybridGroupCountEstimator:
         γ² threshold; below it MLE is used, above it GEE (paper: 10).
     lower_fraction / upper_fraction:
         Algorithm 3 interval bounds as fractions of |T| (paper: 0.001 and
-        0.032); resolved lazily against the current total.
+        0.032); resolved once, against the total the provider reports at
+        construction.
     record_every:
         If > 0, append ``(t, estimate)`` to ``history`` every that many
         observed tuples.
@@ -300,7 +318,7 @@ class HybridGroupCountEstimator:
     def observe(self, value: object, weight: int = 1) -> None:
         """Feed one (possibly weighted) tuple of the grouping column."""
         self.state.observe(value, weight)
-        self._boundary_actions(self.state.histogram.total)
+        self._boundary_actions(self.state.t)
 
     def _boundary_actions(self, t: int) -> None:
         """The boundary actions due at tuple count ``t``: the scheduled MLE
@@ -312,8 +330,8 @@ class HybridGroupCountEstimator:
         if self.record_every and t % self.record_every == 0:
             self.history.append((t, self.estimate()))
 
-    def observe_batch(self, values: Sequence[object]) -> None:
-        """Feed a batch of unit-weight grouping values in one shot.
+    def observe_batch(self, keys: Sequence[object]) -> None:
+        """Feed a batch of unit-weight grouping keys in one shot.
 
         Segments the batch at every recomputation and ``record_every``
         boundary it jumps over, applying each segment as one aggregated
@@ -321,23 +339,23 @@ class HybridGroupCountEstimator:
         actions (MLE recompute + scheduler adaptation, history checkpoint)
         at exactly the t the per-tuple path would — the scheduler's
         interval adapts after every recompute, so the next boundary is
-        re-derived inside the loop. End state (histogram, moments, cached
+        re-derived inside the loop. End state (counts, f_i, Σc², cached
         MLE, scheduler interval, history) is identical to one
-        :meth:`observe` call per value.
+        :meth:`observe` call per key.
         """
-        n = len(values)
+        n = len(keys)
         state = self.state
         scheduler = self.scheduler
         rec = self.record_every
 
         def to_next_boundary() -> int:
-            t = state.histogram.total
+            t = state.t
             step = scheduler.interval - t % scheduler.interval
             return min(step, rec - t % rec) if rec else step
 
         for start, end in cut_batch(n, to_next_boundary):
-            state.observe_batch(values if end - start == n else values[start:end])
-            self._boundary_actions(state.histogram.total)
+            state.observe_batch(keys if end - start == n else keys[start:end])
+            self._boundary_actions(state.t)
 
     def observe_hook(self, keys: Sequence[object], _rows: Sequence[tuple]) -> None:
         """``(keys, rows)`` adapter for operator input hooks."""
@@ -377,5 +395,5 @@ class HybridGroupCountEstimator:
         """The group-value histogram: counts sum across partitions (every
         input tuple is observed in exactly one), nothing else is needed to
         rerun the chooser over the merged state."""
-        counts = dict(self.state.histogram.counts)
+        counts = dict(self.state.counts)
         return EstimatorExport("group", (), (counts,), self.total, self.exact)

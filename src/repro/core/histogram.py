@@ -3,14 +3,11 @@
 The paper's estimators all rest on one data structure: an exact
 value -> count histogram built during an operator's preprocessing pass
 ("we build a histogram that maintains a count N_i^R for each value i in R").
-This module provides it, together with:
-
-* optional *frequency-of-frequencies* maintenance (``f_j`` = number of
-  values occurring exactly ``j`` times), updated in O(1) per increment —
-  the input to the GEE and MLE group-count estimators;
-* the memory accounting of Table 2 — both the paper's PostgreSQL hash-table
-  cost model (8 payload bytes/entry plus pointer overhead) and an actual
-  measurement of the Python structure.
+This module provides it, together with the memory accounting of Table 2 —
+both the paper's PostgreSQL hash-table cost model (8 payload bytes/entry
+plus pointer overhead) and an actual measurement of the Python structure.
+(The group-count estimators keep their own, smaller state:
+:class:`repro.core.distinct.GroupFrequencyState`.)
 
 Weighted increments (``add(value, weight)``) support derived histograms:
 Case 2 of Section 4.1.4.2 increments "the count of the bucket corresponding
@@ -22,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = ["BucketizedHistogram", "FrequencyHistogram"]
 
@@ -34,23 +31,14 @@ _POSTGRES_OVERHEAD_BYTES_PER_ENTRY = 12
 
 
 class FrequencyHistogram:
-    """Exact value -> count map with optional frequency-of-frequency index.
+    """Exact value -> count map (a :class:`~collections.Counter`, so a
+    build batch is counted in C) plus the total of all counts."""
 
-    Parameters
-    ----------
-    track_frequencies:
-        Maintain the ``f_j`` index needed by the distinct-count estimators.
-        Join estimation does not need it; leaving it off keeps the probe
-        path to a single dict update.
-    """
+    __slots__ = ("counts", "total")
 
-    __slots__ = ("counts", "total", "track_frequencies", "freq_of_freq")
-
-    def __init__(self, track_frequencies: bool = False):
-        self.counts: dict[object, int] = {}
+    def __init__(self) -> None:
+        self.counts: Counter = Counter()
         self.total: int = 0
-        self.track_frequencies = track_frequencies
-        self.freq_of_freq: dict[int, int] = {}
 
     # -- updates ---------------------------------------------------------------
 
@@ -64,52 +52,27 @@ class FrequencyHistogram:
         new = old + weight
         self.counts[value] = new
         self.total += weight
-        if self.track_frequencies:
-            fof = self.freq_of_freq
-            if old:
-                remaining = fof[old] - 1
-                if remaining:
-                    fof[old] = remaining
-                else:
-                    del fof[old]
-            fof[new] = fof.get(new, 0) + 1
         return old
 
     def add_many(self, values: Iterable[object]) -> None:
         for v in values:
             self.add(v)
 
-    def add_batch(self, values: Iterable[object]) -> None:
-        """Counter-aggregated bulk increment: one unit per non-None value.
-
-        Ends in exactly the state of one :meth:`add` per value — the
-        weighted fof transition ``old -> old + w`` is the composition of
-        the ``w`` unit transitions — but does one dict update per
-        *distinct* value. None values are skipped, matching the build-hook
-        convention that NULL keys never join; feed key lists straight from
-        a batch drain.
+    def add_batch(self, values: Sequence[object]) -> None:
+        """Bulk increment: one unit per non-None value, counted in C
+        (``Counter.update``) — the state of one :meth:`add` per non-None
+        value. None values are skipped (popped after counting; no build
+        path stores a None key), matching the build-hook convention that
+        NULL keys never join; feed key lists straight from a batch drain.
         """
-        agg = Counter(values)
-        agg.pop(None, None)
-        if not agg:
-            return
-        if self.track_frequencies:
-            for value, weight in agg.items():
-                self.add(value, weight)
-            return
         counts = self.counts
-        get = counts.get
-        added = 0
-        for value, weight in agg.items():
-            counts[value] = get(value, 0) + weight
-            added += weight
-        self.total += added
+        counts.update(values)
+        self.total += len(values) - counts.pop(None, 0)
 
     def add_weighted(self, values: Iterable[object], weights: Iterable[int]) -> None:
         """Bulk ``add(value, weight)`` over paired iterables — a derived
         histogram's build batch, one Python step per row. None values and
-        zero weights are skipped; the ``f_j`` index is not maintained
-        (derived histograms never track it)."""
+        zero weights are skipped."""
         counts = self.counts
         get = counts.get
         added = 0
@@ -143,18 +106,6 @@ class FrequencyHistogram:
     @property
     def num_distinct(self) -> int:
         return len(self.counts)
-
-    def frequency_counts(self) -> dict[int, int]:
-        """``{j: f_j}``: how many values occur exactly j times.
-
-        O(1) view when tracking is on; computed on demand otherwise.
-        """
-        if self.track_frequencies:
-            return self.freq_of_freq
-        fof: dict[int, int] = {}
-        for c in self.counts.values():
-            fof[c] = fof.get(c, 0) + 1
-        return fof
 
     def max_multiplicity(self) -> int:
         """Largest count of any single value (0 when empty)."""

@@ -4,12 +4,13 @@ Blocking, hash-based: the input pass sees every tuple before any output —
 the same preprocessing window as aggregation, and duplicate elimination *is*
 the distinct-value problem of Section 4.2, so the GEE/MLE estimators attach
 to ``input_hooks[0]`` exactly as they do on a group-by (the whole row is the
-grouping key).
+grouping key; a one-column row hands its hooks the bare value).
 """
 
 from __future__ import annotations
 
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator
 
 from repro.executor.operators.base import Operator
@@ -59,9 +60,12 @@ class Distinct(Operator):
         self._set_phase("partition")
         seen: dict[tuple, None] = {}  # dict preserves first-seen order
         setdefault = seen.setdefault
-        # No extractor: the whole row is the grouping key, so the key list
-        # the hooks receive is the batch itself.
-        for _keys, batch in self._drain(0, consume):
+        # The whole row is the grouping key, so the key list the hooks
+        # receive is the batch itself — except on one column, where they get
+        # the bare values (cheaper to hash than 1-tuples), extracted only
+        # while a hook is attached.
+        extract = itemgetter(0) if len(self.output_schema) == 1 else None
+        for _keys, batch in self._drain(0, consume, extract, need_keys=False):
             for row in batch:
                 setdefault(row, None)
         self.groups_seen = len(seen)

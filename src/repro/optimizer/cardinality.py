@@ -107,8 +107,7 @@ class CardinalityModel:
         for sub in walk(op):
             table = getattr(sub, "table", None)
             if table is not None:
-                name = getattr(table, "base_name", None) or table.name
-                live_rows[name] = int(table.num_rows)
+                live_rows[table.base_name] = int(table.num_rows)
         digest = fingerprint_plan(op).digest
         return self.observed.lookup(digest, live_rows)
 
@@ -254,12 +253,9 @@ class CardinalityModel:
     def _find_base_stats(self, op: Operator, column: str) -> int | None:
         if isinstance(op, (SeqScan, SampleScan, IndexScan)):
             if op.table.schema.has_column(column):
-                bare = column.split(".")[-1]
-                table_name = op.table.name
-                if table_name in self.catalog:
-                    stats = self.catalog.statistics(table_name)
-                    if stats.has_column(bare):
-                        return stats.column(bare).n_distinct
+                stats = self._column_stats(op, column)
+                if stats is not None:
+                    return stats.n_distinct
                 # Table not registered: fall back to exact count (cheap for
                 # the toy executor, mirrors an index-based estimate).
                 return len(set(op.table.column_values(column)))
@@ -344,8 +340,11 @@ class CardinalityModel:
 
     def _column_stats(self, op: Operator, column: str):
         if isinstance(op, (SeqScan, SampleScan, IndexScan)):
-            if op.table.schema.has_column(column) and op.table.name in self.catalog:
-                stats = self.catalog.statistics(op.table.name)
+            # Statistics are kept per base relation: an aliased scan
+            # (``lineitem l``) reads them under ``base_name``.
+            table_name = op.table.base_name
+            if op.table.schema.has_column(column) and table_name in self.catalog:
+                stats = self.catalog.statistics(table_name)
                 bare = column.split(".")[-1]
                 if stats.has_column(bare):
                     return stats.column(bare)

@@ -52,8 +52,7 @@ def _base_table_rows(root) -> dict[str, int]:
     for op in walk(root):
         table = getattr(op, "table", None)
         if table is not None:
-            name = getattr(table, "base_name", None) or table.name
-            out[name] = int(table.num_rows)
+            out[table.base_name] = int(table.num_rows)
     return out
 
 

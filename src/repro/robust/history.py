@@ -143,10 +143,6 @@ def canonical_expression(expr: Expression) -> str:
     return render_expression(expr)
 
 
-def _table_name(table) -> str:
-    return getattr(table, "base_name", None) or table.name
-
-
 def _column_list(names) -> str:
     return "[" + " ".join(sorted(_bare(str(n)) for n in names)) + "]"
 
@@ -156,14 +152,14 @@ def _node_signature(op: Operator, child_sigs: list[str]) -> str:
     kind = type(op).__name__.lower()
     head: list[str] = [kind]
     if kind == "seqscan":
-        head.append(_table_name(op.table))
+        head.append(op.table.base_name)
     elif kind == "indexscan":
-        head.append(_table_name(op.table))
+        head.append(op.table.base_name)
         head.append(_bare(op.key))
         head.append(repr(op.low))
         head.append(repr(op.high))
     elif kind == "samplescan":
-        head.append(_table_name(op.table))
+        head.append(op.table.base_name)
         head.append(repr(op.fraction))
         head.append(repr(op.seed))
     elif kind == "filter":

@@ -112,7 +112,7 @@ class Table:
         """
         view = Table.__new__(Table)
         view.name = alias
-        view.base_name = getattr(self, "base_name", self.name)
+        view.base_name = self.base_name
         view.schema = self.schema.with_qualifier(alias)
         view._rows = self._rows
         view.block_size = self.block_size

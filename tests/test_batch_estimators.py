@@ -152,18 +152,18 @@ class TestOnceBatch:
 
 
 class TestHistogramBatch:
-    def test_add_batch_with_frequency_tracking(self):
+    def test_add_batch_matches_unit_adds(self):
         rng = make_rng(SEED, "fof")
         values = _random_keys(rng, 4_000, domain=60, null_rate=0.03)
-        row = FrequencyHistogram(track_frequencies=True)
-        batch = FrequencyHistogram(track_frequencies=True)
+        row = FrequencyHistogram()
+        batch = FrequencyHistogram()
         for value in values:
             if value is not None:
                 row.add(value)
         for chunk in _random_chunks(rng, values):
             batch.add_batch(chunk)
         assert row.counts == batch.counts
-        assert row.freq_of_freq == batch.freq_of_freq
+        assert None not in batch.counts
         assert row.total == batch.total
 
     def test_bucketized_add_batch(self):
@@ -197,14 +197,9 @@ class TestHybridBatch:
         for chunk in _random_chunks(rng, values):
             batch.observe_batch(chunk)
 
-        assert row.state.histogram.counts == batch.state.histogram.counts
-        assert row.state.histogram.freq_of_freq == batch.state.histogram.freq_of_freq
-        row_m, batch_m = row.state.moments, batch.state.moments
-        assert (row_m.num_groups, row_m.sum_freq, row_m.sum_freq_sq) == (
-            batch_m.num_groups,
-            batch_m.sum_freq,
-            batch_m.sum_freq_sq,
-        )
+        row_s, batch_s = row.state, batch.state
+        assert row_s.counts == batch_s.counts
+        assert (row_s.t, row_s.fof, row_s.sum_sq) == (batch_s.t, batch_s.fof, batch_s.sum_sq)
         # Scheduler fidelity: the batch path recomputed the MLE at exactly
         # the same t values, so the adaptive interval went through the same
         # doubling/reset sequence.
@@ -229,8 +224,8 @@ class TestHybridBatch:
         for value in values:
             row.observe(value)
         batch.observe_batch(values)
-        assert row.state.histogram.counts == batch.state.histogram.counts
-        assert batch.state.histogram.counts[None] == 3
+        assert row.state.counts == batch.state.counts
+        assert batch.state.counts[None] == 3
         assert batch.state.distinct_seen == 3
 
 

@@ -5,11 +5,11 @@ import math
 import pytest
 
 from repro.common.stats import (
-    IncrementalFrequencyStats,
     RunningMeanVar,
     normal_quantile,
     squared_coefficient_of_variation,
 )
+from repro.core.distinct import GroupFrequencyState
 
 
 class TestSquaredCoefficientOfVariation:
@@ -30,56 +30,60 @@ class TestSquaredCoefficientOfVariation:
 
 
 class TestIncrementalFrequencyStats:
+    """γ²'s prefix sums (group count, Σc, Σc²), maintained incrementally by
+    :class:`GroupFrequencyState`, against the direct definition."""
+
     def test_matches_direct_computation(self):
-        stats = IncrementalFrequencyStats()
+        state = GroupFrequencyState()
         counts: dict[str, int] = {}
         for v in "abacbdaaeb":
-            old = counts.get(v, 0)
-            stats.observe(old)
-            counts[v] = old + 1
+            state.observe(v)
+            counts[v] = counts.get(v, 0) + 1
         direct = squared_coefficient_of_variation(counts.values())
-        assert stats.gamma_squared == pytest.approx(direct)
-        assert stats.num_groups == len(counts)
-        assert stats.sum_freq == sum(counts.values())
+        assert state.gamma_squared == pytest.approx(direct)
+        assert state.distinct_seen == len(counts)
+        assert state.t == sum(counts.values())
+        assert state.sum_sq == sum(c * c for c in counts.values())
 
     def test_observe_transition_bulk(self):
-        stats = IncrementalFrequencyStats()
-        stats.observe_transition(0, 5)
-        stats.observe_transition(5, 7)
-        stats.observe_transition(0, 3)
-        assert stats.num_groups == 2
-        assert stats.sum_freq == 10
-        assert stats.sum_freq_sq == 49 + 9
+        state = GroupFrequencyState()
+        state.observe("a", weight=5)
+        state.observe("a", weight=2)
+        state.observe("b", weight=3)
+        assert state.distinct_seen == 2
+        assert state.t == 10
+        assert state.sum_sq == 49 + 9
 
     def test_transition_equivalent_to_unit_steps(self):
-        bulk = IncrementalFrequencyStats()
-        unit = IncrementalFrequencyStats()
-        bulk.observe_transition(0, 4)
-        for old in range(4):
-            unit.observe(old)
-        assert bulk.sum_freq_sq == unit.sum_freq_sq
+        bulk = GroupFrequencyState()
+        unit = GroupFrequencyState()
+        bulk.observe("g", weight=4)
+        for _ in range(4):
+            unit.observe("g")
+        assert bulk.sum_sq == unit.sum_sq
+        assert bulk.fof == unit.fof
         assert bulk.gamma_squared == unit.gamma_squared
 
     def test_rejects_negative(self):
-        stats = IncrementalFrequencyStats()
+        state = GroupFrequencyState()
         with pytest.raises(ValueError):
-            stats.observe(-1)
-        with pytest.raises(ValueError):
-            stats.observe_transition(3, 2)
+            state.observe("a", weight=-1)
+        # A weight-0 add is a no-op: it creates no group.
+        state.observe("a", weight=0)
+        assert state.counts == {} and state.t == 0
 
     def test_uniform_data_low_gamma(self):
         # 100 groups each reaching frequency 10: zero variation.
-        stats = IncrementalFrequencyStats()
-        for count in range(10):
-            for _group in range(100):
-                stats.observe(count)
-        assert stats.gamma_squared == pytest.approx(0.0)
+        state = GroupFrequencyState()
+        for _round in range(10):
+            state.observe_batch(range(100))
+        assert state.gamma_squared == pytest.approx(0.0)
 
     def test_mean_frequency(self):
-        stats = IncrementalFrequencyStats()
-        stats.observe_transition(0, 6)
-        stats.observe_transition(0, 2)
-        assert stats.mean_frequency == pytest.approx(4.0)
+        state = GroupFrequencyState()
+        state.observe("a", weight=6)
+        state.observe("b", weight=2)
+        assert state.t / state.distinct_seen == pytest.approx(4.0)
 
 
 class TestRunningMeanVar:

@@ -348,13 +348,12 @@ def _group_state(hybrid, aggregate, manager) -> tuple:
     pushed_down = len(manager.registry[id(aggregate)].fed_by) > 1
     stable = not pushed_down and _provider_stable(aggregate.child)
     group_state = hybrid.state
-    moments = group_state.moments
     entry = (
         "group",
         group_state.t,
-        dict(group_state.histogram.counts),
-        dict(group_state.histogram.freq_of_freq),
-        (moments.num_groups, moments.sum_freq, moments.sum_freq_sq),
+        dict(group_state.counts),
+        list(group_state.fof),
+        group_state.sum_sq,
         hybrid.exact,
         _history_view(hybrid.history, stable),
     )

@@ -1,7 +1,10 @@
 """Tests for the exact frequency histogram."""
 
+from collections import Counter
+
 import pytest
 
+from repro.core.distinct import LOW, GroupFrequencyState
 from repro.core.histogram import FrequencyHistogram
 
 
@@ -53,31 +56,43 @@ class TestBasics:
 
 
 class TestFrequencyOfFrequencies:
+    """The group-count state keeps f_i = |{v : c_v = i}| for 0 < i < LOW,
+    what GEE and the MLE read."""
+
+    @staticmethod
+    def _fof(state: GroupFrequencyState) -> dict[int, int]:
+        return {i: f for i, f in enumerate(state.fof) if f}
+
     def test_tracked_incrementally(self):
-        h = FrequencyHistogram(track_frequencies=True)
-        h.add_many([1, 2, 2, 3, 3, 3])
-        assert h.frequency_counts() == {1: 1, 2: 1, 3: 1}
+        state = GroupFrequencyState()
+        for v in [1, 2, 2, 3, 3, 3]:
+            state.observe(v)
+        assert self._fof(state) == {1: 1, 2: 1, 3: 1}
 
     def test_matches_on_demand_computation(self):
-        tracked = FrequencyHistogram(track_frequencies=True)
-        untracked = FrequencyHistogram()
+        state = GroupFrequencyState()
         data = [1, 1, 2, 5, 5, 5, 5, 9, 9, 1]
-        tracked.add_many(data)
-        untracked.add_many(data)
-        assert tracked.frequency_counts() == untracked.frequency_counts()
+        for v in data:
+            state.observe(v)
+        assert self._fof(state) == dict(Counter(Counter(data).values()))
 
     def test_weighted_transitions(self):
-        h = FrequencyHistogram(track_frequencies=True)
-        h.add("a", weight=3)
-        assert h.frequency_counts() == {3: 1}
-        h.add("a", weight=2)
-        assert h.frequency_counts() == {5: 1}
+        state = GroupFrequencyState()
+        state.observe("a", weight=3)
+        assert self._fof(state) == {3: 1}
+        state.observe("a", weight=2)
+        assert self._fof(state) == {5: 1}
+        # Past the kept horizon the group leaves the index but not counts.
+        state.observe("a", weight=LOW)
+        assert self._fof(state) == {}
+        assert state.counts == {"a": LOW + 5}
 
     def test_old_buckets_cleaned_up(self):
-        h = FrequencyHistogram(track_frequencies=True)
-        h.add("a")
-        h.add("a")
-        assert 1 not in h.frequency_counts()
+        state = GroupFrequencyState()
+        state.observe("a")
+        state.observe("a")
+        assert state.fof[1] == 0
+        assert len(state.fof) == LOW and state.fof[0] == 0
 
 
 class TestDot:

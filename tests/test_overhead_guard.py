@@ -25,6 +25,7 @@ maximum is computed once per join, not once per snapshot.
 
 from __future__ import annotations
 
+import re
 import time
 
 import pytest
@@ -37,6 +38,7 @@ from repro.executor.expressions import col, lit
 from repro.executor.operators import Filter, HashJoin, Project, SeqScan
 from repro.executor.plan import walk
 from repro.sql import compile_select
+from repro.storage.table import Table
 
 #: Monitored wall-clock may be at most this multiple of bare wall-clock.
 MAX_OVERHEAD_RATIO = 2.4
@@ -183,3 +185,41 @@ class TestPaidPerBatch:
         assert sum(calls.values()) <= allowed, (name, calls)
         joins = [op for op in ops.values() if isinstance(op, HashJoin)]
         assert len(maxima) == len(set(maxima)) == len(joins)
+
+
+#: The Q-long aliases, for spelling each statement without them.
+_ALIASES = {"o": "orders", "c": "customer", "n": "nation", "l": "lineitem"}
+
+
+def _unaliased(sql: str) -> str:
+    sql = re.sub(r"\b(orders|customer|nation|lineitem) [ocnl]\b", r"\1", sql)
+    return re.sub(r"\b([ocnl])\.", lambda m: _ALIASES[m.group(1)] + ".", sql)
+
+
+class TestCompileReadsTheCatalog:
+    """An aliased scan (``lineitem l``) reads the catalog's statistics under
+    its base relation's name instead of counting distinct values by scanning
+    the column on every compile — and so estimates what the unaliased
+    spelling does."""
+
+    @pytest.mark.parametrize("name", list(Q_LONG))
+    def test_no_column_scan_and_same_estimates(self, name, small_catalog, monkeypatch):
+        unaliased = compile_select(small_catalog, _unaliased(Q_LONG[name])).plan
+        assert not {
+            op.table.name for op in walk(unaliased) if hasattr(op, "table")
+        } & set(_ALIASES)
+
+        scanned: list[str] = []
+        column_values = Table.column_values
+        monkeypatch.setattr(
+            Table,
+            "column_values",
+            lambda self, column: scanned.append(self.base_name) or column_values(self, column),
+        )
+        aliased = compile_select(small_catalog, Q_LONG[name]).plan
+        assert [t for t in scanned if t in small_catalog] == []
+
+        def estimates(plan) -> list[float]:
+            return [op.estimated_cardinality for op in walk(plan)]
+
+        assert estimates(aliased) == estimates(unaliased)

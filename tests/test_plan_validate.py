@@ -8,6 +8,8 @@ import pytest
 from repro.common.errors import PlanError
 from repro.executor.engine import ExecutionEngine
 from repro.executor.expressions import Comparison, col, lit
+import repro.core.aggregate_estimators
+import repro.core.distinct
 import repro.core.join_estimators
 import repro.core.manager
 import repro.core.pipeline_estimators
@@ -180,9 +182,11 @@ class TestOneInstrumentedInputPass:
 
 
 class TestHooksAreColumnKernels:
-    """The chain and ONCE estimators pay per batch, not per tuple: no
-    function they register on ``input_hooks`` — nor any method of theirs it
-    hands the batch on to — loops over its ``rows`` / ``keys`` in Python.
+    """The estimators pay per batch, not per tuple: no function they
+    register on ``input_hooks`` — nor any method of theirs it hands the
+    batch on to — loops over its ``rows`` / ``keys`` in Python. That covers
+    the chain and ONCE hooks and the group-count path (registered in
+    ``core/aggregate_estimators.py``, implemented in ``core/distinct.py``).
     ``_probe_rows`` (the push-down listener path needs the per-tuple stream)
     is the one exemption, and folding per *distinct* key (``Counter(keys)``)
     is not a per-row loop. The guard stops at the estimator modules: the
@@ -230,14 +234,17 @@ class TestHooksAreColumnKernels:
         return isinstance(loop_iter, ast.Name) and loop_iter.id in params
 
     @classmethod
-    def _row_loops(cls, source: str) -> set[str]:
-        tree = ast.parse(source)
-        functions = {
-            n.name: n
-            for n in ast.walk(tree)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        pending = sorted(cls._registered(tree))
+    def _row_loops(cls, *sources: str) -> set[str]:
+        """Offending functions reachable from the hooks the ``sources``
+        register; a call is followed into every function of that name in
+        any of them (methods of different classes may share one)."""
+        trees = [ast.parse(source) for source in sources]
+        functions: dict[str, list[ast.FunctionDef]] = {}
+        for tree in trees:
+            for n in ast.walk(tree):
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    functions.setdefault(n.name, []).append(n)
+        pending = sorted(set().union(*map(cls._registered, trees)))
         assert pending, "no input_hooks registration found"
         reached: set[str] = set()
         offenders: set[str] = set()
@@ -247,7 +254,7 @@ class TestHooksAreColumnKernels:
                 continue
             reached.add(name)
             # A factory's closures (and lambdas) are walked with it.
-            for fn in ast.walk(functions[name]):
+            for fn in (f for top in functions[name] for f in ast.walk(top)):
                 if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
                     continue
                 params = {a.arg for a in fn.args.args} & cls.BATCH_PARAMS
@@ -263,11 +270,33 @@ class TestHooksAreColumnKernels:
                         pending.append(node.func.attr)
         return offenders
 
+    @staticmethod
+    def _source(module) -> str:
+        return Path(module.__file__).read_text(encoding="utf-8")
+
     @pytest.mark.parametrize(
-        "module", [repro.core.pipeline_estimators, repro.core.join_estimators]
+        "modules",
+        [
+            (repro.core.pipeline_estimators,),
+            (repro.core.join_estimators,),
+            (repro.core.aggregate_estimators, repro.core.distinct),
+        ],
+        ids=lambda modules: "+".join(m.__name__ for m in modules),
     )
-    def test_no_registered_hook_loops_over_its_batch(self, module):
-        assert self._row_loops(Path(module.__file__).read_text(encoding="utf-8")) == set()
+    def test_no_registered_hook_loops_over_its_batch(self, modules):
+        assert self._row_loops(*map(self._source, modules)) == set()
+
+    def test_the_guard_reaches_the_group_state(self):
+        """The group path's batch is named ``keys`` all the way down, so a
+        per-key loop in ``GroupFrequencyState.observe_batch`` is caught."""
+        registration = self._source(repro.core.aggregate_estimators)
+        distinct = self._source(repro.core.distinct)
+        assert "for value, weight in Counter(keys).items():" in distinct
+        mutated = distinct.replace(
+            "for value, weight in Counter(keys).items():",
+            "for value, weight in zip(keys, repeat(1)):",
+        )
+        assert self._row_loops(registration, mutated) == {"observe_batch"}
 
     def test_the_guard_flags_the_fixture(self):
         assert self._row_loops(self.FIXTURE.read_text(encoding="utf-8")) == {

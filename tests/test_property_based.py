@@ -1,13 +1,20 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.stats import IncrementalFrequencyStats, squared_coefficient_of_variation
-from repro.core.distinct import GEEEstimator, GroupFrequencyState, MLEEstimator
+from repro.common.stats import squared_coefficient_of_variation
+from repro.core.distinct import (
+    LOW,
+    NEGLIGIBLE,
+    GEEEstimator,
+    GroupFrequencyState,
+    MLEEstimator,
+)
 from repro.core.histogram import FrequencyHistogram
 from repro.core.join_estimators import OnceJoinEstimator
 from repro.core.pipeline_estimators import HashJoinChainEstimator
@@ -21,6 +28,20 @@ from repro.storage.table import Table
 
 small_values = st.integers(min_value=0, max_value=20)
 value_lists = st.lists(small_values, min_size=0, max_size=300)
+weight_lists = st.lists(st.integers(min_value=0, max_value=40), min_size=0, max_size=50)
+
+
+def _assert_matches_definition(state: GroupFrequencyState, counts: Counter) -> None:
+    """The group state against its definition over the true counts c_v:
+    f_i = |{v : c_v = i}| for 0 < i < LOW, t = Σc, Σc², γ²."""
+    fof = Counter(counts.values())
+    assert state.counts == {v: c for v, c in counts.items() if c}
+    assert state.fof == [0] + [fof[i] for i in range(1, LOW)]
+    assert state.t == sum(counts.values())
+    assert state.sum_sq == sum(c * c for c in counts.values())
+    assert state.distinct_seen == len(state.counts)
+    direct = squared_coefficient_of_variation(state.counts.values())
+    assert state.gamma_squared == pytest.approx(direct, abs=1e-9)
 
 
 class TestHistogramProperties:
@@ -33,11 +54,10 @@ class TestHistogramProperties:
 
     @given(value_lists)
     def test_freq_of_freq_consistency(self, values):
-        h = FrequencyHistogram(track_frequencies=True)
-        h.add_many(values)
-        fof = h.frequency_counts()
-        assert sum(fof.values()) == h.num_distinct
-        assert sum(j * f for j, f in fof.items()) == h.total
+        state = GroupFrequencyState()
+        for v in values:
+            state.observe(v)
+        _assert_matches_definition(state, Counter(values))
 
     @given(value_lists, value_lists)
     def test_dot_is_exact_join_size(self, left, right):
@@ -47,31 +67,80 @@ class TestHistogramProperties:
         brute = sum(1 for x in left for y in right if x == y)
         assert a.dot(b) == brute
 
-    @given(value_lists, st.lists(st.integers(min_value=1, max_value=5), min_size=0, max_size=50))
+    @given(value_lists, weight_lists)
     def test_weighted_adds_equal_repeated_adds(self, values, weights):
         pairs = list(zip(values, weights))
-        bulk, unit = (
-            FrequencyHistogram(track_frequencies=True),
-            FrequencyHistogram(track_frequencies=True),
-        )
+        bulk, unit = FrequencyHistogram(), FrequencyHistogram()
+        bulk_state, unit_state = GroupFrequencyState(), GroupFrequencyState()
         for v, w in pairs:
             bulk.add(v, weight=w)
+            bulk_state.observe(v, weight=w)
             for _ in range(w):
                 unit.add(v)
+                unit_state.observe(v)
         assert dict(bulk.items()) == dict(unit.items())
-        assert bulk.frequency_counts() == unit.frequency_counts()
+        # A weight-0 add creates no group.
+        truth = Counter()
+        for v, w in pairs:
+            truth[v] += w
+        _assert_matches_definition(bulk_state, truth)
+        _assert_matches_definition(unit_state, truth)
+        assert bulk_state.fof == unit_state.fof
 
 
 class TestGammaSquaredProperty:
     @given(value_lists)
     def test_incremental_matches_direct(self, values):
-        stats = IncrementalFrequencyStats()
-        counts: Counter = Counter()
-        for v in values:
-            stats.observe(counts[v])
-            counts[v] += 1
-        direct = squared_coefficient_of_variation(counts.values())
-        assert stats.gamma_squared == pytest.approx(direct, abs=1e-9)
+        state = GroupFrequencyState()
+        state.observe_batch(values)
+        direct = squared_coefficient_of_variation(Counter(values).values())
+        assert state.gamma_squared == pytest.approx(direct, abs=1e-9)
+
+
+class TestMleHorizonProperty:
+    """Keeping only f_1 … f_{LOW−1} is exact: every class i ≥ LOW has
+    (1 − i/t)^t ≤ e^{−i} < NEGLIGIBLE, so the MLE skips it anyway."""
+
+    @staticmethod
+    def _mle_over_full_fof(counts: dict, total: float) -> float:
+        """The MLE formula summed over every frequency class, ascending."""
+        t = sum(counts.values())
+        seen = float(len(counts))
+        remaining = max(total - t, 0.0)
+        if remaining <= 0.0:
+            return seen
+        horizon = min(float(t), remaining)
+        correction = 0.0
+        for i, f_i in sorted(Counter(counts.values()).items()):
+            base = 1.0 - i / t
+            if base <= 0.0:
+                continue
+            p_unseen_now = base ** t
+            if p_unseen_now < NEGLIGIBLE:
+                continue
+            correction += f_i * (p_unseen_now - base ** (t + horizon))
+        return seen + correction
+
+    def test_low_is_derived_from_the_cutoff(self):
+        assert LOW == 28
+        assert math.exp(-LOW) < NEGLIGIBLE <= math.exp(-(LOW - 1))
+
+    # Group counts straddle LOW (1 … 60), over enough groups that classes
+    # just below it still clear the cutoff.
+    @given(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=500),
+            st.integers(min_value=1, max_value=60),
+            min_size=1,
+            max_size=60,
+        ),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_kept_horizon_equals_full_sum(self, counts, scale):
+        state = GroupFrequencyState()
+        state.observe_batch([v for v, c in counts.items() for _ in range(c)])
+        total = float(state.t * scale)
+        assert MLEEstimator(state).estimate(total) == self._mle_over_full_fof(counts, total)
 
 
 class TestOnceEstimatorProperties:
