@@ -28,31 +28,27 @@ UPPER = max(CUSTOMER_ROWS * 32 // 1000, LOWER)  # 3.2%
 EVAL_EVERY = LOWER
 
 
-class _FixedSchedule:
-    def __init__(self, interval: int):
-        self.interval = interval
-        self.recompute_count = 0
-
-    def due(self, t: int) -> bool:
-        return t > 0 and t % self.interval == 0
-
-    def after_recompute(self, old: float, new: float) -> None:
-        self.recompute_count += 1
+def _fixed(interval: int) -> RecomputeScheduler:
+    """A schedule whose interval never adapts: lower = upper."""
+    return RecomputeScheduler(interval, interval)
 
 
 def _run(values, schedule):
+    """Read after every tuple, recomputing when the schedule is due."""
     state = GroupFrequencyState()
     mle = MLEEstimator(state)
     reference_state = GroupFrequencyState()
     reference = MLEEstimator(reference_state)
     served = 0.0
+    last = 0
     staleness = []
     for t, v in enumerate(values, start=1):
         state.observe(v)
         reference_state.observe(v)
-        if schedule.due(t):
+        if schedule.due(last, t):
             old = served
             served = mle.estimate(len(values))
+            last = t
             schedule.after_recompute(old, served)
         if t % EVAL_EVERY == 0 and served > 0:
             fresh = reference.estimate(len(values))
@@ -64,8 +60,8 @@ def _run(values, schedule):
 def _measure():
     values = [int(v) for v in ZipfDistribution(DOMAIN, 0.5, seed=23).sample(CUSTOMER_ROWS)]
     out = {}
-    out["fixed-small"] = _run(values, _FixedSchedule(LOWER))
-    out["fixed-large"] = _run(values, _FixedSchedule(UPPER))
+    out["fixed-small"] = _run(values, _fixed(LOWER))
+    out["fixed-large"] = _run(values, _fixed(UPPER))
     out["adaptive"] = _run(values, RecomputeScheduler(LOWER, UPPER, stability=0.01))
     return out
 

@@ -10,7 +10,7 @@ experiment index). Two scales are supported:
   TPC-H scale factors); slower, closest to the published setup.
 
 Results are printed to the terminal (even under pytest's capture) and
-appended to ``benchmarks/results/<name>.txt``.
+written to ``benchmarks/results/<name>.txt``, overwriting the previous run.
 """
 
 from __future__ import annotations

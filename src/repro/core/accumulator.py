@@ -56,7 +56,7 @@ def cut_batch(n: int, step: Callable[[], int]) -> Iterator[tuple[int, int]]:
     """Cut ``[0, n)`` into consecutive ``(start, end)`` pieces of at most
     ``step()`` items. ``step`` is re-evaluated before every piece — the
     distance to the next boundary depends on state the previous piece
-    advanced (and, for the MLE schedule, on an interval that adapts)."""
+    advanced."""
     start = 0
     while start < n:
         end = min(n, start + step())

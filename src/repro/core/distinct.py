@@ -32,7 +32,10 @@ costs up to 27 powers, so it is *scheduled*, not per-tuple:
 **Algorithm 3** — the adaptive recomputation interval. Start at the lower
 bound l; whenever a recomputation lands within k of the previous estimate,
 double the interval (up to u); otherwise reset it to l. Estimates are thus
-refreshed often exactly when they are moving.
+refreshed often exactly when they are moving. Here the schedule decides
+whether a *read* recomputes: a read that chooses the MLE recomputes it at
+its own t if a multiple of the interval has passed since the last
+recompute, and a read that chooses GEE recomputes nothing.
 
 **The chooser** — the squared coefficient of variation γ² of observed group
 frequencies (O(1) from the group count, Σc and Σc², the prefix sums the
@@ -238,9 +241,10 @@ class RecomputeScheduler:
         self.interval = lower
         self.recompute_count = 0
 
-    def due(self, t: int) -> bool:
-        """Is a recomputation due at tuple count ``t``?"""
-        return t > 0 and t % self.interval == 0
+    def due(self, since: int, t: int) -> bool:
+        """Is a recompute due at ``t``, the last having been at ``since``?
+        Yes iff a multiple of the interval lies in ``(since, t]``."""
+        return t // self.interval > since // self.interval
 
     def after_recompute(self, old_estimate: float, new_estimate: float) -> None:
         """Adapt the interval given the previous and fresh estimates."""
@@ -256,9 +260,9 @@ class HybridGroupCountEstimator:
 
     A directly attached aggregate or DISTINCT feeds whole input batches
     (:meth:`observe_hook` → :meth:`observe_batch`): one count update per
-    distinct key of each segment between scheduled MLE recomputations.
+    distinct key of each batch, cut only at ``record_every`` checkpoints.
     :meth:`observe` is the one-tuple (weighted) form, which the push-down
-    listener calls per simulated join output. ``estimate()`` itself is O(1).
+    listener calls per simulated join output. Only reads recompute the MLE.
 
     Parameters
     ----------
@@ -283,6 +287,7 @@ class HybridGroupCountEstimator:
         "_total",
         "scheduler",
         "_cached_mle",
+        "_mle_t",
         "exact",
         "record_every",
         "history",
@@ -307,6 +312,7 @@ class HybridGroupCountEstimator:
         upper = max(int(total_now * upper_fraction), lower)
         self.scheduler = RecomputeScheduler(lower, upper, stability)
         self._cached_mle: float = 0.0
+        self._mle_t: int = -1  # t at the last recompute; -1: the first is due
         self.exact: bool = False
         self.record_every = record_every
         self.history: list[tuple[int, float]] = []
@@ -318,44 +324,29 @@ class HybridGroupCountEstimator:
     def observe(self, value: object, weight: int = 1) -> None:
         """Feed one (possibly weighted) tuple of the grouping column."""
         self.state.observe(value, weight)
-        self._boundary_actions(self.state.t)
+        self._checkpoint()
 
-    def _boundary_actions(self, t: int) -> None:
-        """The boundary actions due at tuple count ``t``: the scheduled MLE
-        recompute (which adapts the schedule) and the history checkpoint."""
-        if t % self.scheduler.interval == 0:
-            old = self._cached_mle
-            self._cached_mle = self.mle.estimate(self.total)
-            self.scheduler.after_recompute(old, self._cached_mle)
+    def _checkpoint(self) -> None:
+        """Record ``(t, estimate)`` if ``t`` is a ``record_every`` multiple."""
+        t = self.state.t
         if self.record_every and t % self.record_every == 0:
             self.history.append((t, self.estimate()))
 
     def observe_batch(self, keys: Sequence[object]) -> None:
         """Feed a batch of unit-weight grouping keys in one shot.
 
-        Segments the batch at every recomputation and ``record_every``
-        boundary it jumps over, applying each segment as one aggregated
-        :meth:`GroupFrequencyState.observe_batch` and firing the boundary
-        actions (MLE recompute + scheduler adaptation, history checkpoint)
-        at exactly the t the per-tuple path would — the scheduler's
-        interval adapts after every recompute, so the next boundary is
-        re-derived inside the loop. End state (counts, f_i, Σc², cached
-        MLE, scheduler interval, history) is identical to one
+        One aggregated :meth:`GroupFrequencyState.observe_batch` per batch,
+        cut only at the ``record_every`` checkpoints it jumps over: each
+        checkpoint is a read, so it must see exactly the per-tuple prefix
+        state. Counts, f_i, Σc², t and history are identical to one
         :meth:`observe` call per key.
         """
         n = len(keys)
         state = self.state
-        scheduler = self.scheduler
         rec = self.record_every
-
-        def to_next_boundary() -> int:
-            t = state.t
-            step = scheduler.interval - t % scheduler.interval
-            return min(step, rec - t % rec) if rec else step
-
-        for start, end in cut_batch(n, to_next_boundary):
+        for start, end in cut_batch(n, lambda: rec - state.t % rec if rec else n):
             state.observe_batch(keys if end - start == n else keys[start:end])
-            self._boundary_actions(state.t)
+            self._checkpoint()
 
     def observe_hook(self, keys: Sequence[object], _rows: Sequence[tuple]) -> None:
         """``(keys, rows)`` adapter for operator input hooks."""
@@ -378,18 +369,25 @@ class HybridGroupCountEstimator:
         return self.mle.name if self.state.gamma_squared < self.tau else self.gee.name
 
     def estimate(self) -> float:
-        """Current estimate of the total number of groups in |T|."""
+        """Current estimate of the total number of groups in |T|, never below
+        the groups seen. Idempotent at a given ``t``: a read that chooses the
+        MLE recomputes it here, adapting the interval once, iff the schedule
+        is due since the last recompute; a GEE read recomputes nothing."""
+        state = self.state
+        t = state.t
         if self.exact:
-            return float(self.state.distinct_seen)
-        if self.state.t == 0:
+            return float(state.distinct_seen)
+        if t == 0:
             return 0.0
-        if self.chosen == self.mle.name:
-            # Between scheduled recomputations, serve the cached value, but
-            # never below the groups already seen (monotone floor).
-            if self._cached_mle <= 0.0:
-                self._cached_mle = self.mle.estimate(self.total)
-            return max(self._cached_mle, float(self.state.distinct_seen))
-        return max(self.gee.estimate(self.total), float(self.state.distinct_seen))
+        seen = float(state.distinct_seen)
+        if self.chosen == self.gee.name:
+            return max(self.gee.estimate(self.total), seen)
+        if self.scheduler.due(self._mle_t, t):
+            old = self._cached_mle
+            self._cached_mle = self.mle.estimate(self.total)
+            self._mle_t = t
+            self.scheduler.after_recompute(old, self._cached_mle)
+        return max(self._cached_mle, seen)
 
     def export(self) -> EstimatorExport:
         """The group-value histogram: counts sum across partitions (every

@@ -339,9 +339,9 @@ class ProgressMonitor:
 
         Finished/exhausted and future operators do not depend on the mode;
         only the currently executing pipeline's dispatch differs. Every
-        estimator's ``estimate_for`` is a pure read, so the ensemble can
-        evaluate all candidates on the same tick without perturbing any of
-        them — the differential guarantee rests on this.
+        estimator's ``estimate_for`` is idempotent at a given ``t``, so the
+        ensemble can evaluate all candidates on the same tick without
+        perturbing any of them — the differential guarantee rests on this.
         """
         k_i = float(op.tuples_emitted)
         if status == "finished" or op.is_exhausted:

@@ -138,8 +138,9 @@ class PartitionedProgressMonitor:
     def snapshot(self, tick: int = -1) -> ProgressSnapshot:
         """The merged global view as of the last accepted delta.
 
-        A pure read: it neither records history nor moves the high-water
-        mark (:meth:`observe` does both), so any thread may call it."""
+        Idempotent at a given ``t``: it neither records history nor moves
+        the high-water mark (:meth:`observe` does both), so any thread may
+        call it."""
         with self._lock:
             return self._merged_locked(tick)
 

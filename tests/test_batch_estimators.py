@@ -15,11 +15,16 @@ estimator, and the empty-batch / NULL-key edge cases.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import make_rng
-from repro.core.distinct import HybridGroupCountEstimator
+from repro.core.distinct import (
+    GroupFrequencyState,
+    HybridGroupCountEstimator,
+    MLEEstimator,
+    RecomputeScheduler,
+)
 from repro.core.histogram import BucketizedHistogram, FrequencyHistogram
 from repro.core.join_estimators import OnceJoinEstimator
 from repro.core.pipeline_estimators import (
@@ -183,6 +188,53 @@ class TestHistogramBatch:
 # -- hybrid GEE/MLE group-count estimator --------------------------------------
 
 
+def _hybrid_state(hybrid) -> tuple:
+    state = hybrid.state
+    return (
+        dict(state.counts),
+        (state.t, list(state.fof), state.sum_sq),
+        hybrid.exact,
+        list(hybrid.history),
+        (hybrid._cached_mle, hybrid._mle_t),
+        (hybrid.scheduler.interval, hybrid.scheduler.recompute_count),
+    )
+
+
+@st.composite
+def _stream_with_reads(draw):
+    """A key stream, the ``t`` values it is read at, and extra cut points."""
+    values = draw(st.lists(st.integers(0, 60), min_size=1, max_size=600))
+    t = st.integers(1, len(values))
+    reads = set(draw(st.lists(t, max_size=40)))
+    cuts = set(draw(st.lists(t, max_size=60)))
+    return values, reads, cuts
+
+
+def _algorithm_3_per_tuple(values: list, total: float) -> list[float] | None:
+    """Algorithm 3 driven by the tuple stream: the MLE is recomputed at every
+    ``t`` that is a multiple of the current interval, and a reader after each
+    tuple is served the cached value, floored at the groups seen (before the
+    first boundary, the first read evaluates it once). ``None`` when the
+    chooser would pick GEE at some read."""
+    bounds = HybridGroupCountEstimator(total=total)
+    state = GroupFrequencyState()
+    mle = MLEEstimator(state)
+    schedule = RecomputeScheduler(bounds.scheduler.lower, bounds.scheduler.upper)
+    cached = 0.0
+    served = []
+    for value in values:
+        state.observe(value)
+        if state.t % schedule.interval == 0:
+            old, cached = cached, mle.estimate(total)
+            schedule.after_recompute(old, cached)
+        if state.gamma_squared >= bounds.tau:
+            return None
+        if cached <= 0.0:
+            cached = mle.estimate(total)
+        served.append(max(cached, float(state.distinct_seen)))
+    return served
+
+
 class TestHybridBatch:
     @pytest.mark.parametrize("trial", range(4))
     def test_monte_carlo_full_state_equality(self, trial):
@@ -200,14 +252,54 @@ class TestHybridBatch:
         row_s, batch_s = row.state, batch.state
         assert row_s.counts == batch_s.counts
         assert (row_s.t, row_s.fof, row_s.sum_sq) == (batch_s.t, batch_s.fof, batch_s.sum_sq)
-        # Scheduler fidelity: the batch path recomputed the MLE at exactly
-        # the same t values, so the adaptive interval went through the same
-        # doubling/reset sequence.
-        assert row._cached_mle == batch._cached_mle
-        assert row.scheduler.interval == batch.scheduler.interval
-        assert row.scheduler.recompute_count == batch.scheduler.recompute_count
-        assert row.history == batch.history
+        # Scheduler fidelity: the only reads are the checkpoints, which both
+        # paths take at the same t, so the MLE was recomputed at the same t
+        # values and the interval went through the same doubling/reset
+        # sequence.
+        assert _hybrid_state(row) == _hybrid_state(batch)
         assert row.estimate() == batch.estimate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=_stream_with_reads(),
+        tau=st.sampled_from([0.0, 1.0, 10.0, float("inf")]),
+        record_every=st.sampled_from([0, 16]),
+    )
+    def test_same_reads_any_chunking_same_state(self, case, tau, record_every):
+        """Chunked at random between the same read points, the whole state
+        is equal — the cached MLE, its ``t``, the interval and the recompute
+        count included."""
+        values, reads, cuts = case
+        row = HybridGroupCountEstimator(total=2_000.0, tau=tau, record_every=record_every)
+        batch = HybridGroupCountEstimator(total=2_000.0, tau=tau, record_every=record_every)
+        row_reads = []
+        for t, value in enumerate(values, start=1):
+            row.observe(value)
+            if t in reads:
+                row_reads.append(row.estimate())
+        batch_reads = []
+        start = 0
+        for end in sorted(reads | cuts | {len(values)}):
+            batch.observe_batch(values[start:end])
+            start = end
+            if end in reads:
+                batch_reads.append(batch.estimate())
+        assert batch_reads == row_reads
+        assert _hybrid_state(batch) == _hybrid_state(row)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 80), min_size=1, max_size=800))
+    def test_reader_of_every_tuple_gets_algorithm_3(self, values):
+        """Read after every tuple while the chooser picks the MLE, the
+        read-driven schedule recomputes at exactly Algorithm 3's points."""
+        expected = _algorithm_3_per_tuple(values, 2_000.0)
+        assume(expected is not None)
+        hybrid = HybridGroupCountEstimator(total=2_000.0)
+        got = []
+        for value in values:
+            hybrid.observe(value)
+            got.append(hybrid.estimate())
+        assert got == expected
 
     def test_empty_batch_is_a_noop(self):
         estimator = HybridGroupCountEstimator(total=100.0, record_every=1)

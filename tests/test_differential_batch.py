@@ -357,13 +357,12 @@ def _group_state(hybrid, aggregate, manager) -> tuple:
         hybrid.exact,
         _history_view(hybrid.history, stable),
     )
+    # The cached MLE, the interval and the recompute count are left out:
+    # the MLE is recomputed when a snapshot reads it, and where snapshots
+    # land moves with the batch size (``TestHybridBatch`` holds them equal
+    # for equal read points instead).
     if stable:
-        entry += ((
-            hybrid._cached_mle,
-            hybrid.scheduler.interval,
-            hybrid.scheduler.recompute_count,
-            hybrid.estimate(),
-        ),)
+        entry += (hybrid.estimate(),)
     return entry
 
 

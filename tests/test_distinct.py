@@ -120,10 +120,22 @@ class TestMLE:
 
 class TestRecomputeScheduler:
     def test_due_at_interval(self):
+        """Due iff a multiple of the interval lies in ``(since, t]``."""
         sched = RecomputeScheduler(lower=10, upper=100)
-        assert sched.due(10)
-        assert not sched.due(15)
-        assert sched.due(20)
+        assert not sched.due(0, 0)
+        assert not sched.due(0, 9)
+        assert sched.due(0, 10)
+        assert sched.due(9, 10)
+        assert not sched.due(10, 10)  # (since, t] is empty: a re-read
+        assert not sched.due(10, 19)
+        assert sched.due(15, 20)
+        assert sched.due(3, 35)  # three multiples passed: still one answer
+
+    def test_due_per_tuple_is_divisibility(self):
+        """Read after every tuple, ``due(t - 1, t)`` is Algorithm 3's
+        boundary test ``t % interval == 0``."""
+        sched = RecomputeScheduler(lower=7, upper=100)
+        assert [t for t in range(1, 50) if sched.due(t - 1, t)] == [7, 14, 21, 28, 35, 42, 49]
 
     def test_interval_doubles_when_stable(self):
         sched = RecomputeScheduler(lower=10, upper=100, stability=0.05)
@@ -200,6 +212,38 @@ class TestHybrid:
         total[0] = 10_000.0
         after = hybrid.estimate()
         assert after >= before  # larger horizon, never smaller estimate
+
+    @pytest.mark.parametrize("tau", [10.0, 0.0], ids=["mle", "gee"])
+    def test_reads_at_one_t_are_idempotent(self, tau, monkeypatch):
+        """Two reads at the same t return the same float and evaluate the
+        MLE at most once; feeding alone evaluates it never, and reads that
+        choose GEE (τ = 0) evaluate it never."""
+        evaluations = []
+        mle_estimate = MLEEstimator.estimate
+        monkeypatch.setattr(
+            MLEEstimator,
+            "estimate",
+            lambda self, total: evaluations.append(total) or mle_estimate(self, total),
+        )
+        hybrid = HybridGroupCountEstimator(total=20_000, tau=tau)
+
+        def schedule() -> tuple:
+            return (hybrid._mle_t, hybrid.scheduler.interval, hybrid.scheduler.recompute_count)
+
+        for i, v in enumerate(stream(0.0, 1000, 4000), start=1):
+            hybrid.observe(v)
+            if i % 97:
+                continue
+            before = len(evaluations)
+            first = hybrid.estimate()
+            after_first = schedule()
+            assert hybrid.estimate() == first
+            assert schedule() == after_first
+            assert len(evaluations) - before <= 1
+        if tau:
+            assert 0 < len(evaluations) <= 4000 // 97
+        else:
+            assert evaluations == []
 
     def test_empty_estimate_zero(self):
         assert HybridGroupCountEstimator(total=100).estimate() == 0.0

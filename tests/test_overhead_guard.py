@@ -19,8 +19,10 @@ the derived default read 1.57 / 1.59 / 1.60 (a snapshot every 256 rows —
 
 What *cannot* flake is counted instead of timed (``TestPaidPerBatch``): on
 the benchmark's six Q-long statements the estimator hooks run once per
-input batch, not per ``LIMIT``-sized sliver, and a build histogram's
-maximum is computed once per join, not once per snapshot.
+input batch, not per ``LIMIT``-sized sliver, a build histogram's
+maximum is computed once per join, not once per snapshot, the group-count
+state folds each batch in one piece, and the MLE is evaluated only by the
+reads that choose it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ import time
 
 import pytest
 
+from repro.core.distinct import (
+    GroupFrequencyState,
+    HybridGroupCountEstimator,
+    MLEEstimator,
+)
 from repro.core.histogram import FrequencyHistogram
 from repro.core.progress import ProgressMonitor
 from repro.datagen.skew import customer_variant
@@ -185,6 +192,94 @@ class TestPaidPerBatch:
         assert sum(calls.values()) <= allowed, (name, calls)
         joins = [op for op in ops.values() if isinstance(op, HashJoin)]
         assert len(maxima) == len(set(maxima)) == len(joins)
+
+    @pytest.mark.parametrize("name", ["distinct_fk", "groupby_fk"])
+    def test_group_state_folds_uncut_and_the_mle_is_paid_per_read(
+        self, name, small_catalog, monkeypatch
+    ):
+        """The group-count hook folds each input batch in one piece, and the
+        MLE is evaluated only by reads that choose it, at most once per read
+        ``t`` — never by a batch crossing a schedule boundary."""
+        plan = compile_select(small_catalog, Q_LONG[name]).plan
+        bus = TickBus(interval=500)
+        monitor = ProgressMonitor(plan, mode="once", bus=bus)
+        ((hybrid, (aggregate,)),) = monitor.manager.attached()
+        assert isinstance(hybrid, HybridGroupCountEstimator)
+
+        counts = {"hook": 0, "fold": 0, "mle": 0}
+        mle_read_ts: set[int] = set()
+        hooks = aggregate.input_hooks[0]
+        (hook,) = hooks
+
+        def counted_hook(keys, rows):
+            counts["hook"] += 1
+            hook(keys, rows)
+
+        hooks[0] = counted_hook
+        fold, mle, read = (
+            GroupFrequencyState.observe_batch,
+            MLEEstimator.estimate,
+            HybridGroupCountEstimator.estimate,
+        )
+
+        def counted_fold(state, keys):
+            counts["fold"] += 1
+            fold(state, keys)
+
+        def counted_mle(estimator, total):
+            counts["mle"] += 1
+            return mle(estimator, total)
+
+        def noted_read(estimator):
+            if not estimator.exact and estimator.chosen == "mle":
+                mle_read_ts.add(estimator.state.t)
+            return read(estimator)
+
+        monkeypatch.setattr(GroupFrequencyState, "observe_batch", counted_fold)
+        monkeypatch.setattr(MLEEstimator, "estimate", counted_mle)
+        monkeypatch.setattr(HybridGroupCountEstimator, "estimate", noted_read)
+
+        result = ExecutionEngine(plan, bus=bus).run(batch_size=BATCH)
+        monitor.snapshot()
+        assert result.row_count > 0 and len(monitor.snapshots) >= 2
+
+        assert counts["hook"] > 0
+        assert counts["fold"] == counts["hook"], (name, counts)
+        # At most one evaluation per read t that chose the MLE: zero when
+        # every read chose GEE.
+        assert counts["mle"] <= len(mle_read_ts) <= len(monitor.snapshots), (name, counts)
+
+
+def test_operator_totals_then_snapshot_leave_the_schedule_alone(small_catalog):
+    """Reads are idempotent at a given ``t``: ``operator_totals()`` may
+    recompute the MLE, a ``snapshot()`` right after it at the same ``t``
+    serves the same totals and moves nothing."""
+    plan = compile_select(small_catalog, Q_LONG["groupby_fk"]).plan
+    bus = TickBus(interval=500)
+    checked: list[int] = []
+
+    def schedule(hybrid) -> tuple:
+        return (
+            hybrid._cached_mle,
+            hybrid._mle_t,
+            hybrid.scheduler.interval,
+            hybrid.scheduler.recompute_count,
+        )
+
+    def read_twice(_count: int) -> None:
+        ((hybrid, (aggregate,)),) = monitor.manager.attached()
+        totals = monitor.operator_totals()
+        assert aggregate.node_id in totals
+        before = schedule(hybrid)
+        monitor.snapshot()
+        assert schedule(hybrid) == before
+        assert monitor.operator_totals() == totals
+        checked.append(hybrid.scheduler.recompute_count)
+
+    bus.subscribe(read_twice)  # ahead of the monitor's own snapshot
+    monitor = ProgressMonitor(plan, mode="once", bus=bus)
+    ExecutionEngine(plan, bus=bus).run(batch_size=BATCH)
+    assert checked and checked[-1] > 0  # the MLE was chosen and recomputed
 
 
 #: The Q-long aliases, for spelling each statement without them.
