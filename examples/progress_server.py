@@ -4,7 +4,9 @@ Starts ``python -m repro serve`` as a subprocess on a free port, then
 drives it through the client library: submits three queries, watches
 each from two concurrent subscribers (asserting every stream is monotone
 non-decreasing), cancels one mid-flight, fetches the finished results,
-and shuts the server down cleanly.
+submits one more statement twice (the second submit is served from the
+statement cache and must return the same rows and final work), and shuts
+the server down cleanly.
 
 Exit code 0 means every assertion held; CI runs this script as the
 server smoke job.
@@ -33,6 +35,12 @@ QUERIES = {
         " JOIN orders b ON a.custkey = b.custkey"
     ),
 }
+
+#: Submitted twice: once compiled, once served from the statement cache.
+REPEATED = (
+    "SELECT n.name, COUNT(*) AS n, SUM(c.acctbal) AS bal FROM nation n"
+    " JOIN customer c ON n.nationkey = c.nationkey GROUP BY n.name"
+)
 
 
 def free_port() -> int:
@@ -139,6 +147,19 @@ def main() -> int:
             if workload["states"].get("cancelled") != 1:
                 failures.append("workload view does not show the cancelled session")
 
+            # The statement cache: the first submit compiles, the second
+            # runs a fresh copy of that compiled plan and must agree with it.
+            repeats = [client.submit(REPEATED, name=f"repeat-{i}")["session_id"]
+                       for i in range(2)]
+            ends = [client.wait(sid, timeout=120.0) for sid in repeats]
+            rows = [client.fetch(sid)["rows"] for sid in repeats]
+            print(f"  repeated twice   rows={len(rows[0])} "
+                  f"work_done={ends[0]['work_done']:g} / {ends[1]['work_done']:g}")
+            if rows[0] != rows[1] or not rows[0]:
+                failures.append("repeated statement: rows differ between submits")
+            if ends[0]["work_done"] != ends[1]["work_done"]:
+                failures.append("repeated statement: final work_done differs")
+
             client.shutdown_server()
             server.wait(timeout=30.0)
             if server.returncode != 0:
@@ -154,7 +175,7 @@ def main() -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print("OK: monotone streams, clean cancel, clean shutdown")
+    print("OK: monotone streams, clean cancel, cached repeat agrees, clean shutdown")
     return 0
 
 

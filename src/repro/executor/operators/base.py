@@ -310,6 +310,29 @@ class Operator(ABC):
         for child in self.children():
             child.attach_faults(faults)
 
+    # -- copies ------------------------------------------------------------------
+
+    def fresh(self) -> "Operator":
+        """A never-opened copy of this ``CREATED`` subtree: it shares every
+        subclass slot (tables, expressions, schemas, kernels) and the
+        optimizer estimate, swaps each child for the child's ``fresh()``,
+        and gets new base instrumentation plus :meth:`_fresh_state`."""
+        if self.state is not OperatorState.CREATED:
+            raise ExecutorError(f"{self.op_name}: fresh() of a {self.state.value} operator")
+        copy = object.__new__(type(self))
+        children = {id(child): child.fresh() for child in self.children()}
+        for klass in type(self).__mro__[: type(self).__mro__.index(Operator)]:
+            for name in klass.__dict__.get("__slots__", ()):
+                value = getattr(self, name)
+                setattr(copy, name, children.get(id(value), value))
+        Operator.__init__(copy, len(self.input_hooks))
+        copy.estimated_cardinality = self.estimated_cardinality
+        copy._fresh_state()
+        return copy
+
+    def _fresh_state(self) -> None:
+        """Re-allocate constructor-made mutable run state for a copy."""
+
     # -- convenience ------------------------------------------------------------
 
     @property

@@ -10,8 +10,10 @@ online.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Callable
 
+from repro.common.errors import SchemaError
 from repro.executor.expressions import Expression, compile_predicate_kernel
 from repro.executor.operators.base import Operator
 from repro.storage.schema import Schema
@@ -33,6 +35,18 @@ class Filter(Operator):
         self.predicate = predicate
         self._bound: Callable[[tuple], object] | None = None
         self._batch_kernel: Callable[[list[tuple]], list[tuple]] | None = None
+        # Bound once per plan, shared by every fresh() copy. An unresolvable
+        # predicate is the analyzer's to report (T001); open() raises it.
+        with suppress(SchemaError):
+            self._bind()
+
+    def _bind(self) -> None:
+        schema = self.child.output_schema
+        self._bound = self.predicate.bind(schema)
+        # Compiled batch kernel: one list comprehension filtering the whole
+        # batch, semantically identical to mapping the bound closure; None
+        # (expression without source support) keeps the closure fallback.
+        self._batch_kernel = compile_predicate_kernel(self.predicate, schema)
 
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
@@ -45,12 +59,8 @@ class Filter(Operator):
         return f"filter({self.predicate!r})"
 
     def _open(self) -> None:
-        schema = self.child.output_schema
-        self._bound = self.predicate.bind(schema)
-        # Compiled batch kernel: one list comprehension filtering the whole
-        # batch, semantically identical to mapping the bound closure; None
-        # (expression without source support) keeps the closure fallback.
-        self._batch_kernel = compile_predicate_kernel(self.predicate, schema)
+        if self._bound is None:
+            self._bind()
         self._set_phase("filter")
 
     def _next_batch(self, max_rows: int) -> list[tuple]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Callable, Sequence
 
+from repro.common.errors import SchemaError
 from repro.executor.expressions import Col, Expression, compile_projection_kernel
 from repro.executor.operators.base import Operator
 from repro.storage.schema import Column, ColumnType, Schema
@@ -31,8 +33,20 @@ class Project(Operator):
         self.child = child
         self.columns = list(columns)
         self._schema = self._derive_schema()
-        self._bound: list[Callable[[tuple], object]] | None = None
+        self._bound: tuple[Callable[[tuple], object], ...] | None = None
         self._batch_kernel: Callable[[list[tuple]], list[tuple]] | None = None
+        # Bound once per plan, shared by every fresh() copy; an unresolvable
+        # computed column is the analyzer's to report, open() raises it.
+        with suppress(SchemaError):
+            self._bind()
+
+    def _bind(self) -> None:
+        in_schema = self.child.output_schema
+        exprs = [Col(spec) if isinstance(spec, str) else spec[1] for spec in self.columns]
+        self._bound = tuple(expr.bind(in_schema) for expr in exprs)
+        # Compiled batch kernel building one output tuple per row in a
+        # single comprehension; None keeps the bound-closure fallback.
+        self._batch_kernel = compile_projection_kernel(exprs, in_schema)
 
     def _derive_schema(self) -> Schema:
         in_schema = self.child.output_schema
@@ -57,14 +71,8 @@ class Project(Operator):
         return f"project({', '.join(names)})"
 
     def _open(self) -> None:
-        in_schema = self.child.output_schema
-        exprs = [
-            Col(spec) if isinstance(spec, str) else spec[1] for spec in self.columns
-        ]
-        self._bound = [expr.bind(in_schema) for expr in exprs]
-        # Compiled batch kernel building one output tuple per row in a
-        # single comprehension; None keeps the bound-closure fallback.
-        self._batch_kernel = compile_projection_kernel(exprs, in_schema)
+        if self._bound is None:
+            self._bind()
         self._set_phase("project")
 
     def _next_batch(self, max_rows: int) -> list[tuple]:

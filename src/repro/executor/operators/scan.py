@@ -196,6 +196,9 @@ class SampleScan(Operator):
     def describe(self) -> str:
         return f"sample_scan({self.table.name}, {self.fraction:.0%})"
 
+    def _fresh_state(self) -> None:
+        self.sample_boundary_hooks = []
+
     def _open(self) -> None:
         self._sample_iter = self.sample.iter_sample()
         self._remainder_iter = self.sample.iter_remainder()

@@ -3,7 +3,8 @@
 :class:`ProgressService` composes the server subsystem into one object:
 
 * SQL arrives over :mod:`repro.server.protocol`, is compiled against the
-  service's catalog, wrapped in a
+  service's catalog once per text (a bounded statement cache hands each
+  session a ``fresh()`` copy of the compiled plan), wrapped in a
   :class:`~repro.server.session.QuerySession` and admitted to the
   :class:`~repro.server.scheduler.Scheduler`;
 * every session publishes snapshots into the service's
@@ -38,7 +39,9 @@ from __future__ import annotations
 import socket
 import socketserver
 import threading
+from collections import OrderedDict
 
+from repro.executor.operators.base import Operator
 from repro.faults.plan import (
     SHORT_READ,
     SITE_SERVER_READ,
@@ -76,6 +79,10 @@ _WATCH_POLL_S = 0.25
 #: count is bounded whatever clients do.
 MAX_CONNECTIONS = 256
 
+#: Compiled statements the service keeps; past it the least recently used
+#: is dropped, so the cache is bounded whatever SQL clients send.
+STATEMENT_CACHE_SIZE = 256
+
 #: The one ``end`` line that can follow a frame in the same send, encoded
 #: once at import: a per-session watch that finds its session terminal
 #: writes frame + end as one segment (no per-watcher encode, R007 holds).
@@ -85,12 +92,13 @@ _END_SESSION_TERMINAL = encode({"event": "end", "reason": "session terminal"})
 class ProgressService:
     """A multi-session query-progress service over one catalog."""
 
-    # The encoder table is the only service-level mutable state beyond the
-    # composed subsystems (each of which guards its own): every access to
-    # it goes through ``_enc_lock``. Encoder *contents* have their own
-    # internal lock, so holding ``_enc_lock`` never nests into frame
-    # encoding.
-    _guarded_by_ = {"_encoders": "_enc_lock"}
+    # The encoder table and the statement cache are the only service-level
+    # mutable state beyond the composed subsystems (each of which guards
+    # its own): every access to them goes through ``_enc_lock`` and
+    # ``_stmt_lock``. Encoder *contents* have their own internal lock, so
+    # holding ``_enc_lock`` never nests into frame encoding; compiling and
+    # copying a statement happen outside ``_stmt_lock``.
+    _guarded_by_ = {"_encoders": "_enc_lock", "_statements": "_stmt_lock"}
 
     def __init__(
         self,
@@ -141,6 +149,8 @@ class ProgressService:
         self.events = EventBus()
         self._enc_lock = threading.Lock()
         self._encoders: dict[str, SessionStreamEncoder] = {}
+        self._stmt_lock = threading.Lock()
+        self._statements: OrderedDict[tuple, Operator] = OrderedDict()
         self.scheduler = Scheduler(
             workers=workers,
             policy=policy,
@@ -160,17 +170,10 @@ class ProgressService:
         timeout_s: float | None = None,
         quantum_rows: int | None = None,
     ) -> QuerySession:
-        """Compile ``sql``, admit it for execution, return the session."""
-        from repro.sql import compile_select
-
-        compiled = compile_select(
-            self.catalog,
-            sql,
-            sample_fraction=self.sample_fraction,
-            observed=self.observed,
-        )
+        """Compile ``sql`` (or copy its cached plan), admit it for
+        execution, return the session."""
         session = QuerySession(
-            compiled.plan,
+            self._plan_for(sql),
             name=name,
             mode=mode or self.default_mode,
             tick_interval=self.tick_interval,
@@ -198,6 +201,29 @@ class ProgressService:
                 self._encoders.pop(session.session_id, None)
             raise
         return session
+
+    @acquires("_stmt_lock")
+    def _plan_for(self, sql: str) -> Operator:
+        """A ``fresh()`` copy of ``sql``'s cached, never-run template,
+        compiled on a miss. The key holds every other compile input; a
+        statement that fails to compile raises and is not cached."""
+        from repro.sql import compile_select
+
+        observed = self.observed
+        key = (sql, self.catalog.version, None if observed is None else observed.version)
+        with self._stmt_lock:
+            template = self._statements.get(key)
+            if template is not None:
+                self._statements.move_to_end(key)
+        if template is None:
+            template = compile_select(
+                self.catalog, sql, sample_fraction=self.sample_fraction, observed=observed
+            ).plan
+            with self._stmt_lock:
+                self._statements[key] = template
+                if len(self._statements) > STATEMENT_CACHE_SIZE:
+                    self._statements.popitem(last=False)
+        return template.fresh()
 
     def cancel(self, session_id: str, reason: str = "cancelled by client") -> bool:
         session = self.registry.get(session_id)

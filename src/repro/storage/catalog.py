@@ -23,6 +23,9 @@ class Catalog:
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self._statistics: dict[str, TableStatistics] = {}
+        # Bumped by register / drop / analyze: tables are immutable, so a
+        # plan compiled at one version stays valid until it moves.
+        self.version = 0
 
     def register(self, table: Table, analyze: bool = True, **analyze_kwargs) -> Table:
         """Register ``table`` under its name; optionally collect statistics.
@@ -31,6 +34,7 @@ class Catalog:
         """
         self._tables[table.name] = table
         self._statistics.pop(table.name, None)
+        self.version += 1
         if analyze:
             self.analyze(table.name, **analyze_kwargs)
         return table
@@ -40,6 +44,7 @@ class Catalog:
             raise CatalogError(f"unknown table {name!r}")
         del self._tables[name]
         self._statistics.pop(name, None)
+        self.version += 1
 
     def table(self, name: str) -> Table:
         try:
@@ -61,13 +66,14 @@ class Catalog:
         """(Re)collect statistics for a registered table."""
         stats = build_statistics(self.table(name), **kwargs)
         self._statistics[name] = stats
+        self.version += 1
         return stats
 
     def statistics(self, name: str) -> TableStatistics:
-        if name not in self._tables:
-            raise CatalogError(f"unknown table {name!r}")
+        # A first, lazy collection does not move the version: every reader
+        # would have collected the same statistics.
         if name not in self._statistics:
-            self.analyze(name)
+            self._statistics[name] = build_statistics(self.table(name))
         return self._statistics[name]
 
     def row_count(self, name: str) -> int:

@@ -147,7 +147,7 @@ class ObservedCardinalities:
     threads while compile threads look subtrees up.
     """
 
-    _guarded_by_ = {"_cards": "_lock", "_latest_seq": "_lock"}
+    _guarded_by_ = {"_cards": "_lock", "_latest_seq": "_lock", "_absorbed": "_lock"}
 
     def __init__(self, max_drift: float = 0.1, max_age_runs: int = 32):
         if max_drift < 0:
@@ -159,6 +159,7 @@ class ObservedCardinalities:
         self._lock = threading.Lock()
         self._cards: dict[str, _Observation] = {}
         self._latest_seq = 0
+        self._absorbed = 0
 
     @acquires("_lock")
     def absorb(
@@ -166,6 +167,7 @@ class ObservedCardinalities:
     ) -> None:
         """Fold one run's per-subtree cardinalities in (newest wins)."""
         with self._lock:
+            self._absorbed += 1
             self._latest_seq = max(self._latest_seq, int(seq))
             for digest, rows in node_cards.items():
                 self._cards[digest] = _Observation(
@@ -194,6 +196,13 @@ class ObservedCardinalities:
                 if drift > self.max_drift:
                     return None
             return obs.rows
+
+    @property
+    def version(self) -> int:
+        """Runs absorbed so far; no lookup answer changes until it moves.
+        (``_latest_seq`` would not: served runs arrive with seq 0.)"""
+        with self._lock:
+            return self._absorbed
 
     def __len__(self) -> int:
         with self._lock:
