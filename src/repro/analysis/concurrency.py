@@ -112,9 +112,10 @@ _BLOCKING_DOTTED = {"time.sleep", "socket.create_connection"}
 
 #: Attribute call names that block. ``wait``/``wait_for`` are exempt when
 #: invoked on a lock that is itself held (a Condition wait *releases* it);
-#: ``join`` is exempt on string constants (``", ".join``); ``get``/``put``
-#: only count when passed a ``timeout=`` keyword (queue/subscription
-#: mailboxes — a plain ``dict.get`` never takes one).
+#: ``join`` is exempt on string constants (``", ".join``); ``take`` is a
+#: subscription waiting for a publish; ``get``/``put`` only count when
+#: passed a ``timeout=`` keyword (queues — a plain ``dict.get`` never takes
+#: one).
 _BLOCKING_ATTRS = {
     "sleep",
     "wait",
@@ -128,6 +129,7 @@ _BLOCKING_ATTRS = {
     "select",
     "step",
     "serve_forever",
+    "take",
 }
 _BLOCKING_WITH_TIMEOUT = {"get", "put"}
 

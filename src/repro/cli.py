@@ -412,11 +412,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
     try:
         with _client(args) as client:
-            for event in client.watch(
-                args.session_id,
-                until_idle=args.until_idle,
-                delta=not args.no_delta,
-            ):
+            for event in client.watch(args.session_id, until_idle=args.until_idle):
                 kind = event.get("event")
                 if kind == "snapshot":
                     snap = event["session"]
@@ -567,11 +563,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="exit once every session is terminal (aggregate watch only)",
     )
     w.add_argument("--plain", action="store_true", help="line-per-event output, no redraw")
-    w.add_argument(
-        "--no-delta",
-        action="store_true",
-        help="request plain full-snapshot frames instead of the delta stream",
-    )
     w.set_defaults(func=cmd_watch)
 
     c = sub.add_parser("cancel", help="cooperatively cancel a session")

@@ -106,9 +106,8 @@ def record_run(
     record = build_record(monitor, wall_time_s, row_count)
     if record is None:
         return None
-    if not store.append_run(record):
-        return None
-    if observed is not None:
+    record = store.append_run(record)
+    if record is not None and observed is not None:
         observed.absorb(record.node_cards, record.table_rows, record.seq)
     return record
 

@@ -30,7 +30,8 @@ Execution knobs that do not change *what* the plan computes — hash-join
 ``num_partitions``/``memory_partitions``, block sizes — are excluded.
 
 Besides the whole-plan digest, the same walk emits a digest per *subtree*
-(keyed by ``node_id``): subtree digests are stable across runs of
+(keyed by pre-order position, the ``node_id`` the plan's operators get
+when it opens): subtree digests are stable across runs of
 equivalent plans, which is what the statistics-feedback loop keys observed
 cardinalities by (node ids are only stable within one plan shape).
 
@@ -47,6 +48,7 @@ seed the live ensemble weights.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 from repro.executor.expressions import (
@@ -216,6 +218,11 @@ class PlanFingerprint:
     canonical form (``repro history show`` prints it); ``nodes`` maps each
     ``node_id`` of *this* plan instance to its subtree digest — the
     cross-run-stable key for per-node observed cardinalities.
+
+    A node's id is its pre-order position, the id
+    :func:`~repro.executor.plan.validate_plan` assigns when the plan opens;
+    ``nodes`` is numbered the same way, so a plan fingerprinted before it
+    opens (as a monitor does) already maps every node.
     """
 
     digest: str
@@ -226,12 +233,13 @@ class PlanFingerprint:
 def fingerprint_plan(root: Operator) -> PlanFingerprint:
     """Fingerprint a plan tree (see the module docstring for the grammar)."""
     nodes: dict[int, str] = {}
+    preorder = itertools.count()
 
     def visit(op: Operator) -> str:
+        node_id = next(preorder)
         child_sigs = [visit(child) for child in op.children()]
         signature = _node_signature(op, child_sigs)
-        if op.node_id is not None:
-            nodes[op.node_id] = _digest(signature)
+        nodes[node_id] = _digest(signature)
         return signature
 
     signature = visit(root)

@@ -148,10 +148,11 @@ class HistoryStore:
     # -- appending -----------------------------------------------------------
 
     @acquires("_lock")
-    def append_run(self, record: RunRecord) -> bool:
-        """Persist one finished run; returns False when a write fault (or a
-        real I/O error) dropped the record. Never raises into the caller —
-        a query must not fail because its history could not be saved."""
+    def append_run(self, record: RunRecord) -> RunRecord | None:
+        """Persist one finished run; returns the record as stored (with the
+        seq the store assigned), or None when a write fault (or a real I/O
+        error) dropped it. Never raises into the caller — a query must not
+        fail because its history could not be saved."""
         with self._lock:
             self._load_locked()
             if record.seq == 0:
@@ -164,7 +165,7 @@ class HistoryStore:
                     spec = self.faults.fire(SITE_HISTORY_WRITE, record.fingerprint)
                 except InjectedFault as exc:
                     self.degraded_reason = f"history write fault: {exc}"
-                    return False
+                    return None
             torn = spec is not None and spec.kind == SHORT_READ
             try:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -184,13 +185,13 @@ class HistoryStore:
                     fh.flush()
             except OSError as exc:
                 self.degraded_reason = f"history write error: {exc}"
-                return False
+                return None
             self._needs_newline = torn
             if torn:
                 self.degraded_reason = "history write fault: short write"
-                return False
+                return None
             self._index_locked(record)
-            return True
+            return record
 
     # -- queries -------------------------------------------------------------
 

@@ -253,7 +253,6 @@ class ProgressClient:
         max_reconnects: int = 5,
         backoff_s: float = 0.05,
         max_backoff_s: float = 2.0,
-        delta: bool = True,
     ) -> Iterator[dict]:
         """Stream watch events until the server ends the stream.
 
@@ -263,15 +262,12 @@ class ProgressClient:
         early closes the connection instead, which detaches the
         server-side subscription.
 
-        By default the client asks for a *delta* stream: the server sends
-        each session a periodic full keyframe and, in between, compact
-        ``delta`` frames holding only the changed fields. Reassembly is
-        transparent — callers always see full ``snapshot`` events,
-        bit-identical to a ``delta=False`` stream. A delta that cannot be
-        applied (base state lost) forces a reconnect, which resyncs via a
-        fresh keyframe. ``delta=False`` requests plain full snapshots
-        (compatibility with pre-delta servers, which simply ignore the
-        flag either way).
+        The server sends each session a full keyframe first and then,
+        between periodic keyframes, compact ``delta`` frames holding only
+        the changed fields. Reassembly is transparent — callers always see
+        full ``snapshot`` events, bit-identical to what the server
+        published. A delta that cannot be applied (base state lost) forces
+        a reconnect, which resyncs via a fresh keyframe.
 
         A stream that dies *without* an ``end`` event (reset, truncated
         frame, EOF) is re-attached with bounded exponential backoff, up to
@@ -289,8 +285,6 @@ class ProgressClient:
         bases: dict[str, dict] = {}
         while True:
             request: dict = {"op": "watch", "until_idle": until_idle}
-            if delta:
-                request["delta"] = True
             if session_id is not None:
                 request["session_id"] = session_id
                 if last_seq is not None:

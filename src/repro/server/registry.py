@@ -11,21 +11,23 @@ estimator undershot ``T̂(Q)`` cannot drag the workload below 1.0, and
 aggregate progress never regresses when a query completes or is
 cancelled.
 
-Reads never sample live executor state: they consume the immutable
-:class:`~repro.server.session.SessionSnapshot` each session last
-published, which is what makes ``list``/``status`` safe at any request
-rate while 16 workers are mid-quantum.
+Each session sits beside its :class:`~repro.server.wire.SessionStreamEncoder`,
+the one record of what it published: the service answers ``list``/``status``
+and every watch from there, never from live executor state, which is what
+makes them safe at any request rate while 16 workers are mid-quantum.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 from repro.common.locks import acquires
 from repro.server.session import SessionSnapshot, SessionState, QuerySession
+from repro.server.wire import SessionStreamEncoder
 
-__all__ = ["SessionRegistry", "WorkloadView"]
+__all__ = ["RegistryEntry", "SessionRegistry", "WorkloadView"]
 
 _TERMINAL_VALUES = frozenset(
     {
@@ -74,52 +76,73 @@ class WorkloadView:
         }
 
 
+class RegistryEntry(NamedTuple):
+    """A session and the encoder holding what it last published."""
+
+    session: QuerySession
+    encoder: SessionStreamEncoder
+
+
 class SessionRegistry:
     """Registry of every session the service has accepted."""
 
-    # The session table is the only mutable state; every access goes
+    # The entry table is the only mutable state; every access goes
     # through ``_lock``, and readers get fresh list copies (never the
     # dict itself), so callers cannot race a concurrent submit/remove.
-    _guarded_by_ = {"_sessions": "_lock"}
+    # Entries are immutable; an encoder guards its own contents.
+    _guarded_by_ = {"_entries": "_lock"}
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._sessions: dict[str, QuerySession] = {}
+        self._entries: dict[str, RegistryEntry] = {}
 
     @acquires("_lock")
     def add(self, session: QuerySession) -> QuerySession:
+        """Register ``session`` beside a new encoder, before its first publish."""
+        entry = RegistryEntry(session, SessionStreamEncoder())
         with self._lock:
-            if session.session_id in self._sessions:
+            if session.session_id in self._entries:
                 raise ValueError(f"duplicate session id {session.session_id!r}")
-            self._sessions[session.session_id] = session
+            self._entries[session.session_id] = entry
         return session
 
     @acquires("_lock")
     def get(self, session_id: str) -> QuerySession | None:
         with self._lock:
-            return self._sessions.get(session_id)
+            entry = self._entries.get(session_id)
+        return None if entry is None else entry.session
+
+    @acquires("_lock")
+    def encoder(self, session_id: str) -> SessionStreamEncoder | None:
+        with self._lock:
+            entry = self._entries.get(session_id)
+        return None if entry is None else entry.encoder
 
     @acquires("_lock")
     def remove(self, session_id: str) -> None:
         with self._lock:
-            self._sessions.pop(session_id, None)
+            self._entries.pop(session_id, None)
 
     @acquires("_lock")
-    def sessions(self) -> list[QuerySession]:
+    def entries(self, session_ids: Iterable[str] | None = None) -> list[RegistryEntry]:
+        """The entries of ``session_ids`` (unknown ids skipped), or of every
+        session when None."""
         with self._lock:
-            return list(self._sessions.values())
+            if session_ids is None:
+                return list(self._entries.values())
+            return [self._entries[sid] for sid in session_ids if sid in self._entries]
 
-    def snapshots(self) -> list[SessionSnapshot]:
-        return [session.snapshot() for session in self.sessions()]
+    def sessions(self) -> list[QuerySession]:
+        return [entry.session for entry in self.entries()]
 
     @acquires("_lock")
     def __len__(self) -> int:
         with self._lock:
-            return len(self._sessions)
+            return len(self._entries)
 
     def workload(self) -> WorkloadView:
-        """Aggregate gnm progress over all sessions (see module docstring)."""
-        return self.workload_from(self.snapshots())
+        """Aggregate gnm progress over fresh snapshots of all sessions."""
+        return self.workload_from([session.snapshot() for session in self.sessions()])
 
     @staticmethod
     def workload_from(snapshots: list[SessionSnapshot]) -> WorkloadView:

@@ -7,26 +7,27 @@
   session a ``fresh()`` copy of the compiled plan), wrapped in a
   :class:`~repro.server.session.QuerySession` and admitted to the
   :class:`~repro.server.scheduler.Scheduler`;
-* every session publishes snapshots into the service's
-  :class:`~repro.server.events.EventBus` and is listed in the
-  :class:`~repro.server.registry.SessionRegistry`;
+* every session is listed in the
+  :class:`~repro.server.registry.SessionRegistry` beside its frame
+  encoder, and announces each publish on the service's
+  :class:`~repro.server.events.EventBus`;
 * a stdlib :class:`socketserver.ThreadingTCPServer` serves the protocol —
   one daemon thread per *client connection*, which clients keep open
   between ops (an idle one is parked in ``readline``), at most
   :data:`MAX_CONNECTIONS` of them; ``watch`` connections are parked on their
-  event subscriptions, everything else is answered from published
-  snapshots. :meth:`ProgressService.shutdown` ends the idle ones.
+  subscriptions, everything else is answered from published snapshots.
+  :meth:`ProgressService.shutdown` ends the idle ones.
 
 Fan-out is serialize-once: each published snapshot is encoded to its
-wire frame(s) exactly once by a per-session
-:class:`~repro.server.wire.SessionStreamEncoder`, and the bus carries
-the resulting :class:`~repro.server.wire.PublishedFrame` — watch
-streams write pre-encoded bytes (a delta frame when the watcher opted in
-and its stream is positioned exactly on the frame's base, the full
-keyframe otherwise), and ``status``/``list`` answer from the cached
-latest published snapshot instead of resampling. N watchers therefore
-cost one encode per step, not N (lint rule R007 bans per-watcher
-encodes mechanically).
+wire frame(s) exactly once by the session's
+:class:`~repro.server.wire.SessionStreamEncoder`, which keeps the latest
+:class:`~repro.server.wire.PublishedFrame`; the bus carries only the
+session id. A watch stream writes that frame's pre-encoded bytes (the
+delta when its base is the seq the connection wrote last, the full
+keyframe otherwise), and ``status``/``list`` answer from the latest
+published snapshot instead of resampling. N watchers therefore cost one
+encode per step, not N (lint rule R007 bans per-watcher encodes
+mechanically).
 
 Server threads never drive or mutate executor state (lint rule R001
 enforces this mechanically for the whole ``repro.server`` package): the
@@ -40,6 +41,7 @@ import socket
 import socketserver
 import threading
 from collections import OrderedDict
+from contextlib import closing
 
 from repro.executor.operators.base import Operator
 from repro.faults.plan import (
@@ -62,17 +64,13 @@ from repro.server.protocol import (
     write_frame,
     write_message,
 )
-from repro.server.registry import SessionRegistry, WorkloadView
+from repro.server.registry import SessionRegistry
 from repro.server.scheduler import AdmissionError, Scheduler
 from repro.server.session import QuerySession, SessionSnapshot
-from repro.server.wire import PublishedFrame, SessionStreamEncoder
+from repro.server.wire import PublishedFrame
 from repro.storage.catalog import Catalog
 
 __all__ = ["ProgressService"]
-
-#: How long a watch loop waits for the next event before re-checking the
-#: end conditions (server shutdown, watched session already terminal).
-_WATCH_POLL_S = 0.25
 
 #: Live client connections (busy or idle) the server holds at once; one
 #: past it is refused with ``too_many_connections``, so the handler-thread
@@ -83,22 +81,22 @@ MAX_CONNECTIONS = 256
 #: is dropped, so the cache is bounded whatever SQL clients send.
 STATEMENT_CACHE_SIZE = 256
 
-#: The one ``end`` line that can follow a frame in the same send, encoded
-#: once at import: a per-session watch that finds its session terminal
-#: writes frame + end as one segment (no per-watcher encode, R007 holds).
-_END_SESSION_TERMINAL = encode({"event": "end", "reason": "session terminal"})
+#: The ``end`` lines a watch stream closes with, encoded once at import so
+#: each rides in one send with the line before it and no watcher encodes one.
+_END = {
+    reason: encode({"event": "end", "reason": reason})
+    for reason in ("session terminal", "workload idle", "server shutdown")
+}
 
 
 class ProgressService:
     """A multi-session query-progress service over one catalog."""
 
-    # The encoder table and the statement cache are the only service-level
-    # mutable state beyond the composed subsystems (each of which guards
-    # its own): every access to them goes through ``_enc_lock`` and
-    # ``_stmt_lock``. Encoder *contents* have their own internal lock, so
-    # holding ``_enc_lock`` never nests into frame encoding; compiling and
-    # copying a statement happen outside ``_stmt_lock``.
-    _guarded_by_ = {"_encoders": "_enc_lock", "_statements": "_stmt_lock"}
+    # The statement cache is the only service-level mutable state beyond
+    # the composed subsystems (each of which guards its own): every access
+    # to it goes through ``_stmt_lock``, and compiling and copying a
+    # statement happen outside it.
+    _guarded_by_ = {"_statements": "_stmt_lock"}
 
     def __init__(
         self,
@@ -147,8 +145,6 @@ class ProgressService:
             self.observed = observed_view(self.history)
         self.registry = SessionRegistry()
         self.events = EventBus()
-        self._enc_lock = threading.Lock()
-        self._encoders: dict[str, SessionStreamEncoder] = {}
         self._stmt_lock = threading.Lock()
         self._statements: OrderedDict[tuple, Operator] = OrderedDict()
         self.scheduler = Scheduler(
@@ -187,18 +183,12 @@ class ProgressService:
             history=self.history,
             observed=self.observed,
         )
-        # The frame encoder must exist before the listener can fire: the
-        # first published snapshot already goes through it.
-        with self._enc_lock:
-            self._encoders[session.session_id] = SessionStreamEncoder()
-        session.add_listener(self._on_session_event)
         self.registry.add(session)
+        session.add_listener(self._on_session_event)
         try:
             self.scheduler.submit(session)
         except AdmissionError:
             self.registry.remove(session.session_id)
-            with self._enc_lock:
-                self._encoders.pop(session.session_id, None)
             raise
         return session
 
@@ -232,51 +222,46 @@ class ProgressService:
         session.cancel(reason)
         return True
 
-    @acquires("_enc_lock")
-    def _encoder_for(self, session_id: str) -> SessionStreamEncoder:
-        with self._enc_lock:
-            encoder = self._encoders.get(session_id)
-            if encoder is None:
-                # Sessions registered outside submit_sql (tests, embedders)
-                # still get serialize-once frames.
-                encoder = self._encoders[session_id] = SessionStreamEncoder()
-            return encoder
-
     def _on_session_event(self, session: QuerySession, snap: SessionSnapshot) -> None:
         # The one encode point of the fan-out path: the executing worker
         # turns its snapshot into a pre-encoded frame, and every watcher
-        # downstream only ever copies bytes.
-        frame = self._encoder_for(session.session_id).encode(snap)
-        self.events.publish(frame)
+        # downstream only ever copies bytes. The frame is stored before
+        # the bus is told, so a watcher woken by the id reads it (or newer).
+        encoder = self.registry.encoder(session.session_id)
+        if encoder is not None:  # unregistered: nobody can watch it
+            encoder.encode(snap)
+            self.events.publish(session.session_id)
 
-    def _cached_snapshot(self, session: QuerySession) -> SessionSnapshot:
-        """The session's latest *published* snapshot — no resampling.
+    def _published(self, session_ids: list[str] | None = None) -> list[SessionSnapshot]:
+        """The latest *published* snapshot of each of ``session_ids`` (of
+        every session when None) — no resampling. Only a session that has
+        never published (still pending admission/first step) has no cached
+        state to serve, and is snapshotted instead."""
+        snapshots = []
+        for session, encoder in self.registry.entries(session_ids):
+            snap = encoder.latest
+            snapshots.append(snap if snap is not None else session.snapshot())
+        return snapshots
 
-        Falls back to a fresh snapshot only for sessions that have never
-        published (still pending admission/first step), where there is no
-        cached state to serve.
-        """
-        snap = self._encoder_for(session.session_id).latest
-        return snap if snap is not None else session.snapshot()
+    def _write_session(self, wfile, session: QuerySession) -> None:
+        (snap,) = self._published([session.session_id])
+        write_message(wfile, ok_response(session=snap.to_wire()))
 
-    def _cached_snapshots(self) -> list[SessionSnapshot]:
-        return [self._cached_snapshot(s) for s in self.registry.sessions()]
-
-    def _workload_view(self) -> WorkloadView:
-        return SessionRegistry.workload_from(self._cached_snapshots())
-
-    def _prime_frame(self, session: QuerySession) -> PublishedFrame:
-        """The pre-encoded frame a fresh watch primes its stream with.
-
-        For a session that has never published, one snapshot is taken and
-        pushed through the session's encoder — a once-per-connection cost
-        that also seeds the delta chain's first keyframe.
-        """
-        encoder = self._encoder_for(session.session_id)
-        frame = encoder.latest_frame
-        if frame is None:
-            frame = encoder.encode(session.snapshot())
-        return frame
+    def _latest_frames(
+        self, session_ids: list[str] | None, prime: bool = False
+    ) -> list[PublishedFrame]:
+        """The latest published frame of each of ``session_ids`` (of every
+        session when None). With ``prime``, a session that has never
+        published gets one snapshot pushed through its encoder — a
+        once-per-connection cost that also seeds its first keyframe."""
+        frames = []
+        for session, encoder in self.registry.entries(session_ids):
+            frame = encoder.latest_frame
+            if frame is None and prime:
+                frame = encoder.encode(session.snapshot())  # noqa: R007 - a prime, once
+            if frame is not None:
+                frames.append(frame)
+        return frames
 
     # -- TCP lifecycle ------------------------------------------------------------
 
@@ -376,23 +361,19 @@ class ProgressService:
         except AdmissionError as exc:
             write_message(wfile, error_response("admission", str(exc)))
             return True
-        write_message(
-            wfile, ok_response(session=self._cached_snapshot(session).to_wire())
-        )
+        self._write_session(wfile, session)
         return True
 
     def _op_status(self, request: dict, wfile) -> bool:
         session = self._session_or_error(request, wfile)
         if session is not None:
-            write_message(
-                wfile, ok_response(session=self._cached_snapshot(session).to_wire())
-            )
+            self._write_session(wfile, session)
         return True
 
     def _op_list(self, request: dict, wfile) -> bool:
         # Served entirely from cached published snapshots: a list request
         # never samples live sessions, whatever the request rate.
-        snapshots = self._cached_snapshots()
+        snapshots = self._published()
         write_message(
             wfile,
             ok_response(
@@ -406,9 +387,7 @@ class ProgressService:
         session = self._session_or_error(request, wfile)
         if session is not None:
             session.cancel(str(request.get("reason") or "cancelled by client"))
-            write_message(
-                wfile, ok_response(session=self._cached_snapshot(session).to_wire())
-            )
+            self._write_session(wfile, session)
         return True
 
     def _op_fetch(self, request: dict, wfile) -> bool:
@@ -435,154 +414,86 @@ class ProgressService:
         return False
 
     def _op_watch(self, request: dict, wfile) -> bool:
+        # A "delta" key from older clients is ignored: every stream is a
+        # delta stream.
         session_id = request.get("session_id")
         until_idle = bool(request.get("until_idle"))
-        use_delta = bool(request.get("delta"))
         since = request.get("since")
+        error = None
         if since is not None:
             try:
                 since = int(since)
             except (TypeError, ValueError):
-                write_message(
-                    wfile,
-                    error_response("bad_request", f"since must be an int, got {since!r}"),
-                )
-                return True
+                error = ("bad_request", f"since must be an int, got {since!r}")
             if session_id is None:
-                write_message(
-                    wfile,
-                    error_response(
-                        "bad_request", "since requires a session_id (per-session seq)"
-                    ),
-                )
-                return True
+                error = error or ("bad_request", "since requires a session_id (per-session seq)")
         if session_id is not None and self.registry.get(session_id) is None:
-            write_message(
-                wfile,
-                error_response("unknown_session", f"no session {session_id!r}"),
-            )
+            error = error or ("unknown_session", f"no session {session_id!r}")
+        if error is not None:
+            write_message(wfile, error_response(*error))
             return True
-        subscription = self.events.subscribe()
-        try:
-            self._stream_watch(
-                subscription, session_id, until_idle, wfile, since, use_delta
-            )
-        finally:
-            # Detach whether the stream ended or the client dropped —
-            # otherwise every dead watcher would keep receiving forever.
-            subscription.close()
+        # Detach whether the stream ended or the client went away —
+        # otherwise every dead watcher would keep being notified.
+        with closing(self.events.subscribe(session_id)) as subscription:
+            self._stream_watch(subscription, until_idle, wfile, since)
         return True
 
-    def _stream_watch(
-        self,
-        subscription: Subscription,
-        session_id: str | None,
-        until_idle: bool,
-        wfile,
-        since: int | None = None,
-        use_delta: bool = False,
-    ) -> None:
-        # Per-session high-water snapshot sequence: frames queued before the
-        # priming frame was emitted are stale and must not be re-emitted
-        # after it (they would make the stream regress). ``since`` seeds the
-        # mark from a reconnecting client's last seen seq, so a resumed
-        # watch never replays or regresses past what the client already has.
-        #
-        # ``keyframed`` tracks which sessions *this connection* has shipped
-        # a full snapshot for: a delta frame is only ever written on top of
-        # a full frame the same connection already delivered, so the first
-        # frame per session — including the first after a ``since`` resume —
-        # is always a keyframe, never a delta against unseen state.
-        last_seq: dict[str, int] = {}
-        keyframed: set[str] = set()
-        if since is not None and session_id is not None:
-            last_seq[session_id] = since
+    def _stream_watch(self, subscription: Subscription, until_idle: bool, wfile, since) -> None:
+        # ``sent``: the last seq this connection wrote per session. Nothing at
+        # or below it is written again (seq strictly increases), and a delta
+        # only onto exactly it (a session's first frame here is a keyframe).
+        # ``since``, a resuming client's cursor, floors the watched session.
+        session_id = subscription.session_id
+        sent: dict[str, int] = {}
+        floor = -1 if since is None else since
 
-        def emit_frame(frame: PublishedFrame, then: bytes = b"") -> None:
+        def emit(frame: PublishedFrame, then: bytes = b"") -> None:
             # ``then`` rides in the same write as the frame: two small
             # sends back to back are what Nagle + delayed ACK stall on,
             # and one syscall is cheaper than two either way.
-            sid = frame.session_id
+            last = sent.get(frame.session_id)
             payload = b""
-            if frame.seq > last_seq.get(sid, -1):
-                if (
-                    use_delta
-                    and frame.delta is not None
-                    and sid in keyframed
-                    and frame.base == last_seq.get(sid)
-                ):
-                    payload = frame.delta
-                else:
-                    payload = frame.full
-                    keyframed.add(sid)
-                last_seq[sid] = frame.seq
+            if frame.seq > (floor if last is None else last):
+                chained = last is not None and frame.base == last
+                payload = frame.delta if chained else frame.full
+                sent[frame.session_id] = frame.seq
             if payload or then:
                 write_frame(wfile, payload + then)
 
-        def prime_all() -> None:
-            for session in self.registry.sessions():
-                emit_frame(self._prime_frame(session))
-
-        def emit_workload() -> bool:
-            """Write the workload line; True when it is an ``until_idle``
-            stream's last, i.e. the caller must ``end`` the stream."""
+        def flush(frames: list[PublishedFrame], primed: bool = False) -> bool:
+            """Write ``frames``; True once the stream has ended."""
+            for frame in frames:
+                if session_id is not None and frame.terminal:
+                    emit(frame, then=_END["session terminal"])
+                    return True
+                emit(frame)
+            if session_id is not None or not (primed or any(f.terminal for f in frames)):
+                return False
             # O(state transitions), not O(steps): workload lines only ride
-            # along on priming and terminal events, built from cached
+            # along on priming and terminal frames, built from the latest
             # published snapshots.
-            view = self._workload_view()
+            view = SessionRegistry.workload_from(self._published())
             done = until_idle and view.idle
             if done:
-                # The view is read from the encoders, which run ahead of
-                # the bus (a frame is encoded, then published): a terminal
-                # frame it already counts may still be on its way to this
-                # subscription, or a full mailbox may have dropped it.
-                # Re-prime, so the stream never ends with a session's last
-                # frame unsent; emit_frame skips what already went out.
-                prime_all()
-            write_message(wfile, {"event": "workload", "workload": view.to_wire()})
+                # The view is read from the encoders, which hold each
+                # session's terminal frame before the bus announces it:
+                # write every session's latest frame, so the stream never
+                # ends with one unsent.
+                for frame in self._latest_frames(None):
+                    emit(frame)
+            line = encode({"event": "workload", "workload": view.to_wire()})
+            write_frame(wfile, line + _END["workload idle"] if done else line)
             return done
 
-        def end(reason: str) -> None:
-            write_message(wfile, {"event": "end", "reason": reason})
-
         # Prime the stream with current state so watchers render instantly.
-        if session_id is not None:
-            session = self.registry.get(session_id)
-            frame = self._prime_frame(session)
-            if frame.terminal:
-                emit_frame(frame, then=_END_SESSION_TERMINAL)
+        watched = None if session_id is None else [session_id]
+        if flush(self._latest_frames(watched, prime=True), primed=True):
+            return
+        # Shutdown closes the bus, which ends every take() with None.
+        while (changed := subscription.take()) is not None:
+            if flush(self._latest_frames(changed)):
                 return
-            emit_frame(frame)
-        else:
-            prime_all()
-            if emit_workload():
-                end("workload idle")
-                return
-        while True:
-            try:
-                event = subscription.get(timeout=_WATCH_POLL_S)
-            except TimeoutError:
-                if self._stopped.is_set():
-                    end("server shutdown")
-                    return
-                continue
-            if event is None:
-                end("server shutdown")
-                return
-            if not isinstance(event, PublishedFrame):
-                continue  # foreign bus traffic (tests, embedders)
-            if session_id is not None:
-                if event.session_id != session_id:
-                    continue
-                if event.terminal:
-                    emit_frame(event, then=_END_SESSION_TERMINAL)
-                    return
-                emit_frame(event)
-            else:
-                emit_frame(event)
-                if event.terminal and emit_workload():
-                    end("workload idle")
-                    return
+        write_frame(wfile, _END["server shutdown"])
 
 
 class _FaultyStream:

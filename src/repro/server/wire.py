@@ -17,19 +17,17 @@ a server loop): each published snapshot becomes one
   frame (``base``).
 
 So N watchers cost at most *two* encodes per step — one full, one delta
-— instead of N, and a watcher whose stream is positioned exactly at
-``base`` ships the (much smaller) delta line. Keyframes are forced on
-the first frame of a session, every ``keyframe_every`` frames, and on
-every terminal transition; the per-connection stream logic in
-:meth:`ProgressService._stream_watch` additionally sends a full frame
-the first time a connection sees a session (which covers ``watch
-since=`` resumes), so a delta is only ever written on top of a full
-frame the same connection already delivered.
+— instead of N. The encoder keeps only the latest frame; a watch stream
+writes its delta when ``base`` is the seq the connection wrote last, and
+the full frame otherwise, so the first frame of a session on a
+connection (``watch since=`` resumes included) is always full. Keyframes
+are forced on the first frame of a session, every
+:data:`KEYFRAME_EVERY` frames, and on every terminal transition.
 
 Delta streams are transparently reassembled client-side
 (:func:`apply_delta` in :class:`~repro.server.client.ProgressClient`);
-callers keep seeing full snapshots, bit-identical to a full-frame
-stream.
+callers keep seeing full snapshots, bit-identical to the published
+ones.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ if TYPE_CHECKING:  # annotation-only: keeps the module importable by the
     from repro.server.session import SessionSnapshot  # thin stdlib client
 
 __all__ = [
-    "DEFAULT_KEYFRAME_EVERY",
+    "KEYFRAME_EVERY",
     "TERMINAL_WIRE_STATES",
     "PublishedFrame",
     "SessionStreamEncoder",
@@ -54,7 +52,7 @@ __all__ = [
 ]
 
 #: Publish a full keyframe at least every this-many frames per session.
-DEFAULT_KEYFRAME_EVERY = 16
+KEYFRAME_EVERY = 16
 
 #: Wire values of the terminal session states (always sent as keyframes).
 TERMINAL_WIRE_STATES = frozenset({"finished", "cancelled", "failed"})
@@ -66,9 +64,7 @@ class PublishedFrame:
 
     ``wire`` is the full snapshot dict (shared with ``full``'s encoding —
     treat it as immutable); ``base`` is the seq the delta applies to, or
-    ``None`` for keyframes (``delta`` is then ``None`` too). The
-    ``session_id``/``seq`` attribute pair is what makes frames
-    conflatable in a :class:`~repro.server.events.Subscription` mailbox.
+    ``None`` for keyframes (``delta`` is then ``None`` too).
     """
 
     session_id: str
@@ -131,12 +127,13 @@ def apply_delta(base_wire: dict, event: dict) -> dict:
 class SessionStreamEncoder:
     """Per-session serialize-once frame encoder.
 
-    One instance per session, fed by the service's publish listener —
-    which runs on the session's executing worker under its step lock, so
-    :meth:`encode` calls for one session never race each other. The lock
-    below exists for the *readers*: watch-priming and ``status``/``list``
-    threads consume :attr:`latest`/:attr:`latest_frame` concurrently
-    with a publish.
+    One instance per session, in its registry entry, fed by the service's
+    publish listener — which runs on the session's executing worker under
+    its step lock, so :meth:`encode` calls for one session never race each
+    other. The lock below exists for the *readers*: watch and
+    ``status``/``list`` threads consume :attr:`latest`/:attr:`latest_frame`
+    concurrently with a publish. :attr:`latest_frame` is the only record of
+    what the session published: no queue holds older frames.
 
     ``encode_calls`` counts wire encodes performed (1 per keyframe, 2
     per delta frame) — the benchmark's proof that encoding is O(steps),
@@ -150,10 +147,7 @@ class SessionStreamEncoder:
         "encode_calls": "_lock",
     }
 
-    def __init__(self, keyframe_every: int = DEFAULT_KEYFRAME_EVERY):
-        if keyframe_every < 1:
-            raise ValueError(f"keyframe_every must be >= 1, got {keyframe_every}")
-        self.keyframe_every = keyframe_every
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._latest: SessionSnapshot | None = None
         self._latest_frame: PublishedFrame | None = None
@@ -183,7 +177,7 @@ class SessionStreamEncoder:
                 return prev
             keyframe = (
                 prev is None
-                or self._since_keyframe + 1 >= self.keyframe_every
+                or self._since_keyframe + 1 >= KEYFRAME_EVERY
                 or snap.state in TERMINAL_WIRE_STATES
             )
             full = encode_snapshot_event(wire)

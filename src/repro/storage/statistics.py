@@ -200,7 +200,7 @@ class ObservedCardinalities:
     @property
     def version(self) -> int:
         """Runs absorbed so far; no lookup answer changes until it moves.
-        (``_latest_seq`` would not: served runs arrive with seq 0.)"""
+        (``_latest_seq`` need not: a replayed older run leaves it put.)"""
         with self._lock:
             return self._absorbed
 

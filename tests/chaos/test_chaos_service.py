@@ -314,7 +314,7 @@ def test_delta_watch_resyncs_via_keyframe_after_write_faults(db, seed):
             " ON a.custkey = b.custkey"
         )
         sid = submit_with_retry(client, long_sql, name="delta-resync")["session_id"]
-        events = list(client.watch(sid, max_reconnects=12, delta=True))
+        events = list(client.watch(sid, max_reconnects=12))
         final = client.wait(sid, timeout=120.0)
         assert final["state"] == "finished"
         assert events[-1]["event"] == "end"

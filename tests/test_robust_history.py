@@ -7,6 +7,10 @@ import json
 
 import pytest
 
+from repro.core.progress import ProgressMonitor
+from repro.datagen.skew import customer_variant
+from repro.executor.engine import ExecutionEngine, TickBus
+from repro.executor.operators import SeqScan
 from repro.faults import ERROR, SHORT_READ, FaultPlan, FaultSpec
 from repro.faults.plan import SITE_HISTORY_READ, SITE_HISTORY_WRITE
 from repro.robust import (
@@ -14,7 +18,10 @@ from repro.robust import (
     HistoryStore,
     RunRecord,
     aggregate_prior,
+    fingerprint_plan,
 )
+from repro.robust.feedback import record_run
+from repro.storage.statistics import ObservedCardinalities
 
 
 def make_record(fp="aabbccdd00112233", seq=0, **overrides) -> RunRecord:
@@ -201,7 +208,7 @@ class TestFaultSites:
         path = tmp_path / "h.jsonl"
         plan = FaultPlan(seed=1, specs=[FaultSpec(SITE_HISTORY_WRITE, kind=ERROR, every=1)])
         store = HistoryStore(path, faults=plan)
-        assert store.append_run(make_record()) is False
+        assert store.append_run(make_record()) is None
         assert store.degraded_reason is not None
         assert len(store) == 0
         assert not path.exists()  # faulted write never touched the file
@@ -214,10 +221,33 @@ class TestFaultSites:
             seed=1, specs=[FaultSpec(SITE_HISTORY_WRITE, kind=SHORT_READ, every=1, count=1)]
         )
         store = HistoryStore(path, faults=plan)
-        assert store.append_run(make_record()) is False
+        assert store.append_run(make_record()) is None
         assert store.degraded_reason == "history write fault: short write"
         # Second append succeeds (fault budget spent) on a fresh line.
         assert store.append_run(make_record(fp="ffeeddcc99887766"))
         reloaded = HistoryStore(path)
         assert reloaded.skipped() == 1
         assert [r.fingerprint for r in reloaded.records()] == ["ffeeddcc99887766"]
+
+
+class TestFeedbackAging:
+    def test_observation_ages_out_under_max_age_runs(self, tmp_path):
+        """Each run is absorbed under the seq the store gave it, so an
+        observation no run renews ages out after ``max_age_runs`` runs."""
+        store = HistoryStore(tmp_path / "history.jsonl")
+        observed = ObservedCardinalities(max_age_runs=1)
+        t, u = (customer_variant(z=0.0, domain_size=10, variant=v, num_rows=40 + v,
+                                 name=name) for v, name in enumerate("tu"))  # fmt: skip
+
+        def run(table) -> None:
+            plan, bus = SeqScan(table), TickBus(interval=16)
+            monitor = ProgressMonitor(plan, bus=bus, history=store)
+            ExecutionEngine(plan, bus=bus, collect_rows=False).run()
+            record_run(monitor, store, 0.0, table.num_rows, observed=observed)
+
+        digest = fingerprint_plan(SeqScan(t)).digest
+        run(t)
+        run(u)
+        assert observed.lookup(digest) == 40.0
+        run(u)
+        assert observed.lookup(digest) is None

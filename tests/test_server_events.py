@@ -1,137 +1,148 @@
-"""Conflation-aware overflow policy of the EventBus mailboxes."""
+"""The EventBus changed set: a subscription holds the ids of the sessions
+that published since its last take, never a queue of frames."""
 
 from __future__ import annotations
 
-from repro.server.events import EventBus, conflation_key
+import sys
+import threading
+
+import pytest
+
+from repro.server.events import EventBus
 from repro.server.session import SessionSnapshot
 from repro.server.wire import SessionStreamEncoder
 
 
-def frame(encoder, sid, seq, state="running"):
-    return encoder.encode(
-        SessionSnapshot(
-            session_id=sid,
-            name=sid,
-            state=state,
-            seq=seq,
-            progress=min(seq / 10.0, 1.0),
-            work_done=float(seq),
-            work_total_estimate=10.0,
-            row_count=seq,
-            elapsed_s=seq * 0.01,
-        )
-    )
+def snap(sid, seq, state="running"):
+    return SessionSnapshot(session_id=sid, name=sid, state=state, seq=seq,
+                           progress=seq / 500, work_done=float(seq),
+                           work_total_estimate=500.0, row_count=seq, elapsed_s=0.0)  # fmt: skip
 
 
-class TestConflationKey:
-    def test_published_frame_key(self):
-        f = frame(SessionStreamEncoder(), "s7", 1)
-        assert conflation_key(f) == "s7"
+def publish(bus, encoder, sid, seq, state="running"):
+    """What a session does per step: store the frame, then announce it."""
+    frame = encoder.encode(snap(sid, seq, state))
+    bus.publish(sid)
+    return frame
 
-    def test_generic_events_have_no_key(self):
-        assert conflation_key({"n": 1}) is None
-        assert conflation_key({"event": "snapshot", "session": {"session_id": "s3"}}) is None
-        assert conflation_key({"event": "workload", "workload": {}}) is None
+
+def read_latest(sub, encoders, timeout=1.0):
+    """What a watcher does per wake-up: each changed session's latest frame."""
+    return [encoders[sid].latest_frame for sid in sub.take(timeout=timeout)]
 
 
 class TestConflatingOverflow:
-    def test_superseded_frame_conflated_not_oldest_dropped(self):
-        """Queue [A1, B1] + push B2: the stale B1 is evicted, A1 survives.
+    """A watcher that falls behind reads each session's newest frame: the
+    frames it skipped are conflated away, and no other session's frame is
+    ever dropped to make room."""
 
-        Plain drop-oldest would evict A1 — losing the only frame of
-        session A while keeping a B frame that B2 supersedes anyway.
-        """
+    def test_superseded_frame_conflated_not_oldest_dropped(self):
         bus = EventBus()
-        sub = bus.subscribe(maxlen=2)
-        enc_a, enc_b = SessionStreamEncoder(), SessionStreamEncoder()
-        a1 = frame(enc_a, "A", 1)
-        b1, b2 = frame(enc_b, "B", 1), frame(enc_b, "B", 2)
-        bus.publish(a1)
-        bus.publish(b1)
-        bus.publish(b2)
-        assert sub.conflated == 1 and sub.dropped == 0
-        assert sub.get(timeout=1.0) is a1
-        assert sub.get(timeout=1.0) is b2
+        sub = bus.subscribe()
+        encoders = {"A": SessionStreamEncoder(), "B": SessionStreamEncoder()}
+        a1 = publish(bus, encoders["A"], "A", 1)
+        publish(bus, encoders["B"], "B", 1)
+        b2 = publish(bus, encoders["B"], "B", 2)
+        # B1 is superseded by B2; A1, the oldest, survives.
+        assert read_latest(sub, encoders) == [a1, b2]
 
     def test_incoming_key_supersedes_queued_frame(self):
         bus = EventBus()
-        sub = bus.subscribe(maxlen=1)
-        enc = SessionStreamEncoder()
-        frames = [frame(enc, "A", i) for i in range(1, 6)]
-        for f in frames:
-            bus.publish(f)
-        # Every overflow conflated the lone stale frame; only the newest
-        # remains and nothing counted as a hard drop.
-        assert sub.conflated == 4 and sub.dropped == 0
-        assert sub.get(timeout=1.0) is frames[-1]
-
-    def test_oldest_superseded_victim_chosen(self):
-        """With two superseded candidates, the *oldest* one is evicted."""
-        bus = EventBus()
-        sub = bus.subscribe(maxlen=3)
-        enc_a, enc_b = SessionStreamEncoder(), SessionStreamEncoder()
-        a1, a2 = frame(enc_a, "A", 1), frame(enc_a, "A", 2)
-        b1, b2 = frame(enc_b, "B", 1), frame(enc_b, "B", 2)
-        bus.publish(a1)
-        bus.publish(b1)
-        bus.publish(a2)  # queue full: [a1, b1, a2]
-        bus.publish(b2)  # a1 (superseded by a2) is older than b1 -> evicted
-        assert list(sub._events) == [b1, a2, b2]
-        assert sub.conflated == 1
+        sub = bus.subscribe()
+        encoders = {"A": SessionStreamEncoder()}
+        frames = [publish(bus, encoders["A"], "A", i) for i in range(1, 6)]
+        assert read_latest(sub, encoders) == [frames[-1]]
+        with pytest.raises(TimeoutError):
+            sub.take(timeout=0.0)
 
     def test_seq_order_preserved_after_conflation(self):
         bus = EventBus()
-        sub = bus.subscribe(maxlen=4)
-        enc = SessionStreamEncoder()
-        for i in range(1, 20):
-            bus.publish(frame(enc, "A", i))
+        sub = bus.subscribe()
+        encoders = {"A": SessionStreamEncoder()}
         seqs = []
-        while True:
-            try:
-                event = sub.get(timeout=0.0)
-            except TimeoutError:
-                break
-            seqs.append(event.seq)
-        assert seqs == sorted(seqs)
-        assert seqs[-1] == 19
-
-    def test_generic_events_keep_drop_oldest(self):
-        """Events with no session identity fall back to the old policy."""
-        bus = EventBus()
-        sub = bus.subscribe(maxlen=2)
-        for n in range(5):
-            bus.publish({"n": n})
-        assert sub.dropped == 3 and sub.conflated == 0
-        assert sub.get(timeout=1.0) == {"n": 3}
-        assert sub.get(timeout=1.0) == {"n": 4}
-
-    def test_mixed_traffic_prefers_conflating_stale_frames(self):
-        """A generic event is never evicted while a stale frame exists."""
-        bus = EventBus()
-        sub = bus.subscribe(maxlen=2)
-        enc = SessionStreamEncoder()
-        marker = {"event": "workload", "workload": {}}
-        bus.publish(marker)
-        bus.publish(frame(enc, "A", 1))
-        bus.publish(frame(enc, "A", 2))  # conflates A1, keeps the marker
-        assert sub.conflated == 1 and sub.dropped == 0
-        assert sub.get(timeout=1.0) is marker
+        for i in range(1, 20):
+            publish(bus, encoders["A"], "A", i)
+            if i % 4 == 0 or i == 19:  # the watcher wakes every fourth publish
+                seqs += [frame.seq for frame in read_latest(sub, encoders)]
+        assert seqs == [4, 8, 12, 16, 19]
 
     def test_terminal_frame_never_conflated_away(self):
         """A terminal frame is the newest of its session by construction,
-        so conflation can never evict it — the watcher always learns the
-        session ended."""
+        so however many frames other sessions publish after it, the watcher
+        reads it — it always learns the session ended."""
         bus = EventBus()
-        sub = bus.subscribe(maxlen=2)
-        enc_a, enc_b = SessionStreamEncoder(), SessionStreamEncoder()
-        terminal = frame(enc_a, "A", 3, state="finished")
-        bus.publish(terminal)
+        sub = bus.subscribe()
+        encoders = {"A": SessionStreamEncoder(), "B": SessionStreamEncoder()}
+        terminal = publish(bus, encoders["A"], "A", 3, state="finished")
         for i in range(1, 8):
-            bus.publish(frame(enc_b, "B", i))
-        drained = []
-        while True:
-            try:
-                drained.append(sub.get(timeout=0.0))
-            except TimeoutError:
-                break
-        assert terminal in drained
+            publish(bus, encoders["B"], "B", i)
+        drained = read_latest(sub, encoders)
+        assert terminal in drained and terminal.terminal
+
+
+class TestChangedSet:
+    def test_take_empties_the_set_in_publish_order(self):
+        bus = EventBus()
+        sub = bus.subscribe()
+        bus.publish("s2")
+        bus.publish("s1")
+        assert sub.take(timeout=1) == ["s2", "s1"]
+        with pytest.raises(TimeoutError):
+            sub.take(timeout=0.01)
+
+    def test_many_publishes_of_one_session_leave_one_entry(self):
+        bus = EventBus()
+        sub = bus.subscribe()
+        for _ in range(1000):
+            bus.publish("a")
+            bus.publish("b")
+        assert sub.take(timeout=1) == ["a", "b"]
+
+    def test_session_subscription_filters(self):
+        bus = EventBus()
+        sub = bus.subscribe("s1")
+        bus.publish("s2")
+        bus.publish("s1")
+        assert sub.take(timeout=1) == ["s1"]
+
+    def test_close_wakes_a_blocked_take(self):
+        bus = EventBus()
+        sub = bus.subscribe()
+        got = []
+        taker = threading.Thread(target=lambda: got.append(sub.take()))
+        taker.start()
+        threading.Timer(0.05, sub.close).start()
+        taker.join(timeout=5.0)
+        assert not taker.is_alive() and got == [None]
+
+    def test_terminal_frame_delivered_after_burst(self):
+        """Four publishers, one per session, race one watcher that reads
+        each changed session's latest frame, switching threads every
+        microsecond: no mark is lost, so the watcher reads every
+        session's terminal frame, each session's seq never falling back."""
+        bus, sids = EventBus(), ["s1", "s2", "s3", "s4"]
+        encoders = {sid: SessionStreamEncoder() for sid in sids}
+        sub = bus.subscribe()
+
+        def publish_burst(sid):
+            for seq in range(1, 501):
+                encoders[sid].encode(snap(sid, seq, "finished" if seq == 500 else "running"))
+                bus.publish(sid)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            publishers = [threading.Thread(target=publish_burst, args=(s,)) for s in sids]
+            for publisher in publishers:
+                publisher.start()
+            seen = {sid: [0] for sid in sids}
+            while any(seqs[-1] < 500 for seqs in seen.values()):
+                for sid in sub.take(timeout=5.0):
+                    seen[sid].append(encoders[sid].latest_frame.seq)
+            for publisher in publishers:
+                publisher.join(timeout=5.0)
+                assert not publisher.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(seqs == sorted(seqs) for seqs in seen.values())
+        assert all(encoder.latest_frame.terminal for encoder in encoders.values())

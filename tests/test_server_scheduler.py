@@ -183,56 +183,57 @@ class TestFairWorkload:
 class TestEventBus:
     def test_publish_fans_out(self):
         bus = EventBus()
-        a = bus.subscribe()
-        b = bus.subscribe()
-        bus.publish({"n": 1})
-        assert a.get(timeout=1) == {"n": 1}
-        assert b.get(timeout=1) == {"n": 1}
+        a, b = bus.subscribe(), bus.subscribe()
+        bus.publish("s1")
+        assert a.take(timeout=1) == ["s1"] and b.take(timeout=1) == ["s1"]
 
     def test_closed_subscription_stops_receiving(self):
         bus = EventBus()
         sub = bus.subscribe()
         sub.close()
-        bus.publish({"n": 1})
-        assert sub.get(timeout=0.1) is None
+        assert bus._subs == ()  # detached: the bus holds no reference
+        bus.publish("s1")
+        assert sub.take(timeout=0.1) is None
 
     def test_bounded_mailbox_drops_oldest(self):
+        """The mailbox holds one entry per session, so it is bounded by the
+        session count whatever the publish rate: a session's older
+        notifications fold into its newest, which keeps its first place."""
         bus = EventBus()
-        sub = bus.subscribe(maxlen=2)
-        for n in range(5):
-            bus.publish({"n": n})
-        assert sub.get(timeout=1)["n"] == 3
-        assert sub.get(timeout=1)["n"] == 4
-        assert sub.dropped == 3
+        sub = bus.subscribe()
+        for n in range(500):
+            bus.publish(f"s{n % 5}")
+        assert sub.take(timeout=1) == [f"s{n}" for n in range(5)]
 
     def test_get_timeout_raises_when_open(self):
         bus = EventBus()
         sub = bus.subscribe()
         with pytest.raises(TimeoutError):
-            sub.get(timeout=0.01)
+            sub.take(timeout=0.01)
 
     def test_close_drains_then_none(self):
         bus = EventBus()
         sub = bus.subscribe()
-        bus.publish({"n": 1})
+        bus.publish("s1")
         bus.close()
-        assert sub.get(timeout=1) == {"n": 1}
-        assert sub.get(timeout=1) is None
+        assert sub.take(timeout=1) == ["s1"]
+        assert sub.take(timeout=1) is None
+        assert bus.subscribe().take(timeout=1) is None
 
     def test_iteration_ends_on_close(self):
+        """A watcher's take loop drains what was published, then ends when
+        the bus closes under it."""
         bus = EventBus()
         sub = bus.subscribe()
-        bus.publish({"n": 1})
-        bus.publish({"n": 2})
-
-        def close_soon():
-            bus.close()
-
-        t = threading.Timer(0.05, close_soon)
-        t.start()
-        events = list(sub)
-        t.join()
-        assert [e["n"] for e in events] == [1, 2]
+        bus.publish("s1")
+        bus.publish("s2")
+        closer = threading.Timer(0.05, bus.close)
+        closer.start()
+        taken = []
+        while (changed := sub.take(timeout=5.0)) is not None:
+            taken += changed
+        closer.join()
+        assert taken == ["s1", "s2"]
 
 
 class TestRegistry:

@@ -19,6 +19,7 @@ from benchmarks.e2e.queries import long_mix, short_mix
 from repro.common.errors import AnalysisError
 from repro.datagen import generate_tpch
 from repro.executor.engine import ExecutionEngine
+from repro.executor.plan import walk
 from repro.server.service import STATEMENT_CACHE_SIZE, ProgressService
 from repro.server.session import QuerySession
 from repro.storage import Catalog, Schema, Table
@@ -126,6 +127,21 @@ class TestInvalidation:
             assert svc.observed.version > before
             run(svc, SQL)
             assert compiles == [SQL, SQL]
+        finally:
+            svc.shutdown()
+
+    def test_served_join_feeds_its_cardinalities_back(self, tmp_path):
+        """A served run records every node's cardinality, and the next
+        compile estimates each subtree at what that run produced."""
+        join = "SELECT t.v, u.w FROM t JOIN u ON t.k = u.k WHERE t.v > 3"
+        svc = ProgressService(small_catalog(), workers=1, history_path=tmp_path / "h.jsonl")
+        try:
+            first = run(svc, join)
+            (record,) = svc.history.records()
+            assert len(record.node_cards) == len(list(walk(first.plan)))
+            again = run(svc, join)
+            for done, planned in zip(walk(first.plan), walk(again.plan)):
+                assert planned.estimated_cardinality == done.tuples_emitted
         finally:
             svc.shutdown()
 

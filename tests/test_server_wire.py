@@ -6,10 +6,11 @@ import threading
 
 import pytest
 
+from repro.server import wire
 from repro.server.protocol import decode
 from repro.server.session import SessionSnapshot
 from repro.server.wire import (
-    DEFAULT_KEYFRAME_EVERY,
+    KEYFRAME_EVERY,
     PublishedFrame,
     SessionStreamEncoder,
     apply_delta,
@@ -94,14 +95,16 @@ class TestSessionStreamEncoder:
         assert event["seq"] == 2 and event["base"] == 1
         assert apply_delta(snap(1).to_wire(), event) == snap(2).to_wire()
 
-    def test_keyframe_cadence(self):
-        enc = SessionStreamEncoder(keyframe_every=4)
+    def test_keyframe_cadence(self, monkeypatch):
+        monkeypatch.setattr(wire, "KEYFRAME_EVERY", 4)
+        enc = SessionStreamEncoder()
         frames = [enc.encode(snap(i)) for i in range(1, 13)]
         keyframes = [i for i, f in enumerate(frames) if f.is_keyframe]
         assert keyframes == [0, 4, 8]
 
-    def test_terminal_state_forces_keyframe(self):
-        enc = SessionStreamEncoder(keyframe_every=100)
+    def test_terminal_state_forces_keyframe(self, monkeypatch):
+        monkeypatch.setattr(wire, "KEYFRAME_EVERY", 100)
+        enc = SessionStreamEncoder()
         enc.encode(snap(1))
         enc.encode(snap(2))
         frame = enc.encode(snap(3, progress=1.0, state="finished"))
@@ -119,7 +122,7 @@ class TestSessionStreamEncoder:
         for i in range(1, steps + 1):
             enc.encode(snap(i))
         assert enc.encode_calls <= 2 * steps
-        keyframes = 1 + (steps - 1) // DEFAULT_KEYFRAME_EVERY
+        keyframes = 1 + (steps - 1) // KEYFRAME_EVERY
         assert enc.encode_calls == keyframes + 2 * (steps - keyframes)
 
     def test_stale_seq_returns_latest_frame(self):
@@ -136,13 +139,10 @@ class TestSessionStreamEncoder:
         enc.encode(s)
         assert enc.latest is s
 
-    def test_invalid_keyframe_every_rejected(self):
-        with pytest.raises(ValueError):
-            SessionStreamEncoder(keyframe_every=0)
-
-    def test_full_stream_reassembles_from_keyframes_and_deltas(self):
+    def test_full_stream_reassembles_from_keyframes_and_deltas(self, monkeypatch):
         """Differential core: the delta chain reproduces every full frame."""
-        enc = SessionStreamEncoder(keyframe_every=5)
+        monkeypatch.setattr(wire, "KEYFRAME_EVERY", 5)
+        enc = SessionStreamEncoder()
         frames = [enc.encode(snap(i)) for i in range(1, 41)]
         current: dict | None = None
         for frame in frames:

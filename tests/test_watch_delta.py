@@ -1,12 +1,12 @@
 """Differential and property tests for delta-encoded watch streams.
 
-The contract under test: a delta stream (keyframes + changed-field
-frames) reassembles **bit-identically** to the full-snapshot stream —
-same dicts, same seqs — across concurrent sessions, ``since=`` resumes,
-and mailbox conflation under a slow reader. Ground truth is captured at
-the publish boundary itself (a session listener recording every
-published wire dict), so every comparison is against exactly what the
-server serialized, not a re-derivation.
+The contract under test: a watch stream (keyframes + changed-field
+frames) reassembles **bit-identically** to the snapshots the server
+published — same dicts, same seqs — across concurrent sessions,
+``since=`` resumes, and a reader too slow to take every frame. Ground
+truth is captured at the publish boundary itself (a session listener
+recording every published wire dict), so every comparison is against
+exactly what the server serialized, not a re-derivation.
 """
 
 from __future__ import annotations
@@ -84,6 +84,53 @@ def snaps_of(events: list[dict], sid: str) -> list[dict]:
     ]
 
 
+def hand_stepped(svc, db, sql: str, tick_interval: int = 100) -> QuerySession:
+    """A session registered like a submitted one, but stepped by the
+    calling thread instead of the scheduler, so the order is the test's."""
+    session = QuerySession(
+        compile_select(db, sql).plan, quantum_rows=32, tick_interval=tick_interval
+    )
+    session.add_listener(svc._on_session_event)
+    return svc.registry.add(session)
+
+
+def reassemble(events: list[dict]) -> list[dict]:
+    """The snapshots a raw single-session stream stands for, applying each
+    delta onto the frame before it exactly as the client does."""
+    snaps: list[dict] = []
+    for event in events:
+        if event["event"] == "snapshot":
+            snaps.append(event["session"])
+        elif event["event"] == "delta":
+            assert snaps and event["base"] == snaps[-1]["seq"], (
+                "delta base does not chain onto the previous frame"
+            )
+            assert set(event["changed"]).isdisjoint({"session_id", "name"}), (
+                "immutable fields leaked into a delta"
+            )
+            snaps.append(apply_delta(snaps[-1], event))
+    return snaps
+
+
+def watch_raw(svc, request, rcvbuf=0, pause_s=0.0) -> list[dict]:
+    """Every event line of one watch over a raw socket, up to ``end``."""
+    with socket.socket() as conn:
+        if rcvbuf:
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        conn.settimeout(30)
+        conn.connect((svc.host, svc.port))
+        conn.sendall(encode(request))
+        events = []
+        with conn.makefile("rb") as stream:
+            while True:
+                line = stream.readline()
+                assert line, "stream died without an end event"
+                events.append(decode(line))
+                if events[-1].get("event") == "end":
+                    return events
+                time.sleep(pause_s)
+
+
 def assert_stream_matches_truth(snaps: list[dict], truth: dict[int, dict]) -> None:
     seqs = [s["seq"] for s in snaps]
     assert seqs == sorted(set(seqs)), f"seq not strictly increasing: {seqs}"
@@ -100,45 +147,12 @@ class TestClientTransparentReassembly:
         svc, client = service
         session = svc.submit_sql(QUERIES[0], name="delta-diff")
         truth = attach_truth(session)
-        events = list(client.watch(session.session_id, delta=True))
+        events = list(client.watch(session.session_id))
         snaps = snaps_of(events, session.session_id)
         assert snaps and events[-1]["event"] == "end"
         assert_stream_matches_truth(snaps, truth)
         assert snaps[-1]["state"] == "finished"
         assert snaps[-1]["progress"] == 1.0
-
-    def test_delta_and_full_watchers_see_identical_streams(self, service):
-        """Two concurrent watchers — one delta, one full — attached before
-        the query starts must yield the same snapshots for shared seqs."""
-        svc, client = service
-        collected: dict[bool, list] = {}
-
-        def run_watch(sid, use_delta):
-            collected[use_delta] = list(client.watch(sid, delta=use_delta))
-
-        session = svc.submit_sql(QUERIES[0], name="pair")
-        truth = attach_truth(session)
-        threads = [
-            threading.Thread(target=run_watch, args=(session.session_id, d))
-            for d in (True, False)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-            assert not t.is_alive()
-        by_seq: dict[int, dict] = {}
-        for use_delta in (True, False):
-            snaps = snaps_of(collected[use_delta], session.session_id)
-            assert snaps, f"delta={use_delta} watcher saw nothing"
-            assert_stream_matches_truth(snaps, truth)
-            for snap in snaps:
-                assert by_seq.setdefault(snap["seq"], snap) == snap, (
-                    f"watchers disagree on seq {snap['seq']}"
-                )
-        # Both watchers ended on the same terminal snapshot.
-        assert collected[True][-1]["event"] == "end"
-        assert collected[False][-1]["event"] == "end"
 
     def test_random_concurrent_sessions_aggregate_delta_watch(self, service):
         """Property run: several concurrent sessions of different shapes
@@ -150,7 +164,7 @@ class TestClientTransparentReassembly:
             for i in range(6)
         ]
         truths = {s.session_id: attach_truth(s) for s in sessions}
-        events = list(client.watch(until_idle=True, delta=True))
+        events = list(client.watch(until_idle=True))
         assert events[-1]["event"] == "end"
         for session in sessions:
             sid = session.session_id
@@ -162,34 +176,22 @@ class TestClientTransparentReassembly:
     def test_until_idle_ends_only_after_every_terminal_frame(
         self, service, db, monkeypatch
     ):
-        """The race the property run above used to lose about one time in
-        eight, made deterministic. ``workload idle`` is read from the
-        encoders, which run ahead of the bus — a frame is encoded, then
-        published, and a full mailbox may drop it. Here the bus never
-        delivers one session's terminal frame at all; the stream must
-        carry it before it ends all the same."""
+        """``workload idle`` is read from the encoders, which hold a
+        session's terminal frame before the bus announces it. Here the
+        announcement of one session's terminal frame never arrives at all;
+        the stream must carry that frame before it ends all the same."""
         svc, client = service
-
-        def hand_stepped(sql):
-            # Registered like a submitted session, but stepped by this
-            # thread instead of the scheduler, so the order is ours.
-            session = QuerySession(
-                compile_select(db, sql).plan, quantum_rows=32, tick_interval=100
-            )
-            session.add_listener(svc._on_session_event)
-            return svc.registry.add(session)
-
-        withheld, other = hand_stepped(QUERIES[1]), hand_stepped(QUERIES[2])
+        withheld, other = hand_stepped(svc, db, QUERIES[1]), hand_stepped(svc, db, QUERIES[2])
         truths = {s.session_id: attach_truth(s) for s in (withheld, other)}
         publish = svc.events.publish
-        monkeypatch.setattr(
-            svc.events,
-            "publish",
-            lambda frame: None
-            if frame.terminal and frame.session_id == withheld.session_id
-            else publish(frame),
-        )
-        stream = client.watch(until_idle=True, delta=True)
+
+        def hold_back(sid):
+            # The terminal frame is stored; only its announcement is lost.
+            if sid != withheld.session_id or not svc.registry.encoder(sid).latest_frame.terminal:
+                publish(sid)
+
+        monkeypatch.setattr(svc.events, "publish", hold_back)
+        stream = client.watch(until_idle=True)
         events = [next(stream) for _ in range(3)]  # primed: both pending
         assert [e["event"] for e in events] == ["snapshot", "snapshot", "workload"]
         for session in (withheld, other):
@@ -208,71 +210,55 @@ class TestClientTransparentReassembly:
 class TestWireLevelDelta:
     """Raw-socket assertions on the frames actually crossing the wire."""
 
-    def watch_raw(self, svc, request) -> list[dict]:
-        with socket.create_connection((svc.host, svc.port), timeout=30) as conn:
-            conn.sendall(encode(request))
-            events = []
-            with conn.makefile("rb") as stream:
-                while True:
-                    line = stream.readline()
-                    assert line, "stream died without an end event"
-                    event = decode(line)
-                    events.append(event)
-                    if event.get("event") == "end":
-                        return events
-
-    def test_deltas_cross_the_wire_and_reassemble(self, service):
-        svc, client = service
-        session = svc.submit_sql(QUERIES[0], name="raw")
+    def test_deltas_cross_the_wire_and_reassemble(self, service, db):
+        """Stepped in lockstep with a reader that keeps up, every frame
+        reaches the wire, and the ones between keyframes as deltas."""
+        svc, _client = service
+        session = hand_stepped(svc, db, QUERIES[0], tick_interval=10**9)
         truth = attach_truth(session)
-        events = self.watch_raw(
-            svc,
-            {"op": "watch", "session_id": session.session_id, "delta": True},
-        )
+        with socket.create_connection((svc.host, svc.port), timeout=30) as conn:
+            # An older client's "delta" key is ignored: every stream is a
+            # delta stream.
+            conn.sendall(encode({"op": "watch", "session_id": session.session_id, "delta": True}))
+            with conn.makefile("rb") as stream:
+                events = [decode(stream.readline())]
+                while session.step():
+                    events.append(decode(stream.readline()))
+                while events[-1]["event"] != "end":
+                    events.append(decode(stream.readline()))
         kinds = [e["event"] for e in events]
         assert kinds[0] == "snapshot", "stream must open with a keyframe"
-        assert "delta" in kinds, "delta stream never sent a delta frame"
-        # Manual reassembly mirrors the client: every delta applies cleanly
-        # onto the previous state and lands exactly on a published snapshot.
-        current: dict | None = None
-        for event in events:
-            if event["event"] == "snapshot":
-                current = event["session"]
-            elif event["event"] == "delta":
-                assert current is not None
-                assert event["base"] == current["seq"], (
-                    "delta base does not chain onto the previous frame"
-                )
-                current = apply_delta(current, event)
-                assert set(event["changed"]).isdisjoint({"session_id", "name"}), (
-                    "immutable fields leaked into a delta"
-                )
-            else:
-                continue
-            if current["seq"] in truth:
-                assert current == truth[current["seq"]]
-        assert current is not None and current["state"] == "finished"
-        client.wait(session.session_id, timeout=60.0)
+        assert kinds.count("delta") > kinds.count("snapshot")
+        # Every delta applies cleanly onto the previous state and lands
+        # exactly on a published snapshot.
+        snaps = reassemble(events)
+        assert [snap["seq"] for snap in snaps[1:]] == sorted(truth)
+        assert_stream_matches_truth(snaps, truth)
+        assert snaps[-1]["state"] == "finished"
 
-    def test_since_resume_restarts_with_keyframe(self, service):
-        svc, client = service
-        session = svc.submit_sql(QUERIES[0], name="resume")
+    def test_since_resume_restarts_with_keyframe(self, service, db):
+        """A client drops its watch mid-run and resumes ``since`` the last
+        seq it saw. Stepped by the test, so the session is still running at
+        both connects however fast the machine is."""
+        svc, _client = service
+        session = hand_stepped(svc, db, QUERIES[0], tick_interval=10**9)
         truth = attach_truth(session)
-        first = self.watch_raw(
-            svc,
-            {"op": "watch", "session_id": session.session_id, "delta": True},
-        )
-        snaps = [e for e in first if e["event"] == "snapshot"]
-        mid_seq = snaps[0]["session"]["seq"]
-        resumed = self.watch_raw(
-            svc,
-            {
-                "op": "watch",
-                "session_id": session.session_id,
-                "delta": True,
-                "since": mid_seq,
-            },
-        )
+        session.step()
+        request = {"op": "watch", "session_id": session.session_id}
+        with socket.create_connection((svc.host, svc.port), timeout=30) as conn:
+            conn.sendall(encode(request))
+            with conn.makefile("rb") as stream:
+                mid_seq = decode(stream.readline())["session"]["seq"]
+        for _ in range(3):  # frames the dropped client never sees
+            session.step()
+        with socket.create_connection((svc.host, svc.port), timeout=30) as conn:
+            conn.sendall(encode({**request, "since": mid_seq}))
+            with conn.makefile("rb") as stream:
+                resumed = [decode(stream.readline())]
+                while session.step():
+                    pass
+                while resumed[-1]["event"] != "end":
+                    resumed.append(decode(stream.readline()))
         # The resumed stream's first session event is a full snapshot
         # strictly past the cursor — never a delta against unseen state.
         head = resumed[0]
@@ -280,62 +266,26 @@ class TestWireLevelDelta:
         assert head["session"]["seq"] > mid_seq
         assert set(head["session"]) == WIRE_FIELDS
         assert head["session"] == truth[head["session"]["seq"]]
-
-    def test_delta_flag_off_sends_only_full_snapshots(self, service):
-        svc, _client = service
-        session = svc.submit_sql(QUERIES[1], name="fullonly")
-        events = self.watch_raw(
-            svc, {"op": "watch", "session_id": session.session_id}
-        )
-        assert all(e["event"] in ("snapshot", "end") for e in events)
+        snaps = reassemble(resumed)
+        assert_stream_matches_truth(snaps, truth)
+        assert snaps[-1]["state"] == "finished"
 
 
 class TestSlowReaderConflation:
     def test_conflated_stream_stays_increasing_and_reaches_terminal(self, service):
-        """A tiny, slowly drained mailbox forces conflation; the consumed
-        stream must still be strictly increasing, match the published
-        truth frame-for-frame, and end on the terminal snapshot."""
-        svc, client = service
-        sub = svc.events.subscribe(maxlen=3)
-        consumed: list = []
-
-        def slow_drain():
-            for frame in sub:
-                consumed.append(frame)
-                time.sleep(0.004)
-
-        drainer = threading.Thread(target=slow_drain, daemon=True)
-        drainer.start()
+        """A reader pausing on every line, through a small receive buffer,
+        is slower than the publisher. Publishes only mark the session
+        changed, so the stream skips to the newest frame instead of
+        queueing: it still rises strictly, matches the published truth and
+        ends on the terminal frame, in fewer frames than were published."""
+        svc, _client = service
         session = svc.submit_sql(QUERIES[0], name="slowpoke", quantum_rows=16)
         truth = attach_truth(session)
-        final = client.wait(session.session_id, timeout=60.0)
-        assert final["state"] == "finished"
-        # Drain completes once the bus closes at shutdown; give the live
-        # stream a moment to flush the tail, then detach.
-        deadline = time.monotonic() + 20.0
-        while time.monotonic() < deadline:
-            if consumed and getattr(consumed[-1], "state", "") == "finished":
-                break
-            time.sleep(0.01)
-        sub.close()
-        drainer.join(timeout=10.0)
-
-        frames = [f for f in consumed if getattr(f, "session_id", None) == session.session_id]
-        assert frames, "slow reader consumed nothing"
-        seqs = [f.seq for f in frames]
-        assert seqs == sorted(set(seqs)), f"conflated stream regressed: {seqs}"
-        for frame in frames:
-            if frame.seq in truth:
-                assert frame.wire == truth[frame.seq]
-        assert frames[-1].state == "finished", (
-            "conflation lost the terminal frame"
-        )
-        assert sub.conflated > 0, (
-            "stress never triggered conflation; tighten the mailbox"
-        )
-        assert sub.dropped == 0, (
-            "single-session overflow must conflate, never hard-drop"
-        )
+        request = {"op": "watch", "session_id": session.session_id}
+        snaps = reassemble(watch_raw(svc, request, rcvbuf=2048, pause_s=0.004))
+        assert_stream_matches_truth(snaps, truth)
+        assert snaps[-1]["state"] == "finished" and snaps[-1]["seq"] == max(truth)
+        assert len(snaps) < len(truth), "the reader kept up; slow it down"
 
 
 class TestEncodeScaling:
@@ -350,7 +300,7 @@ class TestEncodeScaling:
         outs: list[list] = []
 
         def run_watch(out):
-            out.extend(client.watch(session.session_id, delta=True))
+            out.extend(client.watch(session.session_id))
 
         threads = []
         for _ in range(watchers):
@@ -363,12 +313,13 @@ class TestEncodeScaling:
             t.join(timeout=60.0)
             assert not t.is_alive()
         published = len(truth)
-        encoder = svc._encoder_for(session.session_id)
+        encoder = svc.registry.encoder(session.session_id)
         # O(steps), not O(steps x watchers): each published snapshot costs
         # at most 2 encodes (full + delta), priming at most 1 per watcher.
         assert encoder.encode_calls <= 2 * published + watchers
         assert encoder.encode_calls < published * watchers or watchers <= 2
         for out in outs:
+            assert out[-1]["event"] == "end"
             snaps = snaps_of(out, session.session_id)
             assert snaps and snaps[-1]["progress"] == 1.0
             assert_stream_matches_truth(snaps, truth)
