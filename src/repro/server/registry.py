@@ -15,6 +15,13 @@ Each session sits beside its :class:`~repro.server.wire.SessionStreamEncoder`,
 the one record of what it published: the service answers ``list``/``status``
 and every watch from there, never from live executor state, which is what
 makes them safe at any request rate while 16 workers are mid-quantum.
+
+Retention is bounded: the registry keeps the newest
+:data:`RETAINED_SESSIONS` terminal sessions, in the order they published
+their terminal snapshot, and evicts the oldest past that. An evicted
+session's pinned ``(done, done)`` contribution and its state move into
+:class:`Retired` totals, so the aggregate is bit-identical across an
+eviction and never falls. PENDING and RUNNING sessions are never evicted.
 """
 
 from __future__ import annotations
@@ -27,7 +34,18 @@ from repro.common.locks import acquires
 from repro.server.session import SessionSnapshot, SessionState, QuerySession
 from repro.server.wire import SessionStreamEncoder
 
-__all__ = ["RegistryEntry", "SessionRegistry", "WorkloadView"]
+__all__ = [
+    "RETAINED_SESSIONS",
+    "RegistryEntry",
+    "Retired",
+    "SessionRegistry",
+    "WorkloadView",
+]
+
+#: Terminal sessions the registry keeps; past it the one that finished
+#: first is evicted into the :class:`Retired` totals, so the registry's
+#: memory is bounded whatever clients submit.
+RETAINED_SESSIONS = 256
 
 _TERMINAL_VALUES = frozenset(
     {
@@ -40,7 +58,9 @@ _TERMINAL_VALUES = frozenset(
 
 @dataclass(frozen=True)
 class WorkloadView:
-    """Aggregate progress across every registered session."""
+    """Aggregate progress across every session the registry has held:
+    ``sessions``, ``states`` and the work totals count evicted sessions
+    too, ``per_session`` lists only the retained ones."""
 
     work_done: float
     work_total_estimate: float
@@ -82,19 +102,50 @@ class RegistryEntry(NamedTuple):
     session: QuerySession
     encoder: SessionStreamEncoder
 
+    def latest(self) -> SessionSnapshot:
+        """The last published snapshot; a session that has not published
+        yet (pending its first step) is snapshotted instead."""
+        snap = self.encoder.latest
+        return snap if snap is not None else self.session.snapshot()
+
+
+@dataclass(frozen=True)
+class Retired:
+    """What the evicted sessions still contribute to the workload: each
+    one's final published ``work_done`` (its pinned ``(done, done)`` pair)
+    and its terminal state."""
+
+    sessions: int = 0
+    work_done: float = 0.0
+    states: dict[str, int] = field(default_factory=dict)
+
+    def plus(self, snap: SessionSnapshot) -> "Retired":
+        states = dict(self.states)
+        states[snap.state] = states.get(snap.state, 0) + 1
+        return Retired(self.sessions + 1, self.work_done + snap.work_done, states)
+
+
+_NOTHING_RETIRED = Retired()
+
 
 class SessionRegistry:
-    """Registry of every session the service has accepted."""
+    """Registry of the sessions the service has accepted: every live one
+    and the newest :data:`RETAINED_SESSIONS` terminal ones."""
 
-    # The entry table is the only mutable state; every access goes
-    # through ``_lock``, and readers get fresh list copies (never the
-    # dict itself), so callers cannot race a concurrent submit/remove.
+    # The entry table, the finish order and the retired totals change
+    # together under ``_lock`` (an eviction moves a session from the first
+    # two into the third), and readers get fresh copies, never the dicts
+    # themselves, so callers cannot race a concurrent submit or eviction.
     # Entries are immutable; an encoder guards its own contents.
-    _guarded_by_ = {"_entries": "_lock"}
+    _guarded_by_ = {"_entries": "_lock", "_terminal": "_lock", "_retired": "_lock"}
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: dict[str, RegistryEntry] = {}
+        # Retained terminal sessions in the order they finished, each with
+        # the terminal snapshot it published.
+        self._terminal: dict[str, SessionSnapshot] = {}
+        self._retired = _NOTHING_RETIRED
 
     @acquires("_lock")
     def add(self, session: QuerySession) -> QuerySession:
@@ -107,21 +158,39 @@ class SessionRegistry:
         return session
 
     @acquires("_lock")
-    def get(self, session_id: str) -> QuerySession | None:
+    def entry(self, session_id: str) -> RegistryEntry | None:
         with self._lock:
-            entry = self._entries.get(session_id)
+            return self._entries.get(session_id)
+
+    def get(self, session_id: str) -> QuerySession | None:
+        entry = self.entry(session_id)
         return None if entry is None else entry.session
 
-    @acquires("_lock")
     def encoder(self, session_id: str) -> SessionStreamEncoder | None:
-        with self._lock:
-            entry = self._entries.get(session_id)
+        entry = self.entry(session_id)
         return None if entry is None else entry.encoder
 
     @acquires("_lock")
     def remove(self, session_id: str) -> None:
         with self._lock:
             self._entries.pop(session_id, None)
+            self._terminal.pop(session_id, None)
+
+    @acquires("_lock")
+    def finished(self, snap: SessionSnapshot) -> None:
+        """Record ``snap``, a session's published terminal snapshot. Past
+        :data:`RETAINED_SESSIONS` terminal sessions, evict the one that
+        finished first, session and encoder together, and fold its final
+        ``work_done`` and state into the retired totals."""
+        with self._lock:
+            if snap.session_id not in self._entries:
+                return
+            self._terminal[snap.session_id] = snap
+            while len(self._terminal) > RETAINED_SESSIONS:
+                session_id = next(iter(self._terminal))
+                final = self._terminal.pop(session_id)
+                del self._entries[session_id]
+                self._retired = self._retired.plus(final)
 
     @acquires("_lock")
     def entries(self, session_ids: Iterable[str] | None = None) -> list[RegistryEntry]:
@@ -132,6 +201,16 @@ class SessionRegistry:
                 return list(self._entries.values())
             return [self._entries[sid] for sid in session_ids if sid in self._entries]
 
+    @acquires("_lock")
+    def published(self) -> tuple[list[SessionSnapshot], Retired]:
+        """Every retained session's latest published snapshot, and the
+        retired totals, read together: an eviction in between would count
+        a session twice or not at all."""
+        with self._lock:
+            entries = list(self._entries.values())
+            retired = self._retired
+        return [entry.latest() for entry in entries], retired
+
     def sessions(self) -> list[QuerySession]:
         return [entry.session for entry in self.entries()]
 
@@ -140,18 +219,29 @@ class SessionRegistry:
         with self._lock:
             return len(self._entries)
 
+    @acquires("_lock")
     def workload(self) -> WorkloadView:
         """Aggregate gnm progress over fresh snapshots of all sessions."""
-        return self.workload_from([session.snapshot() for session in self.sessions()])
+        with self._lock:
+            sessions = [entry.session for entry in self._entries.values()]
+            retired = self._retired
+        return self.workload_from([session.snapshot() for session in sessions], retired)
 
     @staticmethod
-    def workload_from(snapshots: list[SessionSnapshot]) -> WorkloadView:
-        """Aggregate a given snapshot set — the registry's gnm fold made
-        reusable, so the service can aggregate over *cached* published
-        snapshots without resampling every session per request."""
-        work_done = 0.0
-        work_total = 0.0
-        states: dict[str, int] = {}
+    def workload_from(
+        snapshots: list[SessionSnapshot], retired: Retired = _NOTHING_RETIRED
+    ) -> WorkloadView:
+        """Aggregate a given snapshot set plus ``retired`` — the registry's
+        gnm fold made reusable, so the service can aggregate over *cached*
+        published snapshots without resampling every session per request."""
+        # Terminal work (retired included) is summed apart from live work:
+        # work counts tuples, so the pinned sum is exact in any order, and
+        # an eviction, which only moves a pinned pair into ``retired``,
+        # leaves both totals bit-identical.
+        pinned = retired.work_done
+        live_done = 0.0
+        live_total = 0.0
+        states = dict(retired.states)
         per_session: dict[str, float] = {}
         for snap in snapshots:
             states[snap.state] = states.get(snap.state, 0) + 1
@@ -159,15 +249,14 @@ class SessionRegistry:
             if snap.state in _TERMINAL_VALUES:
                 # Terminal: freeze the contribution at observed work so the
                 # aggregate reflects completion/cancellation immediately.
-                work_done += snap.work_done
-                work_total += snap.work_done
+                pinned += snap.work_done
             else:
-                work_done += snap.work_done
-                work_total += max(snap.work_total_estimate, snap.work_done)
+                live_done += snap.work_done
+                live_total += max(snap.work_total_estimate, snap.work_done)
         return WorkloadView(
-            work_done=work_done,
-            work_total_estimate=work_total,
-            sessions=len(snapshots),
+            work_done=pinned + live_done,
+            work_total_estimate=pinned + live_total,
+            sessions=len(snapshots) + retired.sessions,
             states=states,
             per_session=per_session,
         )

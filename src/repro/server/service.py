@@ -13,10 +13,11 @@
   :class:`~repro.server.events.EventBus`;
 * a stdlib :class:`socketserver.ThreadingTCPServer` serves the protocol —
   one daemon thread per *client connection*, which clients keep open
-  between ops (an idle one is parked in ``readline``), at most
-  :data:`MAX_CONNECTIONS` of them; ``watch`` connections are parked on their
-  subscriptions, everything else is answered from published snapshots.
-  :meth:`ProgressService.shutdown` ends the idle ones.
+  between ops (an idle one is parked in ``readline`` for at most
+  :data:`IDLE_TIMEOUT_S`), at most :data:`MAX_CONNECTIONS` of them;
+  ``watch`` connections are parked on their subscriptions, everything else
+  is answered from published snapshots. :meth:`ProgressService.shutdown`
+  ends the idle ones.
 
 Fan-out is serialize-once: each published snapshot is encoded to its
 wire frame(s) exactly once by the session's
@@ -64,10 +65,10 @@ from repro.server.protocol import (
     write_frame,
     write_message,
 )
-from repro.server.registry import SessionRegistry
+from repro.server.registry import RegistryEntry, SessionRegistry, WorkloadView
 from repro.server.scheduler import AdmissionError, Scheduler
 from repro.server.session import QuerySession, SessionSnapshot
-from repro.server.wire import PublishedFrame
+from repro.server.wire import TERMINAL_WIRE_STATES, PublishedFrame
 from repro.storage.catalog import Catalog
 
 __all__ = ["ProgressService"]
@@ -76,6 +77,11 @@ __all__ = ["ProgressService"]
 #: past it is refused with ``too_many_connections``, so the handler-thread
 #: count is bounded whatever clients do.
 MAX_CONNECTIONS = 256
+
+#: Seconds a connection may sit between requests before the server closes
+#: it and frees its slot. A watch waits on its subscription, not on the
+#: socket, so a quiet watch is never reaped.
+IDLE_TIMEOUT_S = 60.0
 
 #: Compiled statements the service keeps; past it the least recently used
 #: is dropped, so the cache is bounded whatever SQL clients send.
@@ -227,35 +233,35 @@ class ProgressService:
         # turns its snapshot into a pre-encoded frame, and every watcher
         # downstream only ever copies bytes. The frame is stored before
         # the bus is told, so a watcher woken by the id reads it (or newer).
+        # A terminal frame is recorded last: from then on the session may be
+        # evicted, and a watcher holding its entry still reads the frame.
         encoder = self.registry.encoder(session.session_id)
         if encoder is not None:  # unregistered: nobody can watch it
             encoder.encode(snap)
             self.events.publish(session.session_id)
+            if snap.state in TERMINAL_WIRE_STATES:
+                self.registry.finished(snap)
 
-    def _published(self, session_ids: list[str] | None = None) -> list[SessionSnapshot]:
-        """The latest *published* snapshot of each of ``session_ids`` (of
-        every session when None) — no resampling. Only a session that has
-        never published (still pending admission/first step) has no cached
-        state to serve, and is snapshotted instead."""
-        snapshots = []
-        for session, encoder in self.registry.entries(session_ids):
-            snap = encoder.latest
-            snapshots.append(snap if snap is not None else session.snapshot())
-        return snapshots
+    def _workload(self) -> WorkloadView:
+        """Aggregate progress over the latest *published* snapshots — no
+        resampling — plus the sessions retention has evicted."""
+        return SessionRegistry.workload_from(*self.registry.published())
 
     def _write_session(self, wfile, session: QuerySession) -> None:
-        (snap,) = self._published([session.session_id])
+        # The latest published snapshot; one the registry no longer holds
+        # (never published, or evicted since it was looked up) is taken now.
+        entry = self.registry.entry(session.session_id)
+        snap = session.snapshot() if entry is None else entry.latest()
         write_message(wfile, ok_response(session=snap.to_wire()))
 
-    def _latest_frames(
-        self, session_ids: list[str] | None, prime: bool = False
-    ) -> list[PublishedFrame]:
-        """The latest published frame of each of ``session_ids`` (of every
-        session when None). With ``prime``, a session that has never
-        published gets one snapshot pushed through its encoder — a
-        once-per-connection cost that also seeds its first keyframe."""
+    @staticmethod
+    def _latest_frames(entries: list[RegistryEntry], prime: bool = False) -> list[PublishedFrame]:
+        """The latest published frame of each of ``entries``. With ``prime``,
+        a session that has never published gets one snapshot pushed through
+        its encoder — a once-per-connection cost that also seeds its first
+        keyframe."""
         frames = []
-        for session, encoder in self.registry.entries(session_ids):
+        for session, encoder in entries:
             frame = encoder.latest_frame
             if frame is None and prime:
                 frame = encoder.encode(session.snapshot())  # noqa: R007 - a prime, once
@@ -373,12 +379,12 @@ class ProgressService:
     def _op_list(self, request: dict, wfile) -> bool:
         # Served entirely from cached published snapshots: a list request
         # never samples live sessions, whatever the request rate.
-        snapshots = self._published()
+        snapshots, retired = self.registry.published()
         write_message(
             wfile,
             ok_response(
                 sessions=[snap.to_wire() for snap in snapshots],
-                workload=SessionRegistry.workload_from(snapshots).to_wire(),
+                workload=SessionRegistry.workload_from(snapshots, retired).to_wire(),
             ),
         )
         return True
@@ -427,7 +433,11 @@ class ProgressService:
                 error = ("bad_request", f"since must be an int, got {since!r}")
             if session_id is None:
                 error = error or ("bad_request", "since requires a session_id (per-session seq)")
-        if session_id is not None and self.registry.get(session_id) is None:
+        # A per-session watch resolves its entry once and keeps it, so the
+        # stream reaches the terminal frame even if retention evicts the
+        # session meanwhile.
+        entry = None if session_id is None else self.registry.entry(session_id)
+        if session_id is not None and entry is None:
             error = error or ("unknown_session", f"no session {session_id!r}")
         if error is not None:
             write_message(wfile, error_response(*error))
@@ -435,14 +445,22 @@ class ProgressService:
         # Detach whether the stream ended or the client went away —
         # otherwise every dead watcher would keep being notified.
         with closing(self.events.subscribe(session_id)) as subscription:
-            self._stream_watch(subscription, until_idle, wfile, since)
+            self._stream_watch(subscription, entry, until_idle, wfile, since)
         return True
 
-    def _stream_watch(self, subscription: Subscription, until_idle: bool, wfile, since) -> None:
+    def _stream_watch(
+        self,
+        subscription: Subscription,
+        entry: RegistryEntry | None,
+        until_idle: bool,
+        wfile,
+        since,
+    ) -> None:
         # ``sent``: the last seq this connection wrote per session. Nothing at
         # or below it is written again (seq strictly increases), and a delta
         # only onto exactly it (a session's first frame here is a keyframe).
         # ``since``, a resuming client's cursor, floors the watched session.
+        # ``entry`` is the watched session's (None for a workload watch).
         session_id = subscription.session_id
         sent: dict[str, int] = {}
         floor = -1 if since is None else since
@@ -472,26 +490,28 @@ class ProgressService:
             # O(state transitions), not O(steps): workload lines only ride
             # along on priming and terminal frames, built from the latest
             # published snapshots.
-            view = SessionRegistry.workload_from(self._published())
+            view = self._workload()
             done = until_idle and view.idle
             if done:
                 # The view is read from the encoders, which hold each
                 # session's terminal frame before the bus announces it:
                 # write every session's latest frame, so the stream never
                 # ends with one unsent.
-                for frame in self._latest_frames(None):
+                for frame in self._latest_frames(self.registry.entries()):
                     emit(frame)
             line = encode({"event": "workload", "workload": view.to_wire()})
             write_frame(wfile, line + _END["workload idle"] if done else line)
             return done
 
+        def entries(changed: list[str] | None) -> list[RegistryEntry]:
+            return [entry] if entry is not None else self.registry.entries(changed)
+
         # Prime the stream with current state so watchers render instantly.
-        watched = None if session_id is None else [session_id]
-        if flush(self._latest_frames(watched, prime=True), primed=True):
+        if flush(self._latest_frames(entries(None), prime=True), primed=True):
             return
         # Shutdown closes the bus, which ends every take() with None.
         while (changed := subscription.take()) is not None:
-            if flush(self._latest_frames(changed)):
+            if flush(self._latest_frames(entries(changed))):
                 return
         write_frame(wfile, _END["server shutdown"])
 
@@ -542,6 +562,13 @@ class _ProtocolHandler(socketserver.StreamRequestHandler):
     # open: with Nagle on, a reply queued behind an unacknowledged one
     # waits out the client's delayed ACK (~40 ms per op).
     disable_nagle_algorithm = True
+
+    @property
+    def timeout(self) -> float:
+        # The stdlib sets it on the connection: a ``readline`` idle this long
+        # raises TimeoutError, an OSError, which ``handle`` treats as "client
+        # went away" — the connection closes with no reply and frees its slot.
+        return IDLE_TIMEOUT_S
 
     def handle(self) -> None:
         service: ProgressService = self.server.service  # type: ignore[attr-defined]

@@ -189,6 +189,34 @@ def pooled_schedule(seed: int) -> FaultPlan:
     return FaultPlan(seed=seed, specs=specs)
 
 
+def soak_schedule(seed: int, sessions: int) -> FaultPlan:
+    """Engine faults spread over a soak of ``sessions`` short-mix sessions.
+
+    Each spec's cadence is scaled to the run's length, so faults keep
+    firing to its end, and its budget is fixed, so the firing log stays
+    small however long the soak is. The per-session opportunity counts
+    (about 2 cursor fetches, 7 operator pulls, 3 scan reads and 2
+    estimator hooks on the short mix) set the cadences.
+    """
+    rng = make_rng(seed, "chaos", "soak")
+
+    def spread(site: str, per_session: int, count: int, **kwargs) -> FaultSpec:
+        every = max(per_session * sessions // count, 2)
+        after = int(rng.integers(0, every))
+        return FaultSpec(site, every=every, count=count, after=after, **kwargs)
+
+    specs = [
+        # Retryable: absorbed by the session's retry budget.
+        spread(SITE_CURSOR_FETCH, 2, 60, kind=ERROR),
+        # Not retryable: the session FAILS.
+        spread(SITE_OPERATOR_PULL, 7, 20, kind=ERROR),
+        spread(SITE_SCAN_READ, 3, 100, kind=SHORT_READ),
+        # The estimator demotes to dne; the query FINISHES degraded.
+        spread(SITE_ESTIMATOR_HOOK, 2, 30, kind=ERROR),
+    ]
+    return FaultPlan(seed=seed, specs=specs)
+
+
 def dump_failure(tag: str, plan: FaultPlan, events: list, extra: dict | None = None) -> Path:
     """Write a replayable failure record; returns the path written."""
     FAILURE_DIR.mkdir(parents=True, exist_ok=True)

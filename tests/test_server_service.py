@@ -19,6 +19,7 @@ from repro.server import ProgressClient, ProgressService, ServiceError
 from repro.server import service as service_module
 from repro.server.client import MAX_IDLE_CONNECTIONS, TRANSIENT_CODES
 from repro.server.protocol import decode, encode
+from repro.server.session import QuerySession
 from repro.sql import compile_select
 
 from tests.test_server_client import wait_for
@@ -436,3 +437,54 @@ class TestConnectionLifecycle:
         finally:
             svc.shutdown()
         wait_for(lambda: threading.active_count() <= threads_before, timeout=2.0)
+
+
+class TestIdleReaping:
+    """An idle connection is closed after ``IDLE_TIMEOUT_S`` and its slot
+    freed; a watch parked on a quiet session is not idle."""
+
+    @pytest.fixture
+    def reaping(self, db, monkeypatch):
+        monkeypatch.setattr(service_module, "IDLE_TIMEOUT_S", 0.2)
+        svc = ProgressService(db, port=0, workers=1)
+        svc.start()
+        client = ProgressClient(svc.host, svc.port, timeout=10.0)
+        try:
+            yield svc, client
+        finally:
+            client.close()
+            svc.shutdown()
+
+    def test_idle_pooled_connection_frees_its_slot(self, reaping, connects):
+        svc, client = reaping
+        assert client.ping()
+        assert len(svc._server._connections) == 1
+        wait_for(lambda: not svc._server._connections, timeout=5.0)
+        # The pooled connection now polls EOF: the stale check drops it
+        # before sending, so the next op simply connects again.
+        assert client.ping()
+        assert len(connects) == 2
+
+    def test_quiet_watch_is_not_reaped(self, db, reaping):
+        svc, client = reaping
+        held = QuerySession(compile_select(db, QUERIES[1]).plan, quantum_rows=64)
+        held.add_listener(svc._on_session_event)
+        svc.registry.add(held)  # never submitted: PENDING until stepped here
+        events = []
+
+        def watch():
+            for event in client.watch(held.session_id, max_reconnects=0):
+                events.append(event)
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        wait_for(lambda: events, timeout=5.0)  # the primed PENDING frame
+        time.sleep(1.0)  # five idle timeouts
+        assert watcher.is_alive()
+        while held.step():
+            pass
+        watcher.join(timeout=10.0)
+        assert not watcher.is_alive()
+        assert events[0]["session"]["state"] == "pending"
+        assert events[-2]["session"]["state"] == "finished"
+        assert events[-1] == {"event": "end", "reason": "session terminal"}
