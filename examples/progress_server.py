@@ -5,8 +5,9 @@ drives it through the client library: submits three queries, watches
 each from two concurrent subscribers (asserting every stream is monotone
 non-decreasing), cancels one mid-flight, fetches the finished results,
 submits one more statement twice (the second submit is served from the
-statement cache and must return the same rows and final work), and shuts
-the server down cleanly.
+statement cache and must return the same rows and final work, and its
+float sums must equal an in-process run of the same SQL value for value),
+and shuts the server down cleanly.
 
 Exit code 0 means every assertion held; CI runs this script as the
 server smoke job.
@@ -21,6 +22,7 @@ import sys
 import threading
 import time
 
+from repro import ExecutionEngine, compile_select, generate_tpch
 from repro.server import ProgressClient, ServiceError
 
 QUERIES = {
@@ -36,7 +38,12 @@ QUERIES = {
     ),
 }
 
+#: The flags the server is started with (seed, skew and sample are the
+#: CLI defaults), which the in-process reference run repeats.
+SF, SEED, SKEW, SAMPLE = 0.002, 42, 1.0, 0.1
+
 #: Submitted twice: once compiled, once served from the statement cache.
+#: Its SUM column is float-valued, so it also checks the fetch codec.
 REPEATED = (
     "SELECT n.name, COUNT(*) AS n, SUM(c.acctbal) AS bal FROM nation n"
     " JOIN customer c ON n.nationkey = c.nationkey GROUP BY n.name"
@@ -80,13 +87,20 @@ def watch_session(client: ProgressClient, session_id: str, failures: list) -> No
 
 
 def main() -> int:
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        # generate_tpch draws skewed keys by str hash, so the server's data
+        # equals this process's only under one hash seed: rerun pinned.
+        env = {**os.environ, "PYTHONHASHSEED": "0"}
+        argv = [sys.executable, *(f"-W{opt}" for opt in sys.warnoptions), *sys.argv]
+        return subprocess.run(argv, env=env).returncode
     port = free_port()
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     server = subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "--sf", "0.002", "serve",
+            sys.executable, "-m", "repro", "--sf", str(SF), "--seed", str(SEED),
+            "--skew", str(SKEW), "--sample", str(SAMPLE), "serve",
             "--port", str(port), "--workers", "2", "--policy", "serw",
             "--quantum", "64",
         ],
@@ -159,6 +173,14 @@ def main() -> int:
                 failures.append("repeated statement: rows differ between submits")
             if ends[0]["work_done"] != ends[1]["work_done"]:
                 failures.append("repeated statement: final work_done differs")
+            # A lossy result codec fails here: every served value, float
+            # sums included, must print exactly as an in-process run's.
+            catalog = generate_tpch(sf=SF, seed=SEED, skew_z=SKEW)
+            local = ExecutionEngine(
+                compile_select(catalog, REPEATED, sample_fraction=SAMPLE).plan
+            ).run()
+            if [repr(tuple(row)) for row in rows[0]] != [repr(row) for row in local.rows]:
+                failures.append("repeated statement: served rows differ from in-process")
 
             client.shutdown_server()
             server.wait(timeout=30.0)
@@ -175,7 +197,10 @@ def main() -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print("OK: monotone streams, clean cancel, cached repeat agrees, clean shutdown")
+    print(
+        "OK: monotone streams, clean cancel, cached repeat agrees,"
+        " float results exact, clean shutdown"
+    )
     return 0
 
 

@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import select
 import socket
+import struct
 import threading
 import time
 from typing import Iterator
 
-from repro.server.protocol import ProtocolError, decode, encode, read_message
+from repro.server.protocol import ProtocolError, decode, encode, read_message, unpack_columns
 from repro.server.wire import apply_delta
 
 __all__ = ["ProgressClient", "ServiceError"]
@@ -236,9 +237,15 @@ class ProgressClient:
         return self._roundtrip(request)["session"]
 
     def fetch(self, session_id: str) -> dict:
-        """``{"columns": [...], "rows": [...], "truncated": bool, ...}``."""
+        """``{"columns": [...], "rows": [...], "truncated": bool, ...}``,
+        the rows rebuilt from the reply's column-major ``data``."""
         response = self._roundtrip({"op": "fetch", "session_id": session_id})
         response.pop("ok", None)
+        try:
+            columns = unpack_columns(response.pop("data"))
+        except (KeyError, TypeError, ValueError, struct.error) as exc:
+            raise ServiceError("protocol", f"malformed fetch reply: {exc!r}") from None
+        response["rows"] = [list(row) for row in zip(*columns)]
         return response
 
     def shutdown_server(self) -> None:

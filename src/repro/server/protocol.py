@@ -19,20 +19,28 @@ Requests::
     {"op": "watch", "until_idle": true}      -> aggregate stream
     {"op": "cancel", "session_id": "s0001"}  -> {"ok": true, "session": {...}}
     {"op": "fetch", "session_id": "s0001"}   -> {"ok": true, "columns": [...],
-                                                 "rows": [...], "truncated": false}
+                                                 "data": [...], "truncated": false,
+                                                 "row_count": n, "state": "..."}
     {"op": "ping"}                           -> {"ok": true, "pong": true}
     {"op": "shutdown"}                       -> {"ok": true} (server then stops)
 
 Stream lines are ``{"event": "snapshot", "session": {...}}``,
 ``{"event": "delta", "session_id": "...", "seq": n, "base": m,
-"changed": {...}}`` (only when the watch opted in with ``"delta": true``
-— a compact frame holding just the snapshot fields that changed since
-the full snapshot with ``seq == base``, reassembled client-side),
+"changed": {...}}`` (a compact frame holding just the snapshot fields
+that changed since the frame with ``seq == base``, reassembled
+client-side; every watch stream is a delta stream),
 ``{"event": "workload", "workload": {...}}`` and finally
 ``{"event": "end", "reason": "..."}``. Errors are
 ``{"ok": false, "error": {"code": "...", "message": "..."}}``; unknown
 ops, oversized lines and malformed JSON all produce an error response
 rather than a dropped connection.
+
+A fetch reply is column-major: ``data`` holds one entry per name in
+``columns`` (:func:`pack_columns`). A column whose every value is a
+Python ``float`` travels as ``{"f64": "<base64>"}`` — its values packed
+as little-endian IEEE-754 doubles, exact to the bit (-0.0, ±inf, NaN
+payloads and subnormals included); any other column is a JSON array,
+encoded like every other wire value. :func:`unpack_columns` inverts it.
 
 ``since`` is the watch resume cursor: a reconnecting client sends the
 last snapshot ``seq`` it saw (per-session sequences are strictly
@@ -44,7 +52,9 @@ keyframe, never a delta against state the connection has not seen.
 
 from __future__ import annotations
 
+import base64
 import json
+import struct
 from typing import IO
 
 __all__ = [
@@ -55,7 +65,9 @@ __all__ = [
     "encode",
     "error_response",
     "ok_response",
+    "pack_columns",
     "read_message",
+    "unpack_columns",
     "write_frame",
     "write_message",
 ]
@@ -131,6 +143,29 @@ def write_frame(stream: IO[bytes], frame: bytes) -> None:
     """
     stream.write(frame)
     stream.flush()
+
+
+def pack_columns(rows: list[tuple], width: int) -> list:
+    """``rows`` column-major: an all-float column as packed doubles
+    (``{"f64": base64}``), any other as its list of values."""
+    columns = list(zip(*rows)) or [()] * width
+    return [
+        {"f64": base64.b64encode(struct.pack(f"<{len(col)}d", *col)).decode("ascii")}
+        if col and all(type(v) is float for v in col)
+        else col
+        for col in columns
+    ]
+
+
+def unpack_columns(data: list) -> list:
+    """The columns :func:`pack_columns` sent, each as a sequence of values."""
+    columns = []
+    for col in data:
+        if isinstance(col, dict):
+            raw = base64.b64decode(col["f64"])
+            col = struct.unpack(f"<{len(raw) // 8}d", raw)
+        columns.append(col)
+    return columns
 
 
 def ok_response(**fields) -> dict:

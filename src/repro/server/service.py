@@ -27,7 +27,7 @@ session id. A watch stream writes that frame's pre-encoded bytes (the
 delta when its base is the seq the connection wrote last, the full
 keyframe otherwise), and ``status``/``list`` answer from the latest
 published snapshot instead of resampling. N watchers therefore cost one
-encode per step, not N (lint rule R007 bans per-watcher encodes
+encode per publish, not N (lint rule R007 bans per-watcher encodes
 mechanically).
 
 Server threads never drive or mutate executor state (lint rule R001
@@ -61,6 +61,7 @@ from repro.server.protocol import (
     encode,
     error_response,
     ok_response,
+    pack_columns,
     read_message,
     write_frame,
     write_message,
@@ -404,7 +405,7 @@ class ProgressService:
                 wfile,
                 ok_response(
                     columns=columns,
-                    rows=[list(row) for row in rows],
+                    data=pack_columns(rows, len(columns)),
                     truncated=truncated,
                     row_count=session.row_count,
                     state=session.state.value,

@@ -21,10 +21,12 @@ like a scheduler turn). A per-session ``timeout_s`` is enforced the same
 way, measured from the first step.
 
 Progress reporting never touches executor internals from server threads:
-the worker thread publishes a :class:`SessionSnapshot` after every step
-*and* from inside blocking phases (via the session's tick-bus callback,
-which piggybacks on the monitor's freshly recorded snapshot), so watchers
-keep seeing movement during a long hash-join build. Reported per-session
+the worker thread publishes a :class:`SessionSnapshot` on every tick of
+the session's bus (piggybacking on the monitor's freshly recorded
+snapshot, so publishes follow the embedded monitor's cadence, including
+from inside a long hash-join build) and once more at the terminal
+transition — never per quantum, so ``status``/``list`` may lag a running
+session by up to one tick interval. Reported per-session
 progress is a high-water mark — ``T̂(Q)`` revisions may shrink the
 estimate, but a progress bar that moves backwards helps nobody, and the
 acceptance bar for streamed snapshots is monotone non-decreasing.
@@ -201,7 +203,6 @@ class QuerySession:
         "started_at": "_step_lock",
         "finished_at": "_step_lock",
         "_deadline": "_step_lock",
-        "_ticked_this_quantum": "_step_lock",
         "_last_progress": "_step_lock",
         "_retries_left": "_step_lock",
         "retry_count": "_step_lock",
@@ -276,7 +277,6 @@ class QuerySession:
         self._snap_seq = 0
         self._last_progress: ProgressSnapshot | None = None
         self._high_water = 0.0
-        self._ticked_this_quantum = False
         self._retries_left = retry_budget
         self.retry_count = 0
         self.bus.subscribe(self._on_bus_tick)
@@ -308,7 +308,6 @@ class QuerySession:
         assert_owned(self.bus.lock, "bus sampling lock")
         assert_owned(self._step_lock, "session step lock")
         if self.monitor.snapshots:
-            self._ticked_this_quantum = True
             self._last_progress = self.monitor.snapshots[-1]
             self._publish()
 
@@ -467,13 +466,6 @@ class QuerySession:
             if self.cursor.exhausted or not batch:
                 self._finalize(SessionState.FINISHED, None)
                 return False
-            if not self._ticked_this_quantum:
-                # The tick bus stayed quiet this quantum (tick_interval >
-                # quantum); publish from the step boundary so watchers
-                # still see movement.
-                self._last_progress = self.monitor.snapshot()
-                self._publish()
-            self._ticked_this_quantum = False
             return True
 
     @guarded_by("_step_lock")

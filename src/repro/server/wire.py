@@ -1,9 +1,10 @@
 """Serialize-once snapshot frames and delta encoding for the fan-out path.
 
-The serving layer's hottest path is snapshot fan-out: every session step
-publishes one :class:`~repro.server.session.SessionSnapshot`, and every
-watcher used to pay its own ``json.dumps`` of that snapshot — O(watchers
-× steps) encodes, the exact scaling wall PF-OLA identifies when online
+The serving layer's hottest path is snapshot fan-out: every tick of a
+session's bus, and its terminal transition, publishes one
+:class:`~repro.server.session.SessionSnapshot`, and every watcher used
+to pay its own ``json.dumps`` of that snapshot — O(watchers × publishes)
+encodes, the exact scaling wall PF-OLA identifies when online
 estimates go to many concurrent consumers. This module is the *single*
 publish-time encode point (lint rule R007 bans encoding anywhere else in
 a server loop): each published snapshot becomes one
@@ -16,7 +17,7 @@ a server loop): each published snapshot becomes one
   holding only the fields that changed since the previous published
   frame (``base``).
 
-So N watchers cost at most *two* encodes per step — one full, one delta
+So N watchers cost at most *two* encodes per publish — one full, one delta
 — instead of N. The encoder keeps only the latest frame; a watch stream
 writes its delta when ``base`` is the seq the connection wrote last, and
 the full frame otherwise, so the first frame of a session on a
@@ -136,8 +137,8 @@ class SessionStreamEncoder:
     what the session published: no queue holds older frames.
 
     ``encode_calls`` counts wire encodes performed (1 per keyframe, 2
-    per delta frame) — the benchmark's proof that encoding is O(steps),
-    not O(steps × watchers).
+    per delta frame) — the benchmark's proof that encoding is
+    O(publishes), not O(publishes × watchers).
     """
 
     _guarded_by_ = {

@@ -256,8 +256,10 @@ def test_watch_resumes_via_since_cursor(db, seed):
         seed=seed,
         specs=[FaultSpec(SITE_SERVER_WRITE, kind=ERROR, every=20, count=3)],
     )
+    # Sessions publish on their ticks only: a tick about twice a quantum
+    # keeps the stream long enough for the write cadence to land in it.
     svc = ProgressService(
-        db, port=0, workers=2, quantum_rows=16, tick_interval=50, faults=plan
+        db, port=0, workers=2, quantum_rows=16, tick_interval=10, faults=plan
     )
     svc.start()
     client = ProgressClient(svc.host, svc.port, timeout=30.0)
@@ -303,8 +305,10 @@ def test_delta_watch_resyncs_via_keyframe_after_write_faults(db, seed):
         seed=seed,
         specs=[FaultSpec(SITE_SERVER_WRITE, kind=ERROR, every=15, count=4)],
     )
+    # Sessions publish on their ticks only: a tick about twice a quantum
+    # keeps the stream long enough for the write cadence to land in it.
     svc = ProgressService(
-        db, port=0, workers=2, quantum_rows=16, tick_interval=50, faults=plan
+        db, port=0, workers=2, quantum_rows=16, tick_interval=10, faults=plan
     )
     svc.start()
     client = ProgressClient(svc.host, svc.port, timeout=30.0)

@@ -161,7 +161,7 @@ class TestPooledTransport:
         server = scripted(
             reply({"ok": True, "session": final["session"]}),
             reply(final, {"event": "end", "reason": "session terminal"}),
-            reply({"ok": True, "columns": [], "rows": [], "truncated": False}),
+            reply({"ok": True, "columns": [], "data": [], "truncated": False}),
             reply({"ok": True, "pong": True}),
             persistent=True,
         )

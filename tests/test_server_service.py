@@ -323,17 +323,24 @@ class TestPooledConnections:
         assert statistics.median(single) < 0.010
         assert statistics.median(aggregate) < 0.010
 
-    def test_abandoned_watch_leaves_no_stray_frames(self, service):
-        _svc, client = service
-        sid = client.submit(LONG_QUERY, quantum_rows=16)["session_id"]
+    def test_abandoned_watch_leaves_no_stray_frames(self, service, db):
+        svc, client = service
+        # Registered but never submitted: the test steps it, so it is still
+        # running when the cancel arrives however fast the machine is.
+        held = QuerySession(compile_select(db, LONG_QUERY).plan, quantum_rows=16)
+        held.add_listener(svc._on_session_event)
+        sid = svc.registry.add(held).session_id
         stream = client.watch(sid)
         assert next(stream)["event"] == "snapshot"
         stream.close()
+        for _ in range(20):  # frames published to the abandoned watch
+            assert held.step()
         # The next op gets its own reply, not a frame the stream left behind.
         status = client.status(sid)
         assert status["session_id"] == sid and "state" in status
         assert client.ping() is True
         client.cancel(sid)
+        assert not held.step()
         assert client.wait(sid, timeout=60.0)["state"] == "cancelled"
 
     def test_server_restart_between_submits_no_duplicate(self, db):

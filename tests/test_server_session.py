@@ -7,6 +7,8 @@ from repro.executor.engine import ExecutionEngine
 from repro.executor.operators import HashJoin, SeqScan
 from repro.server.scheduler import Scheduler
 from repro.server.session import QuerySession, SessionState, TERMINAL_STATES
+from repro.sql import compile_select
+from repro.storage.catalog import Catalog
 
 
 def make_join(rows: int, tag: str):
@@ -75,6 +77,26 @@ class TestLifecycle:
         session.add_listener(lambda _s, snap: work.append(snap.work_done))
         drive(session)
         assert work == sorted(work)
+
+
+class TestPublishCadence:
+    def test_publishes_on_ticks_and_at_the_end_not_per_quantum(self):
+        """A selective filter hands back one short batch per scan pull, so
+        most quanta end between ticks. The session publishes once per tick
+        of its bus and once at its end, never once per quantum."""
+        catalog = Catalog()
+        catalog.register(customer_variant(0.0, 120, 0, 12_000, name="sel"))
+        plan = compile_select(
+            catalog, "SELECT sel.custkey, sel.name FROM sel WHERE sel.nationkey < 12"
+        ).plan
+        session = QuerySession(plan, quantum_rows=16, tick_interval=100)
+        published = []
+        session.add_listener(lambda _s, snap: published.append(snap))
+        steps = drive(session)
+        ticks = len(session.monitor.snapshots)
+        assert ticks >= 5 and steps > 10 * ticks
+        assert len(published) == ticks + 1
+        assert published[-1].state == "finished" and published[-1].progress == 1.0
 
 
 class TestRowCap:

@@ -212,9 +212,14 @@ class TestWireLevelDelta:
 
     def test_deltas_cross_the_wire_and_reassemble(self, service, db):
         """Stepped in lockstep with a reader that keeps up, every frame
-        reaches the wire, and the ones between keyframes as deltas."""
+        reaches the wire, and the ones between keyframes as deltas.
+
+        A session publishes on its ticks, and a quantum of this join may
+        span none of them or several, so the reader takes one line per
+        *publish*: a listener after the service's reads the frame just
+        published before the step goes on."""
         svc, _client = service
-        session = hand_stepped(svc, db, QUERIES[0], tick_interval=10**9)
+        session = hand_stepped(svc, db, QUERIES[0], tick_interval=64)
         truth = attach_truth(session)
         with socket.create_connection((svc.host, svc.port), timeout=30) as conn:
             # An older client's "delta" key is ignored: every stream is a
@@ -222,8 +227,11 @@ class TestWireLevelDelta:
             conn.sendall(encode({"op": "watch", "session_id": session.session_id, "delta": True}))
             with conn.makefile("rb") as stream:
                 events = [decode(stream.readline())]
+                session.add_listener(
+                    lambda _s, _snap: events.append(decode(stream.readline()))
+                )
                 while session.step():
-                    events.append(decode(stream.readline()))
+                    pass
                 while events[-1]["event"] != "end":
                     events.append(decode(stream.readline()))
         kinds = [e["event"] for e in events]
@@ -239,9 +247,10 @@ class TestWireLevelDelta:
     def test_since_resume_restarts_with_keyframe(self, service, db):
         """A client drops its watch mid-run and resumes ``since`` the last
         seq it saw. Stepped by the test, so the session is still running at
-        both connects however fast the machine is."""
+        both connects however fast the machine is; a tick every 64 units of
+        work lands in the first quantum and in any three after it."""
         svc, _client = service
-        session = hand_stepped(svc, db, QUERIES[0], tick_interval=10**9)
+        session = hand_stepped(svc, db, QUERIES[0], tick_interval=64)
         truth = attach_truth(session)
         session.step()
         request = {"op": "watch", "session_id": session.session_id}
