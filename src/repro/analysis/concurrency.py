@@ -635,8 +635,8 @@ class _MethodChecker:
         ):
             # `with bus.lock:` where `bus` is a typed local (`bus =
             # TickBus(...)`) — resolve through the local's class, which is
-            # how module-level functions (e.g. the parallel worker loop)
-            # honour class lock protocols without a `self` to root at.
+            # how module-level functions honour class lock protocols
+            # without a `self` to root at.
             cls = self.local_types.get(node.value.id)
             if cls is not None:
                 return self.a.registry.canonical(cls, node.attr)

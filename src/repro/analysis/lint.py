@@ -214,9 +214,9 @@ class _Registry:
 
 
 #: Packages whose threads observe execution rather than drive it (stricter
-#: R001 rules): the server, and the parallel coordinator stack — where even
-#: the worker loop only advances counters through the sanctioned
-#: ``PlanCursor.fetch`` API, never by ticking the bus directly.
+#: R001 rules): the server, and the parallel coordinator — whose fragments
+#: advance counters only through the sanctioned ``PlanCursor.fetch`` API,
+#: never by ticking the bus directly.
 _COORDINATOR_PKGS = (("repro", "server"), ("repro", "parallel"))
 
 #: Methods coordinator code may never call: they advance the work counters.

@@ -14,23 +14,21 @@ confidence interval shrinks as 1/sqrt(t), and when the pass completes
 joining has happened.
 
 :class:`OnceAccumulator` is that recurrence. It stores the sufficient
-statistics ``(t, Σc, Σc²)`` — integers, so folding a batch at once, or the
-exported statistics of several partitions, is bit-identical to per-tuple
-refinement. An estimator owns one per join it answers for and keeps only
-its contribution kernel and hook wiring; the partitioned coordinator's
-merged state is the same object fed by :meth:`OnceAccumulator.fold`.
+statistics ``(t, Σc, Σc²)`` — integers, so folding a batch at once is
+bit-identical to per-tuple refinement. An estimator owns one per join it
+answers for and keeps only its contribution kernel and hook wiring. The
+same sums are what would make the state mergeable across partitions
+(docs/THEORY.md §2.3); nothing merges them today.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.core.confidence import mean_interval
 
 __all__ = [
-    "EstimatorExport",
     "OnceAccumulator",
-    "OnceStats",
     "TotalProvider",
     "cut_batch",
     "total_provider",
@@ -62,35 +60,6 @@ def cut_batch(n: int, step: Callable[[], int]) -> Iterator[tuple[int, int]]:
         end = min(n, start + step())
         yield start, end
         start = end
-
-
-class OnceStats(NamedTuple):
-    """One accumulator's mergeable state: ``total`` is the provider's raw
-    reading, un-floored, so that partitions' totals sum before the floor."""
-
-    t: int
-    sum_c: int
-    sum_c_sq: int
-    total: float
-    exact: bool
-
-
-class EstimatorExport(NamedTuple):
-    """An attached estimator's mergeable state, as plain builtins.
-
-    ``kind`` is ``"chain"`` (ONCE over one or more joins; a binary join is
-    a chain of one) or ``"group"``. ``levels`` holds one :class:`OnceStats`
-    per join, bottom-up, and is empty for a group estimator; ``hists`` the
-    ``{value: count}`` histograms it built (one build histogram per level /
-    the group-value histogram). ``total`` and ``exact`` describe the input
-    stream itself: its raw total and whether all of it has been seen.
-    """
-
-    kind: str
-    levels: tuple[OnceStats, ...]
-    hists: tuple[dict, ...]
-    total: float
-    exact: bool
 
 
 class OnceAccumulator:
@@ -171,29 +140,3 @@ class OnceAccumulator:
         return mean_interval(
             self.t, self.sum_c, self.sum_c_sq, total, alpha, population=total
         )
-
-    # -- merge algebra ------------------------------------------------------------
-
-    def export(self) -> OnceStats:
-        return OnceStats(
-            self.t, self.sum_c, self.sum_c_sq, float(self._total()), self.exact
-        )
-
-    @classmethod
-    def fold_target(cls) -> "OnceAccumulator":
-        """An empty accumulator to :meth:`fold` partitions into. Exactness
-        is AND-folded, so it starts vacuously true."""
-        merged = cls(total=0.0)
-        merged.exact = True
-        return merged
-
-    def fold(self, stats: OnceStats) -> None:
-        """Merge in the statistics of a disjoint part of the stream: sums
-        and totals add (each tuple was seen by exactly one part), and the
-        result is exact only if every part is. ``Σ Σc / Σ t × Σ|S|`` is the
-        proper combined ratio estimator, not a sum of per-part estimates."""
-        self.t += stats.t
-        self.sum_c += stats.sum_c
-        self.sum_c_sq += stats.sum_c_sq
-        self._total = total_provider(self._total() + stats.total)
-        self.exact = self.exact and stats.exact

@@ -49,12 +49,7 @@ import math
 from collections import Counter
 from typing import Sequence
 
-from repro.core.accumulator import (
-    EstimatorExport,
-    TotalProvider,
-    cut_batch,
-    total_provider,
-)
+from repro.core.accumulator import TotalProvider, cut_batch, total_provider
 
 __all__ = [
     "GEEEstimator",
@@ -388,10 +383,3 @@ class HybridGroupCountEstimator:
             self._mle_t = t
             self.scheduler.after_recompute(old, self._cached_mle)
         return max(self._cached_mle, seen)
-
-    def export(self) -> EstimatorExport:
-        """The group-value histogram: counts sum across partitions (every
-        input tuple is observed in exactly one), nothing else is needed to
-        rerun the chooser over the merged state."""
-        counts = dict(self.state.counts)
-        return EstimatorExport("group", (), (counts,), self.total, self.exact)

@@ -19,11 +19,7 @@ from collections import Counter
 from typing import Sequence
 
 from repro.common.errors import EstimationError
-from repro.core.accumulator import (
-    EstimatorExport,
-    OnceAccumulator,
-    TotalProvider,
-)
+from repro.core.accumulator import OnceAccumulator, TotalProvider
 from repro.core.confidence import binomial_beta
 from repro.core.histogram import FrequencyHistogram
 from repro.executor.operators.base import Operator
@@ -204,13 +200,6 @@ class OnceJoinEstimator:
     def worst_case_beta(self, alpha: float = 0.99) -> float:
         """The paper's distribution-free per-value half-width β."""
         return binomial_beta(self.acc.t, alpha)
-
-    def export(self) -> EstimatorExport:
-        """A chain of one: the single level and its build histogram."""
-        stats = self.acc.export()
-        return EstimatorExport(
-            "chain", (stats,), (dict(self.histogram.counts),), stats.total, stats.exact
-        )
 
 
 #: The ONCE-capable joins as ``(build-pass child, probe-pass child)``: the

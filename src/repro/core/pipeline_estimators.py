@@ -51,11 +51,7 @@ from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 from repro.common.errors import EstimationError
-from repro.core.accumulator import (
-    EstimatorExport,
-    OnceAccumulator,
-    TotalProvider,
-)
+from repro.core.accumulator import OnceAccumulator, TotalProvider
 from repro.core.histogram import FrequencyHistogram
 from repro.core.join_estimators import resolve_stream_total
 from repro.executor.operators.base import Operator
@@ -412,17 +408,6 @@ class HashJoinChainEstimator:
     @property
     def exact(self) -> bool:
         return self.levels[0].exact
-
-    def export(self) -> EstimatorExport:
-        """Every level's statistics and base build histogram, bottom-up."""
-        levels = tuple(level.export() for level in self.levels)
-        return EstimatorExport(
-            "chain",
-            levels,
-            tuple(dict(h.counts) for h in self.base_hists),
-            levels[0].total,
-            levels[0].exact,
-        )
 
     # -- aggregation push-down ----------------------------------------------------------
 

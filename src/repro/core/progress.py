@@ -299,10 +299,10 @@ class ProgressMonitor:
 
         This is the per-operator decomposition of one snapshot — the same
         ``_total_for`` dispatch, itemised instead of summed.
-        ``repro.parallel`` puts these in its progress deltas; node ids come
-        from ``validate_plan`` (the plan must have been validated, as every
-        ``PlanCursor`` run guarantees) so the coordinator can re-key them
-        onto the serial plan.
+        :func:`repro.robust.feedback.record_run` reads the ``K_i`` of a
+        finished run from it; node ids come from ``validate_plan`` (the
+        plan must have been validated, as every ``PlanCursor`` run
+        guarantees) so the feedback can key them by plan fingerprint.
         """
         with self._lock:
             self.refresh_bounds()

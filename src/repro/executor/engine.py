@@ -318,15 +318,22 @@ class ExecutionEngine:
 
         ``parallel=P`` (P > 1) hands the plan to :mod:`repro.parallel`:
         the plan is fragmented across P partitions and the fragments run
-        one after another *in this process*, with per-operator counts
-        merged from their progress deltas. It exists to exercise the
-        merge algebra and is never faster than the serial loop (see
-        docs/PARALLEL.md). Plans the fragmenter cannot split fall back to
-        this engine's serial loop.
+        one after another *in this process*, unmonitored, with
+        per-operator counts summed over the fragments. It is never faster
+        than the serial loop (see docs/PARALLEL.md). Plans the fragmenter
+        cannot split fall back to this engine's serial loop. A partitioned
+        run reports no progress and records no history, so an engine with
+        a bus or a history store raises :class:`ValueError` for P > 1
+        before any fragment runs.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if parallel is not None and parallel > 1:
+            if self.bus is not None or self.history is not None:
+                raise ValueError(
+                    "parallel > 1 runs unmonitored; this engine has a bus or "
+                    "a history store"
+                )
             result = self._run_parallel(parallel, row_callback)
             if result is not None:
                 return result
@@ -363,8 +370,6 @@ class ExecutionEngine:
             if op.node_id is not None
         }
         if self.history is not None and self.monitor is not None:
-            # Record only serial completions here: the parallel path returns
-            # above and keeps no run history.
             from repro.robust.feedback import record_run
 
             record_run(self.monitor, self.history, elapsed, count)

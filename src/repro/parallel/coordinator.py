@@ -1,34 +1,36 @@
-"""The coordinator: run every fragment in-process, merge rows + progress.
+"""The coordinator: run every fragment in-process, merge the rows.
 
 One :class:`Coordinator` drives one fragmented query to completion.
 Fragments run one after another in the calling process — there are no
 worker processes (docs/PARALLEL.md records why: P=2 never reached serial
-speed) — so a run is deterministic and exists to exercise the merge
-algebra: every fragment's cumulative deltas fold into one
-:class:`~repro.parallel.monitor.PartitionedProgressMonitor`, and the
-fragmentation plan's merge recipe turns the concatenated fragment rows
-into the serial result.
+speed) — so a run is deterministic. Each fragment is drained through a
+bare :class:`~repro.executor.engine.PlanCursor`, with no bus and no
+progress monitor, and the fragmentation plan's merge recipe turns the
+concatenated fragment rows into the serial result. Per-operator counts
+are each fragment's ``tuples_emitted``, summed onto serial node ids.
 
 A fragment that raises fails the whole run with
 :class:`ParallelExecutionError`; no partial rows are returned.
 
 Lint scope: this module is *coordinator* code — it never drives a
 ``TickBus`` (no ``tick``/``tick_n``, no ``.count`` writes; machine-checked
-by lint R001's coordinator-package rule). All execution ticking happens
-inside the fragments' own cursors.
+by lint R001's coordinator-package rule).
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.executor.engine import DEFAULT_BATCH_SIZE
-from repro.faults.plan import FaultPlan
+from repro.executor.engine import DEFAULT_BATCH_SIZE, PlanCursor
+from repro.faults.plan import FaultPlan, TransientFault
 from repro.parallel.fragments import FragmentPlan
-from repro.parallel.monitor import PartitionedProgressMonitor
-from repro.parallel.worker import WorkerTask, run_fragment
 
 __all__ = ["Coordinator", "ParallelExecutionError", "ParallelResult"]
+
+# Mirrors the serial session's bounded transient-retry budget: a
+# TransientFault at the cursor boundary is reissued, not fatal, until the
+# budget runs out.
+MAX_TRANSIENT_RETRIES = 5
 
 
 class ParallelExecutionError(RuntimeError):
@@ -43,11 +45,8 @@ class ParallelResult:
         "row_count",
         "raw_row_count",
         "wall_time_s",
-        "monitor",
         "plan",
         "operator_counts",
-        "degraded",
-        "degraded_reason",
     )
 
     def __init__(
@@ -55,70 +54,65 @@ class ParallelResult:
         rows: list[tuple],
         raw_row_count: int,
         wall_time_s: float,
-        monitor: PartitionedProgressMonitor,
         plan: FragmentPlan,
+        operator_counts: dict[int, int],
     ):
         self.rows = rows
         self.row_count = len(rows)
         self.raw_row_count = raw_row_count
         self.wall_time_s = wall_time_s
-        self.monitor = monitor
         self.plan = plan
-        snap = monitor.snapshot()
-        self.degraded = snap.degraded
-        self.degraded_reason = snap.degraded_reason
-        self.operator_counts = monitor.merged_counters()
+        self.operator_counts = operator_counts
 
 
 class Coordinator:
     """Drive one fragmented plan to completion, fragment by fragment."""
 
-    def __init__(
-        self,
-        plan: FragmentPlan,
-        mode: str = "once",
-        tick_interval: int = 1000,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        delta_every: int = 4096,
-        faults: FaultPlan | None = None,
-    ):
+    def __init__(self, plan: FragmentPlan, faults: FaultPlan | None = None):
         self.plan = plan
-        self.mode = mode
-        self.tick_interval = tick_interval
-        self.batch_size = batch_size
-        self.delta_every = delta_every
         self.faults = faults
-        self.monitor = PartitionedProgressMonitor(plan.num_partitions)
 
-    def _task(self, worker_id: int) -> WorkerTask:
-        faults = self.faults
-        return WorkerTask(
-            worker_id=worker_id,
-            fragment=self.plan.build_fragment(worker_id),
-            node_map=self.plan.node_map,
-            broadcast_builds=self.plan.broadcast_builds,
-            replicated_nodes=self.plan.replicated_nodes,
-            mode=self.mode,
-            tick_interval=self.tick_interval,
-            batch_size=self.batch_size,
-            delta_every=self.delta_every,
+    def _run_fragment(self, p: int, rows: list[tuple], counts: dict[int, int]) -> None:
+        """Drain fragment ``p`` into ``rows`` and add its per-operator
+        counts, re-keyed to serial node ids, into ``counts``."""
+        faults = None
+        if self.faults is not None and self.faults.specs:
             # Per-fragment fault streams: same schedule shape, decorrelated
-            # opportunity draws, reproducible from (seed, worker_id).
-            fault_seed=(faults.seed + worker_id) if faults is not None else 0,
-            fault_specs=faults.specs if faults is not None else (),
-        )
+            # opportunity draws, reproducible from (seed, p).
+            faults = FaultPlan(self.faults.seed + p, self.faults.specs)
+        cursor = PlanCursor(self.plan.build_fragment(p), faults=faults)
+        retries_left = MAX_TRANSIENT_RETRIES
+        cursor.open()
+        try:
+            while not cursor.exhausted:
+                try:
+                    rows.extend(cursor.fetch(DEFAULT_BATCH_SIZE))
+                except TransientFault:
+                    # Same contract as the serial session: the transient
+                    # boundary fires before the pull enters the plan, so
+                    # reissuing is sound.
+                    if retries_left <= 0:
+                        raise
+                    retries_left -= 1
+        finally:
+            cursor.close()
+        node_map = self.plan.node_map
+        for op in cursor.operators:
+            sid = node_map[op.node_id]
+            counts[sid] = counts.get(sid, 0) + op.tuples_emitted
 
     def run(self) -> ParallelResult:
-        """Run every fragment, fold its deltas, merge the rows."""
+        """Run every fragment, sum its counts, merge the rows."""
         started = time.perf_counter()
         raw: list[tuple] = []
-        for worker_id in range(self.plan.num_partitions):
+        counts: dict[int, int] = {}
+        for p in range(self.plan.num_partitions):
             try:
-                run_fragment(self._task(worker_id), raw.extend, self.monitor.observe)
+                self._run_fragment(p, raw, counts)
             except Exception as exc:  # noqa: BLE001 - any fragment failure fails the run
                 raise ParallelExecutionError(
-                    f"worker {worker_id}: {type(exc).__name__}: {exc}"
+                    f"worker {p}: {type(exc).__name__}: {exc}"
                 ) from exc
         merged = self.plan.merge_rows(raw)
         wall = time.perf_counter() - started
-        return ParallelResult(merged, len(raw), wall, self.monitor, self.plan)
+        return ParallelResult(merged, len(raw), wall, self.plan, counts)

@@ -25,12 +25,10 @@ local output is partition-dependent), multi-key or non-hash joins inside
 the region (no single key to co-partition on; broadcast of the *build*
 side still covers the common cases).
 
-Exactness argument, for the merge algebra in :mod:`repro.parallel.delta`:
-under co-partitioning every build row matching a probe row lives in the
-probe row's partition, and under broadcast every build row lives in all
-of them — either way each probe tuple sees exactly the global match set,
-so ``⋃_p fragment_p ≡ serial`` as multisets and every per-tuple estimator
-contribution is identical to the serial run.
+Exactness argument: under co-partitioning every build row matching a
+probe row lives in the probe row's partition, and under broadcast every
+build row lives in all of them — either way each probe tuple sees exactly
+the global match set, so ``⋃_p fragment_p ≡ serial`` as multisets.
 """
 
 from __future__ import annotations
@@ -370,20 +368,13 @@ class FragmentPlan:
         self._wrap = wrap
         self._planner = planner
         self._shards: dict[int, list[Table]] = {}
-        # Re-keyed onto serial node ids for the wire protocol.
+        # Re-keyed onto serial node ids.
         self.broadcast_builds = frozenset(
             op.node_id for op in walk(region) if id(op) in planner.broadcast_builds
         )
         self.replicated_nodes = frozenset(
             op.node_id for op in walk(region) if id(op) in planner.replicated
         )
-        self.partition_columns = {
-            op.node_id: spec[1]
-            for op in walk(region)
-            if isinstance(op, _LEAF_TYPES)
-            for spec in (planner.leaf_specs[id(op)],)
-            if spec[0] == "hash"
-        }
         fragment, pairs = self._clone_with_pairs(0)
         validate_plan(fragment)
         self.node_map: dict[int, int] = {

@@ -9,9 +9,7 @@ once, through the entry only, with the family as a parameter:
 2. ``exact`` at the end of that pass, with ``estimate()`` already equal to
    what the operator will have emitted when the query finishes;
 3. ``history`` checkpoints on the same ``t`` values whatever the drain size
-   (1 / 7 / 1024);
-4. the merge algebra: the exports of two runs over two disjoint parts of
-   the stream fold into exactly the serial run's statistics.
+   (1 / 7 / 1024).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.core.accumulator import OnceAccumulator
 from repro.core.manager import EstimationManager, EstimatorEntry
 from repro.core.theta_estimators import attach_theta_estimator
 from repro.executor.engine import ExecutionEngine
@@ -36,7 +33,6 @@ from repro.executor.operators import (
     SortMergeJoin,
 )
 from repro.executor.operators.base import Operator
-from repro.parallel.delta import EstimatorDelta, merge_estimator_deltas
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -194,39 +190,3 @@ def test_checkpoints_independent_of_drain_size(name):
     per_tuple = [*range(RECORD_EVERY, STREAM_ROWS + 1, RECORD_EVERY), STREAM_ROWS]
     assert all(ts == per_tuple or ts[-1] > STREAM_ROWS for ts in checkpoints[0])
     assert checkpoints[0][0] == per_tuple
-
-
-def _mergeable(entry: EstimatorEntry):
-    """What an entry's source exports, in comparable form."""
-    if isinstance(entry.source, OnceAccumulator):
-        return entry.source.export()
-    return EstimatorDelta((0,), entry.source.export(), (False,))
-
-
-def _fold(parts: list):
-    """Fold exports; returns ``(t, Σc, Σc², exact)`` / ``(counts, exact)``."""
-    if isinstance(parts[0], EstimatorDelta):
-        (merged,) = merge_estimator_deltas({i: (p,) for i, p in enumerate(parts)}).values()
-        return merged.hists[0], merged.exact
-    merged = OnceAccumulator.fold_target()
-    for stats in parts:
-        merged.fold(stats)
-    return (merged.t, merged.sum_c, merged.sum_c_sq, merged.exact)
-
-
-@family
-def test_parts_fold_into_serial_statistics(name):
-    rows = list(C)
-    parts = [
-        Table("c", C.schema, part, block_size=64)
-        for part in (rows[: STREAM_ROWS // 3], rows[STREAM_ROWS // 3 :])
-    ]
-    runs = []
-    for table in (C, *parts):
-        attached = FAMILIES[name](table)
-        _run(attached)
-        runs.append([_mergeable(entry) for entry in attached.entries])
-    serial, first, second = runs
-    for whole, a, b in zip(serial, first, second):
-        assert _fold([a, b]) == _fold([whole])
-        assert _fold([whole])[-1] is True

@@ -117,19 +117,6 @@ class TestStreamTotalFloor:
         assert est.confidence_interval() == (100.0, 100.0)
         assert est.acc.stream_total == 100.0
 
-    def test_merged_and_serial_agree_when_the_total_undercounts(self):
-        from repro.core.accumulator import OnceAccumulator
-
-        serial = OnceAccumulator(total=10)
-        serial.add(60, 120, 240)
-        merged = OnceAccumulator.fold_target()
-        for n in (20, 40):
-            part = OnceAccumulator(total=5)
-            part.add(n, 2 * n, 4 * n)
-            merged.fold(part.export())
-        assert merged.export()[:3] == serial.export()[:3]
-        assert merged.estimate() == serial.estimate() == 120.0
-
     def test_probe_child_with_underestimated_cardinality(self):
         """A hash join probed by an aggregate's output: the stream total is
         the optimizer's guess, here a tenth of the true group count."""

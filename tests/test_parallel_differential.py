@@ -1,30 +1,20 @@
 """Parallel-vs-serial differential oracle.
 
 Reuses the PR-2 random plan generator (``tests.test_differential_batch``)
-and checks, for every fragmentable plan and P ∈ {1, 2, 4}:
+and checks, for every fragmentable plan:
 
-1. **Row multisets identical** — merged parallel output equals the
-   serial run's output as a multiset (ordering differs only where the
-   serial plan itself had no order guarantee; peeled SortSteps restore
-   exact order and are compared exactly in the fragments tests).
-2. **Final progress exactly 1.0** — the merged monitor's last snapshot
-   pins ``total = done``.
-3. **Monotone merged progress stream** — the merged monitor records one
-   snapshot per accepted delta (every fragment sends a first and a
-   ``done`` delta, so at least 2·P), each equal to the fold of the deltas
-   seen so far; ``work_done`` and ``progress`` never regress, the last
-   entry is exactly 1.0, and for P ≥ 2 part of the stream predates the
-   last fragment's completion.
-4. **Merged estimator state bit-identical to serial** — after both runs
-   finish, every ONCE/chain/group estimator's merged sufficient
-   statistics (per level ``t``, ``Σc``, ``Σc²``, exactness; histogram
-   counts) equal the serial estimator's own ``export()`` exactly. This is the strongest form of the paper-level claim: the
-   parallel progress indicator is not merely *close* — at probe end it
-   is the *same* estimator.
+1. **Row multisets identical** (P ∈ {1, 2, 4}) — merged parallel output
+   equals the serial run's output as a multiset (ordering differs only
+   where the serial plan itself had no order guarantee; peeled SortSteps
+   restore exact order and are compared exactly in the fragments tests).
+2. **Per-node counts** (P ∈ {2, 4}) — ``operator_counts`` re-keyed onto
+   serial node ids equal the serial counts, or P times them for nodes
+   every fragment runs in full.
 
-Fragments run in-process, one after another (docs/PARALLEL.md), so the
-sweep is deterministic. The tail of the file pins what is left of the
-failure behaviour: a fault inside a fragment fails the whole run, the
+Fragments run in-process, one after another and unmonitored
+(docs/PARALLEL.md), so the sweep is deterministic. The tail of the file
+pins what is left of the failure behaviour: a fault inside a fragment
+fails the whole run, a monitored engine refuses a partitioned run, the
 retired ``worker.*`` fault sites are unknown to the spec parser, and a
 ``submit`` request still carrying ``"parallel"`` is served serially.
 """
@@ -35,10 +25,13 @@ import collections
 
 import pytest
 
-from repro.core.progress import ProgressMonitor
 from repro.executor.engine import ExecutionEngine, TickBus
+from repro.executor.operators.aggregate import _AggregateBase
+from repro.executor.operators.distinct import Distinct
+from repro.executor.plan import walk
 from repro.faults import (
     ERROR,
+    SITE_CURSOR_FETCH,
     SITE_OPERATOR_PULL,
     SITE_SCAN_READ,
     FaultPlan,
@@ -46,6 +39,7 @@ from repro.faults import (
     parse_fault_spec,
 )
 from repro.parallel import Coordinator, ParallelExecutionError, try_compile
+from repro.robust.store import HistoryStore
 from repro.server import ProgressClient, ProgressService
 from repro.server.session import QuerySession
 from repro.sql import compile_select
@@ -56,118 +50,50 @@ NUM_TRIALS = 48
 PARALLELISMS = (1, 2, 4)
 
 
-def _serial_observation(trial: int):
-    """Run trial ``trial`` serially with full monitoring; return
-    ``(rows multiset, estimator manager)``."""
-    plan = build_plan(trial)
-    bus = TickBus(1000)
-    monitor = ProgressMonitor(plan, mode="once", bus=bus)
-    result = ExecutionEngine(plan, bus=bus).run(batch_size=256)
-    return collections.Counter(result.rows), monitor.manager
-
-
-def _assert_merged_state_matches(manager, merged, trial, p):
-    """Invariant 4: merged parallel statistics == serial statistics."""
-    context = f"trial={trial} P={p}"
-    for estimator, ops in manager.attached():
-        serial = estimator.export()
-        key = (serial.kind, tuple(op.node_id for op in ops))
-        state = merged.get(key)
-        assert state is not None, f"{context}: {key} missing from merge"
-        # (t, Σc, Σc²) per level. The summed |S| is a float that per-shard
-        # providers (a selection's observed selectivity) need not reproduce
-        # bit for bit, and at probe end the estimate no longer reads it.
-        assert [level.export()[:3] for level in state.levels] == [
-            stats[:3] for stats in serial.levels
-        ], f"{context}: {key} level statistics"
-        for level, stats in zip(state.levels, serial.levels):
-            assert level.exact and stats.exact, f"{context}: {key} exactness"
-            assert level.estimate() == float(stats.sum_c), (
-                f"{context}: {key} estimate must collapse to exact"
-            )
-        assert state.hists == list(serial.hists), f"{context}: {key} histograms"
-        assert state.exact == serial.exact, f"{context}: {key} exactness"
-
-
-def _run_parallel(trial, p):
-    """Run trial ``trial`` at P=``p``; ``None`` when unfragmentable, else
-    ``(coordinator, result, deltas)`` with every delta the merged monitor
-    was handed, in arrival order."""
-    fragments = try_compile(build_plan(trial), p)
-    if fragments is None:
-        return None
-    coordinator = Coordinator(fragments, delta_every=512)
-    deltas = []
-    fold = coordinator.monitor.observe
-
-    def recording_observe(delta):
-        deltas.append(delta)
-        fold(delta)
-
-    coordinator.monitor.observe = recording_observe
-    result = coordinator.run()
-    return coordinator, result, deltas
-
-
-def _assert_progress_stream(snapshots, deltas, p, context):
-    """Invariant 3: one merged snapshot per accepted delta, monotone,
-    ending at exactly 1.0, and not all taken after the fact."""
-    assert len(snapshots) == len(deltas) >= 2 * p, (
-        f"{context}: {len(snapshots)} snapshots for {len(deltas)} deltas"
-    )
-    latest: dict[int, object] = {}
-    unfinished_prefixes = 0
-    for snap, delta in zip(snapshots, deltas):
-        latest[delta.worker_id] = delta
-        folded = sum(k for d in latest.values() for k in d.counters.values())
-        assert snap.work_done == folded, (
-            f"{context}: snapshot is not the fold of the deltas seen so far"
-        )
-        if sum(d.done for d in latest.values()) < p:
-            unfinished_prefixes += 1
-    for a, b in zip(snapshots, snapshots[1:]):
-        assert b.work_done >= a.work_done, f"{context}: work_done regressed"
-        assert b.progress >= a.progress - 1e-12, (
-            f"{context}: progress regressed: {[s.progress for s in snapshots]}"
-        )
-    assert snapshots[-1].progress == 1.0, f"{context}: stream does not end at 1.0"
-    if p >= 2:
-        assert unfinished_prefixes >= 1, (
-            f"{context}: every snapshot was taken after the last fragment finished"
-        )
-
-
 @pytest.mark.parametrize("trial", range(NUM_TRIALS))
 def test_inline_parallel_matches_serial(trial):
-    serial_rows, manager = _serial_observation(trial)
+    serial_rows = collections.Counter(ExecutionEngine(build_plan(trial)).run().rows)
     fragmented_any = False
     for p in PARALLELISMS:
-        run = _run_parallel(trial, p)
-        if run is None:
+        fragments = try_compile(build_plan(trial), p)
+        if fragments is None:
             continue
         fragmented_any = True
-        coordinator, result, deltas = run
-        # 1: identical row multisets.
+        result = Coordinator(fragments).run()
         assert collections.Counter(result.rows) == serial_rows, (
             f"trial={trial} P={p}: rows diverged "
             f"({len(result.rows)} vs {sum(serial_rows.values())})"
         )
-        # 2: final progress exactly 1.0.
-        final = coordinator.monitor.snapshot()
-        assert final.work_done == final.work_total_estimate, (
-            f"trial={trial} P={p}: final total not pinned to done"
-        )
-        assert final.progress == 1.0
-        # 3: monotone merged progress stream, recorded delta by delta —
-        # and reading the final snapshot above must not have extended it.
-        _assert_progress_stream(
-            coordinator.monitor.snapshots, deltas, p, f"trial={trial} P={p}"
-        )
-        # 4: merged estimator state bit-identical to serial.
-        if manager is not None:
-            _assert_merged_state_matches(
-                manager, coordinator.monitor.merged_estimators(), trial, p
-            )
+    if not fragmented_any:
+        pytest.skip(f"trial {trial} not fragmentable at any P (serial fallback)")
+
+
+def _serial_node(root, node_id):
+    return next(op for op in walk(root) if op.node_id == node_id)
+
+
+@pytest.mark.parametrize("trial", range(NUM_TRIALS))
+def test_partitioned_counts_match_serial(trial):
+    """Per-node counts of a partitioned run, re-keyed onto serial node ids:
+    every partitioned node emits the serial count summed over fragments,
+    and a node every fragment runs in full (a broadcast build) emits P
+    times it. A fragment's partial aggregate or local ``Distinct`` emits a
+    partition-dependent count, so it is not compared."""
+    serial = ExecutionEngine(build_plan(trial)).run().operator_counts
+    fragmented_any = False
+    for p in (2, 4):
+        plan = build_plan(trial)
+        fragments = try_compile(plan, p)
+        if fragments is None:
+            continue
+        fragmented_any = True
+        counts = ExecutionEngine(plan).run(parallel=p).operator_counts
+        assert set(counts) == set(fragments.node_map.values())
+        for nid, count in counts.items():
+            if isinstance(_serial_node(plan, nid), (Distinct, _AggregateBase)):
+                continue
+            expected = serial[nid] * (p if nid in fragments.replicated_nodes else 1)
+            assert count == expected, f"trial={trial} P={p} node={nid}"
     if not fragmented_any:
         pytest.skip(f"trial {trial} not fragmentable at any P (serial fallback)")
 
@@ -208,10 +134,46 @@ def test_fragment_fault_fails_run_without_rows(db, site):
     fragments = try_compile(compile_select(db, JOIN_SQL).plan, 4)
     assert fragments is not None, "fault query must be fragmentable"
     faults = FaultPlan(seed=7, specs=[FaultSpec(site, kind=ERROR, every=3, count=1)])
-    coordinator = Coordinator(fragments, faults=faults)
+    result = None
     with pytest.raises(ParallelExecutionError, match="worker 0: InjectedFault"):
-        coordinator.run()
-    assert not coordinator.monitor.all_done
+        result = Coordinator(fragments, faults=faults).run()
+    assert result is None
+
+
+@pytest.mark.parametrize("fires, fails", [(5, False), (6, True)])
+def test_transient_fetch_faults_retry_within_the_budget(db, fires, fails):
+    """A transient ``cursor.fetch`` fault is reissued inside its fragment,
+    up to the serial session's budget of five per fragment."""
+    fragments = try_compile(compile_select(db, JOIN_SQL).plan, 2)
+    spec = FaultSpec(SITE_CURSOR_FETCH, kind=ERROR, every=1, count=fires)
+    coordinator = Coordinator(fragments, faults=FaultPlan(seed=7, specs=[spec]))
+    if fails:
+        with pytest.raises(ParallelExecutionError, match="worker 0: TransientFault"):
+            coordinator.run()
+    else:
+        assert coordinator.run().row_count == len(db.table("orders"))
+
+
+@pytest.mark.parametrize("observed", ["bus", "history"])
+def test_monitored_engine_refuses_a_partitioned_run(db, observed, tmp_path, monkeypatch):
+    """Fragments run unmonitored, so an engine with a bus or a history
+    store would report no progress and record no run: ``parallel=P``
+    refuses it before any fragment runs, and serial runs are unaffected."""
+    plan = compile_select(db, JOIN_SQL).plan
+    kwargs = (
+        {"bus": TickBus(100)}
+        if observed == "bus"
+        else {"history": HistoryStore(tmp_path / "history.jsonl")}
+    )
+    engine = ExecutionEngine(plan, **kwargs)
+
+    def no_fragment_may_run(self):
+        raise AssertionError("a fragment ran")
+
+    monkeypatch.setattr(Coordinator, "run", no_fragment_may_run)
+    with pytest.raises(ValueError, match="parallel"):
+        engine.run(parallel=2)
+    assert engine.run(parallel=1).row_count == len(db.table("orders"))
 
 
 def test_retired_worker_fault_sites_are_rejected():
