@@ -86,10 +86,6 @@ class OnceThetaJoinEstimator:
             return len(values) - bisect.bisect_right(values, value)
         return len(values) - bisect.bisect_left(values, value)  # <=
 
-    def on_outer(self, value: object) -> None:
-        """One outer tuple: refine the estimate."""
-        self.on_outer_batch((value,))
-
     def on_outer_batch(self, values: Iterable[object]) -> None:
         """A column of outer join values: one bisect per value, one ``add``
         per checkpoint piece."""

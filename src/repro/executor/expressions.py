@@ -1,33 +1,30 @@
 """Scalar expressions over rows.
 
 Expressions form small immutable trees (:class:`Col`, :class:`Const`,
-comparisons, boolean connectives, arithmetic). Before evaluation an
-expression is *bound* to a schema, producing a plain Python closure
-``row -> value``; binding resolves column names to tuple positions once, so
-per-row evaluation does no name lookups — important because predicates run
-inside the executor's innermost loops.
+comparisons, boolean connectives, arithmetic). Each node has exactly two
+spellings:
 
-Batch kernels
--------------
-``bind`` still pays one Python call per tree node per row. For the batch
-execution path each node can additionally render itself as a Python *source
-fragment* over a ``row`` variable (:meth:`Expression.source`), and
-:func:`compile_predicate_kernel` / :func:`compile_projection_kernel` splice
-those fragments into a single list-comprehension lambda — one bytecode
-object evaluating a whole batch with zero per-row Python calls. The
-fragments are generated from the same operator tables ``bind`` uses
-(``=`` → ``==``, ``/`` → true division, ``AND`` → short-circuit on
-truthiness, ``IN`` → frozenset membership, ``BETWEEN`` → one chained
-comparison evaluating the operand once), so a kernel is semantically
-identical to mapping the bound closure over the batch. Nodes that cannot
-render source (user-defined subclasses) make the compilers return None and
-callers keep the bound-closure path — compilation is an optimization, never
-a requirement.
+* :meth:`Expression.source` renders it as a Python source fragment over a
+  ``row`` variable, with column names already resolved to tuple positions
+  (``=`` → ``==``, ``/`` → true division, ``AND`` → short-circuit on
+  truthiness, ``IN`` → frozenset membership, ``BETWEEN`` → one chained
+  comparison evaluating the operand once). This is the only evaluator:
+  :meth:`Expression.bind` compiles ``lambda row: <source>`` for row-at-a-time
+  callers, and :func:`compile_predicate_kernel` /
+  :func:`compile_projection_kernel` splice the fragments into one
+  list-comprehension lambda that evaluates a whole batch with zero per-row
+  Python calls.
+* ``repr`` is the SQL text (``NULL``, ``'text'``), which EXPLAIN, the
+  analyzer and :func:`repro.sql.render.render_expression` print.
+
+Expression trees can arrive from served SQL text, so the operator checks in
+``__post_init__`` and ``_value_source``'s ``ctx`` route for values whose
+Python ``repr`` is not a literal are input validation for the ``eval``
+below, which also runs without builtins.
 """
 
 from __future__ import annotations
 
-import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -52,26 +49,7 @@ __all__ = [
     "lit",
 ]
 
-_COMPARISONS: dict[str, Callable] = {
-    "=": operator.eq,
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-_ARITHMETIC: dict[str, Callable] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-}
-
-#: SQL spelling -> Python source spelling; every entry maps to exactly the
-#: operator-module function ``bind`` uses for the same key.
+#: SQL spelling -> Python source spelling of the comparison operators.
 _COMPARISON_SOURCE: dict[str, str] = {
     "=": "==",
     "==": "==",
@@ -83,30 +61,30 @@ _COMPARISON_SOURCE: dict[str, str] = {
     ">=": ">=",
 }
 
+#: Arithmetic operators, spelled alike in SQL and Python.
+_ARITHMETIC_OPS = ("+", "-", "*", "/")
+
 
 class Expression(ABC):
     """Base class for scalar expressions."""
 
     @abstractmethod
-    def bind(self, schema: Schema) -> Callable[[tuple], object]:
-        """Compile to a ``row -> value`` closure against ``schema``."""
-
-    @abstractmethod
     def referenced_columns(self) -> frozenset[str]:
         """Names of all columns this expression reads."""
 
+    @abstractmethod
     def source(self, schema: Schema, ctx: dict[str, object]) -> str:
         """Render this node as a Python source fragment over ``row``.
 
         Values that cannot be spelled as literals are registered in ``ctx``
         (name -> value) and referenced by name; ``ctx`` becomes the globals
-        of the compiled kernel. Subclasses that cannot render themselves
-        leave this default, which signals the kernel compilers to fall back
-        to the bound-closure path.
+        of the compiled function.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support source compilation"
-        )
+
+    def bind(self, schema: Schema) -> Callable[[tuple], object]:
+        """Compile to a ``row -> value`` function against ``schema``."""
+        ctx: dict[str, object] = {}
+        return _compile(f"lambda row: {self.source(schema, ctx)}", ctx)
 
     # Operator sugar so predicates read naturally:
     # col("a") == lit(3), (col("a") > 1) & (col("b") < 2)
@@ -180,10 +158,6 @@ class Col(Expression):
 
     name: str
 
-    def bind(self, schema: Schema) -> Callable[[tuple], object]:
-        idx = schema.index_of(self.name)
-        return lambda row: row[idx]
-
     def source(self, schema: Schema, ctx: dict[str, object]) -> str:
         return f"row[{schema.index_of(self.name)}]"
 
@@ -200,10 +174,6 @@ class Const(Expression):
 
     value: object
 
-    def bind(self, schema: Schema) -> Callable[[tuple], object]:
-        value = self.value
-        return lambda row: value
-
     def source(self, schema: Schema, ctx: dict[str, object]) -> str:
         return _value_source(self.value, ctx)
 
@@ -211,6 +181,10 @@ class Const(Expression):
         return frozenset()
 
     def __repr__(self) -> str:
+        if self.value is None:
+            return "NULL"
+        if isinstance(self.value, str):
+            return f"'{self.value}'"
         return repr(self.value)
 
 
@@ -223,14 +197,8 @@ class Comparison(Expression):
     right: Expression
 
     def __post_init__(self):
-        if self.op not in _COMPARISONS:
+        if self.op not in _COMPARISON_SOURCE:
             raise ValueError(f"unknown comparison operator {self.op!r}")
-
-    def bind(self, schema: Schema) -> Callable[[tuple], object]:
-        fn = _COMPARISONS[self.op]
-        lhs = self.left.bind(schema)
-        rhs = self.right.bind(schema)
-        return lambda row: fn(lhs(row), rhs(row))
 
     def source(self, schema: Schema, ctx: dict[str, object]) -> str:
         lhs = self.left.source(schema, ctx)
@@ -253,14 +221,8 @@ class BinaryOp(Expression):
     right: Expression
 
     def __post_init__(self):
-        if self.op not in _ARITHMETIC:
+        if self.op not in _ARITHMETIC_OPS:
             raise ValueError(f"unknown arithmetic operator {self.op!r}")
-
-    def bind(self, schema: Schema) -> Callable[[tuple], object]:
-        fn = _ARITHMETIC[self.op]
-        lhs = self.left.bind(schema)
-        rhs = self.right.bind(schema)
-        return lambda row: fn(lhs(row), rhs(row))
 
     def source(self, schema: Schema, ctx: dict[str, object]) -> str:
         lhs = self.left.source(schema, ctx)
@@ -279,11 +241,6 @@ class And(Expression):
     left: Expression
     right: Expression
 
-    def bind(self, schema: Schema) -> Callable[[tuple], object]:
-        lhs = self.left.bind(schema)
-        rhs = self.right.bind(schema)
-        return lambda row: bool(lhs(row)) and bool(rhs(row))
-
     def source(self, schema: Schema, ctx: dict[str, object]) -> str:
         lhs = self.left.source(schema, ctx)
         rhs = self.right.source(schema, ctx)
@@ -301,11 +258,6 @@ class Or(Expression):
     left: Expression
     right: Expression
 
-    def bind(self, schema: Schema) -> Callable[[tuple], object]:
-        lhs = self.left.bind(schema)
-        rhs = self.right.bind(schema)
-        return lambda row: bool(lhs(row)) or bool(rhs(row))
-
     def source(self, schema: Schema, ctx: dict[str, object]) -> str:
         lhs = self.left.source(schema, ctx)
         rhs = self.right.source(schema, ctx)
@@ -321,10 +273,6 @@ class Or(Expression):
 @dataclass(frozen=True, eq=False)
 class Not(Expression):
     child: Expression
-
-    def bind(self, schema: Schema) -> Callable[[tuple], object]:
-        inner = self.child.bind(schema)
-        return lambda row: not inner(row)
 
     def source(self, schema: Schema, ctx: dict[str, object]) -> str:
         return f"(not {self.child.source(schema, ctx)})"
@@ -343,11 +291,6 @@ class InList(Expression):
     child: Expression
     values: tuple
 
-    def bind(self, schema: Schema) -> Callable[[tuple], object]:
-        inner = self.child.bind(schema)
-        members = frozenset(self.values)
-        return lambda row: inner(row) in members
-
     def source(self, schema: Schema, ctx: dict[str, object]) -> str:
         name = f"_c{len(ctx)}"
         ctx[name] = frozenset(self.values)
@@ -357,7 +300,7 @@ class InList(Expression):
         return self.child.referenced_columns()
 
     def __repr__(self) -> str:
-        rendered = ", ".join(repr(v) for v in self.values)
+        rendered = ", ".join(repr(Const(v)) for v in self.values)
         return f"({self.child!r} IN ({rendered}))"
 
 
@@ -369,15 +312,8 @@ class Between(Expression):
     low: Expression
     high: Expression
 
-    def bind(self, schema: Schema) -> Callable[[tuple], object]:
-        inner = self.child.bind(schema)
-        low = self.low.bind(schema)
-        high = self.high.bind(schema)
-        return lambda row: low(row) <= inner(row) <= high(row)
-
     def source(self, schema: Schema, ctx: dict[str, object]) -> str:
-        # A chained comparison evaluates the middle operand exactly once,
-        # matching the single inner(row) call in bind().
+        # A chained comparison evaluates the middle operand exactly once.
         inner = self.child.source(schema, ctx)
         low = self.low.source(schema, ctx)
         high = self.high.source(schema, ctx)
@@ -401,12 +337,6 @@ class IsNull(Expression):
     child: Expression
     negated: bool = False
 
-    def bind(self, schema: Schema) -> Callable[[tuple], object]:
-        inner = self.child.bind(schema)
-        if self.negated:
-            return lambda row: inner(row) is not None
-        return lambda row: inner(row) is None
-
     def source(self, schema: Schema, ctx: dict[str, object]) -> str:
         middle = "is not" if self.negated else "is"
         return f"({self.child.source(schema, ctx)} {middle} None)"
@@ -419,48 +349,33 @@ class IsNull(Expression):
         return f"({self.child!r} {middle})"
 
 
+def _compile(text: str, ctx: dict[str, object]) -> Callable:
+    """Evaluate generated lambda ``text`` with ``ctx`` as its globals."""
+    namespace = {"__builtins__": {}, "bool": bool, **ctx}
+    return eval(text, namespace)  # noqa: S307 - source is generated, not user input
+
+
 def compile_predicate_kernel(
     predicate: Expression, schema: Schema
-) -> Callable[[list[tuple]], list[tuple]] | None:
-    """Compile a predicate into a ``batch -> surviving rows`` kernel.
-
-    The kernel is one list comprehension over the rendered source fragment,
-    so a whole batch is filtered with zero per-row Python calls. Returns
-    None when the tree contains a node without source support; callers then
-    fall back to filtering with the bound closure, which is always
-    semantically identical.
-    """
+) -> Callable[[list[tuple]], list[tuple]]:
+    """Compile a predicate into a ``batch -> surviving rows`` kernel: one
+    list comprehension over the rendered source fragment, so a whole batch
+    is filtered with zero per-row Python calls."""
     ctx: dict[str, object] = {}
-    try:
-        src = predicate.source(schema, ctx)
-    except NotImplementedError:
-        return None
-    namespace = {"__builtins__": {}, "bool": bool, **ctx}
-    return eval(  # noqa: S307 - source is generated, not user input
-        f"lambda batch: [row for row in batch if {src}]", namespace
-    )
+    src = predicate.source(schema, ctx)
+    return _compile(f"lambda batch: [row for row in batch if {src}]", ctx)
 
 
 def compile_projection_kernel(
     expressions: Sequence[Expression], schema: Schema
-) -> Callable[[list[tuple]], list[tuple]] | None:
+) -> Callable[[list[tuple]], list[tuple]]:
     """Compile projection expressions into a ``batch -> projected rows``
-    kernel building one output tuple per row in a single comprehension.
-
-    Returns None (caller falls back to bound closures) if any expression
-    lacks source support.
-    """
+    kernel building one output tuple per row in a single comprehension."""
     ctx: dict[str, object] = {}
-    try:
-        parts = [expr.source(schema, ctx) for expr in expressions]
-    except NotImplementedError:
-        return None
+    parts = [expr.source(schema, ctx) for expr in expressions]
     # A parenthesized one-element "tuple display" needs the trailing comma.
     tuple_src = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
-    namespace = {"__builtins__": {}, "bool": bool, **ctx}
-    return eval(  # noqa: S307 - source is generated, not user input
-        f"lambda batch: [{tuple_src} for row in batch]", namespace
-    )
+    return _compile(f"lambda batch: [{tuple_src} for row in batch]", ctx)
 
 
 def col(name: str) -> Col:

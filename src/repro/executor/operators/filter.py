@@ -3,7 +3,8 @@
 Selections have no preprocessing phase, so (Section 4.3) no estimation can
 be pushed below them; the progress framework handles them with the
 driver-node estimator, which "has zero error in expectation" on randomly
-ordered input. The operator itself just evaluates a bound predicate.
+ordered input. The operator itself just runs its predicate's compiled
+batch kernel.
 It tracks ``rows_consumed[0]`` so estimators can compute its selectivity
 online.
 """
@@ -27,26 +28,20 @@ class Filter(Operator):
     op_name = "filter"
     driver_child_index = 0
 
-    __slots__ = ("child", "predicate", "_bound", "_batch_kernel")
+    __slots__ = ("child", "predicate", "_batch_kernel")
 
     def __init__(self, child: Operator, predicate: Expression):
         super().__init__(1)
         self.child = child
         self.predicate = predicate
-        self._bound: Callable[[tuple], object] | None = None
         self._batch_kernel: Callable[[list[tuple]], list[tuple]] | None = None
-        # Bound once per plan, shared by every fresh() copy. An unresolvable
+        # Compiled once per plan, shared by every fresh() copy. An unresolvable
         # predicate is the analyzer's to report (T001); open() raises it.
         with suppress(SchemaError):
             self._bind()
 
     def _bind(self) -> None:
-        schema = self.child.output_schema
-        self._bound = self.predicate.bind(schema)
-        # Compiled batch kernel: one list comprehension filtering the whole
-        # batch, semantically identical to mapping the bound closure; None
-        # (expression without source support) keeps the closure fallback.
-        self._batch_kernel = compile_predicate_kernel(self.predicate, schema)
+        self._batch_kernel = compile_predicate_kernel(self.predicate, self.child.output_schema)
 
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
@@ -59,24 +54,20 @@ class Filter(Operator):
         return f"filter({self.predicate!r})"
 
     def _open(self) -> None:
-        if self._bound is None:
+        if self._batch_kernel is None:
             self._bind()
         self._set_phase("filter")
 
     def _next_batch(self, max_rows: int) -> list[tuple]:
-        assert self._bound is not None
-        bound = self._bound
         kernel = self._batch_kernel
+        assert kernel is not None
         child = self.child
         while True:
             batch = child.next_batch(max_rows)
             if not batch:
                 return []
             self.rows_consumed[0] += len(batch)
-            if kernel is not None:
-                survivors = kernel(batch)
-            else:
-                survivors = [row for row in batch if bound(row)]
+            survivors = kernel(batch)
             if survivors:
                 return survivors
 

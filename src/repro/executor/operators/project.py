@@ -24,7 +24,7 @@ class Project(Operator):
     op_name = "project"
     driver_child_index = 0
 
-    __slots__ = ("child", "columns", "_schema", "_bound", "_batch_kernel")
+    __slots__ = ("child", "columns", "_schema", "_batch_kernel")
 
     def __init__(self, child: Operator, columns: Sequence[str | tuple[str, Expression]]):
         super().__init__()
@@ -33,20 +33,18 @@ class Project(Operator):
         self.child = child
         self.columns = list(columns)
         self._schema = self._derive_schema()
-        self._bound: tuple[Callable[[tuple], object], ...] | None = None
         self._batch_kernel: Callable[[list[tuple]], list[tuple]] | None = None
-        # Bound once per plan, shared by every fresh() copy; an unresolvable
+        # Compiled once per plan, shared by every fresh() copy; an unresolvable
         # computed column is the analyzer's to report, open() raises it.
         with suppress(SchemaError):
             self._bind()
 
+    def expressions(self) -> list[Expression]:
+        """One expression per output column (a plain name becomes a Col)."""
+        return [Col(spec) if isinstance(spec, str) else spec[1] for spec in self.columns]
+
     def _bind(self) -> None:
-        in_schema = self.child.output_schema
-        exprs = [Col(spec) if isinstance(spec, str) else spec[1] for spec in self.columns]
-        self._bound = tuple(expr.bind(in_schema) for expr in exprs)
-        # Compiled batch kernel building one output tuple per row in a
-        # single comprehension; None keeps the bound-closure fallback.
-        self._batch_kernel = compile_projection_kernel(exprs, in_schema)
+        self._batch_kernel = compile_projection_kernel(self.expressions(), self.child.output_schema)
 
     def _derive_schema(self) -> Schema:
         in_schema = self.child.output_schema
@@ -71,15 +69,11 @@ class Project(Operator):
         return f"project({', '.join(names)})"
 
     def _open(self) -> None:
-        if self._bound is None:
+        if self._batch_kernel is None:
             self._bind()
         self._set_phase("project")
 
     def _next_batch(self, max_rows: int) -> list[tuple]:
-        assert self._bound is not None
         kernel = self._batch_kernel
-        batch = self.child.next_batch(max_rows)
-        if kernel is not None:
-            return kernel(batch)
-        bound = self._bound
-        return [tuple(fn(row) for fn in bound) for row in batch]
+        assert kernel is not None
+        return kernel(self.child.next_batch(max_rows))

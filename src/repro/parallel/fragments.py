@@ -41,7 +41,7 @@ from repro.executor.operators.aggregate import (
     SortAggregate,
     _AggregateBase,
 )
-from repro.executor.expressions import Col
+from repro.executor.expressions import compile_projection_kernel
 from repro.executor.operators.base import Operator
 from repro.executor.operators.distinct import Distinct
 from repro.executor.operators.filter import Filter
@@ -100,23 +100,18 @@ class ProjectStep:
     """Row-wise projection applied to merged rows (a serial ``Project``
     peeled from above the merge root — e.g. above a final aggregate)."""
 
-    __slots__ = ("_bound",)
+    __slots__ = ("_kernel",)
 
-    def __init__(self, bound):
-        self._bound = bound
+    def __init__(self, kernel):
+        self._kernel = kernel
 
     @classmethod
     def from_operator(cls, project: Project) -> "ProjectStep":
         in_schema = project.child.output_schema
-        exprs = [
-            Col(spec) if isinstance(spec, str) else spec[1]
-            for spec in project.columns
-        ]
-        return cls([expr.bind(in_schema) for expr in exprs])
+        return cls(compile_projection_kernel(project.expressions(), in_schema))
 
     def apply(self, rows: list[tuple]) -> list[tuple]:
-        bound = self._bound
-        return [tuple(fn(row) for fn in bound) for row in rows]
+        return self._kernel(rows)
 
 
 @dataclass(frozen=True, slots=True)

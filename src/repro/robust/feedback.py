@@ -21,7 +21,7 @@ This module does no file I/O (lint rule R008): persistence belongs to
 
 from __future__ import annotations
 
-from repro.robust.history import RunRecord, fingerprint_plan
+from repro.robust.history import RunRecord
 from repro.robust.store import HistoryStore
 from repro.storage.statistics import ObservedCardinalities
 
@@ -123,8 +123,3 @@ def observed_view(store: HistoryStore, **kwargs) -> ObservedCardinalities:
     for record in store.records():
         observed.absorb(record.node_cards, record.table_rows, record.seq)
     return observed
-
-
-def plan_fingerprint_digest(root) -> str:
-    """Convenience: just the digest of a plan (CLI, tests)."""
-    return fingerprint_plan(root).digest

@@ -24,10 +24,6 @@ class TableRef:
     name: str
     alias: str | None = None
 
-    @property
-    def effective_name(self) -> str:
-        return self.alias or self.name
-
 
 @dataclass(frozen=True)
 class JoinClause:

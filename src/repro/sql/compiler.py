@@ -6,7 +6,9 @@ The compiler applies the textbook physical choices this library studies:
   table is the build side, the accumulated pipeline the probe side — which
   is exactly the plan shape Algorithm 1 estimates in one pass;
 * WHERE conjuncts touching a single relation are pushed below the joins
-  onto that relation's scan; the remainder is applied above the last join;
+  onto that relation's scan; the remainder is applied above the last join,
+  as is any conjunct reading the NULL-padded side of a LEFT OUTER JOIN
+  (see :func:`_outer_guarded`);
 * GROUP BY / aggregates become a hash aggregation, ORDER BY a sort,
   LIMIT a limit;
 * scans optionally read a block-level random sample first, enabling the
@@ -18,11 +20,11 @@ executes it, so a SQL string with a live progress indicator is one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.common.errors import PlanError, SchemaError
 from repro.executor.engine import ExecutionEngine, TickBus
-from repro.executor.expressions import And, Col, Expression
+from repro.executor.expressions import And, Col, Expression, IsNull, Not, Or
 from repro.executor.operators import (
     AggregateSpec,
     Distinct,
@@ -104,6 +106,36 @@ def _owner_of(conjunct: Expression, schemas: dict[str, object]) -> str | None:
     return None
 
 
+def _edges(expr: Expression, parent: Expression | None = None):
+    """Yield ``(parent, node)`` for every node of ``expr`` (root: None)."""
+    yield parent, expr
+    for child in (getattr(expr, f.name) for f in fields(expr)):
+        if isinstance(child, Expression):
+            yield from _edges(child, expr)
+
+
+def _outer_guarded(conjunct: Expression, nullable: set[str]) -> Expression:
+    """``conjunct``, which reads the columns ``nullable`` of an outer-joined
+    relation, made to give SQL's answer on NULL-padded rows above the join.
+
+    (a) Every such column is the direct child of an ``IS [NOT] NULL``: the
+    conjunct already tests NULL as SQL does. (b) No OR, NOT or IS NULL: a
+    NULL operand can never make it true, so ``col IS NOT NULL AND …`` for
+    each column is SQL's answer. Anything else needs three-valued logic.
+    """
+    edges = list(_edges(conjunct))
+    if all(isinstance(p, IsNull) for p, n in edges if isinstance(n, Col) and n.name in nullable):
+        return conjunct
+    if any(isinstance(node, (Or, Not, IsNull)) for _parent, node in edges):
+        raise PlanError(
+            f"WHERE conjunct {conjunct!r} reads an outer-joined relation "
+            "under OR, NOT or IS NULL; three-valued logic is not supported"
+        )
+    for name in sorted(nullable, reverse=True):
+        conjunct = And(IsNull(Col(name), negated=True), conjunct)
+    return conjunct
+
+
 def compile_select(
     catalog: Catalog,
     statement: SelectStatement | str,
@@ -149,11 +181,18 @@ def compile_select(
             f"duplicate relation names in FROM/JOIN: {names}; use aliases"
         )
     schemas = {t.name: t.schema for t in relations}
+    # The build side of a LEFT OUTER JOIN is NULL-padded above the join.
+    padded = [t.schema for j, t in zip(statement.joins, relations[1:]) if j.kind == "outer"]
 
     # Partition WHERE into per-relation pushdowns and residual conjuncts.
     pushed: dict[str, list[Expression]] = {name: [] for name in names}
     residual: list[Expression] = []
     for conjunct in _split_conjuncts(statement.where):
+        columns = conjunct.referenced_columns()
+        nullable = {c for c in columns if any(s.has_column(c) for s in padded)}
+        if nullable:
+            residual.append(_outer_guarded(conjunct, nullable))
+            continue
         owner = _owner_of(conjunct, schemas)
         if owner is not None:
             pushed[owner].append(conjunct)

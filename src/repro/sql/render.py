@@ -7,19 +7,7 @@ EXPLAIN-style tooling and the parser round-trip property tests.
 
 from __future__ import annotations
 
-from repro.executor.expressions import (
-    And,
-    Between,
-    BinaryOp,
-    Col,
-    Comparison,
-    Const,
-    Expression,
-    InList,
-    IsNull,
-    Not,
-    Or,
-)
+from repro.executor.expressions import Expression
 from repro.sql.ast import (
     AggregateItem,
     ColumnItem,
@@ -32,44 +20,10 @@ __all__ = ["render_expression", "render_select"]
 
 
 def render_expression(expr: Expression) -> str:
-    """SQL text for a WHERE/HAVING expression tree."""
-    if isinstance(expr, Col):
-        return expr.name
-    if isinstance(expr, Const):
-        value = expr.value
-        if value is None:
-            return "NULL"
-        if isinstance(value, str):
-            return f"'{value}'"
-        return repr(value)
-    if isinstance(expr, Comparison):
-        return (
-            f"({render_expression(expr.left)} {expr.op} "
-            f"{render_expression(expr.right)})"
-        )
-    if isinstance(expr, And):
-        return f"({render_expression(expr.left)} AND {render_expression(expr.right)})"
-    if isinstance(expr, Or):
-        return f"({render_expression(expr.left)} OR {render_expression(expr.right)})"
-    if isinstance(expr, Not):
-        return f"(NOT {render_expression(expr.child)})"
-    if isinstance(expr, InList):
-        rendered = ", ".join(render_expression(Const(v)) for v in expr.values)
-        return f"({render_expression(expr.child)} IN ({rendered}))"
-    if isinstance(expr, Between):
-        return (
-            f"({render_expression(expr.child)} BETWEEN "
-            f"{render_expression(expr.low)} AND {render_expression(expr.high)})"
-        )
-    if isinstance(expr, IsNull):
-        middle = "IS NOT NULL" if expr.negated else "IS NULL"
-        return f"({render_expression(expr.child)} {middle})"
-    if isinstance(expr, BinaryOp):
-        return (
-            f"({render_expression(expr.left)} {expr.op} "
-            f"{render_expression(expr.right)})"
-        )
-    raise TypeError(f"cannot render expression node {type(expr).__name__}")
+    """SQL text for a WHERE/HAVING expression tree: its ``repr``."""
+    if not isinstance(expr, Expression):
+        raise TypeError(f"cannot render expression node {type(expr).__name__}")
+    return repr(expr)
 
 
 def _render_item(item) -> str:

@@ -25,10 +25,6 @@ class ColumnType(enum.Enum):
     STR = "str"
 
     @property
-    def python_type(self) -> type:
-        return {ColumnType.INT: int, ColumnType.FLOAT: float, ColumnType.STR: str}[self]
-
-    @property
     def width_bytes(self) -> int:
         """Nominal on-disk width, used by the byte model of progress."""
         return {ColumnType.INT: 4, ColumnType.FLOAT: 8, ColumnType.STR: 16}[self]

@@ -1,9 +1,26 @@
 """Tests for the expression language."""
 
+from decimal import Decimal
+
 import pytest
 
-from repro.executor.expressions import And, BinaryOp, Comparison, Const, Not, Or, col, lit
+from repro.executor.engine import ExecutionEngine
+from repro.executor.expressions import (
+    And,
+    Between,
+    BinaryOp,
+    Comparison,
+    Const,
+    InList,
+    IsNull,
+    Not,
+    Or,
+    col,
+    lit,
+)
+from repro.executor.operators import Filter, Project, SeqScan
 from repro.storage.schema import Schema
+from repro.storage.table import Table
 
 SCHEMA = Schema.of("a:int", "b:int", "name:str", qualifier="t")
 ROW = (3, 7, "x")
@@ -38,6 +55,26 @@ class TestComparisons:
         expr = col("a") == lit(3)
         assert isinstance(expr, Comparison)
         assert evaluate(expr) is True
+
+    def test_null_operand(self):
+        assert evaluate(Comparison("=", col("name"), lit(None))) is False
+        assert evaluate(Comparison("!=", col("name"), lit(None))) is True
+
+    @pytest.mark.parametrize(
+        "expr,expected",
+        [
+            (InList(col("a"), (1, 3, 5)), True),
+            (InList(col("name"), ("y", None)), False),
+            (Between(col("a"), lit(3), col("b")), True),
+            (Between(col("b"), lit(0), col("a")), False),
+            (IsNull(col("a")), False),
+            (IsNull(col("a"), negated=True), True),
+            (IsNull(lit(None)), True),
+        ],
+        ids=repr,
+    )
+    def test_membership_range_and_null_tests(self, expr, expected):
+        assert evaluate(expr) is expected
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValueError):
@@ -87,3 +124,46 @@ class TestBinding:
     def test_repr_is_readable(self):
         expr = (col("a") > 1) & (col("name") == lit("x"))
         assert repr(expr) == "((a > 1) AND (name = 'x'))"
+
+    def test_repr_spells_null_as_sql(self):
+        assert repr(lit(None)) == "NULL"
+        assert repr(InList(col("a"), ("x", None))) == "(a IN ('x', NULL))"
+
+
+#: Constants whose Python ``repr`` is not a literal: compiled code reaches
+#: them through the kernel's globals.
+UNSPELLABLE = [float("inf"), float("-inf"), float("nan"), Decimal("2.5")]
+
+
+class TestUnspellableConstants:
+    ROWS = [(3, 7, "x"), (-1, 0, "y"), (2, 2, "z")]
+
+    def run(self, make_op):
+        return ExecutionEngine(make_op(SeqScan(Table("t", SCHEMA, self.ROWS)))).run().rows
+
+    @staticmethod
+    def spelled(values):
+        # nan != nan, so compare spellings.
+        return list(map(repr, values))
+
+    @pytest.mark.parametrize("value", UNSPELLABLE, ids=repr)
+    def test_constant_goes_through_ctx(self, value):
+        ctx: dict[str, object] = {}
+        name = lit(value).source(SCHEMA, ctx)
+        assert list(ctx) == [name]
+        assert ctx[name] is value
+
+    @pytest.mark.parametrize("value", UNSPELLABLE, ids=repr)
+    def test_bind_filter_project_agree_with_python(self, value):
+        pred = col("a") < lit(value)
+        expr = col("a") * lit(value)
+        kept = [row for row in self.ROWS if row[0] < value]
+        products = [row[0] * value for row in self.ROWS]
+
+        assert [pred.bind(SCHEMA)(row) for row in self.ROWS] == [
+            row[0] < value for row in self.ROWS
+        ]
+        assert self.spelled(map(expr.bind(SCHEMA), self.ROWS)) == self.spelled(products)
+        assert self.run(lambda scan: Filter(scan, pred)) == kept
+        projected = self.run(lambda scan: Project(scan, [("v", expr)]))
+        assert self.spelled(projected) == self.spelled((p,) for p in products)

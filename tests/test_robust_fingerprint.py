@@ -14,7 +14,17 @@ from __future__ import annotations
 import pytest
 
 from repro.datagen.skew import customer_variant
-from repro.executor.expressions import col, lit
+from repro.executor.expressions import (
+    Between,
+    BinaryOp,
+    Comparison,
+    InList,
+    IsNull,
+    Not,
+    Or,
+    col,
+    lit,
+)
 from repro.executor.operators import Filter, HashJoin, Project, SeqScan
 from repro.executor.plan import validate_plan, walk
 from repro.robust import canonical_expression, fingerprint_plan
@@ -212,3 +222,44 @@ class TestSensitivity:
             num_partitions=8, memory_partitions=2,
         )
         assert fingerprint_plan(a).digest == fingerprint_plan(b).digest
+
+
+class TestPinnedText:
+    """Literal fingerprint text, so history stores written by earlier
+    versions keep matching whatever renders the expressions."""
+
+    def test_canonical_expression_of_every_node_kind(self):
+        pred = (
+            Or(
+                Comparison("=", lit(5), col("c.nationkey")),
+                Not(IsNull(col("c.name"))),
+            )
+            & InList(col("c.name"), ("x", None, "b"))
+            & Between(BinaryOp("*", lit(2.5), col("c.custkey")), lit(1), lit(10.0))
+            & IsNull(col("d.name"), negated=True)
+            & Comparison("!=", col("c.name"), lit(None))
+        )
+        assert canonical_expression(pred) == (
+            "(((2.5 * custkey) BETWEEN 1 AND 10.0)"
+            " AND ((5 = nationkey) OR (NOT (name IS NULL)))"
+            " AND (NULL != name)"
+            " AND (name IN ('b', 'x', NULL))"
+            " AND (name IS NOT NULL))"
+        )
+
+    def test_digest_of_a_compiled_join_query(self, db):
+        fp = fingerprint_plan(
+            compile_select(
+                db,
+                "SELECT c.nationkey, COUNT(*) AS n FROM customer c JOIN cust2 d"
+                " ON c.nationkey = d.nationkey"
+                " WHERE c.custkey > 10 AND d.name != 'x' GROUP BY c.nationkey",
+            ).plan
+        )
+        assert fp.signature == (
+            "(project [n nationkey] (hashaggregate [nationkey] [count(*)]"
+            " (hashjoin inner [nationkey] [nationkey]"
+            " (filter ('x' != name) (seqscan cust2))"
+            " (filter (custkey > 10) (seqscan customer)))))"
+        )
+        assert fp.digest == "d53dd916f587292c"

@@ -207,6 +207,64 @@ class TestExecution:
         assert result.columns == ["nation_name"]
 
 
+class TestOuterJoinWhere:
+    """WHERE conjuncts on the NULL-padded side of a LEFT OUTER JOIN run
+    above the join with SQL's answer; expected rows are filtered from the
+    unfiltered join's rows by hand (None is SQL NULL)."""
+
+    FROM = (
+        "SELECT c.custkey, c.acctbal, o.orderkey, o.totalprice "
+        "FROM customer c LEFT OUTER JOIN orders o ON c.custkey = o.custkey"
+    )
+
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        from repro.datagen import generate_tpch
+
+        # Skewed order keys leave some customers without an order.
+        return generate_tpch(sf=0.001, skew_z=1.0, seed=1)
+
+    @pytest.fixture(scope="class")
+    def joined(self, skewed):
+        rows = run_query(skewed, self.FROM).rows
+        assert any(row[2] is None for row in rows)
+        return rows
+
+    @pytest.mark.parametrize(
+        "where,keep",
+        [
+            ("o.orderkey IS NULL", lambda c, bal, o, price: o is None),
+            ("o.orderkey IS NOT NULL", lambda c, bal, o, price: o is not None),
+            ("o.totalprice > 10", lambda c, bal, o, price: price is not None and price > 10),
+            ("o.orderkey != 5", lambda c, bal, o, price: o is not None and o != 5),
+            (
+                "o.totalprice > c.acctbal",
+                lambda c, bal, o, price: price is not None and price > bal,
+            ),
+            (
+                "c.custkey < 40 AND o.orderkey BETWEEN 1 AND 700",
+                lambda c, bal, o, price: c < 40 and o is not None and 1 <= o <= 700,
+            ),
+        ],
+    )
+    def test_matches_sql_semantics(self, skewed, joined, where, keep):
+        result = run_query(skewed, f"{self.FROM} WHERE {where}")
+        assert sorted(result.rows) == sorted(row for row in joined if keep(*row))
+
+    def test_padded_side_conjunct_is_not_pushed(self, skewed):
+        plan = compile_select(skewed, f"{self.FROM} WHERE o.totalprice > 10").plan
+        join = next(op for op in walk(plan) if isinstance(op, HashJoin))
+        assert not any(isinstance(op, Filter) for op in walk(join))
+
+    @pytest.mark.parametrize(
+        "where",
+        ["o.orderkey IS NULL OR o.totalprice > 10", "NOT (o.totalprice > 10)"],
+    )
+    def test_three_valued_shapes_rejected(self, skewed, where):
+        with pytest.raises(PlanError, match="outer-joined"):
+            compile_select(skewed, f"{self.FROM} WHERE {where}")
+
+
 class TestProgressIntegration:
     @pytest.mark.parametrize("mode", ["once", "dne"])
     def test_monitored_execution(self, db, mode):
