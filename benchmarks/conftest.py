@@ -51,16 +51,19 @@ class Reporter:
         self.lines.append(text)
 
     def table(self, headers: list[str], rows: list[list[object]], widths=None) -> None:
-        widths = widths or [max(len(h) + 2, 10) for h in headers]
+        cells = [
+            [f"{v:.3f}" if isinstance(v, float) else str(v) for v in row] for row in rows
+        ]
+        # A column is at least one space wider than its longest cell, so
+        # adjacent cells never run together.
+        widths = widths or [
+            max(len(h) + 2, 10, *(len(row[i]) + 1 for row in cells if i < len(row)))
+            for i, h in enumerate(headers)
+        ]
         self.line("".join(h.rjust(w) for h, w in zip(headers, widths)))
         self.line("-" * sum(widths))
-        for row in rows:
-            self.line(
-                "".join(
-                    (f"{v:.3f}" if isinstance(v, float) else str(v)).rjust(w)
-                    for v, w in zip(row, widths)
-                )
-            )
+        for row in cells:
+            self.line("".join(c.rjust(w) for c, w in zip(row, widths)))
 
     def flush(self) -> None:
         RESULTS_DIR.mkdir(exist_ok=True)

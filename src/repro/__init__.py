@@ -69,7 +69,7 @@ from repro.executor.operators import (
     SortAggregate,
     SortMergeJoin,
 )
-from repro.optimizer import CardinalityModel, JoinSpec, Planner, annotate_plan
+from repro.optimizer import CardinalityModel, annotate_plan
 from repro.sql import compile_select, run_query
 from repro.storage import Catalog, Column, ColumnType, Schema, Table
 
@@ -98,13 +98,11 @@ __all__ = [
     "IndexNestedLoopsJoin",
     "IndexScan",
     "InjectedFault",
-    "JoinSpec",
     "Limit",
     "MLEEstimator",
     "Materialize",
     "NestedLoopsJoin",
     "OnceJoinEstimator",
-    "Planner",
     "ProgressMonitor",
     "ProgressSnapshot",
     "Project",

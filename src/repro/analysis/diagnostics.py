@@ -66,7 +66,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     "C001": (Severity.INFO, "pipeline join classified: same-attribute push-down"),
     "C002": (Severity.INFO, "pipeline join classified: Case 1 (other base-stream attribute)"),
     "C003": (Severity.INFO, "pipeline join classified: Case 2 (derived histogram required)"),
-    "C101": (Severity.WARNING, "pipeline join falls back to the dne estimator"),
+    "C101": (Severity.WARNING, "chain falls back to one binary ONCE estimator per join"),
     "C102": (
         Severity.WARNING,
         "chain base stream is order-clustered; ONCE confidence bounds assume random order",

@@ -19,16 +19,20 @@ the shared :class:`~repro.analysis.diagnostics.DiagnosticReport`:
   child edge must be classified so pipeline decomposition can attribute
   work.
 * **Estimator applicability** (C001–C102): each maximal hash-join chain is
-  classified the way Algorithm 1 will see it — same-attribute push-down,
-  Case 1 (another base-stream attribute) or Case 2 (derived histogram) —
-  and chains the push-down framework cannot handle are flagged as falling
-  back to the dne estimator *before* the query runs.
+  classified by the estimator's own
+  :func:`~repro.core.pipeline_estimators.chain_provenance` — same-attribute
+  push-down, Case 1 (another base-stream attribute) or Case 2 (derived
+  histogram) — and chains the push-down framework cannot handle are
+  flagged as falling back to one binary ONCE estimator per join *before*
+  the query runs.
 """
 
 from __future__ import annotations
 
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis.typecheck import ExprType, TypeChecker, column_expr_type
+from repro.common.errors import EstimationError
+from repro.core.pipeline_estimators import chain_provenance, find_hash_join_chains
 from repro.executor.operators.aggregate import _AggregateBase
 from repro.executor.operators.base import Operator, OperatorState
 from repro.executor.operators.hash_join import HashJoin
@@ -280,51 +284,38 @@ def _chain_base_is_clustered(chain: list[HashJoin]) -> Operator | None:
 
 
 def _classify_chain(chain: list[HashJoin], report: DiagnosticReport) -> None:
-    base_schema = chain[0].probe_child.output_schema
-    if any(len(j.probe_keys) != 1 or len(j.build_keys) != 1 for j in chain):
+    try:
+        provenance = chain_provenance(chain)
+    except EstimationError as exc:
         if len(chain) > 1:
             report.add(
                 "C101",
-                "chain contains multi-column join keys; push-down estimation "
-                "is single-key, upper joins use dne",
+                f"{exc}; each join of this chain gets its own binary ONCE estimator",
                 location=_location(chain[-1]),
             )
         return
-    kind, base_key_idx = base_schema.resolve(chain[0].probe_keys[0])
-    if kind != "ok":
-        return  # J001 already reported on the bottom join
-    for i in range(1, len(chain)):
-        join = chain[i]
-        prov = _probe_provenance(chain, i)
-        if prov is None:
-            report.add(
-                "C101",
-                f"probe key {join.probe_keys[0]!r} has unresolvable provenance; "
-                "this join falls back to dne",
-                location=_location(join),
-            )
-            continue
-        origin, value = prov
-        if origin == "B":
+    base_key = provenance[0].index
+    for join, prov in zip(chain[1:], provenance[1:]):
+        key = join.probe_keys[0]
+        if prov.kind == "B":
             report.add(
                 "C003",
-                f"probe key {join.probe_keys[0]!r} traces to the build input of "
-                f"chain level {value}; estimated via a derived histogram "
-                "(Section 4.1.4.2)",
+                f"probe key {key!r} traces to the build input of chain level "
+                f"{prov.level}; estimated via a derived histogram (Section 4.1.4.2)",
                 location=_location(join),
             )
-        elif value == base_key_idx:
+        elif prov.index == base_key:
             report.add(
                 "C001",
-                f"probe key {join.probe_keys[0]!r} is the chain's shared base "
-                "attribute; exact push-down applies",
+                f"probe key {key!r} is the chain's shared base attribute; "
+                "exact push-down applies",
                 location=_location(join),
             )
         else:
             report.add(
                 "C002",
-                f"probe key {join.probe_keys[0]!r} traces to a different "
-                "base-stream attribute; Case-1 push-down applies",
+                f"probe key {key!r} traces to a different base-stream attribute; "
+                "Case-1 push-down applies",
                 location=_location(join),
             )
     clustered = _chain_base_is_clustered(chain)
@@ -337,50 +328,7 @@ def _classify_chain(chain: list[HashJoin], report: DiagnosticReport) -> None:
         )
 
 
-def _probe_provenance(chain: list[HashJoin], i: int) -> tuple[str, int] | None:
-    """Where ``chain[i]``'s probe key column *semantically* comes from.
-
-    Mirrors the positional resolution performed by
-    :class:`~repro.core.pipeline_estimators.HashJoinChainEstimator` — peel
-    build segments off ``out(J_m) = build_m ++ out(J_{m-1})`` — with one
-    refinement: a reference to a lower build relation's own *join key*
-    column is rewritten, by equijoin transitivity, to that join's probe key
-    and traced onward. That is what makes the paper's "same attribute"
-    chains (upper join keyed on the lower build's key) classify as
-    same-attribute rather than Case 2.
-
-    Returns ``("C", column_index)`` for a base-stream column or
-    ``("B", level)`` for a genuine lower-build column (Case 2).
-    """
-    join = chain[i]
-    probe_schema = join.probe_child.output_schema
-    kind, offset = probe_schema.resolve(join.probe_keys[0])
-    if kind != "ok" or offset is None:
-        return None
-    m = i - 1
-    while m >= 0:
-        build_schema = chain[m].build_child.output_schema
-        build_len = len(build_schema)
-        if offset < build_len:
-            key_kind, key_idx = build_schema.resolve(chain[m].build_keys[0])
-            if key_kind == "ok" and key_idx == offset:
-                # Equal to chain[m]'s probe key after the equijoin; restart
-                # the trace from that key's position.
-                lower_probe = chain[m].probe_child.output_schema
-                kind, offset = lower_probe.resolve(chain[m].probe_keys[0])
-                if kind != "ok" or offset is None:
-                    return None
-                m -= 1
-                continue
-            return ("B", m)
-        offset -= build_len
-        m -= 1
-    return ("C", offset)
-
-
 def _classify_chains(root: Operator, report: DiagnosticReport) -> None:
-    from repro.core.pipeline_estimators import find_hash_join_chains
-
     for chain in find_hash_join_chains(root):
         _classify_chain(chain, report)
 

@@ -9,7 +9,12 @@ in the chain down to that single probe pass:
 
 * **Same attribute / Case 1** — Ji's probe key traces to a column of C
   itself: each C tuple r contributes ``Π_m H_m[r.c_m]`` output tuples at
-  level i, where ``H_m`` are the exact build histograms.
+  level i, where ``H_m`` are the exact build histograms. A probe key that
+  is a lower join's own *build key* traces, by equijoin transitivity, to
+  that join's probe key: in the paper's Figure 5 chain the upper join is
+  keyed on ``c1.nationkey``, which equals C's ``c2.nationkey`` in every
+  row of the lower join's output, so both levels read C's key
+  (``N^A·N^B`` per probe tuple) and no derived histogram is built.
 * **Case 2** — Ji's probe key traces to a column ``a`` of a *lower* build
   relation B_m: no column of C can probe ``H_i`` directly. Instead, during
   B_m's build pass (which runs *after* H_i is complete), a derived
@@ -58,7 +63,7 @@ from repro.executor.operators.base import Operator
 from repro.executor.operators.hash_join import HashJoin
 from repro.executor.plan import walk
 
-__all__ = ["HashJoinChainEstimator", "find_hash_join_chains"]
+__all__ = ["HashJoinChainEstimator", "chain_provenance", "find_hash_join_chains"]
 
 OutputListener = Callable[[object, int], None]
 
@@ -106,6 +111,39 @@ class _Provenance:
     index: int  # column index within the C row / the B_level build row
 
 
+def chain_provenance(chain: Sequence[HashJoin]) -> list[_Provenance]:
+    """Where each join's probe key comes from, bottom-up: Algorithm 1's
+    chain shape, decided here for both the estimator and the plan analyzer.
+
+    ``out(J_m) = build_m ++ out(J_{m-1})``, bottoming out at C, so a probe
+    key is located by peeling build segments from the join below downwards.
+    A key that lands on B_m's own build key equals J_m's probe key by
+    equijoin transitivity, and the trace restarts from there: that is what
+    resolves the paper's same-attribute chains (every join on C's key) to C
+    rather than to a Case-2 reference.
+
+    Raises :class:`EstimationError` on multi-column keys.
+    """
+    if any(len(j.probe_keys) != 1 or len(j.build_keys) != 1 for j in chain):
+        raise EstimationError("chain estimation supports single-column join keys")
+    provenance = []
+    for i, join in enumerate(chain):
+        offset = join.probe_child.output_schema.index_of(join.probe_keys[0])
+        m = i - 1
+        while m >= 0:
+            lower = chain[m]
+            build_schema = lower.build_child.output_schema
+            if offset >= len(build_schema):
+                offset -= len(build_schema)
+            elif offset == build_schema.index_of(lower.build_keys[0]):
+                offset = lower.probe_child.output_schema.index_of(lower.probe_keys[0])
+            else:
+                break
+            m -= 1
+        provenance.append(_Provenance("B" if m >= 0 else "C", m, offset))
+    return provenance
+
+
 class HashJoinChainEstimator:
     """Estimates the output cardinality of every join in a hash-join chain.
 
@@ -132,8 +170,9 @@ class HashJoinChainEstimator:
     Raises
     ------
     EstimationError
-        For chain shapes outside the framework: multi-column chain keys or
-        probe keys whose provenance cannot be resolved.
+        For chain shapes outside the framework: non-inner joins, joins not
+        connected probe-to-output, or multi-column keys
+        (:func:`chain_provenance`).
     """
 
     __slots__ = (
@@ -179,8 +218,7 @@ class HashJoinChainEstimator:
         self.base_stream = chain[0].probe_child
         self._c_schema = self.base_stream.output_schema
 
-        # Resolve each join's probe-key provenance.
-        self.provenance: list[_Provenance] = [self._locate(i) for i in range(self.k)]
+        self.provenance = chain_provenance(chain)
 
         # refs[m]: ascending levels whose probe key references B_m.
         self.refs: dict[int, list[int]] = {}
@@ -245,25 +283,6 @@ class HashJoinChainEstimator:
         self._wire_hooks()
 
     # -- construction helpers -----------------------------------------------------
-
-    def _locate(self, i: int) -> _Provenance:
-        """Provenance of ``chain[i]``'s probe key."""
-        join = self.chain[i]
-        if len(join.probe_keys) != 1 or len(join.build_keys) != 1:
-            raise EstimationError("chain estimation supports single-column join keys")
-        if i == 0:
-            idx = self._c_schema.index_of(join.probe_keys[0])
-            return _Provenance("C", -1, idx)
-        probe_schema = join.probe_child.output_schema
-        offset = probe_schema.index_of(join.probe_keys[0])
-        # out(J_m) = build_m ++ out(J_{m-1}), bottoming out at C: peel build
-        # segments from the join below downwards.
-        for m in range(i - 1, -1, -1):
-            build_len = len(self.chain[m].build_child.output_schema)
-            if offset < build_len:
-                return _Provenance("B", m, offset)
-            offset -= build_len
-        return _Provenance("C", -1, offset)
 
     def _effective_hist(self, m: int, level: int) -> FrequencyHistogram:
         """A_m^{(level)}: join m's effective histogram as of ``level``."""

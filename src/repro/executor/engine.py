@@ -247,13 +247,6 @@ class ExecutionEngine:
         skip all instrumentation beyond the emitted-tuple counters.
     collect_rows:
         Keep output rows in the result (disable for large results).
-    analyze:
-        Optional static-analysis gate run before execution: ``"strict"``
-        raises :class:`~repro.common.errors.AnalysisError` on any error
-        diagnostic, ``"advisory"`` stores the report on ``self.diagnostics``.
-        ``None`` (default) keeps the engine's overhead at bare structural
-        validation — plans from :func:`repro.sql.compile_select` have
-        already been analyzed there.
     faults:
         Optional :class:`~repro.faults.FaultPlan` installed on the plan for
         deterministic fault injection (see docs/FAULTS.md). ``None`` keeps
@@ -271,7 +264,6 @@ class ExecutionEngine:
         root: Operator,
         bus: TickBus | None = None,
         collect_rows: bool = True,
-        analyze: str | None = None,
         faults: FaultPlan | None = None,
         history: HistoryStore | None = None,
     ):
@@ -279,11 +271,6 @@ class ExecutionEngine:
         self.bus = bus
         self.faults = faults
         self.collect_rows = collect_rows
-        self.diagnostics = None
-        if analyze is not None:
-            from repro.executor.plan import check_plan
-
-            self.diagnostics = check_plan(root, mode=analyze)
         self.operators = validate_plan(root)
         self.history = history
         self.monitor = None

@@ -1,5 +1,5 @@
-"""Optimizer substrate: textbook cardinality estimation, a simple planner,
-and bound-based refinement for future pipelines.
+"""Optimizer substrate: textbook cardinality estimation and bound-based
+refinement for future pipelines.
 
 The point of this package is to be *realistically wrong*. The paper's online
 framework exists because optimizer estimates — built on uniformity,
@@ -12,13 +12,10 @@ benchmarks then show the online estimators correcting them.
 
 from repro.optimizer.bounds import CardinalityBounds, RefinableEstimate
 from repro.optimizer.cardinality import CardinalityModel, annotate_plan
-from repro.optimizer.planner import JoinSpec, Planner
 
 __all__ = [
     "CardinalityBounds",
     "CardinalityModel",
-    "JoinSpec",
-    "Planner",
     "RefinableEstimate",
     "annotate_plan",
 ]

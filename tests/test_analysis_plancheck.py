@@ -219,6 +219,63 @@ class TestChainClassification:
         codes = analyze_plan(setup.plan).codes()
         assert "C003" in codes
 
+    def test_codes_follow_the_estimators_provenance(self):
+        """One classifier: each upper join's C-code is the one the chain
+        estimator's own provenance implies."""
+        from repro.core.pipeline_estimators import (
+            HashJoinChainEstimator,
+            find_hash_join_chains,
+        )
+        from repro.datagen import generate_tpch
+        from repro.sql import compile_select
+        from repro.workloads import (
+            paper_pipeline_diff_attr,
+            paper_pipeline_same_attr,
+            tpch_q8_like,
+        )
+
+        j3_agg = (
+            "SELECT c.mktsegment, COUNT(*) AS n, SUM(l.extendedprice) AS s "
+            "FROM lineitem l JOIN orders o ON l.orderkey = o.orderkey "
+            "JOIN customer c ON o.custkey = c.custkey GROUP BY c.mktsegment"
+        )
+        plans = [
+            paper_pipeline_same_attr(z=1.0, domain_size=20, num_rows=100, seed=1).plan,
+            *(
+                paper_pipeline_diff_attr(
+                    case=case, lower_z=1.0, upper_z=1.0, domain_size=20, num_rows=100, seed=1
+                ).plan
+                for case in (1, 2)
+            ),
+            tpch_q8_like(sf=0.001, seed=1).plan,
+            compile_select(generate_tpch(sf=0.001, seed=1), j3_agg).plan,
+        ]
+        for plan in plans:
+            got = [
+                (d.location, d.code)
+                for d in analyze_plan(plan)
+                if d.code in ("C001", "C002", "C003")
+            ]
+            want = []
+            for chain in find_hash_join_chains(plan):
+                prov = HashJoinChainEstimator(chain).provenance
+                want += [
+                    (
+                        f"node {join.describe()}",
+                        "C003" if p.kind == "B" else "C001" if p.index == prov[0].index else "C002",
+                    )
+                    for join, p in zip(chain[1:], prov[1:])
+                ]
+            assert want and got == want
+
+    def test_c101_multi_column_chain_gets_binary_once(self):
+        lower = HashJoin(
+            SeqScan(int_table("b")), SeqScan(int_table("p")), ["b.k", "b.v"], ["p.k", "p.v"]
+        )
+        upper = HashJoin(SeqScan(int_table("u")), lower, "u.k", "p.k")
+        (c101,) = [d for d in analyze_plan(upper) if d.code == "C101"]
+        assert "binary ONCE" in c101.message
+
     def test_c102_index_fed_chain_base(self):
         base = int_table("p", rows=[(i % 5, i) for i in range(20)])
         join = HashJoin(

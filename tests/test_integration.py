@@ -18,7 +18,7 @@ from repro.executor.operators import (
     Sort,
     SortMergeJoin,
 )
-from repro.optimizer import JoinSpec, Planner
+from repro.sql import compile_select
 
 
 @pytest.fixture(scope="module")
@@ -105,17 +105,14 @@ class TestQueryEquivalence:
 
 class TestPlannerIntegration:
     def test_planner_chain_with_estimation_end_to_end(self, db):
-        planner = Planner(db, sample_fraction=0.1)
-        plan = planner.build(
-            "lineitem",
-            [
-                JoinSpec("orders", "lineitem.orderkey", "orderkey"),
-                JoinSpec("customer", "orders.custkey", "custkey"),
-                JoinSpec("nation", "customer.nationkey", "nationkey"),
-            ],
-            group_by=["nation.nationkey"],
-            aggregates=[AggregateSpec("sum", "lineitem.extendedprice", alias="rev")],
-        )
+        plan = compile_select(
+            db,
+            "SELECT n.nationkey, SUM(l.extendedprice) AS rev FROM lineitem l "
+            "JOIN orders o ON l.orderkey = o.orderkey "
+            "JOIN customer c ON o.custkey = c.custkey "
+            "JOIN nation n ON c.nationkey = n.nationkey GROUP BY n.nationkey",
+            sample_fraction=0.1,
+        ).plan
         manager = EstimationManager(plan)
         chain, joins = manager.attached()[0]
         assert chain.k == len(joins) == 3

@@ -27,6 +27,17 @@ class TestAttachmentRules:
         ((chain, joins),) = manager.attached()
         assert chain.k == 2 and joins == setup.joins
 
+    def test_multi_column_chain_gets_binary_estimator_per_join(self, skewed_pair):
+        left, right = skewed_pair
+        lower = HashJoin(
+            SeqScan(left), SeqScan(right),
+            ["left.nationkey", "left.custkey"], ["right.nationkey", "right.custkey"],
+        )
+        upper = HashJoin(SeqScan(left.aliased("l2")), lower, "l2.nationkey", "right.nationkey")
+        attached = EstimationManager(upper).attached()
+        assert [type(once) for once, _ in attached] == [OnceJoinEstimator] * 2
+        assert sorted(id(join) for _, (join,) in attached) == sorted([id(lower), id(upper)])
+
     def test_merge_join_gets_binary_estimator(self, skewed_pair):
         left, right = skewed_pair
         join = SortMergeJoin(SeqScan(left), SeqScan(right), "left.nationkey", "right.nationkey")

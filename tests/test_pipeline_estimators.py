@@ -8,6 +8,7 @@ from repro.executor.engine import ExecutionEngine
 from repro.executor.expressions import col, lit
 from repro.executor.operators import Filter, HashJoin, SeqScan
 from repro.datagen.skew import customer_variant, customer_variant_with_custkey
+from repro.workloads import paper_pipeline_same_attr
 
 
 def make_chain(*, same_attr: bool, case: int = 1, rows: int = 3000, domain: int = 60):
@@ -88,6 +89,31 @@ class TestExactConvergence:
         ExecutionEngine(upper, collect_rows=False).run()
         assert est.levels[est.chain.index(lower)].estimate() == lower.tuples_emitted
         assert est.levels[-1].estimate() == upper.tuples_emitted
+
+
+class TestFigure5Chain:
+    """The paper's Figure 5 chain: the upper join is keyed on the lower
+    build's own key, which equijoin transitivity traces to C's key."""
+
+    @staticmethod
+    def estimated():
+        setup = paper_pipeline_same_attr(z=1.0, domain_size=20, num_rows=200, seed=1)
+        (chain,) = find_hash_join_chains(setup.plan)
+        return setup.plan, HashJoinChainEstimator(chain)
+
+    def test_same_attribute_without_derived_histogram(self):
+        _, est = self.estimated()
+        assert [p.kind for p in est.provenance] == ["C", "C"]
+        assert est.provenance[0].index == est.provenance[1].index
+        assert est.derived == {}
+
+    def test_level_state_pinned(self):
+        plan, est = self.estimated()
+        ExecutionEngine(plan, collect_rows=False).run()
+        assert [(lv.t, lv.sum_c, lv.sum_c_sq) for lv in est.levels] == [
+            (200, 2170, 36386),
+            (200, 18499, 5516161),
+        ]
 
 
 class TestNestedReferences:
