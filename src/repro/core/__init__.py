@@ -43,7 +43,6 @@ from repro.core.join_estimators import OnceJoinEstimator, attach_once_estimator
 from repro.core.manager import EstimationManager
 from repro.core.pipeline_estimators import HashJoinChainEstimator, find_hash_join_chains
 from repro.core.progress import ProgressMonitor, ProgressSnapshot
-from repro.core.theta_estimators import OnceThetaJoinEstimator, attach_theta_estimator
 
 __all__ = [
     "BucketizedHistogram",
@@ -58,12 +57,10 @@ __all__ = [
     "MLEEstimator",
     "OnceAccumulator",
     "OnceJoinEstimator",
-    "OnceThetaJoinEstimator",
     "ProgressMonitor",
     "ProgressSnapshot",
     "RecomputeScheduler",
     "attach_once_estimator",
-    "attach_theta_estimator",
     "binomial_beta",
     "find_hash_join_chains",
     "proportion_interval",

@@ -22,8 +22,7 @@ Two attachment modes (Section 4.2):
 from __future__ import annotations
 
 from repro.common.errors import EstimationError
-from repro.core.accumulator import TotalProvider
-from repro.core.distinct import HybridGroupCountEstimator
+from repro.core.distinct import DEFAULT_TAU, HybridGroupCountEstimator
 from repro.core.join_estimators import resolve_stream_total
 from repro.core.pipeline_estimators import HashJoinChainEstimator
 from repro.executor.operators.aggregate import _AggregateBase
@@ -34,12 +33,13 @@ __all__ = ["attach_group_estimator", "attach_pushed_down_group_estimator"]
 
 def attach_group_estimator(
     aggregate: _AggregateBase | Distinct,
-    input_total: float | TotalProvider | None = None,
     record_every: int = 0,
-    **hybrid_kwargs,
+    tau: float = DEFAULT_TAU,
 ) -> HybridGroupCountEstimator:
     """Attach a hybrid GEE/MLE estimator to an aggregate's or a DISTINCT's
-    input pass.
+    input pass; |T| is resolved from the input stream
+    (:func:`~repro.core.join_estimators.resolve_stream_total`) and ``tau``
+    is the γ² chooser's threshold.
 
     Duplicate elimination is the distinct-value problem with the whole row
     as the grouping key, so on a :class:`Distinct` the estimator predicts
@@ -47,10 +47,8 @@ def attach_group_estimator(
     """
     if isinstance(aggregate, _AggregateBase) and not aggregate.group_by:
         raise EstimationError("global aggregates have exactly one group")
-    if input_total is None:
-        input_total = resolve_stream_total(aggregate.child)
     hybrid = HybridGroupCountEstimator(
-        total=input_total, record_every=record_every, **hybrid_kwargs
+        resolve_stream_total(aggregate.child), tau=tau, record_every=record_every
     )
     aggregate.input_hooks[0].append(hybrid.observe_hook)
     aggregate.input_end_hooks[0].append(hybrid.finalize)
@@ -61,13 +59,13 @@ def attach_pushed_down_group_estimator(
     aggregate: _AggregateBase,
     chain: HashJoinChainEstimator,
     record_every: int = 0,
-    **hybrid_kwargs,
 ) -> HybridGroupCountEstimator:
     """Push the aggregate's group-count estimation into a feeding join chain.
 
     Requires a single group-by column that belongs to the chain's base
     probe stream; raises :class:`EstimationError` otherwise so the caller
-    can fall back to :func:`attach_group_estimator`.
+    can fall back to :func:`attach_group_estimator`. |T| is the chain's
+    top-level output estimate, and the γ² threshold is the paper's.
     """
     if len(aggregate.group_by) != 1:
         raise EstimationError(
@@ -78,7 +76,6 @@ def attach_pushed_down_group_estimator(
     hybrid = HybridGroupCountEstimator(
         total=lambda: max(chain.levels[-1].estimate(), 1.0),
         record_every=record_every,
-        **hybrid_kwargs,
     )
     chain.add_output_listener(group_column, hybrid.observe)
 

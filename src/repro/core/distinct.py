@@ -60,6 +60,12 @@ __all__ = [
 ]
 
 DEFAULT_TAU = 10.0
+#: Algorithm 3's interval bounds as fractions of |T| (paper: 0.1 % and
+#: 3.2 %), and k, the relative change under which the interval doubles
+#: (paper: 1 %).
+RECOMPUTE_LOWER_FRACTION = 0.001
+RECOMPUTE_UPPER_FRACTION = 0.032
+RECOMPUTE_STABILITY = 0.01
 
 #: A frequency class whose probability of staying unseen, (1 − i/t)^t, is
 #: below this adds nothing to the MLE estimate.
@@ -223,7 +229,7 @@ class RecomputeScheduler:
 
     __slots__ = ("lower", "upper", "stability", "interval", "recompute_count")
 
-    def __init__(self, lower: int, upper: int, stability: float = 0.01):
+    def __init__(self, lower: int, upper: int, stability: float = RECOMPUTE_STABILITY):
         if lower < 1 or upper < lower:
             raise ValueError(
                 f"need 1 <= lower <= upper, got lower={lower}, upper={upper}"
@@ -265,10 +271,6 @@ class HybridGroupCountEstimator:
         |T|: total input size (number or provider).
     tau:
         γ² threshold; below it MLE is used, above it GEE (paper: 10).
-    lower_fraction / upper_fraction:
-        Algorithm 3 interval bounds as fractions of |T| (paper: 0.001 and
-        0.032); resolved once, against the total the provider reports at
-        construction.
     record_every:
         If > 0, append ``(t, estimate)`` to ``history`` every that many
         observed tuples.
@@ -292,9 +294,6 @@ class HybridGroupCountEstimator:
         self,
         total: float | TotalProvider,
         tau: float = DEFAULT_TAU,
-        lower_fraction: float = 0.001,
-        upper_fraction: float = 0.032,
-        stability: float = 0.01,
         record_every: int = 0,
     ):
         self.state = GroupFrequencyState()
@@ -302,10 +301,11 @@ class HybridGroupCountEstimator:
         self.mle = MLEEstimator(self.state)
         self.tau = tau
         self._total = total_provider(total)
+        # Resolved once, against the total the provider reports now.
         total_now = max(self._total(), 1.0)
-        lower = max(int(total_now * lower_fraction), 1)
-        upper = max(int(total_now * upper_fraction), lower)
-        self.scheduler = RecomputeScheduler(lower, upper, stability)
+        lower = max(int(total_now * RECOMPUTE_LOWER_FRACTION), 1)
+        upper = max(int(total_now * RECOMPUTE_UPPER_FRACTION), lower)
+        self.scheduler = RecomputeScheduler(lower, upper)
         self._cached_mle: float = 0.0
         self._mle_t: int = -1  # t at the last recompute; -1: the first is due
         self.exact: bool = False

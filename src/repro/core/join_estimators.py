@@ -97,10 +97,10 @@ class OnceJoinEstimator:
         * ``semi``  — ``1`` if ``N^R[key] > 0`` else ``0``;
         * ``anti``  — ``1`` if ``N^R[key] == 0`` else ``0``;
         * ``outer`` — ``max(N^R[key], 1)`` (probe-preserving).
-    histogram:
-        Optionally inject the build histogram (e.g. a bucketized
-        approximation trading accuracy for memory; see
-        :class:`repro.core.histogram.BucketizedHistogram`).
+
+    ``histogram`` is an exact :class:`FrequencyHistogram`; assigning a
+    :class:`repro.core.histogram.BucketizedHistogram` before the build pass
+    trades accuracy for memory.
     """
 
     __slots__ = ("join_type", "histogram", "acc", "max_build_multiplicity")
@@ -110,12 +110,11 @@ class OnceJoinEstimator:
         probe_total: float | TotalProvider | None = None,
         record_every: int = 0,
         join_type: str = "inner",
-        histogram=None,
     ):
         if join_type not in ("inner", "semi", "anti", "outer"):
             raise EstimationError(f"unsupported join type {join_type!r}")
         self.join_type = join_type
-        self.histogram = histogram if histogram is not None else FrequencyHistogram()
+        self.histogram = FrequencyHistogram()
         self.acc = OnceAccumulator(probe_total, record_every)
         # Most rows one probe tuple can emit, for bound refinement; None
         # until the build pass has ended.
@@ -212,11 +211,7 @@ _ONCE_PASSES: dict[type[Operator], tuple[int, int]] = {
 }
 
 
-def attach_once_estimator(
-    join: Operator,
-    probe_total: float | TotalProvider | None = None,
-    record_every: int = 0,
-) -> OnceJoinEstimator:
+def attach_once_estimator(join: Operator, record_every: int = 0) -> OnceJoinEstimator:
     """Create an :class:`OnceJoinEstimator` and hook it onto ``join``.
 
     Supported operators and their (build pass, probe pass) mapping:
@@ -244,12 +239,10 @@ def attach_once_estimator(
             "use the driver-node estimator instead"
         )
     build, probe = passes
-    if probe_total is None:
-        probe_total = resolve_stream_total(join.children()[probe])
     # Multi-column keys work identically on tuple keys; the hooks pass the
     # composite key through unchanged.
     estimator = OnceJoinEstimator(
-        probe_total=probe_total,
+        probe_total=resolve_stream_total(join.children()[probe]),
         record_every=record_every,
         join_type=getattr(join, "join_type", "inner"),
     )

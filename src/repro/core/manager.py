@@ -55,7 +55,6 @@ from repro.core.pipeline_estimators import (
 from repro.executor.operators.aggregate import _AggregateBase
 from repro.executor.operators.base import Operator
 from repro.executor.operators.distinct import Distinct
-from repro.executor.operators.hash_join import HashJoin
 from repro.executor.operators.merge_join import SortMergeJoin
 from repro.executor.operators.nested_loops import IndexNestedLoopsJoin
 from repro.executor.operators.scan import SampleScan
@@ -104,15 +103,9 @@ class EstimatorEntry:
 class EstimationManager:
     """Attaches and indexes all estimators for one plan."""
 
-    def __init__(
-        self,
-        root: Operator,
-        record_every: int = 0,
-        stop_after_sample: bool = False,
-    ):
+    def __init__(self, root: Operator, record_every: int = 0):
         self.root = root
         self.record_every = record_every
-        self.stop_after_sample = stop_after_sample
         self.registry: dict[int, EstimatorEntry] = {}
         self.fallbacks: list[tuple[Operator, str]] = []
         # Runtime demotions performed by the hardening guards: (op, reason)
@@ -132,7 +125,7 @@ class EstimationManager:
         chain_tops: dict[int, HashJoinChainEstimator] = {}
         for chain in find_hash_join_chains(self.root):
             try:
-                estimator = self._make_chain_estimator(chain)
+                estimator = HashJoinChainEstimator(chain, record_every=self.record_every)
             except EstimationError as exc:
                 self.fallbacks.append((chain[-1], f"chain: {exc}"))
                 for join in chain:
@@ -161,20 +154,6 @@ class EstimationManager:
         self.registry[id(join)] = EstimatorEntry(
             join, once.acc, (once,), lambda: once.max_build_multiplicity
         )
-
-    def _make_chain_estimator(self, chain: list[HashJoin]) -> HashJoinChainEstimator:
-        if self.stop_after_sample:
-            try:
-                return HashJoinChainEstimator(
-                    chain,
-                    record_every=self.record_every,
-                    stop_after_sample=True,
-                )
-            except EstimationError:
-                # No SampleScan beneath this chain: fall back to refining
-                # through the whole probe pass.
-                pass
-        return HashJoinChainEstimator(chain, record_every=self.record_every)
 
     def _attach_aggregates(self, chain_tops: dict[int, HashJoinChainEstimator]) -> None:
         for op in walk(self.root):
@@ -336,5 +315,8 @@ class EstimationManager:
             names = " -> ".join(op.describe() for op in ops)
             lines.append(f"{label}[{len(ops)}]: {names}")
         for op, reason in self.fallbacks:
-            lines.append(f"dne fallback: {op.describe()} ({reason})")
+            # A skipped rung (chain -> binary ONCE, push-down -> direct)
+            # leaves the operator a live estimator: only no entry means dne.
+            rung = "rung skipped" if id(op) in self.registry else "dne fallback"
+            lines.append(f"{rung}: {op.describe()} ({reason})")
         return "\n".join(lines)

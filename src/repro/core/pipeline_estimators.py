@@ -56,7 +56,7 @@ from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 from repro.common.errors import EstimationError
-from repro.core.accumulator import OnceAccumulator, TotalProvider
+from repro.core.accumulator import OnceAccumulator
 from repro.core.histogram import FrequencyHistogram
 from repro.core.join_estimators import resolve_stream_total
 from repro.executor.operators.base import Operator
@@ -152,8 +152,6 @@ class HashJoinChainEstimator:
     chain:
         Hash joins bottom-up (``chain[0]`` is the lowest; its probe child is
         the base stream C). Single-element chains are the binary case.
-    probe_total:
-        ``|C|`` — number, provider, or None to resolve from the plan.
     record_every:
         If > 0, every level appends ``(t, estimate)`` to its
         ``levels[i].history`` every that many C tuples.
@@ -195,7 +193,6 @@ class HashJoinChainEstimator:
     def __init__(
         self,
         chain: list[HashJoin],
-        probe_total: float | TotalProvider | None = None,
         record_every: int = 0,
         stop_after_sample: bool = False,
     ):
@@ -263,8 +260,7 @@ class HashJoinChainEstimator:
 
         # Estimation state: one accumulator per join, all over the same
         # stream C — they advance in lockstep and share |C|.
-        if probe_total is None:
-            probe_total = resolve_stream_total(self.base_stream)
+        probe_total = resolve_stream_total(self.base_stream)
         self.levels = [
             OnceAccumulator(probe_total, record_every) for _ in range(self.k)
         ]
@@ -276,8 +272,7 @@ class HashJoinChainEstimator:
         self.max_build_multiplicity: dict[int, float] = {}
 
         # Punctuation wiring runs first: if it fails (no SampleScan), the
-        # constructor raises before any operator hooks are attached, so the
-        # caller can safely retry construction without the flag.
+        # constructor raises before any operator hooks are attached.
         if stop_after_sample:
             self._wire_sample_punctuation()
         self._wire_hooks()

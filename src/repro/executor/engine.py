@@ -231,9 +231,6 @@ class ExecutionResult:
     rows: list[tuple] | None = None
     operator_counts: dict[int, int] = field(default_factory=dict)
 
-    def emitted(self, op: Operator) -> int:
-        return op.tuples_emitted
-
 
 class ExecutionEngine:
     """Run a plan to completion, optionally collecting output rows.

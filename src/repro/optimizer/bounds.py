@@ -57,10 +57,6 @@ class RefinableEstimate:
         if self.hi < self.lo:  # bounds crossed: trust the newer (tighter) info
             self.lo = self.hi
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 class CardinalityBounds:
     """Maintains refinable estimates for every operator of a plan.

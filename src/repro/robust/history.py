@@ -254,9 +254,10 @@ class RunRecord:
     """One finished run of a fingerprinted plan, as stored in the JSONL log.
 
     ``estimator_errors`` maps candidate name (``once``/``dne``/``byte``) to
-    its mean squared progress error over the run's checkpoints — estimate
-    vs. eventual truth at the checkpoint ``t``\\ s ``record_every`` already
-    emits. ``node_cards`` maps subtree digests to the operator's final
+    its mean squared progress error over the ensemble's per-snapshot
+    trajectory — estimated vs. eventual-truth progress at each snapshot
+    (``EnsembleState.final_errors``); ``estimator_checkpoints`` counts those
+    snapshots. ``node_cards`` maps subtree digests to the operator's final
     ``tuples_emitted``; ``table_rows`` records each base table's row count
     at observation time so feedback consumers can bound staleness.
     """

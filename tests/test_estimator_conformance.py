@@ -20,15 +20,12 @@ import numpy as np
 import pytest
 
 from repro.core.manager import EstimationManager, EstimatorEntry
-from repro.core.theta_estimators import attach_theta_estimator
 from repro.executor.engine import ExecutionEngine
-from repro.executor.expressions import col
 from repro.executor.operators import (
     AggregateSpec,
     HashAggregate,
     HashJoin,
     IndexNestedLoopsJoin,
-    NestedLoopsJoin,
     SeqScan,
     SortMergeJoin,
 )
@@ -51,7 +48,6 @@ def _table(name: str, cols: list[str], n: int, domain: int, seed: int) -> Table:
 C = _table("c", ["x", "y"], STREAM_ROWS, 25, seed=1)
 B0 = _table("b0", ["x", "w"], 300, 25, seed=2)
 B1 = _table("b1", ["y", "w"], 300, 25, seed=3)
-INNER = _table("i", ["v"], 60, 25, seed=4)
 
 
 @dataclass
@@ -96,23 +92,6 @@ def _chain(upper_build_key: str, upper_probe_key: str):
     return make
 
 
-def _theta(op: str):
-    def make(c: Table) -> Attached:
-        predicate = {
-            "<": col("c.x") < col("i.v"),
-            "<=": col("c.x") <= col("i.v"),
-            ">": col("c.x") > col("i.v"),
-            ">=": col("c.x") >= col("i.v"),
-        }[op]
-        join = NestedLoopsJoin(SeqScan(c), SeqScan(INNER), predicate)
-        # The manager leaves plain nested loops to dne; the entry is built
-        # the way the manager builds every other join's.
-        estimator = attach_theta_estimator(join, "c.x", "i.v", op, RECORD_EVERY)
-        return Attached(join, join, 0, [EstimatorEntry(join, estimator.acc, (estimator,))])
-
-    return make
-
-
 def _group_direct(c: Table) -> Attached:
     agg = HashAggregate(SeqScan(c), ["c.y"], [AggregateSpec("count")])
     return _managed(agg, agg, 0, [agg])
@@ -136,10 +115,6 @@ FAMILIES = {
     "chain-same-attribute": _chain("b1.y", "c.x"),
     "chain-case1": _chain("b1.y", "c.y"),
     "chain-case2": _chain("b1.w", "b0.w"),
-    "theta-lt": _theta("<"),
-    "theta-le": _theta("<="),
-    "theta-gt": _theta(">"),
-    "theta-ge": _theta(">="),
     "group-direct": _group_direct,
     "group-pushed-down": _group_pushed_down,
 }

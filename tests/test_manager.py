@@ -4,7 +4,6 @@ from repro.core.distinct import HybridGroupCountEstimator
 from repro.core.join_estimators import OnceJoinEstimator
 from repro.core.manager import EstimationManager
 from repro.core.pipeline_estimators import HashJoinChainEstimator
-from repro.core.theta_estimators import attach_theta_estimator
 from repro.executor.engine import ExecutionEngine
 from repro.executor.expressions import col
 from repro.executor.operators import (
@@ -121,6 +120,57 @@ class TestEstimates:
         assert "HashJoinChainEstimator[2]" in manager.describe()
 
 
+class TestDescribeFallbacks:
+    """``describe()`` says "dne fallback" only for an operator nothing
+    answers for; a skipped rung of the ladder (chain -> binary ONCE,
+    push-down -> direct) keeps its reason under its own label."""
+
+    @staticmethod
+    def _lines(root, prefix):
+        lines = EstimationManager(root).describe().splitlines()
+        return [line for line in lines if line.startswith(prefix)]
+
+    def test_outer_hash_join_skips_the_chain_rung(self, skewed_pair):
+        left, right = skewed_pair
+        join = HashJoin(
+            SeqScan(left), SeqScan(right), "left.nationkey", "right.nationkey",
+            join_type="outer",
+        )
+        assert self._lines(join, "OnceJoinEstimator[1]")
+        assert not self._lines(join, "dne fallback")
+        assert "is outer" in self._lines(join, "rung skipped: hash_join")[0]
+
+    def test_two_column_key_chain_skips_the_chain_rung(self, skewed_pair):
+        left, right = skewed_pair
+        lower = HashJoin(
+            SeqScan(left), SeqScan(right),
+            ["left.nationkey", "left.custkey"], ["right.nationkey", "right.custkey"],
+        )
+        upper = HashJoin(SeqScan(left.aliased("l2")), lower, "l2.nationkey", "right.nationkey")
+        assert len(self._lines(upper, "OnceJoinEstimator[1]")) == 2
+        assert not self._lines(upper, "dne fallback")
+        assert len(self._lines(upper, "rung skipped: hash_join")) == 1
+
+    def test_refused_push_down_attaches_directly(self):
+        b = customer_variant(1.0, 40, 1, 800, name="b")
+        c = customer_variant(1.0, 40, 2, 800, name="c")
+        join = HashJoin(SeqScan(b), SeqScan(c), "b.nationkey", "c.nationkey")
+        agg = HashAggregate(join, ["b.custkey"], [AggregateSpec("count")])
+        assert self._lines(agg, "HybridGroupCountEstimator[1]")
+        assert not self._lines(agg, "dne fallback")
+        assert "(push-down: " in self._lines(agg, "rung skipped")[0]
+
+    def test_presorted_merge_join_is_one_dne_fallback(self, skewed_pair):
+        left, right = skewed_pair
+        join = SortMergeJoin(
+            SeqScan(left), SeqScan(right), "left.nationkey", "right.nationkey",
+            left_presorted=True,
+        )
+        (line,) = self._lines(join, "dne fallback")
+        assert "presorted" in line
+        assert not self._lines(join, "rung skipped")
+
+
 class TestQ8Coverage:
     def test_whole_q8_chain_estimated_exactly(self):
         setup = tpch_q8_like(sf=0.002, skew_z=1.0, sample_fraction=0.0)
@@ -152,14 +202,14 @@ class TestHardenedDemotion:
         assert manager.estimate_for(join) is None
         return manager
 
-    def test_theta_nested_loops_hook_failure_demotes(self, skewed_pair):
+    def test_unattributed_hook_failure_demotes(self, skewed_pair):
+        """A bare closure on an operator with no registry entry has no
+        owner to demote: the guard degrades everything."""
         left, right = skewed_pair
         pred = col("left.nationkey") > col("right.nationkey")
         self._run_hardened(
             lambda: NestedLoopsJoin(SeqScan(left), SeqScan(right), pred),
-            attach=lambda join: attach_theta_estimator(
-                join, "left.nationkey", "right.nationkey", ">"
-            ),
+            attach=lambda join: join.input_hooks[0].append(lambda keys, rows: None),
         )
 
     def test_sort_merge_join_hook_failure_demotes(self, skewed_pair):

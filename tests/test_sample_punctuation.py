@@ -64,30 +64,6 @@ class TestStopAfterSample:
         with pytest.raises(EstimationError, match="SampleScan"):
             HashJoinChainEstimator([join], stop_after_sample=True)
 
-    def test_manager_pass_through(self):
-        from repro.core.manager import EstimationManager
-
-        join = make_sampled_join(rows=3000)
-        manager = EstimationManager(join, stop_after_sample=True)
-        ExecutionEngine(join, collect_rows=False).run()
-        chain = manager.attached()[0][0]
-        assert chain.frozen and not chain.exact
-        assert manager.estimate_for(join) == pytest.approx(
-            join.tuples_emitted, rel=0.2
-        )
-
-    def test_manager_falls_back_without_sample_scan(self):
-        from repro.core.manager import EstimationManager
-
-        build = customer_variant(1.0, 100, 0, 500, name="qb")
-        probe = customer_variant(1.0, 100, 1, 500, name="qp")
-        join = HashJoin(SeqScan(build), SeqScan(probe), "qb.nationkey", "qp.nationkey")
-        manager = EstimationManager(join, stop_after_sample=True)
-        ExecutionEngine(join, collect_rows=False).run()
-        chain = manager.attached()[0][0]
-        assert chain.exact  # fell back to full refinement; hooks wired once
-        assert manager.estimate_for(join) == join.tuples_emitted
-
     def test_frozen_chain_multi_level(self):
         a = customer_variant(1.0, 80, 0, 3000, name="ma")
         b = customer_variant(1.0, 80, 1, 3000, name="mb")

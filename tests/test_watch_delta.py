@@ -4,9 +4,9 @@ The contract under test: a watch stream (keyframes + changed-field
 frames) reassembles **bit-identically** to the snapshots the server
 published — same dicts, same seqs — across concurrent sessions,
 ``since=`` resumes, and a reader too slow to take every frame. Ground
-truth is captured at the publish boundary itself (a session listener
-recording every published wire dict), so every comparison is against
-exactly what the server serialized, not a re-derivation.
+truth is captured at the publish boundary itself (a spy on the service's
+publish listener records every published wire dict), so every comparison
+is against exactly what the server serialized, not a re-derivation.
 """
 
 from __future__ import annotations
@@ -68,12 +68,22 @@ def service(db):
         svc.shutdown()
 
 
-def attach_truth(session) -> dict[int, dict]:
-    """Record every published wire dict, keyed by seq — the ground truth
-    any watcher's stream must reproduce exactly."""
-    truth: dict[int, dict] = {}
-    session.add_listener(lambda _s, snap: truth.setdefault(snap.seq, snap.to_wire()))
-    return truth
+@pytest.fixture()
+def truths(service, monkeypatch) -> dict[str, dict[int, dict]]:
+    """Every published wire dict, by session id and then seq — the ground
+    truth any watcher's stream must reproduce exactly. A spy on the
+    service's own publish listener records it, so a session is covered from
+    its first publish even if a worker steps it before the test looks."""
+    svc, _client = service
+    truths: dict[str, dict[int, dict]] = {}
+    publish = svc._on_session_event
+
+    def spy(session, snap) -> None:
+        truths.setdefault(session.session_id, {}).setdefault(snap.seq, snap.to_wire())
+        publish(session, snap)
+
+    monkeypatch.setattr(svc, "_on_session_event", spy)
+    return truths
 
 
 def snaps_of(events: list[dict], sid: str) -> list[dict]:
@@ -143,18 +153,17 @@ def assert_stream_matches_truth(snaps: list[dict], truth: dict[int, dict]) -> No
 
 
 class TestClientTransparentReassembly:
-    def test_delta_stream_bit_identical_to_published_truth(self, service):
+    def test_delta_stream_bit_identical_to_published_truth(self, service, truths):
         svc, client = service
         session = svc.submit_sql(QUERIES[0], name="delta-diff")
-        truth = attach_truth(session)
         events = list(client.watch(session.session_id))
         snaps = snaps_of(events, session.session_id)
         assert snaps and events[-1]["event"] == "end"
-        assert_stream_matches_truth(snaps, truth)
+        assert_stream_matches_truth(snaps, truths[session.session_id])
         assert snaps[-1]["state"] == "finished"
         assert snaps[-1]["progress"] == 1.0
 
-    def test_random_concurrent_sessions_aggregate_delta_watch(self, service):
+    def test_random_concurrent_sessions_aggregate_delta_watch(self, service, truths):
         """Property run: several concurrent sessions of different shapes
         under one aggregate delta watch — per-session reassembly must hold
         for every session simultaneously."""
@@ -163,7 +172,6 @@ class TestClientTransparentReassembly:
             svc.submit_sql(QUERIES[i % len(QUERIES)], name=f"mix{i}")
             for i in range(6)
         ]
-        truths = {s.session_id: attach_truth(s) for s in sessions}
         events = list(client.watch(until_idle=True))
         assert events[-1]["event"] == "end"
         for session in sessions:
@@ -174,7 +182,7 @@ class TestClientTransparentReassembly:
             assert snaps[-1]["state"] == "finished"
 
     def test_until_idle_ends_only_after_every_terminal_frame(
-        self, service, db, monkeypatch
+        self, service, db, truths, monkeypatch
     ):
         """``workload idle`` is read from the encoders, which hold a
         session's terminal frame before the bus announces it. Here the
@@ -182,7 +190,6 @@ class TestClientTransparentReassembly:
         the stream must carry that frame before it ends all the same."""
         svc, client = service
         withheld, other = hand_stepped(svc, db, QUERIES[1]), hand_stepped(svc, db, QUERIES[2])
-        truths = {s.session_id: attach_truth(s) for s in (withheld, other)}
         publish = svc.events.publish
 
         def hold_back(sid):
@@ -210,7 +217,7 @@ class TestClientTransparentReassembly:
 class TestWireLevelDelta:
     """Raw-socket assertions on the frames actually crossing the wire."""
 
-    def test_deltas_cross_the_wire_and_reassemble(self, service, db):
+    def test_deltas_cross_the_wire_and_reassemble(self, service, db, truths):
         """Stepped in lockstep with a reader that keeps up, every frame
         reaches the wire, and the ones between keyframes as deltas.
 
@@ -220,7 +227,6 @@ class TestWireLevelDelta:
         published before the step goes on."""
         svc, _client = service
         session = hand_stepped(svc, db, QUERIES[0], tick_interval=64)
-        truth = attach_truth(session)
         with socket.create_connection((svc.host, svc.port), timeout=30) as conn:
             # An older client's "delta" key is ignored: every stream is a
             # delta stream.
@@ -240,18 +246,18 @@ class TestWireLevelDelta:
         # Every delta applies cleanly onto the previous state and lands
         # exactly on a published snapshot.
         snaps = reassemble(events)
+        truth = truths[session.session_id]
         assert [snap["seq"] for snap in snaps[1:]] == sorted(truth)
         assert_stream_matches_truth(snaps, truth)
         assert snaps[-1]["state"] == "finished"
 
-    def test_since_resume_restarts_with_keyframe(self, service, db):
+    def test_since_resume_restarts_with_keyframe(self, service, db, truths):
         """A client drops its watch mid-run and resumes ``since`` the last
         seq it saw. Stepped by the test, so the session is still running at
         both connects however fast the machine is; a tick every 64 units of
         work lands in the first quantum and in any three after it."""
         svc, _client = service
         session = hand_stepped(svc, db, QUERIES[0], tick_interval=64)
-        truth = attach_truth(session)
         session.step()
         request = {"op": "watch", "session_id": session.session_id}
         with socket.create_connection((svc.host, svc.port), timeout=30) as conn:
@@ -271,6 +277,7 @@ class TestWireLevelDelta:
         # The resumed stream's first session event is a full snapshot
         # strictly past the cursor — never a delta against unseen state.
         head = resumed[0]
+        truth = truths[session.session_id]
         assert head["event"] == "snapshot"
         assert head["session"]["seq"] > mid_seq
         assert set(head["session"]) == WIRE_FIELDS
@@ -281,7 +288,7 @@ class TestWireLevelDelta:
 
 
 class TestSlowReaderConflation:
-    def test_conflated_stream_stays_increasing_and_reaches_terminal(self, service):
+    def test_conflated_stream_stays_increasing_and_reaches_terminal(self, service, truths):
         """A reader pausing on every line, through a small receive buffer,
         is slower than the publisher. Publishes only mark the session
         changed, so the stream skips to the newest frame instead of
@@ -289,9 +296,9 @@ class TestSlowReaderConflation:
         ends on the terminal frame, in fewer frames than were published."""
         svc, _client = service
         session = svc.submit_sql(QUERIES[0], name="slowpoke", quantum_rows=16)
-        truth = attach_truth(session)
         request = {"op": "watch", "session_id": session.session_id}
         snaps = reassemble(watch_raw(svc, request, rcvbuf=2048, pause_s=0.004))
+        truth = truths[session.session_id]
         assert_stream_matches_truth(snaps, truth)
         assert snaps[-1]["state"] == "finished" and snaps[-1]["seq"] == max(truth)
         assert len(snaps) < len(truth), "the reader kept up; slow it down"
@@ -299,13 +306,12 @@ class TestSlowReaderConflation:
 
 class TestEncodeScaling:
     @pytest.mark.parametrize("watchers", [1, 16, 64])
-    def test_encode_calls_scale_with_steps_not_watchers(self, service, watchers):
+    def test_encode_calls_scale_with_steps_not_watchers(self, service, truths, watchers):
         """Watchers of one session must not multiply serialization: total
         wire encodes stay within the per-step frame budget (<= 2 per
         published snapshot) plus a once-per-watcher priming allowance."""
         svc, client = service
         session = svc.submit_sql(QUERIES[0], name="fanout", quantum_rows=16)
-        truth = attach_truth(session)
         outs: list[list] = []
 
         def run_watch(out):
@@ -321,6 +327,7 @@ class TestEncodeScaling:
         for t in threads:
             t.join(timeout=60.0)
             assert not t.is_alive()
+        truth = truths[session.session_id]
         published = len(truth)
         encoder = svc.registry.encoder(session.session_id)
         # O(steps), not O(steps x watchers): each published snapshot costs
