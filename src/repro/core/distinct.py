@@ -47,7 +47,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from repro.core.accumulator import TotalProvider, cut_batch, total_provider
 
@@ -78,65 +79,100 @@ LOW = math.ceil(-math.log(NEGLIGIBLE))
 class GroupFrequencyState:
     """Shared observation state: exactly what GEE, MLE and γ² read.
 
-    * ``counts`` — value -> frequency c_v, so ``len(counts)`` is the
-      number of groups seen;
+    * ``counts`` — value -> frequency c_v (a :class:`~collections.Counter`,
+      so a batch is counted in C), so ``len(counts)`` is the number of
+      groups seen;
     * ``t`` — Σ c_v, the tuples observed;
     * ``sum_sq`` — Σ c_v², for γ²;
     * ``fof`` — ``fof[i]`` = f_i = |{v : c_v = i}| for 0 < i < :data:`LOW`
       (``fof[0]`` stays 0). GEE reads f_1 and the MLE nothing above
       f_{LOW-1}, so higher frequencies are not indexed.
 
-    ``observe(value, weight)`` supports weighted increments so the same
-    state can be fed by a simulated join output (aggregation push-down).
+    A batch only counts; ``sum_sq`` and ``fof`` settle at the next read
+    (docs/THEORY.md §4) to the per-tuple definition's values. The weighted
+    ``observe(value, weight)`` — a simulated join output feeds it in
+    aggregation push-down — settles first and stays eager.
     """
 
-    __slots__ = ("counts", "t", "sum_sq", "fof")
+    __slots__ = ("counts", "t", "_sum_sq", "_fof", "_unsettled", "_pending")
 
     def __init__(self) -> None:
-        self.counts: dict[object, int] = {}
+        self.counts: Counter = Counter()
         self.t: int = 0
-        self.sum_sq: int = 0
-        self.fof: list[int] = [0] * LOW
+        self._sum_sq: int = 0
+        self._fof: list[int] = [0] * LOW
+        self._unsettled: int = 0  # keys observed since the last settle
+        # Their batches; None once rebuilding from the counts is cheaper.
+        self._pending: list[Sequence[object]] | None = []
 
     def observe(self, value: object, weight: int = 1) -> None:
         if weight <= 0:
             if weight < 0:
                 raise ValueError(f"weight must be >= 0, got {weight}")
             return
-        counts = self.counts
-        old = counts.get(value, 0)
-        new = counts[value] = old + weight
+        self._settle()
+        self.counts[value] += weight
         self.t += weight
-        self.sum_sq += weight * (old + new)  # new² − old²
-        fof = self.fof
-        if 0 < old < LOW:
-            fof[old] -= 1
-        if new < LOW:
-            fof[new] += 1
+        self._fold(((value, weight),))
 
     def observe_batch(self, keys: Sequence[object]) -> None:
-        """Counter-aggregated unit observations (one per key).
+        """Unit observations, one per key, counted in C. None is a
+        legitimate group key here (NULL groups aggregate), unlike in the
+        join histograms."""
+        self.counts.update(keys)
+        self.t += len(keys)
+        self._unsettled += len(keys)
+        if self._pending is not None:
+            # Groups only grow by keys observed, so once they are at most
+            # four per unsettled key they stay so: the settle will rebuild.
+            if len(self.counts) <= 4 * self._unsettled:
+                self._pending = None
+            else:
+                self._pending.append(keys)
 
-        One transition per *distinct* key: ``old -> old + w`` nets the same
-        Σc² and f_i deltas as the w unit steps, and everything is integer
-        arithmetic, so the end state is identical to calling
-        :meth:`observe` once per key. None is a legitimate group key here
-        (NULL groups aggregate), unlike in the join histograms.
-        """
-        counts = self.counts
-        get = counts.get
-        fof = self.fof
+    def _settle(self) -> None:
+        """Bring ``sum_sq`` and ``fof`` up to the observed keys: rebuild
+        them when there are at most four groups per unsettled key, else
+        fold those keys."""
+        if not self._unsettled:
+            return
+        if self._pending is None:  # rebuild from the counts
+            sum_sq, fof = 0, [0] * LOW
+            for c, f in Counter(self.counts.values()).items():
+                sum_sq += c * c * f
+                if c < LOW:
+                    fof[c] = f
+            self._sum_sq, self._fof = sum_sq, fof
+        else:
+            self._fold(Counter(chain.from_iterable(self._pending)).items())
+        self._unsettled = 0
+        self._pending = []
+
+    def _fold(self, moves: Iterable[tuple[object, int]]) -> None:
+        """Apply ``(value, w)``: value's count went from ``new − w`` to its
+        current ``new``, which nets the same Σc² and f_i deltas as w unit
+        steps."""
+        counts, fof = self.counts, self._fof
         sq_delta = 0
-        for value, weight in Counter(keys).items():
-            old = get(value, 0)
-            new = counts[value] = old + weight
+        for value, weight in moves:
+            new = counts[value]
+            old = new - weight
             sq_delta += weight * (old + new)  # new² − old²
             if 0 < old < LOW:
                 fof[old] -= 1
             if new < LOW:
                 fof[new] += 1
-        self.t += len(keys)
-        self.sum_sq += sq_delta
+        self._sum_sq += sq_delta
+
+    @property
+    def sum_sq(self) -> int:
+        self._settle()
+        return self._sum_sq
+
+    @property
+    def fof(self) -> list[int]:
+        self._settle()
+        return self._fof
 
     @property
     def distinct_seen(self) -> int:
@@ -260,8 +296,8 @@ class HybridGroupCountEstimator:
     """GEE/MLE with the γ² chooser and scheduled MLE recomputation.
 
     A directly attached aggregate or DISTINCT feeds whole input batches
-    (:meth:`observe_hook` → :meth:`observe_batch`): one count update per
-    distinct key of each batch, cut only at ``record_every`` checkpoints.
+    (:meth:`observe_hook` → :meth:`observe_batch`): each batch is counted
+    in C, cut only at ``record_every`` checkpoints.
     :meth:`observe` is the one-tuple (weighted) form, which the push-down
     listener calls per simulated join output. Only reads recompute the MLE.
 
@@ -330,7 +366,7 @@ class HybridGroupCountEstimator:
     def observe_batch(self, keys: Sequence[object]) -> None:
         """Feed a batch of unit-weight grouping keys in one shot.
 
-        One aggregated :meth:`GroupFrequencyState.observe_batch` per batch,
+        One :meth:`GroupFrequencyState.observe_batch` per batch,
         cut only at the ``record_every`` checkpoints it jumps over: each
         checkpoint is a read, so it must see exactly the per-tuple prefix
         state. Counts, f_i, Σc², t and history are identical to one

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
 from math import prod
 from operator import itemgetter, mul
 from typing import Callable, Sequence
@@ -188,6 +188,8 @@ class HashJoinChainEstimator:
         "frozen",
         "output_listeners",
         "max_build_multiplicity",
+        "_unit",
+        "_unit_levels",
     )
 
     def __init__(
@@ -270,6 +272,11 @@ class HashJoinChainEstimator:
         # bound refinement; published when that join's build pass ends (the
         # maximum of a half-built histogram bounds nothing).
         self.max_build_multiplicity: dict[int, float] = {}
+        # ids of the histograms known, once built, to hold only 0/1 counts
+        # (FK -> PK joins), and per level whether all its factors do: then
+        # every contribution is 0 or 1 and Σc² = Σc.
+        self._unit: set[int] = set()
+        self._unit_levels: list[bool] = [False] * self.k
 
         # Punctuation wiring runs first: if it fails (no SampleScan), the
         # constructor raises before any operator hooks are attached.
@@ -315,8 +322,26 @@ class HashJoinChainEstimator:
         bottom.input_end_hooks[1].append(self._on_probe_end)
 
     def _on_build_end(self, m: int) -> None:
-        self.max_build_multiplicity[id(self.chain[m])] = float(
-            self.base_hists[m].max_multiplicity()
+        mult = self.base_hists[m].max_multiplicity()
+        self.max_build_multiplicity[id(self.chain[m])] = float(mult)
+        if mult > 1:
+            return
+        unit = self._unit
+        unit.add(id(self.base_hists[m]))
+        for bp in self.breakpoints.get(m, []):
+            if self._folded_unit(m, bp):
+                unit.add(id(self.derived[(m, bp)]))
+        self._unit_levels = [
+            all(id(hist) in unit for _, hist in factors) for factors in self._level_factors
+        ]
+
+    def _folded_unit(self, m: int, bp: int) -> bool:
+        """Are the histograms folded into join ``m``'s derived version
+        ``bp`` all 0/1? Their builds ended before B_m's began."""
+        return all(
+            id(self._effective_hist(level, bp)) in self._unit
+            for level in self.refs.get(m, [])
+            if level <= bp
         )
 
     def _make_build_hook(self, m: int):
@@ -329,7 +354,7 @@ class HashJoinChainEstimator:
         # from which column of this build row, weighted by which (already
         # complete) effective histogram of theirs.
         version_specs: list[
-            tuple[FrequencyHistogram, list[tuple[itemgetter, FrequencyHistogram]]]
+            tuple[int, FrequencyHistogram, list[tuple[itemgetter, FrequencyHistogram]]]
         ] = []
         for bp in breakpoints:
             folded = [
@@ -337,17 +362,21 @@ class HashJoinChainEstimator:
                 for level in self.refs.get(m, [])
                 if level <= bp
             ]
-            version_specs.append((self.derived[(m, bp)], folded))
+            version_specs.append((bp, self.derived[(m, bp)], folded))
 
         def build_hook_with_refs(keys: Sequence[object], rows: Sequence[tuple]) -> None:
             base_hist.add_batch(keys)
-            for derived, folded in version_specs:
+            for bp, derived, folded in version_specs:
                 # Column at a time; a zero factor zeroes the row's weight.
                 factors = (
                     map(hist.counts.get, map(column, rows), repeat(0))
                     for column, hist in folded
                 )
-                derived.add_weighted(keys, map(prod, zip(*factors)))
+                weights = map(prod, zip(*factors))
+                if self._folded_unit(m, bp):  # 0/1 weights: count the 1s in C
+                    derived.add_batch(list(compress(keys, weights)))
+                else:
+                    derived.add_weighted(keys, weights)
 
         return build_hook_with_refs
 
@@ -392,7 +421,7 @@ class HashJoinChainEstimator:
         n = len(rows)
         key_col = self.provenance[0].index  # already extracted by the drain
         looked_up: dict[tuple[int, int], list[int]] = {}
-        for factors, level in zip(self._level_factors, self.levels):
+        for i, (factors, level) in enumerate(zip(self._level_factors, self.levels)):
             contribs = None
             for col, hist in factors:
                 factor = looked_up.get((col, id(hist)))
@@ -401,7 +430,9 @@ class HashJoinChainEstimator:
                     factor = list(map(hist.counts.get, values, repeat(0)))
                     looked_up[col, id(hist)] = factor
                 contribs = factor if contribs is None else list(map(mul, contribs, factor))
-            level.add(n, sum(contribs), sum(map(mul, contribs, contribs)))
+            sum_c = sum(contribs)
+            unit = self._unit_levels[i]
+            level.add(n, sum_c, sum_c if unit else sum(map(mul, contribs, contribs)))
 
     def _on_probe_end(self) -> None:
         """The base stream is exhausted: every level's estimate is exact."""

@@ -141,13 +141,17 @@ class ProgressMonitor:
             annotate_plan(root, catalog)
         self.pipelines: list[Pipeline] = decompose_pipelines(root)
         self.bounds = CardinalityBounds(root)
-        # The max multiplicities ``bounds`` was last refined with.
-        self._refined_with: dict[int, float] | None = None
         self.manager: EstimationManager | None = (
             EstimationManager(root, record_every=record_every)
             if mode == "once"
             else None
         )
+        # Join entries yet to publish a build maximum, and finished
+        # pipelines' K_i: neither can change back.
+        registry = self.manager.registry.values() if self.manager else ()
+        self._awaiting = [e for e in registry if e.multiplicity is not None]
+        self._finished: dict[int, list[int]] = {}
+        self.bounds.refine()
         if self.manager is not None:
             wants_hook_faults = faults is not None and faults.has_site(
                 SITE_ESTIMATOR_HOOK
@@ -240,11 +244,20 @@ class ProgressMonitor:
         for pipeline in self.pipelines:
             status = self._status(pipeline)
             states[pipeline.pipeline_id] = status
+            if status == "finished":
+                # Every mode's N_i of a finished operator is its K_i (an
+                # int below 2**53: adding it adds float(K_i) exactly).
+                for k_i in self._finished[pipeline.pipeline_id]:
+                    work_done += k_i
+                    work_total += k_i
+                    for name in cand_totals or ():
+                        cand_totals[name] += k_i
+                continue
             for op in pipeline.operators:
                 k_i = float(op.tuples_emitted)
                 work_done += k_i
                 if cand_totals is None:
-                    work_total += self._total_for(op, pipeline, status)
+                    work_total += self._total_for_mode(op, pipeline, status, self.mode)
                 else:
                     for name in cand_totals:
                         cand_totals[name] += self._total_for_mode(
@@ -287,18 +300,18 @@ class ProgressMonitor:
         maximum multiplicity. That is the only input of ``refine`` that
         moves during a run: nothing here calls ``bounds.set_known`` /
         ``set_estimate``, and a caller that does must ``bounds.refine``
-        itself — this cache would not see it."""
-        maxmult = self.manager.max_multiplicities() if self.manager else {}
-        if maxmult != self._refined_with:
-            self.bounds.refine(maxmult)
-            self._refined_with = maxmult
+        itself — this check would not see it."""
+        still = [e for e in self._awaiting if e.max_build_multiplicity is None]
+        if len(still) < len(self._awaiting):
+            self.bounds.refine(self.manager.max_multiplicities())
+            self._awaiting = still
 
     @acquires("_lock")
     def operator_totals(self) -> dict[int, tuple[float, float]]:
         """Per-operator ``(K_i, N̂_i)`` keyed by plan node id.
 
         This is the per-operator decomposition of one snapshot — the same
-        ``_total_for`` dispatch, itemised instead of summed.
+        ``_total_for_mode`` dispatch, itemised instead of summed.
         :func:`repro.robust.feedback.record_run` reads the ``K_i`` of a
         finished run from it; node ids come from ``validate_plan`` (the
         plan must have been validated, as every ``PlanCursor`` run
@@ -314,28 +327,27 @@ class ProgressMonitor:
                         continue
                     out[op.node_id] = (
                         float(op.tuples_emitted),
-                        self._total_for(op, pipeline, status),
+                        self._total_for_mode(op, pipeline, status, self.mode),
                     )
             return out
 
     # -- estimation dispatch ----------------------------------------------------------
 
-    @staticmethod
-    def _status(pipeline: Pipeline) -> str:
-        if pipeline.is_finished:
+    def _status(self, pipeline: Pipeline) -> str:
+        pid = pipeline.pipeline_id
+        if pid not in self._finished and pipeline.is_finished:
+            self._finished[pid] = [op.tuples_emitted for op in pipeline.operators]
+        if pid in self._finished:
             return "finished"
         if pipeline.has_started:
             return "current"
         return "future"
 
-    def _total_for(self, op: Operator, pipeline: Pipeline, status: str) -> float:
-        """Estimated N_i (total getnext calls) for one operator."""
-        return self._total_for_mode(op, pipeline, status, self.mode)
-
     def _total_for_mode(
         self, op: Operator, pipeline: Pipeline, status: str, mode: str
     ) -> float:
-        """N_i under one candidate estimator family.
+        """Estimated N_i (total getnext calls) of one operator under one
+        candidate estimator family.
 
         Finished/exhausted and future operators do not depend on the mode;
         only the currently executing pipeline's dispatch differs. Every

@@ -14,12 +14,18 @@ estimator, and the empty-batch / NULL-key edge cases.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
+from unittest.mock import patch
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import make_rng
+from repro.core import pipeline_estimators
 from repro.core.distinct import (
+    LOW,
     GroupFrequencyState,
     HybridGroupCountEstimator,
     MLEEstimator,
@@ -321,6 +327,81 @@ class TestHybridBatch:
         assert batch.state.distinct_seen == 3
 
 
+class TestLazyGroupStatistics:
+    """Batches only count; f_i and Σc² settle at the next read. At every
+    read they, and everything derived from them, equal a state fed one
+    eager ``observe`` per tuple — with reads, ``record_every`` cuts,
+    weighted observations and None keys interleaved."""
+
+    _GROUP = st.one_of(st.none(), st.integers(0, 40))
+    _STEPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("batch"), st.lists(_GROUP, max_size=150)),
+            st.tuples(st.just("observe"), _GROUP, st.integers(0, 6)),
+            st.tuples(st.just("read")),
+        ),
+        max_size=30,
+    )
+
+    @staticmethod
+    def _reads(hybrid, total: float) -> tuple:
+        state = hybrid.state
+        return (
+            list(state.fof),
+            state.sum_sq,
+            state.t,
+            state.distinct_seen,
+            state.gamma_squared,
+            hybrid.gee.estimate(total),
+            hybrid.mle.estimate(total),
+            hybrid.chosen,
+            hybrid.estimate(),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=_STEPS,
+        record_every=st.sampled_from([0, 1, 7, 64]),
+        tau=st.sampled_from([0.0, 10.0, float("inf")]),
+    )
+    def test_every_read_equals_the_per_tuple_state(self, steps, record_every, tau):
+        total = 3_000.0
+        lazy = HybridGroupCountEstimator(total=total, tau=tau, record_every=record_every)
+        eager = HybridGroupCountEstimator(total=total, tau=tau, record_every=record_every)
+        truth: Counter = Counter()
+        for step in steps:
+            if step[0] == "batch":
+                keys = step[1]
+                lazy.observe_batch(keys)
+                for key in keys:
+                    eager.observe(key)
+                truth.update(keys)
+            elif step[0] == "observe":
+                _, key, weight = step
+                lazy.observe(key, weight)
+                eager.observe(key, weight)
+                if weight:
+                    truth[key] += weight
+            else:
+                assert self._reads(lazy, total) == self._reads(eager, total)
+        assert self._reads(lazy, total) == self._reads(eager, total)
+        assert lazy.history == eager.history
+        fof = Counter(truth.values())
+        assert lazy.state.counts == truth
+        assert lazy.state.fof == [0] + [fof[i] for i in range(1, LOW)]
+        assert lazy.state.sum_sq == sum(c * c for c in truth.values())
+
+    def test_settling_folds_few_keys_and_rebuilds_from_many(self):
+        """Both settles agree with the definition: a read after a few keys
+        over many groups folds those keys; one after many keys rebuilds."""
+        state = GroupFrequencyState()
+        state.observe_batch(list(range(1000)) * 2)  # rebuild: 1000 groups, 2000 keys
+        assert (state.fof[2], state.sum_sq) == (1000, 4000)
+        state.observe_batch([1, 1, 2, None])  # fold: 1001 groups, 4 keys
+        assert (state.fof[1], state.fof[2], state.fof[3], state.fof[4]) == (1, 998, 1, 1)
+        assert state.sum_sq == 4000 + (16 - 4) + (9 - 4) + 1
+
+
 # -- hash-join chain estimator (engine-driven) ---------------------------------
 
 
@@ -461,6 +542,14 @@ def _rows(width: int, max_size: int = 14):
     )
 
 
+def _pk_rows(width: int, max_size: int = 14):
+    """Build rows whose first column (the join key) is unique, as a
+    primary key's is."""
+    return st.lists(
+        st.tuples(*[st.integers(0, 6)] * width), max_size=max_size, unique_by=lambda r: r[0]
+    )
+
+
 def _scan(name: str, cols: list[str], rows: list[tuple]) -> SeqScan:
     table = Table(name, Schema.of(*[f"{c}:int" for c in cols]), rows, block_size=4)
     return SeqScan(table)
@@ -597,6 +686,41 @@ class TestColumnKernels:
     @given(_rows(1), _rows(2), _rows(2), _rows(1), _RECORD_EVERY, _BATCH_SIZE)
     def test_q8_style_nested_reference_chain(self, c, b0, b1, b2, record_every, batch_size):
         _assert_matches_reference(lambda: _q8_chain(c, b0, b1, b2), record_every, batch_size)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _rows(1),
+        _pk_rows(2),
+        _pk_rows(2),
+        _pk_rows(1),
+        st.sampled_from([None, 0, 1, 2]),
+        _RECORD_EVERY,
+        _BATCH_SIZE,
+    )
+    def test_multiplicity_one_kernels(self, c, b0, b1, b2, duplicated, record_every, batch_size):
+        """FK -> PK builds (every build key unique) hold only 0/1 counts:
+        the probe skips its Σc² product pass and the derived builds count
+        their 0/1 weights in C. Duplicating one build's first row turns
+        that off wherever it reaches. Both match the per-tuple definition."""
+        builds = [b0, b1, b2]
+        if duplicated is not None and builds[duplicated]:
+            builds[duplicated] = builds[duplicated] + builds[duplicated][:1]
+        with (
+            patch.object(pipeline_estimators, "mul", wraps=operator.mul) as mul,
+            patch.object(
+                FrequencyHistogram, "add_weighted", autospec=True,
+                side_effect=FrequencyHistogram.add_weighted,
+            ) as add_weighted,
+        ):  # fmt: skip
+            _assert_matches_reference(
+                lambda: _q8_chain(c, *builds), record_every, batch_size
+            )
+            estimator, _ = _run_kernels(_q8_chain(c, *builds), record_every, batch_size)
+        if duplicated is None:
+            assert set(estimator.max_build_multiplicity.values()) <= {0.0, 1.0}
+            assert not mul.called and not add_weighted.called
+        elif estimator.max_build_multiplicity[id(estimator.chain[duplicated])] > 1:
+            assert mul.called or not c  # some level keeps its Σc² pass
 
     def test_empty_batch_is_a_noop(self):
         chain = _q8_chain([(1,)], [(1, 2)], [(2, 3)], [(3,)])

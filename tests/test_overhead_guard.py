@@ -22,23 +22,32 @@ What *cannot* flake is counted instead of timed (``TestPaidPerBatch``): on
 the benchmark's six Q-long statements the estimator hooks run once per
 input batch, not per ``LIMIT``-sized sliver, a build histogram's
 maximum is computed once per join, not once per snapshot, the group-count
-state folds each batch in one piece, and the MLE is evaluated only by the
-reads that choose it.
+state counts each batch in one piece with no Python step per key and
+settles its statistics at reads, the MLE is evaluated only by the reads
+that choose it, and the FK -> PK joins skip their Σc² and ``add_weighted``
+passes.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro.core
+import repro.core.distinct
+import repro.core.pipeline_estimators
 from repro.core.distinct import (
     GroupFrequencyState,
     HybridGroupCountEstimator,
     MLEEstimator,
 )
 from repro.core.histogram import FrequencyHistogram
+from repro.core.pipeline_estimators import HashJoinChainEstimator
 from repro.core.progress import ProgressMonitor
 from repro.datagen.skew import customer_variant
 from repro.executor.engine import ExecutionEngine, TickBus
@@ -251,6 +260,98 @@ class TestPaidPerBatch:
         # At most one evaluation per read t that chose the MLE: zero when
         # every read chose GEE.
         assert counts["mle"] <= len(mle_read_ts) <= len(monitor.snapshots), (name, counts)
+
+    @pytest.mark.parametrize("name", ["distinct_fk", "groupby_fk"])
+    def test_group_hook_only_counts_and_a_read_settles_in_linear_time(
+        self, name, small_catalog, monkeypatch
+    ):
+        """The group hook runs a constant number of Python lines per batch,
+        however many distinct keys the batch holds: it counts in C. The
+        frequency statistics settle at reads, and the elements those settles
+        hand to ``Counter`` total at most 4·t over the pass."""
+        plan = compile_select(small_catalog, Q_LONG[name]).plan
+        bus = TickBus(interval=500)
+        monitor = ProgressMonitor(plan, mode="once", bus=bus)
+        ((hybrid, (aggregate,)),) = monitor.manager.attached()
+        hooks = aggregate.input_hooks[0]
+        (hook,) = hooks
+        core = str(Path(repro.core.__file__).parent)
+        lines_per_batch: list[tuple[int, int]] = []
+
+        def traced_hook(keys, rows):
+            lines = 0
+
+            def local(frame, event, _arg):
+                nonlocal lines
+                lines += event == "line"
+                return local
+
+            def tracer(frame, _event, _arg):
+                return local if frame.f_code.co_filename.startswith(core) else None
+
+            sys.settrace(tracer)
+            try:
+                hook(keys, rows)
+            finally:
+                sys.settrace(None)
+            lines_per_batch.append((len(set(keys)), lines))
+
+        hooks[0] = traced_hook
+        visited = 0
+
+        def counting_counter(iterable=()):
+            nonlocal visited
+            items = list(iterable)
+            visited += len(items)
+            return Counter(items)
+
+        monkeypatch.setattr(repro.core.distinct, "Counter", counting_counter)
+        result = ExecutionEngine(plan, bus=bus).run(batch_size=BATCH)
+        monitor.snapshot()
+        assert result.row_count > 0 and len(monitor.snapshots) >= 2
+
+        # A fold of five lines per distinct key would exceed the bound.
+        assert min(distinct for distinct, _ in lines_per_batch) >= 10, lines_per_batch
+        assert max(lines for _, lines in lines_per_batch) <= 30, (name, lines_per_batch)
+        t = hybrid.state.t
+        assert t == sum(aggregate.rows_consumed)
+        assert 0 < visited <= 4 * t, (name, visited, t)
+
+    @pytest.mark.parametrize("name", ["j3_agg_top", "j2_filter", "j3_agg"])
+    def test_fk_pk_joins_skip_their_0_1_passes(self, name, small_catalog, monkeypatch):
+        """Every Q-long join is FK -> PK, so each build histogram holds only
+        0/1 counts: no chain level runs a Σc² product pass (Σc² = Σc), and
+        no Case-2 derived build goes through ``add_weighted``'s Python loop."""
+        plan = compile_select(small_catalog, Q_LONG[name]).plan
+        bus = TickBus(interval=500)
+        monitor = ProgressMonitor(plan, mode="once", bus=bus)
+        calls = {"mul": 0, "add_weighted": 0}
+
+        def counting_mul(a, b):
+            calls["mul"] += 1
+            return a * b
+
+        add_weighted = FrequencyHistogram.add_weighted
+
+        def counting_add_weighted(hist, values, weights):
+            calls["add_weighted"] += 1
+            add_weighted(hist, values, weights)
+
+        monkeypatch.setattr(repro.core.pipeline_estimators, "mul", counting_mul)
+        monkeypatch.setattr(FrequencyHistogram, "add_weighted", counting_add_weighted)
+        result = ExecutionEngine(plan, bus=bus).run(batch_size=BATCH)
+        monitor.snapshot()
+        assert result.row_count > 0 and len(monitor.snapshots) >= 2
+
+        chains = [
+            est for est, _ in monitor.manager.attached()
+            if isinstance(est, HashJoinChainEstimator)
+        ]  # fmt: skip
+        assert chains and all(chain.exact for chain in chains)
+        for chain in chains:
+            assert set(chain.max_build_multiplicity.values()) == {1.0}
+            assert all(level.sum_c_sq == level.sum_c > 0 for level in chain.levels)
+        assert calls == {"mul": 0, "add_weighted": 0}, (name, calls)
 
 
 def test_operator_totals_then_snapshot_leave_the_schedule_alone(small_catalog):

@@ -10,6 +10,7 @@ from repro.executor.engine import ExecutionEngine
 from repro.executor.expressions import Comparison, col, lit
 import repro.core.aggregate_estimators
 import repro.core.distinct
+import repro.core.histogram
 import repro.core.join_estimators
 import repro.core.manager
 import repro.core.pipeline_estimators
@@ -185,16 +186,17 @@ class TestHooksAreColumnKernels:
     """The estimators pay per batch, not per tuple: no function they
     register on ``input_hooks`` — nor any method of theirs it hands the
     batch on to — loops over its ``rows`` / ``keys`` in Python. That covers
-    the chain and ONCE hooks and the group-count path (registered in
-    ``core/aggregate_estimators.py``, implemented in ``core/distinct.py``).
-    ``_probe_rows`` (the push-down listener path needs the per-tuple stream)
-    is the one exemption, and folding per *distinct* key (``Counter(keys)``)
-    is not a per-row loop. The guard stops at the estimator modules: the
-    Case-2 derived build's ``FrequencyHistogram.add_weighted`` is still one
-    Python step per build row, out of its sight."""
+    the chain and ONCE hooks, the histograms they fill
+    (``core/histogram.py``, whose batch parameter is ``values``) and the
+    group-count path (registered in ``core/aggregate_estimators.py``,
+    implemented in ``core/distinct.py``). Two functions are exempt, by
+    name: ``_probe_rows`` (the push-down listener path needs the per-tuple
+    stream) and ``FrequencyHistogram.add_weighted`` (a Case-2 derived
+    build whose folded histograms are not all 0/1 is one Python step per
+    build row)."""
 
-    BATCH_PARAMS = {"rows", "keys"}
-    EXEMPT = {"_probe_rows"}
+    BATCH_PARAMS = {"rows", "keys", "values"}
+    EXEMPT = frozenset({"_probe_rows", "add_weighted"})
     FIXTURE = (
         Path(__file__).parent / "fixtures" / "lint" / "repro" / "core" / "bad_row_loop_hook.py"
     )
@@ -234,7 +236,7 @@ class TestHooksAreColumnKernels:
         return isinstance(loop_iter, ast.Name) and loop_iter.id in params
 
     @classmethod
-    def _row_loops(cls, *sources: str) -> set[str]:
+    def _row_loops(cls, *sources: str, exempt: frozenset[str] = EXEMPT) -> set[str]:
         """Offending functions reachable from the hooks the ``sources``
         register; a call is followed into every function of that name in
         any of them (methods of different classes may share one)."""
@@ -250,7 +252,7 @@ class TestHooksAreColumnKernels:
         offenders: set[str] = set()
         while pending:
             name = pending.pop()
-            if name in reached or name in cls.EXEMPT or name not in functions:
+            if name in reached or name in exempt or name not in functions:
                 continue
             reached.add(name)
             # A factory's closures (and lambdas) are walked with it.
@@ -277,11 +279,15 @@ class TestHooksAreColumnKernels:
     @pytest.mark.parametrize(
         "modules",
         [
-            (repro.core.pipeline_estimators,),
-            (repro.core.join_estimators,),
+            (repro.core.pipeline_estimators, repro.core.histogram),
+            (repro.core.join_estimators, repro.core.histogram),
             (repro.core.aggregate_estimators, repro.core.distinct),
         ],
-        ids=lambda modules: "+".join(m.__name__ for m in modules),
+        # Named by the estimator modules; every join path also follows
+        # its calls into the histograms.
+        ids=lambda modules: "+".join(
+            m.__name__ for m in modules if m is not repro.core.histogram
+        ),
     )
     def test_no_registered_hook_loops_over_its_batch(self, modules):
         assert self._row_loops(*map(self._source, modules)) == set()
@@ -291,12 +297,28 @@ class TestHooksAreColumnKernels:
         per-key loop in ``GroupFrequencyState.observe_batch`` is caught."""
         registration = self._source(repro.core.aggregate_estimators)
         distinct = self._source(repro.core.distinct)
-        assert "for value, weight in Counter(keys).items():" in distinct
+        counted_in_c = "        self.counts.update(keys)\n"
+        assert distinct.count(counted_in_c) == 1
         mutated = distinct.replace(
-            "for value, weight in Counter(keys).items():",
-            "for value, weight in zip(keys, repeat(1)):",
+            counted_in_c,
+            "        for key in keys:\n            self.counts[key] += 1\n",
         )
         assert self._row_loops(registration, mutated) == {"observe_batch"}
+
+    def test_the_guard_reaches_the_histograms(self):
+        """A build hook's ``add_batch`` is followed into ``core/histogram.py``,
+        and ``add_weighted`` is passed over only because it is exempt."""
+        chain = self._source(repro.core.pipeline_estimators)
+        histogram = self._source(repro.core.histogram)
+        counted_in_c = "        counts.update(values)\n"
+        assert histogram.count(counted_in_c) == 1
+        mutated = histogram.replace(
+            counted_in_c, "        for value in values:\n            counts[value] += 1\n"
+        )
+        assert self._row_loops(chain, mutated) == {"add_batch"}
+        assert self._row_loops(
+            chain, histogram, exempt=self.EXEMPT - {"add_weighted"}
+        ) == {"add_weighted"}
 
     def test_the_guard_flags_the_fixture(self):
         assert self._row_loops(self.FIXTURE.read_text(encoding="utf-8")) == {

@@ -12,6 +12,8 @@ from repro.executor.operators import (
     HashJoin,
     SeqScan,
 )
+from repro.storage.schema import Schema
+from repro.storage.table import Table
 from repro.workloads import paper_binary_join, paper_pipeline_same_attr
 
 
@@ -101,6 +103,35 @@ class TestPipelineStates:
         snap = monitor.snapshot()
         # Bounds clamp the join to |build| * |probe| = 25.
         assert snap.work_total_estimate <= 25 + 5 + 5
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Pipeline.has_started counts an OPEN operator as started, and "
+        "open() opens the whole tree first: during a run no pipeline reads "
+        "'future', so bounds.estimate_of never prices one (ROADMAP item 4)",
+    )
+    def test_an_unstarted_pipeline_is_priced_at_its_bounds(self):
+        """While the top join builds from ``x``, the lower join's build
+        pipeline (a filter over ``c``) has not started. It should read
+        ``"future"`` and be priced at its bounds, which cap the filter at
+        |c| = 400 rows. Today it reads ``"current"`` and dne takes the
+        optimizer's 1e6 as is: T̂ = 1 008 400 at the first snapshot."""
+
+        def table(name: str, n: int) -> Table:
+            return Table(name, Schema.of("k:int", "v:int"), [(i % 50, i) for i in range(n)])
+
+        selection = Filter(SeqScan(table("c", 400)), col("c.v") < lit(200))
+        lower = HashJoin(selection, SeqScan(table("d", 7000)), "c.k", "d.k")
+        plan = HashJoin(SeqScan(table("x", 1000)), lower, "x.k", "d.k")
+        selection.estimated_cardinality = 1e6
+        bus = TickBus(500)
+        monitor = ProgressMonitor(plan, mode="once", bus=bus)
+        ExecutionEngine(plan, bus=bus, collect_rows=False).run(batch_size=1024)
+        first = monitor.snapshots[0]
+        (filter_pipeline,) = [p for p in monitor.pipelines if selection in p]
+        assert monitor.bounds.of(selection).hi == 400
+        assert first.pipeline_states[filter_pipeline.pipeline_id] == "future"
+        assert first.work_total_estimate < 1e6
 
     def test_catalog_annotation(self, small_catalog):
         plan = HashJoin(
