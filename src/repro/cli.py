@@ -325,7 +325,7 @@ def cmd_cancel(args: argparse.Namespace) -> int:
 
 def cmd_history(args: argparse.Namespace) -> int:
     """Inspect or clear a run-history store (all access via HistoryStore)."""
-    from repro.robust import HistoryStore, aggregate_prior
+    from repro.robust import HistoryStore
 
     store = HistoryStore(args.path)
     if args.history_cmd == "clear":
@@ -352,7 +352,7 @@ def cmd_history(args: argparse.Namespace) -> int:
                 f"{rec.wall_time_s:>8.3f}"
             )
         return 0
-    # show <fingerprint>: every run plus the aggregated prior.
+    # show <fingerprint>: every recorded run of one plan.
     records = store.records_for(args.fingerprint)
     if not records:
         print(f"no runs for fingerprint {args.fingerprint!r} in {args.path}")
@@ -360,17 +360,10 @@ def cmd_history(args: argparse.Namespace) -> int:
     print(f"fingerprint {args.fingerprint} — {len(records)} run(s)")
     print(f"signature: {records[-1].signature}")
     for rec in records:
-        errs = ", ".join(
-            f"{name}={mse:.3g}" for name, mse in sorted(rec.estimator_errors.items())
-        )
         print(
             f"  seq {rec.seq}: mode={rec.mode} rows={rec.row_count} "
-            f"T={rec.true_total:.0f} wall={rec.wall_time_s:.3f}s "
-            f"checkpoints={rec.estimator_checkpoints} mse[{errs}]"
+            f"T={rec.true_total:.0f} wall={rec.wall_time_s:.3f}s"
         )
-    prior = aggregate_prior(args.fingerprint, records)
-    for name, ep in sorted(prior.estimators.items()):
-        print(f"  prior {name}: mse={ep.mse:.6g} (n={ep.n:.0f} checkpoints)")
     return 0
 
 
@@ -532,9 +525,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--history",
         default=None,
         metavar="PATH",
-        help="run-history store (JSONL): seeds ensemble priors, records "
-        "finished runs and feeds observed cardinalities back to the "
-        "optimizer (see docs/ROBUST.md)",
+        help="run-history store (JSONL): records finished runs and feeds "
+        "their observed cardinalities back to the optimizer "
+        "(see docs/ROBUST.md)",
     )
     s.set_defaults(func=cmd_serve)
 
@@ -575,7 +568,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     hl = hsub.add_parser("list", help="one line per recorded run")
     hl.add_argument("--path", required=True, help="history store (JSONL)")
     hs = hsub.add_parser(
-        "show", help="runs + aggregated estimator prior for one fingerprint"
+        "show", help="every recorded run of one plan fingerprint"
     )
     hs.add_argument("fingerprint", help="canonical plan fingerprint digest")
     hs.add_argument("--path", required=True, help="history store (JSONL)")

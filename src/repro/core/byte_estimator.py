@@ -41,12 +41,16 @@ class ByteModelEstimator:
     def driver_progress(self) -> float:
         return self._dne.driver_progress
 
-    def estimate_for(self, op: Operator) -> float:
+    def estimate_for(self, op: Operator, total: float | None = None) -> float:
+        """Byte-model N_i for ``op``; ``total`` as in
+        :meth:`DriverNodeEstimator.estimate_for`."""
         if op.is_exhausted:
             return float(op.tuples_emitted)
+        if total is None:
+            total = self._dne.driver_total()
         if op is self._dne.driver:
-            return self._dne.estimate_for(op)
-        alpha = self.driver_progress
+            return self._dne.estimate_for(op, total)
+        alpha = self._dne.progress_at(total)
         optimizer = (
             float(op.estimated_cardinality)
             if op.estimated_cardinality is not None

@@ -32,28 +32,37 @@ class DriverNodeEstimator:
     def __init__(self, pipeline: Pipeline):
         self.pipeline = pipeline
         self.driver: Operator = pipeline.driver
-        self._driver_total = resolve_stream_total(self.driver)
+        #: N_d provider: the driver's total, read once per snapshot by the
+        #: monitor and passed to :meth:`estimate_for`.
+        self.driver_total = resolve_stream_total(self.driver)
 
     @property
     def driver_progress(self) -> float:
         """α: fraction of the driver's stream consumed so far (0..1)."""
-        total = self._driver_total()
+        return self.progress_at(self.driver_total())
+
+    def progress_at(self, total: float) -> float:
+        """α for a driver total already read from :attr:`driver_total`."""
         if total <= 0:
             return 1.0 if self.driver.is_exhausted else 0.0
         alpha = self.driver.tuples_emitted / total
         return min(max(alpha, 0.0), 1.0)
 
-    def estimate_for(self, op: Operator) -> float:
+    def estimate_for(self, op: Operator, total: float | None = None) -> float:
         """dne estimate of N_i for ``op``.
 
         Exact for exhausted operators; the driver itself reports its known
         total; before the pipeline starts, the optimizer estimate stands.
+        ``total`` is the driver's total when the caller already read it
+        for this pipeline (the monitor reads it once per snapshot).
         """
         if op.is_exhausted:
             return float(op.tuples_emitted)
+        if total is None:
+            total = self.driver_total()
         if op is self.driver:
-            return max(float(self._driver_total()), float(op.tuples_emitted))
-        alpha = self.driver_progress
+            return max(float(total), float(op.tuples_emitted))
+        alpha = self.progress_at(total)
         if alpha <= 0.0:
             if op.estimated_cardinality is not None:
                 return float(op.estimated_cardinality)

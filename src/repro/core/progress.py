@@ -27,7 +27,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.common.locks import acquires, assert_owned, guarded_by, holds_lock
 from repro.core.byte_estimator import ByteModelEstimator
@@ -40,9 +39,6 @@ from repro.faults.plan import SITE_ESTIMATOR_HOOK, FaultPlan
 from repro.optimizer.bounds import CardinalityBounds
 from repro.storage.catalog import Catalog
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.robust.store import HistoryStore
-
 __all__ = ["ProgressMonitor", "ProgressSnapshot"]
 
 MODES = ("once", "dne", "byte")
@@ -54,14 +50,7 @@ class ProgressSnapshot:
 
     ``degraded`` is True once any estimator has been demoted at runtime by
     the graceful-degradation guards (the query keeps running on the dne
-    fallback); ``degraded_reason`` carries the most recent demotion reason
-    (or, for history-enabled monitors, the run-history store's fault).
-
-    ``ensemble``/``weights``/``prior_source`` are populated only by
-    history-enabled monitors (``repro.robust``): the inverse-squared-error
-    combined progress fraction, the per-candidate weights behind it, and
-    whether those weights were seeded ``"warm"`` (history priors) or
-    ``"cold"`` (uniform).
+    fallback); ``degraded_reason`` carries the most recent demotion reason.
 
     Slotted: monitors allocate one per tick and sessions retain the full
     history for ratio-error replay, so the per-instance ``__dict__`` is
@@ -75,9 +64,6 @@ class ProgressSnapshot:
     pipeline_states: dict[int, str] = field(default_factory=dict)
     degraded: bool = False
     degraded_reason: str | None = None
-    ensemble: float | None = None
-    weights: dict[str, float] | None = None
-    prior_source: str | None = None
 
     @property
     def progress(self) -> float:
@@ -116,9 +102,8 @@ class ProgressMonitor:
 
     # Lock discipline: the snapshot list is appended from bus callbacks and
     # read by the post-run analysis helpers; both sides take the sampling
-    # lock, so replay never observes a half-appended list. The ensemble
-    # state mutates once per snapshot, always under the same lock.
-    _guarded_by_ = {"snapshots": "_lock", "ensemble": "_lock"}
+    # lock, so replay never observes a half-appended list.
+    _guarded_by_ = {"snapshots": "_lock"}
 
     def __init__(
         self,
@@ -129,7 +114,6 @@ class ProgressMonitor:
         record_every: int = 0,
         resilient: bool = False,
         faults: FaultPlan | None = None,
-        history: HistoryStore | None = None,
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -167,34 +151,6 @@ class ProgressMonitor:
             if mode == "byte"
             else {}
         )
-        self.history = history
-        self.fingerprint = None
-        self.ensemble = None
-        if history is not None:
-            # Lazy import: the core monitor must stay importable without
-            # the robust subsystem (history is strictly opt-in).
-            from repro.robust.ensemble import EnsembleState
-            from repro.robust.history import fingerprint_plan
-
-            self.fingerprint = fingerprint_plan(root)
-            # Candidate order: the primary mode first (its total is also the
-            # snapshot's work_total_estimate — bit-identical to a plain
-            # monitor), then the applicable baselines. "once" needs the
-            # estimation manager, so it is only ever the primary.
-            candidates = [self.mode] + [
-                m for m in MODES if m not in (self.mode, "once")
-            ]
-            if not self._byte:
-                self._byte = {
-                    p.pipeline_id: ByteModelEstimator(p) for p in self.pipelines
-                }
-            prior = history.prior(self.fingerprint.digest)
-            priors = (
-                {n: (ep.mse, ep.n) for n, ep in prior.estimators.items()}
-                if prior is not None
-                else {}
-            )
-            self.ensemble = EnsembleState(tuple(candidates), priors)
         self.snapshots: list[ProgressSnapshot] = []
         self._started = time.perf_counter()
         # Sampling lock: shared with the execution driver through the bus
@@ -236,63 +192,36 @@ class ProgressMonitor:
     def _snapshot_locked(self, tick: int) -> ProgressSnapshot:
         assert_owned(self._lock, "bus sampling lock")
         self.refresh_bounds()
-        ens = self.ensemble
         work_done = 0.0
         work_total = 0.0
-        cand_totals = dict.fromkeys(ens.candidates, 0.0) if ens is not None else None
         states: dict[int, str] = {}
         for pipeline in self.pipelines:
+            pid = pipeline.pipeline_id
             status = self._status(pipeline)
-            states[pipeline.pipeline_id] = status
+            states[pid] = status
             if status == "finished":
                 # Every mode's N_i of a finished operator is its K_i (an
                 # int below 2**53: adding it adds float(K_i) exactly).
-                for k_i in self._finished[pipeline.pipeline_id]:
+                for k_i in self._finished[pid]:
                     work_done += k_i
                     work_total += k_i
-                    for name in cand_totals or ():
-                        cand_totals[name] += k_i
                 continue
+            # N_d: one number per pipeline, read once and shared by every
+            # operator's dne / byte estimate (None while not executing).
+            total = self._dne[pid].driver_total() if status == "current" else None
             for op in pipeline.operators:
-                k_i = float(op.tuples_emitted)
-                work_done += k_i
-                if cand_totals is None:
-                    work_total += self._total_for_mode(op, pipeline, status, self.mode)
-                else:
-                    for name in cand_totals:
-                        cand_totals[name] += self._total_for_mode(
-                            op, pipeline, status, name
-                        )
-        ens_progress = ens_weights = prior_source = None
-        if cand_totals is not None:
-            # The primary mode's candidate sum *is* the same per-operator
-            # dispatch a plain monitor runs — work_total stays bit-identical
-            # whether or not history is enabled (the ensemble is read-only).
-            work_total = cand_totals[self.mode]
-            ens_progress, ens_weights = ens.update(work_done, cand_totals)
-            prior_source = ens.prior_source
+                work_done += float(op.tuples_emitted)
+                work_total += self._total_for_mode(op, pipeline, status, total)
         degraded = self.manager is not None and self.manager.degraded
-        reason = self.manager.demotions[-1][1] if degraded else None
-        if reason is None and self.history is not None:
-            # History faults degrade the session, never the query: surface
-            # the store's reason on snapshots when no estimator demoted.
-            hist_reason = self.history.degraded_reason
-            if hist_reason is not None:
-                degraded = True
-                reason = hist_reason
-        snap = ProgressSnapshot(
+        return ProgressSnapshot(
             tick=tick,
             timestamp=time.perf_counter() - self._started,
             work_done=work_done,
             work_total_estimate=max(work_total, work_done),
             pipeline_states=states,
             degraded=degraded,
-            degraded_reason=reason,
-            ensemble=ens_progress,
-            weights=ens_weights,
-            prior_source=prior_source,
+            degraded_reason=self.manager.demotions[-1][1] if degraded else None,
         )
-        return snap
 
     @guarded_by("_lock")
     def refresh_bounds(self) -> None:
@@ -312,22 +241,24 @@ class ProgressMonitor:
 
         This is the per-operator decomposition of one snapshot — the same
         ``_total_for_mode`` dispatch, itemised instead of summed.
-        :func:`repro.robust.feedback.record_run` reads the ``K_i`` of a
-        finished run from it; node ids come from ``validate_plan`` (the
-        plan must have been validated, as every ``PlanCursor`` run
-        guarantees) so the feedback can key them by plan fingerprint.
+        A run-history record reads the ``K_i`` of a finished run from it;
+        node ids come from ``validate_plan`` (the plan must have been
+        validated, as every ``PlanCursor`` run guarantees) so the record
+        can key them by plan fingerprint.
         """
         with self._lock:
             self.refresh_bounds()
             out: dict[int, tuple[float, float]] = {}
             for pipeline in self.pipelines:
+                pid = pipeline.pipeline_id
                 status = self._status(pipeline)
+                total = self._dne[pid].driver_total() if status == "current" else None
                 for op in pipeline.operators:
                     if op.node_id is None:  # pragma: no cover - defensive
                         continue
                     out[op.node_id] = (
                         float(op.tuples_emitted),
-                        self._total_for_mode(op, pipeline, status, self.mode),
+                        self._total_for_mode(op, pipeline, status, total),
                     )
             return out
 
@@ -344,16 +275,14 @@ class ProgressMonitor:
         return "future"
 
     def _total_for_mode(
-        self, op: Operator, pipeline: Pipeline, status: str, mode: str
+        self, op: Operator, pipeline: Pipeline, status: str, total: float | None
     ) -> float:
-        """Estimated N_i (total getnext calls) of one operator under one
-        candidate estimator family.
+        """Estimated N_i (total getnext calls) of one operator under the
+        monitor's mode; ``total`` is its pipeline's driver total, read once
+        per snapshot (None unless the pipeline is executing).
 
         Finished/exhausted and future operators do not depend on the mode;
-        only the currently executing pipeline's dispatch differs. Every
-        estimator's ``estimate_for`` is idempotent at a given ``t``, so the
-        ensemble can evaluate all candidates on the same tick without
-        perturbing any of them — the differential guarantee rests on this.
+        only the currently executing pipeline's dispatch differs.
         """
         k_i = float(op.tuples_emitted)
         if status == "finished" or op.is_exhausted:
@@ -361,17 +290,16 @@ class ProgressMonitor:
         if status == "future":
             return max(self.bounds.estimate_of(op), k_i)
         # Currently executing pipeline.
-        if mode == "once":
-            assert self.manager is not None
+        pid = pipeline.pipeline_id
+        if self.mode == "once":
             entry = self.manager.registry.get(id(op))
             if entry is not None and entry.started:
                 return max(entry.estimate(), k_i)
             # Operators without estimators — or whose estimator has not
             # begun observing — fall back to dne (Section 4.4).
-            return max(self._dne[pipeline.pipeline_id].estimate_for(op), k_i)
-        if mode == "byte":
-            return max(self._byte[pipeline.pipeline_id].estimate_for(op), k_i)
-        return max(self._dne[pipeline.pipeline_id].estimate_for(op), k_i)
+        elif self.mode == "byte":
+            return max(self._byte[pid].estimate_for(op, total), k_i)
+        return max(self._dne[pid].estimate_for(op, total), k_i)
 
     # -- post-run analysis -------------------------------------------------------------
 

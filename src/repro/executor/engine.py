@@ -250,10 +250,10 @@ class ExecutionEngine:
         every injection site a zero-cost no-op.
     history:
         Optional :class:`~repro.robust.HistoryStore`. When given, the
-        engine attaches a history-enabled :class:`ProgressMonitor`
-        (creating a :class:`TickBus` if none was passed) and, on a
-        successful serial run, scores and appends the run record —
-        plus its per-subtree cardinalities — to the store.
+        engine attaches a :class:`ProgressMonitor` (creating a
+        :class:`TickBus` if none was passed) and, on a successful serial
+        run, appends the run record — its progress curve and per-subtree
+        cardinalities — to the store.
     """
 
     def __init__(
@@ -281,9 +281,7 @@ class ExecutionEngine:
             # the TickBus, so the dependency must stay one-way.
             from repro.core.progress import ProgressMonitor
 
-            self.monitor = ProgressMonitor(
-                root, mode="once", bus=bus, history=history
-            )
+            self.monitor = ProgressMonitor(root, mode="once", bus=bus)
 
     @acquires("bus.lock")
     def run(

@@ -28,8 +28,8 @@ Sites
 ``server.read``           fired per request line read from a client socket.
 ``server.write``          fired per reply/stream line written to a client.
 ``history.read``          fired when :class:`~repro.robust.HistoryStore` loads
-                          run records (prior lookup). A fault degrades the
-                          monitor to cold-start priors — it never fails the
+                          run records. A fault leaves the store empty (no
+                          observed cardinalities) — it never fails the
                           query.
 ``history.write``         fired when the history store appends a run record.
                           A fault drops the record and flags the session

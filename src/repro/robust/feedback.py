@@ -1,10 +1,10 @@
 """Statistics feedback: finished runs teach the optimizer.
 
 On FINISHED, the integration layer (engine / server session) calls
-:func:`record_run`: the monitor's ensemble trajectory is scored against
-the now-known true total, per-subtree final cardinalities are captured,
-and one :class:`~repro.robust.history.RunRecord` is appended to the
-store. :func:`observed_view` then projects the whole history into an
+:func:`record_run`: the plan is fingerprinted, its progress curve and
+per-subtree final cardinalities are captured, and one
+:class:`~repro.robust.history.RunRecord` is appended to the store.
+:func:`observed_view` then projects the whole history into an
 :class:`~repro.storage.statistics.ObservedCardinalities` overlay that
 :mod:`repro.optimizer.cardinality` consults before its model — observed
 counts beat modeled counts for plans the system has actually run, in the
@@ -21,7 +21,7 @@ This module does no file I/O (lint rule R008): persistence belongs to
 
 from __future__ import annotations
 
-from repro.robust.history import RunRecord
+from repro.robust.history import RunRecord, fingerprint_plan
 from repro.robust.store import HistoryStore
 from repro.storage.statistics import ObservedCardinalities
 
@@ -56,18 +56,13 @@ def _base_table_rows(root) -> dict[str, int]:
     return out
 
 
-def build_record(monitor, wall_time_s: float, row_count: int) -> RunRecord | None:
-    """A :class:`RunRecord` for one finished, history-enabled monitor.
+def build_record(monitor, wall_time_s: float, row_count: int) -> RunRecord:
+    """A :class:`RunRecord` for the finished run ``monitor`` watched.
 
-    Returns None when the monitor has no fingerprint/ensemble (history was
-    not enabled) — recording is strictly opt-in.
+    The plan is fingerprinted here, after the run: node ids are pre-order
+    positions either way, so they key ``operator_totals`` the same.
     """
-    fingerprint = getattr(monitor, "fingerprint", None)
-    ensemble = getattr(monitor, "ensemble", None)
-    if fingerprint is None or ensemble is None:
-        return None
-    true_total = monitor.true_total()
-    errors, checkpoints = ensemble.final_errors(true_total)
+    fingerprint = fingerprint_plan(monitor.root)
     node_cards: dict[str, float] = {}
     for node_id, (k_i, _total) in monitor.operator_totals().items():
         digest = fingerprint.nodes.get(node_id)
@@ -78,11 +73,9 @@ def build_record(monitor, wall_time_s: float, row_count: int) -> RunRecord | Non
         signature=fingerprint.signature,
         mode=monitor.mode,
         wall_time_s=float(wall_time_s),
-        true_total=float(true_total),
+        true_total=monitor.true_total(),
         row_count=int(row_count),
         curve=_downsample(monitor.progress_curve()),
-        estimator_errors=errors,
-        estimator_checkpoints=checkpoints,
         node_cards=node_cards,
         table_rows=_base_table_rows(monitor.root),
     )
@@ -95,18 +88,15 @@ def record_run(
     row_count: int,
     observed: ObservedCardinalities | None = None,
 ) -> RunRecord | None:
-    """Score, persist and (optionally) feed back one finished run.
+    """Persist and (optionally) feed back one finished run.
 
-    Returns the appended record, or None when the monitor was not
-    history-enabled or the store dropped the write (fault/IO error — the
-    caller reads ``store.degraded_reason``). When ``observed`` is given,
-    the run's per-subtree cardinalities are folded into it so the next
-    compilation sees them immediately, without a store round-trip.
+    Returns the appended record, or None when the store dropped the write
+    (fault/IO error — the caller reads ``store.degraded_reason``). When
+    ``observed`` is given, the run's per-subtree cardinalities are folded
+    into it so the next compilation sees them immediately, without a store
+    round-trip.
     """
-    record = build_record(monitor, wall_time_s, row_count)
-    if record is None:
-        return None
-    record = store.append_run(record)
+    record = store.append_run(build_record(monitor, wall_time_s, row_count))
     if record is not None and observed is not None:
         observed.absorb(record.node_cards, record.table_rows, record.seq)
     return record

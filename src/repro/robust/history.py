@@ -7,8 +7,8 @@ tree. Two submissions of the same query — under different table aliases,
 whitespace, SELECT-list order or join-input partitioning knobs — must hash
 identically, while changing a join key or a predicate constant must hash
 differently. The fingerprint is what lets a cold server recognise "I have
-run this plan before" and seed estimator weights and cardinalities from
-those runs.
+run this plan before" and seed the optimizer's cardinalities from those
+runs.
 
 Canonical form
 --------------
@@ -38,11 +38,8 @@ cardinalities by (node ids are only stable within one plan shape).
 Records
 -------
 :class:`RunRecord` is the JSONL payload the store appends per finished
-run: the progress curve, each candidate estimator's error trajectory,
-final per-subtree cardinalities, base-table row counts at observation
-time (for the staleness bound) and wall time. :func:`aggregate_prior`
-folds a fingerprint's records into the per-estimator error priors that
-seed the live ensemble weights.
+run: the progress curve, final per-subtree cardinalities, base-table row
+counts at observation time (for the staleness bound) and wall time.
 """
 
 from __future__ import annotations
@@ -68,11 +65,8 @@ from repro.executor.operators.base import Operator
 from repro.sql.render import render_expression
 
 __all__ = [
-    "EstimatorPrior",
     "PlanFingerprint",
-    "Prior",
     "RunRecord",
-    "aggregate_prior",
     "canonical_expression",
     "fingerprint_plan",
 ]
@@ -221,8 +215,8 @@ class PlanFingerprint:
 
     A node's id is its pre-order position, the id
     :func:`~repro.executor.plan.validate_plan` assigns when the plan opens;
-    ``nodes`` is numbered the same way, so a plan fingerprinted before it
-    opens (as a monitor does) already maps every node.
+    ``nodes`` is numbered the same way, so a fingerprint taken before or
+    after the plan opens maps every node.
     """
 
     digest: str
@@ -253,13 +247,11 @@ def fingerprint_plan(root: Operator) -> PlanFingerprint:
 class RunRecord:
     """One finished run of a fingerprinted plan, as stored in the JSONL log.
 
-    ``estimator_errors`` maps candidate name (``once``/``dne``/``byte``) to
-    its mean squared progress error over the ensemble's per-snapshot
-    trajectory — estimated vs. eventual-truth progress at each snapshot
-    (``EnsembleState.final_errors``); ``estimator_checkpoints`` counts those
-    snapshots. ``node_cards`` maps subtree digests to the operator's final
+    ``node_cards`` maps subtree digests to the operator's final
     ``tuples_emitted``; ``table_rows`` records each base table's row count
-    at observation time so feedback consumers can bound staleness.
+    at observation time so feedback consumers can bound staleness. Keys a
+    record does not know (older stores wrote per-estimator error fields)
+    are ignored on load.
     """
 
     fingerprint: str
@@ -269,8 +261,6 @@ class RunRecord:
     true_total: float
     row_count: int
     curve: list[list[float]] = field(default_factory=list)
-    estimator_errors: dict[str, float] = field(default_factory=dict)
-    estimator_checkpoints: int = 0
     node_cards: dict[str, float] = field(default_factory=dict)
     table_rows: dict[str, int] = field(default_factory=dict)
     seq: int = 0
@@ -284,8 +274,6 @@ class RunRecord:
             "true_total": self.true_total,
             "row_count": self.row_count,
             "curve": [list(point) for point in self.curve],
-            "estimator_errors": dict(self.estimator_errors),
-            "estimator_checkpoints": self.estimator_checkpoints,
             "node_cards": dict(self.node_cards),
             "table_rows": dict(self.table_rows),
             "seq": self.seq,
@@ -301,11 +289,6 @@ class RunRecord:
             true_total=float(data.get("true_total", 0.0)),
             row_count=int(data.get("row_count", 0)),
             curve=[list(map(float, p)) for p in data.get("curve", [])],
-            estimator_errors={
-                str(k): float(v)
-                for k, v in data.get("estimator_errors", {}).items()
-            },
-            estimator_checkpoints=int(data.get("estimator_checkpoints", 0)),
             node_cards={
                 str(k): float(v) for k, v in data.get("node_cards", {}).items()
             },
@@ -315,58 +298,3 @@ class RunRecord:
             seq=int(data.get("seq", 0)),
         )
 
-
-# -- priors --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EstimatorPrior:
-    """Historical accuracy of one candidate estimator on one fingerprint:
-    mean squared progress error averaged over ``n`` recorded checkpoints."""
-
-    mse: float
-    n: int
-
-
-@dataclass(frozen=True)
-class Prior:
-    """Everything the history knows about one plan fingerprint."""
-
-    fingerprint: str
-    runs: int
-    estimators: dict[str, EstimatorPrior]
-    node_cards: dict[str, float]
-    table_rows: dict[str, int]
-    last_seq: int
-
-
-def aggregate_prior(fingerprint: str, records: list[RunRecord]) -> Prior | None:
-    """Fold a fingerprint's run records into one :class:`Prior`.
-
-    Per-estimator MSEs are checkpoint-weighted means across runs; the
-    cardinality snapshot (``node_cards``/``table_rows``) comes from the
-    most recent run, which is the one the staleness bound is measured
-    against.
-    """
-    if not records:
-        return None
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for record in records:
-        weight = max(record.estimator_checkpoints, 1)
-        for name, mse in record.estimator_errors.items():
-            sums[name] = sums.get(name, 0.0) + mse * weight
-            counts[name] = counts.get(name, 0) + weight
-    estimators = {
-        name: EstimatorPrior(mse=sums[name] / counts[name], n=counts[name])
-        for name in sums
-    }
-    latest = max(records, key=lambda r: r.seq)
-    return Prior(
-        fingerprint=fingerprint,
-        runs=len(records),
-        estimators=estimators,
-        node_cards=dict(latest.node_cards),
-        table_rows=dict(latest.table_rows),
-        last_seq=latest.seq,
-    )

@@ -12,7 +12,7 @@ Fault injection
 ---------------
 The store carries the ``history.read`` / ``history.write`` injection
 sites. History is an accelerant, never a dependency: any fault here
-degrades the store — cold-start priors on a failed read, a dropped record
+degrades the store — an empty history on a failed read, a dropped record
 on a failed write — and surfaces through ``degraded_reason``; it never
 raises into the query path. A ``short_read`` fault on the write side
 tears the record mid-line on purpose, which is how the chaos harness
@@ -21,7 +21,7 @@ exercises the torn-tail recovery against realistic damage.
 Lock discipline
 ---------------
 All index state lives under one private mutex. ``degraded_reason`` is an
-immutable value published lock-free (write-guarded): progress monitors
+immutable value published lock-free (write-guarded): server sessions
 read it from under the TickBus sampling lock, and a nested blocking
 acquire there would stall every concurrent snapshot (analyzer rule X005).
 """
@@ -41,7 +41,7 @@ from repro.faults.plan import (
     FaultPlan,
     InjectedFault,
 )
-from repro.robust.history import Prior, RunRecord, aggregate_prior
+from repro.robust.history import RunRecord
 
 __all__ = ["HistoryStore"]
 
@@ -107,7 +107,7 @@ class HistoryStore:
                 return
         if spec is not None and spec.kind == SHORT_READ:
             # A partial read is indistinguishable from an empty history;
-            # degrade to cold-start priors rather than trust half a file.
+            # degrade to an empty one rather than trust half a file.
             self.degraded_reason = "history read fault: short read"
             self._needs_newline = True  # unknown tail state: heal defensively
             return
@@ -194,15 +194,6 @@ class HistoryStore:
             return record
 
     # -- queries -------------------------------------------------------------
-
-    @acquires("_lock")
-    def prior(self, fingerprint: str) -> Prior | None:
-        """Per-estimator error priors (and cardinality snapshot) for one
-        fingerprint; None when the history has never seen it (or the store
-        degraded to cold-start)."""
-        with self._lock:
-            self._load_locked()
-            return aggregate_prior(fingerprint, self._by_fp.get(fingerprint, []))
 
     @acquires("_lock")
     def records(self) -> list[RunRecord]:

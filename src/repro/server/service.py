@@ -139,10 +139,10 @@ class ProgressService:
         self.faults = faults if faults is not None else plan_from_env()
         self.retry_budget = retry_budget
         # Robust subsystem: a run-history store shared by every session
-        # (priors in, run records out) plus the observed-cardinality
-        # overlay the compiler consults. Built after ``faults`` so the
-        # store's history.read/write sites are armed; a read fault here
-        # degrades the store to cold-start priors, never the service.
+        # (run records out) plus the observed-cardinality overlay the
+        # compiler consults. Built after ``faults`` so the store's
+        # history.read/write sites are armed; a read fault here degrades
+        # the store to an empty history, never the service.
         self.history = None
         self.observed = None
         if history_path is not None:

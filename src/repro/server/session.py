@@ -73,12 +73,9 @@ class SessionSnapshot:
     ``degraded`` marks progress running on the dne fallback after a
     runtime estimator demotion (the query itself is fine — only estimate
     quality degraded); ``retries`` counts transient storage faults
-    absorbed by the session's retry budget.
-
-    ``ensemble``/``weights``/``prior_source`` carry the robust monitor's
-    combined progress estimate, its per-candidate weights and whether the
-    weights were history-seeded (``"warm"``/``"cold"``); all None unless
-    the session runs with a history store attached.
+    absorbed by the session's retry budget. A run-history store fault
+    (with no estimator demotion to report) also sets ``degraded``, with
+    the store's reason: the query is fine, only its record was lost.
     """
 
     session_id: str
@@ -94,9 +91,6 @@ class SessionSnapshot:
     degraded: bool = False
     degraded_reason: str | None = None
     retries: int = 0
-    ensemble: float | None = None
-    weights: dict[str, float] | None = None
-    prior_source: str | None = None
 
     def to_wire(self) -> dict:
         """The snapshot's wire dict, memoized per instance.
@@ -122,15 +116,6 @@ class SessionSnapshot:
                 "degraded": self.degraded,
                 "degraded_reason": self.degraded_reason,
                 "retries": self.retries,
-                "ensemble": (
-                    round(self.ensemble, 6) if self.ensemble is not None else None
-                ),
-                "weights": (
-                    {k: round(v, 6) for k, v in self.weights.items()}
-                    if self.weights is not None
-                    else None
-                ),
-                "prior_source": self.prior_source,
             }
             object.__setattr__(self, "_wire", cached)
         return cached
@@ -171,11 +156,10 @@ class QuerySession:
     history / observed:
         Optional :class:`~repro.robust.HistoryStore` and
         :class:`~repro.storage.statistics.ObservedCardinalities`. With a
-        store attached, the session builds a history-enabled monitor
-        (ensemble fields appear on snapshots) and, on FINISHED, scores
-        and appends the run record — folding its per-subtree
-        cardinalities into ``observed`` for the optimizer's
-        observed-over-modeled feedback loop.
+        store attached, the session appends the run record on FINISHED —
+        folding its per-subtree cardinalities into ``observed`` for the
+        optimizer's observed-over-modeled feedback loop — and its
+        snapshots surface the store's ``degraded_reason``.
     """
 
     # Lock discipline (machine-checked by repro.analysis.concurrency).
@@ -257,7 +241,6 @@ class QuerySession:
                 bus=self.bus,
                 resilient=resilient,
                 faults=faults,
-                history=history,
             )
         )
         self.cursor = PlanCursor(plan, bus=self.bus, faults=faults)
@@ -373,6 +356,13 @@ class QuerySession:
         state = self.state
         progress = self._last_progress
         degraded = progress is not None and progress.degraded
+        reason = progress.degraded_reason if degraded else None
+        if not degraded and self.history is not None:
+            # History faults degrade the session, never the query. The
+            # store publishes its reason lock-free, so this read takes no
+            # lock under the sampling lock the publish path holds.
+            reason = self.history.degraded_reason
+            degraded = reason is not None
         if state is SessionState.FINISHED:
             # C(Q) is now the exact T(Q): pin to 1.0 with matching totals
             # so aggregates over finished sessions cannot drift or regress.
@@ -402,11 +392,8 @@ class QuerySession:
             elapsed_s=self.elapsed_s(),
             error=self.error,
             degraded=degraded,
-            degraded_reason=progress.degraded_reason if degraded else None,
+            degraded_reason=reason,
             retries=self.retry_count,
-            ensemble=progress.ensemble if progress is not None else None,
-            weights=progress.weights if progress is not None else None,
-            prior_source=progress.prior_source if progress is not None else None,
         )
 
     def results(self) -> tuple[list[str], list[tuple], bool]:
@@ -507,8 +494,8 @@ class QuerySession:
         self.state = state
         self.finished_at = time.monotonic()
         if state is SessionState.FINISHED and self.history is not None:
-            # Statistics feedback: score the ensemble trajectory against the
-            # now-known true total and persist the run. A store fault here
+            # Statistics feedback: persist the run before the terminal
+            # publish, so a store fault here shows on the terminal frame. It
             # degrades the session's history, never the (already complete)
             # query — append_run absorbs it and sets degraded_reason.
             from repro.robust.feedback import record_run

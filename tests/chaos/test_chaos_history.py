@@ -2,12 +2,12 @@
 **history faults never change row results or terminal progress**.
 
 History is an accelerant, never a dependency. A fault at ``history.read``
-(store load) degrades the ensemble to cold-start priors; a fault at
-``history.write`` (run recording) drops the record — and that is the
-*whole* blast radius. Rows, tick counts and the terminal progress state
-must be bit-identical to a fault-free history-enabled run, with
-``degraded_reason`` surfaced on the store (and through session
-snapshots) so the degradation is observable, not silent.
+(store load) leaves the store empty; a fault at ``history.write`` (run
+recording) drops the record — and that is the *whole* blast radius. Rows,
+tick counts and the terminal progress state must be bit-identical to a
+fault-free history-enabled run, with ``degraded_reason`` surfaced on the
+store (and through session snapshots, the terminal frame included) so
+the degradation is observable, not silent.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def test_history_faults_never_change_rows_or_terminal_progress(seed, tmp_path):
 
 def test_read_fault_degradation_is_visible_in_snapshots(tmp_path):
     """A degraded store surfaces through the session's wire snapshots:
-    ``degraded`` set with the store's reason, cold-start prior source."""
+    ``degraded`` set with the store's reason."""
     path = tmp_path / "history.jsonl"
     run_session(build_plan(0), HistoryStore(path))  # warm the file
     plan = FaultPlan(
@@ -106,11 +106,33 @@ def test_read_fault_degradation_is_visible_in_snapshots(tmp_path):
     assert snap.degraded
     assert snap.degraded_reason is not None
     assert "history read fault" in snap.degraded_reason
-    assert snap.prior_source == "cold"
 
-    # The same plan without the fault warm-starts from the same file.
+    # The same plan without the fault reads the same file cleanly.
     clean = run_session(build_plan(0), HistoryStore(path))
-    assert clean.snapshot().prior_source == "warm"
+    assert not clean.snapshot().degraded
+
+
+def test_write_fault_is_visible_on_the_terminal_frame(tmp_path):
+    """The run is recorded before the terminal publish, so a
+    ``history.write`` fault at FINISHED shows on the last frame a watcher
+    receives — and on no frame before it."""
+    plan = FaultPlan(
+        seed=5, specs=[FaultSpec(SITE_HISTORY_WRITE, kind=ERROR, every=1)]
+    )
+    store = HistoryStore(tmp_path / "history.jsonl", faults=plan)
+    session = QuerySession(
+        build_plan(0), quantum_rows=QUANTUM, row_cap=1_000_000, history=store
+    )
+    frames = []
+    session.add_listener(lambda _session, snap: frames.append(snap.to_wire()))
+    while session.step():
+        pass
+    terminal = frames[-1]
+    assert terminal["state"] == "finished"
+    assert terminal["degraded"] is True
+    assert "history write" in terminal["degraded_reason"]
+    assert not any(frame["degraded"] for frame in frames[:-1])
+    assert len(store) == 0
 
 
 def test_write_fault_drops_record_but_engine_rows_survive(tmp_path):

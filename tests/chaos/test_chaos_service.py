@@ -297,7 +297,7 @@ def test_delta_watch_resyncs_via_keyframe_after_write_faults(db, seed):
     wire_fields = {
         "session_id", "name", "state", "seq", "progress", "work_done",
         "work_total_estimate", "row_count", "elapsed_s", "error", "degraded",
-        "degraded_reason", "retries", "ensemble", "weights", "prior_source",
+        "degraded_reason", "retries",
     }
     # Fire every ~15 written lines so faults land between keyframes
     # (default cadence 16), i.e. while the stream is mid-delta.

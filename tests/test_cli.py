@@ -120,3 +120,72 @@ class TestAnalyzeCommand:
             build_arg_parser().parse_args(
                 ["analyze", "SELECT 1", "--min-severity", "loud"]
             )
+
+
+#: A run record as stores written before the per-estimator error fields
+#: were dropped kept it: ``estimator_errors``/``estimator_checkpoints``
+#: must still load (and be ignored).
+OLD_RECORD_LINE = (
+    '{"fingerprint":"aabbccdd00112233","signature":"(seqscan customer)",'
+    '"mode":"once","wall_time_s":1.25,"true_total":1000.0,"row_count":42,'
+    '"curve":[[0.0,0.0],[0.5,0.45],[1.0,1.0]],'
+    '"estimator_errors":{"once":0.01,"dne":0.09,"byte":0.04},'
+    '"estimator_checkpoints":12,"node_cards":{"deadbeef01234567":500.0},'
+    '"table_rows":{"customer":1500},"seq":1}\n'
+)
+
+
+class TestHistoryCommand:
+    @pytest.fixture
+    def mixed_store(self, tmp_path):
+        """A store holding an old-format line, then a run recorded now."""
+        from repro.datagen.skew import customer_variant
+        from repro.executor.engine import ExecutionEngine
+        from repro.executor.operators import SeqScan
+        from repro.robust import HistoryStore, fingerprint_plan
+
+        path = tmp_path / "history.jsonl"
+        path.write_text(OLD_RECORD_LINE)
+        table = customer_variant(z=0.0, domain_size=10, variant=0, num_rows=40, name="t")
+        ExecutionEngine(SeqScan(table), history=HistoryStore(path)).run()
+        return path, fingerprint_plan(SeqScan(table))
+
+    def test_old_and_new_records_both_load_and_feed_back(self, mixed_store):
+        from repro.robust import HistoryStore, observed_view
+
+        path, new_fp = mixed_store
+        store = HistoryStore(path)
+        old, new = store.records()
+        assert store.skipped() == 0 and store.degraded_reason is None
+        assert (old.fingerprint, old.seq, old.row_count) == ("aabbccdd00112233", 1, 42)
+        assert (new.fingerprint, new.seq, new.row_count) == (new_fp.digest, 2, 40)
+        observed = observed_view(store)
+        assert observed.lookup("deadbeef01234567") == 500.0
+        assert observed.lookup(new_fp.nodes[0]) == 40.0
+
+    def test_list_shows_both_runs(self, mixed_store, capsys):
+        path, new_fp = mixed_store
+        assert main(["history", "list", "--path", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:2] == ["seq", "fingerprint"]
+        assert [line.split()[:2] for line in lines[1:]] == [
+            ["1", "aabbccdd00112233"],
+            ["2", new_fp.digest],
+        ]
+
+    def test_show_prints_each_run(self, mixed_store, capsys):
+        path, new_fp = mixed_store
+        for digest, seq, rows in (("aabbccdd00112233", 1, 42), (new_fp.digest, 2, 40)):
+            assert main(["history", "show", digest, "--path", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert f"fingerprint {digest} — 1 run(s)" in out
+            assert f"seq {seq}: mode=once rows={rows} " in out
+        assert main(["history", "show", "0000000000000000", "--path", str(path)]) == 1
+        assert "no runs for fingerprint" in capsys.readouterr().out
+
+    def test_clear_empties_the_store(self, mixed_store, capsys):
+        path, _ = mixed_store
+        assert main(["history", "clear", "--path", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == f"cleared 2 run(s) from {path}"
+        assert main(["history", "list", "--path", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == f"no runs recorded in {path}"

@@ -423,12 +423,12 @@ def test_row_and_batch_modes_agree(trial):
         assert got.estimator_state == reference.estimator_state, context
 
 
-# -- history/ensemble differential guarantee -----------------------------------
-# Enabling run history (the repro.robust ensemble) must be observationally
-# invisible to execution: the ensemble is a read-only overlay on the same
-# tick stream. Rows, ticks, per-operator counts, every recorded snapshot's
-# work_done / work_total_estimate and the full estimator internals must be
-# bit-identical with history off, cold, and warm.
+# -- history differential guarantee --------------------------------------------
+# Enabling run history must be observationally invisible to execution: the
+# engine only records the finished run. Rows, ticks, per-operator counts,
+# every recorded snapshot's work_done / work_total_estimate and the full
+# estimator internals must be bit-identical with history off, with an
+# empty store, and with a store that already holds a run of the plan.
 
 HISTORY_TRIALS = range(0, NUM_PLANS, 10)
 
@@ -442,16 +442,19 @@ class _HistoryObservation:
     t_q: float
     snapshots: list[tuple[float, float, float]]
     estimator_state: list[tuple]
-    prior_source: str | None
 
 
 def _observe_history(trial: int, store) -> _HistoryObservation:
     plan = build_plan(trial)
     bus = TickBus(interval=TICK_INTERVAL)
-    monitor = ProgressMonitor(
-        plan, mode="once", bus=bus, record_every=TICK_INTERVAL, history=store
-    )
-    result = ExecutionEngine(plan, bus=bus, collect_rows=True).run()
+    engine = ExecutionEngine(plan, bus=bus, collect_rows=True, history=store)
+    # With a store the engine attaches the monitor itself; without one the
+    # reference attaches the same monitor by hand.
+    monitor = engine.monitor or ProgressMonitor(plan, mode="once", bus=bus)
+    runs_before = len(store) if store is not None else 0
+    result = engine.run()
+    if store is not None:
+        assert len(store) == runs_before + 1  # the run was recorded
     final = monitor.snapshot()
     assert monitor.manager is not None
     with monitor._lock:
@@ -459,10 +462,6 @@ def _observe_history(trial: int, store) -> _HistoryObservation:
             (s.work_done, s.work_total_estimate, s.progress)
             for s in monitor.snapshots
         ]
-    if store is not None:
-        from repro.robust.feedback import record_run
-
-        record_run(monitor, store, 0.1, len(result.rows or []))
     return _HistoryObservation(
         rows=result.rows or [],
         counts=[(op.op_name, op.tuples_emitted) for op in walk(plan)],
@@ -471,7 +470,6 @@ def _observe_history(trial: int, store) -> _HistoryObservation:
         t_q=final.work_total_estimate,
         snapshots=snapshots,
         estimator_state=_estimator_state(monitor.manager),
-        prior_source=final.prior_source,
     )
 
 
@@ -480,15 +478,12 @@ def test_history_enabled_runs_are_bit_identical(trial, tmp_path):
     from repro.robust import HistoryStore
 
     reference = _observe_history(trial, store=None)
-    assert reference.prior_source is None
 
     path = tmp_path / "history.jsonl"
-    cold = _observe_history(trial, HistoryStore(path))
-    assert cold.prior_source == "cold"
-    warm = _observe_history(trial, HistoryStore(path))
-    assert warm.prior_source == "warm"
+    empty = _observe_history(trial, HistoryStore(path))
+    holding_one = _observe_history(trial, HistoryStore(path))
 
-    for label, got in (("cold", cold), ("warm", warm)):
+    for label, got in (("empty store", empty), ("store holding one run", holding_one)):
         context = f"trial={trial} {label}"
         assert got.rows == reference.rows, context
         assert got.counts == reference.counts, context

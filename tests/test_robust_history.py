@@ -1,5 +1,5 @@
 """Unit tests for the run-history store: round-trips, crash tolerance
-(torn trailing record), priors, and the clear/degrade paths."""
+(torn trailing record), and the clear/degrade paths."""
 
 from __future__ import annotations
 
@@ -7,21 +7,12 @@ import json
 
 import pytest
 
-from repro.core.progress import ProgressMonitor
 from repro.datagen.skew import customer_variant
 from repro.executor.engine import ExecutionEngine, TickBus
 from repro.executor.operators import SeqScan
 from repro.faults import ERROR, SHORT_READ, FaultPlan, FaultSpec
 from repro.faults.plan import SITE_HISTORY_READ, SITE_HISTORY_WRITE
-from repro.robust import (
-    EstimatorPrior,
-    HistoryStore,
-    RunRecord,
-    aggregate_prior,
-    fingerprint_plan,
-)
-from repro.robust.feedback import record_run
-from repro.storage.statistics import ObservedCardinalities
+from repro.robust import HistoryStore, RunRecord, fingerprint_plan, observed_view
 
 
 def make_record(fp="aabbccdd00112233", seq=0, **overrides) -> RunRecord:
@@ -33,8 +24,6 @@ def make_record(fp="aabbccdd00112233", seq=0, **overrides) -> RunRecord:
         true_total=1000.0,
         row_count=42,
         curve=[[0.0, 0.0], [0.5, 0.45], [1.0, 1.0]],
-        estimator_errors={"once": 0.01, "dne": 0.09, "byte": 0.04},
-        estimator_checkpoints=12,
         node_cards={"deadbeef01234567": 500.0},
         table_rows={"customer": 1500},
         seq=seq,
@@ -62,7 +51,6 @@ class TestRoundTrip:
     def test_missing_file_is_empty_history(self, tmp_path):
         store = HistoryStore(tmp_path / "never-written.jsonl")
         assert store.records() == []
-        assert store.prior("aabbccdd00112233") is None
         assert store.degraded_reason is None
 
     def test_seq_assignment_is_monotonic_across_reload(self, tmp_path):
@@ -145,52 +133,14 @@ class TestTornTail:
         assert [r.fingerprint for r in reloaded.records()] == ["ffeeddcc99887766"]
 
 
-class TestPriors:
-    def test_prior_aggregates_checkpoint_weighted(self, tmp_path):
-        store = HistoryStore(tmp_path / "h.jsonl")
-        store.append_run(
-            make_record(estimator_errors={"once": 0.04}, estimator_checkpoints=10)
-        )
-        store.append_run(
-            make_record(estimator_errors={"once": 0.01}, estimator_checkpoints=30)
-        )
-        prior = store.prior("aabbccdd00112233")
-        assert prior is not None
-        assert prior.runs == 2
-        once = prior.estimators["once"]
-        assert once.n == 40
-        assert once.mse == pytest.approx((0.04 * 10 + 0.01 * 30) / 40)
-
-    def test_prior_none_for_unknown_fingerprint(self, tmp_path):
-        store = HistoryStore(tmp_path / "h.jsonl")
-        store.append_run(make_record())
-        assert store.prior("0000000000000000") is None
-
-    def test_aggregate_prior_latest_run_wins_cardinalities(self):
-        older = make_record(node_cards={"d1": 100.0}, table_rows={"t": 10}, seq=1)
-        newer = make_record(node_cards={"d1": 900.0}, table_rows={"t": 90}, seq=2)
-        prior = aggregate_prior("aabbccdd00112233", [older, newer])
-        assert prior is not None
-        assert prior.node_cards == {"d1": 900.0}
-        assert prior.table_rows == {"t": 90}
-        assert prior.last_seq == 2
-
-    def test_estimator_prior_shape(self):
-        prior = aggregate_prior("fp", [make_record()])
-        assert prior is not None
-        assert set(prior.estimators) == {"once", "dne", "byte"}
-        assert all(isinstance(p, EstimatorPrior) for p in prior.estimators.values())
-
-
 class TestFaultSites:
     def test_read_fault_degrades_to_cold_start(self, tmp_path):
         path = tmp_path / "h.jsonl"
         HistoryStore(path).append_run(make_record())
         plan = FaultPlan(seed=1, specs=[FaultSpec(SITE_HISTORY_READ, kind=ERROR, every=1)])
         store = HistoryStore(path, faults=plan)
-        # The fault eats the load: no records, no prior, reason surfaced.
+        # The fault eats the load: no records, reason surfaced.
         assert store.records() == []
-        assert store.prior("aabbccdd00112233") is None
         assert store.degraded_reason is not None
         assert "history read fault" in store.degraded_reason
 
@@ -235,19 +185,16 @@ class TestFeedbackAging:
         """Each run is absorbed under the seq the store gave it, so an
         observation no run renews ages out after ``max_age_runs`` runs."""
         store = HistoryStore(tmp_path / "history.jsonl")
-        observed = ObservedCardinalities(max_age_runs=1)
         t, u = (customer_variant(z=0.0, domain_size=10, variant=v, num_rows=40 + v,
                                  name=name) for v, name in enumerate("tu"))  # fmt: skip
 
-        def run(table) -> None:
-            plan, bus = SeqScan(table), TickBus(interval=16)
-            monitor = ProgressMonitor(plan, bus=bus, history=store)
-            ExecutionEngine(plan, bus=bus, collect_rows=False).run()
-            record_run(monitor, store, 0.0, table.num_rows, observed=observed)
+        def run(table):
+            plan = SeqScan(table)
+            ExecutionEngine(plan, bus=TickBus(interval=16), collect_rows=False,
+                            history=store).run()  # fmt: skip
+            return observed_view(store, max_age_runs=1)
 
         digest = fingerprint_plan(SeqScan(t)).digest
         run(t)
-        run(u)
-        assert observed.lookup(digest) == 40.0
-        run(u)
-        assert observed.lookup(digest) is None
+        assert run(u).lookup(digest) == 40.0
+        assert run(u).lookup(digest) is None

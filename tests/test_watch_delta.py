@@ -38,7 +38,7 @@ QUERIES = [
 WIRE_FIELDS = {
     "session_id", "name", "state", "seq", "progress", "work_done",
     "work_total_estimate", "row_count", "elapsed_s", "error", "degraded",
-    "degraded_reason", "retries", "ensemble", "weights", "prior_source",
+    "degraded_reason", "retries",
 }
 
 
