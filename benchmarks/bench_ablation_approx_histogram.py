@@ -41,9 +41,9 @@ def _measure():
             estimator.histogram = BucketizedHistogram(budget)
         join.open()
         first = join.next_batch(1024)  # completes build + probe passes
-        assert first or estimator.exact
+        assert first or estimator.acc.exact
         join.close()
-        estimate = estimator.current_estimate()
+        estimate = estimator.acc.estimate()
         hist = estimator.histogram
         memory = (
             hist.memory_model_bytes()

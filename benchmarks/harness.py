@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core import EstimationManager, ProgressMonitor
+from repro.core import DriverNodeEstimator, EstimationManager, ProgressMonitor
 from repro.core.pipeline_estimators import HashJoinChainEstimator, find_hash_join_chains
 from repro.executor.engine import ExecutionEngine, TickBus
 from repro.executor.operators.base import Operator
@@ -82,19 +82,22 @@ def estimate_trajectory(
     counter. Returns (trajectory, actual join output)."""
     bus = TickBus(interval=tick_interval)
     monitor = ProgressMonitor(plan, mode=mode, bus=bus)
+    pipeline = next(p for p in monitor.pipelines if join in p)
+    dne = DriverNodeEstimator(pipeline)
     trajectory: list[tuple[int, float]] = []
 
     def sample(_count: int) -> None:
         if mode == "once":
-            manager = monitor.manager
-            assert manager is not None
-            est = manager.estimate_for(join)
-            if est is None or not manager.has_started(join):
+            assert monitor.manager is not None
+            entry = monitor.manager.registry.get(id(join))
+            if entry is not None and entry.source.started:
+                est = entry.source.estimate()
+            else:
                 est = join.estimated_cardinality or 0.0
+        elif mode == "byte":
+            est = dne.byte_estimate_for(join)
         else:
-            pipeline = next(p for p in monitor.pipelines if join in p)
-            source = monitor._byte if mode == "byte" else monitor._dne
-            est = source[pipeline.pipeline_id].estimate_for(join)
+            est = dne.estimate_for(join)
         trajectory.append((join.rows_consumed[1], est))
 
     bus.subscribe(sample)

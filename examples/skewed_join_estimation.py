@@ -9,7 +9,7 @@ pass, while dne and byte keep chasing the clustered join output.
 Run:  python examples/skewed_join_estimation.py
 """
 
-from repro import ExecutionEngine, ProgressMonitor, TickBus
+from repro import DriverNodeEstimator, ExecutionEngine, ProgressMonitor, TickBus
 from repro.workloads import paper_binary_join
 
 
@@ -20,19 +20,24 @@ def run_mode(mode: str, fractions: list[float]) -> list[float]:
     bus = TickBus(interval=500)
     monitor = ProgressMonitor(setup.plan, mode=mode, bus=bus)
     join = setup.join
+    dne = DriverNodeEstimator(next(p for p in monitor.pipelines if join in p))
 
     estimates: list[tuple[float, float]] = []
 
     def sample(_count: int) -> None:
-        if monitor.mode == "once":
+        if mode == "once":
+            # The join's estimate is its estimator's own state; before the
+            # probe pass starts, the optimizer's guess stands.
             assert monitor.manager is not None
-            est = monitor.manager.estimate_for(join)
-            if est is None or not monitor.manager.has_started(join):
+            entry = monitor.manager.registry.get(id(join))
+            if entry is not None and entry.source.started:
+                est = entry.source.estimate()
+            else:
                 est = join.estimated_cardinality or 0.0
+        elif mode == "byte":
+            est = dne.byte_estimate_for(join)
         else:
-            pipeline = next(p for p in monitor.pipelines if join in p)
-            source = monitor._byte if mode == "byte" else monitor._dne
-            est = source[pipeline.pipeline_id].estimate_for(join)
+            est = dne.estimate_for(join)
         estimates.append((join.rows_consumed[1], est))
 
     bus.subscribe(sample)

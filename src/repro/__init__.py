@@ -28,7 +28,6 @@ Quickstart::
 """
 
 from repro.core import (
-    ByteModelEstimator,
     DriverNodeEstimator,
     EstimationManager,
     FrequencyHistogram,
@@ -77,7 +76,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AggregateSpec",
-    "ByteModelEstimator",
     "CardinalityModel",
     "Catalog",
     "Column",

@@ -8,7 +8,9 @@ Layout mirrors Section 4 of the paper:
   of Section 4.1.
 * :mod:`repro.core.accumulator` — the ONCE recurrence ``|S| × mean_t(c)``
   itself, written once; every join estimator below owns one per join and
-  adds only its contribution ``c``.
+  adds only its contribution ``c``. An accumulator (for an aggregate, its
+  :class:`HybridGroupCountEstimator`) is the one state every reader of
+  that operator's estimate reads, the progress monitor included.
 * :mod:`repro.core.join_estimators` — ONCE estimators for binary hash,
   sort-merge, and index nested-loops joins (Sections 4.1.1-4.1.3).
 * :mod:`repro.core.pipeline_estimators` — Algorithm 1: push-down estimation
@@ -19,16 +21,16 @@ Layout mirrors Section 4 of the paper:
   online chooser (Section 4.2).
 * :mod:`repro.core.aggregate_estimators` — group-count estimation for
   aggregates, including push-down into a feeding join.
-* :mod:`repro.core.dne` / :mod:`repro.core.byte_estimator` — the
-  driver-node (Chaudhuri et al.) and byte-model (Luo et al.) baselines.
+* :mod:`repro.core.dne` — the driver-node (Chaudhuri et al.) and
+  byte-model (Luo et al.) baselines, one estimator with a method each.
 * :mod:`repro.core.progress` — the getnext-model progress monitor over
   pipelines (Section 4.4).
-* :mod:`repro.core.manager` — walks a physical plan and attaches the right
-  estimator to every operator, per the paper's rules.
+* :mod:`repro.core.manager` — walks a physical plan, attaches the right
+  estimator to every operator per the paper's rules, and registers the
+  state that answers for each; dne answers for an operator with none.
 """
 
 from repro.core.accumulator import OnceAccumulator
-from repro.core.byte_estimator import ByteModelEstimator
 from repro.core.confidence import binomial_beta, proportion_interval
 from repro.core.distinct import (
     GEEEstimator,
@@ -46,7 +48,6 @@ from repro.core.progress import ProgressMonitor, ProgressSnapshot
 
 __all__ = [
     "BucketizedHistogram",
-    "ByteModelEstimator",
     "DriverNodeEstimator",
     "EstimationManager",
     "FrequencyHistogram",

@@ -66,9 +66,25 @@ class OnceAccumulator:
     """``|S| × mean_t(c)`` over one stream: ``total`` is ``|S|`` (see
     :func:`total_provider`); ``record_every > 0`` appends ``(t, estimate)``
     to :attr:`history` every that many stream tuples (used by the accuracy
-    benchmarks)."""
+    benchmarks).
 
-    __slots__ = ("t", "sum_c", "sum_c_sq", "exact", "record_every", "history", "_total")
+    This is the state every reader of a join's estimate reads — the
+    progress monitor included. ``max_multiplicity`` is the most rows one
+    stream tuple can generate (the build side's maximum key multiplicity),
+    for bound refinement: None until the join's build pass has ended, since
+    the maximum of a half-built histogram bounds nothing.
+    """
+
+    __slots__ = (
+        "t",
+        "sum_c",
+        "sum_c_sq",
+        "exact",
+        "max_multiplicity",
+        "record_every",
+        "history",
+        "_total",
+    )
 
     def __init__(
         self, total: float | TotalProvider | None = None, record_every: int = 0
@@ -77,6 +93,7 @@ class OnceAccumulator:
         self.sum_c: int = 0
         self.sum_c_sq: int = 0
         self.exact: bool = False
+        self.max_multiplicity: float | None = None
         self.record_every = record_every
         self.history: list[tuple[int, float]] = []
         self._total = total_provider(total)

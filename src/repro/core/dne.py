@@ -1,4 +1,5 @@
-"""The driver-node estimator (dne) of Chaudhuri et al. [9] — baseline.
+"""The driver-node estimator (dne) of Chaudhuri et al. [9] and the byte
+model of Luo et al. [18] — the baselines.
 
 For a pipeline with driver node d (the node feeding tuples into the
 pipeline), dne takes the driver's progress α = K_d / N_d — N_d is known
@@ -15,6 +16,27 @@ the partition-wise join pass of a hybrid hash join, a merge of sorted
 runs — K_i reflects clustered, non-representative prefixes and the estimate
 fluctuates (Figure 4). That failure mode is precisely what ONCE sidesteps
 by estimating in the preprocessing pass.
+
+Luo et al. measure work as bytes processed at segment boundaries and refine
+cardinality estimates by *blending* the optimizer's original estimate with
+the observation-scaled one, weighted by the same α:
+
+    N̂_i = α · (K_i / α) + (1 - α) · opt_i  =  K_i + (1 - α) · opt_i
+
+Early in the pipeline the optimizer estimate dominates; it is only fully
+discarded when the input has been fully consumed — hence "the byte
+estimator imposes a weighted average operation involving the original
+cardinality estimate, and so it converges slowly to the correct answer"
+(Figure 4 discussion). It also inherits dne's sensitivity to the
+partition-wise reordering of hybrid hash joins, since K_i is observed
+after the reordering boundary. Both models share everything but that
+blend: an exhausted operator's K_i, the driver's own total, and the
+optimizer estimate before the pipeline starts.
+
+For byte-based progress itself, multiply per-operator counts by
+:meth:`Schema.row_width_bytes`; under the getnext model the two progress
+measures are related by fixed per-operator constants, so ratio-error
+comparisons are unaffected (Section 2 of the paper makes the same point).
 """
 
 from __future__ import annotations
@@ -27,7 +49,7 @@ __all__ = ["DriverNodeEstimator"]
 
 
 class DriverNodeEstimator:
-    """dne estimates for every operator of one pipeline."""
+    """dne and byte-model estimates for every operator of one pipeline."""
 
     def __init__(self, pipeline: Pipeline):
         self.pipeline = pipeline
@@ -36,13 +58,9 @@ class DriverNodeEstimator:
         #: monitor and passed to :meth:`estimate_for`.
         self.driver_total = resolve_stream_total(self.driver)
 
-    @property
-    def driver_progress(self) -> float:
-        """α: fraction of the driver's stream consumed so far (0..1)."""
-        return self.progress_at(self.driver_total())
-
     def progress_at(self, total: float) -> float:
-        """α for a driver total already read from :attr:`driver_total`."""
+        """α: fraction of the driver's stream consumed (0..1), for a driver
+        total already read from :attr:`driver_total`."""
         if total <= 0:
             return 1.0 if self.driver.is_exhausted else 0.0
         alpha = self.driver.tuples_emitted / total
@@ -69,5 +87,21 @@ class DriverNodeEstimator:
             return float(op.tuples_emitted)
         return max(op.tuples_emitted / alpha, float(op.tuples_emitted))
 
-    def estimates(self) -> dict[Operator, float]:
-        return {op: self.estimate_for(op) for op in self.pipeline.operators}
+    def byte_estimate_for(self, op: Operator, total: float | None = None) -> float:
+        """Byte-model estimate of N_i for ``op``: dne's answer wherever the
+        two agree (exhausted, driver, pipeline not started), the α-blend of
+        observation and optimizer estimate otherwise. ``total`` as in
+        :meth:`estimate_for`."""
+        if total is None:
+            total = self.driver_total()
+        alpha = self.progress_at(total)
+        if op.is_exhausted or op is self.driver or alpha <= 0.0:
+            return self.estimate_for(op, total)
+        optimizer = (
+            float(op.estimated_cardinality)
+            if op.estimated_cardinality is not None
+            else float(op.tuples_emitted)
+        )
+        scaled = op.tuples_emitted / alpha
+        blended = alpha * scaled + (1.0 - alpha) * optimizer
+        return max(blended, float(op.tuples_emitted))

@@ -20,7 +20,6 @@ from typing import Sequence
 
 from repro.common.errors import EstimationError
 from repro.core.accumulator import OnceAccumulator, TotalProvider
-from repro.core.confidence import binomial_beta
 from repro.core.histogram import FrequencyHistogram
 from repro.executor.operators.base import Operator
 from repro.executor.operators.filter import Filter
@@ -77,7 +76,9 @@ def resolve_stream_total(op: Operator) -> TotalProvider:
 class OnceJoinEstimator:
     """Join-size estimator over one build histogram: the contribution
     kernel of a binary equi-join around one :class:`OnceAccumulator`
-    (:attr:`acc` — ``t``, ``Σc``, ``history`` and the estimates live there).
+    (:attr:`acc` — ``t``, ``Σc``, ``history``, the estimate, its interval
+    and the build maximum live there; the paper's distribution-free
+    half-width is ``binomial_beta(acc.t)``).
 
     Parameters
     ----------
@@ -103,7 +104,7 @@ class OnceJoinEstimator:
     trades accuracy for memory.
     """
 
-    __slots__ = ("join_type", "histogram", "acc", "max_build_multiplicity")
+    __slots__ = ("join_type", "histogram", "acc")
 
     def __init__(
         self,
@@ -116,9 +117,6 @@ class OnceJoinEstimator:
         self.join_type = join_type
         self.histogram = FrequencyHistogram()
         self.acc = OnceAccumulator(probe_total, record_every)
-        # Most rows one probe tuple can emit, for bound refinement; None
-        # until the build pass has ended.
-        self.max_build_multiplicity: float | None = None
 
     # -- stream callbacks ---------------------------------------------------------
 
@@ -176,29 +174,11 @@ class OnceJoinEstimator:
         mult = self.histogram.max_multiplicity()
         if self.join_type in ("outer", "anti"):
             mult = max(mult, 1)
-        self.max_build_multiplicity = float(mult)
+        self.acc.max_multiplicity = float(mult)
 
     def finalize_probe(self) -> None:
         """The probe pass completed: the estimate is now exact."""
         self.acc.finalize()
-
-    # -- estimates ---------------------------------------------------------------
-
-    @property
-    def exact(self) -> bool:
-        return self.acc.exact
-
-    def current_estimate(self) -> float:
-        """Current D_t (exact once the probe pass has completed)."""
-        return self.acc.estimate()
-
-    def confidence_interval(self, alpha: float = 0.99) -> tuple[float, float]:
-        """Empirical-variance interval for the join size."""
-        return self.acc.confidence_interval(alpha)
-
-    def worst_case_beta(self, alpha: float = 0.99) -> float:
-        """The paper's distribution-free per-value half-width β."""
-        return binomial_beta(self.acc.t, alpha)
 
 
 #: The ONCE-capable joins as ``(build-pass child, probe-pass child)``: the

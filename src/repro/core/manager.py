@@ -16,11 +16,11 @@ per-operator rules (Section 4.4):
   hash-join chain when the group column comes from the chain's base stream.
 
 Every attachment lands in one registry, ``operator id ->``
-:class:`EstimatorEntry`: what answers for the operator, and which estimator
-objects feed that answer. ``estimate_for(op)`` then answers with the best
-current refined estimate (or None when the operator has no entry), and
-``is_exact(op)`` says whether that estimate has converged to the true
-cardinality.
+:class:`EstimatorEntry`: the estimator state that answers for the operator
+(its ``source``), and which estimator objects feed that state. An operator
+with no entry is answered by the driver-node estimator; everything that
+reads an operator's refined estimate — the progress monitor first — reads
+its entry's ``source``.
 
 Graceful degradation
 --------------------
@@ -28,8 +28,8 @@ Graceful degradation
 guard. A hook that raises no longer unwinds the executor pull (which would
 fail the whole query for the sake of a *progress estimate*): the guard
 demotes the owning estimator — removing every registry entry it feeds, so
-``estimate_for`` returns None and the progress layer falls back to the
-driver-node estimator — records the reason, and execution continues. The
+the progress layer falls back to the driver-node estimator for those
+operators — records the reason, and execution continues. The
 demotion is exactly the paper's degradation ladder (chain → binary ONCE →
 dne) taken to its last rung at runtime instead of attach time.
 """
@@ -37,7 +37,6 @@ dne) taken to its last rung at runtime instead of attach time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 from repro.common.errors import EstimationError
@@ -69,35 +68,19 @@ class EstimatorEntry:
     """What answers for one operator, and what that answer is fed by.
 
     ``source`` — a join's :class:`OnceAccumulator` or an aggregate's
-    :class:`HybridGroupCountEstimator` — answers ``estimate()``, ``started``
-    (until it has begun observing its stream, e.g. while a hash join is
-    still building, the estimate is vacuous) and ``exact``. ``fed_by`` names
-    the estimator objects whose hooks feed it, owner first: the chain for
-    each of its joins, the hybrid *and* the chain for a pushed-down
-    aggregate. An entry is only as sound as every estimator it lists, which
-    is what demotion goes by. ``multiplicity`` reads a join's build-side
-    maximum key multiplicity: None until its build pass has ended.
+    :class:`HybridGroupCountEstimator` — is the estimator's own state, and
+    what every reader reads: ``estimate()``, ``started`` (until it has begun
+    observing its stream, e.g. while a hash join is still building, the
+    estimate is vacuous), ``exact``, and for a join ``max_multiplicity``.
+    ``fed_by`` names the estimator objects whose hooks feed it, owner
+    first: the chain for each of its joins, the hybrid *and* the chain for
+    a pushed-down aggregate. An entry is only as sound as every estimator
+    it lists, which is what demotion goes by.
     """
 
     op: Operator
     source: OnceAccumulator | HybridGroupCountEstimator
     fed_by: tuple[object, ...]
-    multiplicity: Callable[[], float | None] | None = None
-
-    def estimate(self) -> float:
-        return self.source.estimate()
-
-    @property
-    def started(self) -> bool:
-        return self.source.started
-
-    @property
-    def exact(self) -> bool:
-        return self.source.exact
-
-    @property
-    def max_build_multiplicity(self) -> float | None:
-        return self.multiplicity() if self.multiplicity is not None else None
 
 
 class EstimationManager:
@@ -133,12 +116,7 @@ class EstimationManager:
                 continue
             chain_tops[id(chain[-1])] = estimator
             for join, level in zip(chain, estimator.levels):
-                self.registry[id(join)] = EstimatorEntry(
-                    join,
-                    level,
-                    (estimator,),
-                    partial(estimator.max_build_multiplicity.get, id(join)),
-                )
+                self.registry[id(join)] = EstimatorEntry(join, level, (estimator,))
 
         for op in walk(self.root):
             if isinstance(op, (SortMergeJoin, IndexNestedLoopsJoin)):
@@ -151,9 +129,7 @@ class EstimationManager:
         except EstimationError as exc:
             self.fallbacks.append((join, str(exc)))
             return
-        self.registry[id(join)] = EstimatorEntry(
-            join, once.acc, (once,), lambda: once.max_build_multiplicity
-        )
+        self.registry[id(join)] = EstimatorEntry(join, once.acc, (once,))
 
     def _attach_aggregates(self, chain_tops: dict[int, HashJoinChainEstimator]) -> None:
         for op in walk(self.root):
@@ -197,8 +173,8 @@ class EstimationManager:
         """Wrap every attached estimator hook in a degradation guard.
 
         With ``demote=True`` (the default), a hook that raises detaches its
-        owning estimator from the registries — ``estimate_for`` then
-        returns None and the progress layer falls back to dne — instead of
+        owning estimator from the registry — the progress layer then falls
+        back to dne for the operators it answered for — instead of
         unwinding the executor pull. With ``demote=False`` the exception
         propagates (used by the chaos harness's broken-degradation
         meta-test to prove the harness catches a missing fallback).
@@ -266,34 +242,6 @@ class EstimationManager:
         self.fallbacks.append((op, reason))
 
     # -- queries ----------------------------------------------------------------------
-
-    def estimate_for(self, op: Operator) -> float | None:
-        """Best current refined cardinality estimate, or None if the
-        operator has no attached estimator."""
-        entry = self.registry.get(id(op))
-        return entry.estimate() if entry is not None else None
-
-    def has_started(self, op: Operator) -> bool:
-        """Has the operator's estimator begun observing its stream?
-
-        Until then the refined estimate is vacuous and callers should fall
-        back to dne/optimizer.
-        """
-        entry = self.registry.get(id(op))
-        return entry is not None and entry.started
-
-    def is_exact(self, op: Operator) -> bool:
-        entry = self.registry.get(id(op))
-        return entry is not None and entry.exact
-
-    def max_multiplicities(self) -> dict[int, float]:
-        """Build-side maximum multiplicities per join whose build pass has
-        ended, for upper-bound refinement of future-pipeline estimates."""
-        return {
-            op_id: mult
-            for op_id, entry in self.registry.items()
-            if (mult := entry.max_build_multiplicity) is not None
-        }
 
     def attached(self) -> list[tuple[object, list[Operator]]]:
         """Every live estimator with the operators it owns the answer for

@@ -187,7 +187,6 @@ class HashJoinChainEstimator:
         "levels",
         "frozen",
         "output_listeners",
-        "max_build_multiplicity",
         "_unit",
         "_unit_levels",
     )
@@ -268,10 +267,6 @@ class HashJoinChainEstimator:
         ]
         self.frozen: bool = False
         self.output_listeners: list[tuple[int, OutputListener]] = []
-        # ``id(join) -> max key multiplicity`` of its build histogram, for
-        # bound refinement; published when that join's build pass ends (the
-        # maximum of a half-built histogram bounds nothing).
-        self.max_build_multiplicity: dict[int, float] = {}
         # ids of the histograms known, once built, to hold only 0/1 counts
         # (FK -> PK joins), and per level whether all its factors do: then
         # every contribution is 0 or 1 and Σc² = Σc.
@@ -323,7 +318,7 @@ class HashJoinChainEstimator:
 
     def _on_build_end(self, m: int) -> None:
         mult = self.base_hists[m].max_multiplicity()
-        self.max_build_multiplicity[id(self.chain[m])] = float(mult)
+        self.levels[m].max_multiplicity = float(mult)
         if mult > 1:
             return
         unit = self._unit

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.common.locks import acquires, assert_owned, guarded_by, holds_lock
-from repro.core.byte_estimator import ByteModelEstimator
+from repro.core.accumulator import OnceAccumulator
 from repro.core.dne import DriverNodeEstimator
 from repro.core.manager import EstimationManager
 from repro.executor.engine import TickBus
@@ -130,10 +130,12 @@ class ProgressMonitor:
             if mode == "once"
             else None
         )
-        # Join entries yet to publish a build maximum, and finished
+        # Join accumulators yet to publish a build maximum, and finished
         # pipelines' K_i: neither can change back.
         registry = self.manager.registry.values() if self.manager else ()
-        self._awaiting = [e for e in registry if e.multiplicity is not None]
+        self._awaiting = [
+            e.source for e in registry if isinstance(e.source, OnceAccumulator)
+        ]
         self._finished: dict[int, list[int]] = {}
         self.bounds.refine()
         if self.manager is not None:
@@ -146,11 +148,6 @@ class ProgressMonitor:
                     demote=resilient,
                 )
         self._dne = {p.pipeline_id: DriverNodeEstimator(p) for p in self.pipelines}
-        self._byte = (
-            {p.pipeline_id: ByteModelEstimator(p) for p in self.pipelines}
-            if mode == "byte"
-            else {}
-        )
         self.snapshots: list[ProgressSnapshot] = []
         self._started = time.perf_counter()
         # Sampling lock: shared with the execution driver through the bus
@@ -229,38 +226,19 @@ class ProgressMonitor:
         maximum multiplicity. That is the only input of ``refine`` that
         moves during a run: nothing here calls ``bounds.set_known`` /
         ``set_estimate``, and a caller that does must ``bounds.refine``
-        itself — this check would not see it."""
-        still = [e for e in self._awaiting if e.max_build_multiplicity is None]
+        itself — this check would not see it. Only joins still in the
+        registry lend their maximum: a demoted join's bounds nothing."""
+        still = [acc for acc in self._awaiting if acc.max_multiplicity is None]
         if len(still) < len(self._awaiting):
-            self.bounds.refine(self.manager.max_multiplicities())
+            self.bounds.refine(
+                {
+                    op_id: e.source.max_multiplicity
+                    for op_id, e in self.manager.registry.items()
+                    if isinstance(e.source, OnceAccumulator)
+                    and e.source.max_multiplicity is not None
+                }
+            )
             self._awaiting = still
-
-    @acquires("_lock")
-    def operator_totals(self) -> dict[int, tuple[float, float]]:
-        """Per-operator ``(K_i, N̂_i)`` keyed by plan node id.
-
-        This is the per-operator decomposition of one snapshot — the same
-        ``_total_for_mode`` dispatch, itemised instead of summed.
-        A run-history record reads the ``K_i`` of a finished run from it;
-        node ids come from ``validate_plan`` (the plan must have been
-        validated, as every ``PlanCursor`` run guarantees) so the record
-        can key them by plan fingerprint.
-        """
-        with self._lock:
-            self.refresh_bounds()
-            out: dict[int, tuple[float, float]] = {}
-            for pipeline in self.pipelines:
-                pid = pipeline.pipeline_id
-                status = self._status(pipeline)
-                total = self._dne[pid].driver_total() if status == "current" else None
-                for op in pipeline.operators:
-                    if op.node_id is None:  # pragma: no cover - defensive
-                        continue
-                    out[op.node_id] = (
-                        float(op.tuples_emitted),
-                        self._total_for_mode(op, pipeline, status, total),
-                    )
-            return out
 
     # -- estimation dispatch ----------------------------------------------------------
 
@@ -290,16 +268,16 @@ class ProgressMonitor:
         if status == "future":
             return max(self.bounds.estimate_of(op), k_i)
         # Currently executing pipeline.
-        pid = pipeline.pipeline_id
+        dne = self._dne[pipeline.pipeline_id]
         if self.mode == "once":
             entry = self.manager.registry.get(id(op))
-            if entry is not None and entry.started:
-                return max(entry.estimate(), k_i)
+            if entry is not None and entry.source.started:
+                return max(entry.source.estimate(), k_i)
             # Operators without estimators — or whose estimator has not
             # begun observing — fall back to dne (Section 4.4).
         elif self.mode == "byte":
-            return max(self._byte[pid].estimate_for(op, total), k_i)
-        return max(self._dne[pid].estimate_for(op, total), k_i)
+            return max(dne.byte_estimate_for(op, total), k_i)
+        return max(dne.estimate_for(op, total), k_i)
 
     # -- post-run analysis -------------------------------------------------------------
 

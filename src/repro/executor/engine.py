@@ -253,7 +253,8 @@ class ExecutionEngine:
         engine attaches a :class:`ProgressMonitor` (creating a
         :class:`TickBus` if none was passed) and, on a successful serial
         run, appends the run record — its progress curve and per-subtree
-        cardinalities — to the store.
+        cardinalities — to the store. A failed write drops that record and
+        nothing else.
     """
 
     def __init__(

@@ -12,10 +12,11 @@ from repro.robust.history import (
     canonical_expression,
     fingerprint_plan,
 )
-from repro.robust.store import HistoryStore
+from repro.robust.store import HistoryStore, HistoryWriteError
 
 __all__ = [
     "HistoryStore",
+    "HistoryWriteError",
     "PlanFingerprint",
     "RunRecord",
     "build_record",

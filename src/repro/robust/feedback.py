@@ -22,7 +22,7 @@ This module does no file I/O (lint rule R008): persistence belongs to
 from __future__ import annotations
 
 from repro.robust.history import RunRecord, fingerprint_plan
-from repro.robust.store import HistoryStore
+from repro.robust.store import HistoryStore, HistoryWriteError
 from repro.storage.statistics import ObservedCardinalities
 
 __all__ = [
@@ -60,14 +60,17 @@ def build_record(monitor, wall_time_s: float, row_count: int) -> RunRecord:
     """A :class:`RunRecord` for the finished run ``monitor`` watched.
 
     The plan is fingerprinted here, after the run: node ids are pre-order
-    positions either way, so they key ``operator_totals`` the same.
+    positions either way (``validate_plan`` numbers them, as every
+    ``PlanCursor`` run guarantees), so each operator's final ``K_i`` is
+    keyed by the digest of the subtree it heads.
     """
     fingerprint = fingerprint_plan(monitor.root)
     node_cards: dict[str, float] = {}
-    for node_id, (k_i, _total) in monitor.operator_totals().items():
-        digest = fingerprint.nodes.get(node_id)
-        if digest is not None:
-            node_cards[digest] = float(k_i)
+    for pipeline in monitor.pipelines:
+        for op in pipeline.operators:
+            digest = fingerprint.nodes.get(op.node_id)
+            if digest is not None:
+                node_cards[digest] = float(op.tuples_emitted)
     return RunRecord(
         fingerprint=fingerprint.digest,
         signature=fingerprint.signature,
@@ -87,19 +90,22 @@ def record_run(
     wall_time_s: float,
     row_count: int,
     observed: ObservedCardinalities | None = None,
-) -> RunRecord | None:
+) -> str | None:
     """Persist and (optionally) feed back one finished run.
 
-    Returns the appended record, or None when the store dropped the write
-    (fault/IO error — the caller reads ``store.degraded_reason``). When
-    ``observed`` is given, the run's per-subtree cardinalities are folded
-    into it so the next compilation sees them immediately, without a store
-    round-trip.
+    Returns None once the record is stored, or why the store dropped it
+    (a write fault or I/O error: it degrades this run's history, never the
+    query, so nothing raises). When ``observed`` is given, a stored run's
+    per-subtree cardinalities are folded into it so the next compilation
+    sees them immediately, without a store round-trip.
     """
-    record = store.append_run(build_record(monitor, wall_time_s, row_count))
-    if record is not None and observed is not None:
+    try:
+        record = store.append_run(build_record(monitor, wall_time_s, row_count))
+    except HistoryWriteError as exc:
+        return str(exc)
+    if observed is not None:
         observed.absorb(record.node_cards, record.table_rows, record.seq)
-    return record
+    return None
 
 
 def observed_view(store: HistoryStore, **kwargs) -> ObservedCardinalities:

@@ -11,12 +11,16 @@ history data (lint rule R008): everything else goes through
 Fault injection
 ---------------
 The store carries the ``history.read`` / ``history.write`` injection
-sites. History is an accelerant, never a dependency: any fault here
-degrades the store — an empty history on a failed read, a dropped record
-on a failed write — and surfaces through ``degraded_reason``; it never
-raises into the query path. A ``short_read`` fault on the write side
-tears the record mid-line on purpose, which is how the chaos harness
-exercises the torn-tail recovery against realistic damage.
+sites. History is an accelerant, never a dependency, and a fault's blast
+radius is what it damaged. A failed read degrades the whole store to an
+empty history, for every session that shares it: ``degraded_reason``
+says why. A failed write drops one run's record: :meth:`HistoryStore.append_run`
+raises :class:`HistoryWriteError` to that run's recorder alone
+(:func:`~repro.robust.feedback.record_run`, which never raises into the
+query path), and the store stays healthy for the next. A ``short_read``
+fault on the write side tears the record mid-line on purpose, which is
+how the chaos harness exercises the torn-tail recovery against realistic
+damage.
 
 Lock discipline
 ---------------
@@ -43,7 +47,12 @@ from repro.faults.plan import (
 )
 from repro.robust.history import RunRecord
 
-__all__ = ["HistoryStore"]
+__all__ = ["HistoryStore", "HistoryWriteError"]
+
+
+class HistoryWriteError(Exception):
+    """One run's record was dropped (a write fault or an I/O error); the
+    message says why."""
 
 
 class HistoryStore:
@@ -86,7 +95,8 @@ class HistoryStore:
         # an unreadable load): the next append leads with a newline so the
         # fresh record never concatenates onto the damaged fragment.
         self._needs_newline = False
-        #: Why the store last degraded (None while healthy). Lock-free read.
+        #: Why the store's history is unusable — a failed load or clear —
+        #: or None while healthy. Lock-free read.
         self.degraded_reason: str | None = None
 
     # -- loading -------------------------------------------------------------
@@ -148,11 +158,11 @@ class HistoryStore:
     # -- appending -----------------------------------------------------------
 
     @acquires("_lock")
-    def append_run(self, record: RunRecord) -> RunRecord | None:
+    def append_run(self, record: RunRecord) -> RunRecord:
         """Persist one finished run; returns the record as stored (with the
-        seq the store assigned), or None when a write fault (or a real I/O
-        error) dropped it. Never raises into the caller — a query must not
-        fail because its history could not be saved."""
+        seq the store assigned). Raises :class:`HistoryWriteError` when a
+        write fault (or a real I/O error) dropped it: the drop belongs to
+        this run, not to the store."""
         with self._lock:
             self._load_locked()
             if record.seq == 0:
@@ -164,8 +174,7 @@ class HistoryStore:
                 try:
                     spec = self.faults.fire(SITE_HISTORY_WRITE, record.fingerprint)
                 except InjectedFault as exc:
-                    self.degraded_reason = f"history write fault: {exc}"
-                    return None
+                    raise HistoryWriteError(f"history write fault: {exc}") from exc
             torn = spec is not None and spec.kind == SHORT_READ
             try:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -184,12 +193,10 @@ class HistoryStore:
                         fh.write(payload + "\n")
                     fh.flush()
             except OSError as exc:
-                self.degraded_reason = f"history write error: {exc}"
-                return None
+                raise HistoryWriteError(f"history write error: {exc}") from exc
             self._needs_newline = torn
             if torn:
-                self.degraded_reason = "history write fault: short write"
-                return None
+                raise HistoryWriteError("history write fault: short write")
             self._index_locked(record)
             return record
 
@@ -207,13 +214,6 @@ class HistoryStore:
         with self._lock:
             self._load_locked()
             return list(self._by_fp.get(fingerprint, []))
-
-    @acquires("_lock")
-    def fingerprints(self) -> list[str]:
-        """Distinct fingerprints, in first-seen order."""
-        with self._lock:
-            self._load_locked()
-            return list(self._by_fp)
 
     @acquires("_lock")
     def skipped(self) -> int:

@@ -158,8 +158,9 @@ class QuerySession:
         :class:`~repro.storage.statistics.ObservedCardinalities`. With a
         store attached, the session appends the run record on FINISHED —
         folding its per-subtree cardinalities into ``observed`` for the
-        optimizer's observed-over-modeled feedback loop — and its
-        snapshots surface the store's ``degraded_reason``.
+        optimizer's observed-over-modeled feedback loop. Its snapshots
+        surface the store's ``degraded_reason`` (a failed load), and its
+        terminal snapshot why its own record was dropped, if it was.
     """
 
     # Lock discipline (machine-checked by repro.analysis.concurrency).
@@ -188,6 +189,7 @@ class QuerySession:
         "finished_at": "_step_lock",
         "_deadline": "_step_lock",
         "_last_progress": "_step_lock",
+        "_history_fault": "_step_lock",
         "_retries_left": "_step_lock",
         "retry_count": "_step_lock",
         "listeners": "_snap_lock",
@@ -231,6 +233,8 @@ class QuerySession:
         self.retry_budget = retry_budget
         self.history = history
         self.observed = observed
+        # Why this run's history record was dropped (None unless it was).
+        self._history_fault: str | None = None
         self.monitor = (
             monitor
             if monitor is not None
@@ -358,10 +362,11 @@ class QuerySession:
         degraded = progress is not None and progress.degraded
         reason = progress.degraded_reason if degraded else None
         if not degraded and self.history is not None:
-            # History faults degrade the session, never the query. The
+            # History faults degrade the session, never the query: a failed
+            # load is the store's, a dropped record this run's own. The
             # store publishes its reason lock-free, so this read takes no
             # lock under the sampling lock the publish path holds.
-            reason = self.history.degraded_reason
+            reason = self.history.degraded_reason or self._history_fault
             degraded = reason is not None
         if state is SessionState.FINISHED:
             # C(Q) is now the exact T(Q): pin to 1.0 with matching totals
@@ -497,10 +502,10 @@ class QuerySession:
             # Statistics feedback: persist the run before the terminal
             # publish, so a store fault here shows on the terminal frame. It
             # degrades the session's history, never the (already complete)
-            # query — append_run absorbs it and sets degraded_reason.
+            # query — record_run absorbs it and says why.
             from repro.robust.feedback import record_run
 
-            record_run(
+            self._history_fault = record_run(
                 self.monitor,
                 self.history,
                 self.elapsed_s(),

@@ -5,9 +5,10 @@ History is an accelerant, never a dependency. A fault at ``history.read``
 (store load) leaves the store empty; a fault at ``history.write`` (run
 recording) drops the record — and that is the *whole* blast radius. Rows,
 tick counts and the terminal progress state must be bit-identical to a
-fault-free history-enabled run, with ``degraded_reason`` surfaced on the
-store (and through session snapshots, the terminal frame included) so
-the degradation is observable, not silent.
+fault-free history-enabled run, with a ``degraded_reason`` surfaced
+through session snapshots (the terminal frame included) so the
+degradation is observable, not silent: a failed load on the store, for
+every session sharing it; a dropped record on its own run's session only.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ def test_history_faults_never_change_rows_or_terminal_progress(seed, tmp_path):
         session = run_session(build_plan(trial), store)
         context = f"seed={seed} trial={trial} sites={[s.site for s in shape]}"
 
-        # The one allowed effect: the store reports why it degraded.
+        # The one allowed effect: the session reports why its history
+        # degraded.
         assert plan.records(), f"history fault never fired: {context}"
-        assert store.degraded_reason is not None, context
+        assert session.snapshot().degraded_reason is not None, context
         # Everything else is bit-identical to the fault-free reference.
         assert terminal_facts(session) == reference, context
 
@@ -136,7 +138,8 @@ def test_write_fault_is_visible_on_the_terminal_frame(tmp_path):
 
 
 def test_write_fault_drops_record_but_engine_rows_survive(tmp_path):
-    """Engine-level: a faulted history write loses only the record."""
+    """Engine-level: a faulted history write loses only the record — the
+    store itself stays healthy for the next run."""
     baseline = ExecutionEngine(build_plan(1), collect_rows=True).run()
     plan = FaultPlan(
         seed=3, specs=[FaultSpec(SITE_HISTORY_WRITE, kind=ERROR, every=1)]
@@ -144,6 +147,26 @@ def test_write_fault_drops_record_but_engine_rows_survive(tmp_path):
     store = HistoryStore(tmp_path / "h.jsonl", faults=plan)
     result = ExecutionEngine(build_plan(1), collect_rows=True, history=store).run()
     assert result.rows == baseline.rows
+    assert plan.records()  # the write fault fired
     assert len(store) == 0
-    assert store.degraded_reason is not None
-    assert "history write" in store.degraded_reason
+    assert store.degraded_reason is None
+
+
+def test_a_dropped_record_degrades_only_its_own_session(tmp_path):
+    """Three sessions share one store whose first write faults: only the
+    session whose record was dropped ends ``degraded``; the two after it
+    are recorded and clean."""
+    plan = FaultPlan(
+        seed=9, specs=[FaultSpec(SITE_HISTORY_WRITE, kind=ERROR, every=1, count=1)]
+    )
+    store = HistoryStore(tmp_path / "history.jsonl", faults=plan)
+    terminal = []
+    for n in range(3):
+        session = run_session(build_plan(0), store)
+        snap = session.snapshot()
+        terminal.append((snap.degraded, len(store)))
+        if n == 0:
+            assert "history write fault" in snap.degraded_reason
+        else:
+            assert snap.degraded_reason is None
+    assert terminal == [(True, 0), (False, 1), (False, 2)]

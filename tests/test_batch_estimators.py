@@ -102,8 +102,8 @@ class TestOnceBatch:
 
         assert _sums(row.acc) == _sums(batch.acc)
         # Not approx: endpoints must match to the last bit.
-        assert row.confidence_interval() == batch.confidence_interval()
-        assert row.current_estimate() == batch.current_estimate()
+        assert row.acc.confidence_interval() == batch.acc.confidence_interval()
+        assert row.acc.estimate() == batch.acc.estimate()
         assert row.acc.history == batch.acc.history
 
     def test_checkpoints_land_on_per_tuple_t_values(self):
@@ -717,9 +717,9 @@ class TestColumnKernels:
             )
             estimator, _ = _run_kernels(_q8_chain(c, *builds), record_every, batch_size)
         if duplicated is None:
-            assert set(estimator.max_build_multiplicity.values()) <= {0.0, 1.0}
+            assert {level.max_multiplicity for level in estimator.levels} <= {0.0, 1.0}
             assert not mul.called and not add_weighted.called
-        elif estimator.max_build_multiplicity[id(estimator.chain[duplicated])] > 1:
+        elif estimator.levels[duplicated].max_multiplicity > 1:
             assert mul.called or not c  # some level keeps its Σc² pass
 
     def test_empty_batch_is_a_noop(self):

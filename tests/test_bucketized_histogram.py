@@ -71,7 +71,7 @@ class TestApproximateEstimation:
             if histogram is not None:
                 est.histogram = histogram
             ExecutionEngine(join, collect_rows=False).run()
-            return est.current_estimate()
+            return est.acc.estimate()
 
         exact = run(None)
         coarse = run(BucketizedHistogram(num_buckets=16))

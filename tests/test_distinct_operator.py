@@ -67,8 +67,8 @@ class TestDistinctEstimation:
         op = Distinct(Project(SeqScan(table), ["dm.nationkey"]))
         manager = EstimationManager(op)
         ExecutionEngine(op, collect_rows=False).run()
-        assert manager.estimate_for(op) == op.groups_seen
-        assert manager.is_exact(op)
+        assert manager.registry[id(op)].source.estimate() == op.groups_seen
+        assert manager.registry[id(op)].source.exact
 
 
 class TestSqlDistinctHaving:

@@ -1,8 +1,7 @@
-"""Tests for the dne and byte baselines."""
+"""Tests for the dne and byte baselines (one estimator, a method each)."""
 
 import pytest
 
-from repro.core.byte_estimator import ByteModelEstimator
 from repro.core.dne import DriverNodeEstimator
 from repro.executor.engine import ExecutionEngine
 from repro.executor.expressions import col, lit
@@ -23,9 +22,9 @@ class TestDriverNodeEstimator:
         dne = DriverNodeEstimator(pipeline)
         assert dne.driver is scan
         filt.open()
-        assert dne.driver_progress == 0.0
+        assert dne.progress_at(dne.driver_total()) == 0.0
         filt.next()  # consumes ids 1, 2, 3; emits 3
-        assert dne.driver_progress == pytest.approx(3 / 5)
+        assert dne.progress_at(dne.driver_total()) == pytest.approx(3 / 5)
 
     def test_selection_estimate_scales_by_driver(self, tiny_table):
         scan, filt, pipeline = selection_pipeline(tiny_table)
@@ -45,6 +44,7 @@ class TestDriverNodeEstimator:
         scan, filt, pipeline = selection_pipeline(tiny_table)
         dne = DriverNodeEstimator(pipeline)
         ExecutionEngine(filt, collect_rows=False).run()
+        assert dne.estimate_for(scan) == 5.0
         assert dne.estimate_for(filt) == 3.0
 
     def test_zero_error_in_expectation_on_random_input(self):
@@ -89,24 +89,16 @@ class TestDriverNodeEstimator:
             pass
         assert est < join.tuples_emitted / 10
 
-    def test_estimates_mapping(self, tiny_table):
-        scan, filt, pipeline = selection_pipeline(tiny_table)
-        dne = DriverNodeEstimator(pipeline)
-        ExecutionEngine(filt, collect_rows=False).run()
-        estimates = dne.estimates()
-        assert estimates[scan] == 5.0
-        assert estimates[filt] == 3.0
-
 
 class TestByteModelEstimator:
     def test_blends_optimizer_with_observation(self, tiny_table):
         scan, filt, pipeline = selection_pipeline(tiny_table)
         filt.estimated_cardinality = 10.0
-        byte = ByteModelEstimator(pipeline)
+        byte = DriverNodeEstimator(pipeline)
         filt.open()
         filt.next()  # 1 emitted at 3/5 progress
         expected = (3 / 5) * (1 / (3 / 5)) + (2 / 5) * 10.0
-        assert byte.estimate_for(filt) == pytest.approx(expected)
+        assert byte.byte_estimate_for(filt) == pytest.approx(expected)
 
     def test_converges_slower_than_dne_under_misestimate(self, skewed_pair):
         """With a wrong optimizer estimate, byte keeps part of the error
@@ -116,27 +108,20 @@ class TestByteModelEstimator:
         join.estimated_cardinality = 10 * len(right)  # gross overestimate
         pipeline = decompose_pipelines(join)[-1]
         dne = DriverNodeEstimator(pipeline)
-        byte = ByteModelEstimator(pipeline)
         join.open()
         for _ in range(200):
             join.next()
-        assert byte.estimate_for(join) > dne.estimate_for(join)
+        assert dne.byte_estimate_for(join) > dne.estimate_for(join)
 
     def test_pure_optimizer_before_start(self, tiny_table):
         scan, filt, pipeline = selection_pipeline(tiny_table)
         filt.estimated_cardinality = 10.0
-        byte = ByteModelEstimator(pipeline)
-        assert byte.estimate_for(filt) == 10.0
+        byte = DriverNodeEstimator(pipeline)
+        assert byte.byte_estimate_for(filt) == 10.0
 
     def test_exact_when_exhausted(self, tiny_table):
         scan, filt, pipeline = selection_pipeline(tiny_table)
         filt.estimated_cardinality = 10.0
-        byte = ByteModelEstimator(pipeline)
+        byte = DriverNodeEstimator(pipeline)
         ExecutionEngine(filt, collect_rows=False).run()
-        assert byte.estimate_for(filt) == 3.0
-
-    def test_bytes_emitted(self, tiny_table):
-        scan = SeqScan(tiny_table)
-        ExecutionEngine(scan, collect_rows=False).run()
-        width = tiny_table.schema.row_width_bytes()
-        assert ByteModelEstimator.bytes_emitted(scan) == 5 * width
+        assert byte.byte_estimate_for(filt) == 3.0

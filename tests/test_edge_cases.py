@@ -29,8 +29,8 @@ class TestDegenerateInputs:
         )
         est = attach_once_estimator(join)
         ExecutionEngine(join, collect_rows=False).run()
-        assert est.current_estimate() == 0.0
-        assert est.exact
+        assert est.acc.estimate() == 0.0
+        assert est.acc.exact
 
     def test_empty_probe_side(self):
         join = HashJoin(
@@ -38,8 +38,8 @@ class TestDegenerateInputs:
         )
         est = attach_once_estimator(join)
         ExecutionEngine(join, collect_rows=False).run()
-        assert est.exact
-        assert est.current_estimate() == 0.0
+        assert est.acc.exact
+        assert est.acc.estimate() == 0.0
 
     def test_both_sides_empty_progress_monitor(self):
         join = HashJoin(
@@ -61,7 +61,7 @@ class TestDegenerateInputs:
         est = attach_once_estimator(join)
         result = ExecutionEngine(join, collect_rows=False).run()
         assert result.row_count == 0
-        assert est.current_estimate() == 0.0
+        assert est.acc.estimate() == 0.0
 
     def test_single_value_domain(self):
         join = HashJoin(
@@ -73,7 +73,7 @@ class TestDegenerateInputs:
         est = attach_once_estimator(join)
         result = ExecutionEngine(join, collect_rows=False).run()
         assert result.row_count == 2000
-        assert est.current_estimate() == 2000.0
+        assert est.acc.estimate() == 2000.0
 
     def test_single_row_tables(self):
         join = HashJoin(
@@ -81,7 +81,7 @@ class TestDegenerateInputs:
         )
         est = attach_once_estimator(join)
         assert ExecutionEngine(join, collect_rows=False).run().row_count == 1
-        assert est.current_estimate() == 1.0
+        assert est.acc.estimate() == 1.0
 
 
 class TestEstimatorRobustness:
@@ -91,7 +91,7 @@ class TestEstimatorRobustness:
         est.on_probe(1)
         # One output row is already certain: |S| is floored at t, so a
         # total that under-counts cannot scale the estimate below Σc.
-        assert est.current_estimate() == 1.0
+        assert est.acc.estimate() == 1.0
 
     def test_probe_total_shrinks_below_t(self):
         """A selection whose observed selectivity collapses mid-stream."""
@@ -100,8 +100,8 @@ class TestEstimatorRobustness:
         for _ in range(100):
             est.on_probe(1)
         # 100 output rows have been seen; the stale total cannot hide them.
-        assert est.current_estimate() == 100.0
-        assert est.confidence_interval() == (100.0, 100.0)
+        assert est.acc.estimate() == 100.0
+        assert est.acc.confidence_interval() == (100.0, 100.0)
 
     def test_hybrid_group_estimator_with_zero_total(self):
         hybrid = HybridGroupCountEstimator(total=0.0)
@@ -130,7 +130,7 @@ class TestEstimatorRobustness:
     def test_manager_on_plan_without_joins_or_aggregates(self, tiny_table):
         scan = SeqScan(tiny_table)
         manager = EstimationManager(scan)
-        assert manager.estimate_for(scan) is None
+        assert id(scan) not in manager.registry
         assert not manager.registry
 
 
@@ -147,7 +147,7 @@ class TestReRunIsolation:
             )
             est = attach_once_estimator(join)
             ExecutionEngine(join, collect_rows=False).run()
-            return est.current_estimate()
+            return est.acc.estimate()
 
         assert run_once() == run_once() == 4.0
 
@@ -162,7 +162,7 @@ class TestReRunIsolation:
         e1 = attach_once_estimator(join)
         e2 = attach_once_estimator(join)
         ExecutionEngine(join, collect_rows=False).run()
-        assert e1.current_estimate() == e2.current_estimate() == 4.0
+        assert e1.acc.estimate() == e2.acc.estimate() == 4.0
 
 
 class TestAggregateEdgeCases:

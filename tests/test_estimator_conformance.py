@@ -1,8 +1,10 @@
 """One conformance suite over the estimator registry.
 
-Every attachable estimator family answers through the same object — an
-:class:`~repro.core.manager.EstimatorEntry` — so the contract is asserted
-once, through the entry only, with the family as a parameter:
+Every attachable estimator family answers through the same kind of
+object — the ``source`` of its :class:`~repro.core.manager.EstimatorEntry`
+(a join's accumulator, an aggregate's hybrid), the state the progress
+monitor reads — so the contract is asserted once, through that source
+only, with the family as a parameter:
 
 1. not ``started`` before the first batch of the pass that feeds it,
    ``started`` after it;
@@ -135,19 +137,20 @@ def test_started_then_exact_at_pass_end(name):
     at_end: list[tuple[bool, float]] = []
     hooks = attached.pass_op.input_hooks[attached.pass_index]
     # Around the estimators' own hooks, in the same batch.
-    hooks.insert(0, lambda keys, rows: before.append([e.started for e in entries]))
-    hooks.append(lambda keys, rows: after.append([e.started for e in entries]))
+    sources = [e.source for e in entries]
+    hooks.insert(0, lambda keys, rows: before.append([s.started for s in sources]))
+    hooks.append(lambda keys, rows: after.append([s.started for s in sources]))
     attached.pass_op.input_end_hooks[attached.pass_index].append(
-        lambda: at_end.extend((e.exact, e.estimate()) for e in entries)
+        lambda: at_end.extend((s.exact, s.estimate()) for s in sources)
     )
-    assert not any(e.started or e.exact for e in entries)
+    assert not any(s.started or s.exact for s in sources)
     _run(attached)
     assert not any(before[0]) and all(after[0])
     # Exact when the pass ended — before the operators had emitted it all.
     assert at_end == [(True, float(e.op.tuples_emitted)) for e in entries]
-    assert all(e.exact and e.estimate() == e.op.tuples_emitted for e in entries)
+    assert all(e.source.exact and e.source.estimate() == e.op.tuples_emitted for e in entries)
     # ... and the end of the pass is the last checkpoint.
-    assert [e.source.history[-1][1] for e in entries] == [e.estimate() for e in entries]
+    assert [s.history[-1][1] for s in sources] == [s.estimate() for s in sources]
 
 
 @family

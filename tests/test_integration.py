@@ -135,7 +135,7 @@ class TestProjectionsInPipelines:
         join = HashJoin(SeqScan(orders), probe, "orders.orderkey", "lineitem.orderkey")
         manager = EstimationManager(join)
         ExecutionEngine(join, collect_rows=False).run()
-        assert manager.estimate_for(join) == join.tuples_emitted
+        assert manager.registry[id(join)].source.estimate() == join.tuples_emitted
 
 
 class TestFailureModes:

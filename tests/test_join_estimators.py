@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import EstimationError
+from repro.core.confidence import binomial_beta
 from repro.core.join_estimators import (
     OnceJoinEstimator,
     attach_once_estimator,
@@ -33,7 +34,7 @@ class TestOnceJoinEstimatorArithmetic:
             n_i = est.histogram.count(key)
             d = (d * (t - 1) + n_i * 100.0) / t
             est.on_probe(key)
-            assert est.current_estimate() == pytest.approx(d)
+            assert est.acc.estimate() == pytest.approx(d)
 
     def test_unbiased_in_expectation(self):
         """Averaged over random probe orders the estimate equals truth."""
@@ -52,7 +53,7 @@ class TestOnceJoinEstimatorArithmetic:
                 est.on_build(int(k))
             for k in rng.permutation(probe)[:50]:
                 est.on_probe(int(k))
-            estimates.append(est.current_estimate())
+            estimates.append(est.acc.estimate())
         assert np.mean(estimates) == pytest.approx(truth, rel=0.1)
 
     def test_exact_after_finalize(self):
@@ -61,8 +62,8 @@ class TestOnceJoinEstimatorArithmetic:
         est.on_probe(1)
         est.on_probe(2)
         est.finalize_probe()
-        assert est.exact
-        assert est.current_estimate() == 1.0  # sum of counts, not scaled
+        assert est.acc.exact
+        assert est.acc.estimate() == 1.0  # sum of counts, not scaled
 
     def test_none_build_keys_ignored(self):
         est = OnceJoinEstimator(probe_total=10.0)
@@ -77,7 +78,7 @@ class TestOnceJoinEstimatorArithmetic:
         for i in range(900):
             est.on_probe(i % 20)
             if i in (99, 499, 899):
-                lo, hi = est.confidence_interval()
+                lo, hi = est.acc.confidence_interval()
                 widths.append(hi - lo)
         assert widths[0] > widths[1] > widths[2]
 
@@ -87,7 +88,7 @@ class TestOnceJoinEstimatorArithmetic:
         est.on_probe(1)
         est.on_probe(1)
         est.finalize_probe()
-        assert est.confidence_interval() == (2.0, 2.0)
+        assert est.acc.confidence_interval() == (2.0, 2.0)
 
     def test_history_recording(self):
         est = OnceJoinEstimator(probe_total=100.0, record_every=10)
@@ -100,7 +101,7 @@ class TestOnceJoinEstimatorArithmetic:
         est = OnceJoinEstimator(probe_total=100.0)
         for _ in range(100):
             est.on_probe(0)
-        assert est.worst_case_beta(alpha=0.9545) == pytest.approx(0.1, abs=2e-3)
+        assert binomial_beta(est.acc.t, alpha=0.9545) == pytest.approx(0.1, abs=2e-3)
 
 
 class TestStreamTotalFloor:
@@ -113,8 +114,8 @@ class TestStreamTotalFloor:
         for _ in range(100):
             est.on_probe(1)
         # 100 output rows are already certain.
-        assert est.current_estimate() == 100.0
-        assert est.confidence_interval() == (100.0, 100.0)
+        assert est.acc.estimate() == 100.0
+        assert est.acc.confidence_interval() == (100.0, 100.0)
         assert est.acc.stream_total == 100.0
 
     def test_probe_child_with_underestimated_cardinality(self):
@@ -130,11 +131,11 @@ class TestStreamTotalFloor:
         agg = HashAggregate(SeqScan(fact), ["f.k"], [AggregateSpec("count")])
         agg.estimated_cardinality = groups / 10
         join = HashJoin(SeqScan(dim), agg, "d.k", "f.k")
-        entry = EstimationManager(join, record_every=1).registry[id(join)]
+        level = EstimationManager(join, record_every=1).registry[id(join)].source
         ExecutionEngine(join, collect_rows=False).run(batch_size=64)
-        assert entry.exact and entry.estimate() == groups
+        assert level.exact and level.estimate() == groups
         # Every probe tuple matches once, so Σc at checkpoint t is t.
-        *mid_pass, final = entry.source.history
+        *mid_pass, final = level.history
         assert len(mid_pass) == groups
         assert all(estimate >= t for t, estimate in mid_pass)
 
@@ -148,8 +149,8 @@ class TestAttachToHashJoin:
         while join.next() is not None:
             pass
         truth = brute_force_join_size(left, right, "nationkey", "nationkey")
-        assert est.exact
-        assert est.current_estimate() == truth
+        assert est.acc.exact
+        assert est.acc.estimate() == truth
 
     def test_exact_before_join_output_with_grace(self, skewed_pair):
         """The headline property: the exact cardinality is known before the
@@ -164,8 +165,8 @@ class TestAttachToHashJoin:
         first = join.next()
         assert first is not None
         assert join.tuples_emitted == 1
-        assert est.exact
-        assert est.current_estimate() == brute_force_join_size(
+        assert est.acc.exact
+        assert est.acc.estimate() == brute_force_join_size(
             left, right, "nationkey", "nationkey"
         )
 
@@ -197,8 +198,8 @@ class TestAttachToMergeJoin:
         join.open()
         first = join.next()  # completes both sorts, starts the merge
         assert first is not None
-        assert est.exact
-        assert est.current_estimate() == brute_force_join_size(
+        assert est.acc.exact
+        assert est.acc.estimate() == brute_force_join_size(
             left, right, "nationkey", "nationkey"
         )
 
@@ -220,8 +221,8 @@ class TestAttachToIndexNL:
         )
         est = attach_once_estimator(join)
         ExecutionEngine(join, collect_rows=False).run()
-        assert est.exact
-        assert est.current_estimate() == brute_force_join_size(
+        assert est.acc.exact
+        assert est.acc.estimate() == brute_force_join_size(
             left, right, "nationkey", "nationkey"
         )
 

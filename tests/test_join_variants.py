@@ -80,8 +80,8 @@ class TestEstimation:
         )
         estimator = attach_once_estimator(join)
         result = ExecutionEngine(join, collect_rows=False).run()
-        assert estimator.exact
-        assert estimator.current_estimate() == result.row_count
+        assert estimator.acc.exact
+        assert estimator.acc.estimate() == result.row_count
 
     def test_semi_estimate_reasonable_mid_stream(self):
         left = customer_variant(1.0, 200, 0, 8000, name="sl")
@@ -114,5 +114,5 @@ class TestEstimation:
         )
         manager = EstimationManager(join)
         ExecutionEngine(join, collect_rows=False).run()
-        assert manager.estimate_for(join) == join.tuples_emitted
-        assert manager.is_exact(join)
+        assert manager.registry[id(join)].source.estimate() == join.tuples_emitted
+        assert manager.registry[id(join)].source.exact

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from repro.common.rng import make_rng
+from repro.core.confidence import binomial_beta
 from repro.core.join_estimators import OnceJoinEstimator
 
 SEED = 0x0C0E
@@ -66,7 +67,7 @@ def _run_trial(build, probe, trial: int):
         est.on_probe(probe[int(idx)])
         f = checkpoints.get(i)
         if f is not None:
-            out[f] = (est.current_estimate(), est.confidence_interval(alpha=0.99))
+            out[f] = (est.acc.estimate(), est.acc.confidence_interval(alpha=0.99))
     return est, out
 
 
@@ -128,9 +129,9 @@ class TestUnbiasedness:
         truth = _true_join_size(build, probe)
         est, _ = _run_trial(build, probe, trial=0)
         est.finalize_probe()
-        assert est.exact
-        assert est.current_estimate() == float(truth)
-        assert est.confidence_interval() == (float(truth), float(truth))
+        assert est.acc.exact
+        assert est.acc.estimate() == float(truth)
+        assert est.acc.confidence_interval() == (float(truth), float(truth))
 
 
 class TestConfidenceBounds:
@@ -161,7 +162,7 @@ class TestConfidenceBounds:
         for i, key in enumerate(probe, 1):
             est.on_probe(key)
             if i in (20, 100, 400):
-                betas.append(est.worst_case_beta(alpha=0.99))
+                betas.append(binomial_beta(est.acc.t, alpha=0.99))
         assert betas == sorted(betas, reverse=True)
         assert betas[-1] < betas[0]
 

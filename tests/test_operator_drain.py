@@ -250,7 +250,7 @@ def test_probe_pass_snapshot_sees_once_and_the_counter_agree(
 
     def sample(_count: int) -> None:
         if join.rows_consumed[1]:
-            seen.append((manager.has_started(join), chain.t, join.rows_consumed[1]))
+            seen.append((manager.registry[id(join)].source.started, chain.t, join.rows_consumed[1]))
 
     bus.subscribe(sample)
     ExecutionEngine(join, bus=bus, collect_rows=False).run()

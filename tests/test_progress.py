@@ -162,3 +162,43 @@ class TestAggregateProgress:
         # within 20% of truth.
         late = [r for a, r in errors if a > 0.5]
         assert all(abs(r - 1.0) < 0.2 for r in late)
+
+
+class TestBoundRefinement:
+    def test_a_demoted_joins_build_maximum_never_reaches_the_bounds(self, monkeypatch):
+        """A join demoted during its build pass still publishes its build
+        maximum (its estimator's end-of-build callback runs), but only joins
+        still in the registry lend theirs to ``bounds.refine``."""
+        from repro.datagen.skew import customer_variant
+
+        left = customer_variant(1.0, 20, 0, 200, name="l")
+        right = customer_variant(1.0, 20, 1, 200, name="r")
+        lower = HashJoin(SeqScan(left), SeqScan(right), "l.nationkey", "r.nationkey")
+        upper = HashJoin(
+            lower, SeqScan(right.aliased("p")), "l.nationkey", "p.nationkey",
+            join_type="semi",
+        )
+
+        def broken(keys, rows):
+            raise RuntimeError("injected")
+
+        lower.input_hooks[0].append(broken)
+        bus = TickBus(interval=64)
+        monitor = ProgressMonitor(upper, mode="once", bus=bus, resilient=True)
+        lower_level = monitor.manager.registry[id(lower)].source
+        refined: list[dict[int, float]] = []
+        refine = monitor.bounds.refine
+
+        def spy(max_multiplicity=None):
+            refined.append(dict(max_multiplicity or {}))
+            refine(max_multiplicity)
+
+        monkeypatch.setattr(monitor.bounds, "refine", spy)
+        ExecutionEngine(upper, bus=bus, collect_rows=False).run()
+        monitor.snapshot()
+
+        assert monitor.manager.degraded
+        assert id(lower) not in monitor.manager.registry
+        assert lower_level.max_multiplicity is not None  # published all the same
+        assert refined and any(id(upper) in m for m in refined)
+        assert all(id(lower) not in m for m in refined)

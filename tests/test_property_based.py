@@ -154,9 +154,9 @@ class TestOnceEstimatorProperties:
         truth = sum(1 for x in build for y in probe if x == y)
         # Before finalize: sum/t * |S| with t == |S| is already exact.
         if probe:
-            assert est.current_estimate() == pytest.approx(float(truth))
+            assert est.acc.estimate() == pytest.approx(float(truth))
         est.finalize_probe()
-        assert est.current_estimate() == float(truth)
+        assert est.acc.estimate() == float(truth)
 
     @given(value_lists, value_lists)
     def test_interval_contains_estimate(self, build, probe):
@@ -165,8 +165,8 @@ class TestOnceEstimatorProperties:
             est.on_build(k)
         for k in probe:
             est.on_probe(k)
-        lo, hi = est.confidence_interval()
-        assert lo <= est.current_estimate() <= hi
+        lo, hi = est.acc.confidence_interval()
+        assert lo <= est.acc.estimate() <= hi
 
 
 class TestChainEstimatorProperty:

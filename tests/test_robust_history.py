@@ -12,7 +12,13 @@ from repro.executor.engine import ExecutionEngine, TickBus
 from repro.executor.operators import SeqScan
 from repro.faults import ERROR, SHORT_READ, FaultPlan, FaultSpec
 from repro.faults.plan import SITE_HISTORY_READ, SITE_HISTORY_WRITE
-from repro.robust import HistoryStore, RunRecord, fingerprint_plan, observed_view
+from repro.robust import (
+    HistoryStore,
+    HistoryWriteError,
+    RunRecord,
+    fingerprint_plan,
+    observed_view,
+)
 
 
 def make_record(fp="aabbccdd00112233", seq=0, **overrides) -> RunRecord:
@@ -158,8 +164,9 @@ class TestFaultSites:
         path = tmp_path / "h.jsonl"
         plan = FaultPlan(seed=1, specs=[FaultSpec(SITE_HISTORY_WRITE, kind=ERROR, every=1)])
         store = HistoryStore(path, faults=plan)
-        assert store.append_run(make_record()) is None
-        assert store.degraded_reason is not None
+        with pytest.raises(HistoryWriteError, match="history write fault"):
+            store.append_run(make_record())
+        assert store.degraded_reason is None  # the drop is the run's, not the store's
         assert len(store) == 0
         assert not path.exists()  # faulted write never touched the file
 
@@ -171,8 +178,9 @@ class TestFaultSites:
             seed=1, specs=[FaultSpec(SITE_HISTORY_WRITE, kind=SHORT_READ, every=1, count=1)]
         )
         store = HistoryStore(path, faults=plan)
-        assert store.append_run(make_record()) is None
-        assert store.degraded_reason == "history write fault: short write"
+        with pytest.raises(HistoryWriteError, match="^history write fault: short write$"):
+            store.append_run(make_record())
+        assert store.degraded_reason is None
         # Second append succeeds (fault budget spent) on a fresh line.
         assert store.append_run(make_record(fp="ffeeddcc99887766"))
         reloaded = HistoryStore(path)

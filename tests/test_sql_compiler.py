@@ -299,4 +299,4 @@ class TestProgressIntegration:
         ExecutionEngine(compiled.plan, collect_rows=False).run()
         for join in walk(compiled.plan):
             if isinstance(join, HashJoin):
-                assert manager.estimate_for(join) == join.tuples_emitted
+                assert manager.registry[id(join)].source.estimate() == join.tuples_emitted
