@@ -1,7 +1,8 @@
 """Shared benchmark infrastructure.
 
-Every module regenerates one table or figure of the paper (see DESIGN.md's
-experiment index). Two scales are supported:
+Every test regenerates one table or figure of the paper (see DESIGN.md's
+experiment index); the clock-free accuracy ones run their rows through
+``benchmarks/ledger.py``. Two scales are supported:
 
 * default — reduced row counts so the whole suite runs in minutes on a
   laptop; the paper's qualitative shapes (who wins, where curves converge,

@@ -23,29 +23,18 @@ def run(mode: str) -> ProgressMonitor:
     return monitor
 
 
-def curve_at(monitor: ProgressMonitor, actual_points: list[float]) -> list[float]:
-    curve = monitor.progress_curve()
-    out = []
-    for target in actual_points:
-        est = next((e for a, e in curve if a >= target), curve[-1][1])
-        out.append(est)
-    return out
-
-
 def main() -> None:
-    actual_points = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
     print("running with ONCE (this paper)...")
-    once = run("once")
+    once = run("once").progress_curve()
     print("running with dne (Chaudhuri et al. baseline)...\n")
-    dne = run("dne")
+    dne = run("dne").progress_curve()
 
-    once_curve = curve_at(once, actual_points)
-    dne_curve = curve_at(dne, actual_points)
-
+    # Both runs snapshot at the same units of work, so their points pair up.
+    step = max(len(once) // 10, 1)
     print(f"{'actual':>8} {'once':>8} {'dne':>8}")
     print("-" * 27)
-    for target, o, d in zip(actual_points, once_curve, dne_curve):
-        print(f"{target:>8.0%} {o:>8.1%} {d:>8.1%}")
+    for (actual, o), (_, d) in list(zip(once, dne))[::step]:
+        print(f"{actual:>8.1%} {o:>8.1%} {d:>8.1%}")
 
     print(
         "\na perfect indicator reports estimated == actual;"

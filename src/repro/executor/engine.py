@@ -230,6 +230,9 @@ class ExecutionResult:
     wall_time_s: float
     rows: list[tuple] | None = None
     operator_counts: dict[int, int] = field(default_factory=dict)
+    # Why the history store dropped this run's record; None when it was
+    # stored or the engine has no history.
+    history_fault: str | None = None
 
 
 class ExecutionEngine:
@@ -254,7 +257,7 @@ class ExecutionEngine:
         :class:`TickBus` if none was passed) and, on a successful serial
         run, appends the run record — its progress curve and per-subtree
         cardinalities — to the store. A failed write drops that record and
-        nothing else.
+        nothing else; the result's ``history_fault`` says why.
     """
 
     def __init__(
@@ -352,16 +355,18 @@ class ExecutionEngine:
             for op in self.operators
             if op.node_id is not None
         }
+        history_fault = None
         if self.history is not None and self.monitor is not None:
             from repro.robust.feedback import record_run
 
-            record_run(self.monitor, self.history, elapsed, count)
+            history_fault = record_run(self.monitor, self.history, elapsed, count)
         return ExecutionResult(
             root=self.root,
             row_count=count,
             wall_time_s=elapsed,
             rows=rows,
             operator_counts=counts,
+            history_fault=history_fault,
         )
 
     def _run_parallel(

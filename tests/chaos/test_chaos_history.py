@@ -150,6 +150,14 @@ def test_write_fault_drops_record_but_engine_rows_survive(tmp_path):
     assert plan.records()  # the write fault fired
     assert len(store) == 0
     assert store.degraded_reason is None
+    assert "history write fault" in result.history_fault
+
+
+def test_a_stored_record_reports_no_history_fault(tmp_path):
+    store = HistoryStore(tmp_path / "h.jsonl")
+    result = ExecutionEngine(build_plan(1), history=store).run()
+    assert len(store) == 1
+    assert result.history_fault is None
 
 
 def test_a_dropped_record_degrades_only_its_own_session(tmp_path):
