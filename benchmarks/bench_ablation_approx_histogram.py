@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import CUSTOMER_ROWS, run_once
-from repro.core.histogram import BucketizedHistogram, FrequencyHistogram
+from repro.core.histogram import BucketizedHistogram
 from repro.core.join_estimators import attach_once_estimator
 from repro.executor.operators import HashJoin, SeqScan
 from repro.datagen.skew import customer_variant
@@ -44,12 +44,7 @@ def _measure():
         assert first or estimator.acc.exact
         join.close()
         estimate = estimator.acc.estimate()
-        hist = estimator.histogram
-        memory = (
-            hist.memory_model_bytes()
-            if isinstance(hist, (BucketizedHistogram, FrequencyHistogram))
-            else 0
-        )
+        memory = estimator.histogram.memory_model_bytes()
         if budget is None:
             truth = estimate
         rows.append({"budget": budget, "estimate": estimate, "memory": memory})

@@ -8,7 +8,8 @@ every one of them byte for byte against the committed results.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +23,9 @@ from benchmarks.conftest import (
 )
 from benchmarks.ledger import Row, run, settled_at
 from repro.core.distinct import GroupFrequencyState
+from repro.datagen.skew import customer_variant
 from repro.datagen.zipf import ZipfDistribution
+from repro.executor.operators import HashJoin, SampleScan, SeqScan
 from repro.optimizer.cardinality import CardinalityModel
 from repro.workloads import (
     paper_binary_join,
@@ -167,16 +170,15 @@ def test_fig5_pipeline_same_attribute(benchmark, report):
         rows += [((z, level), Row("chain", make, RECORD_EVERY, level)) for level in (0, 1)]
     measured = run_once(benchmark, lambda: _ratios(rows, FRACTIONS))
     by_row = {label: (ratios, truth) for label, ratios, truth in measured}
-    results = [(z, [by_row[z, 0], by_row[z, 1]]) for z in SKEWS]
 
     for label, level in (("(b) lower join", 0), ("(a) upper join", 1)):
         report.line(f"Figure 5 {label}: ratio error vs % of lower probe input")
         _ratio_table(report, "z", [(z, *by_row[z, level]) for z in SKEWS], FRACTIONS)
         report.line()
 
-    for z, per_level in results:
+    for z in SKEWS:
         for level in (0, 1):
-            ratios, truth = per_level[level]
+            ratios, truth = by_row[z, level]
             assert truth > 0
             assert ratios[-1] == pytest.approx(1.0, abs=1e-9)  # exact at pass end
             # Converged (within 25%) by a quarter of the lower probe input —
@@ -312,8 +314,9 @@ else:
 CHECK_EVERY = max(CUSTOMER_ROWS // 500, 1)
 
 
-def _zipf(n_values: int, z: float) -> list[int]:
-    return [int(v) for v in ZipfDistribution(n_values, z, seed=13).sample(CUSTOMER_ROWS)]
+@lru_cache(maxsize=1)  # the rows over one stream run back to back
+def _zipf(n_values: int, z: float, seed: int = 13) -> list[int]:
+    return [int(v) for v in ZipfDistribution(n_values, z, seed=seed).sample(CUSTOMER_ROWS)]
 
 
 def _measure_table1():
@@ -322,7 +325,7 @@ def _measure_table1():
         for z in SKEWS:
             row = Row("groups", partial(_zipf, n_values, z), CHECK_EVERY)
             runs = {name: run(row, name) for name in ("gee", "mle", "hybrid")}
-            values = runs["hybrid"].setup
+            values = row.make()
             first_seen: dict[int, int] = {}
             for t, v in enumerate(values, start=1):
                 first_seen.setdefault(v, t)
@@ -462,3 +465,172 @@ def test_ablation_optimizer_statistics(benchmark, report):
     # Histograms help over containment on the most skewed case.
     worst = max(rows, key=lambda r: abs(r["containment"] - 1.0))
     assert abs(worst["histograms"] - 1.0) <= abs(worst["containment"] - 1.0)
+
+
+# Ablation: the γ² threshold τ of the GEE/MLE chooser.
+#
+# The paper sets τ = 10 ("we set a limit of 10 on γ², and use this as our
+# threshold") after observing "a wide gap between γ² values for low skew and
+# high skew data". This ablation sweeps τ across {0 (always GEE), 1, 10, 100,
+# ∞ (always MLE)} over a grid of skews and domain sizes, scoring each setting
+# by mean relative estimation error at the 10% sample point.
+#
+# What we assert is *robustness*, not dominance: at reproduction scale the
+# always-GEE setting is competitive on mean error (GEE's overestimation bite
+# shrinks once every group has been seen a few times), so the honest claim —
+# consistent with the paper's "we can observe a correlation between the value
+# of γ² and which estimator does better" — is that τ = 10 is never much worse
+# than the best fixed choice and strictly guards against MLE's weak high-skew
+# behaviour.
+
+TAUS = [0.0, 1.0, 10.0, 100.0, float("inf")]
+TAU_LABELS = {0.0: "0 (GEE)", float("inf"): "inf (MLE)"}
+CONFIGS = [(z, n) for z in (0.0, 0.5, 1.0, 2.0) for n in (300, 3000, 12_000)]
+
+
+def _measure_chooser():
+    errors = {tau: [] for tau in TAUS}
+    for z, domain in CONFIGS:
+        stream = partial(_zipf, domain, z, seed=29)
+        for tau in TAUS:
+            # Read once, at the 10 % sample point: the row's first point.
+            t = run(Row("groups", stream, CUSTOMER_ROWS // 10, tau=tau), "hybrid")
+            errors[tau].append(abs(t.points[0][1] - t.truth) / t.truth)
+    return {tau: sum(errs) / len(errs) for tau, errs in errors.items()}
+
+
+def test_ablation_chooser_threshold(benchmark, report):
+    mean_errors = run_once(benchmark, _measure_chooser)
+
+    report.line("Ablation: γ² chooser threshold τ (mean rel. error at 10% sample)")
+    report.line(f"{len(CONFIGS)} configurations: z in {{0,0.5,1,2}} x domains {{300,3K,12K}}")
+    report.table(
+        ["τ", "mean rel. error"],
+        [[TAU_LABELS.get(tau, f"{tau:g}"), f"{mean_errors[tau]:.3f}"] for tau in TAUS],
+        widths=[12, 17],
+    )
+
+    paper_tau = mean_errors[10.0]
+    best_fixed = min(mean_errors[0.0], mean_errors[float("inf")])
+    # Robust: within 1.5x of the best fixed choice...
+    assert paper_tau <= best_fixed * 1.5 + 1e-9
+    # ...and strictly better than committing to MLE everywhere.
+    assert paper_tau < mean_errors[float("inf")]
+
+
+# Ablation: Algorithm 3's adaptive MLE recomputation interval.
+#
+# The MLE estimator "cannot be incrementally maintained ... and so it must be
+# recomputed regularly. Setting a constant interval for recomputing the
+# estimate is not a good idea since we would like to refine our estimates
+# more often when they are changing frequently." (Section 4.2)
+#
+# Three schedules drive HybridGroupCountEstimator (τ = ∞, so every read
+# serves the MLE) over one Zipf stream, read after every value:
+# * fixed-small — recompute every ``lower`` values (max accuracy, max cost);
+# * fixed-large — recompute every ``upper`` values (min cost, stale early);
+# * adaptive   — Algorithm 3 (doubles when stable, resets when moving).
+#
+# Metrics: number of recomputations (cost) and mean relative staleness of the
+# served estimate against the MLE recomputed at every ``lower`` values
+# (accuracy). The adaptive schedule must recompute far less than fixed-small
+# while staying much fresher early than fixed-large.
+
+LOWER = max(CUSTOMER_ROWS // 1000, 1)  # 0.1%
+UPPER = max(CUSTOMER_ROWS * 32 // 1000, LOWER)  # 3.2%
+SCHEDULES = {"fixed-small": LOWER, "fixed-large": UPPER, "adaptive": None}
+
+
+def _measure_mle_interval():
+    stream = partial(_zipf, DOMAIN, 0.5, seed=23)
+    fresh = dict(run(Row("groups", stream, LOWER), "mle").points)
+    out = {}
+    for name, interval in SCHEDULES.items():
+        served = run(Row("groups", stream, 1, tau=float("inf"), interval=interval), "hybrid")
+        staleness = [abs(e - fresh[x]) / max(fresh[x], 1.0) for x, e in served.points if x in fresh]
+        out[name] = (served.setup.scheduler.recompute_count, sum(staleness) / len(staleness))
+    return out
+
+
+def test_ablation_mle_interval(benchmark, report):
+    out = run_once(benchmark, _measure_mle_interval)
+
+    report.line("Ablation: MLE recomputation schedules (Algorithm 3)")
+    report.line(f"stream={CUSTOMER_ROWS} rows, lower={LOWER}, upper={UPPER}")
+    report.table(
+        ["schedule", "recomputes", "mean staleness"],
+        [
+            [name, f"{count:,}", f"{stale:.4f}"]
+            for name, (count, stale) in out.items()
+        ],
+        widths=[14, 12, 16],
+    )
+
+    adaptive_count, adaptive_stale = out["adaptive"]
+    small_count, small_stale = out["fixed-small"]
+    large_count, large_stale = out["fixed-large"]
+    # Adaptive costs much less than recomputing at the lower bound...
+    assert adaptive_count < small_count / 2
+    # ...and serves fresher estimates than the large fixed interval.
+    assert adaptive_stale <= large_stale
+    # Near-reference accuracy overall.
+    assert adaptive_stale < 0.05
+
+
+# Ablation: freezing estimation at the sample boundary (Section 4.4).
+#
+# "For each pipeline, we keep obtaining estimates until the random sample is
+# read ... After this point, we have an approximately correct estimate." This
+# ablation freezes the chain estimator at the sample punctuation, across
+# sample fractions, and reports the probe tuples it observed (the per-tuple
+# work) and the frozen estimate against the full-refinement truth.
+
+STOP_FRACTIONS = [0.01, 0.05, 0.10]
+
+
+def _sampled_join(fraction: float) -> SimpleNamespace:
+    build = customer_variant(1.0, DOMAIN, 0, CUSTOMER_ROWS, name="ab")
+    probe = customer_variant(1.0, DOMAIN, 1, CUSTOMER_ROWS, name="ap")
+    join = HashJoin(
+        SeqScan(build),
+        SampleScan(probe, fraction, seed=3),
+        "ab.nationkey",
+        "ap.nationkey",
+        num_partitions=4,
+        memory_partitions=0,
+    )
+    return SimpleNamespace(plan=join)
+
+
+def _measure_sample_stop():
+    makes = {fraction: partial(_sampled_join, fraction) for fraction in STOP_FRACTIONS}
+    # A frozen row's sum_c is partial: the truth is a full-refinement run's.
+    truth = run(Row("chain", makes[0.01], RECORD_EVERY)).truth
+    runs = {f: run(Row("chain", m, RECORD_EVERY, stop_after_sample=True)) for f, m in makes.items()}
+    rows = [
+        {"fraction": f, "tuples_observed": t.total, "frozen_ratio": t.points[-1][1] / truth}
+        for f, t in runs.items()
+    ]
+    return rows, truth
+
+
+def test_ablation_stop_after_sample(benchmark, report):
+    rows, truth = run_once(benchmark, _measure_sample_stop)
+
+    report.line("Ablation: freeze estimation at the sample boundary")
+    report.line(f"rows={CUSTOMER_ROWS}, domain={DOMAIN}, true |join|={truth:,.0f}")
+    report.table(
+        ["sample", "tuples observed", "frozen est / truth"],
+        [
+            [f"{r['fraction']:.0%}", f"{r['tuples_observed']:,}", f"{r['frozen_ratio']:.3f}"]
+            for r in rows
+        ],
+        widths=[8, 17, 20],
+    )
+
+    for r in rows:
+        # A 1-10% sample already lands within 15% of the truth...
+        assert abs(r["frozen_ratio"] - 1.0) < 0.15, r
+        # ...and larger samples (weakly) tighten the estimate.
+    ordered = [abs(r["frozen_ratio"] - 1.0) for r in rows]
+    assert ordered[-1] <= ordered[0] + 0.05

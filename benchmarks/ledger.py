@@ -10,9 +10,11 @@ the estimate stays within 10 %" column.
 The row kinds, by what x and the estimate are:
 
 * ``chain``: a plan's hash-join chain under its chain estimator (ONCE
-  with push-down), abandoned once the lowest probe pass ends. x is the
-  lowest join's probe rows seen; the estimate is the size of join
-  ``level`` (bottom-up), recorded every ``every`` probe rows.
+  with push-down), abandoned once the lowest probe pass ends, or once
+  the estimator freezes at the sample punctuation if the row sets
+  ``stop_after_sample``. x is the lowest join's probe rows seen; the
+  estimate is the size of join ``level`` (bottom-up), recorded every
+  ``every`` probe rows and at the end.
 * ``join``: a whole run under the progress monitor in mode ``once``,
   ``dne`` or ``byte``. x is the top join's probe rows consumed; the
   estimate is its output size, read every ``every`` units of work.
@@ -21,7 +23,7 @@ The row kinds, by what x and the estimate are:
   units of work).
 * ``groups``: a value stream fed to ``gee``, ``mle`` or the ``hybrid``
   chooser. x is the values seen; the estimate is the group count, read
-  every ``every`` values.
+  every ``every`` values. The trajectory's ``setup`` is the estimator.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import lru_cache
 from typing import Any, Callable
 
 from repro.core import DriverNodeEstimator, ProgressMonitor
-from repro.core.distinct import HybridGroupCountEstimator
+from repro.core.distinct import DEFAULT_TAU, HybridGroupCountEstimator, RecomputeScheduler
 from repro.core.pipeline_estimators import HashJoinChainEstimator, find_hash_join_chains
 from repro.executor.engine import ExecutionEngine, TickBus
 
@@ -44,6 +46,9 @@ class Row:
     make: Callable[[], Any]  # a setup factory; for "groups", the value stream
     every: int  # the sampling cadence
     level: int = 0  # "chain": which join of the chain, bottom-up
+    stop_after_sample: bool = False  # "chain": freeze at the sample punctuation
+    tau: float = DEFAULT_TAU  # "groups": the hybrid's γ² threshold
+    interval: int | None = None  # "groups": a fixed MLE recompute interval
 
 
 @dataclass
@@ -51,7 +56,7 @@ class Trajectory:
     points: list[tuple[float, float]]  # (x, estimate), x ascending
     truth: float  # the exact value the estimates aim at
     total: float  # x at the end of the measured pass
-    setup: Any  # what the row's factory built
+    setup: Any  # what the row's factory built; for "groups", the estimator
 
     def at(self, fractions: list[float]) -> list[float]:
         """The estimates at fractions of ``total``."""
@@ -84,30 +89,30 @@ def run(row: Row, estimator: str = "once") -> Trajectory:
 
 
 class _Converged(Exception):
-    """Control flow: the chain estimator has its exact answer."""
+    """Control flow: the chain estimator is exact or frozen."""
 
 
 @lru_cache(maxsize=1)  # Fig. 5 reads two levels of one drive
-def _drive_chain(make: Callable[[], Any], every: int):
+def _drive_chain(make: Callable[[], Any], every: int, stop_after_sample: bool):
     """Pull the plan until its chain estimator is exact (the end of the
-    lowest probe pass), then abandon it: the join output is not needed.
-    Convergence is checked from the tick bus, because one pull on the root
-    can block for a whole partition-wise join pass."""
+    lowest probe pass) or frozen, then abandon it: the join output is not
+    needed. This is checked from the tick bus, because one pull on the
+    root can block for a whole partition-wise join pass."""
     setup = make()
     chains = find_hash_join_chains(setup.plan)
     assert len(chains) == 1, f"expected one chain, found {len(chains)}"
-    chain = HashJoinChainEstimator(chains[0], record_every=every)
+    chain = HashJoinChainEstimator(chains[0], every, stop_after_sample)
     bus = TickBus(256)
 
     def check(_count: int) -> None:
-        if chain.exact:
+        if chain.exact or chain.frozen:
             raise _Converged
 
     bus.subscribe(check)
     setup.plan.attach_bus(bus)
     setup.plan.open()
     try:
-        while not chain.exact and setup.plan.next_batch(256):
+        while not (chain.exact or chain.frozen) and setup.plan.next_batch(256):
             pass
     except _Converged:
         pass
@@ -118,9 +123,12 @@ def _drive_chain(make: Callable[[], Any], every: int):
 
 def _chain(row: Row, estimator: str) -> Trajectory:
     assert estimator == "once", "a chain row runs under its chain estimator"
-    setup, chain = _drive_chain(row.make, row.every)
+    setup, chain = _drive_chain(row.make, row.every, row.stop_after_sample)
     level = chain.levels[row.level]
-    return Trajectory(level.history, float(level.sum_c), level.t, setup)
+    # A frozen level's last record comes before the freeze; its sum_c is
+    # then partial, not the truth.
+    points = [*level.history, (level.t, level.estimate())]
+    return Trajectory(points, float(level.sum_c), level.t, setup)
 
 
 def _join(row: Row, estimator: str) -> Trajectory:
@@ -161,7 +169,9 @@ def _query(row: Row, estimator: str) -> Trajectory:
 def _groups(row: Row, estimator: str) -> Trajectory:
     values = row.make()
     total = len(values)
-    hybrid = HybridGroupCountEstimator(total=total)
+    hybrid = HybridGroupCountEstimator(total=total, tau=row.tau)
+    if row.interval:
+        hybrid.scheduler = RecomputeScheduler(row.interval, row.interval)
     # gee and mle read the hybrid's two estimators raw: no chooser, no
     # recompute schedule, no floor at the groups seen.
     read = {
@@ -173,7 +183,7 @@ def _groups(row: Row, estimator: str) -> Trajectory:
     for start in range(0, total, row.every):
         hybrid.observe_batch(values[start : start + row.every])
         points.append((hybrid.state.t, read()))
-    return Trajectory(points, float(len(set(values))), total, values)
+    return Trajectory(points, float(len(set(values))), total, hybrid)
 
 
 _KINDS = {"chain": _chain, "join": _join, "query": _query, "groups": _groups}

@@ -66,7 +66,7 @@ class CardinalityModel:
     ``mass_l·mass_r / max(d_cell)``). Better — but still a *static*
     approximation that cannot see which particular values coincide, which
     is exactly the gap the online framework closes
-    (``bench_ablation_optimizer_stats.py``).
+    (``bench_accuracy.py::test_ablation_optimizer_statistics``).
     """
 
     def __init__(
