@@ -1,44 +1,30 @@
-"""Static analysis: plan semantic checks and codebase invariant lint.
+"""Static analysis: plan semantic checks and the source checker.
 
-Two passes share one diagnostic framework (:mod:`repro.analysis.diagnostics`):
+* :func:`analyze_plan` type-checks expressions against the schemas flowing
+  through a physical plan and verifies the paper's pipeline invariants
+  (blocking build / driver probe, push-down classification) before a
+  single ``getnext()`` call. It reports one :class:`Diagnostic` per finding.
+* :mod:`repro.analysis.lint` is the source checker
+  (``python -m repro.analysis.lint src/``): one Python-``ast`` engine that
+  guards the ``K_i`` accounting, determinism and operator-declaration
+  invariants (R001–R008) and machine-checks the TickBus locking protocol
+  (X001–X006, the lock model of :mod:`repro.analysis.concurrency`) against
+  the annotations of :mod:`repro.common.locks`.
 
-* Pass 1 — :func:`analyze_plan` type-checks expressions against the schemas
-  flowing through a physical plan and verifies the paper's pipeline
-  invariants (blocking build / driver probe, push-down classification)
-  before a single ``getnext()`` call.
-* Pass 2 — :mod:`repro.analysis.lint` is a Python-``ast`` rule engine
-  (``python -m repro.analysis.lint src/``) guarding the ``K_i`` accounting,
-  determinism and operator-declaration invariants at the source level.
-* Pass 3 — :mod:`repro.analysis.concurrency` is the lock-discipline
-  analyzer (``python -m repro.analysis.concurrency src/``): it
-  machine-checks the TickBus locking protocol (diagnostics X001–X006)
-  against the annotations of :mod:`repro.common.locks`.
+Codes and severities live in one registry, :mod:`repro.analysis.diagnostics`.
 """
 
 from repro.analysis.diagnostics import CODES, Diagnostic, DiagnosticReport, Severity
 from repro.analysis.plancheck import analyze_plan
 from repro.analysis.typecheck import ExprType, TypeChecker, infer_type
 
-
-def __getattr__(name: str):
-    # Lazy: `python -m repro.analysis.concurrency` would otherwise trip the
-    # runpy "found in sys.modules" warning by importing the module it is
-    # about to execute.
-    if name in ("Finding", "analyze_paths"):
-        from repro.analysis import concurrency
-
-        return getattr(concurrency, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "CODES",
     "Diagnostic",
     "DiagnosticReport",
     "ExprType",
-    "Finding",
     "Severity",
     "TypeChecker",
     "analyze_plan",
-    "analyze_paths",
     "infer_type",
 ]

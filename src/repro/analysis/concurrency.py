@@ -1,7 +1,8 @@
-"""Lock-discipline concurrency analyzer (Pass 3, X-codes).
+"""Lock-discipline rules (X-codes) of the source checker.
 
-Run as ``python -m repro.analysis.concurrency src/`` (non-zero exit on
-findings). The server subsystem made the progress framework concurrent,
+:mod:`repro.analysis.lint` runs them over the trees it has parsed
+(``python -m repro.analysis.lint src/``); this module holds the lock model
+and the rules. The server subsystem made the progress framework concurrent,
 and its correctness rests on a locking protocol — every read/write of
 estimator and session state happens under the TickBus-carried sampling
 RLock or the owning component's private lock. A slightly-wrong estimator
@@ -46,33 +47,19 @@ functions and lambdas are skipped (they run at an unknown time under
 unknown locks); ``__init__`` is exempt from X001/X006 because construction
 is single-threaded by definition.
 
-Suppression: a finding on a line carrying ``# noqa: X00x`` is dropped —
-accepted findings stay visible and justified at the use site. A checked-in
-baseline (``--baseline concurrency_baseline.json``) suppresses findings by
-``(code, path, symbol)`` for debt that cannot be annotated inline;
-``--write-baseline`` regenerates it. ``--json`` emits the machine-readable
-report CI uploads as an artifact.
+Suppression is the checker's: a finding on a line carrying
+``# noqa: X00x`` is dropped — accepted findings stay visible and justified
+at the use site.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
-import re
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.analysis.diagnostics import CODES, Severity
+from repro.analysis.diagnostics import Violation
 
-__all__ = [
-    "Finding",
-    "analyze_paths",
-    "load_baseline",
-    "main",
-    "write_baseline",
-]
+__all__ = ["lock_violations"]
 
 #: Decorator attribute names, as written at the decoration site.
 _DECOS = {"guarded_by": "guarded", "holds_lock": "holds", "acquires": "acquires"}
@@ -132,43 +119,6 @@ _BLOCKING_ATTRS = {
     "take",
 }
 _BLOCKING_WITH_TIMEOUT = {"get", "put"}
-
-_NOQA_RE = re.compile(r"#\s*noqa:\s*([A-Z0-9, ]+)")
-
-
-# -- findings ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One lock-discipline violation."""
-
-    code: str
-    path: str
-    line: int
-    symbol: str
-    message: str
-
-    @property
-    def severity(self) -> Severity:
-        return CODES[self.code][0]
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: {self.code} [{self.symbol}] {self.message}"
-
-    def key(self) -> tuple[str, str, str]:
-        """Baseline identity: stable across line-number churn."""
-        return (self.code, Path(self.path).as_posix(), self.symbol)
-
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "severity": self.severity.label,
-            "path": Path(self.path).as_posix(),
-            "line": self.line,
-            "symbol": self.symbol,
-            "message": self.message,
-        }
 
 
 # -- class model ---------------------------------------------------------------
@@ -531,17 +481,17 @@ class _Registry:
 
 
 class _Analysis:
-    """Shared state for one ``analyze_paths`` run."""
+    """Shared state for one :func:`lock_violations` run."""
 
     def __init__(self, registry: _Registry):
         self.registry = registry
         self.critical = registry.critical_ids()
-        self.findings: list[Finding] = []
+        self.findings: list[Violation] = []
         # Acquisition-order edges: (held, acquired) -> first (path, line, symbol).
         self.edges: dict[tuple[str, str], tuple[str, int, str]] = {}
 
     def add(self, code: str, path: str, line: int, symbol: str, message: str) -> None:
-        self.findings.append(Finding(code, path, line, symbol, message))
+        self.findings.append(Violation(code, path, line, message, symbol))
 
     def edge(self, held: str, acquired: str, path: str, line: int, symbol: str) -> None:
         if held != acquired:
@@ -1020,53 +970,20 @@ class _MethodChecker:
         self.a.add(code, self.path, line, self.symbol, message)
 
 
-# -- engine --------------------------------------------------------------------
+# -- entry point ---------------------------------------------------------------
 
 
-def _collect_files(paths: list[str]) -> list[Path]:
-    files: list[Path] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        else:
-            files.append(path)
-    return files
-
-
-def _noqa_codes(line: str) -> set[str]:
-    match = _NOQA_RE.search(line)
-    if not match:
-        return set()
-    return {c.strip() for c in match.group(1).split(",") if c.strip()}
-
-
-def analyze_paths(
-    paths: list[str], baseline: set[tuple[str, str, str]] | None = None
-) -> list[Finding]:
-    """Analyze every ``.py`` file under ``paths``; returns sorted findings.
-
-    Findings on lines carrying ``# noqa: X00x`` and findings whose
-    ``(code, path, symbol)`` key appears in ``baseline`` are suppressed.
-    """
+def lock_violations(modules: list[tuple[ast.Module, str]]) -> list[Violation]:
+    """Every X finding in the parsed ``(tree, path)`` modules, unsorted and
+    before ``# noqa`` filtering (the checker does both)."""
     registry = _Registry()
-    lines_by_path: dict[str, list[str]] = {}
-    trees: list[tuple[ast.Module, str]] = []
-    for file in _collect_files(paths):
-        text = file.read_text()
-        try:
-            tree = ast.parse(text, filename=str(file))
-        except SyntaxError:
-            continue  # the lint pass reports syntax errors
-        trees.append((tree, str(file)))
-        lines_by_path[str(file)] = text.splitlines()
     class_names = {
         node.name
-        for tree, _path in trees
+        for tree, _path in modules
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
     }
-    for tree, path in trees:
+    for tree, path in modules:
         registry.add_module(tree, path, class_names)
     analysis = _Analysis(registry)
     for info in [*registry.classes.values(), *registry.module_scopes]:
@@ -1074,112 +991,4 @@ def analyze_paths(
         for method in info.methods.values():
             _MethodChecker(analysis, info, view, method, info.path).run()
     analysis.report_order_cycles()
-    findings = []
-    for finding in analysis.findings:
-        lines = lines_by_path.get(finding.path, [])
-        if 0 < finding.line <= len(lines):
-            if finding.code in _noqa_codes(lines[finding.line - 1]):
-                continue
-        if baseline and finding.key() in baseline:
-            continue
-        findings.append(finding)
-    return sorted(findings, key=lambda f: (f.path, f.line, f.code))
-
-
-# -- baseline + report ---------------------------------------------------------
-
-
-def load_baseline(path: str | Path) -> set[tuple[str, str, str]]:
-    """Load suppression keys from a baseline file (see module docstring)."""
-    data = json.loads(Path(path).read_text())
-    entries = data["findings"] if isinstance(data, dict) else data
-    keys: set[tuple[str, str, str]] = set()
-    for entry in entries:
-        keys.add((entry["code"], Path(entry["path"]).as_posix(), entry["symbol"]))
-    return keys
-
-
-def write_baseline(findings: list[Finding], path: str | Path) -> None:
-    entries = [
-        {
-            "code": f.code,
-            "path": Path(f.path).as_posix(),
-            "symbol": f.symbol,
-            "message": f.message,
-            "justification": "TODO: justify or fix",
-        }
-        for f in findings
-    ]
-    Path(path).write_text(json.dumps({"version": 1, "findings": entries}, indent=2) + "\n")
-
-
-def write_json_report(findings: list[Finding], path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(
-            {"findings": [f.to_dict() for f in findings], "count": len(findings)},
-            indent=2,
-        )
-        + "\n"
-    )
-
-
-DEFAULT_BASELINE = "concurrency_baseline.json"
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.concurrency",
-        description="Lock-discipline concurrency analyzer (diagnostics X001-X006)",
-    )
-    parser.add_argument("paths", nargs="+", help="files or directories to analyze")
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file of accepted findings (default: {DEFAULT_BASELINE} "
-        "in the current directory, when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file, report everything",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write current findings as the new baseline and exit 0",
-    )
-    parser.add_argument("--json", metavar="FILE", help="write a JSON report")
-    args = parser.parse_args(argv)
-
-    baseline: set[tuple[str, str, str]] | None = None
-    if not args.no_baseline and args.write_baseline is None:
-        baseline_path = args.baseline
-        if baseline_path is None and Path(DEFAULT_BASELINE).is_file():
-            baseline_path = DEFAULT_BASELINE
-        if baseline_path is not None:
-            try:
-                baseline = load_baseline(baseline_path)
-            except (OSError, KeyError, ValueError) as exc:
-                print(f"cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
-                return 2
-
-    findings = analyze_paths(args.paths, baseline=baseline)
-    if args.write_baseline is not None:
-        write_baseline(findings, args.write_baseline)
-        print(
-            f"wrote {len(findings)} finding(s) to {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-    if args.json is not None:
-        write_json_report(findings, args.json)
-    for finding in findings:
-        print(finding.render())
-    if findings:
-        print(f"{len(findings)} finding(s)", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return analysis.findings

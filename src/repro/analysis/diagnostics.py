@@ -1,12 +1,15 @@
-"""Shared diagnostic framework for the static-analysis passes.
+"""Finding shapes and the code registry of the static-analysis passes.
 
-Both analysis passes — the plan semantic analyzer (:mod:`repro.analysis.typecheck`,
-:mod:`repro.analysis.plancheck`) and the codebase invariant lint
-(:mod:`repro.analysis.lint`) — report through one :class:`Diagnostic` shape:
-a stable code, a severity, a human message, a location (plan node or
-file:line) and an optional fix hint. Codes are registered in :data:`CODES`
-with their default severity so severities stay consistent across passes and
-the documentation table in ``docs/ANALYSIS.md`` has a single source of truth.
+The plan semantic analyzer (:mod:`repro.analysis.typecheck`,
+:mod:`repro.analysis.plancheck`) reports one :class:`Diagnostic` per
+finding: a stable code, a severity, a human message, a plan-node location
+and an optional fix hint. The source checker (:mod:`repro.analysis.lint`,
+which runs the R rules and the lock-discipline X rules of
+:mod:`repro.analysis.concurrency`) reports one :class:`Violation` per
+finding: a code at a ``file:line``. :data:`CODES` registers every plan
+code and every X code with its default severity and one-line description,
+so the table in ``docs/ANALYSIS.md`` has a single source of truth; the R
+descriptions live in :data:`repro.analysis.lint.RULES`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import AnalysisError
 
-__all__ = ["CODES", "Diagnostic", "DiagnosticReport", "Severity"]
+__all__ = ["CODES", "Diagnostic", "DiagnosticReport", "Severity", "Violation"]
 
 
 class Severity(enum.IntEnum):
@@ -34,7 +37,7 @@ class Severity(enum.IntEnum):
 #: Registry of every diagnostic code: default severity + one-line description.
 #: P* = plan structure, T* = expression typing, J* = join keys,
 #: A* = aggregation, I* = pipeline invariants, C* = estimator classification,
-#: X* = lock discipline (repro.analysis.concurrency).
+#: X* = lock discipline (repro.analysis.concurrency, run by repro.analysis.lint).
 CODES: dict[str, tuple[Severity, str]] = {
     "P001": (Severity.ERROR, "operator appears more than once in the plan tree"),
     "P002": (Severity.ERROR, "blocking child index out of range"),
@@ -94,6 +97,22 @@ class Diagnostic:
         loc = f" [{self.location}]" if self.location else ""
         hint = f"\n    hint: {self.hint}" if self.hint else ""
         return f"{self.severity.label:>7} {self.code}{loc}: {self.message}{hint}"
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One source-checker finding: ``code`` at ``path:line``. ``symbol``
+    names the function an X finding sits in (empty for R findings)."""
+
+    code: str
+    path: str
+    line: int
+    message: str
+    symbol: str = ""
+
+    def render(self) -> str:
+        where = f" [{self.symbol}]" if self.symbol else ""
+        return f"{self.path}:{self.line}: {self.code}{where} {self.message}"
 
 
 class DiagnosticReport:

@@ -1,9 +1,14 @@
-"""Codebase invariant lint (Pass 2): a Python-``ast`` rule engine.
+"""The source checker: one Python-``ast`` engine for every source rule.
 
-Run as ``python -m repro.analysis.lint src/`` (non-zero exit on violations).
-The rules protect the invariants the whole getnext accounting model depends
-on — things no runtime assertion can catch because they only break when
-someone writes new code:
+Run as ``python -m repro.analysis.lint src/`` (exit 1 on violations, 2 on
+an unknown ``--rules`` code; ``--json FILE`` also writes the findings as a
+JSON report). Each file is parsed once; the R rules below and the
+lock-discipline X rules (X001–X006, :mod:`repro.analysis.concurrency`,
+described in :data:`repro.analysis.diagnostics.CODES`) run over the same
+trees and report one :class:`~repro.analysis.diagnostics.Violation` type.
+The R rules protect the invariants the whole getnext accounting model
+depends on — things no runtime assertion can catch because they only
+break when someone writes new code:
 
 * **R001** — no subclass writes ``tuples_emitted`` outside
   ``Operator.next_batch()``. That single counter *is* the ``K_i`` of the
@@ -55,24 +60,30 @@ someone writes new code:
   read skips the crash tolerance, a side-channel write corrupts the
   record framing the recovery logic depends on.
 
-A violation on a line carrying ``# noqa: R00x`` (matching code) is
-suppressed — the accepted sites stay visible and justified in the source.
+A violation on a line carrying ``# noqa: <code>`` (matching code, R or X)
+is suppressed — the accepted sites stay visible and justified in the source.
 
 The engine parses every file once, builds a cross-module class registry so
 inheritance resolves through intermediate bases (``SampleScan -> SeqScan``,
-``HashAggregate -> _AggregateBase``), then applies the rules.
+``HashAggregate -> _AggregateBase``), then applies the rules. The X rules
+build their own class table (lock attributes, guards, aliases), because
+they read different facts from the same trees.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-__all__ = ["RULES", "Violation", "lint_paths", "main"]
+from repro.analysis.concurrency import lock_violations
+from repro.analysis.diagnostics import CODES, Violation
+
+__all__ = ["CHECKS", "RULES", "Violation", "lint_paths", "main"]
 
 _NOQA_RE = re.compile(r"#\s*noqa:\s*([A-Z0-9, ]+)")
 
@@ -104,22 +115,18 @@ RULES: dict[str, str] = {
     "through HistoryStore",
 }
 
+#: Every code the checker reports -> one-line description: the R rules and
+#: the lock-discipline X rules, whose descriptions live in the registry.
+CHECKS: dict[str, str] = {
+    **RULES,
+    **{code: text for code, (_severity, text) in CODES.items() if code.startswith("X")},
+}
+
 #: The one module allowed to touch raw RNG constructors.
 _RNG_MODULE_SUFFIX = ("repro", "common", "rng.py")
 
 #: Members R004 requires on concrete Operator subclasses.
 _REQUIRED_OPERATOR_MEMBERS = ("op_name", "children", "output_schema")
-
-
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    path: str
-    line: int
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: {self.rule} {self.message}"
 
 
 @dataclass
@@ -581,9 +588,10 @@ def _rule_r004(registry: _Registry) -> list[Violation]:
 
 
 def lint_paths(paths: list[str], rules: set[str] | None = None) -> list[Violation]:
-    """Lint every ``.py`` file under ``paths``; returns sorted violations."""
-    selected = set(RULES) if rules is None else rules
-    unknown = selected - set(RULES)
+    """Check every ``.py`` file under ``paths`` against the selected R and X
+    codes (default: all of :data:`CHECKS`); returns sorted violations."""
+    selected = set(CHECKS) if rules is None else rules
+    unknown = selected - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown lint rules: {sorted(unknown)}")
     registry = _Registry()
@@ -617,26 +625,32 @@ def lint_paths(paths: list[str], rules: set[str] | None = None) -> list[Violatio
                 violations.extend(rule(tree, path))
     if "R004" in selected:
         violations.extend(_rule_r004(registry))
+    if any(code.startswith("X") for code in selected):
+        violations.extend(v for v in lock_violations(modules) if v.code in selected)
     kept = []
     for violation in violations:
         lines = lines_by_path.get(violation.path, [])
         if 0 < violation.line <= len(lines):
-            if violation.rule in _noqa_codes(lines[violation.line - 1]):
+            if violation.code in _noqa_codes(lines[violation.line - 1]):
                 continue
         kept.append(violation)
-    return sorted(kept, key=lambda v: (v.path, v.line, v.rule))
+    return sorted(kept, key=lambda v: (v.path, v.line, v.code))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Codebase invariant lint (rules R001-R008)",
+        description="Source checker: codebase invariants (R001-R008) and lock "
+        "discipline (X001-X006)",
+        epilog="\n".join(f"{code}  {text}" for code, text in CHECKS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("paths", nargs="+", help="files or directories to lint")
+    parser.add_argument("paths", nargs="+", help="files or directories to check")
     parser.add_argument(
         "--rules",
-        help="comma-separated subset of rules to run (default: all)",
+        help="comma-separated subset of codes to check (default: all)",
     )
+    parser.add_argument("--json", metavar="FILE", help="also write a JSON report")
     args = parser.parse_args(argv)
     rules = set(args.rules.split(",")) if args.rules else None
     try:
@@ -644,6 +658,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if args.json is not None:
+        report = {"findings": [asdict(v) for v in violations], "count": len(violations)}
+        Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
     for violation in violations:
         print(violation.render())
     if violations:

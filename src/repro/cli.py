@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 import time
 
 from repro.datagen import generate_tpch
@@ -135,18 +134,6 @@ def _workload_setups(args: argparse.Namespace):
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis.diagnostics import Severity
     from repro.executor.plan import check_plan, explain
-
-    if args.concurrency:
-        # Lock-discipline pass over the installed source tree; exits
-        # non-zero on findings so tooling/CI can gate on it.
-        import repro
-        from repro.analysis import concurrency
-
-        src_root = str(Path(repro.__file__).resolve().parent)
-        argv = [src_root]
-        if args.baseline is not None:
-            argv += ["--baseline", args.baseline]
-        return concurrency.main(argv)
 
     min_severity = Severity[args.min_severity.upper()]
     had_errors = False
@@ -474,18 +461,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         choices=("info", "warning", "error"),
         default="info",
         help="lowest severity to print",
-    )
-    a.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="run the lock-discipline analyzer (X001-X006) over the repro "
-        "source tree instead of a plan; exits non-zero on findings",
-    )
-    a.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="with --concurrency: baseline file of accepted findings",
     )
     a.set_defaults(func=cmd_analyze)
 

@@ -28,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.common.locks import acquires, assert_owned, guarded_by, holds_lock
+from repro.common.locks import acquires, guarded_by, holds_lock
 from repro.core.accumulator import OnceAccumulator
 from repro.core.dne import DriverNodeEstimator
 from repro.core.manager import EstimationManager
@@ -183,42 +183,37 @@ class ProgressMonitor:
         them and every ``tuples_emitted`` counter is monotone.
         """
         with self._lock:
-            return self._snapshot_locked(tick)
-
-    @guarded_by("_lock")
-    def _snapshot_locked(self, tick: int) -> ProgressSnapshot:
-        assert_owned(self._lock, "bus sampling lock")
-        self.refresh_bounds()
-        work_done = 0.0
-        work_total = 0.0
-        states: dict[int, str] = {}
-        for pipeline in self.pipelines:
-            pid = pipeline.pipeline_id
-            status = self._status(pipeline)
-            states[pid] = status
-            if status == "finished":
-                # Every mode's N_i of a finished operator is its K_i (an
-                # int below 2**53: adding it adds float(K_i) exactly).
-                for k_i in self._finished[pid]:
-                    work_done += k_i
-                    work_total += k_i
-                continue
-            # N_d: one number per pipeline, read once and shared by every
-            # operator's dne / byte estimate (None while not executing).
-            total = self._dne[pid].driver_total() if status == "current" else None
-            for op in pipeline.operators:
-                work_done += float(op.tuples_emitted)
-                work_total += self._total_for_mode(op, pipeline, status, total)
-        degraded = self.manager is not None and self.manager.degraded
-        return ProgressSnapshot(
-            tick=tick,
-            timestamp=time.perf_counter() - self._started,
-            work_done=work_done,
-            work_total_estimate=max(work_total, work_done),
-            pipeline_states=states,
-            degraded=degraded,
-            degraded_reason=self.manager.demotions[-1][1] if degraded else None,
-        )
+            self.refresh_bounds()
+            work_done = 0.0
+            work_total = 0.0
+            states: dict[int, str] = {}
+            for pipeline in self.pipelines:
+                pid = pipeline.pipeline_id
+                status = self._status(pipeline)
+                states[pid] = status
+                if status == "finished":
+                    # Every mode's N_i of a finished operator is its K_i (an
+                    # int below 2**53: adding it adds float(K_i) exactly).
+                    for k_i in self._finished[pid]:
+                        work_done += k_i
+                        work_total += k_i
+                    continue
+                # N_d: one number per pipeline, read once and shared by every
+                # operator's dne / byte estimate (None while not executing).
+                total = self._dne[pid].driver_total() if status == "current" else None
+                for op in pipeline.operators:
+                    work_done += float(op.tuples_emitted)
+                    work_total += self._total_for_mode(op, pipeline, status, total)
+            degraded = self.manager is not None and self.manager.degraded
+            return ProgressSnapshot(
+                tick=tick,
+                timestamp=time.perf_counter() - self._started,
+                work_done=work_done,
+                work_total_estimate=max(work_total, work_done),
+                pipeline_states=states,
+                degraded=degraded,
+                degraded_reason=self.manager.demotions[-1][1] if degraded else None,
+            )
 
     @guarded_by("_lock")
     def refresh_bounds(self) -> None:

@@ -131,8 +131,7 @@ class PlanCursor:
     Parameters
     ----------
     root:
-        Plan root. Validated (node ids assigned; ``validate_plan`` is
-        idempotent, so wrapping an engine-validated root is fine).
+        Plan root. Validated, and node ids assigned.
     bus:
         Optional tick bus; attached to the subtree and ticked once per
         fetched batch via :meth:`TickBus.tick_n`.
@@ -269,17 +268,17 @@ class ExecutionEngine:
         history: HistoryStore | None = None,
     ):
         self.root = root
-        self.bus = bus
         self.faults = faults
         self.collect_rows = collect_rows
-        self.operators = validate_plan(root)
         self.history = history
         self.monitor = None
         if history is not None and bus is None:
             bus = TickBus()
-            self.bus = bus
-        if bus is not None:
-            root.attach_bus(bus)
+        self.bus = bus
+        # The one cursor of this engine's one run: it validates the plan and
+        # attaches the bus and the fault plan.
+        self._cursor = PlanCursor(root, bus=bus, faults=faults)
+        self.operators = self._cursor.operators
         if history is not None:
             # Imported here: repro.core.progress imports this module for
             # the TickBus, so the dependency must stay one-way.
@@ -332,7 +331,7 @@ class ExecutionEngine:
                 else min(DEFAULT_BATCH_SIZE, bus.interval)
             )
         rows: list[tuple] | None = [] if self.collect_rows else None
-        cursor = PlanCursor(self.root, bus=bus, faults=self.faults)
+        cursor = self._cursor
         started = time.perf_counter()
         cursor.open()
         try:

@@ -423,7 +423,6 @@ class QuerySession:
         and the worker is free.
         """
         with self._step_lock:
-            assert_owned(self._step_lock, "session step lock")
             if self.state in TERMINAL_STATES:
                 return False
             if self._cancel.is_set():

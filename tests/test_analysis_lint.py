@@ -15,7 +15,7 @@ def fixture(name):
 
 
 def rules_of(violations):
-    return {v.rule for v in violations}
+    return {v.code for v in violations}
 
 
 class TestRepoIsClean:
@@ -34,7 +34,7 @@ class TestRules:
         assert rules_of(violations) >= {"R001"}
         # _next_batch, reset_counter, and the subclass's own next_batch:
         # counter writes are legal only in Operator.next_batch itself.
-        assert len([v for v in violations if v.rule == "R001"]) == 3
+        assert len([v for v in violations if v.code == "R001"]) == 3
         assert "tuples_emitted" in violations[0].message
 
     def test_r002_raw_rng_use(self):
@@ -50,7 +50,7 @@ class TestRules:
     def test_r003_bare_except(self):
         violations = lint_paths([fixture("bad_bare_except.py")], rules={"R003"})
         assert len(violations) == 1
-        assert violations[0].rule == "R003"
+        assert violations[0].code == "R003"
 
     def test_r004_missing_declarations(self):
         violations = lint_paths([fixture("bad_missing_members.py")], rules={"R004"})
@@ -89,6 +89,24 @@ class TestEngine:
         assert set(RULES) == {
             "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
         }
+
+
+class TestOneChecker:
+    """R and X rules share one parse, one finding type and one noqa filter."""
+
+    def test_r_and_x_findings_share_one_noqa_filter(self):
+        path = fixture("mixed_noqa.py")
+        lines = Path(path).read_text().splitlines()
+
+        def line_of(marker):
+            return next(i for i, text in enumerate(lines, 1) if marker in text)
+
+        violations = lint_paths([path])
+        assert [(v.code, v.line) for v in violations] == [
+            ("X001", line_of("X001: written")),
+            ("R003", line_of("the R003 under test")),
+        ]
+        assert violations[0].symbol == "Tally.add_racy"
 
 
 class TestR006BareLocks:

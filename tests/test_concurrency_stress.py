@@ -1,13 +1,12 @@
 """Stress test: hammer session/monitor snapshots with lock asserts enabled.
 
-The lock-discipline analyzer (:mod:`repro.analysis.concurrency`) proves the
+The lock-discipline rules (:mod:`repro.analysis.concurrency`) prove the
 TickBus protocol statically; this test cross-checks the same model at
 runtime. With ``REPRO_LOCK_ASSERTS=1`` every ``assert_owned`` call inside
-``ProgressMonitor._snapshot_locked``, ``QuerySession._on_bus_tick``,
-``QuerySession.step`` and ``QuerySession._finalize`` verifies the thread
-really owns the lock the static annotations claim it does — while reader
-threads hammer ``snapshot()`` and listeners register mid-run, against
-scheduler workers stepping batched sessions.
+``QuerySession._on_bus_tick`` and ``QuerySession._finalize`` verifies the
+thread really owns the lock the static annotations claim it does — while
+reader threads hammer ``snapshot()`` and listeners register mid-run,
+against scheduler workers stepping batched sessions.
 """
 
 from __future__ import annotations
@@ -116,9 +115,9 @@ def test_snapshot_hammer_during_scheduled_run_with_asserts():
 def test_monitor_snapshot_hammer_with_asserts():
     """ProgressMonitor.snapshot() from many threads never trips the asserts.
 
-    snapshot() takes the sampling lock before delegating to the
-    ``@guarded_by``-annotated ``_snapshot_locked``; the runtime assert in
-    that method is exactly the analyzer's X002 obligation, checked live.
+    snapshot() takes the sampling lock with ``with`` and reads the
+    ``@guarded_by``-annotated ``refresh_bounds`` under it (the analyzer's
+    X002 obligation); readers racing the run never see a torn snapshot.
     """
     session = QuerySession(
         make_join(1000, "xm"), mode="once", tick_interval=100, quantum_rows=64
