@@ -3,13 +3,17 @@
 * :func:`analyze_plan` type-checks expressions against the schemas flowing
   through a physical plan and verifies the paper's pipeline invariants
   (blocking build / driver probe, push-down classification) before a
-  single ``getnext()`` call. It reports one :class:`Diagnostic` per finding.
+  single ``getnext()`` call. It reports one :class:`Diagnostic` per finding;
+  its structural errors (P001–P005) are the findings of
+  :func:`repro.executor.plan.plan_structure`, the walk behind the
+  executor's own gate ``validate_plan``.
 * :mod:`repro.analysis.lint` is the source checker
   (``python -m repro.analysis.lint src/``): one Python-``ast`` engine that
   guards the ``K_i`` accounting, determinism and operator-declaration
   invariants (R001–R008) and machine-checks the TickBus locking protocol
   (X001–X006, the lock model of :mod:`repro.analysis.concurrency`) against
-  the annotations of :mod:`repro.common.locks`.
+  the annotations of :mod:`repro.common.locks`. The R and X rules read one
+  class table (:class:`repro.analysis.concurrency.ClassTable`).
 
 Codes and severities live in one registry, :mod:`repro.analysis.diagnostics`.
 """

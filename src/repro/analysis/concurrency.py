@@ -11,11 +11,12 @@ protocol from folklore into a static guarantee.
 
 The analyzer consumes the annotation model of :mod:`repro.common.locks`
 (``guarded_by``/``holds_lock``/``acquires`` decorators; ``_guarded_by_``,
-``_write_guarded_by_`` and ``_critical_locks_`` class registries), builds
-a module-level class registry over every analyzed file (inheritance,
-lock-attribute aliases such as ``ProgressMonitor._lock = bus.lock``, and
-attribute/local types inferred from constructor calls and parameter
-annotations), then runs an intraprocedural held-lock analysis over each
+``_write_guarded_by_`` and ``_critical_locks_`` class registries), reads
+the checker's one class table over every analyzed file
+(:class:`ClassTable`: inheritance, lock-attribute aliases such as
+``ProgressMonitor._lock = bus.lock``, and attribute/local types inferred
+from constructor calls and parameter annotations; R004 reads the same
+table's members), then runs an intraprocedural held-lock analysis over each
 method:
 
 ========  =====================================================================
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import Violation
 
-__all__ = ["lock_violations"]
+__all__ = ["ClassTable", "lock_violations"]
 
 #: Decorator attribute names, as written at the decoration site.
 _DECOS = {"guarded_by": "guarded", "holds_lock": "holds", "acquires": "acquires"}
@@ -147,6 +148,10 @@ class _ClassInfo:
     attr_types: dict[str, str] = field(default_factory=dict)
     mutable: set[str] = field(default_factory=set)
     methods: dict[str, _MethodInfo] = field(default_factory=dict)
+    # What R004 reads: every ``def`` and class-level ``Name`` target, and
+    # whether the class has an ``@abstractmethod`` of its own.
+    members: set[str] = field(default_factory=set)
+    has_abstract_methods: bool = False
 
 
 def _last_name(node: ast.expr) -> str | None:
@@ -277,14 +282,19 @@ def _collect_class(node: ast.ClassDef, path: str, class_names: set[str]) -> _Cla
             info.bases.append(name)
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            info.members.add(stmt.name)
+            if any(_last_name(d) == "abstractmethod" for d in stmt.decorator_list):
+                info.has_abstract_methods = True
             info.methods[stmt.name] = _collect_method(stmt)
             if stmt.name == "__init__":
                 _collect_init(stmt, info, class_names)
-        elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                _collect_registry(target.id, stmt.value, info)
+        elif isinstance(stmt, ast.Assign):
+            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            info.members.update(names)
+            if len(stmt.targets) == 1 and names:
+                _collect_registry(names[0], stmt.value, info)
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            info.members.add(stmt.target.id)
             if stmt.value is not None:
                 _collect_registry(stmt.target.id, stmt.value, info)
             cls = _annotation_class(stmt.annotation)
@@ -393,13 +403,25 @@ class _ClassView:
     methods: dict[str, _MethodInfo]
 
 
-class _Registry:
-    def __init__(self) -> None:
+class ClassTable:
+    """Every class of the checked ``(tree, path)`` modules, collected once
+    and read by both R004 and the X rules; the first definition of a name
+    wins."""
+
+    def __init__(self, modules: list[tuple[ast.Module, str]]) -> None:
         self.classes: dict[str, _ClassInfo] = {}
         self.module_scopes: list[_ClassInfo] = []
         self._views: dict[str, _ClassView] = {}
+        class_names = {
+            node.name
+            for tree, _path in modules
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+        }
+        for tree, path in modules:
+            self._add_module(tree, path, class_names)
 
-    def add_module(self, tree: ast.Module, path: str, class_names: set[str]) -> None:
+    def _add_module(self, tree: ast.Module, path: str, class_names: set[str]) -> None:
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 self.classes.setdefault(node.name, _collect_class(node, path, class_names))
@@ -483,7 +505,7 @@ class _Registry:
 class _Analysis:
     """Shared state for one :func:`lock_violations` run."""
 
-    def __init__(self, registry: _Registry):
+    def __init__(self, registry: ClassTable):
         self.registry = registry
         self.critical = registry.critical_ids()
         self.findings: list[Violation] = []
@@ -973,21 +995,12 @@ class _MethodChecker:
 # -- entry point ---------------------------------------------------------------
 
 
-def lock_violations(modules: list[tuple[ast.Module, str]]) -> list[Violation]:
-    """Every X finding in the parsed ``(tree, path)`` modules, unsorted and
+def lock_violations(table: ClassTable) -> list[Violation]:
+    """Every X finding over the checked modules' class table, unsorted and
     before ``# noqa`` filtering (the checker does both)."""
-    registry = _Registry()
-    class_names = {
-        node.name
-        for tree, _path in modules
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-    }
-    for tree, path in modules:
-        registry.add_module(tree, path, class_names)
-    analysis = _Analysis(registry)
-    for info in [*registry.classes.values(), *registry.module_scopes]:
-        view = registry.view(info.name)
+    analysis = _Analysis(table)
+    for info in [*table.classes.values(), *table.module_scopes]:
+        view = table.view(info.name)
         for method in info.methods.values():
             _MethodChecker(analysis, info, view, method, info.path).run()
     analysis.report_order_cycles()

@@ -63,11 +63,12 @@ break when someone writes new code:
 A violation on a line carrying ``# noqa: <code>`` (matching code, R or X)
 is suppressed — the accepted sites stay visible and justified in the source.
 
-The engine parses every file once, builds a cross-module class registry so
-inheritance resolves through intermediate bases (``SampleScan -> SeqScan``,
-``HashAggregate -> _AggregateBase``), then applies the rules. The X rules
-build their own class table (lock attributes, guards, aliases), because
-they read different facts from the same trees.
+The engine parses every file once and builds one cross-module class table
+(:class:`~repro.analysis.concurrency.ClassTable`) so inheritance resolves
+through intermediate bases (``SampleScan -> SeqScan``,
+``HashAggregate -> _AggregateBase``), then applies the rules: R004 reads
+its members and abstract methods, the X rules its lock attributes, guards
+and aliases.
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ import ast
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
-from repro.analysis.concurrency import lock_violations
+from repro.analysis.concurrency import ClassTable, _last_name, lock_violations
 from repro.analysis.diagnostics import CODES, Violation
 
 __all__ = ["CHECKS", "RULES", "Violation", "lint_paths", "main"]
@@ -129,16 +130,6 @@ _RNG_MODULE_SUFFIX = ("repro", "common", "rng.py")
 _REQUIRED_OPERATOR_MEMBERS = ("op_name", "children", "output_schema")
 
 
-@dataclass
-class _ClassInfo:
-    name: str
-    path: str
-    line: int
-    bases: list[str] = field(default_factory=list)
-    members: set[str] = field(default_factory=set)
-    has_abstract_methods: bool = False
-
-
 def _collect_files(paths: list[str]) -> list[Path]:
     files: list[Path] = []
     for raw in paths:
@@ -148,73 +139,6 @@ def _collect_files(paths: list[str]) -> list[Path]:
         else:
             files.append(path)
     return files
-
-
-def _base_name(node: ast.expr) -> str | None:
-    """Last dotted segment of a base-class expression (``x.Operator`` -> ``Operator``)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _class_info(node: ast.ClassDef, path: str) -> _ClassInfo:
-    info = _ClassInfo(name=node.name, path=path, line=node.lineno)
-    for base in node.bases:
-        name = _base_name(base)
-        if name is not None:
-            info.bases.append(name)
-    for stmt in node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info.members.add(stmt.name)
-            for deco in stmt.decorator_list:
-                if _base_name(deco) == "abstractmethod":
-                    info.has_abstract_methods = True
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    info.members.add(target.id)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            info.members.add(stmt.target.id)
-    return info
-
-
-class _Registry:
-    """Cross-module class table with by-name inheritance resolution."""
-
-    def __init__(self) -> None:
-        self.classes: dict[str, _ClassInfo] = {}
-
-    def add_module(self, tree: ast.Module, path: str) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                self.classes.setdefault(node.name, _class_info(node, path))
-
-    def is_operator_subclass(self, name: str, _seen: frozenset[str] = frozenset()) -> bool:
-        """True for strict descendants of ``Operator`` (not Operator itself)."""
-        info = self.classes.get(name)
-        if info is None or name in _seen:
-            return False
-        seen = _seen | {name}
-        for base in info.bases:
-            if base == "Operator" or self.is_operator_subclass(base, seen):
-                return True
-        return False
-
-    def effective_members(self, name: str, _seen: frozenset[str] = frozenset()) -> set[str]:
-        """Members declared on ``name`` or inherited from registry ancestors,
-        excluding ``Operator`` itself (its defaults/abstracts don't count as
-        subclass declarations)."""
-        if name == "Operator" or name in _seen:
-            return set()
-        info = self.classes.get(name)
-        if info is None:
-            return set()
-        members = set(info.members)
-        for base in info.bases:
-            members |= self.effective_members(base, _seen | {name})
-        return members
 
 
 # -- rules ---------------------------------------------------------------------
@@ -448,7 +372,7 @@ def _rule_r006(tree: ast.Module, path: str) -> list[Violation]:
                 continue
             if (
                 isinstance(child, ast.Call)
-                and _base_name(child.func) in ("Lock", "RLock")
+                and _last_name(child.func) in ("Lock", "RLock")
                 and class_name not in _R006_EXEMPT_CLASSES
             ):
                 violations.append(
@@ -456,7 +380,7 @@ def _rule_r006(tree: ast.Module, path: str) -> list[Violation]:
                         "R006",
                         path,
                         child.lineno,
-                        f"bare threading.{_base_name(child.func)}() constructed in "
+                        f"bare threading.{_last_name(child.func)}() constructed in "
                         f"{Path(path).parts[-2]}/; executor and core state is "
                         "guarded by the TickBus-carried sampling lock — share "
                         "bus.lock (or justify with a `# noqa: R006` comment)",
@@ -504,9 +428,9 @@ def _rule_r007(tree: ast.Module, path: str) -> list[Violation]:
         for child in ast.walk(node):
             if (
                 isinstance(child, ast.Call)
-                and _base_name(child.func) in _R007_ENCODE_CALLS
+                and _last_name(child.func) in _R007_ENCODE_CALLS
             ):
-                flagged.add((child.lineno, _base_name(child.func) or ""))
+                flagged.add((child.lineno, _last_name(child.func) or ""))
     return [
         Violation(
             "R007",
@@ -545,8 +469,8 @@ def _rule_r008(tree: ast.Module, path: str) -> list[Violation]:
         return []
     flagged: set[tuple[int, str]] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _base_name(node.func) in _R008_IO_CALLS:
-            flagged.add((node.lineno, _base_name(node.func) or ""))
+        if isinstance(node, ast.Call) and _last_name(node.func) in _R008_IO_CALLS:
+            flagged.add((node.lineno, _last_name(node.func) or ""))
     return [
         Violation(
             "R008",
@@ -559,17 +483,41 @@ def _rule_r008(tree: ast.Module, path: str) -> list[Violation]:
     ]
 
 
-def _rule_r004(registry: _Registry) -> list[Violation]:
+def _rule_r004(table: ClassTable) -> list[Violation]:
     """Concrete Operator subclasses missing required declarations."""
+    classes = table.classes
+
+    def is_operator_subclass(name: str, seen: frozenset[str] = frozenset()) -> bool:
+        """True for strict descendants of ``Operator`` (not Operator itself)."""
+        info = classes.get(name)
+        if info is None or name in seen:
+            return False
+        return any(
+            base == "Operator" or is_operator_subclass(base, seen | {name})
+            for base in info.bases
+        )
+
+    def effective_members(name: str, seen: frozenset[str] = frozenset()) -> set[str]:
+        """Members declared on ``name`` or inherited from table ancestors,
+        excluding ``Operator`` itself (its defaults/abstracts don't count as
+        subclass declarations)."""
+        info = classes.get(name)
+        if name == "Operator" or name in seen or info is None:
+            return set()
+        members = set(info.members)
+        for base in info.bases:
+            members |= effective_members(base, seen | {name})
+        return members
+
     violations: list[Violation] = []
-    for name, info in sorted(registry.classes.items()):
-        if not registry.is_operator_subclass(name):
+    for name, info in sorted(classes.items()):
+        if not is_operator_subclass(name):
             continue
         # Abstract intermediates opt out: leading-underscore names or any
         # @abstractmethod of their own.
         if name.startswith("_") or info.has_abstract_methods:
             continue
-        members = registry.effective_members(name)
+        members = effective_members(name)
         missing = [m for m in _REQUIRED_OPERATOR_MEMBERS if m not in members]
         if missing:
             violations.append(
@@ -594,7 +542,6 @@ def lint_paths(paths: list[str], rules: set[str] | None = None) -> list[Violatio
     unknown = selected - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown lint rules: {sorted(unknown)}")
-    registry = _Registry()
     modules: list[tuple[ast.Module, str]] = []
     lines_by_path: dict[str, list[str]] = {}
     violations: list[Violation] = []
@@ -609,7 +556,6 @@ def lint_paths(paths: list[str], rules: set[str] | None = None) -> list[Violatio
             )
             continue
         modules.append((tree, str(file)))
-        registry.add_module(tree, str(file))
     per_module = {
         "R001": _rule_r001,
         "R002": _rule_r002,
@@ -623,10 +569,11 @@ def lint_paths(paths: list[str], rules: set[str] | None = None) -> list[Violatio
         for rule_id, rule in per_module.items():
             if rule_id in selected:
                 violations.extend(rule(tree, path))
+    table = ClassTable(modules)
     if "R004" in selected:
-        violations.extend(_rule_r004(registry))
+        violations.extend(_rule_r004(table))
     if any(code.startswith("X") for code in selected):
-        violations.extend(v for v in lock_violations(modules) if v.code in selected)
+        violations.extend(v for v in lock_violations(table) if v.code in selected)
     kept = []
     for violation in violations:
         lines = lines_by_path.get(violation.path, [])

@@ -11,6 +11,10 @@ the shared :class:`~repro.analysis.diagnostics.DiagnosticReport`:
 
 * **Structure** (P001–P005): duplicate nodes, out-of-range blocking/driver
   child indexes, non-runnable operator state, driver-also-blocking edges.
+  These are :func:`~repro.executor.plan.plan_structure`'s findings — the
+  executor's own gate (:func:`~repro.executor.plan.validate_plan`) refuses
+  exactly these plans, so the analyzer never calls runnable what the engine
+  would refuse, nor the reverse.
 * **Typing** (T*/J*/A*): predicates and projections type-check against
   their input schemas, join keys resolve on both sides with compatible
   types, GROUP BY and aggregate inputs resolve (sum/avg need numerics).
@@ -34,93 +38,46 @@ from repro.analysis.typecheck import ExprType, TypeChecker, column_expr_type
 from repro.common.errors import EstimationError
 from repro.core.pipeline_estimators import chain_provenance, find_hash_join_chains
 from repro.executor.operators.aggregate import _AggregateBase
-from repro.executor.operators.base import Operator, OperatorState
+from repro.executor.operators.base import Operator
 from repro.executor.operators.hash_join import HashJoin
 from repro.executor.operators.merge_join import SortMergeJoin
 from repro.executor.operators.nested_loops import NestedLoopsJoin
 from repro.executor.operators.project import Project
 from repro.executor.operators.scan import IndexScan
 from repro.executor.operators.sort import Sort
+from repro.executor.plan import plan_structure
 from repro.storage.schema import Schema
 
 __all__ = ["analyze_plan"]
+
+
+_HINTS = {"P001": "Volcano trees may not share subplans; copy the operator"}
 
 
 def _location(op: Operator) -> str:
     return f"node {op.describe()}"
 
 
-def _safe_walk(root: Operator, report: DiagnosticReport) -> list[Operator]:
-    """Pre-order walk tolerating shared nodes: visit each operator once,
-    reporting P001 for re-encounters instead of looping forever."""
-    seen: set[int] = set()
-    ops: list[Operator] = []
-    stack = [root]
-    while stack:
-        op = stack.pop()
-        if id(op) in seen:
-            report.add(
-                "P001",
-                f"operator {op.describe()} appears more than once in the plan",
-                location=_location(op),
-                hint="Volcano trees may not share subplans; copy the operator",
-            )
-            continue
-        seen.add(id(op))
-        ops.append(op)
-        stack.extend(reversed(op.children()))
-    return ops
-
-
 # -- structural checks ---------------------------------------------------------
 
 
-def _check_structure(op: Operator, report: DiagnosticReport) -> None:
+def _check_edges(op: Operator, report: DiagnosticReport) -> None:
+    """I002: a child edge that is neither blocking nor the driver leaves
+    pipeline decomposition unable to attribute the child's getnext() work."""
     n_children = len(op.children())
-    blocking = tuple(op.blocking_child_indexes)
-    for idx in blocking:
-        if not 0 <= idx < n_children:
-            report.add(
-                "P002",
-                f"blocking child index {idx} out of range "
-                f"(operator has {n_children} children)",
-                location=_location(op),
-            )
+    if n_children < 2:
+        return
     driver = op.driver_child_index
-    if driver is not None:
-        if not 0 <= driver < n_children:
+    classified = set(op.blocking_child_indexes) | ({driver} if driver is not None else set())
+    for idx in range(n_children):
+        if idx not in classified:
             report.add(
-                "P003",
-                f"driver child index {driver} out of range "
-                f"(operator has {n_children} children)",
+                "I002",
+                f"child {idx} is neither blocking nor the driver",
                 location=_location(op),
+                hint="declare the edge in blocking_child_indexes or "
+                "driver_child_index",
             )
-        elif driver in blocking:
-            report.add(
-                "P005",
-                f"driver child {driver} is also declared blocking; a pipeline "
-                "cannot be driven by an input it never streams",
-                location=_location(op),
-            )
-    if op.state in (OperatorState.CLOSED, OperatorState.EXHAUSTED):
-        report.add(
-            "P004",
-            f"operator state is {op.state.value}; plans cannot be re-run",
-            location=_location(op),
-        )
-    # Child edges that are neither blocking nor the driver leave pipeline
-    # decomposition unable to attribute the child's getnext() work.
-    if n_children > 1:
-        classified = set(blocking) | ({driver} if driver is not None else set())
-        for idx in range(n_children):
-            if idx not in classified:
-                report.add(
-                    "I002",
-                    f"child {idx} is neither blocking nor the driver",
-                    location=_location(op),
-                    hint="declare the edge in blocking_child_indexes or "
-                    "driver_child_index",
-                )
 
 
 # -- per-operator semantic checks ----------------------------------------------
@@ -339,9 +296,11 @@ def _classify_chains(root: Operator, report: DiagnosticReport) -> None:
 def analyze_plan(root: Operator) -> DiagnosticReport:
     """Statically analyze a physical plan; never executes any operator."""
     report = DiagnosticReport()
-    ops = _safe_walk(root, report)
+    ops, findings = plan_structure(root)
+    for code, op, message in findings:
+        report.add(code, message, _location(op), _HINTS.get(code))
     for op in ops:
-        _check_structure(op, report)
+        _check_edges(op, report)
         _check_operator(op, report)
     _check_pipeline_invariants(ops, report)
     if not report.has_errors:

@@ -26,6 +26,9 @@ __all__ = ["customer_variant", "customer_variant_with_custkey"]
 
 PAPER_CUSTOMER_ROWS = 150_000
 
+#: Rank rotation between consecutive variants (see :func:`customer_variant`).
+PEAK_STRIDE = 3
+
 
 def customer_variant(
     z: float,
@@ -35,13 +38,12 @@ def customer_variant(
     seed: int = 42,
     name: str | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    peak_stride: int = 3,
 ) -> Table:
     """Build ``C^variant_{z,domain_size}``: a customer table whose
     ``nationkey`` column is Zipf(z) over ``[1..domain_size]``.
 
     Variants use *rank-shifted* alignment: variant k's rank-to-value map is
-    rotated by ``k * peak_stride``, so each variant's hot values differ (the
+    rotated by ``k * PEAK_STRIDE``, so each variant's hot values differ (the
     paper's "peak value frequency corresponds to different values") while
     tails overlap enough that joins between variants stay non-degenerate at
     any skew. The table keeps the sequential ``custkey`` primary key and a
@@ -49,7 +51,7 @@ def customer_variant(
     the paper's randomly-ordered-stream assumption for base-table scans.
     """
     dist = ZipfDistribution(
-        domain_size, z, variant=variant, seed=seed, shift=variant * peak_stride
+        domain_size, z, variant=variant, seed=seed, shift=variant * PEAK_STRIDE
     )
     nationkeys = dist.sample(num_rows)
     rows = (
@@ -77,7 +79,6 @@ def customer_variant_with_custkey(
     seed: int = 42,
     name: str | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    peak_stride: int = 3,
 ) -> Table:
     """Figure-6 style customer table: *both* ``custkey`` and ``nationkey``
     are independently skewed over ``[1..domain_size]``.
@@ -90,11 +91,11 @@ def customer_variant_with_custkey(
     """
     nation_dist = ZipfDistribution(
         domain_size, nation_z, variant=variant, seed=seed,
-        shift=variant * peak_stride,
+        shift=variant * PEAK_STRIDE,
     )
     cust_dist = ZipfDistribution(
         domain_size, custkey_z, variant=variant + 1000, seed=seed,
-        shift=variant * peak_stride + peak_stride * 2 + 1,
+        shift=variant * PEAK_STRIDE + PEAK_STRIDE * 2 + 1,
     )
     nationkeys = nation_dist.sample(num_rows)
     custkeys = cust_dist.sample(num_rows, stream=7)

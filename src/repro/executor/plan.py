@@ -1,7 +1,9 @@
 """Plan-tree utilities: traversal, validation, EXPLAIN-style printing.
 
 The physical operator tree *is* the plan; these helpers assign node ids,
-check structural sanity before execution, and render the tree for humans.
+check structural sanity before execution (the one copy of the structural
+rules P001–P005, which the analyzer reports too), and render the tree for
+humans.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from repro.executor.operators.base import Operator, OperatorState
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.diagnostics import DiagnosticReport
 
-__all__ = ["check_plan", "explain", "validate_plan", "walk"]
+__all__ = ["check_plan", "explain", "plan_structure", "validate_plan", "walk"]
 
 
 def walk(root: Operator) -> Iterator[Operator]:
@@ -26,33 +28,71 @@ def walk(root: Operator) -> Iterator[Operator]:
         stack.extend(reversed(op.children()))
 
 
-def validate_plan(root: Operator) -> list[Operator]:
-    """Validate the tree and assign sequential node ids (pre-order).
+#: A structural finding: ``(code, operator, message)``, code P001–P005.
+Finding = tuple[str, Operator, str]
 
-    Checks: no operator appears twice (DAGs/sharing are not supported by the
-    Volcano contract here), all operators are freshly created or open,
-    blocking/driver child declarations are in range.
+_SPENT = (OperatorState.EXHAUSTED, OperatorState.CLOSED)
 
-    Returns the operators in pre-order.
+
+def plan_structure(root: Operator) -> tuple[list[Operator], list[Finding]]:
+    """Pre-order walk visiting each operator once, plus every structural
+    finding (the P rules of :data:`repro.analysis.diagnostics.CODES`).
+
+    A re-encountered operator is reported as P001 and not descended into,
+    so a shared subplan or a cycle never loops. Per operator: P002/P003 a
+    blocking/driver child index out of range, P005 a driver child that is
+    also declared blocking, P004 an exhausted or closed operator.
     """
     seen: set[int] = set()
     ops: list[Operator] = []
-    for op in walk(root):
+    findings: list[Finding] = []
+    stack = [root]
+    while stack:
+        op = stack.pop()
         if id(op) in seen:
-            raise PlanError(f"operator {op.describe()} appears twice in the plan")
+            findings.append(("P001", op, "operator appears twice in the plan"))
+            continue
         seen.add(id(op))
-        n_children = len(op.children())
-        for idx in op.blocking_child_indexes:
-            if not 0 <= idx < n_children:
-                raise PlanError(
-                    f"{op.describe()}: blocking child index {idx} out of range"
-                )
-        drv = op.driver_child_index
-        if drv is not None and not 0 <= drv < n_children:
-            raise PlanError(f"{op.describe()}: driver child index {drv} out of range")
-        if op.state is OperatorState.CLOSED:
-            raise PlanError(f"{op.describe()}: operator already closed")
         ops.append(op)
+        children = op.children()
+        n = len(children)
+        blocking = tuple(op.blocking_child_indexes)
+        driver = op.driver_child_index
+        problems = [
+            ("P002", f"blocking child index {idx} out of range (operator has {n} children)")
+            for idx in blocking
+            if not 0 <= idx < n
+        ]
+        if driver is not None and not 0 <= driver < n:
+            problems.append(
+                ("P003", f"driver child index {driver} out of range (operator has {n} children)")
+            )
+        elif driver in blocking:
+            problems.append(
+                ("P005", f"driver child {driver} is also declared blocking; a pipeline "
+                 "cannot be driven by an input it never streams")
+            )
+        if op.state in _SPENT:
+            problems.append(
+                ("P004", f"operator already {op.state.value}; plans cannot be re-run")
+            )
+        findings.extend((code, op, message) for code, message in problems)
+        stack.extend(reversed(children))
+    return ops, findings
+
+
+def validate_plan(root: Operator) -> list[Operator]:
+    """The executor's hard gate: raise :class:`PlanError` on the first
+    finding of :func:`plan_structure`, else assign sequential node ids
+    (pre-order) and return the operators in that order.
+
+    The analyzer reports the same findings as P001–P005 diagnostics, so a
+    plan it calls structurally broken never runs.
+    """
+    ops, findings = plan_structure(root)
+    if findings:
+        code, op, message = findings[0]
+        raise PlanError(f"{code} {op.describe()}: {message}")
     for i, op in enumerate(ops):
         op.node_id = i
     return ops
@@ -63,8 +103,9 @@ def check_plan(root: Operator, mode: str = "strict") -> "DiagnosticReport":
 
     ``mode="strict"`` raises :class:`~repro.common.errors.AnalysisError` if
     any ERROR-severity diagnostic is found; ``mode="advisory"`` returns the
-    full report for the caller to inspect. Structural validation
-    (:func:`validate_plan`) remains the executor's hard gate — this adds the
+    full report for the caller to inspect. Its structural errors
+    (P001–P005) are :func:`plan_structure`'s findings, the same ones
+    :func:`validate_plan` refuses at run time; the analyzer adds the
     semantic layer: expression typing, join-key compatibility, pipeline
     invariants and estimator classification.
     """

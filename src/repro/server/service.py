@@ -116,11 +116,9 @@ class ProgressService:
         tick_interval: int = 2000,
         row_cap: int = 10_000,
         max_pending: int = 64,
-        default_mode: str = "once",
         sample_fraction: float = 0.0,
         default_timeout_s: float | None = None,
         faults: FaultPlan | None = None,
-        retry_budget: int = 3,
         history_path=None,
     ):
         self.catalog = catalog
@@ -129,7 +127,6 @@ class ProgressService:
         self.quantum_rows = quantum_rows
         self.tick_interval = tick_interval
         self.row_cap = row_cap
-        self.default_mode = default_mode
         self.sample_fraction = sample_fraction
         self.default_timeout_s = default_timeout_s
         # Deterministic fault injection: explicit plan, else the
@@ -137,7 +134,6 @@ class ProgressService:
         # from outside), else None — in which case every injection site in
         # the stack stays a zero-cost no-op.
         self.faults = faults if faults is not None else plan_from_env()
-        self.retry_budget = retry_budget
         # Robust subsystem: a run-history store shared by every session
         # (run records out) plus the observed-cardinality overlay the
         # compiler consults. Built after ``faults`` so the store's
@@ -178,7 +174,7 @@ class ProgressService:
         session = QuerySession(
             self._plan_for(sql),
             name=name,
-            mode=mode or self.default_mode,
+            mode=mode or "once",
             tick_interval=self.tick_interval,
             quantum_rows=quantum_rows or self.quantum_rows,
             row_cap=self.row_cap,
@@ -186,7 +182,6 @@ class ProgressService:
                 timeout_s if timeout_s is not None else self.default_timeout_s
             ),
             faults=self.faults,
-            retry_budget=self.retry_budget,
             history=self.history,
             observed=self.observed,
         )

@@ -287,16 +287,15 @@ def tpch_q8_like(
     num_partitions: int = 8,
     memory_partitions: int = 1,
     catalog: Catalog | None = None,
-    with_filters: bool = True,
 ) -> QuerySetup:
     """Figure 8: an 8-table join in the spirit of TPC-H Q8, plus aggregation.
 
     lineitem is the probe stream of a single pipeline of 7 hash joins
     (part, supplier, orders, customer, nation n1, region, nation n2),
-    topped by a GROUP BY on the supplier nation. With ``with_filters``
-    (Q8's dimension predicates: a part-type filter, a region filter, an
-    order-date range) the optimizer's independence/uniformity assumptions
-    misestimate the filtered joins badly on Zipf-skewed foreign keys —
+    topped by a GROUP BY on the supplier nation. Under Q8's dimension
+    predicates (a part-type filter, a region filter, an order-date range)
+    the optimizer's independence/uniformity assumptions misestimate the
+    filtered joins badly on Zipf-skewed foreign keys —
     skewed partkeys concentrate lineitems on few parts, so "part of type X"
     retains a very non-proportional share of the join. The online framework
     corrects every join during lineitem's probe pass.
@@ -310,27 +309,25 @@ def tpch_q8_like(
     def scan(name: str) -> Operator:
         return _scan(catalog.table(name), sample_fraction, seed)
 
-    filters = {}
-    if with_filters:
-        # The part filter keeps ~2% of parts by key range; with unpermuted
-        # Zipf foreign keys those are exactly the hot parts, so the true
-        # join cardinality vastly exceeds the optimizer's uniform estimate.
-        part_cutoff = max(catalog.row_count("part") // 50, 1)
-        # Q8 restricts to one region; pick the region of the most popular
-        # customer nation so the query is non-empty on any seed/skew.
-        from collections import Counter
+    # The part filter keeps ~2% of parts by key range; with unpermuted
+    # Zipf foreign keys those are exactly the hot parts, so the true
+    # join cardinality vastly exceeds the optimizer's uniform estimate.
+    part_cutoff = max(catalog.row_count("part") // 50, 1)
+    # Q8 restricts to one region; pick the region of the most popular
+    # customer nation so the query is non-empty on any seed/skew.
+    from collections import Counter
 
-        hot_nation = Counter(
-            catalog.table("customer").column_values("nationkey")
-        ).most_common(1)[0][0]
-        nation_region = {
-            r[0]: r[2] for r in catalog.table("nation").rows()
-        }  # nationkey -> regionkey
-        filters = {
-            "part": col("part.partkey") <= lit(part_cutoff),
-            "region": col("region.regionkey") == lit(nation_region[hot_nation]),
-            "orders": col("orders.orderdate") < lit(19960101),
-        }
+    hot_nation = Counter(
+        catalog.table("customer").column_values("nationkey")
+    ).most_common(1)[0][0]
+    nation_region = {
+        r[0]: r[2] for r in catalog.table("nation").rows()
+    }  # nationkey -> regionkey
+    filters = {
+        "part": col("part.partkey") <= lit(part_cutoff),
+        "region": col("region.regionkey") == lit(nation_region[hot_nation]),
+        "orders": col("orders.orderdate") < lit(19960101),
+    }
 
     def filtered_scan(name: str) -> Operator:
         base = scan(name)

@@ -12,7 +12,7 @@ from repro.executor.operators import (
     IndexScan,
     SeqScan,
 )
-from repro.executor.plan import check_plan, walk
+from repro.executor.plan import check_plan, validate_plan, walk
 from repro.executor.expressions import Comparison, col, lit
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -297,3 +297,64 @@ class TestCheckPlanApi:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             check_plan(SeqScan(int_table("t")), mode="loose")
+
+
+class _RogueBlocking(Filter):
+    blocking_child_indexes = (5,)
+
+
+class _RogueDriver(Filter):
+    driver_child_index = 7
+
+
+class _DriverAlsoBlocking(HashJoin):
+    driver_child_index = 0  # drives the blocking build side
+
+
+def _join(cls=HashJoin):
+    return cls(SeqScan(int_table("b")), SeqScan(int_table("p")), "b.k", "p.k")
+
+
+def _shared():
+    join = _join()
+    join.probe_child = join.build_child  # alias one scan into both edges
+    return join
+
+
+def _rogue(cls):
+    return cls(SeqScan(int_table("t")), Comparison(">", col("t.v"), lit(0)))
+
+
+def _exhausted():
+    scan = SeqScan(int_table("t"))
+    scan.open()
+    while scan.next() is not None:
+        pass
+    return scan
+
+
+class TestOneStructuralGate:
+    """The executor's gate and the analyzer run one set of structural rules:
+    a plan runs exactly when the analyzer reports no P error."""
+
+    @pytest.mark.parametrize(
+        "make, code",
+        [
+            (_join, None),
+            (_shared, "P001"),
+            (lambda: _rogue(_RogueBlocking), "P002"),
+            (lambda: _rogue(_RogueDriver), "P003"),
+            (_exhausted, "P004"),
+            (lambda: _join(_DriverAlsoBlocking), "P005"),
+        ],
+        ids=["clean", "P001", "P002", "P003", "P004", "P005"],
+    )
+    def test_validate_plan_agrees_with_the_analyzer(self, make, code):
+        plan = make()
+        p_errors = [d.code for d in analyze_plan(plan).errors if d.code.startswith("P")]
+        assert p_errors[:1] == ([code] if code else [])
+        if code is None:
+            validate_plan(plan)
+        else:
+            with pytest.raises(PlanError, match=f"^{code} "):
+                validate_plan(plan)

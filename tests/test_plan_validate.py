@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.common.errors import PlanError
-from repro.executor.engine import ExecutionEngine
+from repro.executor.engine import ExecutionEngine, PlanCursor
 from repro.executor.expressions import Comparison, col, lit
 import repro.core.aggregate_estimators
 import repro.core.distinct
@@ -24,6 +24,7 @@ from repro.executor.operators import (
     SeqScan,
 )
 from repro.executor.plan import validate_plan
+from repro.server.session import QuerySession
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -73,6 +74,18 @@ class TestValidatePlan:
         ExecutionEngine(scan).run()  # runs and closes the plan
         with pytest.raises(PlanError):
             ExecutionEngine(scan).run()
+
+    def test_engine_and_session_refuse_an_exhausted_plan(self):
+        """A plan drained through a cursor that was never closed is
+        exhausted, not closed; re-running it would return no rows."""
+        join = HashJoin(SeqScan(table("c")), SeqScan(table("o")), "c.k", "o.k")
+        cursor = PlanCursor(join)
+        cursor.open()
+        assert sum(len(batch) for batch in iter(lambda: cursor.fetch(1024), [])) == 2
+        with pytest.raises(PlanError, match="P004 .*already exhausted"):
+            ExecutionEngine(join).run()
+        with pytest.raises(PlanError, match="P004 .*already exhausted"):
+            QuerySession(join)
 
 
 class TestOperatorsStayDictFree:

@@ -71,6 +71,21 @@ class TestEndToEnd:
         assert late, "expected snapshots past 30% progress"
         assert all(abs(r - 1.0) < 0.05 for r in late)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the monitor records no snapshot when the root is exhausted, so "
+        "progress_curve() ends at the last tick before the end "
+        "(ROADMAP item 10)",
+    )
+    def test_progress_curve_ends_at_completion(self):
+        """178 snapshots; the curve ends at (0.99956, 0.99956) under any
+        hash seed, while a ``snapshot()`` taken afterwards reads 1.0."""
+        setup = paper_binary_join(z=1.0, domain_size=200, num_rows=3000)
+        bus = TickBus(1000)
+        monitor = ProgressMonitor(setup.plan, mode="once", bus=bus)
+        ExecutionEngine(setup.plan, bus=bus, collect_rows=False).run()
+        assert monitor.progress_curve()[-1] == (1.0, 1.0)
+
     def test_dne_worse_than_once_on_skew(self):
         def terminal_error(mode: str) -> float:
             setup = paper_binary_join(z=1.0, domain_size=200, num_rows=3000)
