@@ -97,11 +97,30 @@ def _drive_chain(make: Callable[[], Any], every: int, stop_after_sample: bool):
     """Pull the plan until its chain estimator is exact (the end of the
     lowest probe pass) or frozen, then abandon it: the join output is not
     needed. This is checked from the tick bus, because one pull on the
-    root can block for a whole partition-wise join pass."""
+    root can block for a whole partition-wise join pass.
+
+    The chain's probe hook is wrapped in place: each batch is cut at every
+    multiple of ``every`` it jumps over, and after a piece that lands ``t``
+    on one, every level's ``(t, estimate)`` is read from that prefix state.
+    """
     setup = make()
     chains = find_hash_join_chains(setup.plan)
     assert len(chains) == 1, f"expected one chain, found {len(chains)}"
-    chain = HashJoinChainEstimator(chains[0], every, stop_after_sample)
+    chain = HashJoinChainEstimator(chains[0], stop_after_sample=stop_after_sample)
+    trajectories: list[list[tuple[int, float]]] = [[] for _ in chain.levels]
+
+    def probe(keys: list, rows: list) -> None:
+        start = 0
+        while start < len(rows):
+            t, end = chain.t, min(len(rows), start + every - chain.t % every)
+            chain._on_probe(keys[start:end], rows[start:end])
+            if chain.t != t and chain.t % every == 0:
+                for points, level in zip(trajectories, chain.levels):
+                    points.append((level.t, level.estimate()))
+            start = end
+
+    hooks = chains[0][0].input_hooks[1]
+    hooks[hooks.index(chain._on_probe)] = probe
     bus = TickBus(256)
 
     def check(_count: int) -> None:
@@ -118,16 +137,16 @@ def _drive_chain(make: Callable[[], Any], every: int, stop_after_sample: bool):
         pass
     finally:
         setup.plan.close()
-    return setup, chain
+    return setup, chain, trajectories
 
 
 def _chain(row: Row, estimator: str) -> Trajectory:
     assert estimator == "once", "a chain row runs under its chain estimator"
-    setup, chain = _drive_chain(row.make, row.every, row.stop_after_sample)
+    setup, chain, trajectories = _drive_chain(row.make, row.every, row.stop_after_sample)
     level = chain.levels[row.level]
-    # A frozen level's last record comes before the freeze; its sum_c is
+    # A frozen level's last read comes before the freeze; its sum_c is
     # then partial, not the truth.
-    points = [*level.history, (level.t, level.estimate())]
+    points = [*trajectories[row.level], (level.t, level.estimate())]
     return Trajectory(points, float(level.sum_c), level.t, setup)
 
 

@@ -21,11 +21,7 @@ from repro.common.locks import (
     holds_lock,
 )
 from repro.common.rng import derive_seed, make_rng
-from repro.common.stats import (
-    RunningMeanVar,
-    normal_quantile,
-    squared_coefficient_of_variation,
-)
+from repro.common.stats import normal_quantile, squared_coefficient_of_variation
 
 __all__ = [
     "CatalogError",
@@ -34,7 +30,6 @@ __all__ = [
     "LockAssertionError",
     "PlanError",
     "ReproError",
-    "RunningMeanVar",
     "SchemaError",
     "acquires",
     "assert_owned",

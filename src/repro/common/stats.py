@@ -2,20 +2,16 @@
 
 :func:`squared_coefficient_of_variation` is the reference definition of
 the γ² that :class:`repro.core.distinct.GroupFrequencyState` maintains
-incrementally from prefix sums (Section 4.2). :class:`RunningMeanVar` is a
-standard Welford accumulator used by the test suite and the overhead
-benchmarks. :func:`normal_quantile` supplies the
-``Z_alpha`` values for the binomial confidence intervals of Section 4.1
-without requiring scipy at runtime.
+incrementally from prefix sums (Section 4.2). :func:`normal_quantile`
+supplies the ``Z_alpha`` values for the binomial confidence intervals of
+Section 4.1 without requiring scipy at runtime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 __all__ = [
-    "RunningMeanVar",
     "normal_quantile",
     "squared_coefficient_of_variation",
 ]
@@ -38,38 +34,6 @@ def squared_coefficient_of_variation(frequencies) -> float:
     mean = total / n
     var = sum((f - mean) ** 2 for f in freqs) / n
     return var / (mean * mean)
-
-
-@dataclass
-class RunningMeanVar:
-    """Welford's online mean/variance accumulator."""
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = field(default=0.0, repr=False)
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the values seen so far."""
-        if self.count == 0:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def sample_variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
 
 
 def normal_quantile(alpha: float) -> float:

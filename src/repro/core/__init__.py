@@ -31,7 +31,7 @@ Layout mirrors Section 4 of the paper:
 """
 
 from repro.core.accumulator import OnceAccumulator
-from repro.core.confidence import binomial_beta, proportion_interval
+from repro.core.confidence import binomial_beta
 from repro.core.distinct import (
     GEEEstimator,
     GroupFrequencyState,
@@ -64,5 +64,4 @@ __all__ = [
     "attach_once_estimator",
     "binomial_beta",
     "find_hash_join_chains",
-    "proportion_interval",
 ]

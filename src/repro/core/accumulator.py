@@ -23,14 +23,13 @@ same sums are what would make the state mergeable across partitions
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 from repro.core.confidence import mean_interval
 
 __all__ = [
     "OnceAccumulator",
     "TotalProvider",
-    "cut_batch",
     "total_provider",
 ]
 
@@ -50,23 +49,9 @@ def total_provider(total: float | TotalProvider | None) -> TotalProvider:
     return lambda: value
 
 
-def cut_batch(n: int, step: Callable[[], int]) -> Iterator[tuple[int, int]]:
-    """Cut ``[0, n)`` into consecutive ``(start, end)`` pieces of at most
-    ``step()`` items. ``step`` is re-evaluated before every piece — the
-    distance to the next boundary depends on state the previous piece
-    advanced."""
-    start = 0
-    while start < n:
-        end = min(n, start + step())
-        yield start, end
-        start = end
-
-
 class OnceAccumulator:
     """``|S| × mean_t(c)`` over one stream: ``total`` is ``|S|`` (see
-    :func:`total_provider`); ``record_every > 0`` appends ``(t, estimate)``
-    to :attr:`history` every that many stream tuples (used by the accuracy
-    benchmarks).
+    :func:`total_provider`).
 
     This is the state every reader of a join's estimate reads — the
     progress monitor included. ``max_multiplicity`` is the most rows one
@@ -81,53 +66,27 @@ class OnceAccumulator:
         "sum_c_sq",
         "exact",
         "max_multiplicity",
-        "record_every",
-        "history",
         "_total",
     )
 
-    def __init__(
-        self, total: float | TotalProvider | None = None, record_every: int = 0
-    ):
+    def __init__(self, total: float | TotalProvider | None = None):
         self.t: int = 0
         self.sum_c: int = 0
         self.sum_c_sq: int = 0
         self.exact: bool = False
         self.max_multiplicity: float | None = None
-        self.record_every = record_every
-        self.history: list[tuple[int, float]] = []
         self._total = total_provider(total)
 
     def add(self, n: int, sum_c: int, sum_c_sq: int) -> None:
-        """Fold ``n >= 1`` stream tuples whose contributions sum to
-        ``sum_c`` and whose squares sum to ``sum_c_sq``; checkpoints when
-        that lands on a ``record_every`` boundary."""
+        """Fold ``n`` stream tuples whose contributions sum to
+        ``sum_c`` and whose squares sum to ``sum_c_sq``."""
         self.t += n
         self.sum_c += sum_c
         self.sum_c_sq += sum_c_sq
-        if self.record_every and self.t % self.record_every == 0:
-            self.history.append((self.t, self.estimate()))
-
-    def split(self, *columns: Sequence) -> Iterator[tuple[Sequence, ...]]:
-        """A batch (parallel columns) cut at every ``record_every``
-        boundary it jumps over, so that one :meth:`add` per piece puts the
-        checkpoints on the per-tuple ``t`` values, computed from exactly
-        the per-tuple prefix state. An uncut batch is handed through, not
-        copied; an empty one yields nothing."""
-        n = len(columns[0])
-        rec = self.record_every
-        if not rec or n <= rec - self.t % rec:
-            if n:
-                yield columns
-            return
-        for start, end in cut_batch(n, lambda: rec - self.t % rec):
-            yield tuple(column[start:end] for column in columns)
 
     def finalize(self) -> None:
         """The whole stream has been seen: ``Σc`` is the exact answer."""
         self.exact = True
-        if self.record_every:
-            self.history.append((self.t, float(self.sum_c)))
 
     @property
     def started(self) -> bool:

@@ -32,9 +32,7 @@ __all__ = ["attach_group_estimator", "attach_pushed_down_group_estimator"]
 
 
 def attach_group_estimator(
-    aggregate: _AggregateBase | Distinct,
-    record_every: int = 0,
-    tau: float = DEFAULT_TAU,
+    aggregate: _AggregateBase | Distinct, tau: float = DEFAULT_TAU
 ) -> HybridGroupCountEstimator:
     """Attach a hybrid GEE/MLE estimator to an aggregate's or a DISTINCT's
     input pass; |T| is resolved from the input stream
@@ -47,18 +45,14 @@ def attach_group_estimator(
     """
     if isinstance(aggregate, _AggregateBase) and not aggregate.group_by:
         raise EstimationError("global aggregates have exactly one group")
-    hybrid = HybridGroupCountEstimator(
-        resolve_stream_total(aggregate.child), tau=tau, record_every=record_every
-    )
+    hybrid = HybridGroupCountEstimator(resolve_stream_total(aggregate.child), tau=tau)
     aggregate.input_hooks[0].append(hybrid.observe_hook)
     aggregate.input_end_hooks[0].append(hybrid.finalize)
     return hybrid
 
 
 def attach_pushed_down_group_estimator(
-    aggregate: _AggregateBase,
-    chain: HashJoinChainEstimator,
-    record_every: int = 0,
+    aggregate: _AggregateBase, chain: HashJoinChainEstimator
 ) -> HybridGroupCountEstimator:
     """Push the aggregate's group-count estimation into a feeding join chain.
 
@@ -74,8 +68,7 @@ def attach_pushed_down_group_estimator(
         )
     group_column = aggregate.group_by[0]
     hybrid = HybridGroupCountEstimator(
-        total=lambda: max(chain.levels[-1].estimate(), 1.0),
-        record_every=record_every,
+        total=lambda: max(chain.levels[-1].estimate(), 1.0)
     )
     chain.add_output_listener(group_column, hybrid.observe)
 

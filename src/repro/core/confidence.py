@@ -25,7 +25,7 @@ import math
 
 from repro.common.stats import normal_quantile
 
-__all__ = ["binomial_beta", "mean_interval", "proportion_interval"]
+__all__ = ["binomial_beta", "mean_interval"]
 
 
 def binomial_beta(t: int, alpha: float = 0.99) -> float:
@@ -34,19 +34,6 @@ def binomial_beta(t: int, alpha: float = 0.99) -> float:
     if t <= 0:
         return float("inf")
     return normal_quantile(alpha) / (2.0 * math.sqrt(t))
-
-
-def proportion_interval(
-    successes: int, t: int, alpha: float = 0.99
-) -> tuple[float, float]:
-    """α-confidence interval for a proportion ``p`` given ``successes``
-    out of ``t`` observations, via the normal approximation with the
-    plug-in variance ``p̂(1-p̂)/t``."""
-    if t <= 0:
-        return (0.0, 1.0)
-    p_hat = successes / t
-    half = normal_quantile(alpha) * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / t)
-    return (max(p_hat - half, 0.0), min(p_hat + half, 1.0))
 
 
 def mean_interval(

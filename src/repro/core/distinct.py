@@ -50,7 +50,7 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable, Sequence
 
-from repro.core.accumulator import TotalProvider, cut_batch, total_provider
+from repro.core.accumulator import TotalProvider, total_provider
 
 __all__ = [
     "GEEEstimator",
@@ -297,9 +297,9 @@ class HybridGroupCountEstimator:
 
     A directly attached aggregate or DISTINCT feeds whole input batches
     (:meth:`observe_hook` → :meth:`observe_batch`): each batch is counted
-    in C, cut only at ``record_every`` checkpoints.
-    :meth:`observe` is the one-tuple (weighted) form, which the push-down
-    listener calls per simulated join output. Only reads recompute the MLE.
+    in C. :meth:`observe` is the one-tuple (weighted) form, which the
+    push-down listener calls per simulated join output. Only reads
+    recompute the MLE.
 
     Parameters
     ----------
@@ -307,9 +307,6 @@ class HybridGroupCountEstimator:
         |T|: total input size (number or provider).
     tau:
         γ² threshold; below it MLE is used, above it GEE (paper: 10).
-    record_every:
-        If > 0, append ``(t, estimate)`` to ``history`` every that many
-        observed tuples.
     """
 
     __slots__ = (
@@ -322,16 +319,9 @@ class HybridGroupCountEstimator:
         "_cached_mle",
         "_mle_t",
         "exact",
-        "record_every",
-        "history",
     )
 
-    def __init__(
-        self,
-        total: float | TotalProvider,
-        tau: float = DEFAULT_TAU,
-        record_every: int = 0,
-    ):
+    def __init__(self, total: float | TotalProvider, tau: float = DEFAULT_TAU):
         self.state = GroupFrequencyState()
         self.gee = GEEEstimator(self.state)
         self.mle = MLEEstimator(self.state)
@@ -345,8 +335,6 @@ class HybridGroupCountEstimator:
         self._cached_mle: float = 0.0
         self._mle_t: int = -1  # t at the last recompute; -1: the first is due
         self.exact: bool = False
-        self.record_every = record_every
-        self.history: list[tuple[int, float]] = []
 
     @property
     def total(self) -> float:
@@ -355,29 +343,15 @@ class HybridGroupCountEstimator:
     def observe(self, value: object, weight: int = 1) -> None:
         """Feed one (possibly weighted) tuple of the grouping column."""
         self.state.observe(value, weight)
-        self._checkpoint()
-
-    def _checkpoint(self) -> None:
-        """Record ``(t, estimate)`` if ``t`` is a ``record_every`` multiple."""
-        t = self.state.t
-        if self.record_every and t % self.record_every == 0:
-            self.history.append((t, self.estimate()))
 
     def observe_batch(self, keys: Sequence[object]) -> None:
-        """Feed a batch of unit-weight grouping keys in one shot.
-
-        One :meth:`GroupFrequencyState.observe_batch` per batch,
-        cut only at the ``record_every`` checkpoints it jumps over: each
-        checkpoint is a read, so it must see exactly the per-tuple prefix
-        state. Counts, f_i, Σc², t and history are identical to one
-        :meth:`observe` call per key.
+        """Feed a batch of unit-weight grouping keys in one
+        :meth:`GroupFrequencyState.observe_batch`; an empty batch is a
+        no-op. Counts, f_i, Σc² and t are identical to one :meth:`observe`
+        call per key.
         """
-        n = len(keys)
-        state = self.state
-        rec = self.record_every
-        for start, end in cut_batch(n, lambda: rec - state.t % rec if rec else n):
-            state.observe_batch(keys if end - start == n else keys[start:end])
-            self._checkpoint()
+        if keys:
+            self.state.observe_batch(keys)
 
     def observe_hook(self, keys: Sequence[object], _rows: Sequence[tuple]) -> None:
         """``(keys, rows)`` adapter for operator input hooks."""
@@ -386,8 +360,6 @@ class HybridGroupCountEstimator:
     def finalize(self) -> None:
         """The whole input has been seen: the group count is exact."""
         self.exact = True
-        if self.record_every:
-            self.history.append((self.state.t, float(self.state.distinct_seen)))
 
     @property
     def started(self) -> bool:

@@ -76,7 +76,7 @@ def resolve_stream_total(op: Operator) -> TotalProvider:
 class OnceJoinEstimator:
     """Join-size estimator over one build histogram: the contribution
     kernel of a binary equi-join around one :class:`OnceAccumulator`
-    (:attr:`acc` — ``t``, ``Σc``, ``history``, the estimate, its interval
+    (:attr:`acc` — ``t``, ``Σc``, the estimate, its interval
     and the build maximum live there; the paper's distribution-free
     half-width is ``binomial_beta(acc.t)``).
 
@@ -86,9 +86,6 @@ class OnceJoinEstimator:
         ``|S|``: the probe stream's total size — a number, or a provider
         re-evaluated at each estimate (e.g. a selection whose selectivity
         is still being observed).
-    record_every:
-        If > 0, append ``(t, estimate)`` to ``acc.history`` every that many
-        probe tuples (used by the accuracy benchmarks).
     join_type:
         Join semantics; changes only the per-probe-tuple contribution
         (Section 4.1.1, "similar estimators can be constructed for
@@ -109,14 +106,13 @@ class OnceJoinEstimator:
     def __init__(
         self,
         probe_total: float | TotalProvider | None = None,
-        record_every: int = 0,
         join_type: str = "inner",
     ):
         if join_type not in ("inner", "semi", "anti", "outer"):
             raise EstimationError(f"unsupported join type {join_type!r}")
         self.join_type = join_type
         self.histogram = FrequencyHistogram()
-        self.acc = OnceAccumulator(probe_total, record_every)
+        self.acc = OnceAccumulator(probe_total)
 
     # -- stream callbacks ---------------------------------------------------------
 
@@ -137,24 +133,22 @@ class OnceJoinEstimator:
         self.histogram.add_batch(keys)
 
     def on_probe_batch(self, keys: Sequence[object], rows: Sequence | None = None) -> None:
-        """A probe-side batch: refine the estimate in one aggregated step
-        per checkpoint piece.
+        """A probe-side batch: refine the estimate in one aggregated step.
 
-        The running-mean refinement only needs Σc, Σc² and t, so a piece is
-        aggregated with one Counter — one histogram lookup per *distinct*
+        The running-mean refinement only needs Σc, Σc² and t, so the batch
+        is aggregated with one Counter — one histogram lookup per *distinct*
         key — and folded with one ``add``. All sums are integer arithmetic,
         so the resulting state is bit-identical to k :meth:`on_probe` calls.
         """
         contribution = self._contribution
-        for (piece,) in self.acc.split(keys):
-            batch_sum = 0
-            batch_sq = 0
-            for key, count in Counter(piece).items():
-                c = contribution(key)
-                if c:
-                    batch_sum += c * count
-                    batch_sq += c * c * count
-            self.acc.add(len(piece), batch_sum, batch_sq)
+        batch_sum = 0
+        batch_sq = 0
+        for key, count in Counter(keys).items():
+            c = contribution(key)
+            if c:
+                batch_sum += c * count
+                batch_sq += c * c * count
+        self.acc.add(len(keys), batch_sum, batch_sq)
 
     def _contribution(self, key: object) -> int:
         """Output rows this probe tuple generates, under the join type."""
@@ -191,7 +185,7 @@ _ONCE_PASSES: dict[type[Operator], tuple[int, int]] = {
 }
 
 
-def attach_once_estimator(join: Operator, record_every: int = 0) -> OnceJoinEstimator:
+def attach_once_estimator(join: Operator) -> OnceJoinEstimator:
     """Create an :class:`OnceJoinEstimator` and hook it onto ``join``.
 
     Supported operators and their (build pass, probe pass) mapping:
@@ -223,7 +217,6 @@ def attach_once_estimator(join: Operator, record_every: int = 0) -> OnceJoinEsti
     # composite key through unchanged.
     estimator = OnceJoinEstimator(
         probe_total=resolve_stream_total(join.children()[probe]),
-        record_every=record_every,
         join_type=getattr(join, "join_type", "inner"),
     )
     join.input_hooks[build].append(estimator.on_build_batch)

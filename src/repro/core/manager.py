@@ -86,9 +86,8 @@ class EstimatorEntry:
 class EstimationManager:
     """Attaches and indexes all estimators for one plan."""
 
-    def __init__(self, root: Operator, record_every: int = 0):
+    def __init__(self, root: Operator):
         self.root = root
-        self.record_every = record_every
         self.registry: dict[int, EstimatorEntry] = {}
         self.fallbacks: list[tuple[Operator, str]] = []
         # Runtime demotions performed by the hardening guards: (op, reason)
@@ -108,7 +107,7 @@ class EstimationManager:
         chain_tops: dict[int, HashJoinChainEstimator] = {}
         for chain in find_hash_join_chains(self.root):
             try:
-                estimator = HashJoinChainEstimator(chain, record_every=self.record_every)
+                estimator = HashJoinChainEstimator(chain)
             except EstimationError as exc:
                 self.fallbacks.append((chain[-1], f"chain: {exc}"))
                 for join in chain:
@@ -125,7 +124,7 @@ class EstimationManager:
 
     def _attach_once(self, join: Operator) -> None:
         try:
-            once = attach_once_estimator(join, record_every=self.record_every)
+            once = attach_once_estimator(join)
         except EstimationError as exc:
             self.fallbacks.append((join, str(exc)))
             return
@@ -154,13 +153,10 @@ class EstimationManager:
         ``(hybrid,)`` attached to ``op``'s own input pass otherwise."""
         if chain is not None:
             try:
-                hybrid = attach_pushed_down_group_estimator(
-                    op, chain, record_every=self.record_every
-                )
-                return (hybrid, chain)
+                return (attach_pushed_down_group_estimator(op, chain), chain)
             except EstimationError as exc:
                 self.fallbacks.append((op, f"push-down: {exc}"))
-        return (attach_group_estimator(op, record_every=self.record_every),)
+        return (attach_group_estimator(op),)
 
     # -- graceful degradation -----------------------------------------------------
 

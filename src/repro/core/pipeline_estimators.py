@@ -152,9 +152,6 @@ class HashJoinChainEstimator:
     chain:
         Hash joins bottom-up (``chain[0]`` is the lowest; its probe child is
         the base stream C). Single-element chains are the binary case.
-    record_every:
-        If > 0, every level appends ``(t, estimate)`` to its
-        ``levels[i].history`` every that many C tuples.
     stop_after_sample:
         Section 4.4's punctuation behaviour: "for each pipeline, we keep
         obtaining estimates until the random sample is read ... After this
@@ -191,12 +188,7 @@ class HashJoinChainEstimator:
         "_unit_levels",
     )
 
-    def __init__(
-        self,
-        chain: list[HashJoin],
-        record_every: int = 0,
-        stop_after_sample: bool = False,
-    ):
+    def __init__(self, chain: list[HashJoin], stop_after_sample: bool = False):
         if not chain:
             raise EstimationError("empty hash-join chain")
         for join in chain:
@@ -262,9 +254,7 @@ class HashJoinChainEstimator:
         # Estimation state: one accumulator per join, all over the same
         # stream C — they advance in lockstep and share |C|.
         probe_total = resolve_stream_total(self.base_stream)
-        self.levels = [
-            OnceAccumulator(probe_total, record_every) for _ in range(self.k)
-        ]
+        self.levels = [OnceAccumulator(probe_total) for _ in range(self.k)]
         self.frozen: bool = False
         self.output_listeners: list[tuple[int, OutputListener]] = []
         # ids of the histograms known, once built, to hold only 0/1 counts
@@ -384,9 +374,8 @@ class HashJoinChainEstimator:
             return
         if self.output_listeners:
             self._probe_rows(rows)
-            return
-        for piece_keys, piece_rows in self.levels[0].split(keys, rows):
-            self._apply_batch(piece_keys, piece_rows)
+        else:
+            self._apply_batch(keys, rows)
 
     def _probe_rows(self, rows: Sequence[tuple]) -> None:
         """Refine tuple by tuple: pushed-down aggregation listeners need the

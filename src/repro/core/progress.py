@@ -111,7 +111,6 @@ class ProgressMonitor:
         mode: str = "once",
         catalog: Catalog | None = None,
         bus: TickBus | None = None,
-        record_every: int = 0,
         resilient: bool = False,
         faults: FaultPlan | None = None,
     ):
@@ -126,9 +125,7 @@ class ProgressMonitor:
         self.pipelines: list[Pipeline] = decompose_pipelines(root)
         self.bounds = CardinalityBounds(root)
         self.manager: EstimationManager | None = (
-            EstimationManager(root, record_every=record_every)
-            if mode == "once"
-            else None
+            EstimationManager(root) if mode == "once" else None
         )
         # Join accumulators yet to publish a build maximum, and finished
         # pipelines' K_i: neither can change back.

@@ -100,16 +100,9 @@ class CardinalityModel:
         """The feedback overlay's count for this subtree, if fresh."""
         if self.observed is None:
             return None
-        from repro.executor.plan import walk
-        from repro.robust.history import fingerprint_plan
+        from repro.robust.history import base_table_rows, fingerprint_plan
 
-        live_rows: dict[str, int] = {}
-        for sub in walk(op):
-            table = getattr(sub, "table", None)
-            if table is not None:
-                live_rows[table.base_name] = int(table.num_rows)
-        digest = fingerprint_plan(op).digest
-        return self.observed.lookup(digest, live_rows)
+        return self.observed.lookup(fingerprint_plan(op).digest, base_table_rows(op))
 
     def _estimate(self, op: Operator) -> float:
         if isinstance(op, (SeqScan, SampleScan)):

@@ -21,7 +21,7 @@ This module does no file I/O (lint rule R008): persistence belongs to
 
 from __future__ import annotations
 
-from repro.robust.history import RunRecord, fingerprint_plan
+from repro.robust.history import RunRecord, base_table_rows, fingerprint_plan
 from repro.robust.store import HistoryStore, HistoryWriteError
 from repro.storage.statistics import ObservedCardinalities
 
@@ -42,18 +42,6 @@ def _downsample(points: list[tuple[float, float]]) -> list[list[float]]:
     picked = [points[int(i * step)] for i in range(MAX_CURVE_POINTS)]
     picked[-1] = points[-1]
     return [[float(a), float(b)] for a, b in picked]
-
-
-def _base_table_rows(root) -> dict[str, int]:
-    """Current row count of every base table under ``root``."""
-    from repro.executor.plan import walk
-
-    out: dict[str, int] = {}
-    for op in walk(root):
-        table = getattr(op, "table", None)
-        if table is not None:
-            out[table.base_name] = int(table.num_rows)
-    return out
 
 
 def build_record(monitor, wall_time_s: float, row_count: int) -> RunRecord:
@@ -80,7 +68,7 @@ def build_record(monitor, wall_time_s: float, row_count: int) -> RunRecord:
         row_count=int(row_count),
         curve=_downsample(monitor.progress_curve()),
         node_cards=node_cards,
-        table_rows=_base_table_rows(monitor.root),
+        table_rows=base_table_rows(monitor.root),
     )
 
 

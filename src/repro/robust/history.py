@@ -62,11 +62,13 @@ from repro.executor.expressions import (
     Or,
 )
 from repro.executor.operators.base import Operator
+from repro.executor.plan import walk
 from repro.sql.render import render_expression
 
 __all__ = [
     "PlanFingerprint",
     "RunRecord",
+    "base_table_rows",
     "canonical_expression",
     "fingerprint_plan",
 ]
@@ -238,6 +240,16 @@ def fingerprint_plan(root: Operator) -> PlanFingerprint:
 
     signature = visit(root)
     return PlanFingerprint(digest=_digest(signature), signature=signature, nodes=nodes)
+
+
+def base_table_rows(root: Operator) -> dict[str, int]:
+    """Current row count of every base table under ``root``, by base name:
+    what a stored cardinality is checked against for staleness."""
+    return {
+        op.table.base_name: int(op.table.num_rows)
+        for op in walk(root)
+        if getattr(op, "table", None) is not None
+    }
 
 
 # -- run records ---------------------------------------------------------------

@@ -42,7 +42,7 @@ import time
 from typing import Iterator
 
 from repro.server.protocol import ProtocolError, decode, encode, read_message, unpack_columns
-from repro.server.wire import apply_delta
+from repro.server.wire import TERMINAL_WIRE_STATES, apply_delta
 
 __all__ = ["ProgressClient", "ServiceError"]
 
@@ -406,7 +406,7 @@ class ProgressClient:
                 time.sleep(_backoff_s(failures, backoff_s, max_backoff_s))
                 continue
             failures = 0
-            if snap["state"] in ("finished", "cancelled", "failed"):
+            if snap["state"] in TERMINAL_WIRE_STATES:
                 return snap
             if time.monotonic() >= deadline:
                 raise TimeoutError(

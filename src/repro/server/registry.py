@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 
 from repro.common.locks import acquires
 from repro.server.session import SessionSnapshot, SessionState, QuerySession
-from repro.server.wire import SessionStreamEncoder
+from repro.server.wire import TERMINAL_WIRE_STATES, SessionStreamEncoder
 
 __all__ = [
     "RETAINED_SESSIONS",
@@ -46,14 +46,6 @@ __all__ = [
 #: first is evicted into the :class:`Retired` totals, so the registry's
 #: memory is bounded whatever clients submit.
 RETAINED_SESSIONS = 256
-
-_TERMINAL_VALUES = frozenset(
-    {
-        SessionState.FINISHED.value,
-        SessionState.CANCELLED.value,
-        SessionState.FAILED.value,
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -246,7 +238,7 @@ class SessionRegistry:
         for snap in snapshots:
             states[snap.state] = states.get(snap.state, 0) + 1
             per_session[snap.session_id] = snap.progress
-            if snap.state in _TERMINAL_VALUES:
+            if snap.state in TERMINAL_WIRE_STATES:
                 # Terminal: freeze the contribution at observed work so the
                 # aggregate reflects completion/cancellation immediately.
                 pinned += snap.work_done

@@ -249,12 +249,26 @@ def test_pooled_client_under_faults_between_ops(db, expected, seed):
 def test_watch_resumes_via_since_cursor(db, seed):
     """A watch that reconnects mid-query resumes from its ``since`` cursor:
     the merged stream has no duplicate and no regressing snapshot."""
-    from repro.faults import ERROR, SITE_SERVER_WRITE, FaultPlan, FaultSpec
+    from repro.faults import (
+        ERROR,
+        SITE_CURSOR_FETCH,
+        SITE_SERVER_WRITE,
+        STALL,
+        FaultPlan,
+        FaultSpec,
+    )
 
     # Kill the watch stream's socket every ~20 written lines, a few times.
+    # A watcher that lags writes only each session's latest frame, so the
+    # session's first 400 quanta stall 2 ms each: it then publishes no
+    # faster than a watcher on a loaded host writes, and enough lines are
+    # written for the write fault to land.
     plan = FaultPlan(
         seed=seed,
-        specs=[FaultSpec(SITE_SERVER_WRITE, kind=ERROR, every=20, count=3)],
+        specs=[
+            FaultSpec(SITE_SERVER_WRITE, kind=ERROR, every=20, count=3),
+            FaultSpec(SITE_CURSOR_FETCH, kind=STALL, every=1, count=400, delay_s=0.002),
+        ],
     )
     # Sessions publish on their ticks only: a tick about twice a quantum
     # keeps the stream long enough for the write cadence to land in it.
@@ -279,7 +293,8 @@ def test_watch_resumes_via_since_cursor(db, seed):
         assert len(seqs) == len(set(seqs)), f"duplicate seq across resume: {seqs}"
         check_wire_stream(events, sid)
         # The stream really did break and resume at least once.
-        assert plan.records(), "server.write fault never fired"
+        writes = [r for r in plan.records() if r["site"] == SITE_SERVER_WRITE]
+        assert writes, "server.write fault never fired"
     finally:
         client.close()
         svc.shutdown()

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from collections import Counter
+from typing import Callable
 
 import pytest
 
 from repro.datagen import customer_variant, generate_tpch
+from repro.executor.engine import ExecutionEngine, TickBus
 from repro.storage import Catalog, Schema, Table
 
 
@@ -43,3 +45,13 @@ def brute_force_join_size(left: Table, right: Table, left_col: str, right_col: s
     lc = Counter(left.column_values(left_col))
     rc = Counter(right.column_values(right_col))
     return sum(c * rc.get(v, 0) for v, c in lc.items())
+
+
+def read_at_ticks(plan, read: Callable[[], object], interval: int, **run) -> list:
+    """Run ``plan`` to the end and return ``read()`` taken at every tick of
+    a ``TickBus(interval)``: an estimate read mid-pass, from outside."""
+    bus = TickBus(interval)
+    reads: list = []
+    bus.subscribe(lambda _count: reads.append(read()))
+    ExecutionEngine(plan, bus=bus, collect_rows=False).run(**run)
+    return reads

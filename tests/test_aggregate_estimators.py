@@ -17,6 +17,7 @@ from repro.executor.operators import (
     SeqScan,
     SortAggregate,
 )
+from tests.conftest import read_at_ticks
 
 
 @pytest.fixture
@@ -48,10 +49,10 @@ class TestDirectAttachment:
     def test_mid_stream_estimate_reasonable(self):
         table = customer_variant(0.0, 200, 0, 10_000, name="g")
         agg = HashAggregate(SeqScan(table), ["g.nationkey"])
-        estimate = attach_group_estimator(agg, record_every=1000)
-        ExecutionEngine(agg, collect_rows=False).run()
+        estimate = attach_group_estimator(agg)
+        reads = read_at_ticks(agg, lambda: (estimate.state.t, estimate.estimate()), 1000)
         true_count = len(set(table.column_values("nationkey")))
-        halfway = next(e for t, e in estimate.history if t >= 5000)
+        halfway = next(e for t, e in reads if t >= 5000)
         assert halfway == pytest.approx(true_count, rel=0.2)
 
     def test_global_aggregate_rejected(self, groupby_plan):

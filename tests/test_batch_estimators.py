@@ -8,8 +8,8 @@ operations but not one bit of the result. This suite holds them to that
 claim — Monte-Carlo across join types and random batch splits for the ONCE
 estimator, engine-driven row-vs-batch runs for the chain estimator
 (including a Case-2 derived-histogram chain and the aggregation push-down
-listener path), scheduler/checkpoint fidelity for the hybrid group-count
-estimator, and the empty-batch / NULL-key edge cases.
+listener path), scheduler fidelity for the hybrid group-count estimator at
+equal read points, and the empty-batch / NULL-key edge cases.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ def _random_keys(rng, n: int, domain: int, null_rate: float = 0.0) -> list:
 
 
 def _random_chunks(rng, items: list) -> list[list]:
-    """Split ``items`` into random-size chunks (sizes 1..1500, so chunks
-    regularly straddle several record_every boundaries and sometimes none)."""
+    """Split ``items`` into random-size chunks (sizes 1..1500)."""
     chunks = []
     i = 0
     while i < len(items):
@@ -83,59 +82,34 @@ class TestOnceBatch:
         build = _random_keys(rng, 2_000, domain=40, null_rate=0.05)
         probe = _random_keys(rng, 6_000, domain=50, null_rate=0.08)
 
-        row = OnceJoinEstimator(
-            probe_total=6_000.0, record_every=64, join_type=join_type
-        )
-        batch = OnceJoinEstimator(
-            probe_total=6_000.0, record_every=64, join_type=join_type
-        )
+        row = OnceJoinEstimator(probe_total=6_000.0, join_type=join_type)
+        batch = OnceJoinEstimator(probe_total=6_000.0, join_type=join_type)
         for key in build:
             row.on_build(key)
         for chunk in _random_chunks(rng, build):
             batch.on_build_batch(chunk)
         assert row.histogram.counts == batch.histogram.counts
 
-        for key in probe:
-            row.on_probe(key)
+        # Read after every chunk: each read sees the per-tuple prefix state.
+        row_reads, batch_reads = [], []
         for chunk in _random_chunks(rng, probe):
+            for key in chunk:
+                row.on_probe(key)
             batch.on_probe_batch(chunk)
+            row_reads.append((row.acc.t, row.acc.estimate()))
+            batch_reads.append((batch.acc.t, batch.acc.estimate()))
 
         assert _sums(row.acc) == _sums(batch.acc)
         # Not approx: endpoints must match to the last bit.
         assert row.acc.confidence_interval() == batch.acc.confidence_interval()
         assert row.acc.estimate() == batch.acc.estimate()
-        assert row.acc.history == batch.acc.history
-
-    def test_checkpoints_land_on_per_tuple_t_values(self):
-        estimator = OnceJoinEstimator(probe_total=100.0, record_every=10)
-        estimator.on_build_batch([1, 1, 2])
-        estimator.on_probe_batch([1] * 35)  # straddles t=10, 20, 30
-        assert [t for t, _ in estimator.acc.history] == [10, 20, 30]
-        estimator.on_probe_batch([2] * 5)  # lands exactly on t=40
-        assert [t for t, _ in estimator.acc.history] == [10, 20, 30, 40]
-
-    def test_checkpoint_estimates_use_prefix_state(self):
-        """A checkpoint inside a batch must reflect only the prefix of the
-        batch before the boundary, exactly as per-tuple execution would."""
-        row = OnceJoinEstimator(probe_total=20.0, record_every=4)
-        batch = OnceJoinEstimator(probe_total=20.0, record_every=4)
-        build = [7, 7, 7, 8]
-        probe = [7, 8, 9, 7, 7, 8, 9, 7, 7, 7]
-        for key in build:
-            row.on_build(key)
-        batch.on_build_batch(build)
-        for key in probe:
-            row.on_probe(key)
-        batch.on_probe_batch(probe)
-        assert row.acc.history == batch.acc.history
-        assert [t for t, _ in batch.acc.history] == [4, 8]
+        assert row_reads == batch_reads
 
     def test_empty_batch_is_a_noop(self):
-        estimator = OnceJoinEstimator(probe_total=10.0, record_every=1)
+        estimator = OnceJoinEstimator(probe_total=10.0)
         estimator.on_build_batch([])
         estimator.on_probe_batch([])
         assert _sums(estimator.acc) == (0, 0, 0)
-        assert estimator.acc.history == []
         assert estimator.histogram.num_distinct == 0
 
     @pytest.mark.parametrize("join_type", JOIN_TYPES)
@@ -200,7 +174,6 @@ def _hybrid_state(hybrid) -> tuple:
         dict(state.counts),
         (state.t, list(state.fof), state.sum_sq),
         hybrid.exact,
-        list(hybrid.history),
         (hybrid._cached_mle, hybrid._mle_t),
         (hybrid.scheduler.interval, hybrid.scheduler.recompute_count),
     )
@@ -246,22 +219,25 @@ class TestHybridBatch:
     def test_monte_carlo_full_state_equality(self, trial):
         rng = make_rng(SEED, "hybrid", trial)
         # Small |T| keeps the recompute interval short, so batches straddle
-        # many recompute *and* checkpoint boundaries.
+        # many recompute boundaries.
         values = _random_keys(rng, 12_000, domain=300)
-        row = HybridGroupCountEstimator(total=12_000.0, record_every=128)
-        batch = HybridGroupCountEstimator(total=12_000.0, record_every=128)
-        for value in values:
-            row.observe(value)
+        row = HybridGroupCountEstimator(total=12_000.0)
+        batch = HybridGroupCountEstimator(total=12_000.0)
+        row_reads, batch_reads = [], []
         for chunk in _random_chunks(rng, values):
+            for value in chunk:
+                row.observe(value)
             batch.observe_batch(chunk)
+            row_reads.append((row.state.t, row.estimate()))
+            batch_reads.append((batch.state.t, batch.estimate()))
 
         row_s, batch_s = row.state, batch.state
         assert row_s.counts == batch_s.counts
         assert (row_s.t, row_s.fof, row_s.sum_sq) == (batch_s.t, batch_s.fof, batch_s.sum_sq)
-        # Scheduler fidelity: the only reads are the checkpoints, which both
-        # paths take at the same t, so the MLE was recomputed at the same t
-        # values and the interval went through the same doubling/reset
-        # sequence.
+        # Scheduler fidelity: both paths are read after every chunk, at the
+        # same t, so the MLE was recomputed at the same t values and the
+        # interval went through the same doubling/reset sequence.
+        assert row_reads == batch_reads
         assert _hybrid_state(row) == _hybrid_state(batch)
         assert row.estimate() == batch.estimate()
 
@@ -269,15 +245,14 @@ class TestHybridBatch:
     @given(
         case=_stream_with_reads(),
         tau=st.sampled_from([0.0, 1.0, 10.0, float("inf")]),
-        record_every=st.sampled_from([0, 16]),
     )
-    def test_same_reads_any_chunking_same_state(self, case, tau, record_every):
+    def test_same_reads_any_chunking_same_state(self, case, tau):
         """Chunked at random between the same read points, the whole state
         is equal — the cached MLE, its ``t``, the interval and the recompute
         count included."""
         values, reads, cuts = case
-        row = HybridGroupCountEstimator(total=2_000.0, tau=tau, record_every=record_every)
-        batch = HybridGroupCountEstimator(total=2_000.0, tau=tau, record_every=record_every)
+        row = HybridGroupCountEstimator(total=2_000.0, tau=tau)
+        batch = HybridGroupCountEstimator(total=2_000.0, tau=tau)
         row_reads = []
         for t, value in enumerate(values, start=1):
             row.observe(value)
@@ -308,10 +283,10 @@ class TestHybridBatch:
         assert got == expected
 
     def test_empty_batch_is_a_noop(self):
-        estimator = HybridGroupCountEstimator(total=100.0, record_every=1)
+        estimator = HybridGroupCountEstimator(total=100.0)
         estimator.observe_batch([])
         assert estimator.state.t == 0
-        assert estimator.history == []
+        assert estimator.state._pending == []  # the settle mode is untouched
 
     def test_none_is_a_legitimate_group(self):
         """Unlike join keys, NULL group values aggregate (into the NULL
@@ -330,8 +305,8 @@ class TestHybridBatch:
 class TestLazyGroupStatistics:
     """Batches only count; f_i and Σc² settle at the next read. At every
     read they, and everything derived from them, equal a state fed one
-    eager ``observe`` per tuple — with reads, ``record_every`` cuts,
-    weighted observations and None keys interleaved."""
+    eager ``observe`` per tuple — with reads, weighted observations and
+    None keys interleaved, and ``(t, estimate())`` read after every batch."""
 
     _GROUP = st.one_of(st.none(), st.integers(0, 40))
     _STEPS = st.lists(
@@ -361,13 +336,12 @@ class TestLazyGroupStatistics:
     @settings(max_examples=150, deadline=None)
     @given(
         steps=_STEPS,
-        record_every=st.sampled_from([0, 1, 7, 64]),
         tau=st.sampled_from([0.0, 10.0, float("inf")]),
     )
-    def test_every_read_equals_the_per_tuple_state(self, steps, record_every, tau):
+    def test_every_read_equals_the_per_tuple_state(self, steps, tau):
         total = 3_000.0
-        lazy = HybridGroupCountEstimator(total=total, tau=tau, record_every=record_every)
-        eager = HybridGroupCountEstimator(total=total, tau=tau, record_every=record_every)
+        lazy = HybridGroupCountEstimator(total=total, tau=tau)
+        eager = HybridGroupCountEstimator(total=total, tau=tau)
         truth: Counter = Counter()
         for step in steps:
             if step[0] == "batch":
@@ -376,6 +350,7 @@ class TestLazyGroupStatistics:
                 for key in keys:
                     eager.observe(key)
                 truth.update(keys)
+                assert (lazy.state.t, lazy.estimate()) == (eager.state.t, eager.estimate())
             elif step[0] == "observe":
                 _, key, weight = step
                 lazy.observe(key, weight)
@@ -385,7 +360,6 @@ class TestLazyGroupStatistics:
             else:
                 assert self._reads(lazy, total) == self._reads(eager, total)
         assert self._reads(lazy, total) == self._reads(eager, total)
-        assert lazy.history == eager.history
         fof = Counter(truth.values())
         assert lazy.state.counts == truth
         assert lazy.state.fof == [0] + [fof[i] for i in range(1, LOW)]
@@ -433,7 +407,7 @@ def _derived_chain():
 def _run_chain(build_plan, batch_size, listener_column=None):
     plan = build_plan()
     (chain,) = find_hash_join_chains(plan)
-    estimator = HashJoinChainEstimator(chain, record_every=32)
+    estimator = HashJoinChainEstimator(chain)
     observed = []
     if listener_column is not None:
         estimator.add_output_listener(listener_column, lambda v, c: observed.append((v, c)))
@@ -447,7 +421,6 @@ def _chain_state(estimator):
         estimator.exact,
         [dict(h.counts) for h in estimator.base_hists],
         {key: dict(h.counts) for key, h in estimator.derived.items()},
-        [list(level.history) for level in estimator.levels],
         [level.confidence_interval() for level in estimator.levels],
     )
 
@@ -528,7 +501,6 @@ class TestStopAfterSampleBatch:
 
 _KEY = st.one_of(st.none(), st.integers(0, 4))
 _BATCH_SIZE = st.sampled_from([1, 2, 3, 7, 1024])
-_RECORD_EVERY = st.sampled_from([0, 1, 3, 5])
 
 
 def _rows(width: int, max_size: int = 14):
@@ -568,9 +540,10 @@ def _same_attribute_chain(c, b0, b1):
     return [j0, HashJoin(_scan("b1", ["x"], b1), j0, "b1.x", "c.x")]
 
 
-def _per_tuple_reference(estimator, record_every):
-    """(per-level (t, Σc, Σc²), histories, derived, listener stream) by
-    definition, one probe tuple at a time."""
+def _per_tuple_reference(estimator, read_at):
+    """(per-level (t, Σc, Σc²), per-level ``(t, estimate)`` at each t of
+    ``read_at``, derived, listener stream) by definition, one probe tuple
+    at a time."""
     chain = estimator.chain
     builds = [list(j.build_child.table) for j in chain]
     key_col = [j.build_child.output_schema.index_of(j.build_keys[0]) for j in chain]
@@ -599,7 +572,8 @@ def _per_tuple_reference(estimator, record_every):
 
     k = len(chain)
     sums, squares = [0] * k, [0] * k
-    histories = [[] for _ in range(k)]
+    reads = [[] for _ in range(k)]
+    read_at = set(read_at)
     stream = []
     for t, row in enumerate(probe_rows, start=1):
         partial = [{-1: row}]  # chain level (-1: C) -> the row it contributed
@@ -611,81 +585,93 @@ def _per_tuple_reference(estimator, record_every):
             ]
             sums[i] += len(partial)
             squares[i] += len(partial) ** 2
-            if record_every and t % record_every == 0:
-                histories[i].append((t, sums[i] / t * total))
+            if t in read_at:
+                reads[i].append((t, sums[i] / t * total))
         if partial:
             stream.append((row[0], len(partial)))
-    if record_every:
-        for i in range(k):
-            histories[i].append((len(probe_rows), float(sums[i])))
     levels = [(len(probe_rows), s, q) for s, q in zip(sums, squares)]
-    return levels, histories, derived, stream
+    return levels, reads, derived, stream
 
 
-def _run_kernels(chain, record_every, batch_size, listener=False):
-    estimator = HashJoinChainEstimator(chain, record_every=record_every)
+def _run_kernels(chain, batch_size, listener=False):
+    """Run the chain, reading every level's ``(t, estimate)`` after each
+    probe batch; returns the estimator, those reads per level and the
+    listener stream."""
+    estimator = HashJoinChainEstimator(chain)
+    reads = [[] for _ in estimator.levels]
     stream = []
     if listener:
         first = estimator.base_stream.output_schema.names()[0]
         estimator.add_output_listener(first, lambda v, c: stream.append((v, c)))
+
+    def read(_keys, _rows):
+        for level_reads, level in zip(reads, estimator.levels):
+            level_reads.append((level.t, level.estimate()))
+
+    chain[0].input_hooks[1].append(read)  # after the estimator's own hook
     ExecutionEngine(chain[-1], collect_rows=False).run(batch_size=batch_size)
-    return estimator, stream
+    return estimator, reads, stream
 
 
-def _assert_matches_reference(make_chain, record_every, batch_size):
-    estimator, _ = _run_kernels(make_chain(), record_every, batch_size)
-    levels, histories, derived, stream = _per_tuple_reference(estimator, record_every)
+def _assert_matches_reference(make_chain, batch_size):
+    estimator, reads, _ = _run_kernels(make_chain(), batch_size)
+    levels, expected, derived, stream = _per_tuple_reference(
+        estimator, [t for t, _ in reads[0]]
+    )
     assert estimator.exact
     assert [_sums(level) for level in estimator.levels] == levels
-    assert [level.history for level in estimator.levels] == histories
+    assert reads == expected
     assert {key: dict(h.counts) for key, h in estimator.derived.items()} == derived
     assert all(h.total == sum(h.counts.values()) for h in estimator.derived.values())
     # The listener path refines tuple by tuple, in row order, to the same state.
-    listening, seen = _run_kernels(make_chain(), record_every, batch_size, listener=True)
+    listening, listening_reads, seen = _run_kernels(make_chain(), batch_size, listener=True)
     assert seen == stream
     assert [_sums(level) for level in listening.levels] == levels
-    assert [level.history for level in listening.levels] == histories
+    assert listening_reads == expected
 
 
 class TestColumnKernels:
     @settings(max_examples=80, deadline=None)
-    @given(_rows(1), _rows(1), _RECORD_EVERY, _BATCH_SIZE)
-    def test_single_join(self, c, b0, record_every, batch_size):
+    @given(_rows(1), _rows(1), _BATCH_SIZE)
+    def test_single_join(self, c, b0, batch_size):
         def make_chain():
             return [HashJoin(_scan("b0", ["x"], b0), _scan("c", ["x"], c), "b0.x", "c.x")]
 
-        _assert_matches_reference(make_chain, record_every, batch_size)
+        _assert_matches_reference(make_chain, batch_size)
         # ... and to the public per-tuple ONCE methods, chunk by chunk.
-        chain_est, _ = _run_kernels(make_chain(), record_every, batch_size)
-        once = OnceJoinEstimator(probe_total=len(c), record_every=record_every)
-        batched = OnceJoinEstimator(probe_total=len(c), record_every=record_every)
+        chain_est, _, _ = _run_kernels(make_chain(), batch_size)
+        once = OnceJoinEstimator(probe_total=len(c))
+        batched = OnceJoinEstimator(probe_total=len(c))
         for (key,) in b0:
             once.on_build(key)
-        for (key,) in c:
-            once.on_probe(key)
-        once.finalize_probe()
         step = min(batch_size, 5)
         batched.on_build_batch([key for (key,) in b0])
+        once_reads, batched_reads = [], []
         for start in range(0, len(c), step):
-            batched.on_probe_batch([key for (key,) in c[start : start + step]])
+            chunk = [key for (key,) in c[start : start + step]]
+            for key in chunk:
+                once.on_probe(key)
+            batched.on_probe_batch(chunk)
+            once_reads.append((once.acc.t, once.acc.estimate()))
+            batched_reads.append((batched.acc.t, batched.acc.estimate()))
         batched.on_probe_batch([])
+        once.finalize_probe()
         batched.finalize_probe()
+        _, (expected, *_), _, _ = _per_tuple_reference(chain_est, [t for t, _ in once_reads])
+        assert once_reads == batched_reads == expected
         for est in (once, batched):
             assert _sums(est.acc) == _sums(chain_est.levels[0])
-            assert est.acc.history == chain_est.levels[0].history
             assert est.histogram.counts == chain_est.base_hists[0].counts
 
     @settings(max_examples=80, deadline=None)
-    @given(_rows(2), _rows(1), _rows(1), _RECORD_EVERY, _BATCH_SIZE)
-    def test_same_attribute_chain(self, c, b0, b1, record_every, batch_size):
-        _assert_matches_reference(
-            lambda: _same_attribute_chain(c, b0, b1), record_every, batch_size
-        )
+    @given(_rows(2), _rows(1), _rows(1), _BATCH_SIZE)
+    def test_same_attribute_chain(self, c, b0, b1, batch_size):
+        _assert_matches_reference(lambda: _same_attribute_chain(c, b0, b1), batch_size)
 
     @settings(max_examples=80, deadline=None)
-    @given(_rows(1), _rows(2), _rows(2), _rows(1), _RECORD_EVERY, _BATCH_SIZE)
-    def test_q8_style_nested_reference_chain(self, c, b0, b1, b2, record_every, batch_size):
-        _assert_matches_reference(lambda: _q8_chain(c, b0, b1, b2), record_every, batch_size)
+    @given(_rows(1), _rows(2), _rows(2), _rows(1), _BATCH_SIZE)
+    def test_q8_style_nested_reference_chain(self, c, b0, b1, b2, batch_size):
+        _assert_matches_reference(lambda: _q8_chain(c, b0, b1, b2), batch_size)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -694,10 +680,9 @@ class TestColumnKernels:
         _pk_rows(2),
         _pk_rows(1),
         st.sampled_from([None, 0, 1, 2]),
-        _RECORD_EVERY,
         _BATCH_SIZE,
     )
-    def test_multiplicity_one_kernels(self, c, b0, b1, b2, duplicated, record_every, batch_size):
+    def test_multiplicity_one_kernels(self, c, b0, b1, b2, duplicated, batch_size):
         """FK -> PK builds (every build key unique) hold only 0/1 counts:
         the probe skips its Σc² product pass and the derived builds count
         their 0/1 weights in C. Duplicating one build's first row turns
@@ -712,10 +697,8 @@ class TestColumnKernels:
                 side_effect=FrequencyHistogram.add_weighted,
             ) as add_weighted,
         ):  # fmt: skip
-            _assert_matches_reference(
-                lambda: _q8_chain(c, *builds), record_every, batch_size
-            )
-            estimator, _ = _run_kernels(_q8_chain(c, *builds), record_every, batch_size)
+            _assert_matches_reference(lambda: _q8_chain(c, *builds), batch_size)
+            estimator, _, _ = _run_kernels(_q8_chain(c, *builds), batch_size)
         if duplicated is None:
             assert {level.max_multiplicity for level in estimator.levels} <= {0.0, 1.0}
             assert not mul.called and not add_weighted.called
@@ -724,7 +707,7 @@ class TestColumnKernels:
 
     def test_empty_batch_is_a_noop(self):
         chain = _q8_chain([(1,)], [(1, 2)], [(2, 3)], [(3,)])
-        estimator = HashJoinChainEstimator(chain, record_every=2)
+        estimator = HashJoinChainEstimator(chain)
         before = _chain_state(estimator)
         for join in chain:
             for hook in join.input_hooks[0]:

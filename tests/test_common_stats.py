@@ -1,14 +1,8 @@
-"""Tests for incremental statistics (γ², Welford, normal quantiles)."""
-
-import math
+"""Tests for incremental statistics (γ², normal quantiles)."""
 
 import pytest
 
-from repro.common.stats import (
-    RunningMeanVar,
-    normal_quantile,
-    squared_coefficient_of_variation,
-)
+from repro.common.stats import normal_quantile, squared_coefficient_of_variation
 from repro.core.distinct import GroupFrequencyState
 
 
@@ -84,30 +78,6 @@ class TestIncrementalFrequencyStats:
         state.observe("a", weight=6)
         state.observe("b", weight=2)
         assert state.t / state.distinct_seen == pytest.approx(4.0)
-
-
-class TestRunningMeanVar:
-    def test_matches_reference(self):
-        values = [1.0, 4.0, 9.0, 16.0, 25.0]
-        acc = RunningMeanVar()
-        for v in values:
-            acc.add(v)
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
-        assert acc.mean == pytest.approx(mean)
-        assert acc.variance == pytest.approx(var)
-        assert acc.stddev == pytest.approx(math.sqrt(var))
-
-    def test_sample_variance_bessel(self):
-        acc = RunningMeanVar()
-        for v in [2.0, 4.0]:
-            acc.add(v)
-        assert acc.sample_variance == pytest.approx(2.0)
-
-    def test_empty(self):
-        acc = RunningMeanVar()
-        assert acc.variance == 0.0
-        assert acc.sample_variance == 0.0
 
 
 class TestNormalQuantile:

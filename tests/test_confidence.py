@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.common.stats import normal_quantile
-from repro.core.confidence import binomial_beta, mean_interval, proportion_interval
+from repro.core.confidence import binomial_beta, mean_interval
 
 
 class TestBinomialBeta:
@@ -23,26 +23,6 @@ class TestBinomialBeta:
 
     def test_higher_confidence_wider(self):
         assert binomial_beta(100, 0.999) > binomial_beta(100, 0.9)
-
-
-class TestProportionInterval:
-    def test_contains_estimate(self):
-        lo, hi = proportion_interval(30, 100)
-        assert lo < 0.3 < hi
-
-    def test_clipped_to_unit_interval(self):
-        lo, hi = proportion_interval(0, 100)
-        assert lo == 0.0
-        lo, hi = proportion_interval(100, 100)
-        assert hi == 1.0
-
-    def test_degenerate_t(self):
-        assert proportion_interval(0, 0) == (0.0, 1.0)
-
-    def test_narrows_with_t(self):
-        w1 = (lambda lo_hi: lo_hi[1] - lo_hi[0])(proportion_interval(30, 100))
-        w2 = (lambda lo_hi: lo_hi[1] - lo_hi[0])(proportion_interval(300, 1000))
-        assert w2 < w1
 
 
 def _sums(xs) -> tuple[int, float, float]:

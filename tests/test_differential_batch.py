@@ -7,16 +7,8 @@ sits in the reference seat: ``max_rows=1`` *is* the paper's getnext model
 ``tuples_emitted`` (the K_i of the progress model), ``TickBus`` counts,
 bit-identical final T(Q) / ONCE join estimates, and bit-identical
 *estimator internals*: t, Σcounts, build histograms (base and derived),
-sufficient statistics of every confidence interval, group-count moments,
-and ``record_every`` history checkpoints.
-
-History *estimates* recorded mid-pass consult probe-total providers (e.g.
-``Filter.observed_selectivity``) whose value at a given t legitimately
-differs between sizes: a larger batch has read further ahead through the
-provider's operator. Full ``(t, estimate)`` histories are therefore only
-compared when every provider on the resolution path is a catalog constant
-(``_provider_stable``); the checkpoint *t sequences* — which depend only on
-the estimator's own observation count — are compared always.
+sufficient statistics of every confidence interval and group-count
+moments.
 
 Plan shapes follow the pull contract documented in ``docs/BATCHING.md``: a
 *truncating* LIMIT is only placed where equivalence is exact — directly
@@ -290,8 +282,8 @@ def _provider_stable(op) -> bool:
     ``Filter`` consults ``observed_selectivity`` and the generic fallback
     consults ``tuples_emitted``, both of which sit at different points
     between sizes *while the pass is in flight* (batch read-ahead). Only
-    when every node on the path is constant are mid-pass history estimates
-    bit-comparable between batch sizes.
+    when every node on the path is constant is an estimate read before
+    the pass ends bit-comparable between batch sizes.
     """
     if isinstance(op, (SeqScan, SampleScan, IndexScan)):
         return True
@@ -305,10 +297,6 @@ def _sums(acc) -> tuple[int, int, int]:
     return (acc.t, acc.sum_c, acc.sum_c_sq)
 
 
-def _history_view(history: list[tuple[int, float]], stable: bool):
-    return list(history) if stable else [t for t, _ in history]
-
-
 def _estimator_state(manager) -> list[tuple]:
     """Deep snapshot of every attached estimator's internal state."""
     return [
@@ -318,26 +306,22 @@ def _estimator_state(manager) -> list[tuple]:
 
 
 def _chain_state(chain, _join, _manager) -> tuple:
-    stable = _provider_stable(chain.base_stream)
     return (
         "chain",
         [_sums(level) for level in chain.levels],
         chain.exact,
         [dict(h.counts) for h in chain.base_hists],
         {key: dict(h.counts) for key, h in chain.derived.items()},
-        [_history_view(level.history, stable) for level in chain.levels],
         [level.confidence_interval() for level in chain.levels],
     )
 
 
-def _once_state(est, join, _manager) -> tuple:
-    stable = _provider_stable(join.probe_child)
+def _once_state(est, _join, _manager) -> tuple:
     return (
         "once",
         _sums(est.acc),
         est.acc.exact,
         dict(est.histogram.counts),
-        _history_view(est.acc.history, stable),
         est.acc.confidence_interval(),
     )
 
@@ -355,7 +339,6 @@ def _group_state(hybrid, aggregate, manager) -> tuple:
         list(group_state.fof),
         group_state.sum_sq,
         hybrid.exact,
-        _history_view(hybrid.history, stable),
     )
     # The cached MLE, the interval and the recompute count are left out:
     # the MLE is recomputed when a snapshot reads it, and where snapshots
@@ -387,7 +370,7 @@ class _Observation:
 def _observe(trial: int, batch_size: int) -> _Observation:
     plan = build_plan(trial)
     bus = TickBus(interval=TICK_INTERVAL)
-    monitor = ProgressMonitor(plan, mode="once", bus=bus, record_every=TICK_INTERVAL)
+    monitor = ProgressMonitor(plan, mode="once", bus=bus)
     result = ExecutionEngine(plan, bus=bus, collect_rows=True).run(batch_size=batch_size)
     final = monitor.snapshot()
     assert monitor.manager is not None

@@ -197,12 +197,6 @@ class TestHybrid:
         assert hybrid.exact
         assert hybrid.estimate() == len(set(data))
 
-    def test_history_recording(self):
-        hybrid = HybridGroupCountEstimator(total=1000, record_every=100)
-        for v in stream(1.0, 50, 500):
-            hybrid.observe(v)
-        assert [t for t, _ in hybrid.history] == [100, 200, 300, 400, 500]
-
     def test_total_provider_callable(self):
         total = [100.0]
         hybrid = HybridGroupCountEstimator(total=lambda: total[0])

@@ -10,7 +10,8 @@ only, with the family as a parameter:
    ``started`` after it;
 2. ``exact`` at the end of that pass, with ``estimate()`` already equal to
    what the operator will have emitted when the query finishes;
-3. ``history`` checkpoints on the same ``t`` values whatever the drain size
+3. at every batch boundary of that pass, the same state as a drain of
+   size 1 after the same number of stream rows, whatever the drain size
    (1 / 7 / 1024).
 """
 
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro.core.accumulator import OnceAccumulator
 from repro.core.manager import EstimationManager, EstimatorEntry
 from repro.executor.engine import ExecutionEngine
 from repro.executor.operators import (
@@ -35,7 +37,6 @@ from repro.executor.operators.base import Operator
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
-RECORD_EVERY = 64
 STREAM_ROWS = 600
 DRAIN_SIZES = (1, 7, 1024)
 
@@ -63,7 +64,7 @@ class Attached:
 
 
 def _managed(root, pass_op, pass_index, answered) -> Attached:
-    manager = EstimationManager(root, record_every=RECORD_EVERY)
+    manager = EstimationManager(root)
     return Attached(root, pass_op, pass_index, [manager.registry[id(op)] for op in answered])
 
 
@@ -149,22 +150,34 @@ def test_started_then_exact_at_pass_end(name):
     # Exact when the pass ended — before the operators had emitted it all.
     assert at_end == [(True, float(e.op.tuples_emitted)) for e in entries]
     assert all(e.source.exact and e.source.estimate() == e.op.tuples_emitted for e in entries)
-    # ... and the end of the pass is the last checkpoint.
-    assert [s.history[-1][1] for s in sources] == [s.estimate() for s in sources]
+
+
+def _prefix_state(source) -> tuple:
+    """What a source holds, read without moving it: a hybrid's ``estimate()``
+    would recompute its MLE, so its counts stand in for it."""
+    if isinstance(source, OnceAccumulator):
+        return (source.t, source.sum_c, source.sum_c_sq, source.estimate())
+    return (source.state.t, dict(source.state.counts))
 
 
 @family
 def test_checkpoints_independent_of_drain_size(name):
+    """Read after the estimators' hooks at every batch boundary of the pass,
+    keyed by the stream rows consumed so far."""
     checkpoints = []
     for batch_size in DRAIN_SIZES:
         attached = FAMILIES[name](C)
+        reads = {}
+
+        def read(_keys, _rows):
+            x = attached.pass_op.rows_consumed[attached.pass_index]
+            reads[x] = [_prefix_state(e.source) for e in attached.entries]
+
+        attached.pass_op.input_hooks[attached.pass_index].append(read)
         _run(attached, batch_size)
-        checkpoints.append(
-            [[t for t, _ in entry.source.history] for entry in attached.entries]
-        )
-    assert checkpoints[1:] == checkpoints[:1] * (len(DRAIN_SIZES) - 1)
-    # A pushed-down group estimator counts (weighted) join-output rows;
-    # everything else counts the tuples of C.
-    per_tuple = [*range(RECORD_EVERY, STREAM_ROWS + 1, RECORD_EVERY), STREAM_ROWS]
-    assert all(ts == per_tuple or ts[-1] > STREAM_ROWS for ts in checkpoints[0])
-    assert checkpoints[0][0] == per_tuple
+        checkpoints.append(reads)
+    per_tuple = checkpoints[0]
+    assert sorted(per_tuple) == list(range(1, STREAM_ROWS + 1))
+    for reads in checkpoints[1:]:
+        assert STREAM_ROWS in reads
+        assert reads == {x: per_tuple[x] for x in reads}

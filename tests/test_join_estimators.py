@@ -20,7 +20,7 @@ from repro.executor.operators import (
     SeqScan,
     SortMergeJoin,
 )
-from tests.conftest import brute_force_join_size
+from tests.conftest import brute_force_join_size, read_at_ticks
 
 
 class TestOnceJoinEstimatorArithmetic:
@@ -90,13 +90,6 @@ class TestOnceJoinEstimatorArithmetic:
         est.finalize_probe()
         assert est.acc.confidence_interval() == (2.0, 2.0)
 
-    def test_history_recording(self):
-        est = OnceJoinEstimator(probe_total=100.0, record_every=10)
-        est.on_build(1)
-        for _ in range(35):
-            est.on_probe(1)
-        assert [t for t, _ in est.acc.history] == [10, 20, 30]
-
     def test_worst_case_beta(self):
         est = OnceJoinEstimator(probe_total=100.0)
         for _ in range(100):
@@ -131,12 +124,14 @@ class TestStreamTotalFloor:
         agg = HashAggregate(SeqScan(fact), ["f.k"], [AggregateSpec("count")])
         agg.estimated_cardinality = groups / 10
         join = HashJoin(SeqScan(dim), agg, "d.k", "f.k")
-        level = EstimationManager(join, record_every=1).registry[id(join)].source
-        ExecutionEngine(join, collect_rows=False).run(batch_size=64)
+        level = EstimationManager(join).registry[id(join)].source
+        reads = read_at_ticks(
+            join, lambda: (level.exact, level.t, level.estimate()), 16, batch_size=64
+        )
         assert level.exact and level.estimate() == groups
-        # Every probe tuple matches once, so Σc at checkpoint t is t.
-        *mid_pass, final = level.history
-        assert len(mid_pass) == groups
+        # Every probe tuple matches once, so Σc at t is t.
+        mid_pass = [(t, estimate) for exact, t, estimate in reads if t and not exact]
+        assert [t for t, _ in mid_pass] == [*range(64, groups, 64), groups]
         assert all(estimate >= t for t, estimate in mid_pass)
 
 
@@ -182,11 +177,11 @@ class TestAttachToHashJoin:
             SeqScan(left), SeqScan(right), "left.nationkey", "right.nationkey",
             num_partitions=4, memory_partitions=0,
         )
-        est = attach_once_estimator(join, record_every=200)
-        ExecutionEngine(join, collect_rows=False).run()
+        est = attach_once_estimator(join)
+        reads = read_at_ticks(join, lambda: (est.acc.t, est.acc.estimate()), 200)
         truth = brute_force_join_size(left, right, "nationkey", "nationkey")
         # After 25% of the probe input the estimate is within 25%.
-        quarter = next(e for t, e in est.acc.history if t >= len(right) // 4)
+        quarter = next(e for t, e in reads if t >= len(right) // 4)
         assert quarter == pytest.approx(truth, rel=0.25)
 
 

@@ -11,6 +11,7 @@ from repro.executor.engine import ExecutionEngine
 from repro.executor.operators import HashJoin, SeqScan
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+from tests.conftest import read_at_ticks
 
 
 def small_tables():
@@ -90,10 +91,11 @@ class TestEstimation:
             SeqScan(left), SeqScan(right),
             "sl.nationkey", "sr.nationkey", join_type="semi",
         )
-        estimator = attach_once_estimator(join, record_every=500)
-        result = ExecutionEngine(join, collect_rows=False).run()
-        halfway = next(e for t, e in estimator.acc.history if t >= 4000)
-        assert halfway == pytest.approx(result.row_count, rel=0.15)
+        estimator = attach_once_estimator(join)
+        acc = estimator.acc
+        reads = read_at_ticks(join, lambda: (acc.t, acc.estimate()), 500)
+        halfway = next(e for t, e in reads if t >= 4000)
+        assert halfway == pytest.approx(join.tuples_emitted, rel=0.15)
 
     def test_non_inner_joins_break_chains(self):
         a = customer_variant(0.0, 20, 0, 200, name="a")

@@ -9,6 +9,7 @@ from repro.executor.expressions import col, lit
 from repro.executor.operators import Filter, HashJoin, SeqScan
 from repro.datagen.skew import customer_variant, customer_variant_with_custkey
 from repro.workloads import paper_pipeline_same_attr
+from tests.conftest import read_at_ticks
 
 
 def make_chain(*, same_attr: bool, case: int = 1, rows: int = 3000, domain: int = 60):
@@ -173,11 +174,9 @@ class TestNestedReferences:
 class TestMidStreamAccuracy:
     def test_estimates_reasonable_mid_probe(self):
         upper, lower, est = make_chain(same_attr=True, rows=6000)
-        for level in est.levels:
-            level.record_every = 500
-        ExecutionEngine(upper, collect_rows=False).run()
+        reads = read_at_ticks(upper, lambda: (est.t, est.levels[1].estimate()), 500)
         truth = upper.tuples_emitted
-        mid = next(e for t, e in est.levels[1].history if t >= 3000)
+        mid = next(e for t, e in reads if t >= 3000)
         assert mid == pytest.approx(truth, rel=0.3)
 
     def test_confidence_interval_covers_truth(self):

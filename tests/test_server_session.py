@@ -7,6 +7,7 @@ from repro.executor.engine import ExecutionEngine
 from repro.executor.operators import HashJoin, SeqScan
 from repro.server.scheduler import Scheduler
 from repro.server.session import QuerySession, SessionState, TERMINAL_STATES
+from repro.server.wire import TERMINAL_WIRE_STATES
 from repro.sql import compile_select
 from repro.storage.catalog import Catalog
 
@@ -197,6 +198,7 @@ class TestFailure:
             SessionState.CANCELLED,
             SessionState.FAILED,
         }
+        assert TERMINAL_WIRE_STATES == {state.value for state in TERMINAL_STATES}
 
 
 class TestValidation:
