@@ -8,22 +8,31 @@ batch during that pass — this is where the GEE/MLE group-count estimators
 attach and where the exact group count is known the moment the pass ends.
 
 Supported aggregate functions: count, sum, min, max, avg, count_distinct.
+The aggregate list is compiled once per plan into one batch kernel
+(:func:`compile_update_kernel`), so the input pass makes no Python call per
+row.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from repro.common.errors import PlanError
+from repro.common.errors import PlanError, SchemaError
 from repro.executor.operators.base import Operator
 from repro.storage.schema import Column, ColumnType, Schema
 
 __all__ = ["AggregateSpec", "HashAggregate", "SortAggregate"]
 
 _SUPPORTED_FUNCS = ("count", "sum", "min", "max", "avg", "count_distinct")
+
+#: How the update kernel folds a non-NULL value ``v`` into a running
+#: ``c``; ``min``/``max`` keep ``c`` unless ``v`` compares below/above it,
+#: exactly as the builtins do (NaN included).
+_FOLDS = {"sum": "c + v", "min": "v if v < c else c", "max": "v if v > c else c"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,6 +66,76 @@ class AggregateSpec:
         return ColumnType.FLOAT
 
 
+def compile_update_kernel(
+    aggregates: Sequence[AggregateSpec],
+    value_idxs: Sequence[int | None],
+    grouped: bool,
+) -> tuple[Callable[..., None], Callable[[], list]]:
+    """Compile an aggregate list into ``(kernel, make_state)``.
+
+    ``kernel(groups, keys, rows, make_state)`` folds one batch into
+    ``groups`` (key -> state list) in a single generated loop: one
+    ``groups.get`` per row, a new group's state from ``make_state()``, and
+    every aggregate's update inlined as a statement, so no Python function
+    is called per row. Without group columns (``grouped=False``) ``keys`` is
+    ignored and every row folds into the one group ``()``. Each value is
+    folded in input order (:data:`_FOLDS`, the avg ``[sum, count]`` pair,
+    the distinct set's ``add``); NULL (None) values are skipped, and
+    ``COUNT(col)`` counts the non-NULL ones.
+    """
+    init: list[str] = []
+    body: list[str] = []
+    for pos, (spec, idx) in enumerate(zip(aggregates, value_idxs)):
+        if spec.func == "count":
+            init.append("0")
+            if idx is None:
+                body.append(f"s[{pos}] += 1")
+            else:
+                body.append(f"if row[{idx}] is not None: s[{pos}] += 1")
+            continue
+        body += [f"v = row[{idx}]", "if v is not None:"]
+        if spec.func == "count_distinct":
+            init.append("set()")
+            body.append(f"    s[{pos}].add(v)")
+        elif spec.func == "avg":
+            init.append("[0.0, 0]")  # sum, count
+            body += [f"    a = s[{pos}]", "    a[0] += v", "    a[1] += 1"]
+        else:
+            init.append("None")
+            body += [f"    c = s[{pos}]", f"    s[{pos}] = v if c is None else {_FOLDS[spec.func]}"]
+    if grouped:
+        head = [
+            "get = groups.get",
+            "for key, row in zip(keys, rows):",
+            "    s = get(key)",
+            "    if s is None:",
+            "        s = groups[key] = make_state()",
+        ]
+    else:
+        head = [
+            "s = groups.get(())",
+            "if s is None:",
+            "    s = groups[()] = make_state()",
+            "for row in rows:",
+        ]
+    lines = head + ["    " + line for line in body]
+    source = (
+        f"def make_state():\n    return [{', '.join(init)}]\n"
+        "def kernel(groups, keys, rows, make_state):\n"
+        + "".join(f"    {line}\n" for line in lines)
+    )
+    namespace: dict[str, object] = {"__builtins__": {}, "set": set, "zip": zip}
+    exec(source, namespace)  # noqa: S102 - source is generated from validated specs
+    # Popped from their own globals, the two functions form no reference
+    # cycle: a dropped plan frees them by reference counting, not by the
+    # cyclic GC.
+    return namespace.pop("kernel"), namespace.pop("make_state")  # type: ignore[return-value]
+
+
+def _global_key(_row: tuple) -> tuple:
+    return ()
+
+
 class _AggregateBase(Operator):
     """Shared machinery for hash and sort aggregation."""
 
@@ -69,6 +148,9 @@ class _AggregateBase(Operator):
         "groups_seen",
         "_schema",
         "_emit_iter",
+        "_extract",
+        "_update",
+        "_make_state",
     )
 
     def __init__(
@@ -86,6 +168,27 @@ class _AggregateBase(Operator):
         self.groups_seen: int = 0
         self._schema = self._derive_schema()
         self._emit_iter: Iterator[tuple] | None = None
+        self._extract: Callable[[tuple], object] | None = None
+        self._update: Callable[..., None] | None = None
+        self._make_state: Callable[[], list] | None = None
+        # Compiled once per plan, shared by every fresh() copy. An
+        # unresolvable aggregate input is the analyzer's to report (A001);
+        # open() raises it.
+        with suppress(SchemaError):
+            self._bind()
+
+    def _bind(self) -> None:
+        in_schema = self.child.output_schema
+        group_idxs = [in_schema.index_of(g) for g in self.group_by]
+        value_idxs = [
+            in_schema.index_of(a.column) if a.column else None for a in self.aggregates
+        ]
+        # Single-column grouping keys are the bare value, multi-column keys
+        # the value tuple — exactly what multi-arg ``itemgetter`` returns.
+        self._extract = itemgetter(*group_idxs) if group_idxs else _global_key
+        self._update, self._make_state = compile_update_kernel(
+            self.aggregates, value_idxs, grouped=bool(group_idxs)
+        )
 
     def _derive_schema(self) -> Schema:
         in_schema = self.child.output_schema
@@ -106,6 +209,8 @@ class _AggregateBase(Operator):
         return f"{self.op_name}(by {groups}; {aggs})"
 
     def _open(self) -> None:
+        if self._update is None:
+            self._bind()
         self._set_phase("init")
 
     def _next_batch(self, max_rows: int) -> list[tuple]:
@@ -118,42 +223,14 @@ class _AggregateBase(Operator):
     def _close(self) -> None:
         self._emit_iter = None
 
-    # -- aggregation state ----------------------------------------------------
-
-    def _make_state(self) -> list:
-        states = []
-        for spec in self.aggregates:
-            if spec.func == "count":
-                states.append(0)
-            elif spec.func == "avg":
-                states.append([0.0, 0])  # sum, count
-            elif spec.func == "count_distinct":
-                states.append(set())
-            else:
-                states.append(None)
-        return states
-
-    def _update_state(self, states: list, row: tuple, value_idxs: list[int | None]) -> None:
-        for pos, spec in enumerate(self.aggregates):
-            idx = value_idxs[pos]
-            if spec.func == "count":
-                if idx is None or row[idx] is not None:
-                    states[pos] += 1
-                continue
-            value = row[idx]
-            if value is None:
-                continue
-            if spec.func == "count_distinct":
-                states[pos].add(value)
-            elif spec.func == "sum":
-                states[pos] = value if states[pos] is None else states[pos] + value
-            elif spec.func == "min":
-                states[pos] = value if states[pos] is None else min(states[pos], value)
-            elif spec.func == "max":
-                states[pos] = value if states[pos] is None else max(states[pos], value)
-            else:  # avg
-                states[pos][0] += value
-                states[pos][1] += 1
+    def _emit(self, groups: dict[object, list]) -> Iterator[tuple]:
+        """One output row per group, in the dict's (first-seen) order."""
+        self.groups_seen = len(groups)
+        self._set_phase("emit")
+        # A multi-column key is already a tuple, the global key is ().
+        single = len(self.group_by) == 1
+        for key, states in groups.items():
+            yield ((key,) if single else key) + self._finalize_state(states)
 
     def _finalize_state(self, states: list) -> tuple:
         out = []
@@ -167,25 +244,6 @@ class _AggregateBase(Operator):
                 out.append(states[pos])
         return tuple(out)
 
-    def _bind_inputs(self) -> tuple[list[int], list[int | None]]:
-        in_schema = self.child.output_schema
-        group_idxs = [in_schema.index_of(g) for g in self.group_by]
-        value_idxs: list[int | None] = [
-            in_schema.index_of(a.column) if a.column else None for a in self.aggregates
-        ]
-        return group_idxs, value_idxs
-
-    @staticmethod
-    def _group_key_extractor(group_idxs: list[int]):
-        """Precompiled group-key extractor for the input drains.
-
-        Single-column grouping keys are the bare value, multi-column keys
-        the value tuple — exactly what multi-arg ``itemgetter`` returns.
-        """
-        if not group_idxs:
-            return lambda row: ()
-        return itemgetter(*group_idxs)
-
     def _consume_and_group(self, consume: int) -> Iterator[tuple]:
         raise NotImplementedError
 
@@ -198,26 +256,21 @@ class HashAggregate(_AggregateBase):
 
     def _consume_and_group(self, consume: int) -> Iterator[tuple]:
         self._set_phase("partition")
-        group_idxs, value_idxs = self._bind_inputs()
-        single = len(group_idxs) == 1
         groups: dict[object, list] = {}
-        extract = self._group_key_extractor(group_idxs)
-        for keys, batch in self._drain(0, consume, extract):
-            for key, row in zip(keys, batch):
-                states = groups.get(key)
-                if states is None:
-                    states = groups[key] = self._make_state()
-                self._update_state(states, row, value_idxs)
-        self.groups_seen = len(groups)
-        self._set_phase("emit")
-        for key, states in groups.items():
-            group_part = (key,) if single else (tuple(key) if group_idxs else ())
-            yield group_part + self._finalize_state(states)
+        update, make_state = self._update, self._make_state
+        assert update is not None
+        # A global aggregate's kernel reads no keys: extract them only for
+        # an attached hook.
+        need_keys = bool(self.group_by)
+        for keys, batch in self._drain(0, consume, self._extract, need_keys):
+            update(groups, keys, batch, make_state)
+        yield from self._emit(groups)
 
 
 class SortAggregate(_AggregateBase):
-    """Sort-based aggregation: sort the input on the group key, then emit
-    one row per run of equal keys."""
+    """Sort-based aggregation: sort the input on the group key, then fold
+    the sorted rows, whose equal keys form one run each, and emit one row
+    per run in key order."""
 
     op_name = "sort_aggregate"
     __slots__ = ()
@@ -228,41 +281,15 @@ class SortAggregate(_AggregateBase):
             yield from HashAggregate._consume_and_group(self, consume)  # type: ignore[arg-type]
             return
         self._set_phase("read_input")
-        group_idxs, value_idxs = self._bind_inputs()
-        single = len(group_idxs) == 1
+        extract = self._extract
         rows: list[tuple] = []
-        extract = self._group_key_extractor(group_idxs)
         for _keys, batch in self._drain(0, consume, extract, need_keys=False):
             rows.extend(batch)
         self._set_phase("sort")
-        if single:
-            idx = group_idxs[0]
-            rows.sort(key=lambda r: r[idx])
-        else:
-            rows.sort(key=lambda r: tuple(r[i] for i in group_idxs))
-        self._set_phase("emit")
-        current_key: object = _SENTINEL
-        states: list | None = None
-        for row in rows:
-            key = row[group_idxs[0]] if single else tuple(row[i] for i in group_idxs)
-            if key != current_key:
-                if states is not None:
-                    yield self._emit_group(current_key, states, single)
-                current_key = key
-                states = self._make_state()
-                self.groups_seen += 1
-            assert states is not None
-            self._update_state(states, row, value_idxs)
-        if states is not None:
-            yield self._emit_group(current_key, states, single)
-
-    def _emit_group(self, key: object, states: list, single: bool) -> tuple:
-        group_part = (key,) if single else tuple(key)  # type: ignore[arg-type]
-        return group_part + self._finalize_state(states)
-
-
-class _Sentinel:
-    __slots__ = ()
-
-
-_SENTINEL = _Sentinel()
+        rows.sort(key=extract)
+        # The sort is stable, so each run folds its rows in input order;
+        # the dict keeps the runs in key order.
+        groups: dict[object, list] = {}
+        assert self._update is not None
+        self._update(groups, list(map(extract, rows)), rows, self._make_state)
+        yield from self._emit(groups)

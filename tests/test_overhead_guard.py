@@ -24,8 +24,8 @@ input batch, not per ``LIMIT``-sized sliver, a build histogram's
 maximum is computed once per join, not once per snapshot, the group-count
 state counts each batch in one piece with no Python step per key and
 settles its statistics at reads, the MLE is evaluated only by the reads
-that choose it, and the FK -> PK joins skip their Σc² and ``add_weighted``
-passes.
+that choose it, the FK -> PK joins skip their Σc² and ``add_weighted``
+passes, and the aggregation's input pass makes no Python call per row.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.core.progress import ProgressMonitor
 from repro.datagen.skew import customer_variant
 from repro.executor.engine import ExecutionEngine, TickBus
 from repro.executor.expressions import col, lit
-from repro.executor.operators import Filter, HashJoin, Project, SeqScan
+from repro.executor.operators import Filter, HashAggregate, HashJoin, Project, SeqScan
 from repro.executor.plan import walk
 from repro.sql import compile_select
 from repro.storage.table import Table
@@ -316,6 +316,39 @@ class TestPaidPerBatch:
         t = hybrid.state.t
         assert t == sum(aggregate.rows_consumed)
         assert 0 < visited <= 4 * t, (name, visited, t)
+
+    def test_aggregation_pass_makes_no_python_call_per_row(self, small_catalog):
+        """``groupby_fk``'s partition pass folds each input batch with one
+        compiled kernel call: the Python calls it makes (profiled from the
+        ``partition`` phase to ``emit``) grow with the batches and the new
+        groups, not with the rows."""
+        plan = compile_select(small_catalog, Q_LONG["groupby_fk"]).plan
+        (aggregate,) = [op for op in walk(plan) if isinstance(op, HashAggregate)]
+        calls: Counter = Counter()
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
+
+        def on_phase(_op, phase):
+            if phase == "partition":
+                sys.setprofile(profile)
+            elif phase == "emit":
+                sys.setprofile(None)
+
+        aggregate.phase_hooks.append(on_phase)
+        try:
+            ExecutionEngine(plan).run(batch_size=BATCH)
+        finally:
+            sys.setprofile(None)
+
+        rows = aggregate.rows_consumed[0]
+        batches = -(-rows // BATCH) + 1
+        assert rows >= 20 * batches and calls
+        # Per batch: the drain's resume, the scan's pull, the tick and the
+        # kernel; per new group: its state. Room for twice that.
+        allowed = 8 * batches + 2 * aggregate.groups_seen
+        assert sum(calls.values()) <= allowed, (rows, calls.most_common(5))
 
     @pytest.mark.parametrize("name", ["j3_agg_top", "j2_filter", "j3_agg"])
     def test_fk_pk_joins_skip_their_0_1_passes(self, name, small_catalog, monkeypatch):
