@@ -24,12 +24,11 @@ def rows_to_within_10pct(values: list[int], true_count: int) -> dict[str, int | 
         "hybrid": hybrid.estimate,
     }
     hits: dict[str, int | None] = dict.fromkeys(reads)
-    for t, value in enumerate(values, start=1):
-        hybrid.observe(value)
-        if t % 250 == 0 or t == total:
-            for name, read in reads.items():
-                if hits[name] is None and abs(read() - true_count) <= 0.1 * true_count:
-                    hits[name] = t
+    for start in range(0, total, 250):  # read after every batch of 250
+        hybrid.observe_batch(values[start : start + 250])
+        for name, read in reads.items():
+            if hits[name] is None and abs(read() - true_count) <= 0.1 * true_count:
+                hits[name] = hybrid.state.t
     return hits
 
 

@@ -493,7 +493,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help=(
             "deterministic fault-injection spec, e.g. "
             "'seed=42; scan.read:error:rate=0.01:count=2' "
-            "(defaults to the REPRO_FAULTS environment variable; see docs/FAULTS.md)"
+            "(default: none; see docs/FAULTS.md)"
         ),
     )
     s.add_argument(

@@ -13,10 +13,11 @@ Two attachment modes (Section 4.2):
   join's partitions). The paper pushes estimation into the join: "In
   addition to computing the estimate of the cardinality of the output of
   the join, we also build a histogram storing the frequency distribution of
-  the output." Here the chain estimator streams
-  ``(group value, #output rows)`` pairs per probe tuple, which feed the same
-  hybrid estimator with weighted increments; the |T| it scales to is the
-  chain's own (converging) output-cardinality estimate.
+  the output." Here the chain estimator hands over each probe batch's
+  group values with the number of output rows each probe tuple yields,
+  which the same hybrid estimator's state folds in one weighted batch; the
+  |T| it scales to is the chain's own (converging) output-cardinality
+  estimate.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def attach_pushed_down_group_estimator(
     hybrid = HybridGroupCountEstimator(
         total=lambda: max(chain.levels[-1].estimate(), 1.0)
     )
-    chain.add_output_listener(group_column, hybrid.observe)
+    chain.add_output_listener(group_column, hybrid.state.observe_weighted)
 
     def on_probe_end() -> None:
         # Once the chain's probe pass completes, the simulated output

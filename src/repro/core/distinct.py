@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from repro.core.accumulator import TotalProvider, total_provider
@@ -88,10 +88,11 @@ class GroupFrequencyState:
       (``fof[0]`` stays 0). GEE reads f_1 and the MLE nothing above
       f_{LOW-1}, so higher frequencies are not indexed.
 
-    A batch only counts; ``sum_sq`` and ``fof`` settle at the next read
-    (docs/THEORY.md §4) to the per-tuple definition's values. The weighted
-    ``observe(value, weight)`` — a simulated join output feeds it in
-    aggregation push-down — settles first and stays eager.
+    A unit batch (:meth:`observe_batch`) only counts; ``sum_sq`` and
+    ``fof`` settle at the next read (docs/THEORY.md §4) to the per-tuple
+    definition's values. A weighted batch (:meth:`observe_weighted`) — a
+    join chain's simulated output feeds it in aggregation push-down —
+    settles first and stays eager.
     """
 
     __slots__ = ("counts", "t", "_sum_sq", "_fof", "_unsettled", "_pending")
@@ -106,14 +107,25 @@ class GroupFrequencyState:
         self._pending: list[Sequence[object]] | None = []
 
     def observe(self, value: object, weight: int = 1) -> None:
-        if weight <= 0:
-            if weight < 0:
-                raise ValueError(f"weight must be >= 0, got {weight}")
-            return
+        """One weighted observation: :meth:`observe_weighted`'s one-pair case."""
+        if weight < 0:
+            raise ValueError(f"weight must be >= 0, got {weight}")
+        self.observe_weighted((value,), (weight,))
+
+    def observe_weighted(self, values: Sequence[object], weights: Sequence[int]) -> None:
+        """``weights[j]`` observations of ``values[j]`` for every j, in one
+        fold: the weights are summed per value in C — a zero weight adds
+        nothing, and the pass is as long as the weights' total, which in
+        push-down is the number of rows the chain emits for the batch —
+        then one settle, one ``counts.update`` and one :meth:`_fold` over
+        the batch's distinct values. Counts, t, f_i and Σc² are those of
+        observing the pairs one unit at a time, since all four are
+        functions of the counts."""
+        moves = Counter(chain.from_iterable(map(repeat, values, weights)))
         self._settle()
-        self.counts[value] += weight
-        self.t += weight
-        self._fold(((value, weight),))
+        self.counts.update(moves)
+        self.t += moves.total()
+        self._fold(moves.items())
 
     def observe_batch(self, keys: Sequence[object]) -> None:
         """Unit observations, one per key, counted in C. None is a
@@ -297,8 +309,8 @@ class HybridGroupCountEstimator:
 
     A directly attached aggregate or DISTINCT feeds whole input batches
     (:meth:`observe_hook` → :meth:`observe_batch`): each batch is counted
-    in C. :meth:`observe` is the one-tuple (weighted) form, which the
-    push-down listener calls per simulated join output. Only reads
+    in C. A pushed-down one is fed by its join chain, a probe batch at a
+    time, through :meth:`GroupFrequencyState.observe_weighted`. Only reads
     recompute the MLE.
 
     Parameters
@@ -340,15 +352,11 @@ class HybridGroupCountEstimator:
     def total(self) -> float:
         return float(self._total())
 
-    def observe(self, value: object, weight: int = 1) -> None:
-        """Feed one (possibly weighted) tuple of the grouping column."""
-        self.state.observe(value, weight)
-
     def observe_batch(self, keys: Sequence[object]) -> None:
         """Feed a batch of unit-weight grouping keys in one
         :meth:`GroupFrequencyState.observe_batch`; an empty batch is a
-        no-op. Counts, f_i, Σc² and t are identical to one :meth:`observe`
-        call per key.
+        no-op. Counts, f_i, Σc² and t are identical to one
+        :meth:`GroupFrequencyState.observe` call per key.
         """
         if keys:
             self.state.observe_batch(keys)

@@ -9,10 +9,12 @@ plus pointer overhead) and an actual measurement of the Python structure.
 (The group-count estimators keep their own, smaller state:
 :class:`repro.core.distinct.GroupFrequencyState`.)
 
-Weighted increments (``add(value, weight)``) support derived histograms:
-Case 2 of Section 4.1.4.2 increments "the count of the bucket corresponding
-to x1 by N_{y1}^A", and the aggregation push-down builds a histogram of the
-*join output's* frequency distribution the same way.
+Weighted increments (``add(value, weight)``, ``add_weighted``) support
+derived histograms: Case 2 of Section 4.1.4.2 increments "the count of the
+bucket corresponding to x1 by N_{y1}^A". The aggregation push-down's
+histogram of the *join output's* frequency distribution is weighted the
+same way, a probe batch at a time, in
+:meth:`repro.core.distinct.GroupFrequencyState.observe_weighted`.
 """
 
 from __future__ import annotations

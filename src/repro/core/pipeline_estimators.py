@@ -65,7 +65,9 @@ from repro.executor.plan import walk
 
 __all__ = ["HashJoinChainEstimator", "chain_provenance", "find_hash_join_chains"]
 
-OutputListener = Callable[[object, int], None]
+#: ``listener(values, contributions)``: a probe batch's group-column values
+#: and, per probe tuple, the number of chain-output rows it yields.
+OutputListener = Callable[[Sequence[object], Sequence[int]], None]
 
 
 def find_hash_join_chains(root: Operator) -> list[list[HashJoin]]:
@@ -370,30 +372,8 @@ class HashJoinChainEstimator:
     def _on_probe(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
         """Probe hook of the bottom join: ``keys`` is its probe-key column
         of the base-stream batch ``rows``."""
-        if self.frozen:
-            return
-        if self.output_listeners:
-            self._probe_rows(rows)
-        else:
+        if not self.frozen:
             self._apply_batch(keys, rows)
-
-    def _probe_rows(self, rows: Sequence[tuple]) -> None:
-        """Refine tuple by tuple: pushed-down aggregation listeners need the
-        per-tuple (value, contribution) stream in row order."""
-        for row in rows:
-            contrib = 0
-            for factors, level in zip(self._level_factors, self.levels):
-                contrib = 1
-                for col_idx, hist in factors:
-                    c = hist.counts.get(row[col_idx], 0)
-                    if not c:
-                        contrib = 0
-                        break
-                    contrib *= c
-                level.add(1, contrib, contrib * contrib)
-            if contrib:  # the topmost level's: chain-output rows
-                for col_idx, listener in self.output_listeners:
-                    listener(row[col_idx], contrib)
 
     def _apply_batch(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
         """Fold a batch column at a time, C-level passes only: one looked-up
@@ -401,7 +381,8 @@ class HashJoinChainEstimator:
         level whose product reads it. A key absent from a histogram — None
         never is one — contributes factor 0, which zeroes the product.
         Integer arithmetic throughout, so the state is bit-identical to
-        per-tuple refinement."""
+        per-tuple refinement. Each output listener then gets the batch's
+        group column with the topmost level's contributions, in one call."""
         n = len(rows)
         key_col = self.provenance[0].index  # already extracted by the drain
         looked_up: dict[tuple[int, int], list[int]] = {}
@@ -417,6 +398,8 @@ class HashJoinChainEstimator:
             sum_c = sum(contribs)
             unit = self._unit_levels[i]
             level.add(n, sum_c, sum_c if unit else sum(map(mul, contribs, contribs)))
+        for col, listener in self.output_listeners:
+            listener(keys if col == key_col else list(map(itemgetter(col), rows)), contribs)
 
     def _on_probe_end(self) -> None:
         """The base stream is exhausted: every level's estimate is exact."""
@@ -443,12 +426,13 @@ class HashJoinChainEstimator:
     def add_output_listener(self, group_column: str, listener: OutputListener) -> None:
         """Register a listener over the chain output's value distribution.
 
-        ``listener(value, contribution)`` is invoked per probe tuple with the
-        tuple's ``group_column`` value and the number of chain-output rows
-        the tuple generates. Only columns of the base probe stream are
-        supported (the paper's "aggregation on the same attribute as the
-        join" case); anything else raises :class:`EstimationError` and the
-        caller falls back to estimating at the aggregate itself.
+        ``listener(values, contributions)`` is invoked once per probe batch
+        with the batch's ``group_column`` values and, per probe tuple, the
+        number of chain-output rows it generates (0 for a tuple that joins
+        nothing). Only columns of the base probe stream are supported (the
+        paper's "aggregation on the same attribute as the join" case);
+        anything else raises :class:`EstimationError` and the caller falls
+        back to estimating at the aggregate itself.
         """
         if not self._c_schema.has_column(group_column):
             raise EstimationError(

@@ -224,7 +224,11 @@ class _AggregateBase(Operator):
         self._emit_iter = None
 
     def _emit(self, groups: dict[object, list]) -> Iterator[tuple]:
-        """One output row per group, in the dict's (first-seen) order."""
+        """One output row per group, in the dict's (first-seen) order. A
+        global aggregate over no rows still emits its one row, as SQL
+        does: COUNT and COUNT(DISTINCT) give 0, every other function NULL."""
+        if not groups and not self.group_by:
+            groups[()] = self._make_state()
         self.groups_seen = len(groups)
         self._set_phase("emit")
         # A multi-column key is already a tuple, the global key is ().

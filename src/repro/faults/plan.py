@@ -51,15 +51,14 @@ reproducible), or a deterministic ``every``-N cadence; both respect an
 :meth:`FaultPlan.to_wire` serializes plan + firing log — the chaos harness
 dumps it on failure so any run can be replayed.
 
-The ``REPRO_FAULTS`` environment variable installs a plan into any
-:class:`~repro.server.service.ProgressService` without code changes (see
-:func:`parse_fault_spec` for the grammar), which is how the TCP server is
-chaos-tested from outside.
+A plan is only ever installed explicitly: ``faults=`` on the engine, a
+session or a :class:`~repro.server.service.ProgressService`, or
+``repro serve --faults SPEC`` (:func:`parse_fault_spec` holds the grammar),
+which is how the TCP server is chaos-tested from outside.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -69,7 +68,6 @@ from repro.common.rng import make_rng
 
 __all__ = [
     "ALL_SITES",
-    "ENV_VAR",
     "ERROR",
     "FaultPlan",
     "FaultSpec",
@@ -86,12 +84,7 @@ __all__ = [
     "STALL",
     "TransientFault",
     "parse_fault_spec",
-    "plan_from_env",
 ]
-
-#: Environment variable holding a fault-spec string (see the module
-#: docstring); read by :func:`plan_from_env`.
-ENV_VAR = "REPRO_FAULTS"
 
 # -- fault kinds ---------------------------------------------------------------
 
@@ -348,7 +341,7 @@ class FaultPlan:
         return max(1, n // 2)
 
 
-# -- the REPRO_FAULTS spec grammar ---------------------------------------------
+# -- the fault-spec grammar -----------------------------------------------------
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -382,7 +375,7 @@ def _parse_options(parts: list[str], clause: str) -> dict:
 
 
 def parse_fault_spec(text: str) -> FaultPlan | None:
-    """Parse the ``REPRO_FAULTS`` grammar into a :class:`FaultPlan`.
+    """Parse a fault spec (``repro serve --faults``) into a :class:`FaultPlan`.
 
     Grammar (whitespace-insensitive)::
 
@@ -428,10 +421,3 @@ def parse_fault_spec(text: str) -> FaultPlan | None:
     if not specs:
         return None
     return FaultPlan(seed=seed, specs=tuple(specs))
-
-
-def plan_from_env(environ: dict | None = None) -> FaultPlan | None:
-    """Build a plan from ``REPRO_FAULTS`` in ``environ`` (default
-    ``os.environ``); ``None`` when unset or blank."""
-    env = os.environ if environ is None else environ
-    return parse_fault_spec(env.get(ENV_VAR, ""))

@@ -127,6 +127,8 @@ class CardinalityBounds:
         elif isinstance(op, NestedLoopsJoin):
             left, right = op.children()
             entry.update_bounds(lo=0.0, hi=self.of(left).hi * self.of(right).hi)
+        elif isinstance(op, _AggregateBase) and not op.group_by:
+            entry.update_bounds(lo=1.0, hi=1.0)  # one row, with input or without
         elif isinstance(op, (_AggregateBase, Distinct)):
             child_hi = self.of(op.children()[0]).hi
             entry.update_bounds(lo=1.0 if child_hi > 0 else 0.0, hi=child_hi)

@@ -51,7 +51,6 @@ from repro.faults.plan import (
     SITE_SERVER_WRITE,
     FaultPlan,
     InjectedFault,
-    plan_from_env,
 )
 from repro.common.locks import acquires
 from repro.server.events import EventBus, Subscription
@@ -129,11 +128,10 @@ class ProgressService:
         self.row_cap = row_cap
         self.sample_fraction = sample_fraction
         self.default_timeout_s = default_timeout_s
-        # Deterministic fault injection: explicit plan, else the
-        # REPRO_FAULTS env spec (so a deployed server can be chaos-tested
-        # from outside), else None — in which case every injection site in
-        # the stack stays a zero-cost no-op.
-        self.faults = faults if faults is not None else plan_from_env()
+        # Deterministic fault injection, only from an explicit plan
+        # (``repro serve --faults`` builds one); without it every injection
+        # site in the stack stays a zero-cost no-op.
+        self.faults = faults
         # Robust subsystem: a run-history store shared by every session
         # (run records out) plus the observed-cardinality overlay the
         # compiler consults. Built after ``faults`` so the store's

@@ -5,7 +5,8 @@ generated kernel (``compile_update_kernel``). The reference below spells out
 the per-row semantics the kernel replaces — one update per row per aggregate,
 NULLs skipped, ``COUNT(col)`` counting non-NULL values, ``min``/``max`` by the
 builtins, the avg ``[sum, count]`` pair — and the sort aggregate's run loop
-(a new group wherever ``key != current_key`` in the stably sorted input).
+(a new group wherever ``key != current_key`` in the stably sorted input),
+and SQL's one row for a global aggregate over no input.
 Output rows and ``groups_seen`` must be ``==``: float sums bit-identical, and
 a NaN that ``min``/``max`` keep is the very input object on both sides. The
 rows' ``repr`` must match too, since ``==`` alone cannot tell ``1`` from
@@ -126,6 +127,8 @@ def _reference(rows, group_by, specs, sort):
                 by_key[key] = new_state()
                 groups.append((key, by_key[key]))
             update(by_key[key], row)
+    if not group_idxs and not groups:  # SQL: a global aggregate is one row
+        groups.append(((), new_state()))
     single = len(group_idxs) == 1
     out = [((key,) if single else tuple(key)) + finalize(states) for key, states in groups]
     return out, len(groups)
@@ -156,6 +159,7 @@ def test_empty_input_under_a_global_aggregate(cls, batch_size):
     specs = [("count", None), ("sum", "n"), ("min", "m"), ("avg", "n"), ("count_distinct", "m")]
     expected = _reference([], (), specs, sort=cls is SortAggregate)
     assert _run(cls, [], (), specs, batch_size) == expected
+    assert expected == ([(0, None, None, None, 0)], 1)
 
 
 @pytest.mark.parametrize("cls", [HashAggregate, SortAggregate])

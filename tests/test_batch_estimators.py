@@ -226,7 +226,7 @@ class TestHybridBatch:
         row_reads, batch_reads = [], []
         for chunk in _random_chunks(rng, values):
             for value in chunk:
-                row.observe(value)
+                row.state.observe(value)
             batch.observe_batch(chunk)
             row_reads.append((row.state.t, row.estimate()))
             batch_reads.append((batch.state.t, batch.estimate()))
@@ -255,7 +255,7 @@ class TestHybridBatch:
         batch = HybridGroupCountEstimator(total=2_000.0, tau=tau)
         row_reads = []
         for t, value in enumerate(values, start=1):
-            row.observe(value)
+            row.state.observe(value)
             if t in reads:
                 row_reads.append(row.estimate())
         batch_reads = []
@@ -278,7 +278,7 @@ class TestHybridBatch:
         hybrid = HybridGroupCountEstimator(total=2_000.0)
         got = []
         for value in values:
-            hybrid.observe(value)
+            hybrid.state.observe(value)
             got.append(hybrid.estimate())
         assert got == expected
 
@@ -295,7 +295,7 @@ class TestHybridBatch:
         batch = HybridGroupCountEstimator(total=6.0)
         values = [None, 1, None, 2, 1, None]
         for value in values:
-            row.observe(value)
+            row.state.observe(value)
         batch.observe_batch(values)
         assert row.state.counts == batch.state.counts
         assert batch.state.counts[None] == 3
@@ -348,13 +348,13 @@ class TestLazyGroupStatistics:
                 keys = step[1]
                 lazy.observe_batch(keys)
                 for key in keys:
-                    eager.observe(key)
+                    eager.state.observe(key)
                 truth.update(keys)
                 assert (lazy.state.t, lazy.estimate()) == (eager.state.t, eager.estimate())
             elif step[0] == "observe":
                 _, key, weight = step
-                lazy.observe(key, weight)
-                eager.observe(key, weight)
+                lazy.state.observe(key, weight)
+                eager.state.observe(key, weight)
                 if weight:
                     truth[key] += weight
             else:
@@ -364,6 +364,28 @@ class TestLazyGroupStatistics:
         assert lazy.state.counts == truth
         assert lazy.state.fof == [0] + [fof[i] for i in range(1, LOW)]
         assert lazy.state.sum_sq == sum(c * c for c in truth.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.tuples(_GROUP, st.integers(0, 6)), max_size=40), max_size=8))
+    def test_a_weighted_batch_equals_its_unit_keys(self, batches):
+        """The push-down's fold: a batch of ``(value, weight)`` pairs, zero
+        weights and repeated values included, reads after every batch as
+        the same batch spelled out as unit keys, and ends at the
+        definition's counts, f_i and Σc²."""
+        total = 3_000.0
+        weighted = HybridGroupCountEstimator(total=total)
+        unit = HybridGroupCountEstimator(total=total)
+        truth: Counter = Counter()
+        for pairs in batches:
+            weighted.state.observe_weighted([v for v, _ in pairs], [w for _, w in pairs])
+            keys = [v for v, w in pairs for _ in range(w)]
+            unit.observe_batch(keys)
+            truth.update(keys)
+            assert self._reads(weighted, total) == self._reads(unit, total)
+        fof = Counter(truth.values())
+        assert weighted.state.counts == truth
+        assert weighted.state.fof == [0] + [fof[i] for i in range(1, LOW)]
+        assert weighted.state.sum_sq == sum(c * c for c in truth.values())
 
     def test_settling_folds_few_keys_and_rebuilds_from_many(self):
         """Both settles agree with the definition: a read after a few keys
@@ -404,13 +426,24 @@ def _derived_chain():
     return j1
 
 
+def _nonzero_pairs(stream: list):
+    """An output listener that appends each batch's nonzero
+    ``(value, contribution)`` pairs to ``stream``, batch after batch."""
+
+    def listener(values, contributions):
+        assert len(values) == len(contributions)
+        stream.extend((v, c) for v, c in zip(values, contributions) if c)
+
+    return listener
+
+
 def _run_chain(build_plan, batch_size, listener_column=None):
     plan = build_plan()
     (chain,) = find_hash_join_chains(plan)
     estimator = HashJoinChainEstimator(chain)
     observed = []
     if listener_column is not None:
-        estimator.add_output_listener(listener_column, lambda v, c: observed.append((v, c)))
+        estimator.add_output_listener(listener_column, _nonzero_pairs(observed))
     ExecutionEngine(plan).run(batch_size=batch_size)
     return estimator, observed
 
@@ -436,9 +469,10 @@ class TestChainBatch:
 
     @pytest.mark.parametrize("batch_size", [7, 1024])
     def test_output_listener_forces_identical_per_row_stream(self, batch_size):
-        """With a push-down listener attached, the batch twin degrades to
-        the per-row loop: the (value, contribution) stream — whose order
-        the pushed-down aggregate depends on — must match exactly."""
+        """With a push-down listener attached, the chain still folds whole
+        batches and hands the listener each batch's values and
+        contributions: their concatenated nonzero (value, contribution)
+        stream must match row mode's exactly, and so must the state."""
         reference, ref_seen = _run_chain(
             _c_keyed_chain, batch_size=None, listener_column="c3.nationkey"
         )
@@ -602,7 +636,7 @@ def _run_kernels(chain, batch_size, listener=False):
     stream = []
     if listener:
         first = estimator.base_stream.output_schema.names()[0]
-        estimator.add_output_listener(first, lambda v, c: stream.append((v, c)))
+        estimator.add_output_listener(first, _nonzero_pairs(stream))
 
     def read(_keys, _rows):
         for level_reads, level in zip(reads, estimator.levels):
@@ -623,7 +657,8 @@ def _assert_matches_reference(make_chain, batch_size):
     assert reads == expected
     assert {key: dict(h.counts) for key, h in estimator.derived.items()} == derived
     assert all(h.total == sum(h.counts.values()) for h in estimator.derived.values())
-    # The listener path refines tuple by tuple, in row order, to the same state.
+    # A listener gets the per-tuple stream, in row order, batch by batch; the
+    # state it leaves is the same.
     listening, listening_reads, seen = _run_kernels(make_chain(), batch_size, listener=True)
     assert seen == stream
     assert [_sums(level) for level in listening.levels] == levels

@@ -169,14 +169,14 @@ class TestHybrid:
     def test_chooser_picks_gee_on_high_skew(self):
         hybrid = HybridGroupCountEstimator(total=20_000)
         for v in stream(2.0, 1000, 4000):
-            hybrid.observe(v)
+            hybrid.state.observe(v)
         assert hybrid.state.gamma_squared >= hybrid.tau
         assert hybrid.chosen == "gee"
 
     def test_chooser_picks_mle_on_low_skew(self):
         hybrid = HybridGroupCountEstimator(total=20_000)
         for v in stream(0.0, 1000, 4000):
-            hybrid.observe(v)
+            hybrid.state.observe(v)
         assert hybrid.state.gamma_squared < hybrid.tau
         assert hybrid.chosen == "mle"
 
@@ -184,7 +184,7 @@ class TestHybrid:
         hybrid = HybridGroupCountEstimator(total=10_000)
         data = stream(1.5, 300, 5000)
         for i, v in enumerate(data, start=1):
-            hybrid.observe(v)
+            hybrid.state.observe(v)
             if i % 500 == 0:
                 assert hybrid.estimate() >= hybrid.state.distinct_seen
 
@@ -192,7 +192,7 @@ class TestHybrid:
         hybrid = HybridGroupCountEstimator(total=100)
         data = stream(1.0, 40, 100)
         for v in data:
-            hybrid.observe(v)
+            hybrid.state.observe(v)
         hybrid.finalize()
         assert hybrid.exact
         assert hybrid.estimate() == len(set(data))
@@ -201,7 +201,7 @@ class TestHybrid:
         total = [100.0]
         hybrid = HybridGroupCountEstimator(total=lambda: total[0])
         for v in stream(1.0, 20, 50):
-            hybrid.observe(v)
+            hybrid.state.observe(v)
         before = hybrid.estimate()
         total[0] = 10_000.0
         after = hybrid.estimate()
@@ -225,7 +225,7 @@ class TestHybrid:
             return (hybrid._mle_t, hybrid.scheduler.interval, hybrid.scheduler.recompute_count)
 
         for i, v in enumerate(stream(0.0, 1000, 4000), start=1):
-            hybrid.observe(v)
+            hybrid.state.observe(v)
             if i % 97:
                 continue
             before = len(evaluations)

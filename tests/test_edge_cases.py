@@ -105,7 +105,7 @@ class TestEstimatorRobustness:
 
     def test_hybrid_group_estimator_with_zero_total(self):
         hybrid = HybridGroupCountEstimator(total=0.0)
-        hybrid.observe("x")
+        hybrid.state.observe("x")
         assert hybrid.estimate() >= 1.0  # never below distinct seen
 
     def test_chain_estimator_empty_base_stream(self):

@@ -1,5 +1,5 @@
 """Unit tests for the deterministic fault-injection subsystem itself:
-spec validation, the REPRO_FAULTS grammar, scheduling semantics
+spec validation, the fault-spec grammar, scheduling semantics
 (every/rate/after/count), per-site seeded determinism, the firing log,
 retryable defaults, and the engine-level integration (including that an
 uninstalled plan is a true no-op)."""
@@ -11,7 +11,6 @@ import pytest
 from repro.executor.engine import ExecutionEngine
 from repro.faults import (
     ALL_SITES,
-    ENV_VAR,
     ERROR,
     SHORT_READ,
     SITE_CURSOR_FETCH,
@@ -24,7 +23,6 @@ from repro.faults import (
     InjectedFault,
     TransientFault,
     parse_fault_spec,
-    plan_from_env,
 )
 from repro.sql import compile_select
 
@@ -199,11 +197,6 @@ class TestSpecGrammar:
         ):
             with pytest.raises(ValueError):
                 parse_fault_spec(bad)
-
-    def test_plan_from_env(self):
-        plan = plan_from_env({ENV_VAR: "seed=3; cursor.fetch:error:every=2"})
-        assert plan is not None and plan.seed == 3
-        assert plan_from_env({}) is None
 
     def test_all_sites_parse(self):
         for site in sorted(ALL_SITES):

@@ -25,7 +25,8 @@ maximum is computed once per join, not once per snapshot, the group-count
 state counts each batch in one piece with no Python step per key and
 settles its statistics at reads, the MLE is evaluated only by the reads
 that choose it, the FK -> PK joins skip their Σc² and ``add_weighted``
-passes, and the aggregation's input pass makes no Python call per row.
+passes, and neither the aggregation's input pass nor a pushed-down
+aggregate's probe-pass fold makes a Python call per row.
 """
 
 from __future__ import annotations
@@ -151,6 +152,12 @@ Q_LONG = {
     "FROM lineitem l WHERE l.discount < 0.02",
 }
 BATCH = 1024
+#: Grouped on a column of the join's probe stream, so the aggregate's
+#: group count is estimated inside the join (Section 4.2's push-down).
+PUSHED_DOWN = (
+    "SELECT l.suppkey, COUNT(*) AS n FROM lineitem l "
+    "JOIN orders o ON l.orderkey = o.orderkey GROUP BY l.suppkey"
+)
 
 
 def _pass_input_rows(op, child_index: int) -> int:
@@ -348,6 +355,48 @@ class TestPaidPerBatch:
         # Per batch: the drain's resume, the scan's pull, the tick and the
         # kernel; per new group: its state. Room for twice that.
         allowed = 8 * batches + 2 * aggregate.groups_seen
+        assert sum(calls.values()) <= allowed, (rows, calls.most_common(5))
+
+    def test_pushed_down_aggregation_makes_no_python_call_per_row(self, small_catalog):
+        """An aggregate pushed down into its join chain is fed one probe
+        batch at a time: the Python calls made in ``repro/core`` by the
+        bottom join's probe hooks grow with the batches, not with the
+        probe rows."""
+        plan = compile_select(small_catalog, PUSHED_DOWN).plan
+        bus = TickBus(interval=500)
+        monitor = ProgressMonitor(plan, mode="once", bus=bus)
+        (aggregate,) = [op for op in walk(plan) if isinstance(op, HashAggregate)]
+        hybrid, chain = monitor.manager.registry[id(aggregate)].fed_by
+        assert isinstance(chain, HashJoinChainEstimator) and chain.output_listeners
+        bottom = chain.chain[0]
+        core = str(Path(repro.core.__file__).parent)
+        calls: Counter = Counter()
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename.startswith(core):
+                calls[frame.f_code.co_name] += 1
+
+        hooks = bottom.input_hooks[1]
+        for at, hook in enumerate(hooks):
+
+            def profiled(keys, rows, hook=hook):
+                sys.setprofile(profile)
+                try:
+                    hook(keys, rows)
+                finally:
+                    sys.setprofile(None)
+
+            hooks[at] = profiled
+
+        result = ExecutionEngine(plan, bus=bus).run(batch_size=BATCH)
+        assert result.row_count > 0 and chain.exact and hybrid.exact
+
+        rows = bottom.rows_consumed[1]
+        batches = -(-rows // BATCH) + 1
+        assert rows >= 20 * batches and calls
+        # Per batch: the hook, its kernel, one accumulator add per level
+        # and the fold's three steps. Room for twice that.
+        allowed = 2 * (2 + chain.k + 3) * batches
         assert sum(calls.values()) <= allowed, (rows, calls.most_common(5))
 
     @pytest.mark.parametrize("name", ["j3_agg_top", "j2_filter", "j3_agg"])

@@ -6,12 +6,11 @@ import pytest
 
 from repro.common.errors import EstimationError
 from repro.core.pipeline_estimators import HashJoinChainEstimator, find_hash_join_chains
-from repro.executor.engine import ExecutionEngine
+from repro.executor.engine import ExecutionEngine, PlanCursor, TickBus
 from repro.executor.expressions import col, lit
 from repro.executor.operators import Filter, HashJoin, SeqScan
 from repro.datagen.skew import customer_variant, customer_variant_with_custkey
 from repro.workloads import paper_pipeline_same_attr
-from tests.conftest import read_at_ticks
 
 
 def make_chain(*, same_attr: bool, case: int = 1, rows: int = 3000, domain: int = 60):
@@ -173,13 +172,34 @@ class TestNestedReferences:
             assert est.levels[level].estimate() == join.tuples_emitted
 
 
+def same_attr_output_size(upper, lower) -> int:
+    """A same-attribute chain's true output size, Σ_k a(k)·b(k)·c(k) over
+    the three tables' nationkey counts: at 6000 rows, 154 202 481 rows,
+    minutes to drain."""
+    a, b, c = (
+        Counter(scan.table.column_values(f"{scan.table.name}.nationkey"))
+        for scan in (upper.children()[0], *lower.children())
+    )
+    return sum(n * b[k] * c[k] for k, n in a.items())
+
+
 class TestMidStreamAccuracy:
     def test_estimates_reasonable_mid_probe(self):
+        """Read at every tick of a ``TickBus(500)``, as a monitored run
+        would be, and stopped at the first read past half the probe pass."""
         upper, lower, est = make_chain(same_attr=True, rows=6000)
-        reads = read_at_ticks(upper, lambda: (est.t, est.levels[1].estimate()), 500)
-        truth = upper.tuples_emitted
+        bus = TickBus(500)
+        reads: list = []
+        bus.subscribe(lambda _count: reads.append((est.t, est.levels[1].estimate())))
+        cursor = PlanCursor(upper, bus=bus)
+        cursor.open()
+        try:
+            while not any(t >= 3000 for t, _ in reads):
+                assert cursor.fetch(bus.interval)
+        finally:
+            cursor.close()
         mid = next(e for t, e in reads if t >= 3000)
-        assert mid == pytest.approx(truth, rel=0.3)
+        assert mid == pytest.approx(same_attr_output_size(upper, lower), rel=0.3)
 
     def test_confidence_interval_covers_truth(self):
         upper, lower, est = make_chain(same_attr=True, rows=6000)
@@ -188,13 +208,7 @@ class TestMidStreamAccuracy:
             upper.next()
         lo, hi = est.levels[-1].confidence_interval(alpha=0.99)
         upper.close()
-        # The chain's true output size, Σ_k a(k)·b(k)·c(k) over the three
-        # tables' nationkey counts: 154 202 481 rows, minutes to drain.
-        a, b, c = (
-            Counter(scan.table.column_values(f"{scan.table.name}.nationkey"))
-            for scan in (upper.children()[0], *lower.children())
-        )
-        truth = sum(n * b[k] * c[k] for k, n in a.items())
+        truth = same_attr_output_size(upper, lower)
         assert lo <= truth <= hi
 
 
@@ -226,9 +240,17 @@ class TestValidation:
 class TestOutputListeners:
     def test_listener_receives_exact_output_distribution(self):
         upper, lower, est = make_chain(same_attr=True, rows=2000)
-        observed: Counter = Counter()
-        est.add_output_listener("c.nationkey", lambda v, w: observed.update({v: w}))
+        stream: list = []
+        est.add_output_listener(
+            "c.nationkey",
+            lambda values, contributions: stream.extend(
+                (v, w) for v, w in zip(values, contributions) if w
+            ),
+        )
         result = ExecutionEngine(upper, collect_rows=False).run()
+        observed: Counter = Counter()
+        for v, w in stream:
+            observed[v] += w
         # Reference: group the actual join output by c.nationkey.
         upper2, lower2, _ = make_chain(same_attr=True, rows=2000)
         res2 = ExecutionEngine(upper2, collect_rows=True).run()
@@ -236,7 +258,29 @@ class TestOutputListeners:
         expected = Counter(r[idx] for r in res2.rows)
         assert observed == expected
 
+    def test_listener_receives_a_non_key_column(self):
+        """A group column other than the probe key is read off the batch's
+        rows: each ``c.custkey`` yields a(k)·b(k) rows for its nationkey k."""
+        upper, lower, est = make_chain(same_attr=True, rows=500)
+        observed: Counter = Counter()
+
+        def listener(values, contributions):
+            for v, w in zip(values, contributions):
+                observed[v] += w
+
+        est.add_output_listener("c.custkey", listener)
+        ExecutionEngine(upper, collect_rows=False).run(batch_size=64)
+        a_scan, (b_scan, c_scan) = upper.children()[0], lower.children()
+        a, b = (
+            Counter(scan.table.column_values(f"{scan.table.name}.nationkey"))
+            for scan in (a_scan, b_scan)
+        )
+        expected = Counter()
+        for custkey, _name, nationkey in c_scan.table.rows():
+            expected[custkey] += a[nationkey] * b[nationkey]
+        assert +observed == +expected and sum(observed.values()) == upper.tuples_emitted
+
     def test_unknown_column_rejected(self):
         upper, lower, est = make_chain(same_attr=True, rows=100)
         with pytest.raises(EstimationError, match="base probe stream"):
-            est.add_output_listener("a.nationkey", lambda v, w: None)
+            est.add_output_listener("a.nationkey", lambda values, contributions: None)

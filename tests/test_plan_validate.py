@@ -197,39 +197,43 @@ class TestOneInstrumentedInputPass:
 
 class TestHooksAreColumnKernels:
     """The estimators pay per batch, not per tuple: no function they
-    register on ``input_hooks`` — nor any method of theirs it hands the
-    batch on to — loops over its ``rows`` / ``keys`` in Python. That covers
-    the chain and ONCE hooks, the histograms they fill
-    (``core/histogram.py``, whose batch parameter is ``values``) and the
-    group-count path (registered in ``core/aggregate_estimators.py``,
-    implemented in ``core/distinct.py``). Two functions are exempt, by
-    name: ``_probe_rows`` (the push-down listener path needs the per-tuple
-    stream) and ``FrequencyHistogram.add_weighted`` (a Case-2 derived
-    build whose folded histograms are not all 0/1 is one Python step per
-    build row)."""
+    register on ``input_hooks`` or through a chain's
+    ``add_output_listener`` — nor any method of theirs it hands the batch
+    on to — loops over its ``rows`` / ``keys`` / ``values`` / ``weights``
+    in Python. That covers the chain and ONCE hooks, the histograms they
+    fill (``core/histogram.py``, whose batch parameter is ``values``) and
+    the group-count paths, direct and pushed down (registered in
+    ``core/aggregate_estimators.py``, implemented in ``core/distinct.py``).
+    One function is exempt, by name: ``FrequencyHistogram.add_weighted``
+    (a Case-2 derived build whose folded histograms are not all 0/1 is one
+    Python step per build row)."""
 
-    BATCH_PARAMS = {"rows", "keys", "values"}
-    EXEMPT = frozenset({"_probe_rows", "add_weighted"})
+    BATCH_PARAMS = {"rows", "keys", "values", "weights"}
+    EXEMPT = frozenset({"add_weighted"})
     FIXTURE = (
         Path(__file__).parent / "fixtures" / "lint" / "repro" / "core" / "bad_row_loop_hook.py"
     )
 
     @staticmethod
     def _registered(tree: ast.Module) -> set[str]:
-        """Names handed to ``<op>.input_hooks[i].append(...)``: a bound
-        method registers itself, a factory call its inner functions."""
+        """Names handed to ``<op>.input_hooks[i].append(...)`` or, last, to
+        ``<chain>.add_output_listener(...)``: a bound method registers
+        itself, a factory call its inner functions."""
         names = set()
         for call in ast.walk(tree):
-            if not (
-                isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute)
-                and call.func.attr == "append"
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)):
+                continue
+            if call.func.attr == "add_output_listener":
+                *_, hook = call.args
+            elif (
+                call.func.attr == "append"
                 and isinstance(call.func.value, ast.Subscript)
                 and isinstance(call.func.value.value, ast.Attribute)
                 and call.func.value.value.attr == "input_hooks"
             ):
+                (hook,) = call.args
+            else:
                 continue
-            (hook,) = call.args
             if isinstance(hook, ast.Call):
                 hook = hook.func
             assert isinstance(hook, ast.Attribute), ast.dump(hook)
@@ -318,6 +322,22 @@ class TestHooksAreColumnKernels:
         )
         assert self._row_loops(registration, mutated) == {"observe_batch"}
 
+    def test_the_guard_reaches_the_pushed_down_fold(self):
+        """The push-down listener is followed from its registration into
+        ``GroupFrequencyState.observe_weighted``, whose batch is named
+        ``values`` / ``weights``, so a per-pair loop there is caught."""
+        registration = self._source(repro.core.aggregate_estimators)
+        distinct = self._source(repro.core.distinct)
+        summed_in_c = "        moves = Counter(chain.from_iterable(map(repeat, values, weights)))\n"
+        assert distinct.count(summed_in_c) == 1
+        mutated = distinct.replace(
+            summed_in_c,
+            "        moves = Counter()\n"
+            "        for value, weight in zip(values, weights):\n"
+            "            moves[value] += weight\n",
+        )
+        assert self._row_loops(registration, mutated) == {"observe_weighted"}
+
     def test_the_guard_reaches_the_histograms(self):
         """A build hook's ``add_batch`` is followed into ``core/histogram.py``,
         and ``add_weighted`` is passed over only because it is exempt."""
@@ -338,4 +358,5 @@ class TestHooksAreColumnKernels:
             "build_hook",
             "_on_probe",
             "_apply",
+            "_on_output",
         }

@@ -9,6 +9,7 @@ asserted in isolation.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 import time
@@ -68,6 +69,10 @@ class ScriptedServer:
 
     def close(self):
         self._stop.set()
+        # Closing alone does not wake a thread blocked in accept() on Linux;
+        # shutting the listener down does (other platforms may refuse it).
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)
         self.sock.close()
         self._thread.join(timeout=5.0)
 
